@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 from . import block, engine, hweight, intermediate, novikov
 from .engine import CENTRAL, Element, Graded, Verdict, Window
-from .scalars import PolyRing, format_rational, parse_rational
+from .scalars import PolyRing, accumulate, format_rational, parse_rational
 
 JOB_KINDS = (
     "axioms",
@@ -73,9 +73,14 @@ def _field(raw: dict, job: str, name: str, default=_REQUIRED):
     return default
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not numbers here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_field(raw: dict, job: str, name: str, default=_REQUIRED, minimum=None):
     value = _field(raw, job, name, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ConfigError(f"{job}: field '{name}' must be an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{job}: field '{name}' must be >= {minimum}")
@@ -198,7 +203,7 @@ def parse_element(text: str) -> Element:
     """Parse sums like "2*L[1,0] - 1/3*L[-2,4] + c" into an Element."""
     if not isinstance(text, str) or not text.strip():
         raise ConfigError(f"empty element text: {text!r}")
-    out = Element.zero()
+    terms = []
     for chunk in _split_terms(text.replace(" ", "")):
         sign = Fraction(1)
         if chunk.startswith("-"):
@@ -211,12 +216,11 @@ def parse_element(text: str) -> Element:
             )
         coeff = sign * Fraction(match.group("coeff") or 1)
         if match.group("c"):
-            out = out + Element.basis(CENTRAL, coeff)
+            index = CENTRAL
         else:
-            out = out + Element.basis(
-                Graded(int(match.group("g")), int(match.group("l"))), coeff
-            )
-    return out
+            index = Graded(int(match.group("g")), int(match.group("l")))
+        terms.append((index, coeff))
+    return Element(accumulate({}, terms))
 
 
 def _weight_field(raw: dict, job: str, params: block.BlockParams, horizon: int):
@@ -328,16 +332,16 @@ def _validate_axioms(raw: dict) -> dict:
             out_raw = _field(row, job, "out")
             if not isinstance(out_raw, list):
                 raise ConfigError(f"{job}: table[{k}].out must be a list")
-            elem = Element.zero()
+            terms = []
             out_echo = []
             for t, term in enumerate(out_raw):
                 if not isinstance(term, dict):
                     raise ConfigError(f"{job}: table[{k}].out[{t}] must be an object")
                 grade = _int_field(term, job, "grade")
                 coeff = _rational_field(term, job, "coeff")
-                elem = elem + Element.basis(Graded(grade, 0), coeff)
+                terms.append((Graded(grade, 0), coeff))
                 out_echo.append({"grade": grade, "coeff": format_rational(coeff)})
-            entries[(a, b)] = elem
+            entries[(a, b)] = Element(accumulate({}, terms))
             table_echo.append({"a": a, "b": b, "out": out_echo})
         settings["table"] = table_echo
         settings["_table"] = entries
@@ -364,7 +368,7 @@ def _validate_axioms(raw: dict) -> dict:
         if (
             not isinstance(exponents, list)
             or len(exponents) != 2
-            or not all(isinstance(e, int) and e >= 0 for e in exponents)
+            or not all(_is_int(e) and e >= 0 for e in exponents)
         ):
             raise ConfigError(f"{job}: perturb.exponents must be two integers >= 0")
         delta = _rational_field(perturb, job, "delta")
@@ -506,7 +510,7 @@ def _validate_modcheck(raw: dict) -> dict:
     if (
         not isinstance(weight_range, list)
         or len(weight_range) != 2
-        or not all(isinstance(v, int) for v in weight_range)
+        or not all(_is_int(v) for v in weight_range)
         or weight_range[0] > weight_range[1]
     ):
         raise ConfigError(f"{job}: field 'weight_range' must be [lo, hi] integers")
@@ -673,17 +677,25 @@ def _run_blockcheck(settings: dict) -> tuple[dict, bool]:
     scalars = settings["_scalars"]
     params = block.BlockParams(p=scalars["p"], q=scalars["q"])
     window = Window(**settings["window"])
-    cocycle = block.cocycle_jacobi_check(
-        params, _rational_grid(settings["cocycle_grades"])
-    )
+    try:
+        cocycle = block.cocycle_jacobi_check(
+            params, _rational_grid(settings["cocycle_grades"])
+        )
+    except engine.InsufficientGridError as exc:
+        raise ConfigError(f"blockcheck: field 'cocycle_grades': {exc}") from None
     virasoro = block.virasoro_embedding_check(params, window)
     laurent = block.laurent_realization_check(params, window)
-    jacobi = engine.grid_identity_check(
-        block.delta_free_rule(params),
-        "jacobi",
-        _rational_grid(settings["jacobi_grades"]),
-        _rational_grid(settings["jacobi_levels"]),
-    )
+    try:
+        jacobi = engine.grid_identity_check(
+            block.delta_free_rule(params),
+            "jacobi",
+            _rational_grid(settings["jacobi_grades"]),
+            _rational_grid(settings["jacobi_levels"]),
+        )
+    except engine.InsufficientGridError as exc:
+        raise ConfigError(
+            f"blockcheck: field 'jacobi_grades' or 'jacobi_levels': {exc}"
+        ) from None
     results = {
         "cocycle_jacobi": _verdict_json(cocycle),
         "virasoro_embedding": _verdict_json(virasoro),
@@ -921,19 +933,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(
-        "--seed", type=int, default=None, help="overrides the config's seed field"
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker hint; results are independent of it (runs are sequential)",
+        "--seed", type=int, default=None, help="overrides the config's mutations.seed"
     )
     args = parser.parse_args(argv)
 
     try:
         config = load_config(args.config)
-        if args.seed is not None and "mutations" in config.settings:
+        if args.seed is not None:
+            if "mutations" not in config.settings:
+                raise ConfigError(
+                    f"--seed applies only to jobs with 'mutations'; "
+                    f"this {config.kind} job has none"
+                )
             config.settings["mutations"]["seed"] = args.seed
         report = run_job(config)
     except ConfigError as exc:

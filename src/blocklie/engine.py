@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .scalars import Poly, Scalar, as_fraction, format_scalar, scalar_is_zero
+from .scalars import Poly, Scalar, accumulate, as_fraction, scalar_is_zero, signed_sum
 
 IndexValue = Union[int, Fraction]
 
@@ -97,7 +97,8 @@ class Element:
     """Finitely supported linear combination of basis labels.
 
     Coefficients are exact scalars; zero coefficients are never stored.
-    Treat instances as immutable.
+    Treat instances as immutable.  Arithmetic returns the operand's own class,
+    so subclasses over other label sets (`intermediate.ModuleVector`) share it.
     """
 
     __slots__ = ("terms",)
@@ -110,13 +111,20 @@ class Element:
                     clean[index] = coeff if isinstance(coeff, Poly) else Fraction(coeff)
         self.terms = clean
 
-    @staticmethod
-    def zero() -> "Element":
-        return Element()
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """Adopt a dict of nonzero Fraction or Poly coefficients without copying."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
 
-    @staticmethod
-    def basis(index: BasisIndex, coeff: Scalar = 1) -> "Element":
-        return Element({index: coeff})
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def basis(cls, index: BasisIndex, coeff: Scalar = 1):
+        return cls({index: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -130,25 +138,18 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        out = dict(self.terms)
-        for index, coeff in other.terms.items():
-            total = out.get(index, Fraction(0)) + coeff
-            if scalar_is_zero(total):
-                out.pop(index, None)
-            else:
-                out[index] = total
-        return Element(out)
+        return self._wrap(accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Element":
-        return Element({index: -coeff for index, coeff in self.terms.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self._wrap(accumulate(dict(self.terms), other.terms.items(), -1))
 
     def scaled(self, factor: Scalar) -> "Element":
-        if scalar_is_zero(factor):
-            return Element()
-        return Element({index: coeff * factor for index, coeff in self.terms.items()})
+        return self._wrap(accumulate({}, self.terms.items(), factor))
 
     def __rmul__(self, factor: Scalar) -> "Element":
         return self.scaled(factor)
@@ -165,22 +166,13 @@ class Element:
     __hash__ = None  # type: ignore[assignment]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for index in sorted(self.terms, key=basis_sort_key):
+        def term(index: BasisIndex) -> tuple:
             coeff = self.terms[index]
-            if isinstance(coeff, Poly):
-                pieces.append(("+", f"({coeff})*{index}"))
-            else:
-                mag = abs(coeff)
-                body = str(index) if mag == 1 else f"{format_scalar(mag)}*{index}"
-                pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            if isinstance(coeff, Poly):  # parenthesized, always with a plus sign
+                return 1, f"({coeff})*{index}"
+            return coeff, str(index)
+
+        return signed_sum(map(term, sorted(self.terms, key=basis_sort_key)))
 
     def __repr__(self) -> str:
         return f"Element({self})"
@@ -293,14 +285,14 @@ def bracket_rule(
 def _offset_profile(rule: BracketRule, indices: tuple[int, int, int, int]):
     """Structure coefficients keyed by output offset (grade-ga-gb, level-la-lb)."""
     ga, la, gb, lb = indices
-    out: dict[tuple, Scalar] = {}
-    for index, coeff in rule.pair(Graded(ga, la), Graded(gb, lb)).terms.items():
+
+    def offset(index: BasisIndex) -> tuple:
         if index is CENTRAL:
-            key: tuple = ("c",)
-        else:
-            key = (index.grade - ga - gb, index.level - la - lb)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return out
+            return ("c",)
+        return (index.grade - ga - gb, index.level - la - lb)
+
+    terms = rule.pair(Graded(ga, la), Graded(gb, lb)).terms
+    return accumulate({}, ((offset(index), coeff) for index, coeff in terms.items()))
 
 
 def _spot_check_degree_bounds(rule: BracketRule) -> None:
@@ -319,27 +311,31 @@ def _spot_check_degree_bounds(rule: BracketRule) -> None:
                 point = list(base)
                 point[slot] += t
                 sign = (-1) ** t * comb(order, t)
-                for key, coeff in _offset_profile(rule, tuple(point)).items():
-                    acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-            for key, coeff in acc.items():
-                if not scalar_is_zero(coeff):
-                    raise ValueError(
-                        f"declared degree bound {bound} violated along index slot "
-                        f"{slot} at base {base} (output offset {key})"
-                    )
+                accumulate(acc, _offset_profile(rule, tuple(point)).items(), sign)
+            if acc:
+                raise ValueError(
+                    f"declared degree bound {bound} violated along index slot "
+                    f"{slot} at base {base} (output offset {next(iter(acc))})"
+                )
 
 
-def bracket_apply(rule: BracketRule, x: Element, y: Element) -> Element:
-    """Bilinear extension of the rule; the central label brackets to zero."""
-    out = Element.zero()
+def extend_bilinearly(
+    pair: Callable[[Graded, Graded], Element], x: Element, y: Element
+) -> Element:
+    """Sum of cx*cy*pair(ix, iy) over graded labels; the central label pairs to zero."""
+    acc: dict[BasisIndex, Scalar] = {}
     for ix, cx in x.terms.items():
         if ix is CENTRAL:
             continue
         for iy, cy in y.terms.items():
-            if iy is CENTRAL:
-                continue
-            out = out + rule.pair(ix, iy).scaled(cx * cy)
-    return out
+            if iy is not CENTRAL:
+                accumulate(acc, pair(ix, iy).terms.items(), cx * cy)
+    return Element._wrap(acc)
+
+
+def bracket_apply(rule: BracketRule, x: Element, y: Element) -> Element:
+    """Bilinear extension of the rule; the central label brackets to zero."""
+    return extend_bilinearly(rule.pair, x, y)
 
 
 def _require_grid(name: str, values: Sequence[IndexValue], needed: int) -> None:
@@ -401,10 +397,10 @@ def grid_identity_check(
 
     if identity == "antisymmetry":
         for x, y in itertools.product(singles, repeat=2):
-            acc: dict[BasisIndex, Scalar] = dict(pair_terms(x, y))
-            for index, coeff in pair_terms(y, x).items():
-                acc[index] = acc.get(index, Fraction(0)) + coeff
-            if any(not scalar_is_zero(v) for v in acc.values()):
+            acc: dict[BasisIndex, Scalar] = accumulate(
+                dict(pair_terms(x, y)), pair_terms(y, x).items()
+            )
+            if acc:
                 return Verdict.fails(((x.grade, x.level), (y.grade, y.level)), Element(acc))
         return Verdict.holds_universally()
 
@@ -412,11 +408,9 @@ def grid_identity_check(
         acc = {}
         for outer, inner in ((x, (y, z)), (z, (x, y)), (y, (z, x))):
             for mid, mid_coeff in pair_terms(*inner).items():
-                if mid is CENTRAL:
-                    continue
-                for index, coeff in pair_terms(outer, mid).items():
-                    acc[index] = acc.get(index, Fraction(0)) + mid_coeff * coeff
-        if any(not scalar_is_zero(v) for v in acc.values()):
+                if mid is not CENTRAL:
+                    accumulate(acc, pair_terms(outer, mid).items(), mid_coeff)
+        if acc:
             witness = tuple((s.grade, s.level) for s in (x, y, z))
             return Verdict.fails(witness, Element(acc))
     return Verdict.holds_universally()
@@ -474,17 +468,13 @@ class _Echelon:
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
 
-    def reduce(self, vec: list[Fraction]) -> list[Fraction]:
-        vec = list(vec)
+    def insert(self, vec: list[Fraction]) -> bool:
+        """Add a row (the list is consumed); False when it reduces to zero."""
         for row, pivot in zip(self.rows, self.pivots):
             factor = vec[pivot]
             if factor:
                 for k in range(pivot, self.width):
                     vec[k] -= factor * row[k]
-        return vec
-
-    def insert(self, vec: list[Fraction]) -> bool:
-        vec = self.reduce(vec)
         pivot = next((k for k, v in enumerate(vec) if v), None)
         if pivot is None:
             return False
@@ -536,14 +526,18 @@ def subalgebra_closure(
 
 
 def membership(element: Element, closure: Closure) -> bool:
-    """True iff the element reduces to zero against the closure's echelon basis."""
-    coords = closure.window.indices()
-    coord_index = {index: pos for pos, index in enumerate(coords)}
-    ech = _Echelon(len(coords))
-    for row in closure.rows:
-        ech.insert(_element_vector(row, coord_index, discard_outside=False))
+    """True iff the element reduces to zero against the closure's echelon basis.
+
+    The rows are already reduced (pivot coefficient 1, zero in every other
+    row's pivot column), so one pass clears each pivot of the query."""
+    coord_index = {index: pos for pos, index in enumerate(closure.window.indices())}
     vec = _element_vector(element, coord_index, discard_outside=False)
-    return not any(ech.reduce(vec))
+    for row in closure.rows:
+        factor = vec[coord_index[min(row.terms, key=basis_sort_key)]]
+        if factor:
+            for index, coeff in row.terms.items():
+                vec[coord_index[index]] -= factor * coeff
+    return not any(vec)
 
 
 def adjoint_chain(

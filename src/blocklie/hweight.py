@@ -40,7 +40,7 @@ from math import factorial
 from typing import Sequence
 
 from .block import BlockParams
-from .scalars import format_rational
+from .scalars import format_rational, signed_sum
 
 Coeffs = tuple[Fraction, ...]
 
@@ -70,25 +70,12 @@ def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
 
 def format_poly(coeffs: Sequence[Fraction], variable: str = "t") -> str:
     """Render an ascending coefficient list as e.g. "t^2 - 2*t + 1"."""
-    stripped = _poly_strip(coeffs)
-    if not stripped:
-        return "0"
-    parts = []
-    for power in range(len(stripped) - 1, -1, -1):
-        coeff = stripped[power]
-        if coeff == 0:
-            continue
-        if power == 0:
-            body = format_rational(abs(coeff))
-        else:
-            var = variable if power == 1 else f"{variable}^{power}"
-            body = var if abs(coeff) == 1 else f"{format_rational(abs(coeff))}*{var}"
-        parts.append(("-" if coeff < 0 else "+", body))
-    sign, body = parts[0]
-    text = body if sign == "+" else f"-{body}"
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+    def monomial(power: int) -> str:
+        return "" if power == 0 else variable if power == 1 else f"{variable}^{power}"
+
+    return signed_sum(
+        (coeffs[k], monomial(k)) for k in reversed(range(len(coeffs))) if coeffs[k]
+    )
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .block import BlockParams, block_bracket
 from .engine import CENTRAL, Element, Graded, Verdict, Window
-from .scalars import as_fraction, format_rational
+from .scalars import accumulate, as_fraction, format_rational
 
 VARIANTS = ("Aab", "Aa", "Ba")
 
@@ -56,59 +55,11 @@ def diagonal_exception_family(a) -> IntermediateKind:
     return IntermediateKind("Ba", Fraction(a))
 
 
-class ModuleVector:
-    """Finitely supported combination of the weight basis v_m, m in Z."""
+class ModuleVector(Element):
+    """Finitely supported combination of the weight basis v_m, m in Z, keyed by
+    the integer m; the arithmetic is Element's."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Fraction] | None = None):
-        clean = {}
-        if terms:
-            for m, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[m] = c
-        self.terms = clean
-
-    @staticmethod
-    def basis(m: int, coeff=1) -> "ModuleVector":
-        return ModuleVector({m: Fraction(coeff)})
-
-    @staticmethod
-    def zero() -> "ModuleVector":
-        return ModuleVector()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        out = dict(self.terms)
-        for m, coeff in other.terms.items():
-            total = out.get(m, Fraction(0)) + coeff
-            if total == 0:
-                out.pop(m, None)
-            else:
-                out[m] = total
-        return ModuleVector(out)
-
-    def __neg__(self) -> "ModuleVector":
-        return ModuleVector({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-other)
-
-    def scaled(self, factor) -> "ModuleVector":
-        factor = Fraction(factor)
-        if factor == 0:
-            return ModuleVector()
-        return ModuleVector({m: c * factor for m, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
+    __slots__ = ()
 
     def __str__(self) -> str:
         if not self.terms:
@@ -122,19 +73,18 @@ class ModuleVector:
 
 
 def _basis_action(
-    kind: IntermediateKind, q: Fraction, alpha: int, level, m: int
-) -> tuple[Fraction, int] | None:
-    if level > 0:
-        return None
+    kind: IntermediateKind, q: Fraction, alpha: int, m: int
+) -> tuple[int, Fraction]:
+    """L[alpha,0] v_m as (target weight, coefficient)."""
     if kind.variant == "Aab":
-        return q * (kind.a + m + kind.b * alpha), alpha + m
+        return alpha + m, q * (kind.a + m + kind.b * alpha)
     if kind.variant == "Aa":
         if m != 0:
-            return q * (m + alpha), alpha + m
-        return q * alpha * (kind.a + alpha), alpha
+            return alpha + m, q * (m + alpha)
+        return alpha, q * alpha * (kind.a + alpha)
     if m != -alpha:
-        return q * m, alpha + m
-    return -q * alpha * (kind.a + alpha), 0
+        return alpha + m, q * m
+    return 0, -q * alpha * (kind.a + alpha)
 
 
 def act(
@@ -150,20 +100,15 @@ def act(
     require 0 (the default), and the nonzero setting exists so the axiom
     check can demonstrate why."""
     q = as_fraction(params.q)
-    out = ModuleVector.zero()
+    acc: dict[int, Fraction] = {}
     for index, coeff in x.terms.items():
         scale = as_fraction(coeff)
         if index is CENTRAL:
-            if central_value != 0:
-                out = out + v.scaled(scale * central_value)
-            continue
-        for m, vc in v.terms.items():
-            hit = _basis_action(kind, q, index.grade, index.level, m)
-            if hit is None:
-                continue
-            value, target = hit
-            out = out + ModuleVector.basis(target, scale * vc * value)
-    return out
+            accumulate(acc, v.terms.items(), scale * central_value)
+        elif index.level <= 0:
+            for m, vc in v.terms.items():
+                accumulate(acc, (_basis_action(kind, q, index.grade, m),), scale * vc)
+    return ModuleVector._wrap(acc)
 
 
 def module_axiom_check(

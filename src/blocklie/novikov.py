@@ -33,10 +33,11 @@ from .engine import (
     Verdict,
     Window,
     bracket_rule,
+    extend_bilinearly,
     grid_identity_check,
     normalize_index_values,
 )
-from .scalars import Scalar, scalar_is_zero
+from .scalars import Scalar, accumulate
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,11 @@ class AffinizationParams:
 
 def witt_novikov_product(params: WittNovikovParams, a, b) -> Element:
     """(b + p) x_{a+b} + mu x_{a+b+theta}, exactly."""
-    out = Element.basis(Graded(a + b, 0), b + params.p)
-    if not scalar_is_zero(params.mu):
-        out = out + Element.basis(Graded(a + b + params.theta, 0), params.mu)
-    return out
+    terms = (
+        (Graded(a + b, 0), b + params.p),
+        (Graded(a + b + params.theta, 0), params.mu),
+    )
+    return Element(accumulate({}, terms))
 
 
 def witt_product_rule(params: WittNovikovParams) -> ProductRule:
@@ -137,11 +139,7 @@ def table_product_rule(
 
 def product_apply(rule: ProductRule, x: Element, y: Element) -> Element:
     """Bilinear extension of a product rule to Witt Elements."""
-    out = Element.zero()
-    for ix, cx in x.terms.items():
-        for iy, cy in y.terms.items():
-            out = out + rule.pair(ix.grade, iy.grade).scaled(cx * cy)
-    return out
+    return extend_bilinearly(lambda ix, iy: rule.pair(ix.grade, iy.grade), x, y)
 
 
 @dataclass(frozen=True)
@@ -186,14 +184,12 @@ def novikov_axiom_check(
     def add_assoc(acc: dict, sign: int, first, second, third) -> None:
         # sign * ((x_first x_second) x_third)
         for mid, cm in prod_terms(first, second).items():
-            for out, co in prod_terms(mid.grade, third).items():
-                acc[out] = acc.get(out, Fraction(0)) + sign * cm * co
+            accumulate(acc, prod_terms(mid.grade, third).items(), sign * cm)
 
     def add_left(acc: dict, sign: int, first, second, third) -> None:
         # sign * (x_first (x_second x_third))
         for mid, cm in prod_terms(second, third).items():
-            for out, co in prod_terms(first, mid.grade).items():
-                acc[out] = acc.get(out, Fraction(0)) + sign * cm * co
+            accumulate(acc, prod_terms(first, mid.grade).items(), sign * cm)
 
     left = right = None
     for ga, gb, gc in itertools.product(grade_values, repeat=3):
@@ -203,13 +199,13 @@ def novikov_axiom_check(
             add_left(acc, -1, ga, gb, gc)
             add_assoc(acc, -1, gb, ga, gc)
             add_left(acc, 1, gb, ga, gc)
-            if any(not scalar_is_zero(v) for v in acc.values()):
+            if acc:
                 left = Verdict.fails((ga, gb, gc), Element(acc))
         if right is None:
             acc = {}
             add_assoc(acc, 1, ga, gb, gc)
             add_assoc(acc, -1, ga, gc, gb)
-            if any(not scalar_is_zero(v) for v in acc.values()):
+            if acc:
                 right = Verdict.fails((ga, gb, gc), Element(acc))
         if left is not None and right is not None:
             break
@@ -222,19 +218,15 @@ def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
     """Bracket [a[m], b[n]] = (m+q)(ab)[m+n] - (n+q)(ba)[m+n] on Graded(grade, m)."""
     q = params.q
 
-    def relevel(product: Element, level) -> Element:
-        return Element(
-            {Graded(i.grade, level): c for i, c in product.terms.items()}
-        )
+    def relevel(product: Element, level):
+        return ((Graded(i.grade, level), c) for i, c in product.terms.items())
 
     def pair(x: Graded, y: Graded) -> Element:
         m, n = x.level, y.level
-        ab = rule.pair(x.grade, y.grade)
-        ba = rule.pair(y.grade, x.grade)
-        return (
-            relevel(ab, m + n).scaled(m + q)
-            + relevel(ba, m + n).scaled(-(n + q))
-        )
+        acc: dict = {}
+        accumulate(acc, relevel(rule.pair(x.grade, y.grade), m + n), m + q)
+        accumulate(acc, relevel(rule.pair(y.grade, x.grade), m + n), -(n + q))
+        return Element._wrap(acc)
 
     return bracket_rule(
         pair,

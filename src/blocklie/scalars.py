@@ -9,20 +9,25 @@ integer per declared symbol) to nonzero Fraction coefficients:
     ring = PolyRing("p", "q")
     2*p^2*q - 1/3   ->   {(2, 1): Fraction(2), (0, 0): Fraction(-1, 3)}
 
-The zero polynomial has empty support.  All operations are pure and return
-new objects; nothing here mutates its inputs, so values are safe to share
+The zero polynomial has empty support.  Polynomial operations are pure and
+return new objects; no Poly is ever mutated, so values are safe to share
 across workers.
 
 Two polynomials combine only when they share a symbol table, except that a
 constant (no symbol dependence) lifts into any ring.  Division is restricted
 to nonzero rational constants.
+
+Every sparse vector in the package (`Poly.terms` here, `engine.Element` and
+`intermediate.ModuleVector`) is a dict of nonzero coefficients; `accumulate`
+is their one addition and `signed_sum` their one printer.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Union
+from operator import add
+from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Poly"]
@@ -37,6 +42,8 @@ class SymbolTableError(ValueError):
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "a/b" or "a" (decimal digit strings) into an exact Fraction."""
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
+        raise TypeError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
     if isinstance(text, int):
         return Fraction(text)
     s = text.strip()
@@ -48,6 +55,45 @@ def parse_rational(text: str | int) -> Fraction:
 def format_rational(value: RationalLike) -> str:
     """Render a rational as "a/b", or "a" when the denominator is 1."""
     return str(Fraction(value))
+
+
+def accumulate(acc: dict, pairs: Iterable[tuple], factor: Scalar = 1) -> dict:
+    """acc += factor * pairs, in place; returns acc.
+
+    `pairs` yields (key, coefficient); a coefficient that is zero, or a sum
+    that cancels to zero, leaves no entry behind."""
+    if not factor:
+        return acc
+    if not (isinstance(factor, int) and factor == 1):
+        pairs = ((key, coeff * factor) for key, coeff in pairs)
+    get = acc.get
+    for key, coeff in pairs:
+        old = get(key)
+        if old is not None:
+            coeff = old + coeff
+        if coeff:
+            acc[key] = coeff
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+def signed_sum(terms: Iterable[tuple[RationalLike, str]]) -> str:
+    """Render (coefficient, monomial) terms as "2*x - y + 1/3", or "0" when empty.
+
+    A unit coefficient is left implicit; an empty monomial is a constant."""
+    text = ""
+    for coeff, monomial in terms:
+        mag = abs(coeff)
+        if not monomial:
+            body = format_rational(mag)
+        else:
+            body = monomial if mag == 1 else f"{format_rational(mag)}*{monomial}"
+        if text:
+            text += f" - {body}" if coeff < 0 else f" + {body}"
+        else:
+            text = f"-{body}" if coeff < 0 else body
+    return text or "0"
 
 
 class PolyRing:
@@ -124,6 +170,14 @@ class Poly:
         self.ring = ring
         self.terms = clean
 
+    @classmethod
+    def _wrap(cls, ring: PolyRing, terms: dict) -> "Poly":
+        """Adopt a clean terms dict (nonzero Fraction coefficients) without copying."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        return out
+
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -171,19 +225,12 @@ class Poly:
             return other + self.constant_value()  # type: ignore[operator]
         if rhs is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in rhs.terms.items():
-            total = out.get(exps, Fraction(0)) + coeff
-            if total == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = total
-        return Poly(self.ring, out)
+        return Poly._wrap(self.ring, accumulate(dict(self.terms), rhs.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {exps: -c for exps, c in self.terms.items()})
+        return Poly._wrap(self.ring, accumulate({}, self.terms.items(), -1))
 
     def __sub__(self, other: Scalar) -> "Poly":
         return self + (-other if isinstance(other, Poly) else -Fraction(other))
@@ -198,16 +245,12 @@ class Poly:
             return other * self.constant_value()  # type: ignore[operator]
         if rhs is NotImplemented:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in rhs.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = out.get(exps, Fraction(0)) + c1 * c2
-                if total == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = total
-        return Poly(self.ring, out)
+        products = (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in rhs.terms.items()
+        )
+        return Poly._wrap(self.ring, accumulate({}, products))
 
     __rmul__ = __mul__
 
@@ -219,7 +262,7 @@ class Poly:
         divisor = Fraction(other)
         if divisor == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Poly(self.ring, {exps: c / divisor for exps, c in self.terms.items()})
+        return Poly._wrap(self.ring, accumulate({}, self.terms.items(), 1 / divisor))
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
@@ -256,20 +299,17 @@ class Poly:
         ring, with substituted symbols folded into the coefficients.
         """
         values = {self.ring.index(name): Fraction(v) for name, v in bindings.items()}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in self.terms.items():
+
+        def evaluated(exps: tuple[int, ...], coeff: Fraction) -> tuple:
             new_exps = list(exps)
-            factor = coeff
             for pos, value in values.items():
-                factor *= value ** exps[pos]
+                coeff *= value ** exps[pos]
                 new_exps[pos] = 0
-            key = tuple(new_exps)
-            total = out.get(key, Fraction(0)) + factor
-            if total == 0:
-                out.pop(key, None)
-            else:
-                out[key] = total
-        return Poly(self.ring, out)
+            return tuple(new_exps), coeff
+
+        return Poly._wrap(
+            self.ring, accumulate({}, (evaluated(*term) for term in self.terms.items()))
+        )
 
     def degree_bound(self, symbol: str) -> int:
         """Exact maximum exponent of `symbol` across the support (0 if absent)."""
@@ -279,28 +319,15 @@ class Poly:
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
-            factors = [
+        def monomial(exps: tuple[int, ...]) -> str:
+            return "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(self.ring.symbols, exps)
                 if e > 0
-            ]
-            if not factors:
-                body = format_rational(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([format_rational(abs(coeff))] + factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+            )
+
+        ordered = sorted(self.terms, reverse=True)
+        return signed_sum((self.terms[exps], monomial(exps)) for exps in ordered)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -321,9 +348,3 @@ def scalar_is_zero(value: Scalar) -> bool:
     if isinstance(value, Poly):
         return value.is_zero()
     return value == 0
-
-
-def format_scalar(value: Scalar) -> str:
-    if isinstance(value, Poly):
-        return str(value)
-    return format_rational(value)

@@ -347,6 +347,53 @@ EXIT_CASES = [
             "central_value": "1",
         },
     ),
+    ("rational_as_list", 2, {"job": "axioms", "p": [1]}),
+    ("rational_as_float", 2, {"job": "axioms", "p": 0.5}),
+    ("rational_as_bool", 2, {"job": "axioms", "p": True}),
+    (
+        "blockcheck_short_cocycle_grid",
+        2,
+        {
+            "job": "blockcheck",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "cocycle_grades": ["0", "1"],
+        },
+    ),
+    (
+        "blockcheck_short_jacobi_grid",
+        2,
+        {
+            "job": "blockcheck",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "jacobi_grades": ["0"],
+        },
+    ),
+    (
+        "perturb_exponent_bool",
+        2,
+        {
+            "job": "axioms",
+            "p": "2",
+            "perturb": {"target": "main", "exponents": [True, 0], "delta": "1"},
+        },
+    ),
+    (
+        "weight_range_bool",
+        2,
+        {
+            "job": "modcheck",
+            "p": "3",
+            "q": "1",
+            "family": "Ba",
+            "a": "2",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "weight_range": [False, True],
+        },
+    ),
 ]
 
 
@@ -354,6 +401,20 @@ EXIT_CASES = [
 def test_exit_status_per_job_kind(tmp_path, capsys, name, expected, payload):
     path = write_config(tmp_path, payload)
     assert main(["--config", path, "--format", "machine"]) == expected
+    capsys.readouterr()
+
+
+def test_seed_flag_requires_mutations(tmp_path, capsys):
+    path = write_config(tmp_path, {"job": "affinize", "p": "2", "mu": "1", "theta": 1, "q": "1"})
+    assert main(["--config", path, "--seed", "3"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    path = write_config(tmp_path, classify_payload())
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--threads", "2"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
