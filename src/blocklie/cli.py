@@ -447,7 +447,9 @@ def _validate_kernel_shaped(raw: dict, job: str) -> dict:
     settings = dict(echo)
     params = _block_params(scalars, job)
     max_level = _int_field(raw, job, "max_level", minimum=0)
-    horizon = _int_field(raw, job, "horizon", minimum=0)
+    # the recurrence route of crosscheck needs at least two series coefficients
+    horizon_minimum = 1 if job == "crosscheck" and max_level == 0 else 0
+    horizon = _int_field(raw, job, "horizon", minimum=horizon_minimum)
     settings["max_level"] = max_level
     settings["horizon"] = horizon
     weight_echo, weight = _weight_field(raw, job, params, max_level + horizon)

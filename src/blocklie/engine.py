@@ -490,6 +490,20 @@ class _Echelon:
         self.pivots.insert(at, pivot)
         return True
 
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """Null space of the inserted rows: one vector per free column, with 1
+        there and 0 at every later free column."""
+        basis = []
+        for free in range(self.width):
+            if free in self.pivots:
+                continue
+            vec = [Fraction(0)] * self.width
+            vec[free] = Fraction(1)
+            for row, pivot in zip(self.rows, self.pivots):
+                vec[pivot] = -row[free]
+            basis.append(tuple(vec))
+        return basis
+
 
 def subalgebra_closure(
     rule: BracketRule, generators: Iterable[Element], window: Window

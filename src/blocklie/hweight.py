@@ -10,13 +10,15 @@ because the irreducible highest-weight module is quasifinite exactly when
 Delta is a quasipolynomial, i.e. when the c_k satisfy a constant-coefficient
 linear recurrence.  Working with the normalized coefficients turns the
 differential-equation criterion into minimal-recurrence synthesis over exact
-rationals.
+rationals, which Berlekamp-Massey does in time quadratic in the horizon.
 
 The second, independent criterion looks for a degree -1 singular vector
 a = sum_i x_i L[-1,i]: the weight must kill the degree-zero slice of the
 minimal parabolic subalgebra through a, giving the exact linear system
 
-    M[j,i] = (2q + i + j + p(i-j)) Lambda_{i+j},        M x = 0.
+    M[j,i] = (2q + i + j + p(i-j)) Lambda_{i+j},        M x = 0,
+
+whose kernel is read off the reduced echelon form of `engine._Echelon`.
 
 At p = 0 the matrix rows are shifted series coefficients and the kernel
 matches the annihilator; for general nonzero p the two criteria are computed
@@ -40,6 +42,7 @@ from math import factorial
 from typing import Sequence
 
 from .block import BlockParams
+from .engine import _Echelon
 from .scalars import format_rational, signed_sum
 
 Coeffs = tuple[Fraction, ...]
@@ -110,12 +113,17 @@ class QuasiPolynomial:
         """Normalized coefficients c_k = k! [z^k] of this function, k = 0..horizon."""
         out = [Fraction(0)] * (horizon + 1)
         for coeffs, base in self.terms:
+            powers = [Fraction(1)]  # b^0..b^horizon; 0^0 = 1
+            for _ in range(horizon):
+                powers.append(powers[-1] * base)
             for d, c in enumerate(coeffs):
                 if c == 0:
                     continue
+                falling = factorial(d)
                 for k in range(d, horizon + 1):
-                    # k! [z^k] z^d e^{bz} = k!/(k-d)! * b^(k-d); 0^0 = 1
-                    out[k] += c * Fraction(factorial(k), factorial(k - d)) * base ** (k - d)
+                    # k! [z^k] z^d e^{bz} = k!/(k-d)! * b^(k-d)
+                    out[k] += c * falling * powers[k - d]
+                    falling = falling * (k + 1) // (k + 1 - d)
         return tuple(out)
 
     def __str__(self) -> str:
@@ -252,46 +260,20 @@ class RecurrenceCertificate:
         return format_poly(self.annihilator)
 
 
-def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Canonical solution (free variables zero) of an overdetermined exact
-    system, or None if inconsistent."""
-    width = len(rows[0]) if rows else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [v / inv for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][width] != 0:
-            return None
-    solution = [Fraction(0)] * width
-    for r, col in enumerate(pivots):
-        solution[col] = aug[r][width]
-    return solution
-
-
 def detect_linear_recurrence(
     series: DeltaSeries, max_degree: int | None = None
 ) -> RecurrenceCertificate | None:
     """Minimal-degree monic recurrence satisfied on the whole horizon, if any.
 
-    Degrees 1..floor(horizon/2) are tried in order; the cap keeps every
-    candidate overdetermined (strictly more equations than unknowns), so a
-    square fit with zero verification redundancy never counts as detection.
-    The verdict is horizon-relative by construction.
+    Berlekamp-Massey over exact rationals (Massey 1969) synthesizes the
+    shortest recurrence in O(horizon^2).  Degrees above floor(horizon/2) (and
+    above `max_degree`) do not count: that cap keeps every recurrence
+    overdetermined, so a square fit with zero verification redundancy is
+    never a detection, and it makes the certificate unique, because a minimal
+    recurrence of length L is unique when 2L <= horizon.  The annihilator is
+    the reversed connection polynomial, padded to degree L.  The zero series
+    has L = 0 and gets the degree-1 annihilator t whenever the cap allows a
+    degree 1.  The verdict is horizon-relative by construction.
     """
     coeffs = series.coeffs
     if len(coeffs) < 2:
@@ -300,18 +282,35 @@ def detect_linear_recurrence(
     limit = horizon // 2
     if max_degree is not None:
         limit = min(limit, max_degree)
-    for degree in range(1, limit + 1):
-        rows = [
-            [coeffs[k + j] for j in range(degree)]
-            for k in range(horizon - degree + 1)
-        ]
-        rhs = [-coeffs[k + degree] for k in range(horizon - degree + 1)]
-        solution = _solve_exact(rows, rhs)
-        if solution is not None:
-            return RecurrenceCertificate(
-                tuple(solution) + (Fraction(1),), horizon
-            )
-    return None
+    if limit < 1:
+        return None
+    # connection polynomial C (C_0 = 1) with sum_i C_i c_{n-i} = 0 for n >= length;
+    # `previous` is C before the last length change, `last` its discrepancy
+    connection = [Fraction(1)]
+    previous = [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for n in range(len(coeffs)):
+        discrepancy = sum(
+            connection[i] * coeffs[n - i] for i in range(min(len(connection), n + 1))
+        )
+        if discrepancy == 0:
+            shift += 1
+            continue
+        factor = discrepancy / last
+        update = connection + [Fraction(0)] * (shift + len(previous) - len(connection))
+        for i, b in enumerate(previous):
+            update[i + shift] -= factor * b
+        if 2 * length <= n:
+            previous, last, length, shift = connection, discrepancy, n + 1 - length, 1
+            if length > limit:  # the length never decreases
+                return None
+        else:
+            shift += 1
+        connection = update
+    if length == 0:
+        return RecurrenceCertificate((Fraction(0), Fraction(1)), horizon)
+    padded = (connection + [Fraction(0)] * length)[: length + 1]
+    return RecurrenceCertificate(tuple(reversed(padded)), horizon)
 
 
 @dataclass(frozen=True)
@@ -328,37 +327,6 @@ class SingularCandidate:
         return _poly_strip(self.coefficients)
 
 
-def _kernel_basis(rows: list[list[Fraction]], width: int) -> list[Coeffs]:
-    """Exact reduced-echelon kernel basis; each vector has entry 1 at its own
-    free column and 0 at later free columns (so the last nonzero entry is 1)."""
-    aug = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(width):
-        pivot_row = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [v / inv for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * width
-        vec[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][free]
-        basis.append(tuple(vec))
-    return basis
-
-
 def singular_vector_solve(
     weight: Weight, params: BlockParams, max_level: int, horizon: int
 ) -> list[SingularCandidate]:
@@ -370,17 +338,12 @@ def singular_vector_solve(
     weight kills."""
     labels = weight_labels(weight, params, max_level + horizon)
     p, q = Fraction(params.p), Fraction(params.q)
-    rows = [
-        [
-            (2 * q + i + j + p * (i - j)) * labels[i + j]
-            for i in range(max_level + 1)
-        ]
-        for j in range(horizon + 1)
-    ]
-    return [
-        SingularCandidate(vec, horizon)
-        for vec in _kernel_basis(rows, max_level + 1)
-    ]
+    echelon = _Echelon(max_level + 1)
+    for j in range(horizon + 1):
+        echelon.insert(
+            [(2 * q + i + j + p * (i - j)) * labels[i + j] for i in range(max_level + 1)]
+        )
+    return [SingularCandidate(vec, horizon) for vec in echelon.kernel()]
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,17 @@ EXIT_CASES = [
         },
     ),
     (
+        "classify_zero_weight_horizon_one",
+        1,
+        {
+            "job": "classify",
+            "p": "2",
+            "q": "1",
+            "horizon": 1,
+            "weight": {"labels": ["0", "0"]},
+        },
+    ),
+    (
         "singular_ok",
         0,
         {
@@ -382,6 +393,18 @@ EXIT_CASES = [
         },
     ),
     (
+        "crosscheck_single_coefficient",
+        2,
+        {
+            "job": "crosscheck",
+            "p": "0",
+            "q": "1",
+            "max_level": 0,
+            "horizon": 0,
+            "weight": {"qp": [{"poly": ["1"], "base": "2"}]},
+        },
+    ),
+    (
         "weight_range_bool",
         2,
         {
@@ -401,6 +424,22 @@ EXIT_CASES = [
 def test_exit_status_per_job_kind(tmp_path, capsys, name, expected, payload):
     path = write_config(tmp_path, payload)
     assert main(["--config", path, "--format", "machine"]) == expected
+    capsys.readouterr()
+
+
+def test_crosscheck_single_coefficient_names_horizon(tmp_path, capsys):
+    payload = {
+        "job": "crosscheck",
+        "p": "0",
+        "q": "1",
+        "max_level": 0,
+        "horizon": 0,
+        "weight": {"labels": ["1"]},
+    }
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert "'horizon'" in capsys.readouterr().err
+    payload["job"] = "singular"  # the kernel route needs no series: a verdict
+    assert main(["--config", write_config(tmp_path, payload)]) == 1
     capsys.readouterr()
 
 
@@ -503,6 +542,19 @@ def test_archived_crosscheck_disagreement_data(name):
     assert report.results["delta_route"] is True
     assert report.results["kernel_route"] is False
     assert not report.positive
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [("classify_dense_h60", 1), ("classify_qp_deg6_h40", 0), ("crosscheck_level0", 0)],
+)
+def test_large_horizon_reports_reproduce_byte_identically(name, expected, capsys):
+    # archived from the degree-by-degree recurrence search that preceded
+    # Berlekamp-Massey: dense labels with no recurrence up to horizon 60, a
+    # degree-6 annihilator at horizon 40, and a recurrence cap of 0
+    config = str(DATA / f"{name}.json")
+    assert main(["--config", config, "--format", "machine"]) == expected
+    assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
 
 
 def test_singular_job_negative_when_kernel_empty(tmp_path):
