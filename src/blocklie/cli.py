@@ -348,6 +348,7 @@ def _validate_axioms(raw: dict) -> dict:
         default_grid = sorted({str(k) for pair in entries for k in pair})
         grades = _grid_field(raw, job, "grades", default_grid)
         settings["grades"] = _echo_grid(grades)
+        settings["_grades"] = grades
         settings["_scalars"] = {}
         return settings
     echo, scalars = _parameters(
@@ -357,6 +358,7 @@ def _validate_axioms(raw: dict) -> dict:
     settings["theta"] = _int_field(raw, job, "theta", default=0)
     grades = _grid_field(raw, job, "grades", ["-2", "-1", "0", "1", "2"])
     settings["grades"] = _echo_grid(grades)
+    settings["_grades"] = grades
     perturb = raw.get("perturb")
     if perturb is not None:
         if not isinstance(perturb, dict):
@@ -377,6 +379,7 @@ def _validate_axioms(raw: dict) -> dict:
             "exponents": exponents,
             "delta": format_rational(delta),
         }
+        settings["_delta"] = delta
     settings["_scalars"] = scalars
     return settings
 
@@ -396,6 +399,8 @@ def _validate_affinize(raw: dict) -> dict:
     levels = _grid_field(raw, job, "levels", ["0", "1", "2"])
     settings["grades"] = _echo_grid(grades)
     settings["levels"] = _echo_grid(levels)
+    settings["_grades"] = grades
+    settings["_levels"] = levels
     mutations = raw.get("mutations")
     if mutations is not None:
         if not isinstance(mutations, dict):
@@ -416,13 +421,18 @@ def _validate_blockcheck(raw: dict) -> dict:
     echo, scalars = _parameters(raw, job, ("p", "q"), symbolic_ok=("p", "q"))
     settings = dict(echo)
     _block_params(scalars, job)  # rejects q = 0 early
-    settings["window"] = _echo_window(_window_field(raw, job))
+    window = _window_field(raw, job)
+    settings["window"] = _echo_window(window)
     cocycle = _grid_field(raw, job, "cocycle_grades", ["-2", "-1", "0", "1", "2"])
     settings["cocycle_grades"] = _echo_grid(cocycle)
     jacobi_grades = _grid_field(raw, job, "jacobi_grades", ["-1", "0", "1"])
     jacobi_levels = _grid_field(raw, job, "jacobi_levels", ["0", "1", "2"])
     settings["jacobi_grades"] = _echo_grid(jacobi_grades)
     settings["jacobi_levels"] = _echo_grid(jacobi_levels)
+    settings["_window"] = window
+    settings["_cocycle_grades"] = cocycle
+    settings["_jacobi_grades"] = jacobi_grades
+    settings["_jacobi_levels"] = jacobi_levels
     settings["_scalars"] = scalars
     return settings
 
@@ -474,7 +484,8 @@ def _validate_closure(raw: dict) -> dict:
         _block_params(scalars, job)
     else:
         settings["theta"] = _int_field(raw, job, "theta", default=0)
-    settings["window"] = _echo_window(_window_field(raw, job))
+    window = _window_field(raw, job)
+    settings["window"] = _echo_window(window)
     generators = _field(raw, job, "generators")
     if not isinstance(generators, list) or not generators:
         raise ConfigError(f"{job}: field 'generators' must be a nonempty list")
@@ -486,6 +497,7 @@ def _validate_closure(raw: dict) -> dict:
     parsed_queries = [parse_element(text) for text in queries]
     settings["membership"] = [str(qe) for qe in parsed_queries]
     settings["_scalars"] = scalars
+    settings["_window"] = window
     settings["_generators"] = parsed
     settings["_membership"] = parsed_queries
     return settings
@@ -502,12 +514,16 @@ def _validate_modcheck(raw: dict) -> dict:
             f"{job}: field 'family' must be one of {', '.join(intermediate.VARIANTS)}"
         )
     settings["family"] = family
-    settings["a"] = format_rational(_rational_field(raw, job, "a"))
+    a = _rational_field(raw, job, "a")
+    settings["a"] = format_rational(a)
+    b = None
     if family == "Aab":
-        settings["b"] = format_rational(_rational_field(raw, job, "b"))
+        b = _rational_field(raw, job, "b")
+        settings["b"] = format_rational(b)
     elif "b" in raw:
         raise ConfigError(f"{job}: field 'b' applies only to the Aab family")
-    settings["window"] = _echo_window(_window_field(raw, job))
+    window = _window_field(raw, job)
+    settings["window"] = _echo_window(window)
     weight_range = _field(raw, job, "weight_range")
     if (
         not isinstance(weight_range, list)
@@ -517,10 +533,12 @@ def _validate_modcheck(raw: dict) -> dict:
     ):
         raise ConfigError(f"{job}: field 'weight_range' must be [lo, hi] integers")
     settings["weight_range"] = weight_range
-    settings["central_value"] = format_rational(
-        _rational_field(raw, job, "central_value", default=Fraction(0))
-    )
+    central_value = _rational_field(raw, job, "central_value", default=Fraction(0))
+    settings["central_value"] = format_rational(central_value)
     settings["_scalars"] = scalars
+    settings["_kind"] = intermediate.IntermediateKind(family, a, b)
+    settings["_window"] = window
+    settings["_central_value"] = central_value
     return settings
 
 
@@ -578,10 +596,6 @@ def _public_settings(settings: dict) -> dict:
 # -- job runners -------------------------------------------------------------
 
 
-def _rational_grid(values: list[str]) -> list[Fraction]:
-    return [parse_rational(v) for v in values]
-
-
 def _run_axioms(settings: dict) -> tuple[dict, bool]:
     if "_table" in settings:
         rule = novikov.table_product_rule(settings["_table"])
@@ -596,13 +610,12 @@ def _run_axioms(settings: dict) -> tuple[dict, bool]:
                 params,
                 spec["target"],
                 tuple(spec["exponents"]),
-                parse_rational(spec["delta"]),
+                settings["_delta"],
             )
         else:
             rule = novikov.witt_product_rule(params)
-    grades = _rational_grid(settings["grades"])
     try:
-        verdicts = novikov.novikov_axiom_check(rule, grades)
+        verdicts = novikov.novikov_axiom_check(rule, settings["_grades"])
     except engine.InsufficientGridError as exc:
         raise ConfigError(f"axioms: {exc}") from None
     results = {
@@ -621,11 +634,10 @@ def _run_affinize(settings: dict) -> tuple[dict, bool]:
         p=scalars["p"], mu=scalars["mu"], theta=settings["theta"]
     )
     aff = novikov.AffinizationParams(q=scalars["q"])
-    grades = _rational_grid(settings["grades"])
-    levels = _rational_grid(settings["levels"])
+    levels = settings["_levels"]
     base_rule = novikov.witt_product_rule(params)
     try:
-        report = novikov.theorem22_probe(base_rule, aff, grades, levels)
+        report = novikov.theorem22_probe(base_rule, aff, settings["_grades"], levels)
     except engine.InsufficientGridError as exc:
         raise ConfigError(f"affinize: {exc}") from None
     results: dict[str, Any] = {
@@ -678,11 +690,9 @@ def _run_affinize(settings: dict) -> tuple[dict, bool]:
 def _run_blockcheck(settings: dict) -> tuple[dict, bool]:
     scalars = settings["_scalars"]
     params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-    window = Window(**settings["window"])
+    window = settings["_window"]
     try:
-        cocycle = block.cocycle_jacobi_check(
-            params, _rational_grid(settings["cocycle_grades"])
-        )
+        cocycle = block.cocycle_jacobi_check(params, settings["_cocycle_grades"])
     except engine.InsufficientGridError as exc:
         raise ConfigError(f"blockcheck: field 'cocycle_grades': {exc}") from None
     virasoro = block.virasoro_embedding_check(params, window)
@@ -691,8 +701,8 @@ def _run_blockcheck(settings: dict) -> tuple[dict, bool]:
         jacobi = engine.grid_identity_check(
             block.delta_free_rule(params),
             "jacobi",
-            _rational_grid(settings["jacobi_grades"]),
-            _rational_grid(settings["jacobi_levels"]),
+            settings["_jacobi_grades"],
+            settings["_jacobi_levels"],
         )
     except engine.InsufficientGridError as exc:
         raise ConfigError(
@@ -789,9 +799,10 @@ def _run_closure(settings: dict) -> tuple[dict, bool]:
             ),
             novikov.AffinizationParams(q=scalars["q"]),
         )
-    window = Window(**settings["window"])
     try:
-        closure = engine.subalgebra_closure(rule, settings["_generators"], window)
+        closure = engine.subalgebra_closure(
+            rule, settings["_generators"], settings["_window"]
+        )
     except engine.ClosureError as exc:
         raise ConfigError(f"closure: {exc}") from None
     by_grade = {
@@ -816,18 +827,13 @@ def _run_closure(settings: dict) -> tuple[dict, bool]:
 def _run_modcheck(settings: dict) -> tuple[dict, bool]:
     scalars = settings["_scalars"]
     params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-    family = settings["family"]
-    a = parse_rational(settings["a"])
-    if family == "Aab":
-        kind = intermediate.IntermediateKind("Aab", a, parse_rational(settings["b"]))
-    else:
-        kind = intermediate.IntermediateKind(family, a)
+    kind = settings["_kind"]
     verdict = intermediate.module_axiom_check(
         kind,
         params,
-        Window(**settings["window"]),
+        settings["_window"],
         tuple(settings["weight_range"]),
-        parse_rational(settings["central_value"]),
+        settings["_central_value"],
     )
     bound = intermediate.boundedness_report(kind)
     results = {

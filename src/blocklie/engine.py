@@ -14,17 +14,21 @@ Degree bounds are spot-verified at rule construction by exact finite
 differences, so a rule cannot silently understate them.
 
 `subalgebra_closure` works in concrete-parameter mode (all coefficients
-rational): it iterates span -> span + [span, span] inside a finite window,
-discarding bracket products that land outside, and maintains one reduced
-echelon basis over the window coordinates ordered grade asc, level asc,
-central last.  The echelon form is canonical, so results are independent of
-processing order.
+rational) inside a finite window, discarding bracket products that land
+outside.  It keeps one sparse reduced echelon basis (`_Echelon`) over the
+window coordinates ordered grade asc, level asc, central last, and runs
+semi-naive rounds: a round brackets only the rows whose pivot is new since
+the last round against all rows, and the loop ends when a round adds no
+pivot.  The truncated bracket is bilinear and the reduced echelon form is
+canonical, so the result equals that of bracketing every pair every round,
+independent of processing order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -385,15 +389,7 @@ def grid_identity_check(
         )
     ]
     # basis pairs recur across grid points; cache their bracket terms
-    cache: dict[tuple[Graded, Graded], dict] = {}
-
-    def pair_terms(a: Graded, b: Graded) -> dict:
-        key = (a, b)
-        hit = cache.get(key)
-        if hit is None:
-            hit = rule.pair(a, b).terms
-            cache[key] = hit
-        return hit
+    pair_terms = functools.cache(lambda a, b: rule.pair(a, b).terms)
 
     if identity == "antisymmetry":
         for x, y in itertools.product(singles, repeat=2):
@@ -441,14 +437,13 @@ class Closure:
 
 
 def _element_vector(
-    element: Element, coord_index: Mapping[BasisIndex, int], *, discard_outside: bool
-) -> list[Fraction]:
-    vec = [Fraction(0)] * len(coord_index)
+    element: Element, coord_index: Mapping[BasisIndex, int]
+) -> dict[int, Fraction]:
+    """The element as {column: nonzero Fraction} over the window coordinates."""
+    vec = {}
     for index, coeff in element.terms.items():
         pos = coord_index.get(index)
         if pos is None:
-            if discard_outside:
-                continue
             raise ClosureError(f"label {index} lies outside the closure window")
         try:
             vec[pos] = as_fraction(coeff)
@@ -461,33 +456,33 @@ def _element_vector(
 
 
 class _Echelon:
-    """Reduced row echelon accumulator over a fixed coordinate order."""
+    """Reduced row echelon accumulator over a fixed coordinate order.
+
+    Rows are sparse {column: nonzero Fraction} dicts keyed by their pivot
+    column; each has 1 at its pivot and 0 in every other row's pivot column."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, Fraction]] = {}
 
-    def insert(self, vec: list[Fraction]) -> bool:
-        """Add a row (the list is consumed); False when it reduces to zero."""
-        for row, pivot in zip(self.rows, self.pivots):
-            factor = vec[pivot]
-            if factor:
-                for k in range(pivot, self.width):
-                    vec[k] -= factor * row[k]
-        pivot = next((k for k, v in enumerate(vec) if v), None)
-        if pivot is None:
+    def insert(self, vec: dict[int, Fraction]) -> bool:
+        """Add a row of nonzero values (the dict is consumed); False when it
+        reduces to zero."""
+        rows = self.rows
+        # the rows are fully reduced, so clearing one pivot column never
+        # refills another: only the pivots the row has need clearing
+        for col in [c for c in vec if c in rows]:
+            accumulate(vec, rows[col].items(), -vec[col])
+        if not vec:
             return False
-        inv = vec[pivot]
-        vec = [v / inv for v in vec]
-        for row in self.rows:
-            factor = row[pivot]
+        pivot = min(vec)
+        if vec[pivot] != 1:
+            vec = accumulate({}, vec.items(), 1 / vec[pivot])
+        for row in rows.values():
+            factor = row.get(pivot)
             if factor:
-                for k in range(pivot, self.width):
-                    row[k] -= factor * vec[k]
-        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, vec)
-        self.pivots.insert(at, pivot)
+                accumulate(row, vec.items(), -factor)
+        rows[pivot] = vec
         return True
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
@@ -495,12 +490,13 @@ class _Echelon:
         there and 0 at every later free column."""
         basis = []
         for free in range(self.width):
-            if free in self.pivots:
+            if free in self.rows:
                 continue
             vec = [Fraction(0)] * self.width
             vec[free] = Fraction(1)
-            for row, pivot in zip(self.rows, self.pivots):
-                vec[pivot] = -row[free]
+            for pivot, row in self.rows.items():
+                if free in row:
+                    vec[pivot] = -row[free]
             basis.append(tuple(vec))
         return basis
 
@@ -513,30 +509,39 @@ def subalgebra_closure(
 
     Concrete-parameter mode only: every coefficient must be a rational
     constant.  Bracket products landing outside the window are discarded.
+
+    Semi-naive: each round brackets only the rows whose pivot is new since
+    the last round (`fresh`), against the rows of earlier rounds and the later
+    fresh rows, and the loop stops when a round adds no pivot.  Rows with
+    distinct pivots are independent, so the earlier rounds' rows, kept as
+    they were then, and the fresh rows span the current space; the truncated
+    bracket is bilinear, so every pair of a spanning set is bracketed once.
     """
     coords = window.indices()
     coord_index = {index: pos for pos, index in enumerate(coords)}
     ech = _Echelon(len(coords))
     for gen in generators:
-        ech.insert(_element_vector(truncate(gen, window), coord_index, discard_outside=False))
+        ech.insert(_element_vector(truncate(gen, window), coord_index))
+    # basis pairs recur across rounds and rows; cache their truncated bracket
+    pair = functools.cache(lambda a, b: truncate(rule.pair(a, b), window))
+    truncated = replace(rule, pair=pair)
 
-    def row_element(vec: list[Fraction]) -> Element:
-        return Element({coords[k]: v for k, v in enumerate(vec) if v})
+    def row_element(row: dict[int, Fraction]) -> Element:
+        return Element._wrap({coords[k]: row[k] for k in sorted(row)})
 
-    while True:
-        snapshot = [row_element(r) for r in ech.rows]
-        added = False
-        for a in range(len(snapshot)):
-            for b in range(a + 1, len(snapshot)):
-                product = truncate(bracket_apply(rule, snapshot[a], snapshot[b]), window)
-                if product.is_zero():
-                    continue
-                vec = _element_vector(product, coord_index, discard_outside=True)
-                if ech.insert(vec):
-                    added = True
-        if not added:
-            break
-    return Closure(window, tuple(row_element(r) for r in ech.rows))
+    done: list[Element] = []
+    fresh_pivots = sorted(ech.rows)
+    while fresh_pivots:
+        fresh = [row_element(ech.rows[pivot]) for pivot in fresh_pivots]
+        known = set(ech.rows)
+        for k, x in enumerate(fresh):
+            for y in itertools.chain(done, fresh[k + 1 :]):
+                product = bracket_apply(truncated, x, y)
+                if product:
+                    ech.insert(_element_vector(product, coord_index))
+        done.extend(fresh)
+        fresh_pivots = sorted(ech.rows.keys() - known)
+    return Closure(window, tuple(row_element(row) for _, row in sorted(ech.rows.items())))
 
 
 def membership(element: Element, closure: Closure) -> bool:
@@ -545,13 +550,14 @@ def membership(element: Element, closure: Closure) -> bool:
     The rows are already reduced (pivot coefficient 1, zero in every other
     row's pivot column), so one pass clears each pivot of the query."""
     coord_index = {index: pos for pos, index in enumerate(closure.window.indices())}
-    vec = _element_vector(element, coord_index, discard_outside=False)
+    vec = _element_vector(element, coord_index)
     for row in closure.rows:
-        factor = vec[coord_index[min(row.terms, key=basis_sort_key)]]
+        factor = vec.get(coord_index[min(row.terms, key=basis_sort_key)])
         if factor:
-            for index, coeff in row.terms.items():
-                vec[coord_index[index]] -= factor * coeff
-    return not any(vec)
+            accumulate(
+                vec, ((coord_index[index], coeff) for index, coeff in row.terms.items()), -factor
+            )
+    return not vec
 
 
 def adjoint_chain(

@@ -340,9 +340,8 @@ def singular_vector_solve(
     p, q = Fraction(params.p), Fraction(params.q)
     echelon = _Echelon(max_level + 1)
     for j in range(horizon + 1):
-        echelon.insert(
-            [(2 * q + i + j + p * (i - j)) * labels[i + j] for i in range(max_level + 1)]
-        )
+        row = ((i, (2 * q + i + j + p * (i - j)) * labels[i + j]) for i in range(max_level + 1))
+        echelon.insert({i: v for i, v in row if v})
     return [SingularCandidate(vec, horizon) for vec in echelon.kernel()]
 
 

@@ -557,6 +557,16 @@ def test_large_horizon_reports_reproduce_byte_identically(name, expected, capsys
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
 
 
+@pytest.mark.parametrize("name", ["closure_block_dim78", "closure_affinized_dim48"])
+def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
+    # archived from the naive closure loop, which bracketed every pair of rows
+    # in every round: a dim-78 block closure (membership queries include c)
+    # and a dim-48 affinized closure of two dense generators
+    config = str(DATA / f"{name}.json")
+    assert main(["--config", config, "--format", "machine"]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
+
+
 def test_singular_job_negative_when_kernel_empty(tmp_path):
     payload = {
         "job": "singular",

@@ -1,0 +1,264 @@
+"""Differential tests of the semi-naive subalgebra closure.
+
+The oracles are the closure loop and the elimination that the semi-naive
+closure replaced: every round brackets every pair of the current echelon
+rows, and rows are dense lists reduced column by column.  Both are copied
+here so that they share no loop or elimination code with the program; they
+use only `bracket_apply` and `truncate`.  Results must agree exactly: the
+reduced echelon form is canonical.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_engine import graded_bracket_rule
+
+from blocklie.block import BlockParams, block_bracket_rule
+from blocklie.engine import (
+    CENTRAL,
+    Element,
+    Graded,
+    Window,
+    _Echelon,
+    bracket_apply,
+    membership,
+    subalgebra_closure,
+    truncate,
+)
+from blocklie.novikov import AffinizationParams, WittNovikovParams, affinize, witt_product_rule
+from blocklie.scalars import accumulate
+
+SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+
+
+class DenseEchelon:
+    """Reduced row echelon form over dense rows, kept sorted by pivot."""
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = []
+        self.pivots = []
+
+    def insert(self, vec):
+        for row, pivot in zip(self.rows, self.pivots):
+            factor = vec[pivot]
+            if factor:
+                for k in range(pivot, self.width):
+                    vec[k] -= factor * row[k]
+        pivot = next((k for k, v in enumerate(vec) if v), None)
+        if pivot is None:
+            return False
+        inv = vec[pivot]
+        vec = [v / inv for v in vec]
+        for row in self.rows:
+            factor = row[pivot]
+            if factor:
+                for k in range(pivot, self.width):
+                    row[k] -= factor * vec[k]
+        at = next((i for i, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
+        self.rows.insert(at, vec)
+        self.pivots.insert(at, pivot)
+        return True
+
+
+def naive_closure(rule, generators, window):
+    """Rows of the closure, found by bracketing every pair in every round."""
+    coords = window.indices()
+
+    def dense(element):
+        return [Fraction(element.coefficient(index)) for index in coords]
+
+    def row_element(vec):
+        return Element({coords[k]: v for k, v in enumerate(vec) if v})
+
+    ech = DenseEchelon(len(coords))
+    for gen in generators:
+        ech.insert(dense(truncate(gen, window)))
+    while True:
+        snapshot = [row_element(r) for r in ech.rows]
+        added = False
+        for a in range(len(snapshot)):
+            for b in range(a + 1, len(snapshot)):
+                product = truncate(bracket_apply(rule, snapshot[a], snapshot[b]), window)
+                if not product.is_zero() and ech.insert(dense(product)):
+                    added = True
+        if not added:
+            return tuple(row_element(r) for r in ech.rows)
+
+
+def naive_membership(element, rows, window):
+    ech = DenseEchelon(len(window.indices()))
+    for row in rows:
+        ech.insert([Fraction(row.coefficient(index)) for index in window.indices()])
+    return not ech.insert([Fraction(element.coefficient(index)) for index in window.indices()])
+
+
+# 0 and +-1 are the special values: p = 0, q = 0 and theta = 0 change which
+# structure constants vanish
+special = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)])
+rationals = st.one_of(special, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+nonzero = rationals.filter(bool)
+
+
+# (grade_min, grade_max, level_max), dimensions 1 to 31; some windows miss
+# grade 0 and with it the central label
+windows = st.sampled_from(
+    [
+        Window(*box)
+        for box in [
+            (0, 0, 0), (1, 1, 2), (1, 3, 1), (-3, -1, 4), (0, 5, 3), (-1, 1, 0), (-1, 1, 3),
+            (-2, 2, 1), (-2, 2, 3), (-3, 3, 2), (-3, 2, 4), (-1, 4, 3),
+        ]
+    ]
+)
+
+
+@st.composite
+def generator_lists(draw, window):
+    """1-3 generators of 1-3 terms, some cancelling.
+
+    Labels are mostly window labels; a few lie just outside (the central
+    label too, when grade 0 does).  A generator may repeat a label, so that
+    its coefficients are summed and may cancel, or add a combination of the
+    earlier generators."""
+    inside = window.indices()
+    outside = [
+        Graded(window.grade_min - 1, 0),
+        Graded(window.grade_max + 1, 1),
+        Graded(window.grade_min, window.level_max + 1),
+    ]
+    if CENTRAL not in inside:
+        outside.append(CENTRAL)
+    # products of low grades and levels tend to stay inside the window
+    low = [i for i in inside if i is CENTRAL or (abs(i.grade) <= 1 and i.level <= 1)]
+    label = st.sampled_from(low * 4 + inside + outside)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(st.tuples(label, nonzero), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            terms.append((terms[0][0], -terms[0][1]))  # cancels the first term
+        acc = accumulate({}, terms)
+        if gens and draw(st.booleans()):
+            for gen in gens:
+                accumulate(acc, gen.terms.items(), draw(rationals))
+        gens.append(Element(acc))
+    return gens
+
+
+def block_rule(draw):
+    return block_bracket_rule(BlockParams(p=draw(rationals), q=draw(nonzero)))
+
+
+def affinized_rule(draw):
+    params = WittNovikovParams(p=draw(rationals), mu=draw(rationals), theta=draw(st.integers(-1, 1)))
+    return affinize(witt_product_rule(params), AffinizationParams(q=draw(rationals)))
+
+
+def engine_rule(draw):
+    return graded_bracket_rule(
+        draw(rationals), draw(rationals), mu=draw(rationals), theta=draw(st.integers(-1, 1))
+    )
+
+
+@st.composite
+def closure_cases(draw, make_rule):
+    window = draw(windows)
+    return make_rule(draw), draw(generator_lists(window)), window
+
+
+def assert_matches_naive(rule, generators, window):
+    closure = subalgebra_closure(rule, generators, window)
+    expected = naive_closure(rule, generators, window)
+    assert closure.rows == expected
+    for row in closure.rows:
+        assert all(isinstance(c, Fraction) and c for c in row.terms.values())
+    inside = [Element.basis(index) for index in window.indices()]
+    queries = generators + inside + [truncate(g, window) for g in generators]
+    if len(expected) >= 2:
+        queries.append(bracket_apply(rule, expected[0], expected[-1]))
+        queries.append(expected[0] + expected[-1].scaled(Fraction(-2, 3)))
+    for query in queries:
+        if all(window.contains(index) for index in query.terms):
+            assert membership(query, closure) == naive_membership(query, expected, window)
+
+
+@SETTINGS
+@given(closure_cases(block_rule))
+def test_closure_matches_naive_on_block_rule(case):
+    assert_matches_naive(*case)
+
+
+@SETTINGS
+@given(closure_cases(affinized_rule))
+def test_closure_matches_naive_on_affinized_rule(case):
+    assert_matches_naive(*case)
+
+
+@SETTINGS
+@given(closure_cases(engine_rule))
+def test_closure_matches_naive_on_graded_rule(case):
+    assert_matches_naive(*case)
+
+
+PINNED_RULES = {
+    "block p=0": block_bracket_rule(BlockParams(p=0, q=1)),
+    "block generic": block_bracket_rule(BlockParams(p=Fraction(2, 3), q=Fraction(-7, 5))),
+    "graded p=q=0": graded_bracket_rule(0, 0),
+    "graded p=q=0 shifted": graded_bracket_rule(0, 0, mu=1, theta=1),
+    "affinized p=q=0": affinize(
+        witt_product_rule(WittNovikovParams(p=0, mu=1, theta=1)), AffinizationParams(0)
+    ),
+}
+PINNED_GENERATORS = {
+    # a closure of dimension 14-19 in a window of dimension 21
+    "dense pair": (
+        Window(-2, 2, 3),
+        [
+            Element({Graded(1, 0): 1, Graded(-1, 1): Fraction(1, 2)}),
+            Element({Graded(-1, 0): 1, Graded(0, 2): -3, CENTRAL: 2}),
+        ],
+    ),
+    # a closure of dimension 16-17 in a window of dimension 29
+    "monomial triple": (
+        Window(-3, 3, 3),
+        [Element.basis(Graded(1, 0)), Element.basis(Graded(-1, 1)), Element.basis(Graded(2, 2))],
+    ),
+}
+
+
+@pytest.mark.parametrize("gens", PINNED_GENERATORS)
+@pytest.mark.parametrize("rule", PINNED_RULES)
+def test_closure_matches_naive_on_pinned_cases(rule, gens):
+    window, generators = PINNED_GENERATORS[gens]
+    assert_matches_naive(PINNED_RULES[rule], generators, window)
+
+
+@st.composite
+def matrices(draw):
+    """Rows spanned by `rank` random vectors, mostly fewer than the width."""
+    width = draw(st.integers(1, 8))
+    rank = draw(st.integers(0, width))
+    vector = st.lists(rationals, min_size=width, max_size=width)
+    spanning = draw(st.lists(vector, min_size=rank, max_size=rank))
+    mix = st.lists(rationals, min_size=rank, max_size=rank)
+    rows = [
+        [sum((m * v[i] for m, v in zip(weights, spanning)), Fraction(0)) for i in range(width)]
+        for weights in draw(st.lists(mix, max_size=10))
+    ]
+    return rows, width
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(matrices())
+def test_sparse_echelon_matches_dense_oracle(case):
+    rows, width = case
+    sparse, dense = _Echelon(width), DenseEchelon(width)
+    for row in rows:
+        added = sparse.insert({k: v for k, v in enumerate(row) if v})
+        assert added == dense.insert(list(row))
+    assert sorted(sparse.rows) == dense.pivots
+    for pivot, row in zip(dense.pivots, dense.rows):
+        assert sparse.rows[pivot] == {k: v for k, v in enumerate(row) if v}
+        assert 0 not in sparse.rows[pivot].values()

@@ -191,7 +191,7 @@ def test_echelon_kernel_matches_reduced_echelon_oracle(case):
     rows, width = case
     echelon = _Echelon(width)
     for row in rows:
-        echelon.insert(list(row))
+        echelon.insert({k: v for k, v in enumerate(row) if v})
     kernel = echelon.kernel()
     assert kernel == _kernel_basis(rows, width)
     for vec in kernel:
