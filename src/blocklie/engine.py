@@ -8,7 +8,11 @@ basis labels together with declared per-index degree bounds of its structure
 coefficients; those bounds size the grids of `grid_identity_check`, which
 turns antisymmetry/Jacobi into deterministic polynomial identity tests: a
 residual that vanishes on a grid with more points per variable than the
-residual's degree vanishes for all integer indices.
+residual's degree vanishes for all integer indices.  The grid checks here
+and in `novikov` evaluate each residual once per symmetry orbit of its index
+tuple, at the member that comes first in `itertools.product` order; every
+other member has the same residual or its exact negative, so the first
+failing tuple of the full scan, the witness, is always such a member.
 
 Degree bounds are spot-verified at rule construction by exact finite
 differences, so a rule cannot silently understate them.
@@ -112,7 +116,8 @@ class Element:
         if terms:
             for index, coeff in terms.items():
                 if not scalar_is_zero(coeff):
-                    clean[index] = coeff if isinstance(coeff, Poly) else Fraction(coeff)
+                    is_exact = isinstance(coeff, (Fraction, Poly))
+                    clean[index] = coeff if is_exact else Fraction(coeff)
         self.terms = clean
 
     @classmethod
@@ -372,6 +377,11 @@ def grid_identity_check(
     residual's coefficient functions then have per-variable degree at most
     the bound (antisymmetry) or twice it (Jacobi), so vanishing on the grid
     forces vanishing everywhere.
+
+    The scan visits only pairs x <= y and triples that are least among their
+    cyclic rotations (positions in the grid order): [x,y] + [y,x] is symmetric,
+    and a rotation's Jacobi sum adds the same three terms.  The witness is the
+    first failing tuple in `itertools.product` order, as in a full scan.
     """
     if identity == "antisymmetry":
         multiplier = 1
@@ -392,15 +402,19 @@ def grid_identity_check(
     pair_terms = functools.cache(lambda a, b: rule.pair(a, b).terms)
 
     if identity == "antisymmetry":
-        for x, y in itertools.product(singles, repeat=2):
-            acc: dict[BasisIndex, Scalar] = accumulate(
-                dict(pair_terms(x, y)), pair_terms(y, x).items()
-            )
-            if acc:
-                return Verdict.fails(((x.grade, x.level), (y.grade, y.level)), Element(acc))
+        for k, x in enumerate(singles):
+            for y in singles[k:]:
+                acc: dict[BasisIndex, Scalar] = accumulate(
+                    dict(pair_terms(x, y)), pair_terms(y, x).items()
+                )
+                if acc:
+                    return Verdict.fails(((x.grade, x.level), (y.grade, y.level)), Element(acc))
         return Verdict.holds_universally()
 
-    for x, y, z in itertools.product(singles, repeat=3):
+    for t in itertools.product(range(len(singles)), repeat=3):
+        if t > t[1:] + t[:1] or t > t[2:] + t[:2]:
+            continue
+        x, y, z = (singles[k] for k in t)
         acc = {}
         for outer, inner in ((x, (y, z)), (z, (x, y)), (y, (z, x))):
             for mid, mid_coeff in pair_terms(*inner).items():

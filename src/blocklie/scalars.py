@@ -200,8 +200,6 @@ class Poly:
     # -- ring compatibility --------------------------------------------------
 
     def _coerce(self, other: Scalar) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
         if not isinstance(other, Poly):
             return NotImplemented  # type: ignore[return-value]
         if other.ring == self.ring:
@@ -219,6 +217,9 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: Scalar) -> "Poly":
+        if isinstance(other, (int, Fraction)):  # a constant adds at the zero exponent
+            constant = ((0,) * len(self.ring.symbols), as_fraction(other))
+            return Poly._wrap(self.ring, accumulate(dict(self.terms), (constant,)))
         try:
             rhs = self._coerce(other)
         except _ConstantPromotion:
@@ -239,6 +240,8 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other: Scalar) -> "Poly":
+        if isinstance(other, (int, Fraction)):  # Fraction * int stays a Fraction
+            return Poly._wrap(self.ring, accumulate({}, self.terms.items(), other))
         try:
             rhs = self._coerce(other)
         except _ConstantPromotion:
@@ -339,6 +342,8 @@ class _ConstantPromotion(Exception):
 
 def as_fraction(value: Scalar) -> Fraction:
     """Collapse a scalar to a Fraction; error if it still depends on symbols."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, Poly):
         return value.constant_value()
     return Fraction(value)

@@ -567,6 +567,25 @@ def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        ("axioms_perturbed_both_fail", 1),
+        ("axioms_symbolic_perturbed", 1),
+        ("affinize_mutation_sweep", 0),
+        ("modcheck_central_one", 1),
+    ],
+)
+def test_archived_verify_reports_reproduce_byte_identically(name, expected, capsys):
+    # archived from the full-product grid scans: a perturbed rule failing both
+    # Novikov axioms past the first grid triple on an unsorted grid, the same
+    # with symbolic p and mu, a six-entry mutation sweep, and a module whose
+    # central element acts by 1
+    config = str(DATA / f"{name}.json")
+    assert main(["--config", config, "--format", "machine"]) == expected
+    assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
+
+
 def test_singular_job_negative_when_kernel_empty(tmp_path):
     payload = {
         "job": "singular",

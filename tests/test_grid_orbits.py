@@ -1,0 +1,238 @@
+"""Differential tests of the grid checks that scan one tuple per symmetry orbit.
+
+`grid_identity_check` evaluates Jacobi once per cyclic rotation class and
+antisymmetry once per unordered pair, `novikov_axiom_check` evaluates each
+axiom once per swap of the two slots it is antisymmetric in, and
+`module_axiom_check` reads the action of each basis label on each weight
+vector from a cache.  The oracles are the full-product loops those checks
+replaced, copied here: every tuple of the grid in `itertools.product` order,
+with nothing cached.  Verdict, witness and residual must print identically,
+above all on failing inputs, where the witness is the first failing tuple.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blocklie.block import BlockParams, block_bracket
+from blocklie.engine import (
+    CENTRAL,
+    BracketRule,
+    Element,
+    Graded,
+    Verdict,
+    Window,
+    grid_identity_check,
+)
+from blocklie.intermediate import IntermediateKind, ModuleVector, act, module_axiom_check
+from blocklie.novikov import (
+    AffinizationParams,
+    WittNovikovParams,
+    affinize,
+    novikov_axiom_check,
+    perturbed_witt_rule,
+    table_product_rule,
+)
+from blocklie.scalars import PolyRing, accumulate
+
+RING = PolyRing("p", "q")
+P, Q = RING.var("p"), RING.var("q")
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+nonzero_rationals = rationals.filter(bool)
+
+
+# -- oracles: the full-product loops ------------------------------------------
+
+
+def full_grid_identity_check(rule, identity, grade_values, level_values):
+    singles = [Graded(g, l) for g, l in itertools.product(grade_values, level_values)]
+    if identity == "antisymmetry":
+        for x, y in itertools.product(singles, repeat=2):
+            acc = accumulate(dict(rule.pair(x, y).terms), rule.pair(y, x).terms.items())
+            if acc:
+                return Verdict.fails(((x.grade, x.level), (y.grade, y.level)), Element(acc))
+        return Verdict.holds_universally()
+    for x, y, z in itertools.product(singles, repeat=3):
+        acc = {}
+        for outer, inner in ((x, (y, z)), (z, (x, y)), (y, (z, x))):
+            for mid, mid_coeff in rule.pair(*inner).terms.items():
+                if mid is not CENTRAL:
+                    accumulate(acc, rule.pair(outer, mid).terms.items(), mid_coeff)
+        if acc:
+            witness = tuple((s.grade, s.level) for s in (x, y, z))
+            return Verdict.fails(witness, Element(acc))
+    return Verdict.holds_universally()
+
+
+def full_novikov_axiom_check(rule, grade_values):
+    def prod_terms(a, b):
+        return rule.pair(a, b).terms
+
+    def add_assoc(acc, sign, first, second, third):
+        for mid, cm in prod_terms(first, second).items():
+            accumulate(acc, prod_terms(mid.grade, third).items(), sign * cm)
+
+    def add_left(acc, sign, first, second, third):
+        for mid, cm in prod_terms(second, third).items():
+            accumulate(acc, prod_terms(first, mid.grade).items(), sign * cm)
+
+    left = right = None
+    for ga, gb, gc in itertools.product(grade_values, repeat=3):
+        if left is None:
+            acc = {}
+            add_assoc(acc, 1, ga, gb, gc)
+            add_left(acc, -1, ga, gb, gc)
+            add_assoc(acc, -1, gb, ga, gc)
+            add_left(acc, 1, gb, ga, gc)
+            if acc:
+                left = Verdict.fails((ga, gb, gc), Element(acc))
+        if right is None:
+            acc = {}
+            add_assoc(acc, 1, ga, gb, gc)
+            add_assoc(acc, -1, ga, gc, gb)
+            if acc:
+                right = Verdict.fails((ga, gb, gc), Element(acc))
+        if left is not None and right is not None:
+            break
+    return left or Verdict.holds_universally(), right or Verdict.holds_universally()
+
+
+def full_module_axiom_check(kind, params, window, weight_range, central_value):
+    lo, hi = weight_range
+    grades = range(window.grade_min, window.grade_max + 1)
+    levels = range(window.level_max + 1)
+    for alpha in grades:
+        for beta in range(window.grade_min, alpha + 1):
+            for i, j in itertools.product(levels, repeat=2):
+                x = Element.basis(Graded(alpha, i))
+                y = Element.basis(Graded(beta, j))
+                bracket = block_bracket(params, x, y)
+                for m in range(lo, hi + 1):
+                    v = ModuleVector.basis(m)
+                    lhs = act(kind, params, bracket, v, central_value)
+                    rhs = act(kind, params, x, act(kind, params, y, v, central_value), central_value) - act(
+                        kind, params, y, act(kind, params, x, v, central_value), central_value
+                    )
+                    if lhs != rhs:
+                        return Verdict.fails((alpha, beta, i, j, m), lhs - rhs)
+    return Verdict.holds_universally()
+
+
+# -- inputs ---------------------------------------------------------------------
+
+
+def grids(size: int, values=range(-3, 4)):
+    """`size` distinct values in a random order, so the witness order varies."""
+    return st.permutations(list(values)).map(lambda perm: perm[:size])
+
+
+@st.composite
+def perturbed_rules(draw, symbolic):
+    """A Witt-type product with one coefficient perturbed by delta*a^ea*b^eb."""
+    p = P if symbolic else draw(rationals)
+    params = WittNovikovParams(p, draw(rationals), draw(st.integers(-2, 2)))
+    target = draw(st.sampled_from(["main", "shift"]))
+    exponents = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+    return perturbed_witt_rule(params, target, exponents, draw(nonzero_rationals))
+
+
+@st.composite
+def table_rules(draw):
+    def out():
+        terms = draw(st.dictionaries(st.integers(-2, 3), rationals, max_size=2))
+        return Element({Graded(g, 0): c for g, c in terms.items()})
+
+    keys = draw(st.sets(st.tuples(st.integers(-1, 2), st.integers(-1, 2)), max_size=10))
+    return table_product_rule({key: out() for key in keys})
+
+
+@st.composite
+def skewed_rules(draw, symbolic):
+    """The delta-free Block bracket plus e1*a*b + e2*i*j + e3*a*j: with any
+    e nonzero it is neither antisymmetric nor, in general, a Lie bracket, and
+    the extra terms vanish on part of the grid."""
+    p, q = (P, Q) if symbolic else (draw(rationals), draw(rationals))
+    e1, e2, e3 = (draw(rationals) for _ in range(3))
+
+    def pair(x, y):
+        a, i, b, j = x.grade, x.level, y.grade, y.level
+        coeff = (i + q) * (b + p) - (j + q) * (a + p) + e1 * a * b + e2 * i * j + e3 * a * j
+        return Element.basis(Graded(a + b, i + j), coeff)
+
+    return BracketRule(pair, 1, 1)
+
+
+# -- the tests ------------------------------------------------------------------
+
+
+def assert_same_novikov(rule, grades):
+    got = novikov_axiom_check(rule, grades)
+    want = full_novikov_axiom_check(rule, grades)
+    assert str(got.left_symmetry) == str(want[0])
+    assert str(got.right_commutativity) == str(want[1])
+
+
+def assert_same_identity(rule, identity, grades, levels):
+    got = grid_identity_check(rule, identity, grades, levels)
+    assert str(got) == str(full_grid_identity_check(rule, identity, grades, levels))
+
+
+@SETTINGS
+@given(st.booleans(), st.data())
+def test_novikov_axioms_match_full_scan_on_perturbed_rules(symbolic, data):
+    rule = data.draw(perturbed_rules(symbolic))
+    size = 2 * rule.grade_degree_bound + 1
+    assert_same_novikov(rule, data.draw(grids(data.draw(st.integers(size, size + 1)))))
+
+
+@SETTINGS
+@given(table_rules(), st.data())
+def test_novikov_axioms_match_full_scan_on_table_rules(rule, data):
+    size = data.draw(st.integers(1, 4))
+    assert_same_novikov(rule, data.draw(grids(size, range(-1, 3))))
+
+
+@SETTINGS
+@given(st.booleans(), st.sampled_from(["antisymmetry", "jacobi"]), st.data())
+def test_identities_match_full_scan_on_affinized_perturbed_rules(symbolic, identity, data):
+    base = data.draw(perturbed_rules(symbolic))
+    rule = affinize(base, AffinizationParams(Q if symbolic else data.draw(rationals)))
+    multiplier = 1 if identity == "antisymmetry" else 2
+    grades = data.draw(grids(multiplier * rule.grade_degree_bound + 1))
+    levels = data.draw(grids(multiplier + 1, range(0, 4)))
+    assert_same_identity(rule, identity, grades, levels)
+
+
+@SETTINGS
+@given(st.booleans(), st.sampled_from(["antisymmetry", "jacobi"]), st.data())
+def test_identities_match_full_scan_on_skewed_rules(symbolic, identity, data):
+    rule = data.draw(skewed_rules(symbolic))
+    size = 2 if identity == "antisymmetry" else 3
+    grades = data.draw(grids(data.draw(st.integers(size, size + 1))))
+    levels = data.draw(grids(size, range(0, 4)))
+    assert_same_identity(rule, identity, grades, levels)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(["Aab", "Aa", "Ba"]),
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.data(),
+)
+def test_module_axioms_match_full_scan(variant, central_value, data):
+    a = data.draw(rationals)
+    kind = IntermediateKind(variant, a, data.draw(rationals) if variant == "Aab" else None)
+    params = BlockParams(data.draw(rationals), data.draw(nonzero_rationals))
+    # a nonzero central value shows at alpha = -beta with |alpha| >= 2
+    window = Window(
+        data.draw(st.integers(-3, -1)), data.draw(st.integers(1, 3)), data.draw(st.integers(0, 1))
+    )
+    lo = data.draw(st.integers(-3, 0))
+    weight_range = (lo, lo + data.draw(st.integers(0, 4)))
+    got = module_axiom_check(kind, params, window, weight_range, central_value)
+    want = full_module_axiom_check(kind, params, window, weight_range, central_value)
+    assert str(got) == str(want)

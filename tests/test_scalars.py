@@ -161,3 +161,43 @@ def test_division_limits():
         _ = x / x
     with pytest.raises(ZeroDivisionError):
         _ = x / 0
+
+
+def assert_same_poly(result, expected):
+    assert result.ring == expected.ring
+    assert result.terms == expected.terms
+    assert all(type(c) is Fraction for c in result.terms.values())
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(2, 3), Fraction(-1, 2)])
+def test_rational_constants_combine_as_their_coerced_polys(value):
+    # an int or Fraction operand acts directly, without a `ring.const` Poly;
+    # the result must equal combining with the coerced constant
+    ring = PolyRing("p", "q")
+    p, q = ring.var("p"), ring.var("q")
+    poly = 3 * p**2 * q - Fraction(1, 2) * q + 1
+    const = ring.const(value)
+    assert_same_poly(poly + value, poly + const)
+    assert_same_poly(value + poly, poly + const)
+    assert_same_poly(poly - value, poly - const)
+    assert_same_poly(value - poly, const - poly)
+    assert_same_poly(poly * value, poly * const)
+    assert_same_poly(value * poly, poly * const)
+    assert_same_poly(p + value, p + const)  # no constant term to merge with
+    assert_same_poly(poly + (-1 - value), poly + ring.const(-1 - value))  # cancels
+
+
+def test_poly_times_zero_is_the_zero_poly():
+    ring = PolyRing("p")
+    assert_same_poly(ring.var("p") * 0, ring.zero)
+    assert_same_poly(Fraction(0) * (ring.var("p") + 1), ring.zero)
+
+
+def test_as_fraction_keeps_fractions_and_rejects_symbols():
+    half = Fraction(1, 2)
+    assert as_fraction(half) is half
+    assert type(as_fraction(3)) is Fraction and as_fraction(3) == 3
+    ring = PolyRing("p")
+    assert as_fraction(ring.const(half)) == half
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        as_fraction(ring.var("p"))
