@@ -62,7 +62,6 @@ from .intermediate import (
     IntermediateKind,
     ModuleVector,
     act,
-    boundedness_report,
     module_axiom_check,
 )
 from .novikov import (

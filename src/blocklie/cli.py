@@ -1,11 +1,16 @@
 """Batch front end: one JSON job config in, one deterministic report out.
 
-A config selects exactly one job kind and its inputs; every default the run
-resolves is echoed back into the report, so the report is a pure function of
-the config (randomized jobs require an explicit seed).  The machine format is
-JSON with sorted keys and all rationals rendered as "a/b" strings; the text
-format is line-oriented.  Both are byte-deterministic for a given config;
-wall-clock timing goes to stderr only.
+A config selects exactly one job kind and its inputs.  Each kind's validator
+reads its fields through a `_Fields` reader, once each: a read parses one
+field, raises ConfigError naming its full path (such as `weight.qp[0].base`),
+and records the field's echo, defaults included, in read order.  A key that
+no read asks for, at top level or nested, is an input error.  The validator
+returns the job's runner bound to the parsed inputs, and the report echoes
+what was read, so the report is a pure function of the config (randomized
+jobs require an explicit seed).  The machine format is JSON with sorted keys
+and all rationals rendered as "a/b" strings; the text format is
+line-oriented and keeps the echo's read order.  Both are byte-deterministic
+for a given config; wall-clock timing goes to stderr only.
 
 Exit status: 0 positive verdict, 1 negative verdict, 2 input error,
 3 internal error.
@@ -21,24 +26,15 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from . import block, engine, hweight, intermediate, novikov
 from .engine import CENTRAL, Element, Graded, Verdict, Window
 from .scalars import PolyRing, accumulate, format_rational, parse_rational
 
-JOB_KINDS = (
-    "axioms",
-    "affinize",
-    "blockcheck",
-    "classify",
-    "singular",
-    "crosscheck",
-    "closure",
-    "modcheck",
-)
-
 _REQUIRED = object()
+_GRID5 = ["-2", "-1", "0", "1", "2"]
 
 
 class ConfigError(ValueError):
@@ -47,10 +43,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class JobConfig:
-    """One validated job: its kind plus the fully resolved settings echo."""
+    """One validated job: its kind, the echo of its resolved inputs, and its
+    runner bound to the parsed inputs."""
 
     kind: str
     settings: dict
+    run: Callable[[], tuple[dict, bool]]
 
 
 @dataclass(frozen=True)
@@ -62,15 +60,7 @@ class Report:
     elapsed_seconds: float
 
 
-# -- config loading ----------------------------------------------------------
-
-
-def _field(raw: dict, job: str, name: str, default=_REQUIRED):
-    if name in raw:
-        return raw[name]
-    if default is _REQUIRED:
-        raise ConfigError(f"{job}: missing required field '{name}'")
-    return default
+# -- config reading ----------------------------------------------------------
 
 
 def _is_int(value) -> bool:
@@ -78,104 +68,161 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_field(raw: dict, job: str, name: str, default=_REQUIRED, minimum=None):
-    value = _field(raw, job, name, default)
-    if not _is_int(value):
-        raise ConfigError(f"{job}: field '{name}' must be an integer")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{job}: field '{name}' must be >= {minimum}")
-    return value
+class _Fields:
+    """One JSON object of a config, read field by field.
 
-
-def _rational_field(raw: dict, job: str, name: str, default=_REQUIRED) -> Fraction:
-    value = _field(raw, job, name, default)
-    if isinstance(value, Fraction):
-        return value
-    try:
-        return parse_rational(value)
-    except (ValueError, TypeError):
-        raise ConfigError(
-            f"{job}: field '{name}' must be a rational like \"3/4\" (got {value!r})"
-        ) from None
-
-
-def _rational_list(raw_list, job: str, name: str) -> list[Fraction]:
-    if not isinstance(raw_list, list) or not raw_list:
-        raise ConfigError(f"{job}: field '{name}' must be a nonempty list")
-    out = []
-    for k, value in enumerate(raw_list):
-        try:
-            out.append(parse_rational(value))
-        except (ValueError, TypeError):
-            raise ConfigError(
-                f"{job}: field '{name}[{k}]' must be a rational (got {value!r})"
-            ) from None
-    return out
-
-
-def _window_field(raw: dict, job: str, name: str = "window", default=_REQUIRED) -> Window:
-    value = _field(raw, job, name, default)
-    if isinstance(value, Window):
-        return value
-    if not isinstance(value, dict):
-        raise ConfigError(f"{job}: field '{name}' must be an object")
-    try:
-        window = Window(
-            _int_field(value, job, "grade_min"),
-            _int_field(value, job, "grade_max"),
-            _int_field(value, job, "level_max", minimum=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{job}: field '{name}': {exc}") from None
-    return window
-
-
-def _echo_window(window: Window) -> dict:
-    return {
-        "grade_min": window.grade_min,
-        "grade_max": window.grade_max,
-        "level_max": window.level_max,
-    }
-
-
-def _parameters(raw: dict, job: str, names: Sequence[str], *, symbolic_ok, defaults=None):
-    """Resolve algebra parameters to Fractions or shared-ring symbols.
-
-    Returns (echo dict, scalars dict).  The literal string "symbolic" keeps a
-    parameter as a formal symbol; all symbolic parameters share one ring.
+    Every typed read marks its field read, parses it, raises ConfigError
+    naming the field's full path, and records the field's echo in read order.
+    `finish` rejects any key that no read asked for, here and in every object
+    read from this one.
     """
-    defaults = defaults or {}
-    symbolic = []
-    for name in names:
-        value = _field(raw, job, name, defaults.get(name, _REQUIRED))
-        if value == "symbolic":
-            if name not in symbolic_ok:
-                raise ConfigError(f"{job}: field '{name}' cannot be symbolic here")
-            symbolic.append(name)
-    ring = PolyRing(*symbolic) if symbolic else None
-    echo: dict[str, Any] = {}
-    scalars: dict[str, Any] = {}
-    for name in names:
-        value = _field(raw, job, name, defaults.get(name, _REQUIRED))
-        if value == "symbolic":
-            echo[name] = "symbolic"
-            scalars[name] = ring.var(name)
-        else:
-            rational = _rational_field(raw, job, name, defaults.get(name, _REQUIRED))
-            echo[name] = format_rational(rational)
-            scalars[name] = rational
-    return echo, scalars
 
+    def __init__(self, raw, job: str, path: str = ""):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{job}: field '{path}' must be an object")
+        self.raw, self.job, self.path = raw, job, path
+        self.echo: dict[str, Any] = {}
+        self.read: set[str] = set()
+        self.children: list[_Fields] = []
 
-def _block_params(scalars: dict, job: str) -> block.BlockParams:
-    try:
-        return block.BlockParams(p=scalars["p"], q=scalars["q"])
-    except ValueError as exc:
-        raise ConfigError(f"{job}: {exc}") from None
+    def where(self, name: str) -> str:
+        return f"{self.path}.{name}" if self.path else name
+
+    def error(self, name: str, problem: str) -> ConfigError:
+        return ConfigError(f"{self.job}: field '{self.where(name)}' {problem}")
+
+    def has(self, name: str) -> bool:
+        return name in self.raw
+
+    def take(self, name: str, default=_REQUIRED):
+        """The raw value of a field (or its default), marked read; no echo."""
+        self.read.add(name)
+        if name in self.raw:
+            return self.raw[name]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.job}: missing required field '{self.where(name)}'")
+        return default
+
+    def finish(self) -> None:
+        for name in self.raw:
+            if name not in self.read:
+                raise self.error(name, "does not apply to this job")
+        for child in self.children:
+            child.finish()
+
+    def int(self, name: str, default=_REQUIRED, minimum=None) -> int:
+        value = self.take(name, default)
+        if not _is_int(value):
+            raise self.error(name, "must be an integer")
+        if minimum is not None and value < minimum:
+            raise self.error(name, f"must be >= {minimum}")
+        self.echo[name] = value
+        return value
+
+    def ints(self, name: str, count: int, minimum=None) -> list[int]:
+        values = self.take(name)
+        if not (
+            isinstance(values, list)
+            and len(values) == count
+            and all(_is_int(v) and (minimum is None or v >= minimum) for v in values)
+        ):
+            floor = "" if minimum is None else f" >= {minimum}"
+            raise self.error(name, f"must be a list of {count} integers{floor}")
+        self.echo[name] = values
+        return values
+
+    def _parse_rational(self, name: str, value) -> Fraction:
+        try:
+            return parse_rational(value)
+        except (ValueError, TypeError):
+            raise self.error(name, f'must be a rational like "3/4" (got {value!r})') from None
+
+    def rational(self, name: str, default=_REQUIRED) -> Fraction:
+        value = self._parse_rational(name, self.take(name, default))
+        self.echo[name] = format_rational(value)
+        return value
+
+    def array(self, name: str, default=_REQUIRED, nonempty=True) -> list:
+        values = self.take(name, default)
+        if not isinstance(values, list) or (nonempty and not values):
+            raise self.error(name, "must be a nonempty list" if nonempty else "must be a list")
+        return values
+
+    def rationals(self, name: str, default=_REQUIRED, distinct=False) -> list[Fraction]:
+        values = [
+            self._parse_rational(f"{name}[{k}]", value)
+            for k, value in enumerate(self.array(name, default))
+        ]
+        if distinct and len(set(values)) != len(values):
+            raise self.error(name, "values must be distinct")
+        self.echo[name] = [format_rational(v) for v in values]
+        return values
+
+    def choice(self, name: str, options: Sequence[str], default=_REQUIRED) -> str:
+        value = self.take(name, default)
+        if not isinstance(value, str) or value not in options:
+            raise self.error(name, f"must be one of {', '.join(options)}")
+        self.echo[name] = value
+        return value
+
+    def scalars(self, names: Sequence[str], symbolic=(), defaults=None) -> list:
+        """Rationals, or symbols of one shared ring where a field reads "symbolic"."""
+        raw = {name: self.take(name, (defaults or {}).get(name, _REQUIRED)) for name in names}
+        formal = [name for name in names if raw[name] == "symbolic"]
+        for name in formal:
+            if name not in symbolic:
+                raise self.error(name, "cannot be symbolic here")
+        ring = PolyRing(*formal) if formal else None
+        values = []
+        for name in names:
+            if name in formal:
+                self.echo[name] = "symbolic"
+                values.append(ring.var(name))
+            else:
+                values.append(self.rational(name, raw[name]))
+        return values
+
+    def elements(self, name: str, default=_REQUIRED, nonempty=True) -> list[Element]:
+        values = []
+        for k, text in enumerate(self.array(name, default, nonempty)):
+            try:
+                values.append(parse_element(text))
+            except ConfigError as exc:
+                raise ConfigError(f"{self.job}: field '{self.where(name)}[{k}]': {exc}") from None
+        self.echo[name] = [str(e) for e in values]
+        return values
+
+    def obj(self, name: str, default=_REQUIRED) -> _Fields | None:
+        """A nested object's reader; None when an optional object is absent or null."""
+        value = self.take(name, default)
+        if value is None and default is None:
+            return None
+        child = _Fields(value, self.job, self.where(name))
+        self.echo[name] = child.echo
+        self.children.append(child)
+        return child
+
+    def objs(self, name: str, nonempty=True) -> list[_Fields]:
+        children = [
+            _Fields(value, self.job, self.where(f"{name}[{k}]"))
+            for k, value in enumerate(self.array(name, nonempty=nonempty))
+        ]
+        self.echo[name] = [child.echo for child in children]
+        self.children.extend(children)
+        return children
+
+    def window(self) -> Window:
+        fields = self.obj("window")
+        grade_min, grade_max = fields.int("grade_min"), fields.int("grade_max")
+        level_max = fields.int("level_max", minimum=0)
+        try:
+            return Window(grade_min, grade_max, level_max)
+        except ValueError as exc:
+            raise self.error("window", f"is invalid: {exc}") from None
 
 
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\*?)?(?:(?P<c>c)|L\[(?P<g>-?\d+),(?P<l>-?\d+)\])$"
+    r"^(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\*?)?(?:(?P<c>c)|L\[(?P<g>-?\d+),(?P<l>\d+)\])$"
 )
 
 
@@ -212,7 +259,7 @@ def parse_element(text: str) -> Element:
         if not match:
             raise ConfigError(
                 f"cannot parse element term {chunk!r} in {text!r}; expected "
-                "rational*L[grade,level] or rational*c"
+                "rational*L[grade,level] with level >= 0, or rational*c"
             )
         coeff = sign * Fraction(match.group("coeff") or 1)
         if match.group("c"):
@@ -223,335 +270,151 @@ def parse_element(text: str) -> Element:
     return Element(accumulate({}, terms))
 
 
-def _weight_field(raw: dict, job: str, params: block.BlockParams, horizon: int):
-    """Parse the weight spec; returns (echo, Weight)."""
-    value = _field(raw, job, "weight")
-    if not isinstance(value, dict):
-        raise ConfigError(f"{job}: field 'weight' must be an object")
-    central = _rational_field(value, job, "central", default=Fraction(0))
-    if "labels" in value and "qp" in value:
-        raise ConfigError(f"{job}: weight needs exactly one of 'labels' or 'qp'")
-    if "labels" in value:
-        labels = _rational_list(value["labels"], job, "weight.labels")
+def _block_params(f: _Fields, p, q) -> block.BlockParams:
+    try:
+        return block.BlockParams(p=p, q=q)
+    except ValueError as exc:
+        raise ConfigError(f"{f.job}: {exc}") from None
+
+
+def _weight(f: _Fields, params: block.BlockParams, horizon: int) -> hweight.Weight:
+    """The highest weight, given by labels Lambda_0..Lambda_horizon or by a
+    quasipolynomial generator."""
+    w = f.obj("weight")
+    if w.has("labels") == w.has("qp"):
+        raise f.error("weight", "needs exactly one of 'labels' or 'qp'")
+    if w.has("labels"):
+        labels = w.rationals("labels")
         if len(labels) <= horizon:
-            raise ConfigError(
-                f"{job}: weight.labels must reach horizon {horizon} "
-                f"({horizon + 1} labels required, got {len(labels)})"
+            raise w.error(
+                "labels",
+                f"must reach horizon {horizon} "
+                f"({horizon + 1} labels required, got {len(labels)})",
             )
-        weight = hweight.Weight.from_labels(labels, central)
-        echo = {
-            "labels": [format_rational(v) for v in labels],
-            "central": format_rational(central),
-        }
-        return echo, weight
-    if "qp" not in value:
-        raise ConfigError(f"{job}: weight needs 'labels' or 'qp'")
-    terms_raw = value["qp"]
-    if not isinstance(terms_raw, list):
-        raise ConfigError(f"{job}: field 'weight.qp' must be a list of terms")
-    terms = []
-    for k, term in enumerate(terms_raw):
-        if not isinstance(term, dict):
-            raise ConfigError(f"{job}: weight.qp[{k}] must be an object")
-        coeffs = _rational_list(_field(term, job, "poly"), job, f"weight.qp[{k}].poly")
-        base = _rational_field(term, job, "base")
-        terms.append((coeffs, base))
+        return hweight.Weight.from_labels(labels, w.rational("central", "0"))
+    terms = [(t.rationals("poly"), t.rational("base")) for t in w.objs("qp", nonempty=False)]
     qp = hweight.QuasiPolynomial.of(terms)
     try:
         synthesis = hweight.labels_from_quasipolynomial(qp, params, horizon)
     except hweight.UnrealizableError as exc:
-        raise ConfigError(f"{job}: weight.qp unrealizable: {exc}") from None
-    weight = hweight.Weight(
-        labels=synthesis.weight.labels, qp=qp, central_label=central
-    )
-    echo = {
-        "qp": [
-            {"poly": [format_rational(c) for c in coeffs], "base": format_rational(b)}
-            for coeffs, b in qp.terms
-        ],
-        "central": format_rational(central),
-        "singular_indices": list(synthesis.singular),
-    }
-    return echo, weight
+        raise w.error("qp", f"is unrealizable: {exc}") from None
+    # the echo shows the normalized terms: bases merged and sorted, zeros dropped
+    w.echo["qp"] = [
+        {"poly": [format_rational(c) for c in coeffs], "base": format_rational(b)}
+        for coeffs, b in qp.terms
+    ]
+    central = w.rational("central", "0")
+    w.echo["singular_indices"] = list(synthesis.singular)
+    return hweight.Weight(labels=synthesis.weight.labels, qp=qp, central_label=central)
 
 
-def load_config(path: str) -> JobConfig:
-    """Read and validate a config file; all defaults are resolved here."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    kind = raw.get("job")
-    if kind not in JOB_KINDS:
-        raise ConfigError(
-            f"field 'job' must be one of {', '.join(JOB_KINDS)} (got {kind!r})"
-        )
-    validator = _VALIDATORS[kind]
-    return JobConfig(kind, validator(raw))
-
-
-def _grid_field(raw, job, name, default):
-    values = raw.get(name, default)
-    rationals = _rational_list(values, job, name)
-    if len(set(rationals)) != len(rationals):
-        raise ConfigError(f"{job}: field '{name}' values must be distinct")
-    return rationals
-
-
-def _echo_grid(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
-def _validate_axioms(raw: dict) -> dict:
-    job = "axioms"
-    settings: dict[str, Any] = {}
-    if "table" in raw:
+def _validate_axioms(f: _Fields):
+    if f.has("table"):
         # extensional product on a small index window; universality is off
         for name in ("p", "mu", "theta", "perturb"):
-            if name in raw:
-                raise ConfigError(f"{job}: '{name}' does not apply in table mode")
-        entries_raw = raw["table"]
-        if not isinstance(entries_raw, list) or not entries_raw:
-            raise ConfigError(f"{job}: field 'table' must be a nonempty list")
-        table_echo = []
+            if f.has(name):
+                raise ConfigError(f"axioms: '{name}' does not apply in table mode")
         entries: dict[tuple[int, int], Element] = {}
-        for k, row in enumerate(entries_raw):
-            if not isinstance(row, dict):
-                raise ConfigError(f"{job}: table[{k}] must be an object")
-            a = _int_field(row, job, "a")
-            b = _int_field(row, job, "b")
-            if (a, b) in entries:
-                raise ConfigError(f"{job}: table[{k}] duplicates pair ({a}, {b})")
-            out_raw = _field(row, job, "out")
-            if not isinstance(out_raw, list):
-                raise ConfigError(f"{job}: table[{k}].out must be a list")
-            terms = []
-            out_echo = []
-            for t, term in enumerate(out_raw):
-                if not isinstance(term, dict):
-                    raise ConfigError(f"{job}: table[{k}].out[{t}] must be an object")
-                grade = _int_field(term, job, "grade")
-                coeff = _rational_field(term, job, "coeff")
-                terms.append((Graded(grade, 0), coeff))
-                out_echo.append({"grade": grade, "coeff": format_rational(coeff)})
-            entries[(a, b)] = Element(accumulate({}, terms))
-            table_echo.append({"a": a, "b": b, "out": out_echo})
-        settings["table"] = table_echo
-        settings["_table"] = entries
+        for row in f.objs("table"):
+            pair = row.int("a"), row.int("b")
+            if pair in entries:
+                raise ConfigError(f"axioms: field '{row.path}' duplicates pair {pair}")
+            terms = [
+                (Graded(term.int("grade"), 0), term.rational("coeff"))
+                for term in row.objs("out", nonempty=False)
+            ]
+            entries[pair] = Element(accumulate({}, terms))
         default_grid = sorted({str(k) for pair in entries for k in pair})
-        grades = _grid_field(raw, job, "grades", default_grid)
-        settings["grades"] = _echo_grid(grades)
-        settings["_grades"] = grades
-        settings["_scalars"] = {}
-        return settings
-    echo, scalars = _parameters(
-        raw, job, ("p", "mu"), symbolic_ok=("p", "mu"), defaults={"mu": "0"}
-    )
-    settings.update(echo)
-    settings["theta"] = _int_field(raw, job, "theta", default=0)
-    grades = _grid_field(raw, job, "grades", ["-2", "-1", "0", "1", "2"])
-    settings["grades"] = _echo_grid(grades)
-    settings["_grades"] = grades
-    perturb = raw.get("perturb")
-    if perturb is not None:
-        if not isinstance(perturb, dict):
-            raise ConfigError(f"{job}: field 'perturb' must be an object")
-        target = _field(perturb, job, "target")
-        if target not in ("main", "shift"):
-            raise ConfigError(f"{job}: perturb.target must be 'main' or 'shift'")
-        exponents = _field(perturb, job, "exponents")
-        if (
-            not isinstance(exponents, list)
-            or len(exponents) != 2
-            or not all(_is_int(e) and e >= 0 for e in exponents)
-        ):
-            raise ConfigError(f"{job}: perturb.exponents must be two integers >= 0")
-        delta = _rational_field(perturb, job, "delta")
-        settings["perturb"] = {
-            "target": target,
-            "exponents": exponents,
-            "delta": format_rational(delta),
-        }
-        settings["_delta"] = delta
-    settings["_scalars"] = scalars
-    return settings
-
-
-def _validate_affinize(raw: dict) -> dict:
-    job = "affinize"
-    echo, scalars = _parameters(
-        raw,
-        job,
-        ("p", "mu", "q"),
-        symbolic_ok=("p", "mu", "q"),
-        defaults={"mu": "0"},
-    )
-    settings = dict(echo)
-    settings["theta"] = _int_field(raw, job, "theta", default=0)
-    grades = _grid_field(raw, job, "grades", ["-2", "-1", "0", "1", "2"])
-    levels = _grid_field(raw, job, "levels", ["0", "1", "2"])
-    settings["grades"] = _echo_grid(grades)
-    settings["levels"] = _echo_grid(levels)
-    settings["_grades"] = grades
-    settings["_levels"] = levels
-    mutations = raw.get("mutations")
-    if mutations is not None:
-        if not isinstance(mutations, dict):
-            raise ConfigError(f"{job}: field 'mutations' must be an object")
-        count = _int_field(mutations, job, "count", minimum=1)
-        if "seed" not in mutations:
-            raise ConfigError(
-                f"{job}: mutations require an explicit 'seed' (determinism contract)"
-            )
-        seed = _int_field(mutations, job, "seed", minimum=0)
-        settings["mutations"] = {"count": count, "seed": seed}
-    settings["_scalars"] = scalars
-    return settings
-
-
-def _validate_blockcheck(raw: dict) -> dict:
-    job = "blockcheck"
-    echo, scalars = _parameters(raw, job, ("p", "q"), symbolic_ok=("p", "q"))
-    settings = dict(echo)
-    _block_params(scalars, job)  # rejects q = 0 early
-    window = _window_field(raw, job)
-    settings["window"] = _echo_window(window)
-    cocycle = _grid_field(raw, job, "cocycle_grades", ["-2", "-1", "0", "1", "2"])
-    settings["cocycle_grades"] = _echo_grid(cocycle)
-    jacobi_grades = _grid_field(raw, job, "jacobi_grades", ["-1", "0", "1"])
-    jacobi_levels = _grid_field(raw, job, "jacobi_levels", ["0", "1", "2"])
-    settings["jacobi_grades"] = _echo_grid(jacobi_grades)
-    settings["jacobi_levels"] = _echo_grid(jacobi_levels)
-    settings["_window"] = window
-    settings["_cocycle_grades"] = cocycle
-    settings["_jacobi_grades"] = jacobi_grades
-    settings["_jacobi_levels"] = jacobi_levels
-    settings["_scalars"] = scalars
-    return settings
-
-
-def _validate_classify(raw: dict) -> dict:
-    job = "classify"
-    echo, scalars = _parameters(raw, job, ("p", "q"), symbolic_ok=())
-    settings = dict(echo)
-    params = _block_params(scalars, job)
-    horizon = _int_field(raw, job, "horizon", minimum=1)
-    settings["horizon"] = horizon
-    weight_echo, weight = _weight_field(raw, job, params, horizon)
-    settings["weight"] = weight_echo
-    settings["_scalars"] = scalars
-    settings["_weight"] = weight
-    return settings
-
-
-def _validate_kernel_shaped(raw: dict, job: str) -> dict:
-    # singular and crosscheck share their input shape
-    echo, scalars = _parameters(raw, job, ("p", "q"), symbolic_ok=())
-    settings = dict(echo)
-    params = _block_params(scalars, job)
-    max_level = _int_field(raw, job, "max_level", minimum=0)
-    # the recurrence route of crosscheck needs at least two series coefficients
-    horizon_minimum = 1 if job == "crosscheck" and max_level == 0 else 0
-    horizon = _int_field(raw, job, "horizon", minimum=horizon_minimum)
-    settings["max_level"] = max_level
-    settings["horizon"] = horizon
-    weight_echo, weight = _weight_field(raw, job, params, max_level + horizon)
-    settings["weight"] = weight_echo
-    settings["_scalars"] = scalars
-    settings["_weight"] = weight
-    return settings
-
-
-def _validate_closure(raw: dict) -> dict:
-    job = "closure"
-    algebra = _field(raw, job, "algebra", default="block")
-    if algebra not in ("block", "affinized"):
-        raise ConfigError(f"{job}: field 'algebra' must be 'block' or 'affinized'")
-    names = ("p", "q") if algebra == "block" else ("p", "q", "mu")
-    echo, scalars = _parameters(
-        raw, job, names, symbolic_ok=(), defaults={"mu": "0"}
-    )
-    settings = dict(echo)
-    settings["algebra"] = algebra
-    if algebra == "block":
-        _block_params(scalars, job)
+        grades = f.rationals("grades", default_grid, distinct=True)
+        return partial(_run_axioms, novikov.table_product_rule(entries), grades, "table")
+    p, mu = f.scalars(("p", "mu"), symbolic=("p", "mu"), defaults={"mu": "0"})
+    params = novikov.WittNovikovParams(p=p, mu=mu, theta=f.int("theta", 0))
+    grades = f.rationals("grades", _GRID5, distinct=True)
+    perturb = f.obj("perturb", None)
+    if perturb is None:
+        rule = novikov.witt_product_rule(params)
     else:
-        settings["theta"] = _int_field(raw, job, "theta", default=0)
-    window = _window_field(raw, job)
-    settings["window"] = _echo_window(window)
-    generators = _field(raw, job, "generators")
-    if not isinstance(generators, list) or not generators:
-        raise ConfigError(f"{job}: field 'generators' must be a nonempty list")
-    parsed = [parse_element(text) for text in generators]
-    settings["generators"] = [str(g) for g in parsed]
-    queries = raw.get("membership", [])
-    if not isinstance(queries, list):
-        raise ConfigError(f"{job}: field 'membership' must be a list")
-    parsed_queries = [parse_element(text) for text in queries]
-    settings["membership"] = [str(qe) for qe in parsed_queries]
-    settings["_scalars"] = scalars
-    settings["_window"] = window
-    settings["_generators"] = parsed
-    settings["_membership"] = parsed_queries
-    return settings
+        target = perturb.choice("target", ("main", "shift"))
+        exponents = tuple(perturb.ints("exponents", 2, minimum=0))
+        rule = novikov.perturbed_witt_rule(params, target, exponents, perturb.rational("delta"))
+    return partial(_run_axioms, rule, grades, "family")
 
 
-def _validate_modcheck(raw: dict) -> dict:
-    job = "modcheck"
-    echo, scalars = _parameters(raw, job, ("p", "q"), symbolic_ok=())
-    settings = dict(echo)
-    _block_params(scalars, job)
-    family = _field(raw, job, "family")
-    if family not in intermediate.VARIANTS:
-        raise ConfigError(
-            f"{job}: field 'family' must be one of {', '.join(intermediate.VARIANTS)}"
-        )
-    settings["family"] = family
-    a = _rational_field(raw, job, "a")
-    settings["a"] = format_rational(a)
-    b = None
-    if family == "Aab":
-        b = _rational_field(raw, job, "b")
-        settings["b"] = format_rational(b)
-    elif "b" in raw:
-        raise ConfigError(f"{job}: field 'b' applies only to the Aab family")
-    window = _window_field(raw, job)
-    settings["window"] = _echo_window(window)
-    weight_range = _field(raw, job, "weight_range")
-    if (
-        not isinstance(weight_range, list)
-        or len(weight_range) != 2
-        or not all(_is_int(v) for v in weight_range)
-        or weight_range[0] > weight_range[1]
-    ):
-        raise ConfigError(f"{job}: field 'weight_range' must be [lo, hi] integers")
-    settings["weight_range"] = weight_range
-    central_value = _rational_field(raw, job, "central_value", default=Fraction(0))
-    settings["central_value"] = format_rational(central_value)
-    settings["_scalars"] = scalars
-    settings["_kind"] = intermediate.IntermediateKind(family, a, b)
-    settings["_window"] = window
-    settings["_central_value"] = central_value
-    return settings
+def _validate_affinize(f: _Fields):
+    p, mu, q = f.scalars(("p", "mu", "q"), symbolic=("p", "mu", "q"), defaults={"mu": "0"})
+    params = novikov.WittNovikovParams(p=p, mu=mu, theta=f.int("theta", 0))
+    grades = f.rationals("grades", _GRID5, distinct=True)
+    levels = f.rationals("levels", ["0", "1", "2"], distinct=True)
+    mutations = f.obj("mutations", None)
+    sweep = None
+    if mutations is not None:
+        # the seed has no default: a report must name the seed it was made with
+        sweep = mutations.int("count", minimum=1), mutations.int("seed", minimum=0)
+    aff = novikov.AffinizationParams(q=q)
+    return partial(_run_affinize, params, aff, grades, levels, sweep)
 
 
-_VALIDATORS = {
-    "axioms": _validate_axioms,
-    "affinize": _validate_affinize,
-    "blockcheck": _validate_blockcheck,
-    "classify": _validate_classify,
-    "singular": lambda raw: _validate_kernel_shaped(raw, "singular"),
-    "crosscheck": lambda raw: _validate_kernel_shaped(raw, "crosscheck"),
-    "closure": _validate_closure,
-    "modcheck": _validate_modcheck,
-}
+def _validate_blockcheck(f: _Fields):
+    p, q = f.scalars(("p", "q"), symbolic=("p", "q"))
+    return partial(
+        _run_blockcheck,
+        _block_params(f, p, q),
+        f.window(),
+        f.rationals("cocycle_grades", _GRID5, distinct=True),
+        f.rationals("jacobi_grades", ["-1", "0", "1"], distinct=True),
+        f.rationals("jacobi_levels", ["0", "1", "2"], distinct=True),
+    )
+
+
+def _validate_classify(f: _Fields):
+    params = _block_params(f, *f.scalars(("p", "q")))
+    horizon = f.int("horizon", minimum=1)
+    return partial(_run_classify, _weight(f, params, horizon), params, horizon)
+
+
+def _validate_kernel_shaped(f: _Fields, run, needs_series: bool):
+    # singular and crosscheck share their input shape
+    params = _block_params(f, *f.scalars(("p", "q")))
+    max_level = f.int("max_level", minimum=0)
+    # the recurrence route of crosscheck needs at least two series coefficients
+    horizon = f.int("horizon", minimum=int(needs_series and max_level == 0))
+    return partial(run, _weight(f, params, max_level + horizon), params, max_level, horizon)
+
+
+def _validate_closure(f: _Fields):
+    algebra = f.choice("algebra", ("block", "affinized"), "block")
+    if algebra == "block":
+        p, q = f.scalars(("p", "q"))
+    else:
+        p, q, mu = f.scalars(("p", "q", "mu"), defaults={"mu": "0"})
+    f.echo["algebra"] = f.echo.pop("algebra")  # echoed after the parameters
+    if algebra == "block":
+        rule = block.block_bracket_rule(_block_params(f, p, q))
+    else:
+        witt = novikov.WittNovikovParams(p=p, mu=mu, theta=f.int("theta", 0))
+        rule = novikov.affinize(novikov.witt_product_rule(witt), novikov.AffinizationParams(q=q))
+    return partial(
+        _run_closure,
+        rule,
+        f.window(),
+        f.elements("generators"),
+        f.elements("membership", [], nonempty=False),
+    )
+
+
+def _validate_modcheck(f: _Fields):
+    params = _block_params(f, *f.scalars(("p", "q")))
+    family = f.choice("family", intermediate.VARIANTS)
+    a = f.rational("a")
+    if family != "Aab" and f.has("b"):
+        raise ConfigError("modcheck: field 'b' applies only to the Aab family")
+    kind = intermediate.IntermediateKind(family, a, f.rational("b") if family == "Aab" else None)
+    window = f.window()
+    weight_range = tuple(f.ints("weight_range", 2))
+    if weight_range[0] > weight_range[1]:
+        raise f.error("weight_range", "must be [lo, hi] with lo <= hi")
+    central_value = f.rational("central_value", "0")
+    return partial(_run_modcheck, kind, params, window, weight_range, central_value)
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -589,37 +452,16 @@ def _certificate_json(cert: hweight.RecurrenceCertificate | None):
     }
 
 
-def _public_settings(settings: dict) -> dict:
-    return {k: v for k, v in settings.items() if not k.startswith("_")}
-
-
 # -- job runners -------------------------------------------------------------
 
 
-def _run_axioms(settings: dict) -> tuple[dict, bool]:
-    if "_table" in settings:
-        rule = novikov.table_product_rule(settings["_table"])
-    else:
-        scalars = settings["_scalars"]
-        params = novikov.WittNovikovParams(
-            p=scalars["p"], mu=scalars["mu"], theta=settings["theta"]
-        )
-        if "perturb" in settings:
-            spec = settings["perturb"]
-            rule = novikov.perturbed_witt_rule(
-                params,
-                spec["target"],
-                tuple(spec["exponents"]),
-                settings["_delta"],
-            )
-        else:
-            rule = novikov.witt_product_rule(params)
+def _run_axioms(rule: novikov.ProductRule, grades, mode: str) -> tuple[dict, bool]:
     try:
-        verdicts = novikov.novikov_axiom_check(rule, settings["_grades"])
+        verdicts = novikov.novikov_axiom_check(rule, grades)
     except engine.InsufficientGridError as exc:
-        raise ConfigError(f"axioms: {exc}") from None
+        raise ConfigError(f"axioms: field 'grades': {exc}") from None
     results = {
-        "mode": "table" if "_table" in settings else "family",
+        "mode": mode,
         "left_symmetry": _verdict_json(verdicts.left_symmetry, rule.universal),
         "right_commutativity": _verdict_json(
             verdicts.right_commutativity, rule.universal
@@ -628,18 +470,12 @@ def _run_axioms(settings: dict) -> tuple[dict, bool]:
     return results, verdicts.holds
 
 
-def _run_affinize(settings: dict) -> tuple[dict, bool]:
-    scalars = settings["_scalars"]
-    params = novikov.WittNovikovParams(
-        p=scalars["p"], mu=scalars["mu"], theta=settings["theta"]
-    )
-    aff = novikov.AffinizationParams(q=scalars["q"])
-    levels = settings["_levels"]
+def _run_affinize(params, aff, grades, levels, sweep) -> tuple[dict, bool]:
     base_rule = novikov.witt_product_rule(params)
     try:
-        report = novikov.theorem22_probe(base_rule, aff, settings["_grades"], levels)
+        report = novikov.theorem22_probe(base_rule, aff, grades, levels)
     except engine.InsufficientGridError as exc:
-        raise ConfigError(f"affinize: {exc}") from None
+        raise ConfigError(f"affinize: field 'grades' or 'levels': {exc}") from None
     results: dict[str, Any] = {
         "base": {
             "novikov": {
@@ -651,11 +487,11 @@ def _run_affinize(settings: dict) -> tuple[dict, bool]:
         }
     }
     positive = report.equivalence_observed
-    if "mutations" in settings:
-        spec = settings["mutations"]
-        rng = random.Random(spec["seed"])
-        sweep = []
-        for _ in range(spec["count"]):
+    if sweep is not None:
+        count, seed = sweep
+        rng = random.Random(seed)
+        entries = []
+        for _ in range(count):
             target = rng.choice(["main", "shift"])
             exponents = (rng.randint(0, 2), rng.randint(0, 2))
             delta = Fraction(rng.randint(1, 9), rng.randint(1, 5))
@@ -666,7 +502,7 @@ def _run_affinize(settings: dict) -> tuple[dict, bool]:
                 mut_report = novikov.theorem22_probe(mutated, aff, mut_grades, levels)
             except engine.InsufficientGridError as exc:
                 raise ConfigError(f"affinize: mutation sweep: {exc}") from None
-            sweep.append(
+            entries.append(
                 {
                     "target": target,
                     "exponents": list(exponents),
@@ -676,33 +512,29 @@ def _run_affinize(settings: dict) -> tuple[dict, bool]:
                     "equivalence_observed": mut_report.equivalence_observed,
                 }
             )
-        agreement = all(entry["equivalence_observed"] for entry in sweep)
+        agreement = all(entry["equivalence_observed"] for entry in entries)
         results["mutations"] = {
-            "count": spec["count"],
-            "seed": spec["seed"],
+            "count": count,
+            "seed": seed,
             "all_equivalence_observed": agreement,
-            "sweep": sweep,
+            "sweep": entries,
         }
         positive = positive and agreement
     return results, positive
 
 
-def _run_blockcheck(settings: dict) -> tuple[dict, bool]:
-    scalars = settings["_scalars"]
-    params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-    window = settings["_window"]
+def _run_blockcheck(
+    params, window, cocycle_grades, jacobi_grades, jacobi_levels
+) -> tuple[dict, bool]:
     try:
-        cocycle = block.cocycle_jacobi_check(params, settings["_cocycle_grades"])
+        cocycle = block.cocycle_jacobi_check(params, cocycle_grades)
     except engine.InsufficientGridError as exc:
         raise ConfigError(f"blockcheck: field 'cocycle_grades': {exc}") from None
     virasoro = block.virasoro_embedding_check(params, window)
     laurent = block.laurent_realization_check(params, window)
     try:
         jacobi = engine.grid_identity_check(
-            block.delta_free_rule(params),
-            "jacobi",
-            settings["_jacobi_grades"],
-            settings["_jacobi_levels"],
+            block.delta_free_rule(params), "jacobi", jacobi_grades, jacobi_levels
         )
     except engine.InsufficientGridError as exc:
         raise ConfigError(
@@ -718,12 +550,8 @@ def _run_blockcheck(settings: dict) -> tuple[dict, bool]:
     return results, positive
 
 
-def _run_classify(settings: dict) -> tuple[dict, bool]:
-    scalars = settings["_scalars"]
-    params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-    report = hweight.classify_quasifinite(
-        settings["_weight"], params, settings["horizon"]
-    )
+def _run_classify(weight, params, horizon) -> tuple[dict, bool]:
+    report = hweight.classify_quasifinite(weight, params, horizon)
     results = {
         "verdict": report.verdict,
         "horizon": report.horizon,
@@ -736,12 +564,8 @@ def _run_classify(settings: dict) -> tuple[dict, bool]:
     return results, report.quasifinite
 
 
-def _run_singular(settings: dict) -> tuple[dict, bool]:
-    scalars = settings["_scalars"]
-    params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-    candidates = hweight.singular_vector_solve(
-        settings["_weight"], params, settings["max_level"], settings["horizon"]
-    )
+def _run_singular(weight, params, max_level, horizon) -> tuple[dict, bool]:
+    candidates = hweight.singular_vector_solve(weight, params, max_level, horizon)
     results = {
         "kernel_dimension": len(candidates),
         "candidates": [
@@ -764,12 +588,8 @@ def _run_singular(settings: dict) -> tuple[dict, bool]:
     return results, bool(candidates)
 
 
-def _run_crosscheck(settings: dict) -> tuple[dict, bool]:
-    scalars = settings["_scalars"]
-    params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-    report = hweight.criteria_cross_check(
-        settings["_weight"], params, settings["max_level"], settings["horizon"]
-    )
+def _run_crosscheck(weight, params, max_level, horizon) -> tuple[dict, bool]:
+    report = hweight.criteria_cross_check(weight, params, max_level, horizon)
     results = {
         "delta_route": report.delta_route,
         "kernel_route": report.kernel_route,
@@ -785,37 +605,22 @@ def _run_crosscheck(settings: dict) -> tuple[dict, bool]:
     return results, positive
 
 
-def _run_closure(settings: dict) -> tuple[dict, bool]:
-    scalars = settings["_scalars"]
-    if settings["algebra"] == "block":
-        params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-        rule = block.block_bracket_rule(params)
-    else:
-        rule = novikov.affinize(
-            novikov.witt_product_rule(
-                novikov.WittNovikovParams(
-                    p=scalars["p"], mu=scalars["mu"], theta=settings["theta"]
-                )
-            ),
-            novikov.AffinizationParams(q=scalars["q"]),
-        )
+def _run_closure(rule, window, generators, membership) -> tuple[dict, bool]:
     try:
-        closure = engine.subalgebra_closure(
-            rule, settings["_generators"], settings["_window"]
-        )
+        closure = engine.subalgebra_closure(rule, generators, window)
     except engine.ClosureError as exc:
-        raise ConfigError(f"closure: {exc}") from None
+        raise ConfigError(f"closure: field 'generators': {exc}") from None
     by_grade = {
         str(grade): [str(row) for row in rows]
         for grade, rows in closure.by_grade().items()
     }
     memberships = []
-    for query, text in zip(settings["_membership"], settings["membership"]):
+    for k, query in enumerate(membership):
         try:
             inside = engine.membership(query, closure)
         except engine.ClosureError as exc:
-            raise ConfigError(f"closure: membership query {text!r}: {exc}") from None
-        memberships.append({"element": text, "member": inside})
+            raise ConfigError(f"closure: field 'membership[{k}]': {exc}") from None
+        memberships.append({"element": str(query), "member": inside})
     results = {
         "dimension": closure.dimension(),
         "basis_by_grade": by_grade,
@@ -824,48 +629,77 @@ def _run_closure(settings: dict) -> tuple[dict, bool]:
     return results, True
 
 
-def _run_modcheck(settings: dict) -> tuple[dict, bool]:
-    scalars = settings["_scalars"]
-    params = block.BlockParams(p=scalars["p"], q=scalars["q"])
-    kind = settings["_kind"]
+def _run_modcheck(kind, params, window, weight_range, central_value) -> tuple[dict, bool]:
     verdict = intermediate.module_axiom_check(
-        kind,
-        params,
-        settings["_window"],
-        tuple(settings["weight_range"]),
-        settings["_central_value"],
+        kind, params, window, weight_range, central_value
     )
-    bound = intermediate.boundedness_report(kind)
     results = {
         "module_axiom": {
             "verdict": "holds" if verdict.holds else "fails",
             "witness": None if verdict.holds else list(verdict.witness),
             "residual": None if verdict.holds else str(verdict.residual),
         },
-        "graded_dimension_bound": bound.graded_dimension_bound,
+        # every module of the intermediate series has the basis v[m], m in Z:
+        # one vector per weight, so each graded piece has dimension 1
+        "graded_dimension_bound": 1,
     }
     return results, verdict.holds
 
 
-_RUNNERS = {
-    "axioms": _run_axioms,
-    "affinize": _run_affinize,
-    "blockcheck": _run_blockcheck,
-    "classify": _run_classify,
-    "singular": _run_singular,
-    "crosscheck": _run_crosscheck,
-    "closure": _run_closure,
-    "modcheck": _run_modcheck,
+_VALIDATORS = {
+    "axioms": _validate_axioms,
+    "affinize": _validate_affinize,
+    "blockcheck": _validate_blockcheck,
+    "classify": _validate_classify,
+    "singular": partial(_validate_kernel_shaped, run=_run_singular, needs_series=False),
+    "crosscheck": partial(_validate_kernel_shaped, run=_run_crosscheck, needs_series=True),
+    "closure": _validate_closure,
+    "modcheck": _validate_modcheck,
 }
+JOB_KINDS = tuple(_VALIDATORS)
+
+
+def load_config(path: str, seed: int | None = None) -> JobConfig:
+    """Read and validate a config file; all defaults are resolved here.
+
+    A `seed` replaces the config's `mutations.seed` before validation, so the
+    report echoes the seed the run used."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    kind = raw.get("job")
+    if kind not in JOB_KINDS:
+        raise ConfigError(
+            f"field 'job' must be one of {', '.join(JOB_KINDS)} (got {kind!r})"
+        )
+    if seed is not None:
+        if not isinstance(raw.get("mutations"), dict):
+            raise ConfigError(
+                f"--seed applies only to jobs with 'mutations'; this {kind} job has none"
+            )
+        raw["mutations"]["seed"] = seed
+    fields = _Fields(raw, kind)
+    fields.take("job")
+    run = _VALIDATORS[kind](fields)
+    fields.finish()
+    return JobConfig(kind, fields.echo, run)
 
 
 def run_job(config: JobConfig) -> Report:
     started = time.monotonic()
-    results, positive = _RUNNERS[config.kind](config.settings)
+    results, positive = config.run()
     elapsed = time.monotonic() - started
     return Report(
         job=config.kind,
-        config=_public_settings(config.settings),
+        config=config.settings,
         results=results,
         positive=positive,
         elapsed_seconds=elapsed,
@@ -941,20 +775,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument(
-        "--seed", type=int, default=None, help="overrides the config's mutations.seed"
+        "--seed", type=int, default=None, help="replaces the config's mutations.seed"
     )
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            if "mutations" not in config.settings:
-                raise ConfigError(
-                    f"--seed applies only to jobs with 'mutations'; "
-                    f"this {config.kind} job has none"
-                )
-            config.settings["mutations"]["seed"] = args.seed
-        report = run_job(config)
+        report = run_job(load_config(args.config, args.seed))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -153,19 +153,3 @@ def module_axiom_check(
                     if acc:
                         return Verdict.fails((alpha, beta, i, j, m), ModuleVector._wrap(acc))
     return Verdict.holds_universally()
-
-
-@dataclass(frozen=True)
-class BoundednessRecord:
-    family: str
-    graded_dimension_bound: int
-    note: str
-
-
-def boundedness_report(kind: IntermediateKind) -> BoundednessRecord:
-    """Structural fact for the report pipeline: every graded piece is one line."""
-    return BoundednessRecord(
-        kind.variant,
-        1,
-        "basis v[m], m in Z; one basis vector per weight index by construction",
-    )

@@ -47,7 +47,7 @@ def test_parse_element_round_trips():
     )
     assert parse_element(str(elem)) == elem
     assert parse_element("c") == Element.basis(CENTRAL)
-    for bad in ["", "L[1]", "q*L[1,0]", "L[1,0]*2", "2**L[1,0]"]:
+    for bad in ["", "L[1]", "q*L[1,0]", "L[1,0]*2", "2**L[1,0]", "L[1,-1]"]:
         with pytest.raises(ConfigError):
             parse_element(bad)
 
@@ -417,6 +417,55 @@ EXIT_CASES = [
             "weight_range": [False, True],
         },
     ),
+    (
+        "unread_top_level_typo",
+        2,
+        {"job": "affinize", "p": "2", "mu": "1", "theta": 1, "q": "1", "grade": ["0"]},
+    ),
+    (
+        "unread_theta_on_block_closure",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "theta": "x",
+            "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+            "generators": ["L[1,0]"],
+        },
+    ),
+    (
+        "unread_window_key",
+        2,
+        {
+            "job": "blockcheck",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0, "levels": 2},
+        },
+    ),
+    (
+        "unread_qp_term_key",
+        2,
+        {
+            "job": "classify",
+            "p": "2",
+            "q": "1",
+            "horizon": 8,
+            "weight": {"qp": [{"poly": ["2"], "base": "1", "degree": 0}]},
+        },
+    ),
+    (
+        "closure_negative_level",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 2, "level_max": 1},
+            "generators": ["L[1,-1]"],
+        },
+    ),
 ]
 
 
@@ -425,6 +474,70 @@ def test_exit_status_per_job_kind(tmp_path, capsys, name, expected, payload):
     path = write_config(tmp_path, payload)
     assert main(["--config", path, "--format", "machine"]) == expected
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [
+        ("unread_top_level_typo", "grade"),
+        ("unread_theta_on_block_closure", "theta"),
+        ("unread_window_key", "window.levels"),
+        ("unread_qp_term_key", "weight.qp[0].degree"),
+    ],
+)
+def test_unread_field_is_named(tmp_path, capsys, name, path):
+    payload = {case[0]: case[2] for case in EXIT_CASES}[name]
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert f"field '{path}' does not apply" in capsys.readouterr().err
+
+
+def test_element_errors_name_their_field(tmp_path, capsys):
+    payload = {
+        "job": "closure",
+        "p": "1",
+        "q": "1",
+        "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+        "generators": ["L[1,0]", 5],
+    }
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert "closure: field 'generators[1]'" in capsys.readouterr().err
+    payload["generators"] = ["L[1,0]"]
+    payload["window"] = {"grade_min": 0, "level_max": 0}
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: closure: missing required field 'window.grade_max'")
+    assert err.count("closure:") == 1
+
+
+CONFIGS = sorted(
+    path
+    for folder in (GOLDEN, DATA)
+    for path in folder.glob("*.json")
+    if not path.name.endswith(".report.json")
+)
+BAD_VALUES = {"true": True, "float": 1.5, "object": {"x": 1}}
+FIELD_CASES = [
+    (path, name, bad)
+    for path in CONFIGS
+    for name in json.loads(path.read_text())
+    if name != "job"
+    for bad in BAD_VALUES
+]
+
+
+@pytest.mark.parametrize(
+    "path,name,bad",
+    FIELD_CASES,
+    ids=[f"{path.stem}-{name}-{bad}" for path, name, bad in FIELD_CASES],
+)
+def test_malformed_field_exits_2_and_is_named(tmp_path, capsys, path, name, bad):
+    # every top-level field of every archived config, replaced by a value of
+    # the wrong type: the error names the field or a path under it
+    payload = json.loads(path.read_text())
+    payload[name] = BAD_VALUES[bad]
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert any(f"'{name}{end}" in err for end in ("'", ".", "[")), err
 
 
 def test_crosscheck_single_coefficient_names_horizon(tmp_path, capsys):
@@ -447,6 +560,19 @@ def test_seed_flag_requires_mutations(tmp_path, capsys):
     path = write_config(tmp_path, {"job": "affinize", "p": "2", "mu": "1", "theta": 1, "q": "1"})
     assert main(["--config", path, "--seed", "3"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+def test_seed_flag_replaces_mutations_seed_before_validation(tmp_path, capsys):
+    payload = {"job": "affinize", "p": "2", "q": "1", "mutations": {"count": 1}}
+    path = write_config(tmp_path, payload)
+    assert main(["--config", path]) == 2
+    assert "'mutations.seed'" in capsys.readouterr().err
+    for seed in (3, 5):
+        config = load_config(path, seed=seed)
+        assert config.settings["mutations"] == {"count": 1, "seed": seed}
+        assert run_job(config).results["mutations"]["seed"] == seed
+    assert main(["--config", path, "--seed", "5", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["mutations"]["seed"] == 5
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

@@ -9,7 +9,6 @@ from blocklie.intermediate import (
     IntermediateKind,
     ModuleVector,
     act,
-    boundedness_report,
     diagonal_exception_family,
     module_axiom_check,
     weight_shift_family,
@@ -147,17 +146,6 @@ def test_specializations_match_away_from_exceptional_indices():
                 assert act(shift_01, params, x, v) == act(zero_exc, params, x, v)
             if m != -alpha:
                 assert act(shift_00, params, x, v) == act(diag_exc, params, x, v)
-
-
-def test_boundedness_reports():
-    for kind in (
-        weight_shift_family(1, 2),
-        zero_exception_family(1),
-        diagonal_exception_family(1),
-    ):
-        record = boundedness_report(kind)
-        assert record.graded_dimension_bound == 1
-        assert record.family == kind.variant
 
 
 def test_kind_validation():
