@@ -18,7 +18,7 @@ uses (t^(q+n))' = (q+n) t^(q+n-1), so nothing assumes q is an integer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -27,13 +27,14 @@ from .engine import (
     BracketRule,
     Element,
     Graded,
-    InsufficientGridError,
     Verdict,
     Window,
+    _require_grid,
     bracket_rule,
     extend_bilinearly,
+    first_failure,
 )
-from .scalars import Poly, Scalar, accumulate, scalar_is_zero
+from .scalars import Poly, Scalar, accumulate
 
 
 @dataclass(frozen=True)
@@ -99,12 +100,7 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
     Not suitable for grid identity certification: the delta factors are not
     polynomial, so the degree-bound spot check is skipped by design.
     """
-    return BracketRule(
-        lambda x, y: basis_bracket(params, x, y),
-        grade_degree_bound=1,
-        level_degree_bound=1,
-        grading_law="grade a+b, level i+j, plus c at grade 0",
-    )
+    return BracketRule(lambda x, y: basis_bracket(params, x, y), 1, 1)
 
 
 def delta_free_rule(params: BlockParams) -> BracketRule:
@@ -117,7 +113,6 @@ def delta_free_rule(params: BlockParams) -> BracketRule:
         ),
         grade_degree_bound=1,
         level_degree_bound=1,
-        grading_law="grade a+b, level i+j",
     )
 
 
@@ -137,23 +132,18 @@ def cocycle_jacobi_check(
     cocycle, so a grid of at least 5 distinct values per grade certifies it
     for all integers.  Failures are reported as the residual times c.
     """
-    if len(set(grade_values)) != len(grade_values):
-        raise InsufficientGridError("grade grid values must be distinct")
-    if len(grade_values) < 5:
-        raise InsufficientGridError(
-            f"grade grid needs at least 5 distinct values, got {len(grade_values)}"
-        )
+    _require_grid("grade", grade_values, 5)
     q = params.q
-    for a, b in itertools.product(grade_values, repeat=2):
-        g = -a - b
-        residual = (
-            q * (g - b) * cocycle(a)
-            + q * (a - g) * cocycle(b)
-            + q * (b - a) * cocycle(g)
+
+    def residual(t: tuple) -> Element:
+        a, b, g = t
+        return Element.basis(
+            CENTRAL,
+            q * (g - b) * cocycle(a) + q * (a - g) * cocycle(b) + q * (b - a) * cocycle(g),
         )
-        if not scalar_is_zero(residual):
-            return Verdict.fails((a, b, g), Element.basis(CENTRAL, residual))
-    return Verdict.holds_universally()
+
+    triples = ((a, b, -a - b) for a, b in itertools.product(grade_values, repeat=2))
+    return first_failure(triples, residual)
 
 
 def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
@@ -162,48 +152,34 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
     With V_a = q^-1 L[a,0] and k = q^-2 c the claim is
     [V_a, V_b] = (b-a) V_{a+b} + (a^3-a)/12 delta_{a+b,0} k; both sides are
     compared after clearing q^2, so a symbolic q needs no inverse (q is a
-    unit).  A concrete q = 0 is already rejected by BlockParams.
+    unit).  A concrete q = 0 is already rejected by BlockParams.  The
+    witness is (a, b).
     """
-    if not isinstance(params.q, Poly) and Fraction(params.q) == 0:
-        raise ValueError("q must be nonzero")
-    grades = range(window.grade_min, window.grade_max + 1)
-    for a, b in itertools.product(grades, repeat=2):
-        got = basis_bracket(params, Graded(a, 0), Graded(b, 0))
+
+    def residual(t: tuple) -> Element:
+        a, b = t
         terms = {Graded(a + b, 0): (b - a) * params.q}
         if a + b == 0:
             terms[CENTRAL] = cocycle_value(a)
-        expected = Element(terms)
-        if got != expected:
-            return Verdict.fails((a, b), got - expected)
-    return Verdict.holds_universally()
+        return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
+
+    level_zero = replace(window, level_max=0).pairs()
+    return first_failure(((a, b) for a, _, b, _ in level_zero), residual)
 
 
 @dataclass(frozen=True)
-class _FormalMonomial:
-    """x^grade t^(q_mult*q + offset) with a scalar coefficient; t^q stays formal."""
+class _TPower:
+    """t^(q_mult*q + offset); the factor t^q stays formal."""
 
-    grade: int
     q_mult: int
     offset: int
-    coeff: Scalar
 
-    def d_dt(self, q: Scalar) -> "_FormalMonomial":
-        exponent = self.q_mult * q + self.offset
-        return _FormalMonomial(
-            self.grade, self.q_mult, self.offset - 1, self.coeff * exponent
-        )
+    def __mul__(self, other: "_TPower") -> "_TPower":
+        return _TPower(self.q_mult + other.q_mult, self.offset + other.offset)
 
-    def times_t_power(self, q_mult: int, offset: int) -> "_FormalMonomial":
-        return _FormalMonomial(
-            self.grade, self.q_mult + q_mult, self.offset + offset, self.coeff
-        )
-
-
-def _residue(mono: _FormalMonomial) -> Scalar:
-    # Res_t picks the t^-1 coefficient; with t^q formal that needs q_mult == 0
-    if mono.q_mult == 0 and mono.offset == -1:
-        return mono.coeff
-    return 0
+    def d_dt(self, q: Scalar) -> tuple[Scalar, "_TPower"]:
+        """The derivative e*t^(e-1) as (e, t^(e-1))."""
+        return self.q_mult * q + self.offset, self * _TPower(0, -1)
 
 
 def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
@@ -215,33 +191,24 @@ def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
         x^(a+b) t^(1-q) ((b+p) f' g - (a+p) f g')
         + delta_{a+b,0} (a^3-a)/12 Res_t(t^(-2q-1) f g) c,
 
-    and both routes must agree as Elements for every window index."""
+    and both routes must agree as Elements for every window index (a, i, b, j)."""
     p, q = params.p, params.q
-    grades = range(window.grade_min, window.grade_max + 1)
-    levels = range(window.level_max + 1)
-    for a, b, i, j in itertools.product(grades, grades, levels, levels):
-        f = _FormalMonomial(a, 1, i, 1)
-        g = _FormalMonomial(b, 1, j, 1)
-        fprime_g = _FormalMonomial(
-            a + b, f.q_mult + g.q_mult, f.offset - 1 + g.offset, f.d_dt(q).coeff
-        )
-        f_gprime = _FormalMonomial(
-            a + b, f.q_mult + g.q_mult, f.offset + g.offset - 1, g.d_dt(q).coeff
-        )
+    shift, dual = _TPower(-1, 1), _TPower(-2, -1)  # t^(1-q), t^(-2q-1)
+
+    def residual(t: tuple) -> Element:
+        a, i, b, j = t
+        f, g = _TPower(1, i), _TPower(1, j)
+        (ef, df), (eg, dg) = f.d_dt(q), g.d_dt(q)
         terms: dict = {}
-        for mono, factor in ((fprime_g, b + p), (f_gprime, -(a + p))):
-            term = mono.times_t_power(-1, 1)  # multiply by t^(1-q)
-            if term.q_mult != 1:
-                return Verdict.fails((a, i, b, j), "non-canonical t^q multiplicity")
-            accumulate(terms, ((Graded(term.grade, term.offset), factor * term.coeff),))
-        if a + b == 0:
-            product = _FormalMonomial(0, 2, i + j, 1).times_t_power(-2, -1)
-            accumulate(terms, ((CENTRAL, cocycle_value(a) * _residue(product)),))
-        realized = Element(terms)
-        direct = basis_bracket(params, Graded(a, i), Graded(b, j))
-        if direct != realized:
-            return Verdict.fails((a, i, b, j), direct - realized)
-    return Verdict.holds_universally()
+        for coeff, power in (((b + p) * ef, df * g * shift), (-(a + p) * eg, f * dg * shift)):
+            # t^q appears once, so x^(a+b) t^(q+offset) is L[a+b, offset]
+            accumulate(terms, ((Graded(a + b, power.offset), coeff),))
+        # Res_t picks the t^-1 coefficient; with t^q formal that needs q_mult 0
+        if a + b == 0 and dual * f * g == _TPower(0, -1):
+            accumulate(terms, ((CENTRAL, cocycle_value(a)),))
+        return basis_bracket(params, Graded(a, i), Graded(b, j)) - Element(terms)
+
+    return first_failure(window.pairs(), residual)
 
 
 def parabolic_degree_zero(

@@ -193,9 +193,9 @@ class _Fields:
         return values
 
     def obj(self, name: str, default=_REQUIRED) -> _Fields | None:
-        """A nested object's reader; None when an optional object is absent or null."""
+        """A nested object's reader; None when an optional object is absent."""
         value = self.take(name, default)
-        if value is None and default is None:
+        if not self.has(name):
             return None
         child = _Fields(value, self.job, self.where(name))
         self.echo[name] = child.echo

@@ -8,11 +8,10 @@ basis labels together with declared per-index degree bounds of its structure
 coefficients; those bounds size the grids of `grid_identity_check`, which
 turns antisymmetry/Jacobi into deterministic polynomial identity tests: a
 residual that vanishes on a grid with more points per variable than the
-residual's degree vanishes for all integer indices.  The grid checks here
-and in `novikov` evaluate each residual once per symmetry orbit of its index
-tuple, at the member that comes first in `itertools.product` order; every
-other member has the same residual or its exact negative, so the first
-failing tuple of the full scan, the witness, is always such a member.
+residual's degree vanishes for all integer indices.  Every exact check in
+the package is an index scan run by `first_failure`, whose docstring states
+the witness contract and the rule for skipping tuples by symmetry;
+`_require_grid` is the one rule for grid sizes.
 
 Degree bounds are spot-verified at rule construction by exact finite
 differences, so a rule cannot silently understate them.
@@ -35,37 +34,20 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .scalars import Poly, Scalar, accumulate, as_fraction, scalar_is_zero, signed_sum
 
 IndexValue = Union[int, Fraction]
 
 
-class Graded:
+class Graded(NamedTuple):
     """Label of a graded basis vector: integer (or grid-rational) grade and level.
 
-    Treat as immutable; the hash is computed once (labels are dict keys in
-    every hot loop)."""
+    A tuple, so it compares and hashes as the plain pair (grade, level)."""
 
-    __slots__ = ("grade", "level", "_hash")
-
-    def __init__(self, grade: IndexValue, level: IndexValue):
-        self.grade = grade
-        self.level = level
-        self._hash = hash((grade, level))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Graded)
-            and self.grade == other.grade
-            and self.level == other.level
-        )
+    grade: IndexValue
+    level: IndexValue
 
     def __repr__(self) -> str:
         return f"Graded({self.grade}, {self.level})"
@@ -220,6 +202,12 @@ class Window:
             out.append(CENTRAL)
         return out
 
+    def pairs(self) -> Iterable[tuple[int, int, int, int]]:
+        """(a, i, b, j) for every pair of graded window labels L[a,i], L[b,j],
+        in `itertools.product(grades, grades, levels, levels)` order."""
+        grades, levels = range(self.grade_min, self.grade_max + 1), range(self.level_max + 1)
+        return ((a, i, b, j) for a, b, i, j in itertools.product(grades, grades, levels, levels))
+
 
 def truncate(element: Element, window: Window) -> Element:
     """Drop every term whose label falls outside the window."""
@@ -250,6 +238,24 @@ class Verdict:
         return f"fails(witness={self.witness}, residual={self.residual})"
 
 
+def first_failure(tuples: Iterable[tuple], residual: Callable[[tuple], object]) -> Verdict:
+    """Scan index tuples in order; the first with a nonzero residual is the witness.
+
+    `residual(t)` is the exact residual at `t`, falsy exactly when zero; the
+    verdict fails with `t` and that residual, or holds when every residual is
+    zero.  A check may skip tuples by symmetry: it keeps the least member of
+    each orbit in its full `itertools.product` order and skips only members
+    whose residual is zero or that of the least member, up to sign.  A
+    failing member then has a failing least member no later than itself, so
+    the witness is the one the full scan would find.
+    """
+    for t in tuples:
+        r = residual(t)
+        if r:
+            return Verdict.fails(t, r)
+    return Verdict.holds_universally()
+
+
 class InsufficientGridError(ValueError):
     """A grid is too small to certify the identity universally."""
 
@@ -261,33 +267,29 @@ class BracketRule:
     `pair` maps (x, y) to the bracket Element; its structure coefficients
     must be polynomial in the four indices with per-variable degrees at most
     `grade_degree_bound` (in either grade) and `level_degree_bound` (in
-    either level).  Output grades/levels must be affine in the inputs, as
-    recorded in `grading_law`.
+    either level).  Output grades/levels must be affine in the inputs.
     """
 
     pair: Callable[[Graded, Graded], Element]
     grade_degree_bound: int
     level_degree_bound: int
-    grading_law: str = ""
 
 
 def bracket_rule(
     pair: Callable[[Graded, Graded], Element],
     grade_degree_bound: int,
     level_degree_bound: int,
-    grading_law: str = "",
-    spot_check: bool = True,
 ) -> BracketRule:
     """Build a BracketRule, spot-verifying the declared degree bounds.
 
     The check takes exact finite differences of the offset-normalized
     structure coefficients along each index at a few deterministic base
     points; the (d+1)-th difference of a degree-<=d polynomial vanishes.
-    Rules with non-polynomial parts (delta cocycles) must skip the check.
+    Rules with non-polynomial parts (delta cocycles) are built as plain
+    BracketRules, without the check.
     """
-    rule = BracketRule(pair, grade_degree_bound, level_degree_bound, grading_law)
-    if spot_check:
-        _spot_check_degree_bounds(rule)
+    rule = BracketRule(pair, grade_degree_bound, level_degree_bound)
+    _spot_check_degree_bounds(rule)
     return rule
 
 
@@ -348,6 +350,7 @@ def bracket_apply(rule: BracketRule, x: Element, y: Element) -> Element:
 
 
 def _require_grid(name: str, values: Sequence[IndexValue], needed: int) -> None:
+    """The grid-size rule: distinct values, at least `needed` of them."""
     if len(set(values)) != len(values):
         raise InsufficientGridError(f"{name} grid values must be distinct")
     if len(values) < needed:
@@ -376,12 +379,12 @@ def grid_identity_check(
     indices within the declared bounds and its grading law is affine: the
     residual's coefficient functions then have per-variable degree at most
     the bound (antisymmetry) or twice it (Jacobi), so vanishing on the grid
-    forces vanishing everywhere.
+    forces vanishing everywhere.  A witness is a tuple of (grade, level) pairs.
 
-    The scan visits only pairs x <= y and triples that are least among their
-    cyclic rotations (positions in the grid order): [x,y] + [y,x] is symmetric,
-    and a rotation's Jacobi sum adds the same three terms.  The witness is the
-    first failing tuple in `itertools.product` order, as in a full scan.
+    Orbit filters: antisymmetry keeps pairs x <= y and Jacobi keeps triples
+    that are least among their cyclic rotations (positions in the grid
+    order): [x,y] + [y,x] is symmetric, and a rotation's Jacobi sum adds the
+    same three terms.
     """
     if identity == "antisymmetry":
         multiplier = 1
@@ -392,38 +395,38 @@ def grid_identity_check(
     _require_grid("grade", grade_values, multiplier * rule.grade_degree_bound + 1)
     _require_grid("level", level_values, multiplier * rule.level_degree_bound + 1)
 
-    singles = [
-        Graded(g, l)
-        for g, l in itertools.product(
+    singles = list(
+        itertools.product(
             normalize_index_values(grade_values), normalize_index_values(level_values)
         )
-    ]
-    # basis pairs recur across grid points; cache their bracket terms
-    pair_terms = functools.cache(lambda a, b: rule.pair(a, b).terms)
+    )
+    # basis pairs recur across grid points; cache their bracket terms.  A
+    # Graded label equals its plain (grade, level) pair, so both share a slot.
+    pair_terms = functools.cache(lambda x, y: rule.pair(Graded(*x), Graded(*y)).terms)
 
     if identity == "antisymmetry":
-        for k, x in enumerate(singles):
-            for y in singles[k:]:
-                acc: dict[BasisIndex, Scalar] = accumulate(
-                    dict(pair_terms(x, y)), pair_terms(y, x).items()
-                )
-                if acc:
-                    return Verdict.fails(((x.grade, x.level), (y.grade, y.level)), Element(acc))
-        return Verdict.holds_universally()
 
-    for t in itertools.product(range(len(singles)), repeat=3):
-        if t > t[1:] + t[:1] or t > t[2:] + t[:2]:
-            continue
-        x, y, z = (singles[k] for k in t)
-        acc = {}
+        def antisymmetry(t: tuple) -> Element:
+            x, y = t
+            return Element(accumulate(dict(pair_terms(x, y)), pair_terms(y, x).items()))
+
+        return first_failure(itertools.combinations_with_replacement(singles, 2), antisymmetry)
+
+    def jacobi(t: tuple) -> Element:
+        x, y, z = t
+        acc: dict[BasisIndex, Scalar] = {}
         for outer, inner in ((x, (y, z)), (z, (x, y)), (y, (z, x))):
             for mid, mid_coeff in pair_terms(*inner).items():
                 if mid is not CENTRAL:
                     accumulate(acc, pair_terms(outer, mid).items(), mid_coeff)
-        if acc:
-            witness = tuple((s.grade, s.level) for s in (x, y, z))
-            return Verdict.fails(witness, Element(acc))
-    return Verdict.holds_universally()
+        return Element(acc)
+
+    rotation_least = (
+        (singles[k], singles[l], singles[m])
+        for k, l, m in itertools.product(range(len(singles)), repeat=3)
+        if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
+    )
+    return first_failure(rotation_least, jacobi)
 
 
 class ClosureError(ValueError):
@@ -432,7 +435,10 @@ class ClosureError(ValueError):
 
 @dataclass(frozen=True)
 class Closure:
-    """Reduced echelon basis of a window-truncated bracket closure."""
+    """Reduced echelon basis of a window-truncated bracket closure.
+
+    Each row lists its labels in window coordinate order, so its first label
+    is its pivot."""
 
     window: Window
     rows: tuple[Element, ...]
@@ -441,7 +447,7 @@ class Closure:
         """Rows grouped by the grade of their pivot label (central counts as 0)."""
         groups: dict[int, list[Element]] = {}
         for row in self.rows:
-            pivot = min(row.terms, key=basis_sort_key)
+            pivot = next(iter(row.terms))
             grade = 0 if pivot is CENTRAL else int(pivot.grade)
             groups.setdefault(grade, []).append(row)
         return {g: tuple(rows) for g, rows in sorted(groups.items())}
@@ -479,24 +485,28 @@ class _Echelon:
         self.width = width
         self.rows: dict[int, dict[int, Fraction]] = {}
 
-    def insert(self, vec: dict[int, Fraction]) -> bool:
-        """Add a row of nonzero values (the dict is consumed); False when it
-        reduces to zero."""
+    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Clear every pivot column of `vec` in place; returns it."""
         rows = self.rows
         # the rows are fully reduced, so clearing one pivot column never
         # refills another: only the pivots the row has need clearing
         for col in [c for c in vec if c in rows]:
             accumulate(vec, rows[col].items(), -vec[col])
-        if not vec:
+        return vec
+
+    def insert(self, vec: dict[int, Fraction]) -> bool:
+        """Add a row of nonzero values (the dict is consumed); False when it
+        reduces to zero."""
+        if not self.reduce(vec):
             return False
         pivot = min(vec)
         if vec[pivot] != 1:
             vec = accumulate({}, vec.items(), 1 / vec[pivot])
-        for row in rows.values():
+        for row in self.rows.values():
             factor = row.get(pivot)
             if factor:
                 accumulate(row, vec.items(), -factor)
-        rows[pivot] = vec
+        self.rows[pivot] = vec
         return True
 
     def kernel(self) -> list[tuple[Fraction, ...]]:
@@ -559,19 +569,12 @@ def subalgebra_closure(
 
 
 def membership(element: Element, closure: Closure) -> bool:
-    """True iff the element reduces to zero against the closure's echelon basis.
-
-    The rows are already reduced (pivot coefficient 1, zero in every other
-    row's pivot column), so one pass clears each pivot of the query."""
+    """True iff the element reduces to zero against the closure's echelon basis."""
     coord_index = {index: pos for pos, index in enumerate(closure.window.indices())}
-    vec = _element_vector(element, coord_index)
+    ech = _Echelon(len(coord_index))
     for row in closure.rows:
-        factor = vec.get(coord_index[min(row.terms, key=basis_sort_key)])
-        if factor:
-            accumulate(
-                vec, ((coord_index[index], coeff) for index, coeff in row.terms.items()), -factor
-            )
-    return not vec
+        ech.rows[coord_index[next(iter(row.terms))]] = _element_vector(row, coord_index)
+    return not ech.reduce(_element_vector(element, coord_index))
 
 
 def adjoint_chain(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .block import BlockParams, basis_bracket
-from .engine import CENTRAL, Element, Graded, Verdict, Window
+from .engine import CENTRAL, Element, Graded, Verdict, Window, first_failure
 from .scalars import accumulate, as_fraction, format_rational
 
 VARIANTS = ("Aab", "Aa", "Ba")
@@ -121,35 +121,43 @@ def module_axiom_check(
 ) -> Verdict:
     """Verify [x,y].v = x.(y.v) - y.(x.v) exactly on all window basis pairs.
 
-    Pairs are scanned with the first grade running from low to high and the
-    second grade never above the first (antisymmetry makes that exhaustive),
-    then levels, then the weight index; the first failing tuple
-    (alpha, beta, i, j, m) is the witness.  The action of each basis label on
-    each weight vector is computed once and both sides are summed from it;
-    the tuples and their order are those of the uncached scan, so the
-    witness and residual are too.
+    Tuples (alpha, beta, i, j, m) run over grades, then levels, then the
+    weight.  Orbit filter: beta <= alpha, and at beta = alpha only i < j (the
+    residual is antisymmetric in x, y).  The bracket of each basis pair and
+    the action of each label on each weight vector are computed once.
     """
     lo, hi = weight_range
-    grades = range(window.grade_min, window.grade_max + 1)
     levels = range(window.level_max + 1)
     action = functools.cache(
         lambda label, m: act(
             kind, params, Element.basis(label), ModuleVector.basis(m), central_value
         ).terms
     )
-    for alpha in grades:
-        for beta in range(window.grade_min, alpha + 1):
-            for i, j in itertools.product(levels, repeat=2):
-                x, y = Graded(alpha, i), Graded(beta, j)
-                bracket = basis_bracket(params, x, y).terms
-                for m in range(lo, hi + 1):
-                    # [x,y].v_m - x.(y.v_m) + y.(x.v_m)
-                    acc: dict[int, Fraction] = {}
-                    for label, coeff in bracket.items():
-                        accumulate(acc, action(label, m).items(), as_fraction(coeff))
-                    for outer, inner, sign in ((x, y, -1), (y, x, 1)):
-                        for k, ck in action(inner, m).items():
-                            accumulate(acc, action(outer, k).items(), sign * ck)
-                    if acc:
-                        return Verdict.fails((alpha, beta, i, j, m), ModuleVector._wrap(acc))
-    return Verdict.holds_universally()
+
+    @functools.cache
+    def bracket(alpha, beta, i, j) -> tuple:
+        x, y = Graded(alpha, i), Graded(beta, j)
+        terms = basis_bracket(params, x, y).terms
+        return x, y, [(label, as_fraction(coeff)) for label, coeff in terms.items()]
+
+    def residual(t: tuple) -> ModuleVector:
+        # [x,y].v_m - x.(y.v_m) + y.(x.v_m)
+        alpha, beta, i, j, m = t
+        x, y, terms = bracket(alpha, beta, i, j)
+        acc: dict[int, Fraction] = {}
+        for label, coeff in terms:
+            accumulate(acc, action(label, m).items(), coeff)
+        for outer, inner, sign in ((x, y, -1), (y, x, 1)):
+            for k, ck in action(inner, m).items():
+                accumulate(acc, action(outer, k).items(), sign * ck)
+        return ModuleVector._wrap(acc)
+
+    tuples = (
+        (alpha, beta, i, j, m)
+        for alpha in range(window.grade_min, window.grade_max + 1)
+        for beta in range(window.grade_min, alpha + 1)
+        for i, j in itertools.product(levels, repeat=2)
+        if beta < alpha or i < j
+        for m in range(lo, hi + 1)
+    )
+    return first_failure(tuples, residual)

@@ -30,11 +30,12 @@ from .engine import (
     BracketRule,
     Element,
     Graded,
-    InsufficientGridError,
     Verdict,
     Window,
+    _require_grid,
     bracket_rule,
     extend_bilinearly,
+    first_failure,
     grid_identity_check,
     normalize_index_values,
 )
@@ -65,7 +66,6 @@ class ProductRule:
 
     pair: Callable[[int, int], Element]
     grade_degree_bound: int
-    label: str = ""
     universal: bool = True
 
 
@@ -84,11 +84,7 @@ def witt_novikov_product(params: WittNovikovParams, a, b) -> Element:
 
 
 def witt_product_rule(params: WittNovikovParams) -> ProductRule:
-    return ProductRule(
-        lambda a, b: witt_novikov_product(params, a, b),
-        grade_degree_bound=1,
-        label=f"witt(p={params.p}, mu={params.mu}, theta={params.theta})",
-    )
+    return ProductRule(lambda a, b: witt_novikov_product(params, a, b), grade_degree_bound=1)
 
 
 def perturbed_witt_rule(
@@ -114,16 +110,10 @@ def perturbed_witt_rule(
         grade = a + b if target == "main" else a + b + params.theta
         return out + Element.basis(Graded(grade, 0), bump)
 
-    return ProductRule(
-        pair,
-        grade_degree_bound=max(1, ea, eb),
-        label=f"perturbed {target} by {delta}*a^{ea}*b^{eb}",
-    )
+    return ProductRule(pair, grade_degree_bound=max(1, ea, eb))
 
 
-def table_product_rule(
-    entries: dict[tuple[int, int], Element], label: str = "table"
-) -> ProductRule:
+def table_product_rule(entries: dict[tuple[int, int], Element]) -> ProductRule:
     """Product given extensionally on a small index window.
 
     Index pairs absent from the table multiply to zero (finite-support
@@ -135,7 +125,7 @@ def table_product_rule(
     def pair(a, b) -> Element:
         return table.get((a, b), Element.zero())
 
-    return ProductRule(pair, grade_degree_bound=0, label=label, universal=False)
+    return ProductRule(pair, grade_degree_bound=0, universal=False)
 
 
 def product_apply(rule: ProductRule, x: Element, y: Element) -> Element:
@@ -163,20 +153,11 @@ def novikov_axiom_check(
     bounds implies holding for all integer grades; table rules are checked
     verbatim on the grid they were given.
 
-    Left symmetry is evaluated only where a comes before b in the grid and
-    right commutativity only where b comes before c: each residual changes
-    sign when those two slots swap and is zero when they are equal.  The
-    witness is the first failing triple in `itertools.product` order, as in a
-    full scan."""
-    if len(set(grade_values)) != len(grade_values):
-        raise InsufficientGridError("grade grid values must be distinct")
-    if rule.universal:
-        needed = 2 * rule.grade_degree_bound + 1
-        if len(grade_values) < needed:
-            raise InsufficientGridError(
-                f"grade grid needs at least {needed} distinct values, "
-                f"got {len(grade_values)}"
-            )
+    Orbit filters: left symmetry is evaluated only where a comes before b in
+    the grid and right commutativity only where b comes before c; each
+    residual changes sign when those two slots swap and is zero when they
+    are equal."""
+    _require_grid("grade", grade_values, 2 * rule.grade_degree_bound + 1 if rule.universal else 0)
     grade_values = normalize_index_values(grade_values)
 
     # grade pairs recur across grid points; cache their product terms
@@ -192,26 +173,28 @@ def novikov_axiom_check(
         for mid, cm in prod_terms(second, third).items():
             accumulate(acc, prod_terms(first, mid.grade).items(), sign * cm)
 
-    left = right = None
-    for (ia, ga), (ib, gb), (ic, gc) in itertools.product(enumerate(grade_values), repeat=3):
-        if left is None and ia < ib:
-            acc: dict = {}
-            add_assoc(acc, 1, ga, gb, gc)
-            add_left(acc, -1, ga, gb, gc)
-            add_assoc(acc, -1, gb, ga, gc)
-            add_left(acc, 1, gb, ga, gc)
-            if acc:
-                left = Verdict.fails((ga, gb, gc), Element(acc))
-        if right is None and ib < ic:
-            acc = {}
-            add_assoc(acc, 1, ga, gb, gc)
-            add_assoc(acc, -1, ga, gc, gb)
-            if acc:
-                right = Verdict.fails((ga, gb, gc), Element(acc))
-        if left is not None and right is not None:
-            break
+    def left_symmetry(t: tuple) -> Element:
+        ga, gb, gc = t
+        acc: dict = {}
+        add_assoc(acc, 1, ga, gb, gc)
+        add_left(acc, -1, ga, gb, gc)
+        add_assoc(acc, -1, gb, ga, gc)
+        add_left(acc, 1, gb, ga, gc)
+        return Element(acc)
+
+    def right_commutativity(t: tuple) -> Element:
+        ga, gb, gc = t
+        acc: dict = {}
+        add_assoc(acc, 1, ga, gb, gc)
+        add_assoc(acc, -1, ga, gc, gb)
+        return Element(acc)
+
+    pairs = list(itertools.combinations(grade_values, 2))
+    a_before_b = ((ga, gb, gc) for ga, gb in pairs for gc in grade_values)
+    b_before_c = ((ga, gb, gc) for ga in grade_values for gb, gc in pairs)
     return NovikovVerdicts(
-        left or Verdict.holds_universally(), right or Verdict.holds_universally()
+        first_failure(a_before_b, left_symmetry),
+        first_failure(b_before_c, right_commutativity),
     )
 
 
@@ -233,7 +216,6 @@ def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
         pair,
         grade_degree_bound=rule.grade_degree_bound,
         level_degree_bound=1,
-        grading_law="grades add (plus product shifts); levels add",
     )
 
 
@@ -267,19 +249,18 @@ def block_sZ_reindex_check(s: Fraction, window: Window) -> Verdict:
 
         [R[a,i], R[b,j]] = s(j-i) R[a+b,i+j] + ((i+s-1)b - (j+s-1)a) R[a+b-1,i+j]
 
-    exactly for all window indices."""
+    exactly for all window indices (a, i, b, j)."""
     s = Fraction(s)
     rule = affinize(
         witt_product_rule(WittNovikovParams(p=Fraction(1), mu=-s, theta=1)),
         AffinizationParams(q=s - 1),
     )
-    grades = range(window.grade_min, window.grade_max + 1)
-    levels = range(window.level_max + 1)
-    for a, b, i, j in itertools.product(grades, grades, levels, levels):
-        got = rule.pair(Graded(a - 1, i), Graded(b - 1, j))
+
+    def residual(t: tuple) -> Element:
+        a, i, b, j = t
         expected = Element.basis(Graded(a + b - 1, i + j), s * (j - i)) + Element.basis(
             Graded(a + b - 2, i + j), (i + s - 1) * b - (j + s - 1) * a
         )
-        if got != expected:
-            return Verdict.fails((a, i, b, j), got - expected)
-    return Verdict.holds_universally()
+        return rule.pair(Graded(a - 1, i), Graded(b - 1, j)) - expected
+
+    return first_failure(window.pairs(), residual)

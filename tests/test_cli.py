@@ -466,6 +466,8 @@ EXIT_CASES = [
             "generators": ["L[1,-1]"],
         },
     ),
+    ("perturb_null", 2, {"job": "axioms", "p": "2", "perturb": None}),
+    ("mutations_null", 2, {"job": "affinize", "p": "2", "q": "1", "mutations": None}),
 ]
 
 
@@ -489,6 +491,13 @@ def test_unread_field_is_named(tmp_path, capsys, name, path):
     payload = {case[0]: case[2] for case in EXIT_CASES}[name]
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert f"field '{path}' does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,path", [("perturb_null", "perturb"), ("mutations_null", "mutations")])
+def test_null_object_is_named(tmp_path, capsys, name, path):
+    payload = {case[0]: case[2] for case in EXIT_CASES}[name]
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert f"field '{path}' must be an object" in capsys.readouterr().err
 
 
 def test_element_errors_name_their_field(tmp_path, capsys):
@@ -700,13 +709,16 @@ def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
         ("axioms_symbolic_perturbed", 1),
         ("affinize_mutation_sweep", 0),
         ("modcheck_central_one", 1),
+        ("blockcheck_symbolic", 0),
+        ("blockcheck_concrete", 0),
     ],
 )
 def test_archived_verify_reports_reproduce_byte_identically(name, expected, capsys):
     # archived from the full-product grid scans: a perturbed rule failing both
     # Novikov axioms past the first grid triple on an unsorted grid, the same
     # with symbolic p and mu, a six-entry mutation sweep, and a module whose
-    # central element acts by 1
+    # central element acts by 1; and from the hand-written blockcheck loops:
+    # symbolic p and q, and concrete rationals, each on unsorted rational grids
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == expected
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()

@@ -13,6 +13,7 @@ from blocklie.engine import (
     adjoint_chain,
     bracket_apply,
     bracket_rule,
+    first_failure,
     grid_identity_check,
     membership,
     subalgebra_closure,
@@ -39,7 +40,34 @@ def graded_bracket_rule(p, q, mu=0, theta=0, perturb_alpha_p=False):
             out = out + Element.basis(Graded(a + b + theta, i + j), (i - j) * mu)
         return out
 
-    return bracket_rule(pair, 1, 1, "grade a+b (and a+b+theta), level i+j")
+    return bracket_rule(pair, 1, 1)
+
+
+def test_first_failure_returns_first_failing_tuple_and_its_residual():
+    seen = []
+
+    def residual(t):
+        seen.append(t)
+        a, b = t
+        return Element.basis(Graded(a, b), a * b - 2)
+
+    tuples = [(1, 2), (2, 1), (3, 1), (2, 2)]
+    verdict = first_failure(iter(tuples), residual)
+    assert not verdict.holds
+    assert verdict.witness == (3, 1)
+    assert verdict.residual == Element.basis(Graded(3, 1), 1)
+    assert seen == tuples[:3]  # the scan stops at the witness
+    assert str(verdict) == "fails(witness=(3, 1), residual=L[3,1])"
+    assert first_failure(tuples[:2], residual).holds
+    assert first_failure([], residual).holds
+
+
+def test_graded_label_is_its_grade_level_pair():
+    label = Graded(2, 1)
+    assert (label.grade, label.level) == (2, 1)
+    assert label == (2, 1) and hash(label) == hash((2, 1))
+    assert str(label) == "L[2,1]" and repr(label) == "Graded(2, 1)"
+    assert label != CENTRAL and Graded(Fraction(2), 1) == label
 
 
 def test_bracket_apply_block_11_examples():

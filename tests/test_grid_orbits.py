@@ -3,8 +3,9 @@
 `grid_identity_check` evaluates Jacobi once per cyclic rotation class and
 antisymmetry once per unordered pair, `novikov_axiom_check` evaluates each
 axiom once per swap of the two slots it is antisymmetric in, and
-`module_axiom_check` reads the action of each basis label on each weight
-vector from a cache.  The oracles are the full-product loops those checks
+`module_axiom_check` evaluates each pair of equal grades once per swap of its
+levels and reads the action of each basis label on each weight vector from a
+cache.  The oracles are the full-product loops those checks
 replaced, copied here: every tuple of the grid in `itertools.product` order,
 with nothing cached.  Verdict, witness and residual must print identically,
 above all on failing inputs, where the witness is the first failing tuple.
@@ -12,6 +13,7 @@ above all on failing inputs, where the witness is the first failing tuple.
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,8 @@ from blocklie.engine import (
     Window,
     grid_identity_check,
 )
-from blocklie.intermediate import IntermediateKind, ModuleVector, act, module_axiom_check
+from blocklie import intermediate
+from blocklie.intermediate import IntermediateKind, ModuleVector, module_axiom_check
 from blocklie.novikov import (
     AffinizationParams,
     WittNovikovParams,
@@ -102,6 +105,7 @@ def full_novikov_axiom_check(rule, grade_values):
 
 
 def full_module_axiom_check(kind, params, window, weight_range, central_value):
+    act = intermediate.act  # looked up per call, so a patched action reaches it
     lo, hi = weight_range
     grades = range(window.grade_min, window.grade_max + 1)
     levels = range(window.level_max + 1)
@@ -217,13 +221,44 @@ def test_identities_match_full_scan_on_skewed_rules(symbolic, identity, data):
     assert_same_identity(rule, identity, grades, levels)
 
 
+def perturbed_act(delta):
+    """The family action plus delta*(i+1)*alpha^2 v_{alpha+m} for L[alpha,i] v_m.
+
+    Only level-zero labels act in the families, and at equal grades one of
+    x, y has a positive level (or x = y), so every equal-grade residual is
+    zero there; letting every level act puts witnesses at equal grades."""
+    family_act = intermediate.act
+
+    def act(kind, params, x, v, central_value=Fraction(0)):
+        extra = {}
+        for index, coeff in x.terms.items():
+            if index is not CENTRAL:
+                bump = delta * (index.level + 1) * index.grade**2
+                accumulate(extra, ((index.grade + m, bump * c) for m, c in v.terms.items()), coeff)
+        return family_act(kind, params, x, v, central_value) + ModuleVector(extra)
+
+    return act
+
+
+def test_perturbed_module_witness_falls_at_equal_grades():
+    kind = IntermediateKind("Aab", Fraction(1, 2), Fraction(0))
+    params = BlockParams(Fraction(3), Fraction(1))
+    window, weights = Window(-2, 2, 1), (-2, 2)
+    with mock.patch.object(intermediate, "act", perturbed_act(Fraction(1))):
+        got = module_axiom_check(kind, params, window, weights)
+        want = full_module_axiom_check(kind, params, window, weights, Fraction(0))
+    assert got.witness[:4] == (-2, -2, 0, 1)
+    assert str(got) == str(want)
+
+
 @SETTINGS
 @given(
     st.sampled_from(["Aab", "Aa", "Ba"]),
     st.sampled_from([Fraction(0), Fraction(1)]),
+    st.one_of(st.none(), nonzero_rationals),
     st.data(),
 )
-def test_module_axioms_match_full_scan(variant, central_value, data):
+def test_module_axioms_match_full_scan(variant, central_value, delta, data):
     a = data.draw(rationals)
     kind = IntermediateKind(variant, a, data.draw(rationals) if variant == "Aab" else None)
     params = BlockParams(data.draw(rationals), data.draw(nonzero_rationals))
@@ -233,6 +268,9 @@ def test_module_axioms_match_full_scan(variant, central_value, data):
     )
     lo = data.draw(st.integers(-3, 0))
     weight_range = (lo, lo + data.draw(st.integers(0, 4)))
-    got = module_axiom_check(kind, params, window, weight_range, central_value)
-    want = full_module_axiom_check(kind, params, window, weight_range, central_value)
+    # delta perturbs the action so that witnesses also fall at equal grades
+    action = intermediate.act if delta is None else perturbed_act(delta)
+    with mock.patch.object(intermediate, "act", action):
+        got = module_axiom_check(kind, params, window, weight_range, central_value)
+        want = full_module_axiom_check(kind, params, window, weight_range, central_value)
     assert str(got) == str(want)

@@ -27,7 +27,11 @@ CASES = {name: payload for name, _, payload in EXIT_CASES}
 ACCEPTED = [(path.name, json.loads(path.read_text())) for path in CONFIGS]
 ACCEPTED += [(name, payload) for name, status, payload in EXIT_CASES if status in (0, 1)]
 ACCEPTED.append(("table_mode", TABLE_MODE))
-REJECTED = [(name, payload) for name, payload in CASES.items() if name.startswith("unread_")]
+REJECTED = [
+    (name, payload)
+    for name, payload in CASES.items()
+    if name.startswith("unread_") or name.endswith("_null")
+]
 REJECTED += [
     ("table_mode_with_p", {**TABLE_MODE, "p": "1"}),
     ("block_closure_theta", {**CASES["closure_ok"], "theta": 1}),
