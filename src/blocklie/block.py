@@ -30,9 +30,9 @@ from .engine import (
     Verdict,
     Window,
     _require_grid,
-    bracket_rule,
     extend_bilinearly,
     first_failure,
+    index_ring,
 )
 from .scalars import Poly, Scalar, accumulate
 
@@ -105,14 +105,18 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
 
 def delta_free_rule(params: BlockParams) -> BracketRule:
     """The cocycle-free structure constants, valid for all integer levels;
-    this is what the engine's grid Jacobi certification runs on."""
-    return bracket_rule(
+    this is what the engine's Jacobi proof runs on.  Its one term is
+    ((i+q)(b+p) - (j+q)(a+p)) at output offset (0, 0)."""
+    ring, (p, q) = index_ring(params.p, params.q)
+    a, i, b, j = (ring.var(name) for name in "aibj")
+    return BracketRule(
         lambda x, y: Element.basis(
             Graded(x.grade + y.grade, x.level + y.level),
             structure_coefficient(params, x, y),
         ),
         grade_degree_bound=1,
         level_degree_bound=1,
+        terms=(((0, 0), (i + q) * (b + p) - (j + q) * (a + p)),),
     )
 
 

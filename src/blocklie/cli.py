@@ -475,7 +475,7 @@ def _run_affinize(params, aff, grades, levels, sweep) -> tuple[dict, bool]:
     try:
         report = novikov.theorem22_probe(base_rule, aff, grades, levels)
     except engine.InsufficientGridError as exc:
-        raise ConfigError(f"affinize: field 'grades' or 'levels': {exc}") from None
+        raise ConfigError(f"affinize: field '{exc.grid}s': {exc}") from None
     results: dict[str, Any] = {
         "base": {
             "novikov": {
@@ -537,9 +537,7 @@ def _run_blockcheck(
             block.delta_free_rule(params), "jacobi", jacobi_grades, jacobi_levels
         )
     except engine.InsufficientGridError as exc:
-        raise ConfigError(
-            f"blockcheck: field 'jacobi_grades' or 'jacobi_levels': {exc}"
-        ) from None
+        raise ConfigError(f"blockcheck: field 'jacobi_{exc.grid}s': {exc}") from None
     results = {
         "cocycle_jacobi": _verdict_json(cocycle),
         "virasoro_embedding": _verdict_json(virasoro),

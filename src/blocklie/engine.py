@@ -5,15 +5,23 @@ Basis labels are either `Graded(grade, level)` or the central element
 with exact scalar coefficients (Fraction, or Poly when parameters stay
 symbolic).  A `BracketRule` packages the closed-form bracket of two graded
 basis labels together with declared per-index degree bounds of its structure
-coefficients; those bounds size the grids of `grid_identity_check`, which
-turns antisymmetry/Jacobi into deterministic polynomial identity tests: a
-residual that vanishes on a grid with more points per variable than the
-residual's degree vanishes for all integer indices.  Every exact check in
-the package is an index scan run by `first_failure`, whose docstring states
-the witness contract and the rule for skipping tuples by symmetry;
-`_require_grid` is the one rule for grid sizes.
+coefficients and, for a closed-form rule, its `terms`: one Poly coefficient
+over the indices and parameters per constant output offset.
 
-Degree bounds are spot-verified at rule construction by exact finite
+`grid_identity_check` decides antisymmetry and Jacobi.  From a rule's terms
+it proves the identity first, as one polynomial identity per output offset
+built by `Poly.compose`; only when a proof fails, or for a rule given as a
+bare callable, does it scan a grid, which finds the witness.  The scan is a
+deterministic polynomial identity test: a residual that vanishes on a grid
+with more points per variable than the residual's degree vanishes for all
+integer indices, and the declared degree bounds size the grids.  Every
+exact check in the package ends in `first_failure`, whose docstring states
+the witness contract and the rule for skipping tuples by symmetry; a proved
+identity hands it no tuples.  `_require_grid` is the one rule for grid
+sizes, and it applies whether or not the proof succeeds.
+
+Degree bounds are checked exactly against the terms (`check_degree_bounds`)
+and, for a bare callable, spot-verified at rule construction by exact finite
 differences, so a rule cannot silently understate them.
 
 `subalgebra_closure` works in concrete-parameter mode (all coefficients
@@ -36,7 +44,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .scalars import Poly, Scalar, accumulate, as_fraction, scalar_is_zero, signed_sum
+from .scalars import Poly, PolyRing, Scalar, accumulate, as_fraction, scalar_is_zero, signed_sum
 
 IndexValue = Union[int, Fraction]
 
@@ -257,7 +265,57 @@ def first_failure(tuples: Iterable[tuple], residual: Callable[[tuple], object]) 
 
 
 class InsufficientGridError(ValueError):
-    """A grid is too small to certify the identity universally."""
+    """A grid is too small to certify the identity universally; `grid` says
+    which one ("grade" or "level")."""
+
+    def __init__(self, grid: str, message: str):
+        super().__init__(message)
+        self.grid = grid
+
+
+INDEX_SYMBOLS = ("a", "i", "b", "j", "c", "k")
+
+
+def index_ring(*values: Scalar) -> tuple[PolyRing, list[Poly]]:
+    """The ring of structure coefficients for `values`, and each value lifted
+    into it.
+
+    Its symbols are the parameter symbols of the Poly values, in first-seen
+    order, followed by `INDEX_SYMBOLS` (a, i, b, j, c, k: the grade and level
+    of up to three labels).  A value that already lives in such a ring
+    contributes only its parameter symbols; a parameter named like an index
+    is rejected.
+    """
+    names: list[str] = []
+    for value in values:
+        if isinstance(value, Poly):
+            symbols = value.ring.symbols
+            if symbols[-len(INDEX_SYMBOLS) :] == INDEX_SYMBOLS:
+                symbols = symbols[: -len(INDEX_SYMBOLS)]
+            for name in symbols:
+                if name in INDEX_SYMBOLS:
+                    raise ValueError(f"parameter symbol {name!r} clashes with an index symbol")
+                if name not in names:
+                    names.append(name)
+    ring = PolyRing(*names, *INDEX_SYMBOLS)
+    return ring, [
+        value.compose(ring) if isinstance(value, Poly) else ring.const(value) for value in values
+    ]
+
+
+def check_degree_bounds(terms: Iterable[tuple], bounds: Mapping[str, int]) -> None:
+    """Reject declared per-index degree bounds that the coefficients exceed.
+
+    `terms` are (output offset, Poly) pairs; the coefficients of equal
+    offsets are summed first, so the check reads the exact degrees of each
+    output's structure coefficient."""
+    for offset, coeff in accumulate({}, terms).items():
+        for slot, (symbol, bound) in enumerate(bounds.items()):
+            if coeff.degree_bound(symbol) > bound:
+                raise ValueError(
+                    f"declared degree bound {bound} violated along index slot "
+                    f"{slot} (output offset {offset})"
+                )
 
 
 @dataclass(frozen=True)
@@ -268,11 +326,24 @@ class BracketRule:
     must be polynomial in the four indices with per-variable degrees at most
     `grade_degree_bound` (in either grade) and `level_degree_bound` (in
     either level).  Output grades/levels must be affine in the inputs.
+
+    `terms`, when given, is the same bracket in exact form: pairs
+    ((dgrade, dlevel), coefficient), where the coefficient is a Poly over
+    the parameters and the indices a, i, b, j of x = L[a,i], y = L[b,j]
+    (see `index_ring`), and the output label is L[a+b+dgrade, i+j+dlevel].
+    `pair` must agree with it; the declared degree bounds are checked
+    against it exactly.
     """
 
     pair: Callable[[Graded, Graded], Element]
     grade_degree_bound: int
     level_degree_bound: int
+    terms: tuple[tuple[tuple[int, int], Poly], ...] | None = None
+
+    def __post_init__(self):
+        if self.terms is not None:
+            grade, level = self.grade_degree_bound, self.level_degree_bound
+            check_degree_bounds(self.terms, {"a": grade, "i": level, "b": grade, "j": level})
 
 
 def bracket_rule(
@@ -280,13 +351,15 @@ def bracket_rule(
     grade_degree_bound: int,
     level_degree_bound: int,
 ) -> BracketRule:
-    """Build a BracketRule, spot-verifying the declared degree bounds.
+    """Build a BracketRule from a bare callable, spot-verifying the declared
+    degree bounds.
 
     The check takes exact finite differences of the offset-normalized
     structure coefficients along each index at a few deterministic base
     points; the (d+1)-th difference of a degree-<=d polynomial vanishes.
-    Rules with non-polynomial parts (delta cocycles) are built as plain
-    BracketRules, without the check.
+    Rules with terms check their bounds exactly instead; rules with
+    non-polynomial parts (delta cocycles) are built as plain BracketRules,
+    without any check.
     """
     rule = BracketRule(pair, grade_degree_bound, level_degree_bound)
     _spot_check_degree_bounds(rule)
@@ -352,10 +425,10 @@ def bracket_apply(rule: BracketRule, x: Element, y: Element) -> Element:
 def _require_grid(name: str, values: Sequence[IndexValue], needed: int) -> None:
     """The grid-size rule: distinct values, at least `needed` of them."""
     if len(set(values)) != len(values):
-        raise InsufficientGridError(f"{name} grid values must be distinct")
+        raise InsufficientGridError(name, f"{name} grid values must be distinct")
     if len(values) < needed:
         raise InsufficientGridError(
-            f"{name} grid needs at least {needed} distinct values, got {len(values)}"
+            name, f"{name} grid needs at least {needed} distinct values, got {len(values)}"
         )
 
 
@@ -367,19 +440,56 @@ def normalize_index_values(values: Sequence[IndexValue]) -> list[IndexValue]:
     ]
 
 
+def _bracket_at(terms, x: tuple, y: tuple) -> list[tuple]:
+    """The terms of [L[x], L[y]] for labels x, y of Polys (grade, level);
+    each output label is L[x+y+offset]."""
+    images = {"a": x[0], "i": x[1], "b": y[0], "j": y[1]}
+    return [(offset, coeff.compose(coeff.ring, images)) for offset, coeff in terms]
+
+
+def _identity_residual(terms, identity: str) -> dict:
+    """The antisymmetry or Jacobi residual of a rule's terms, as {total
+    output offset: Poly over the indices}; empty exactly when the identity
+    holds for all indices.
+
+    Antisymmetry reads [x,y] + [y,x] at x = L[a,i], y = L[b,j]; Jacobi reads
+    [x,[y,z]] + [z,[x,y]] + [y,[z,x]] with z = L[c,k].  Labels of distinct
+    offsets are distinct, so each offset's coefficient must vanish alone."""
+    if not terms:
+        return {}
+    ring = terms[0][1].ring
+    x, y, z = ((ring.var(g), ring.var(l)) for g, l in ("ai", "bj", "ck"))
+    if identity == "antisymmetry":
+        return accumulate({}, _bracket_at(terms, x, y) + _bracket_at(terms, y, x))
+
+    def nested(x, y, z):  # [x, [y, z]]
+        for (dg, dl), inner in _bracket_at(terms, y, z):
+            mid = (y[0] + z[0] + dg, y[1] + z[1] + dl)
+            for (eg, el), outer in _bracket_at(terms, x, mid):
+                yield (dg + eg, dl + el), inner * outer
+
+    return accumulate({}, itertools.chain(nested(x, y, z), nested(z, x, y), nested(y, z, x)))
+
+
 def grid_identity_check(
     rule: BracketRule,
     identity: str,
     grade_values: Sequence[IndexValue],
     level_values: Sequence[IndexValue],
 ) -> Verdict:
-    """Certify antisymmetry or Jacobi for all integer indices by grid testing.
+    """Decide antisymmetry or Jacobi for all integer indices: by proof where
+    the rule has terms, by grid scan for the witness and for rules without.
 
-    Sound whenever the rule's structure coefficients are polynomial in the
-    indices within the declared bounds and its grading law is affine: the
-    residual's coefficient functions then have per-variable degree at most
-    the bound (antisymmetry) or twice it (Jacobi), so vanishing on the grid
-    forces vanishing everywhere.  A witness is a tuple of (grade, level) pairs.
+    A rule with terms is first proved from them (`_identity_residual`): when
+    every offset's residual is the zero polynomial, the identity holds and
+    no grid point is evaluated.  Otherwise, and for rules given only as a
+    callable, the grid is scanned; the first failing grid point is the
+    witness, a tuple of (grade, level) pairs.  The scan is sound whenever
+    the rule's structure coefficients are polynomial in the indices within
+    the declared bounds and its grading law is affine: the residual's
+    coefficient functions then have per-variable degree at most the bound
+    (antisymmetry) or twice it (Jacobi), so vanishing on the grid forces
+    vanishing everywhere.  The grid sizes are required either way.
 
     Orbit filters: antisymmetry keeps pairs x <= y and Jacobi keeps triples
     that are least among their cyclic rotations (positions in the grid
@@ -394,6 +504,7 @@ def grid_identity_check(
         raise ValueError(f"unknown identity {identity!r}")
     _require_grid("grade", grade_values, multiplier * rule.grade_degree_bound + 1)
     _require_grid("level", level_values, multiplier * rule.level_degree_bound + 1)
+    proved = rule.terms is not None and not _identity_residual(rule.terms, identity)
 
     singles = list(
         itertools.product(
@@ -410,7 +521,8 @@ def grid_identity_check(
             x, y = t
             return Element(accumulate(dict(pair_terms(x, y)), pair_terms(y, x).items()))
 
-        return first_failure(itertools.combinations_with_replacement(singles, 2), antisymmetry)
+        pairs = itertools.combinations_with_replacement(singles, 2)
+        return first_failure(() if proved else pairs, antisymmetry)
 
     def jacobi(t: tuple) -> Element:
         x, y, z = t
@@ -426,7 +538,7 @@ def grid_identity_check(
         for k, l, m in itertools.product(range(len(singles)), repeat=3)
         if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
     )
-    return first_failure(rotation_least, jacobi)
+    return first_failure(() if proved else rotation_least, jacobi)
 
 
 class ClosureError(ValueError):

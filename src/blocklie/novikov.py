@@ -10,12 +10,17 @@ turns any bilinear product rule into a bracket on two-index labels,
     [a[m], b[n]] = (m + q)(a*b)[m+n] - (n + q)(b*a)[m+n],
 
 which is a Lie bracket exactly when the product is Novikov (left-symmetric
-plus right-commutative).  `theorem22_probe` observes that biconditional on
-grids instead of assuming it, so a counterexample would surface as data.
+plus right-commutative).  `theorem22_probe` observes that biconditional
+instead of assuming it, so a counterexample would surface as data.
 
-Axiom checks use the same grid polynomial-identity-testing guarantee as the
-engine: residual coefficients are polynomial in the three grade indices with
-per-variable degree at most twice the rule's bound.
+A closed-form rule also carries its product as `terms`, pairs (dgrade,
+coefficient Poly over the grades a, b and the parameters), so the axioms and
+the affinized Jacobi identity are proved as polynomial identities, one per
+output offset, before any grid point is evaluated.  The grid scans run only
+to find a witness when a proof fails, and for table rules; they rest on the
+engine's polynomial-identity-testing guarantee: residual coefficients are
+polynomial in the three grade indices with per-variable degree at most twice
+the rule's bound.
 """
 
 from __future__ import annotations
@@ -34,12 +39,14 @@ from .engine import (
     Window,
     _require_grid,
     bracket_rule,
+    check_degree_bounds,
     extend_bilinearly,
     first_failure,
     grid_identity_check,
+    index_ring,
     normalize_index_values,
 )
-from .scalars import Scalar, accumulate
+from .scalars import Poly, Scalar, accumulate
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,23 @@ class ProductRule:
     sufficiently large grid verdict extends to all integers.  Table-backed
     rules (see `table_product_rule`) carry `universal=False`: their verdicts
     only ever speak about the tested grid.
+
+    `terms`, when given, is the same product in exact form: pairs (dgrade,
+    coefficient), where the coefficient is a Poly over the parameters and
+    the grades a, b of x_a, x_b (see `engine.index_ring`) and the output is
+    x_{a+b+dgrade}.  `pair` must agree with it; the declared degree bound is
+    checked against it exactly.
     """
 
     pair: Callable[[int, int], Element]
     grade_degree_bound: int
     universal: bool = True
+    terms: tuple[tuple[int, Poly], ...] | None = None
+
+    def __post_init__(self):
+        if self.terms is not None:
+            bound = self.grade_degree_bound
+            check_degree_bounds(self.terms, {"a": bound, "b": bound})
 
 
 @dataclass(frozen=True)
@@ -84,7 +103,12 @@ def witt_novikov_product(params: WittNovikovParams, a, b) -> Element:
 
 
 def witt_product_rule(params: WittNovikovParams) -> ProductRule:
-    return ProductRule(lambda a, b: witt_novikov_product(params, a, b), grade_degree_bound=1)
+    ring, (p, mu) = index_ring(params.p, params.mu)
+    return ProductRule(
+        lambda a, b: witt_novikov_product(params, a, b),
+        grade_degree_bound=1,
+        terms=((0, ring.var("b") + p), (params.theta, mu)),
+    )
 
 
 def perturbed_witt_rule(
@@ -104,13 +128,17 @@ def perturbed_witt_rule(
     if ea < 0 or eb < 0:
         raise ValueError("perturbation exponents must be nonnegative")
 
+    shift = 0 if target == "main" else params.theta
+
     def pair(a, b) -> Element:
         bump = delta * a**ea * b**eb
         out = witt_novikov_product(params, a, b)
-        grade = a + b if target == "main" else a + b + params.theta
-        return out + Element.basis(Graded(grade, 0), bump)
+        return out + Element.basis(Graded(a + b + shift, 0), bump)
 
-    return ProductRule(pair, grade_degree_bound=max(1, ea, eb))
+    ring, (p, mu, scale) = index_ring(params.p, params.mu, delta)
+    a, b = ring.var("a"), ring.var("b")
+    terms = ((0, b + p), (params.theta, mu), (shift, scale * a**ea * b**eb))
+    return ProductRule(pair, grade_degree_bound=max(1, ea, eb), terms=terms)
 
 
 def table_product_rule(entries: dict[tuple[int, int], Element]) -> ProductRule:
@@ -143,15 +171,55 @@ class NovikovVerdicts:
         return self.left_symmetry.holds and self.right_commutativity.holds
 
 
+def _axiom_residuals(terms) -> tuple[dict, dict]:
+    """The left-symmetry and right-commutativity residuals of a product's
+    terms at x_a, x_b, x_c, each as {total output offset: Poly over the
+    grades}; a residual is empty exactly when its axiom holds for all grades.
+    """
+    if not terms:
+        return {}, {}
+    ring = terms[0][1].ring
+    a, b, c = ring.var("a"), ring.var("b"), ring.var("c")
+
+    def at(first, second) -> list[tuple]:  # x_first x_second; output grade first+second+offset
+        images = {"a": first, "b": second}
+        return [(offset, coeff.compose(ring, images)) for offset, coeff in terms]
+
+    def assoc(sign: int, first, second, third) -> list[tuple]:
+        # sign * ((x_first x_second) x_third)
+        return [
+            (o1 + o2, sign * c1 * c2)
+            for o1, c1 in at(first, second)
+            for o2, c2 in at(first + second + o1, third)
+        ]
+
+    def left(sign: int, first, second, third) -> list[tuple]:
+        # sign * (x_first (x_second x_third))
+        return [
+            (o1 + o2, sign * c1 * c2)
+            for o1, c1 in at(second, third)
+            for o2, c2 in at(first, second + third + o1)
+        ]
+
+    abc = assoc(1, a, b, c)
+    left_symmetry = abc + left(-1, a, b, c) + assoc(-1, b, a, c) + left(1, b, a, c)
+    return accumulate({}, left_symmetry), accumulate({}, abc + assoc(-1, a, c, b))
+
+
 def novikov_axiom_check(
     rule: ProductRule, grade_values: Sequence
 ) -> NovikovVerdicts:
-    """Grid-certify left symmetry (ab)c - a(bc) = (ba)c - b(ac) and right
-    commutativity (ab)c = (ac)b.
+    """Decide left symmetry (ab)c - a(bc) = (ba)c - b(ac) and right
+    commutativity (ab)c = (ac)b: by proof where the rule has terms, by grid
+    scan for the witness and for rules without.
 
-    For universal rules, holding on a grid larger than the residual degree
+    A rule with terms proves each axiom from them (`_axiom_residuals`); a
+    proved axiom holds and no grid point is evaluated for it.  Otherwise the
+    grid is scanned and the first failing triple is the witness.  For
+    universal rules, holding on a grid larger than the residual degree
     bounds implies holding for all integer grades; table rules are checked
-    verbatim on the grid they were given.
+    verbatim on the grid they were given.  The grid size is required either
+    way.
 
     Orbit filters: left symmetry is evaluated only where a comes before b in
     the grid and right commutativity only where b comes before c; each
@@ -159,6 +227,9 @@ def novikov_axiom_check(
     are equal."""
     _require_grid("grade", grade_values, 2 * rule.grade_degree_bound + 1 if rule.universal else 0)
     grade_values = normalize_index_values(grade_values)
+    left_proved = right_proved = False
+    if rule.terms is not None:
+        left_proved, right_proved = (not r for r in _axiom_residuals(rule.terms))
 
     # grade pairs recur across grid points; cache their product terms
     prod_terms = functools.cache(lambda a, b: rule.pair(a, b).terms)
@@ -193,13 +264,17 @@ def novikov_axiom_check(
     a_before_b = ((ga, gb, gc) for ga, gb in pairs for gc in grade_values)
     b_before_c = ((ga, gb, gc) for ga in grade_values for gb, gc in pairs)
     return NovikovVerdicts(
-        first_failure(a_before_b, left_symmetry),
-        first_failure(b_before_c, right_commutativity),
+        first_failure(() if left_proved else a_before_b, left_symmetry),
+        first_failure(() if right_proved else b_before_c, right_commutativity),
     )
 
 
 def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
-    """Bracket [a[m], b[n]] = (m+q)(ab)[m+n] - (n+q)(ba)[m+n] on Graded(grade, m)."""
+    """Bracket [a[m], b[n]] = (m+q)(ab)[m+n] - (n+q)(ba)[m+n] on Graded(grade, m).
+
+    A product with terms gives a bracket with terms: per product term
+    (dgrade, c(a, b)), the coefficient (i+q)c(a,b) - (j+q)c(b,a) at offset
+    (dgrade, 0).  Otherwise the bracket is a bare callable."""
     q = params.q
 
     def relevel(product: Element, level):
@@ -212,11 +287,17 @@ def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
         accumulate(acc, relevel(rule.pair(y.grade, x.grade), m + n), -(n + q))
         return Element._wrap(acc)
 
-    return bracket_rule(
-        pair,
-        grade_degree_bound=rule.grade_degree_bound,
-        level_degree_bound=1,
+    if rule.terms is None:
+        return bracket_rule(pair, grade_degree_bound=rule.grade_degree_bound, level_degree_bound=1)
+    # `pair` reads q, so the lifted copy takes another name
+    ring, (q_poly, *coeffs) = index_ring(q, *(coeff for _, coeff in rule.terms))
+    a, i, b, j = (ring.var(name) for name in "aibj")
+    swap = {"a": b, "b": a}
+    terms = tuple(
+        ((offset, 0), (i + q_poly) * coeff - (j + q_poly) * coeff.compose(ring, swap))
+        for (offset, _), coeff in zip(rule.terms, coeffs)
     )
+    return BracketRule(pair, rule.grade_degree_bound, 1, terms)
 
 
 @dataclass(frozen=True)
@@ -234,8 +315,12 @@ def theorem22_probe(
     grade_values: Sequence,
     level_values: Sequence,
 ) -> ProbeReport:
-    """Check the Novikov axioms and the affinized Jacobi identity on grids and
-    report whether the two verdicts agree (they should, for every rule)."""
+    """Decide the Novikov axioms and the affinized Jacobi identity and report
+    whether the two verdicts agree (they should, for every rule).
+
+    Both checks prove their identities from the rule's terms where it has
+    them and scan the grids only for a witness or for a table rule; the
+    grids are required in either case."""
     axioms = novikov_axiom_check(rule, grade_values)
     jacobi = grid_identity_check(
         affinize(rule, params), "jacobi", grade_values, level_values

@@ -131,14 +131,12 @@ class PolyRing:
 
     def const(self, value: RationalLike) -> "Poly":
         coeff = Fraction(value)
-        if coeff == 0:
-            return Poly(self, {})
-        return Poly(self, {(0,) * len(self.symbols): coeff})
+        return Poly._wrap(self, {(0,) * len(self.symbols): coeff} if coeff else {})
 
     def var(self, name: str) -> "Poly":
         exps = [0] * len(self.symbols)
         exps[self.index(name)] = 1
-        return Poly(self, {tuple(exps): Fraction(1)})
+        return Poly._wrap(self, {tuple(exps): Fraction(1)})
 
     @property
     def zero(self) -> "Poly":
@@ -248,12 +246,7 @@ class Poly:
             return other * self.constant_value()  # type: ignore[operator]
         if rhs is NotImplemented:
             return NotImplemented
-        products = (
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items()
-            for e2, c2 in rhs.terms.items()
-        )
-        return Poly._wrap(self.ring, accumulate({}, products))
+        return Poly._wrap(self.ring, _product(self.terms, rhs.terms))
 
     __rmul__ = __mul__
 
@@ -314,6 +307,44 @@ class Poly:
             self.ring, accumulate({}, (evaluated(*term) for term in self.terms.items()))
         )
 
+    def compose(self, ring: PolyRing, images: Mapping[str, Scalar] | None = None) -> "Poly":
+        """Substitute `images[name]`, a Poly of `ring` or a rational, for each
+        symbol; a symbol without an image becomes the same-named symbol of
+        `ring`.  The result lives in `ring`, so the call with no images lifts
+        a polynomial into a ring that declares more symbols.
+        """
+        images = images or {}
+        # powers[pos][e] holds the terms of image^e, built as exponents demand
+        powers: dict[int, list[dict]] = {}
+
+        def power(pos: int, e: int) -> dict:
+            chain = powers.get(pos)
+            if chain is None:
+                name = self.ring.symbols[pos]
+                image = images.get(name)
+                if image is None:
+                    image = ring.var(name)
+                elif not isinstance(image, Poly):
+                    image = ring.const(image)
+                elif image.ring != ring:
+                    if not image.is_constant():
+                        raise SymbolTableError(f"image of {name!r} does not live in {ring!r}")
+                    image = ring.const(image.constant_value())
+                chain = powers[pos] = [ring.one.terms, image.terms]
+            while len(chain) <= e:
+                chain.append(_product(chain[-1], chain[1]))
+            return chain[e]
+
+        acc: dict = {}
+        unit = (0,) * len(ring.symbols)
+        for exps, coeff in self.terms.items():
+            term = {unit: coeff}
+            for pos, e in enumerate(exps):
+                if e:
+                    term = _product(term, power(pos, e))
+            accumulate(acc, term.items())
+        return Poly._wrap(ring, acc)
+
     def degree_bound(self, symbol: str) -> int:
         """Exact maximum exponent of `symbol` across the support (0 if absent)."""
         pos = self.ring.index(symbol)
@@ -334,6 +365,18 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _product(terms1: dict, terms2: dict) -> dict:
+    """The terms of the product of two polynomials over one ring."""
+    return accumulate(
+        {},
+        (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in terms1.items()
+            for e2, c2 in terms2.items()
+        ),
+    )
 
 
 class _ConstantPromotion(Exception):

@@ -384,6 +384,11 @@ EXIT_CASES = [
         },
     ),
     (
+        "affinize_short_level_grid",
+        2,
+        {"job": "affinize", "p": "1", "q": "1", "levels": ["0", "1"]},
+    ),
+    (
         "perturb_exponent_bool",
         2,
         {
@@ -491,6 +496,17 @@ def test_unread_field_is_named(tmp_path, capsys, name, path):
     payload = {case[0]: case[2] for case in EXIT_CASES}[name]
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert f"field '{path}' does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [("affinize_short_level_grid", "levels"), ("blockcheck_short_jacobi_grid", "jacobi_grades")],
+)
+def test_short_grid_names_its_one_field(tmp_path, capsys, name, path):
+    payload = {case[0]: case[2] for case in EXIT_CASES}[name]
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{path}': " in err and " or " not in err
 
 
 @pytest.mark.parametrize("name,path", [("perturb_null", "perturb"), ("mutations_null", "mutations")])
@@ -708,6 +724,7 @@ def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
         ("axioms_perturbed_both_fail", 1),
         ("axioms_symbolic_perturbed", 1),
         ("affinize_mutation_sweep", 0),
+        ("affinize_symbolic_sweep", 0),
         ("modcheck_central_one", 1),
         ("blockcheck_symbolic", 0),
         ("blockcheck_concrete", 0),
@@ -717,8 +734,10 @@ def test_archived_verify_reports_reproduce_byte_identically(name, expected, caps
     # archived from the full-product grid scans: a perturbed rule failing both
     # Novikov axioms past the first grid triple on an unsorted grid, the same
     # with symbolic p and mu, a six-entry mutation sweep, and a module whose
-    # central element acts by 1; and from the hand-written blockcheck loops:
-    # symbolic p and q, and concrete rationals, each on unsorted rational grids
+    # central element acts by 1; from the hand-written blockcheck loops:
+    # symbolic p and q, and concrete rationals, each on unsorted rational grids;
+    # and from the scan-only grid checks: symbolic p, mu and q on rational
+    # grades and levels, with mutations that hold and fail
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == expected
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()

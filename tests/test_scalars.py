@@ -201,3 +201,41 @@ def test_as_fraction_keeps_fractions_and_rejects_symbols():
     assert as_fraction(ring.const(half)) == half
     with pytest.raises(ValueError, match="not a constant polynomial"):
         as_fraction(ring.var("p"))
+
+
+def test_compose_lifts_by_name_into_a_wider_ring():
+    small = PolyRing("p", "q")
+    wide = PolyRing("q", "x", "p")
+    p, q = small.var("p"), small.var("q")
+    lifted = (2 * p**2 * q - Fraction(1, 3)).compose(wide)
+    assert_same_poly(lifted, 2 * wide.var("p") ** 2 * wide.var("q") - Fraction(1, 3))
+    assert_same_poly(small.zero.compose(wide), wide.zero)
+    with pytest.raises(SymbolTableError, match="'q'"):
+        q.compose(PolyRing("p"))
+
+
+def test_compose_substitutes_polys_and_rationals():
+    ring = PolyRing("x", "y", "z")
+    x, y, z = ring.var("x"), ring.var("y"), ring.var("z")
+    f = x**2 * y - 3 * y * z + 1
+    got = f.compose(ring, {"x": y + z, "y": Fraction(1, 2)})
+    assert_same_poly(got, (y + z) ** 2 / 2 - Fraction(3, 2) * z + 1)
+    # a swap is simultaneous, not one substitution after the other
+    assert_same_poly((x - 2 * y).compose(ring, {"x": y, "y": x}), y - 2 * x)
+    # an image from another ring must be constant there
+    assert_same_poly(x.compose(ring, {"x": PolyRing("w").const(5)}), ring.const(5))
+    with pytest.raises(SymbolTableError):
+        x.compose(ring, {"x": PolyRing("w").var("w")})
+
+
+def test_compose_is_a_homomorphism_and_agrees_with_substitute():
+    rng = random.Random(11)
+    source, target = PolyRing("x", "y"), PolyRing("s", "t")
+    s, t = target.var("s"), target.var("t")
+    for _ in range(40):
+        f, g = _random_poly(rng, source), _random_poly(rng, source)
+        images = {"x": _random_poly(rng, target, max_terms=3, max_exp=2), "y": s - 2 * t}
+        assert (f * g).compose(target, images) == f.compose(target, images) * g.compose(target, images)
+        assert (f + g).compose(target, images) == f.compose(target, images) + g.compose(target, images)
+        point = {"x": Fraction(rng.randint(-5, 5), rng.randint(1, 4)), "y": Fraction(rng.randint(-5, 5))}
+        assert f.compose(target, point) == f.substitute(point).constant_value()
