@@ -708,11 +708,16 @@ def test_large_horizon_reports_reproduce_byte_identically(name, expected, capsys
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
 
 
-@pytest.mark.parametrize("name", ["closure_block_dim78", "closure_affinized_dim48"])
+@pytest.mark.parametrize(
+    "name", ["closure_block_dim78", "closure_affinized_dim48", "closure_dense_w5"]
+)
 def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
     # archived from the naive closure loop, which bracketed every pair of rows
     # in every round: a dim-78 block closure (membership queries include c)
-    # and a dim-48 affinized closure of two dense generators
+    # and a dim-48 affinized closure of two dense generators; and from the
+    # closure that computed every pair's bracket before truncating it: a
+    # dim-58 block closure of two dense multi-term generators whose
+    # intermediate rows reach 3,469 bits
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
