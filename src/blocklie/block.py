@@ -67,8 +67,18 @@ def triangular_part(index) -> str:
 
 
 def structure_coefficient(params: BlockParams, x: Graded, y: Graded) -> Scalar:
-    return (x.level + params.q) * (y.grade + params.p) - (y.level + params.q) * (
-        x.grade + params.p
+    """(i+q)(b+p) - (j+q)(a+p) for x = L[a,i], y = L[b,j].
+
+    For rational p = pn/pd and q = qn/qd it is computed over the integers as
+    ((i*qd+qn)(b*pd+pn) - (j*qd+qn)(a*pd+pn)) / (pd*qd), with one
+    normalization."""
+    p, q = params.p, params.q
+    if isinstance(p, Poly) or isinstance(q, Poly):
+        return (x.level + q) * (y.grade + p) - (y.level + q) * (x.grade + p)
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    return Fraction(
+        (x.level * qd + qn) * (y.grade * pd + pn) - (y.level * qd + qn) * (x.grade * pd + pn),
+        pd * qd,
     )
 
 
@@ -98,9 +108,11 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
     """Full bracket (with cocycle) packaged for closure/adjoint machinery.
 
     Not suitable for grid identity certification: the delta factors are not
-    polynomial, so the degree-bound spot check is skipped by design.
+    polynomial, so the degree-bound spot check is skipped by design.  Every
+    output lands at offset (0, 0), the cocycle's c only at a+b = 0, i = j = 0,
+    as the `offsets` contract asks.
     """
-    return BracketRule(lambda x, y: basis_bracket(params, x, y), 1, 1)
+    return BracketRule(lambda x, y: basis_bracket(params, x, y), 1, 1, offsets=((0, 0),))
 
 
 def delta_free_rule(params: BlockParams) -> BracketRule:

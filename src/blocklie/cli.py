@@ -35,6 +35,9 @@ from .scalars import PolyRing, accumulate, format_rational, parse_rational
 
 _REQUIRED = object()
 _GRID5 = ["-2", "-1", "0", "1", "2"]
+# graded labels of a window, (grade_max - grade_min + 1) * (level_max + 1); a
+# closure's work grows with its square, and no archived window has over 81
+MAX_WINDOW_LABELS = 1000
 
 
 class ConfigError(ValueError):
@@ -215,6 +218,11 @@ class _Fields:
         fields = self.obj("window")
         grade_min, grade_max = fields.int("grade_min"), fields.int("grade_max")
         level_max = fields.int("level_max", minimum=0)
+        labels = (grade_max - grade_min + 1) * (level_max + 1)
+        if labels > MAX_WINDOW_LABELS:
+            raise self.error(
+                "window", f"has {labels} graded labels, more than the {MAX_WINDOW_LABELS} allowed"
+            )
         try:
             return Window(grade_min, grade_max, level_max)
         except ValueError as exc:

@@ -26,7 +26,9 @@ differences, so a rule cannot silently understate them.
 
 `subalgebra_closure` works in concrete-parameter mode (all coefficients
 rational) inside a finite window, discarding bracket products that land
-outside.  It keeps one sparse reduced echelon basis (`_Echelon`) over the
+outside.  A rule that states its output `offsets` lets it skip, without
+computing any coefficient, every basis pair whose bracket cannot reach the
+window.  It keeps one sparse reduced echelon basis (`_Echelon`) over the
 window coordinates ordered grade asc, level asc, central last, and runs
 semi-naive rounds: a round brackets only the rows whose pivot is new since
 the last round against all rows, and the loop ends when a round adds no
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -333,17 +335,28 @@ class BracketRule:
     (see `index_ring`), and the output label is L[a+b+dgrade, i+j+dlevel].
     `pair` must agree with it; the declared degree bounds are checked
     against it exactly.
+
+    `offsets`, when not None, says where `pair` can land: every graded label
+    of pair(L[a,i], L[b,j]) is L[a+b+dgrade, i+j+dlevel] for a listed
+    (dgrade, dlevel), and the central label c appears only at a+b = 0,
+    i = j = 0, with (0, 0) listed.  So c lies in a window exactly when that
+    L[0,0] does, and a pair none of whose offset labels lies in the window
+    brackets to zero there.  A rule with terms derives its offsets from them
+    (the offsets whose summed coefficient is nonzero); only a rule without
+    terms states them by hand.
     """
 
     pair: Callable[[Graded, Graded], Element]
     grade_degree_bound: int
     level_degree_bound: int
     terms: tuple[tuple[tuple[int, int], Poly], ...] | None = None
+    offsets: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         if self.terms is not None:
             grade, level = self.grade_degree_bound, self.level_degree_bound
             check_degree_bounds(self.terms, {"a": grade, "i": level, "b": grade, "j": level})
+            object.__setattr__(self, "offsets", tuple(accumulate({}, self.terms)))
 
 
 def bracket_rule(
@@ -413,7 +426,9 @@ def extend_bilinearly(
             continue
         for iy, cy in y.terms.items():
             if iy is not CENTRAL:
-                accumulate(acc, pair(ix, iy).terms.items(), cx * cy)
+                terms = pair(ix, iy).terms
+                if terms:
+                    accumulate(acc, terms.items(), cx * cy)
     return Element._wrap(acc)
 
 
@@ -644,7 +659,10 @@ def subalgebra_closure(
     under the truncated bracket.
 
     Concrete-parameter mode only: every coefficient must be a rational
-    constant.  Bracket products landing outside the window are discarded.
+    constant.  Bracket products landing outside the window are discarded;
+    when the rule states its `offsets`, a basis pair none of whose output
+    labels lies in the window is not bracketed at all.  A rule without
+    offsets has every pair bracketed and then truncated.
 
     Semi-naive: each round brackets only the rows whose pivot is new since
     the last round (`fresh`), against the rows of earlier rounds and the later
@@ -659,8 +677,16 @@ def subalgebra_closure(
     for gen in generators:
         ech.insert(_element_vector(truncate(gen, window), coord_index))
     # basis pairs recur across rounds and rows; cache their truncated bracket
-    pair = functools.cache(lambda a, b: truncate(rule.pair(a, b), window))
-    truncated = replace(rule, pair=pair)
+    @functools.cache
+    def pair(x: Graded, y: Graded) -> Element:
+        grade, level = x.grade + y.grade, x.level + y.level
+        if rule.offsets is not None and not any(
+            window.contains(Graded(grade + dg, level + dl)) for dg, dl in rule.offsets
+        ):
+            return Element()
+        return truncate(rule.pair(x, y), window)
+
+    truncated = BracketRule(pair, rule.grade_degree_bound, rule.level_degree_bound)
 
     def row_element(row: dict[int, Fraction]) -> Element:
         return Element._wrap({coords[k]: row[k] for k in sorted(row)})

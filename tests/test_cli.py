@@ -471,6 +471,17 @@ EXIT_CASES = [
             "generators": ["L[1,-1]"],
         },
     ),
+    (
+        "closure_oversized_window",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": -100000, "grade_max": 100000, "level_max": 100000},
+            "generators": ["L[1,0]", "L[-1,1]"],
+        },
+    ),
     ("perturb_null", 2, {"job": "axioms", "p": "2", "perturb": None}),
     ("mutations_null", 2, {"job": "affinize", "p": "2", "q": "1", "mutations": None}),
 ]
@@ -514,6 +525,30 @@ def test_null_object_is_named(tmp_path, capsys, name, path):
     payload = {case[0]: case[2] for case in EXIT_CASES}[name]
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert f"field '{path}' must be an object" in capsys.readouterr().err
+
+
+def test_oversized_window_is_named(tmp_path, capsys):
+    payload = {case[0]: case[2] for case in EXIT_CASES}["closure_oversized_window"]
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    assert "closure: field 'window' has 20000300001 graded labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "job,fields",
+    [
+        ("closure", {"p": "1", "q": "1", "generators": ["L[1,0]"]}),
+        ("modcheck", {"p": "1", "q": "1", "family": "Ba", "a": "0", "weight_range": [0, 1]}),
+        ("blockcheck", {"p": "1", "q": "1"}),
+    ],
+)
+def test_window_label_limit_is_inclusive(tmp_path, job, fields):
+    # 100 grades x 10 levels is the largest window accepted; validation
+    # builds no label list, so neither config is run here
+    largest = {"grade_min": -49, "grade_max": 50, "level_max": 9}
+    load_config(write_config(tmp_path, {"job": job, **fields, "window": largest}))
+    too_large = {"grade_min": 0, "grade_max": 1000, "level_max": 0}
+    with pytest.raises(ConfigError, match=f"{job}: field 'window' has 1001 graded labels"):
+        load_config(write_config(tmp_path, {"job": job, **fields, "window": too_large}))
 
 
 def test_element_errors_name_their_field(tmp_path, capsys):

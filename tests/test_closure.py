@@ -6,8 +6,15 @@ rows, and rows are dense lists reduced column by column.  Both are copied
 here so that they share no loop or elimination code with the program; they
 use only `bracket_apply` and `truncate`.  Results must agree exactly: the
 reduced echelon form is canonical.
+
+The closure skips a basis pair whose output labels all miss the window, by
+the rule's declared `offsets`, while the oracles bracket every pair; so the
+offsets contract is tested on its own, for every rule that declares it, and
+the shifts theta are drawn wide enough for an offset to leave the window on
+either edge.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,9 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine import graded_bracket_rule
 
-from blocklie.block import BlockParams, block_bracket_rule
+from blocklie.block import BlockParams, block_bracket_rule, delta_free_rule
 from blocklie.engine import (
     CENTRAL,
+    BracketRule,
     Element,
     Graded,
     Window,
@@ -27,7 +35,13 @@ from blocklie.engine import (
     subalgebra_closure,
     truncate,
 )
-from blocklie.novikov import AffinizationParams, WittNovikovParams, affinize, witt_product_rule
+from blocklie.novikov import (
+    AffinizationParams,
+    WittNovikovParams,
+    affinize,
+    perturbed_witt_rule,
+    witt_product_rule,
+)
 from blocklie.scalars import accumulate
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -152,13 +166,13 @@ def block_rule(draw):
 
 
 def affinized_rule(draw):
-    params = WittNovikovParams(p=draw(rationals), mu=draw(rationals), theta=draw(st.integers(-1, 1)))
+    params = WittNovikovParams(p=draw(rationals), mu=draw(rationals), theta=draw(st.integers(-2, 2)))
     return affinize(witt_product_rule(params), AffinizationParams(q=draw(rationals)))
 
 
 def engine_rule(draw):
     return graded_bracket_rule(
-        draw(rationals), draw(rationals), mu=draw(rationals), theta=draw(st.integers(-1, 1))
+        draw(rationals), draw(rationals), mu=draw(rationals), theta=draw(st.integers(-2, 2))
     )
 
 
@@ -233,6 +247,68 @@ PINNED_GENERATORS = {
 def test_closure_matches_naive_on_pinned_cases(rule, gens):
     window, generators = PINNED_GENERATORS[gens]
     assert_matches_naive(PINNED_RULES[rule], generators, window)
+
+
+@st.composite
+def offset_rules(draw):
+    """The rules that derive their offsets from terms: the delta-free Block
+    bracket and affinized Witt or perturbed products."""
+    if not draw(st.integers(0, 2)):
+        return delta_free_rule(BlockParams(p=draw(rationals), q=draw(nonzero)))
+    params = WittNovikovParams(p=draw(rationals), mu=draw(rationals), theta=draw(st.integers(-2, 2)))
+    if draw(st.booleans()):
+        product = witt_product_rule(params)
+    else:
+        target = draw(st.sampled_from(["main", "shift"]))
+        exponents = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        product = perturbed_witt_rule(params, target, exponents, draw(nonzero))
+    return affinize(product, AffinizationParams(q=draw(rationals)))
+
+
+def assert_offsets_cover_every_output_label(rule):
+    box = itertools.product(range(-4, 5), range(-4, 5), range(4), range(4))
+    for a, b, i, j in box:
+        for label in rule.pair(Graded(a, i), Graded(b, j)).terms:
+            if label is CENTRAL:
+                assert a + b == 0 and i == j == 0 and (0, 0) in rule.offsets
+            else:
+                assert (label.grade - a - b, label.level - i - j) in rule.offsets
+
+
+@pytest.mark.parametrize("p", [0, 1, -1, Fraction(2, 3)])
+def test_block_rule_offsets_cover_every_output_label(p):
+    # the Block rule declares its offsets by hand; the box holds cocycle pairs
+    assert_offsets_cover_every_output_label(block_bracket_rule(BlockParams(p, Fraction(-7, 5))))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(offset_rules())
+def test_derived_offsets_cover_every_output_label(rule):
+    assert_offsets_cover_every_output_label(rule)
+
+
+def test_closure_brackets_only_pairs_that_reach_the_window():
+    block = block_bracket_rule(BlockParams(p=Fraction(2, 3), q=Fraction(-7, 5)))
+    window, generators = PINNED_GENERATORS["dense pair"]
+
+    def evaluated(offsets):
+        """The closure's rows and the basis pairs whose bracket it computed."""
+        seen = []
+
+        def pair(x, y):
+            seen.append((x, y))
+            return block.pair(x, y)
+
+        rule = BracketRule(pair, 1, 1, offsets=offsets)
+        return subalgebra_closure(rule, generators, window).rows, seen
+
+    def reaches(x, y):
+        return window.contains(Graded(x.grade + y.grade, x.level + y.level))
+
+    rows, skipping = evaluated(((0, 0),))
+    every_rows, every = evaluated(None)
+    assert rows == every_rows
+    assert set(skipping) == {xy for xy in every if reaches(*xy)} != set(every)
 
 
 @st.composite
