@@ -732,12 +732,21 @@ def test_archived_crosscheck_disagreement_data(name):
 
 @pytest.mark.parametrize(
     "name,expected",
-    [("classify_dense_h60", 1), ("classify_qp_deg6_h40", 0), ("crosscheck_level0", 0)],
+    [
+        ("classify_dense_h60", 1),
+        ("classify_qp_deg6_h40", 0),
+        ("crosscheck_level0", 0),
+        ("classify_qp_mixed_den_h60", 0),
+        ("crosscheck_pthird_singular", 1),
+    ],
 )
 def test_large_horizon_reports_reproduce_byte_identically(name, expected, capsys):
     # archived from the degree-by-degree recurrence search that preceded
     # Berlekamp-Massey: dense labels with no recurrence up to horizon 60, a
-    # degree-6 annihilator at horizon 40, and a recurrence cap of 0
+    # degree-6 annihilator at horizon 40, and a recurrence cap of 0; and from
+    # the Fraction Berlekamp-Massey and per-term Fraction series: bases with
+    # coprime denominators 3, 4 and 5 at horizon 60, and a p = 1/3 cross-check
+    # on rational bases whose series vanishes at its singular index k = 1
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == expected
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
