@@ -38,6 +38,11 @@ _GRID5 = ["-2", "-1", "0", "1", "2"]
 # graded labels of a window, (grade_max - grade_min + 1) * (level_max + 1); a
 # closure's work grows with its square, and no archived window has over 81
 MAX_WINDOW_LABELS = 1000
+# last series index of a highest-weight job: horizon for classify, max_level +
+# horizon for singular and crosscheck; a classify of dense labels (no
+# recurrence, so the search runs to the end) takes about 5 s at 500 and 75 s
+# at 1000 on a 2-vCPU host, and no archived or benchmark job goes past 60
+MAX_SERIES_HORIZON = 500
 
 
 class ConfigError(ValueError):
@@ -113,12 +118,14 @@ class _Fields:
         for child in self.children:
             child.finish()
 
-    def int(self, name: str, default=_REQUIRED, minimum=None) -> int:
+    def int(self, name: str, default=_REQUIRED, minimum=None, maximum=None) -> int:
         value = self.take(name, default)
         if not _is_int(value):
             raise self.error(name, "must be an integer")
         if minimum is not None and value < minimum:
             raise self.error(name, f"must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise self.error(name, f"must be <= {maximum}")
         self.echo[name] = value
         return value
 
@@ -376,16 +383,21 @@ def _validate_blockcheck(f: _Fields):
 
 def _validate_classify(f: _Fields):
     params = _block_params(f, *f.scalars(("p", "q")))
-    horizon = f.int("horizon", minimum=1)
+    horizon = f.int("horizon", minimum=1, maximum=MAX_SERIES_HORIZON)
     return partial(_run_classify, _weight(f, params, horizon), params, horizon)
 
 
 def _validate_kernel_shaped(f: _Fields, run, needs_series: bool):
     # singular and crosscheck share their input shape
     params = _block_params(f, *f.scalars(("p", "q")))
-    max_level = f.int("max_level", minimum=0)
-    # the recurrence route of crosscheck needs at least two series coefficients
-    horizon = f.int("horizon", minimum=int(needs_series and max_level == 0))
+    max_level = f.int("max_level", minimum=0, maximum=MAX_SERIES_HORIZON)
+    # the recurrence route of crosscheck needs at least two series coefficients,
+    # and both routes read the labels up to max_level + horizon
+    horizon = f.int(
+        "horizon",
+        minimum=int(needs_series and max_level == 0),
+        maximum=MAX_SERIES_HORIZON - max_level,
+    )
     return partial(run, _weight(f, params, max_level + horizon), params, max_level, horizon)
 
 

@@ -9,8 +9,14 @@ through the normalized generating series
 because the irreducible highest-weight module is quasifinite exactly when
 Delta is a quasipolynomial, i.e. when the c_k satisfy a constant-coefficient
 linear recurrence.  Working with the normalized coefficients turns the
-differential-equation criterion into minimal-recurrence synthesis over exact
-rationals, which Berlekamp-Massey does in time quadratic in the horizon.
+differential-equation criterion into minimal-recurrence synthesis, which
+Berlekamp-Massey does in time quadratic in the horizon.  The route runs on
+integers: a quasipolynomial's series is accumulated as c_k * E * M^k (E and M
+the lcms of its coefficient and base denominators), and the recurrence search
+scales the series by the lcm of its denominators once.  A recurrence is
+unchanged when its series is scaled by a constant, so every certificate is
+the one exact rational arithmetic gives; each c_k and each label is one
+Fraction normalization of an integer numerator.
 
 The second, independent criterion looks for a degree -1 singular vector
 a = sum_i x_i L[-1,i]: the weight must kill the degree-zero slice of the
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 from typing import Sequence
 
 from .block import BlockParams
@@ -109,22 +115,34 @@ class QuasiPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def series(self, horizon: int) -> Coeffs:
-        """Normalized coefficients c_k = k! [z^k] of this function, k = 0..horizon."""
-        out = [Fraction(0)] * (horizon + 1)
+    def scaled_series(self, horizon: int) -> tuple[list[int], list[int]]:
+        """Integers n_k and d_k = E * M^k with c_k = n_k / d_k, k = 0..horizon,
+        where E and M are the lcms of the coefficient and base denominators."""
+        scale = lcm(*(c.denominator for coeffs, _ in self.terms for c in coeffs))
+        radix = lcm(*(base.denominator for _, base in self.terms))
+        out = [0] * (horizon + 1)
         for coeffs, base in self.terms:
-            powers = [Fraction(1)]  # b^0..b^horizon; 0^0 = 1
+            step = base.numerator * (radix // base.denominator)  # M b
+            powers = [1]  # (M b)^0..(M b)^horizon; 0^0 = 1
             for _ in range(horizon):
-                powers.append(powers[-1] * base)
+                powers.append(powers[-1] * step)
             for d, c in enumerate(coeffs):
                 if c == 0:
                     continue
+                # k! [z^k] z^d e^{bz} = k!/(k-d)! * b^(k-d), times E * M^k
+                term = c.numerator * (scale // c.denominator) * radix**d
                 falling = factorial(d)
                 for k in range(d, horizon + 1):
-                    # k! [z^k] z^d e^{bz} = k!/(k-d)! * b^(k-d)
-                    out[k] += c * falling * powers[k - d]
+                    out[k] += term * falling * powers[k - d]
                     falling = falling * (k + 1) // (k + 1 - d)
-        return tuple(out)
+        denominators = [scale]
+        for _ in range(horizon):
+            denominators.append(denominators[-1] * radix)
+        return out, denominators
+
+    def series(self, horizon: int) -> Coeffs:
+        """Normalized coefficients c_k = k! [z^k] of this function, k = 0..horizon."""
+        return tuple(map(Fraction, *self.scaled_series(horizon)))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -169,14 +187,25 @@ class Weight:
         )
 
 
+def _label_factor(params: BlockParams) -> tuple[int, int, int]:
+    """Integers (a, b, g) with 2q + (1-p^2)k = (a + b k) / g."""
+    p, q = Fraction(params.p), Fraction(params.q)
+    square = p.denominator**2
+    a = 2 * q.numerator * square
+    b = (square - p.numerator**2) * q.denominator
+    return a, b, q.denominator * square
+
+
 def singular_indices(params: BlockParams, horizon: int) -> tuple[int, ...]:
     """Indices k <= horizon where 2q + (1-p^2)k vanishes (at most one)."""
-    p, q = Fraction(params.p), Fraction(params.q)
-    out = []
-    for k in range(horizon + 1):
-        if 2 * q + (1 - p * p) * k == 0:
-            out.append(k)
-    return tuple(out)
+    a, b, _ = _label_factor(params)
+    return tuple(k for k in range(horizon + 1) if a + b * k == 0)
+
+
+def _unrealizable(k: int, value: Fraction) -> UnrealizableError:
+    return UnrealizableError(
+        f"series coefficient must vanish at singular index k={k}, got {value}"
+    )
 
 
 def weight_labels(weight: Weight, params: BlockParams, horizon: int) -> Coeffs:
@@ -203,11 +232,24 @@ class DeltaSeries:
 
 
 def delta_from_labels(weight: Weight, params: BlockParams, horizon: int) -> DeltaSeries:
-    """c_k = (2q + (1-p^2) k) Lambda_k for k = 0..horizon, exactly."""
+    """c_k = (2q + (1-p^2) k) Lambda_k for k = 0..horizon, exactly.
+
+    A generator's own series is these c_k: label synthesis sets
+    Lambda_k = c_k / (2q + (1-p^2)k) off the singular indices and demands
+    c_k = 0 at them, which is checked here too."""
+    if weight.qp is not None:
+        series = weight.qp.series(horizon)
+        for k in singular_indices(params, horizon):
+            if series[k]:
+                raise _unrealizable(k, series[k])
+        return DeltaSeries(series)
     labels = weight_labels(weight, params, horizon)
-    p, q = Fraction(params.p), Fraction(params.q)
+    a, b, g = _label_factor(params)
     return DeltaSeries(
-        tuple((2 * q + (1 - p * p) * k) * labels[k] for k in range(horizon + 1))
+        tuple(
+            Fraction((a + b * k) * v.numerator, g * v.denominator)
+            for k, v in enumerate(labels)
+        )
     )
 
 
@@ -223,22 +265,18 @@ def labels_from_quasipolynomial(
     """Invert the series map: Lambda_k = c_k / (2q + (1-p^2)k) off the singular
     indices; there the convention Lambda_k = 0 applies and realizability
     requires c_k = 0."""
-    series = qp.series(horizon)
-    p, q = Fraction(params.p), Fraction(params.q)
+    a, b, g = _label_factor(params)
     labels = []
     singular = []
-    for k in range(horizon + 1):
-        denom = 2 * q + (1 - p * p) * k
-        if denom == 0:
-            if series[k] != 0:
-                raise UnrealizableError(
-                    f"series coefficient must vanish at singular index k={k}, "
-                    f"got {series[k]}"
-                )
+    for k, (n, d) in enumerate(zip(*qp.scaled_series(horizon))):
+        # Lambda_k = (n / d) / ((a + b k) / g), one normalization
+        if a + b * k == 0:
+            if n:
+                raise _unrealizable(k, Fraction(n, d))
             singular.append(k)
             labels.append(Fraction(0))
         else:
-            labels.append(series[k] / denom)
+            labels.append(Fraction(n * g, d * (a + b * k)))
     return LabelSynthesis(
         Weight(labels=tuple(labels), qp=qp), tuple(singular)
     )
@@ -265,15 +303,22 @@ def detect_linear_recurrence(
 ) -> RecurrenceCertificate | None:
     """Minimal-degree monic recurrence satisfied on the whole horizon, if any.
 
-    Berlekamp-Massey over exact rationals (Massey 1969) synthesizes the
-    shortest recurrence in O(horizon^2).  Degrees above floor(horizon/2) (and
-    above `max_degree`) do not count: that cap keeps every recurrence
-    overdetermined, so a square fit with zero verification redundancy is
-    never a detection, and it makes the certificate unique, because a minimal
-    recurrence of length L is unique when 2L <= horizon.  The annihilator is
-    the reversed connection polynomial, padded to degree L.  The zero series
-    has L = 0 and gets the degree-1 annihilator t whenever the cap allows a
-    degree 1.  The verdict is horizon-relative by construction.
+    Berlekamp-Massey (Massey 1969) synthesizes the shortest recurrence in
+    O(horizon^2).  Degrees above floor(horizon/2) (and above `max_degree`) do
+    not count: that cap keeps every recurrence overdetermined, so a square
+    fit with zero verification redundancy is never a detection, and it makes
+    the certificate unique, because a minimal recurrence of length L is
+    unique when 2L <= horizon.  The annihilator is the reversed connection
+    polynomial, padded to degree L and made monic.  The zero series has L = 0
+    and gets the degree-1 annihilator t whenever the cap allows a degree 1.
+    The verdict is horizon-relative by construction.
+
+    The search is fraction-free: the series is scaled once by the lcm of its
+    denominators, and each update C <- last*C - d*x^shift*B of the connection
+    polynomial is divided by the gcd of its entries.  Every integer C is then
+    a nonzero multiple of the rational one (whose C_0 is 1), so discrepancies
+    vanish, and the length changes, at the same steps as over the rationals,
+    and dividing by C_0 at the end gives the same certificate.
     """
     coeffs = series.coeffs
     if len(coeffs) < 2:
@@ -284,22 +329,24 @@ def detect_linear_recurrence(
         limit = min(limit, max_degree)
     if limit < 1:
         return None
-    # connection polynomial C (C_0 = 1) with sum_i C_i c_{n-i} = 0 for n >= length;
+    scale = lcm(*(c.denominator for c in coeffs))
+    values = [c.numerator * (scale // c.denominator) for c in coeffs]
+    # connection polynomial C (C_0 != 0) with sum_i C_i c_{n-i} = 0 for n >= length;
     # `previous` is C before the last length change, `last` its discrepancy
-    connection = [Fraction(1)]
-    previous = [Fraction(1)]
-    length, shift, last = 0, 1, Fraction(1)
-    for n in range(len(coeffs)):
-        discrepancy = sum(
-            connection[i] * coeffs[n - i] for i in range(min(len(connection), n + 1))
-        )
+    connection = [1]
+    previous = [1]
+    length, shift, last = 0, 1, 1
+    for n in range(len(values)):
+        discrepancy = sum(c * v for c, v in zip(connection, values[n::-1]))
         if discrepancy == 0:
             shift += 1
             continue
-        factor = discrepancy / last
-        update = connection + [Fraction(0)] * (shift + len(previous) - len(connection))
+        update = [last * c for c in connection]
+        update += [0] * (shift + len(previous) - len(update))
         for i, b in enumerate(previous):
-            update[i + shift] -= factor * b
+            update[i + shift] -= discrepancy * b
+        content = gcd(*update)
+        update = [c // content for c in update]
         if 2 * length <= n:
             previous, last, length, shift = connection, discrepancy, n + 1 - length, 1
             if length > limit:  # the length never decreases
@@ -309,8 +356,10 @@ def detect_linear_recurrence(
         connection = update
     if length == 0:
         return RecurrenceCertificate((Fraction(0), Fraction(1)), horizon)
-    padded = (connection + [Fraction(0)] * length)[: length + 1]
-    return RecurrenceCertificate(tuple(reversed(padded)), horizon)
+    padded = (connection + [0] * length)[: length + 1]
+    return RecurrenceCertificate(
+        tuple(Fraction(c, connection[0]) for c in reversed(padded)), horizon
+    )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from blocklie import cli, hweight
 from blocklie.cli import (
     ConfigError,
     emit_report,
@@ -410,6 +411,41 @@ EXIT_CASES = [
         },
     ),
     (
+        "classify_horizon_over_limit",
+        2,
+        {
+            "job": "classify",
+            "p": "2",
+            "q": "1",
+            "horizon": 100000000,
+            "weight": {"qp": [{"poly": ["2"], "base": "1"}]},
+        },
+    ),
+    (
+        "crosscheck_series_over_limit",
+        2,
+        {
+            "job": "crosscheck",
+            "p": "1/3",
+            "q": "1",
+            "max_level": 3,
+            "horizon": 498,
+            "weight": {"qp": [{"poly": ["2"], "base": "1/2"}]},
+        },
+    ),
+    (
+        "singular_max_level_over_limit",
+        2,
+        {
+            "job": "singular",
+            "p": "2",
+            "q": "1",
+            "max_level": 501,
+            "horizon": 0,
+            "weight": {"qp": [{"poly": ["2"], "base": "1"}]},
+        },
+    ),
+    (
         "weight_range_bool",
         2,
         {
@@ -549,6 +585,43 @@ def test_window_label_limit_is_inclusive(tmp_path, job, fields):
     too_large = {"grade_min": 0, "grade_max": 1000, "level_max": 0}
     with pytest.raises(ConfigError, match=f"{job}: field 'window' has 1001 graded labels"):
         load_config(write_config(tmp_path, {"job": job, **fields, "window": too_large}))
+
+
+@pytest.mark.parametrize(
+    "name,path,bound",
+    [
+        ("classify_horizon_over_limit", "horizon", 500),
+        ("crosscheck_series_over_limit", "horizon", 497),
+        ("singular_max_level_over_limit", "max_level", 500),
+    ],
+)
+def test_series_horizon_limit_is_named_before_synthesis(
+    tmp_path, monkeypatch, name, path, bound
+):
+    def no_synthesis(*args):
+        raise AssertionError("labels synthesized for an oversized series")
+
+    monkeypatch.setattr(hweight, "labels_from_quasipolynomial", no_synthesis)
+    payload = {case[0]: case[2] for case in EXIT_CASES}[name]
+    with pytest.raises(ConfigError, match=f"field '{path}' must be <= {bound}$"):
+        load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "job,levels",
+    [("classify", {}), ("crosscheck", {"max_level": 3}), ("singular", {"max_level": 500})],
+)
+def test_series_horizon_limit_is_inclusive(tmp_path, job, levels):
+    # the last series index may be 500; validation synthesizes the labels,
+    # and neither config is run here
+    horizon = cli.MAX_SERIES_HORIZON - levels.get("max_level", 0)
+    payload = {"job": job, "p": "1/3", "q": "1", **levels, "horizon": horizon}
+    payload["weight"] = {"qp": [{"poly": ["2"], "base": "1/2"}]}
+    config = load_config(write_config(tmp_path, payload))
+    assert len(config.run.args[0].labels) == cli.MAX_SERIES_HORIZON + 1
+    payload["horizon"] += 1
+    with pytest.raises(ConfigError, match=f"{job}: field 'horizon' must be <= {horizon}$"):
+        load_config(write_config(tmp_path, payload))
 
 
 def test_element_errors_name_their_field(tmp_path, capsys):

@@ -194,6 +194,48 @@ def test_round_trip_reproduces_series_off_singular_indices():
         assert series.coeffs == qp.series(horizon)
 
 
+@pytest.mark.parametrize(
+    "p,q,singular",
+    [(3, 4, 1), (Fraction(1, 3), Fraction(-4, 9), 1), (Fraction(1, 2), -3, 8)],
+)
+def test_round_trip_reproduces_series_at_a_singular_index(p, q, singular):
+    rng = random.Random(1414)
+    params = BlockParams(p=Fraction(p), q=Fraction(q))
+    horizon = 12
+    assert singular_indices(params, horizon) == (singular,)
+    for _ in range(10):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))
+            ]
+            terms.append((coeffs, Fraction(rng.randint(-7, 7), rng.randint(1, 5))))
+        # z^s / s! * e^{0z} has series 1 at k = s and 0 elsewhere: cancel c_s
+        c_s = QuasiPolynomial.of(terms).series(horizon)[singular]
+        terms.append(([0] * singular + [-c_s / factorial(singular)], 0))
+        qp = QuasiPolynomial.of(terms)
+        series = qp.series(horizon)
+        assert series[singular] == 0
+        synthesis = labels_from_quasipolynomial(qp, params, horizon)
+        assert synthesis.singular == (singular,)
+        labels = synthesis.weight.labels
+        assert labels[singular] == 0
+        p_, q_ = params.p, params.q
+        assert all(
+            (2 * q_ + (1 - p_ * p_) * k) * labels[k] == series[k] for k in range(horizon + 1)
+        )
+        # both the generator and the bare labels give the series back
+        assert delta_from_labels(synthesis.weight, params, horizon).coeffs == series
+        assert delta_from_labels(Weight.from_labels(labels), params, horizon).coeffs == series
+
+
+def test_delta_from_generator_checks_the_singular_index():
+    p34 = BlockParams(p=Fraction(3), q=Fraction(4))
+    with pytest.raises(UnrealizableError, match="k=1"):
+        delta_from_labels(Weight(qp=qp_exp(1, 1)), p34, 3)
+
+
 def _poly_divides(d, n):
     n = list(n)
     d = list(d)

@@ -1,21 +1,29 @@
-"""Differential tests of the two exact solvers in the classification.
+"""Differential tests of the exact solvers in the classification.
 
-`detect_linear_recurrence` runs Berlekamp-Massey; the oracle here is the
-degree-by-degree search it replaced, which solves a fresh overdetermined
-system for each degree 1..floor(horizon/2) and takes the canonical solution
-(free variables zero).  `engine._Echelon.kernel` is checked against a
-standalone reduced-echelon kernel.  Neither oracle shares code with the
-program.
+`detect_linear_recurrence` runs fraction-free Berlekamp-Massey over the
+integers.  Its oracles here are the degree-by-degree search that preceded
+Berlekamp-Massey, which solves a fresh overdetermined system for each degree
+1..floor(horizon/2) and takes the canonical solution (free variables zero),
+and Berlekamp-Massey over Fraction, which preceded the integer version.
+`QuasiPolynomial.series` accumulates integers; its oracle is the per-term
+Fraction loop it replaced.  `engine._Echelon.kernel` is checked against a
+standalone reduced-echelon kernel.  No oracle shares code with the program.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocklie.engine import _Echelon
-from blocklie.hweight import DeltaSeries, QuasiPolynomial, detect_linear_recurrence
+from blocklie.hweight import (
+    DeltaSeries,
+    QuasiPolynomial,
+    RecurrenceCertificate,
+    detect_linear_recurrence,
+)
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
@@ -64,6 +72,69 @@ def degree_search(coeffs, max_degree=None):
     return None
 
 
+def fraction_berlekamp_massey(
+    series: DeltaSeries, max_degree: int | None = None
+) -> RecurrenceCertificate | None:
+    """Berlekamp-Massey over Fraction, as `detect_linear_recurrence` ran it
+    before the integer version (same cap, same padding)."""
+    coeffs = series.coeffs
+    if len(coeffs) < 2:
+        raise ValueError("need at least two series coefficients")
+    horizon = series.horizon
+    limit = horizon // 2
+    if max_degree is not None:
+        limit = min(limit, max_degree)
+    if limit < 1:
+        return None
+    # connection polynomial C (C_0 = 1) with sum_i C_i c_{n-i} = 0 for n >= length;
+    # `previous` is C before the last length change, `last` its discrepancy
+    connection = [Fraction(1)]
+    previous = [Fraction(1)]
+    length, shift, last = 0, 1, Fraction(1)
+    for n in range(len(coeffs)):
+        discrepancy = sum(
+            connection[i] * coeffs[n - i] for i in range(min(len(connection), n + 1))
+        )
+        if discrepancy == 0:
+            shift += 1
+            continue
+        factor = discrepancy / last
+        update = connection + [Fraction(0)] * (shift + len(previous) - len(connection))
+        for i, b in enumerate(previous):
+            update[i + shift] -= factor * b
+        if 2 * length <= n:
+            previous, last, length, shift = connection, discrepancy, n + 1 - length, 1
+            if length > limit:  # the length never decreases
+                return None
+        else:
+            shift += 1
+        connection = update
+    if length == 0:
+        return RecurrenceCertificate((Fraction(0), Fraction(1)), horizon)
+    padded = (connection + [Fraction(0)] * length)[: length + 1]
+    return RecurrenceCertificate(tuple(reversed(padded)), horizon)
+
+
+def fraction_series(self: QuasiPolynomial, horizon: int) -> tuple[Fraction, ...]:
+    """Normalized coefficients c_k = k! [z^k] of this function, k = 0..horizon,
+    summed term by term over Fraction, as `QuasiPolynomial.series` did before
+    it accumulated integers."""
+    out = [Fraction(0)] * (horizon + 1)
+    for coeffs, base in self.terms:
+        powers = [Fraction(1)]  # b^0..b^horizon; 0^0 = 1
+        for _ in range(horizon):
+            powers.append(powers[-1] * base)
+        for d, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            falling = factorial(d)
+            for k in range(d, horizon + 1):
+                # k! [z^k] z^d e^{bz} = k!/(k-d)! * b^(k-d)
+                out[k] += c * falling * powers[k - d]
+                falling = falling * (k + 1) // (k + 1 - d)
+    return tuple(out)
+
+
 def _kernel_basis(rows, width):
     """Reduced-echelon kernel basis; each vector has entry 1 at its own free
     column and 0 at later free columns."""
@@ -101,11 +172,19 @@ def certificate_of(coeffs, max_degree=None):
 
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+wide_rationals = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 97))
 horizons = st.integers(1, 40)
 max_degrees = st.one_of(st.none(), st.integers(0, 6))
+# bases with denominators 1..5 (several at once make the lcm M > 5), base 0
+# (the 0^0 = 1 convention), and the empty quasipolynomial
+bases = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+)
 qp_terms = st.lists(
-    st.tuples(st.lists(rationals, min_size=1, max_size=3), st.integers(-3, 3)),
-    min_size=1,
+    st.tuples(st.lists(rationals, min_size=1, max_size=3), bases),
+    min_size=0,
     max_size=3,
 )
 
@@ -113,14 +192,17 @@ qp_terms = st.lists(
 @st.composite
 def series(draw):
     horizon = draw(horizons)
-    kind = draw(st.sampled_from(["qp", "dense", "sparse", "perturbed", "zero"]))
+    kind = draw(
+        st.sampled_from(["qp", "dense", "dense_wide", "sparse", "perturbed", "zero"])
+    )
     if kind in ("qp", "perturbed"):
         coeffs = list(QuasiPolynomial.of(draw(qp_terms)).series(horizon))
         if kind == "perturbed":
             k = draw(st.integers(0, horizon))
             coeffs[k] += draw(rationals.filter(bool))
-    elif kind == "dense":
-        coeffs = draw(st.lists(rationals, min_size=horizon + 1, max_size=horizon + 1))
+    elif kind in ("dense", "dense_wide"):
+        values = rationals if kind == "dense" else wide_rationals
+        coeffs = draw(st.lists(values, min_size=horizon + 1, max_size=horizon + 1))
     elif kind == "sparse":
         values = st.sampled_from([Fraction(v) for v in (0, 0, 0, 1, -1, -2)])
         coeffs = draw(st.lists(values, min_size=horizon + 1, max_size=horizon + 1))
@@ -140,6 +222,31 @@ def test_berlekamp_massey_matches_degree_search(coeffs, max_degree):
         assert cert.annihilator == expected
         assert all(isinstance(v, Fraction) for v in cert.annihilator)
         assert cert.verified_horizon == len(coeffs) - 1
+
+
+@SETTINGS
+@given(series(), max_degrees)
+def test_integer_berlekamp_massey_matches_fraction_version(coeffs, max_degree):
+    delta = DeltaSeries(tuple(coeffs))
+    cert = detect_linear_recurrence(delta, max_degree=max_degree)
+    assert cert == fraction_berlekamp_massey(delta, max_degree)
+    if cert is not None:
+        assert all(type(c) is Fraction for c in cert.annihilator)
+
+
+@SETTINGS
+@given(qp_terms, st.integers(0, 40))
+def test_integer_series_matches_fraction_loop(terms, horizon):
+    qp = QuasiPolynomial.of(terms)
+    got = qp.series(horizon)
+    assert got == fraction_series(qp, horizon)
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_series_of_base_zero_and_of_the_empty_quasipolynomial():
+    # 0^0 = 1: (1 + 3z) e^{0z} has c_0 = 1, c_1 = 3 and nothing after
+    assert QuasiPolynomial.of([([1, 3], 0)]).series(4) == (1, 3, 0, 0, 0)
+    assert QuasiPolynomial.of([]).series(3) == (0, 0, 0, 0)
 
 
 def test_zero_series_gets_t_when_the_cap_allows_degree_one():

@@ -36,6 +36,8 @@ REJECTED += [
     ("table_mode_with_p", {**TABLE_MODE, "p": "1"}),
     ("block_closure_theta", {**CASES["closure_ok"], "theta": 1}),
     ("Ba_module_b", {**CASES["modcheck_ok"], "b": "1"}),
+    ("classify_horizon_over_limit", CASES["classify_horizon_over_limit"]),
+    ("singular_max_level_over_limit", CASES["singular_max_level_over_limit"]),
 ]
 
 
