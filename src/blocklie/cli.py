@@ -43,6 +43,13 @@ MAX_WINDOW_LABELS = 1000
 # recurrence, so the search runs to the end) takes about 5 s at 500 and 75 s
 # at 1000 on a 2-vCPU host, and no archived or benchmark job goes past 60
 MAX_SERIES_HORIZON = 500
+# min(max_level, horizon) of singular and crosscheck: the kernel matrix has
+# horizon + 1 rows and max_level + 1 columns, and its elimination grows with
+# the rank and the bits of the labels; a square kernel of side 30 takes about
+# 1.5 s on labels from bases 2/3, -5/4, 7/5 and 5.5 s on bases 89/97, -95/96,
+# 91/93, side 40 about 9 s and 33 s (2-vCPU host), and no archived or
+# benchmark job goes past 5
+MAX_KERNEL_SIDE = 30
 
 
 class ConfigError(ValueError):
@@ -398,6 +405,10 @@ def _validate_kernel_shaped(f: _Fields, run, needs_series: bool):
         minimum=int(needs_series and max_level == 0),
         maximum=MAX_SERIES_HORIZON - max_level,
     )
+    if min(max_level, horizon) > MAX_KERNEL_SIDE:
+        raise f.error(
+            "horizon", f"must be <= {MAX_KERNEL_SIDE} when max_level is over {MAX_KERNEL_SIDE}"
+        )
     return partial(run, _weight(f, params, max_level + horizon), params, max_level, horizon)
 
 

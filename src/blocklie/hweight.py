@@ -202,12 +202,6 @@ def singular_indices(params: BlockParams, horizon: int) -> tuple[int, ...]:
     return tuple(k for k in range(horizon + 1) if a + b * k == 0)
 
 
-def _unrealizable(k: int, value: Fraction) -> UnrealizableError:
-    return UnrealizableError(
-        f"series coefficient must vanish at singular index k={k}, got {value}"
-    )
-
-
 def weight_labels(weight: Weight, params: BlockParams, horizon: int) -> Coeffs:
     """Labels Lambda_0..Lambda_horizon, synthesizing from the generator if needed."""
     if weight.labels is not None and len(weight.labels) > horizon:
@@ -232,17 +226,7 @@ class DeltaSeries:
 
 
 def delta_from_labels(weight: Weight, params: BlockParams, horizon: int) -> DeltaSeries:
-    """c_k = (2q + (1-p^2) k) Lambda_k for k = 0..horizon, exactly.
-
-    A generator's own series is these c_k: label synthesis sets
-    Lambda_k = c_k / (2q + (1-p^2)k) off the singular indices and demands
-    c_k = 0 at them, which is checked here too."""
-    if weight.qp is not None:
-        series = weight.qp.series(horizon)
-        for k in singular_indices(params, horizon):
-            if series[k]:
-                raise _unrealizable(k, series[k])
-        return DeltaSeries(series)
+    """c_k = (2q + (1-p^2) k) Lambda_k for k = 0..horizon, exactly."""
     labels = weight_labels(weight, params, horizon)
     a, b, g = _label_factor(params)
     return DeltaSeries(
@@ -272,7 +256,10 @@ def labels_from_quasipolynomial(
         # Lambda_k = (n / d) / ((a + b k) / g), one normalization
         if a + b * k == 0:
             if n:
-                raise _unrealizable(k, Fraction(n, d))
+                raise UnrealizableError(
+                    f"series coefficient must vanish at singular index k={k}, "
+                    f"got {Fraction(n, d)}"
+                )
             singular.append(k)
             labels.append(Fraction(0))
         else:

@@ -446,6 +446,18 @@ EXIT_CASES = [
         },
     ),
     (
+        "singular_kernel_over_limit",
+        2,
+        {
+            "job": "singular",
+            "p": "2/3",
+            "q": "-5/7",
+            "max_level": 31,
+            "horizon": 31,
+            "weight": {"qp": [{"poly": ["1"], "base": "89/97"}]},
+        },
+    ),
+    (
         "weight_range_bool",
         2,
         {
@@ -621,6 +633,27 @@ def test_series_horizon_limit_is_inclusive(tmp_path, job, levels):
     assert len(config.run.args[0].labels) == cli.MAX_SERIES_HORIZON + 1
     payload["horizon"] += 1
     with pytest.raises(ConfigError, match=f"{job}: field 'horizon' must be <= {horizon}$"):
+        load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("job", ["singular", "crosscheck"])
+def test_kernel_side_limit_is_named_before_synthesis(tmp_path, monkeypatch, job):
+    bound = cli.MAX_KERNEL_SIDE
+    payload = {"job": job, "p": "2/3", "q": "-5/7", "max_level": bound, "horizon": bound}
+    payload["weight"] = {"qp": [{"poly": ["1"], "base": "89/97"}]}
+    # a side may pass the bound as long as the other stays at or below it
+    for max_level, horizon in ((bound, 400), (400, bound)):
+        shape = {"max_level": max_level, "horizon": horizon}
+        config = load_config(write_config(tmp_path, {**payload, **shape}))
+        assert config.run.args[2:] == (max_level, horizon)
+
+    def no_synthesis(*args):
+        raise AssertionError("labels synthesized for an oversized kernel")
+
+    monkeypatch.setattr(hweight, "labels_from_quasipolynomial", no_synthesis)
+    payload.update(max_level=bound + 1, horizon=bound + 1)
+    message = f"{job}: field 'horizon' must be <= {bound} when max_level is over {bound}$"
+    with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path, payload))
 
 

@@ -38,6 +38,7 @@ REJECTED += [
     ("Ba_module_b", {**CASES["modcheck_ok"], "b": "1"}),
     ("classify_horizon_over_limit", CASES["classify_horizon_over_limit"]),
     ("singular_max_level_over_limit", CASES["singular_max_level_over_limit"]),
+    ("singular_kernel_over_limit", CASES["singular_kernel_over_limit"]),
 ]
 
 
