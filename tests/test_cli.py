@@ -605,6 +605,7 @@ def test_window_label_limit_is_inclusive(tmp_path, job, fields):
         ("classify_horizon_over_limit", "horizon", 500),
         ("crosscheck_series_over_limit", "horizon", 497),
         ("singular_max_level_over_limit", "max_level", 500),
+        ("singular_kernel_over_limit", "horizon", "30 when max_level is over 30"),
     ],
 )
 def test_series_horizon_limit_is_named_before_synthesis(
@@ -637,23 +638,17 @@ def test_series_horizon_limit_is_inclusive(tmp_path, job, levels):
 
 
 @pytest.mark.parametrize("job", ["singular", "crosscheck"])
-def test_kernel_side_limit_is_named_before_synthesis(tmp_path, monkeypatch, job):
-    bound = cli.MAX_KERNEL_SIDE
-    payload = {"job": job, "p": "2/3", "q": "-5/7", "max_level": bound, "horizon": bound}
+def test_kernel_side_limit_is_inclusive(tmp_path, job):
+    # either side may pass the bound while the other stays at it
+    side = cli.MAX_KERNEL_SIDE
+    payload = {"job": job, "p": "2/3", "q": "-5/7"}
     payload["weight"] = {"qp": [{"poly": ["1"], "base": "89/97"}]}
-    # a side may pass the bound as long as the other stays at or below it
-    for max_level, horizon in ((bound, 400), (400, bound)):
-        shape = {"max_level": max_level, "horizon": horizon}
-        config = load_config(write_config(tmp_path, {**payload, **shape}))
+    for max_level, horizon in ((side, 400), (400, side)):
+        payload.update(max_level=max_level, horizon=horizon)
+        config = load_config(write_config(tmp_path, payload))
         assert config.run.args[2:] == (max_level, horizon)
-
-    def no_synthesis(*args):
-        raise AssertionError("labels synthesized for an oversized kernel")
-
-    monkeypatch.setattr(hweight, "labels_from_quasipolynomial", no_synthesis)
-    payload.update(max_level=bound + 1, horizon=bound + 1)
-    message = f"{job}: field 'horizon' must be <= {bound} when max_level is over {bound}$"
-    with pytest.raises(ConfigError, match=message):
+    payload.update(max_level=side + 1, horizon=side + 1)
+    with pytest.raises(ConfigError, match=f"{job}: field 'horizon' must be <= {side} when"):
         load_config(write_config(tmp_path, payload))
 
 
