@@ -35,7 +35,6 @@ from .engine import (
     Window,
     adjoint_chain,
     bracket_apply,
-    bracket_rule,
     grid_identity_check,
     membership,
     subalgebra_closure,

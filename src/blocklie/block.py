@@ -5,10 +5,11 @@ Basis L[a,i] for integer grade a and level i >= 0, plus a central element c:
     [L[a,i], L[b,j]] = ((i+q)(b+p) - (j+q)(a+p)) L[a+b,i+j]
                        + delta_{a+b,0} delta_{i,0} delta_{j,0} (a^3-a)/12 c
 
-The delta-free part is polynomial in the indices and is covered by the
-engine's grid identity tests (it is the mu=0 affinization of the Witt-type
+The delta-free part is polynomial in the indices and is proved by the
+engine's identity check (it is the mu=0 affinization of the Witt-type
 Novikov product); the Kronecker-delta cocycle is not polynomial, so its
-Jacobi contribution gets a dedicated exact check here.
+Jacobi contribution gets a dedicated proof here, over a cocycle given as a
+one-variable Poly.
 
 The Laurent realization stores the formal factor t^q unexpanded: monomial
 exponents are pairs (q-multiplicity, integer offset) and differentiation
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .engine import (
     CENTRAL,
@@ -30,11 +31,12 @@ from .engine import (
     Verdict,
     Window,
     _require_grid,
+    decide,
     extend_bilinearly,
     first_failure,
     index_ring,
 )
-from .scalars import Poly, Scalar, accumulate
+from .scalars import Poly, PolyRing, Scalar, accumulate
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,10 @@ class BlockParams:
 def cocycle_value(grade) -> Fraction:
     """(a^3 - a)/12, the central 2-cocycle evaluated at a grade."""
     return Fraction(grade**3 - grade, 12)
+
+
+_X = PolyRing("x").var("x")
+CUBIC_COCYCLE = (_X**3 - _X) / 12  # `cocycle_value` as a one-variable Poly
 
 
 def triangular_part(index) -> str:
@@ -107,12 +113,12 @@ def block_bracket(params: BlockParams, x: Element, y: Element) -> Element:
 def block_bracket_rule(params: BlockParams) -> BracketRule:
     """Full bracket (with cocycle) packaged for closure/adjoint machinery.
 
-    Not suitable for grid identity certification: the delta factors are not
-    polynomial, so the degree-bound spot check is skipped by design.  Every
-    output lands at offset (0, 0), the cocycle's c only at a+b = 0, i = j = 0,
-    as the `offsets` contract asks.
+    It has no terms, since the delta factors are not polynomial, so an
+    identity check on it would speak only for its grid.  Every output lands
+    at offset (0, 0), the cocycle's c only at a+b = 0, i = j = 0, as the
+    `offsets` contract asks.
     """
-    return BracketRule(lambda x, y: basis_bracket(params, x, y), 1, 1, offsets=((0, 0),))
+    return BracketRule(lambda x, y: basis_bracket(params, x, y), offsets=((0, 0),))
 
 
 def delta_free_rule(params: BlockParams) -> BracketRule:
@@ -126,40 +132,52 @@ def delta_free_rule(params: BlockParams) -> BracketRule:
             Graded(x.grade + y.grade, x.level + y.level),
             structure_coefficient(params, x, y),
         ),
-        grade_degree_bound=1,
-        level_degree_bound=1,
         terms=(((0, 0), (i + q) * (b + p) - (j + q) * (a + p)),),
     )
 
 
 def cocycle_jacobi_check(
-    params: BlockParams,
-    grade_values: Sequence,
-    cocycle: Callable[[int], Scalar] = cocycle_value,
+    params: BlockParams, grade_values: Sequence, cocycle: Poly = CUBIC_COCYCLE
 ) -> Verdict:
-    """Exact check of the cocycle's Jacobi contribution.
+    """Prove the cocycle's Jacobi contribution; scan the grid for a witness.
 
     The central component of the Jacobi identity reduces to level-zero
     triples with total grade zero, where it reads
 
-        q(g-b) K(a) + q(a-g) K(b) + q(b-a) K(g) = 0,   g = -a-b.
+        q(g-b) K(a) + q(a-g) K(b) + q(b-a) K(g) = 0,   g = -a-b,
 
-    The residual is polynomial of per-variable degree 4 when K is the cubic
-    cocycle, so a grid of at least 5 distinct values per grade certifies it
-    for all integers.  Failures are reported as the residual times c.
+    for the cocycle K, a Poly in one variable.  The identity is proved as a
+    polynomial in a and b by `Poly.compose`.  When the proof fails, the
+    residual has per-variable degree at most deg K + 1, so a grid of
+    deg K + 2 distinct grades holds a witness; that size is required either
+    way (5 for the cubic cocycle).  Failures are reported as the residual
+    times c at (a, b, g).
     """
-    _require_grid("grade", grade_values, 5)
+    if len(cocycle.ring.symbols) != 1:
+        raise ValueError(f"the cocycle must be a Poly in one variable, got {cocycle}")
+    (symbol,) = cocycle.ring.symbols
+    _require_grid("grade", grade_values, cocycle.degree_bound(symbol) + 2)
     q = params.q
+    ring, (q_poly,) = index_ring(q)
+    a, b = ring.var("a"), ring.var("b")
+    g = -a - b
+
+    def lifted(x: Poly) -> Poly:
+        return cocycle.compose(ring, {symbol: x})
+
+    proof = q_poly * ((g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g))
+
+    def value(x) -> Fraction:
+        return cocycle.substitute({symbol: x}).constant_value()
 
     def residual(t: tuple) -> Element:
         a, b, g = t
         return Element.basis(
-            CENTRAL,
-            q * (g - b) * cocycle(a) + q * (a - g) * cocycle(b) + q * (b - a) * cocycle(g),
+            CENTRAL, q * (g - b) * value(a) + q * (a - g) * value(b) + q * (b - a) * value(g)
         )
 
     triples = ((a, b, -a - b) for a, b in itertools.product(grade_values, repeat=2))
-    return first_failure(triples, residual)
+    return decide(proof, triples, residual)
 
 
 def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
@@ -235,19 +253,21 @@ def parabolic_degree_zero(
     For a = sum_i c_i L[-1,i] (nonzero, homogeneous of grade -1) the slice is
     spanned by the images w_j = [a, L[1,j]], which come out cocycle-free as
 
-        w_j = sum_i c_i (2q + i + j + p(i-j)) L[0,i+j],   j = 0..level_max.
+        w_j = sum_i c_i (2q + i + j + p(i-j)) L[0,i+j],   j = 0..level_max,
+
+    the coefficient being `structure_coefficient` of L[-1,i] and L[1,j]; the
+    kernel rows of `hweight.singular_vector_solve` read the same function.
     """
     if a.is_zero():
         raise ValueError("the grade -1 element must be nonzero")
     for index in a.terms:
         if index is CENTRAL or index.grade != -1 or index.level < 0:
             raise ValueError(f"not homogeneous of grade -1: contains {index}")
-    p, q = params.p, params.q
     images = []
     for j in range(level_max + 1):
+        y = Graded(1, j)
         w: dict = {}
-        for index, coeff in a.terms.items():
-            i = index.level
-            accumulate(w, ((Graded(0, i + j), coeff * (2 * q + i + j + p * (i - j))),))
+        for x, coeff in a.terms.items():
+            accumulate(w, ((Graded(0, x.level + j), coeff * structure_coefficient(params, x, y)),))
         images.append(Element(w))
     return images

@@ -50,6 +50,18 @@ MAX_SERIES_HORIZON = 500
 # 91/93, side 40 about 9 s and 33 s (2-vCPU host), and no archived or
 # benchmark job goes past 5
 MAX_KERNEL_SIDE = 30
+# affinize mutations: each is a Novikov and an affinized Jacobi proof with a
+# witness scan, about 13 ms (100 take 1.3 s on a 2-vCPU host), and no archived
+# or benchmark config runs more than 6
+MAX_MUTATIONS = 100
+# values of one grid field: a table rule's axiom scan visits every triple of
+# its grid, 0.3 s at 50 values and 2.4 s at 100 on a table that holds
+# (2-vCPU host), and no archived or benchmark grid has more than 6
+MAX_GRID_VALUES = 50
+# weights lo..hi of a modcheck: each is checked against every label pair of
+# the window, 0.25 s for 201 weights and 2.8 s for 2001 on a window of 15
+# labels (2-vCPU host), and no archived or benchmark range has more than 7
+MAX_WEIGHT_VALUES = 201
 
 
 class ConfigError(ValueError):
@@ -165,12 +177,15 @@ class _Fields:
             raise self.error(name, "must be a nonempty list" if nonempty else "must be a list")
         return values
 
-    def rationals(self, name: str, default=_REQUIRED, distinct=False) -> list[Fraction]:
-        values = [
-            self._parse_rational(f"{name}[{k}]", value)
-            for k, value in enumerate(self.array(name, default))
-        ]
-        if distinct and len(set(values)) != len(values):
+    def rationals(self, name: str, default=_REQUIRED, grid=False) -> list[Fraction]:
+        """A list of rationals; a grid's are distinct, at most MAX_GRID_VALUES."""
+        raw = self.array(name, default)
+        if grid and len(raw) > MAX_GRID_VALUES:
+            raise self.error(
+                name, f"has {len(raw)} values, more than the {MAX_GRID_VALUES} allowed"
+            )
+        values = [self._parse_rational(f"{name}[{k}]", value) for k, value in enumerate(raw)]
+        if grid and len(set(values)) != len(values):
             raise self.error(name, "values must be distinct")
         self.echo[name] = [format_rational(v) for v in values]
         return values
@@ -243,8 +258,9 @@ class _Fields:
             raise self.error("window", f"is invalid: {exc}") from None
 
 
+# a coefficient's denominator needs a nonzero digit
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[+-]?\d+(?:/\d+)?)\*?)?(?:(?P<c>c)|L\[(?P<g>-?\d+),(?P<l>\d+)\])$"
+    r"^(?:(?P<coeff>[+-]?\d+(?:/\d*[1-9]\d*)?)\*?)?(?:(?P<c>c)|L\[(?P<g>-?\d+),(?P<l>\d+)\])$"
 )
 
 
@@ -281,7 +297,8 @@ def parse_element(text: str) -> Element:
         if not match:
             raise ConfigError(
                 f"cannot parse element term {chunk!r} in {text!r}; expected "
-                "rational*L[grade,level] with level >= 0, or rational*c"
+                "rational*L[grade,level] with level >= 0, or rational*c, where a "
+                "rational's denominator is nonzero"
             )
         coeff = sign * Fraction(match.group("coeff") or 1)
         if match.group("c"):
@@ -332,7 +349,8 @@ def _weight(f: _Fields, params: block.BlockParams, horizon: int) -> hweight.Weig
 
 def _validate_axioms(f: _Fields):
     if f.has("table"):
-        # extensional product on a small index window; universality is off
+        # extensional product on a small index window: no terms, so its
+        # verdicts hold on the tested grid only
         for name in ("p", "mu", "theta", "perturb"):
             if f.has(name):
                 raise ConfigError(f"axioms: '{name}' does not apply in table mode")
@@ -347,11 +365,11 @@ def _validate_axioms(f: _Fields):
             ]
             entries[pair] = Element(accumulate({}, terms))
         default_grid = sorted({str(k) for pair in entries for k in pair})
-        grades = f.rationals("grades", default_grid, distinct=True)
+        grades = f.rationals("grades", default_grid, grid=True)
         return partial(_run_axioms, novikov.table_product_rule(entries), grades, "table")
     p, mu = f.scalars(("p", "mu"), symbolic=("p", "mu"), defaults={"mu": "0"})
     params = novikov.WittNovikovParams(p=p, mu=mu, theta=f.int("theta", 0))
-    grades = f.rationals("grades", _GRID5, distinct=True)
+    grades = f.rationals("grades", _GRID5, grid=True)
     perturb = f.obj("perturb", None)
     if perturb is None:
         rule = novikov.witt_product_rule(params)
@@ -365,13 +383,14 @@ def _validate_axioms(f: _Fields):
 def _validate_affinize(f: _Fields):
     p, mu, q = f.scalars(("p", "mu", "q"), symbolic=("p", "mu", "q"), defaults={"mu": "0"})
     params = novikov.WittNovikovParams(p=p, mu=mu, theta=f.int("theta", 0))
-    grades = f.rationals("grades", _GRID5, distinct=True)
-    levels = f.rationals("levels", ["0", "1", "2"], distinct=True)
+    grades = f.rationals("grades", _GRID5, grid=True)
+    levels = f.rationals("levels", ["0", "1", "2"], grid=True)
     mutations = f.obj("mutations", None)
     sweep = None
     if mutations is not None:
         # the seed has no default: a report must name the seed it was made with
-        sweep = mutations.int("count", minimum=1), mutations.int("seed", minimum=0)
+        count = mutations.int("count", minimum=1, maximum=MAX_MUTATIONS)
+        sweep = count, mutations.int("seed", minimum=0)
     aff = novikov.AffinizationParams(q=q)
     return partial(_run_affinize, params, aff, grades, levels, sweep)
 
@@ -382,9 +401,9 @@ def _validate_blockcheck(f: _Fields):
         _run_blockcheck,
         _block_params(f, p, q),
         f.window(),
-        f.rationals("cocycle_grades", _GRID5, distinct=True),
-        f.rationals("jacobi_grades", ["-1", "0", "1"], distinct=True),
-        f.rationals("jacobi_levels", ["0", "1", "2"], distinct=True),
+        f.rationals("cocycle_grades", _GRID5, grid=True),
+        f.rationals("jacobi_grades", ["-1", "0", "1"], grid=True),
+        f.rationals("jacobi_levels", ["0", "1", "2"], grid=True),
     )
 
 
@@ -444,6 +463,11 @@ def _validate_modcheck(f: _Fields):
     weight_range = tuple(f.ints("weight_range", 2))
     if weight_range[0] > weight_range[1]:
         raise f.error("weight_range", "must be [lo, hi] with lo <= hi")
+    weights = weight_range[1] - weight_range[0] + 1
+    if weights > MAX_WEIGHT_VALUES:
+        raise f.error(
+            "weight_range", f"spans {weights} weights, more than the {MAX_WEIGHT_VALUES} allowed"
+        )
     central_value = f.rational("central_value", "0")
     return partial(_run_modcheck, kind, params, window, weight_range, central_value)
 
@@ -451,10 +475,9 @@ def _validate_modcheck(f: _Fields):
 # -- serialization helpers ---------------------------------------------------
 
 
-def _verdict_json(verdict: Verdict, universal: bool = True) -> dict:
+def _verdict_json(verdict: Verdict) -> dict:
     if verdict.holds:
-        label = "holds_universally" if universal else "holds_on_tested_grid"
-        return {"verdict": label, "witness": None, "residual": None}
+        return {"verdict": str(verdict), "witness": None, "residual": None}
     return {
         "verdict": "fails",
         "witness": [format_rational(v) if isinstance(v, (int, Fraction)) else str(v)
@@ -493,10 +516,8 @@ def _run_axioms(rule: novikov.ProductRule, grades, mode: str) -> tuple[dict, boo
         raise ConfigError(f"axioms: field 'grades': {exc}") from None
     results = {
         "mode": mode,
-        "left_symmetry": _verdict_json(verdicts.left_symmetry, rule.universal),
-        "right_commutativity": _verdict_json(
-            verdicts.right_commutativity, rule.universal
-        ),
+        "left_symmetry": _verdict_json(verdicts.left_symmetry),
+        "right_commutativity": _verdict_json(verdicts.right_commutativity),
     }
     return results, verdicts.holds
 

@@ -4,25 +4,17 @@ Basis labels are either `Graded(grade, level)` or the central element
 `CENTRAL`; an `Element` is a finitely supported linear combination of labels
 with exact scalar coefficients (Fraction, or Poly when parameters stay
 symbolic).  A `BracketRule` packages the closed-form bracket of two graded
-basis labels together with declared per-index degree bounds of its structure
-coefficients and, for a closed-form rule, its `terms`: one Poly coefficient
-over the indices and parameters per constant output offset.
+basis labels and, for a closed-form rule, its `terms`: one Poly coefficient
+over the indices and parameters per constant output offset.  Its offsets,
+degree bounds and verdict scope are all read from the terms.
 
-`grid_identity_check` decides antisymmetry and Jacobi.  From a rule's terms
-it proves the identity first, as one polynomial identity per output offset
-built by `Poly.compose`; only when a proof fails, or for a rule given as a
-bare callable, does it scan a grid, which finds the witness.  The scan is a
-deterministic polynomial identity test: a residual that vanishes on a grid
-with more points per variable than the residual's degree vanishes for all
-integer indices, and the declared degree bounds size the grids.  Every
-exact check in the package ends in `first_failure`, whose docstring states
-the witness contract and the rule for skipping tuples by symmetry; a proved
-identity hands it no tuples.  `_require_grid` is the one rule for grid
-sizes, and it applies whether or not the proof succeeds.
-
-Degree bounds are checked exactly against the terms (`check_degree_bounds`)
-and, for a bare callable, spot-verified at rule construction by exact finite
-differences, so a rule cannot silently understate them.
+`grid_identity_check` decides antisymmetry and Jacobi.  It proves the
+identity from the rule's terms first, one polynomial identity per output
+offset built by `Poly.compose`, and only a proof holds universally; a failed
+proof scans a grid sized by the terms' degree bounds for the witness, and a
+rule without terms is scanned alone and holds on the tested grid (`decide`).
+Every exact check in the package ends in `first_failure`, whose docstring
+states the witness contract and the rule for skipping tuples by symmetry.
 
 `subalgebra_closure` works in concrete-parameter mode (all coefficients
 rational) inside a finite window, discarding bracket products that land
@@ -41,9 +33,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .scalars import Poly, PolyRing, Scalar, accumulate, as_fraction, scalar_is_zero, signed_sum
@@ -228,11 +219,13 @@ def truncate(element: Element, window: Window) -> Element:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of an identity check: universal, or a concrete counterexample."""
+    """Outcome of an identity check: it holds within `scope` ("universally"
+    or "on_tested_grid"), or fails at a concrete counterexample."""
 
     holds: bool
     witness: tuple | None = None
     residual: object | None = None
+    scope: str = "universally"
 
     @staticmethod
     def holds_universally() -> "Verdict":
@@ -244,26 +237,50 @@ class Verdict:
 
     def __str__(self) -> str:
         if self.holds:
-            return "holds_universally"
+            return f"holds_{self.scope}"
         return f"fails(witness={self.witness}, residual={self.residual})"
 
 
-def first_failure(tuples: Iterable[tuple], residual: Callable[[tuple], object]) -> Verdict:
+def first_failure(
+    tuples: Iterable[tuple], residual: Callable[[tuple], object], scope: str = "universally"
+) -> Verdict:
     """Scan index tuples in order; the first with a nonzero residual is the witness.
 
     `residual(t)` is the exact residual at `t`, falsy exactly when zero; the
-    verdict fails with `t` and that residual, or holds when every residual is
-    zero.  A check may skip tuples by symmetry: it keeps the least member of
-    each orbit in its full `itertools.product` order and skips only members
-    whose residual is zero or that of the least member, up to sign.  A
-    failing member then has a failing least member no later than itself, so
-    the witness is the one the full scan would find.
+    verdict fails with `t` and that residual, or holds within `scope` when
+    every residual is zero.  A check may skip tuples by symmetry: it keeps
+    the least member of each orbit in its full `itertools.product` order and
+    skips only members whose residual is zero or that of the least member,
+    up to sign.  A failing member then has a failing least member no later
+    than itself, so the witness is the one the full scan would find.
     """
     for t in tuples:
         r = residual(t)
         if r:
             return Verdict.fails(t, r)
-    return Verdict.holds_universally()
+    return Verdict(True, scope=scope)
+
+
+def decide(proof: object, tuples: Iterable[tuple], residual: Callable[[tuple], object]) -> Verdict:
+    """The verdict of an identity from its proof and its grid scan.
+
+    `proof` is the identity's residual over a rule's terms, falsy exactly
+    when zero, or None for a rule without terms.  A proof holds universally
+    and scans nothing.  A failed proof scans for its witness on a grid sized
+    by the terms' degrees, so finding none means the rule's pair disagrees
+    with its terms, which raises.  A rule without terms is only scanned, and
+    holds on the tested grid."""
+    if proof is None:
+        return first_failure(tuples, residual, "on_tested_grid")
+    if not proof:
+        return Verdict.holds_universally()
+    verdict = first_failure(tuples, residual)
+    if verdict.holds:
+        raise ValueError(
+            "the proof from the rule's terms fails but the grid holds no witness: "
+            "the rule's pair disagrees with its terms"
+        )
+    return verdict
 
 
 class InsufficientGridError(ValueError):
@@ -305,36 +322,26 @@ def index_ring(*values: Scalar) -> tuple[PolyRing, list[Poly]]:
     ]
 
 
-def check_degree_bounds(terms: Iterable[tuple], bounds: Mapping[str, int]) -> None:
-    """Reject declared per-index degree bounds that the coefficients exceed.
-
-    `terms` are (output offset, Poly) pairs; the coefficients of equal
-    offsets are summed first, so the check reads the exact degrees of each
-    output's structure coefficient."""
-    for offset, coeff in accumulate({}, terms).items():
-        for slot, (symbol, bound) in enumerate(bounds.items()):
-            if coeff.degree_bound(symbol) > bound:
-                raise ValueError(
-                    f"declared degree bound {bound} violated along index slot "
-                    f"{slot} (output offset {offset})"
-                )
+def degree_in(summed: Mapping, symbols: str) -> int:
+    """The largest degree in any of `symbols` of the Polys `summed.values()`."""
+    return max((c.degree_bound(s) for c in summed.values() for s in symbols), default=0)
 
 
 @dataclass(frozen=True)
 class BracketRule:
     """Closed-form bracket of two graded basis labels.
 
-    `pair` maps (x, y) to the bracket Element; its structure coefficients
-    must be polynomial in the four indices with per-variable degrees at most
-    `grade_degree_bound` (in either grade) and `level_degree_bound` (in
-    either level).  Output grades/levels must be affine in the inputs.
+    `pair` maps (x, y) to the bracket Element.  Output grades/levels must be
+    affine in the inputs.
 
     `terms`, when given, is the same bracket in exact form: pairs
     ((dgrade, dlevel), coefficient), where the coefficient is a Poly over
     the parameters and the indices a, i, b, j of x = L[a,i], y = L[b,j]
     (see `index_ring`), and the output label is L[a+b+dgrade, i+j+dlevel].
-    `pair` must agree with it; the declared degree bounds are checked
-    against it exactly.
+    `pair` must agree with it.  The bounds are read from it: the largest
+    degree in a or b (`grade_degree_bound`) and in i or j
+    (`level_degree_bound`) of any offset's summed coefficient, 0 without
+    terms; and only a rule with terms can hold universally (see `decide`).
 
     `offsets`, when not None, says where `pair` can land: every graded label
     of pair(L[a,i], L[b,j]) is L[a+b+dgrade, i+j+dlevel] for a listed
@@ -347,73 +354,17 @@ class BracketRule:
     """
 
     pair: Callable[[Graded, Graded], Element]
-    grade_degree_bound: int
-    level_degree_bound: int
     terms: tuple[tuple[tuple[int, int], Poly], ...] | None = None
     offsets: tuple[tuple[int, int], ...] | None = None
+    grade_degree_bound: int = field(default=0, init=False)
+    level_degree_bound: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.terms is not None:
-            grade, level = self.grade_degree_bound, self.level_degree_bound
-            check_degree_bounds(self.terms, {"a": grade, "i": level, "b": grade, "j": level})
-            object.__setattr__(self, "offsets", tuple(accumulate({}, self.terms)))
-
-
-def bracket_rule(
-    pair: Callable[[Graded, Graded], Element],
-    grade_degree_bound: int,
-    level_degree_bound: int,
-) -> BracketRule:
-    """Build a BracketRule from a bare callable, spot-verifying the declared
-    degree bounds.
-
-    The check takes exact finite differences of the offset-normalized
-    structure coefficients along each index at a few deterministic base
-    points; the (d+1)-th difference of a degree-<=d polynomial vanishes.
-    Rules with terms check their bounds exactly instead; rules with
-    non-polynomial parts (delta cocycles) are built as plain BracketRules,
-    without any check.
-    """
-    rule = BracketRule(pair, grade_degree_bound, level_degree_bound)
-    _spot_check_degree_bounds(rule)
-    return rule
-
-
-def _offset_profile(rule: BracketRule, indices: tuple[int, int, int, int]):
-    """Structure coefficients keyed by output offset (grade-ga-gb, level-la-lb)."""
-    ga, la, gb, lb = indices
-
-    def offset(index: BasisIndex) -> tuple:
-        if index is CENTRAL:
-            return ("c",)
-        return (index.grade - ga - gb, index.level - la - lb)
-
-    terms = rule.pair(Graded(ga, la), Graded(gb, lb)).terms
-    return accumulate({}, ((offset(index), coeff) for index, coeff in terms.items()))
-
-
-def _spot_check_degree_bounds(rule: BracketRule) -> None:
-    bases = [(0, 0, 1, 0), (2, 1, -1, 3), (-3, 2, 4, 1)]
-    bounds = (
-        rule.grade_degree_bound,
-        rule.level_degree_bound,
-        rule.grade_degree_bound,
-        rule.level_degree_bound,
-    )
-    for base in bases:
-        for slot, bound in enumerate(bounds):
-            order = bound + 1
-            acc: dict[tuple, Scalar] = {}
-            for t in range(order + 1):
-                point = list(base)
-                point[slot] += t
-                sign = (-1) ** t * comb(order, t)
-                accumulate(acc, _offset_profile(rule, tuple(point)).items(), sign)
-            if acc:
-                raise ValueError(
-                    f"declared degree bound {bound} violated along index slot "
-                    f"{slot} at base {base} (output offset {next(iter(acc))})"
-                )
+            summed = accumulate({}, self.terms)
+            object.__setattr__(self, "offsets", tuple(summed))
+            object.__setattr__(self, "grade_degree_bound", degree_in(summed, "ab"))
+            object.__setattr__(self, "level_degree_bound", degree_in(summed, "ij"))
 
 
 def extend_bilinearly(
@@ -492,19 +443,15 @@ def grid_identity_check(
     grade_values: Sequence[IndexValue],
     level_values: Sequence[IndexValue],
 ) -> Verdict:
-    """Decide antisymmetry or Jacobi for all integer indices: by proof where
+    """Decide antisymmetry or Jacobi: by proof for all integer indices where
     the rule has terms, by grid scan for the witness and for rules without.
 
-    A rule with terms is first proved from them (`_identity_residual`): when
-    every offset's residual is the zero polynomial, the identity holds and
-    no grid point is evaluated.  Otherwise, and for rules given only as a
-    callable, the grid is scanned; the first failing grid point is the
-    witness, a tuple of (grade, level) pairs.  The scan is sound whenever
-    the rule's structure coefficients are polynomial in the indices within
-    the declared bounds and its grading law is affine: the residual's
-    coefficient functions then have per-variable degree at most the bound
-    (antisymmetry) or twice it (Jacobi), so vanishing on the grid forces
-    vanishing everywhere.  The grid sizes are required either way.
+    A rule with terms is first proved from them (`_identity_residual`).
+    Otherwise the grid is scanned and the first failing grid point is the
+    witness, a tuple of (grade, level) pairs.  The residual has per-variable
+    degree at most the rule's bound (antisymmetry) or twice it (Jacobi), so
+    a grid of one more value holds a witness of any failed proof; the sizes
+    are required either way (see `decide` for the verdict's scope).
 
     Orbit filters: antisymmetry keeps pairs x <= y and Jacobi keeps triples
     that are least among their cyclic rotations (positions in the grid
@@ -519,7 +466,7 @@ def grid_identity_check(
         raise ValueError(f"unknown identity {identity!r}")
     _require_grid("grade", grade_values, multiplier * rule.grade_degree_bound + 1)
     _require_grid("level", level_values, multiplier * rule.level_degree_bound + 1)
-    proved = rule.terms is not None and not _identity_residual(rule.terms, identity)
+    proof = None if rule.terms is None else _identity_residual(rule.terms, identity)
 
     singles = list(
         itertools.product(
@@ -537,7 +484,7 @@ def grid_identity_check(
             return Element(accumulate(dict(pair_terms(x, y)), pair_terms(y, x).items()))
 
         pairs = itertools.combinations_with_replacement(singles, 2)
-        return first_failure(() if proved else pairs, antisymmetry)
+        return decide(proof, pairs, antisymmetry)
 
     def jacobi(t: tuple) -> Element:
         x, y, z = t
@@ -553,7 +500,7 @@ def grid_identity_check(
         for k, l, m in itertools.product(range(len(singles)), repeat=3)
         if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
     )
-    return first_failure(() if proved else rotation_least, jacobi)
+    return decide(proof, rotation_least, jacobi)
 
 
 class ClosureError(ValueError):
@@ -686,7 +633,7 @@ def subalgebra_closure(
             return Element()
         return truncate(rule.pair(x, y), window)
 
-    truncated = BracketRule(pair, rule.grade_degree_bound, rule.level_degree_bound)
+    truncated = BracketRule(pair)
 
     def row_element(row: dict[int, Fraction]) -> Element:
         return Element._wrap({coords[k]: row[k] for k in sorted(row)})

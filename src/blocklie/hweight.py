@@ -47,8 +47,8 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Sequence
 
-from .block import BlockParams
-from .engine import _Echelon
+from .block import BlockParams, structure_coefficient
+from .engine import Graded, _Echelon
 from .scalars import format_rational, signed_sum
 
 Coeffs = tuple[Fraction, ...]
@@ -373,12 +373,22 @@ def singular_vector_solve(
     the candidate, so kernel vectors are exactly the degree -1 elements the
     weight kills."""
     labels = weight_labels(weight, params, max_level + horizon)
-    p, q = Fraction(params.p), Fraction(params.q)
     echelon = _Echelon(max_level + 1)
-    for j in range(horizon + 1):
-        row = ((i, (2 * q + i + j + p * (i - j)) * labels[i + j]) for i in range(max_level + 1))
-        echelon.insert({i: v for i, v in row if v})
+    for row in _kernel_rows(labels, params, max_level, horizon):
+        echelon.insert(row)
     return [SingularCandidate(vec, horizon) for vec in echelon.kernel()]
+
+
+def _kernel_rows(labels: Sequence[Fraction], params: BlockParams, max_level: int, horizon: int):
+    """Rows j = 0..horizon of M, each as {i: M[j,i]} over its nonzero
+    entries; the coefficient of M[j,i] is that of L[0,i+j] in
+    [L[-1,i], L[1,j]], read from `block.structure_coefficient` as
+    `block.parabolic_degree_zero` reads it."""
+    xs = [Graded(-1, i) for i in range(max_level + 1)]
+    for j in range(horizon + 1):
+        y = Graded(1, j)
+        row = ((i, structure_coefficient(params, x, y) * labels[i + j]) for i, x in enumerate(xs))
+        yield {i: v for i, v in row if v}
 
 
 @dataclass(frozen=True)

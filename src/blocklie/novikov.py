@@ -16,18 +16,16 @@ instead of assuming it, so a counterexample would surface as data.
 A closed-form rule also carries its product as `terms`, pairs (dgrade,
 coefficient Poly over the grades a, b and the parameters), so the axioms and
 the affinized Jacobi identity are proved as polynomial identities, one per
-output offset, before any grid point is evaluated.  The grid scans run only
-to find a witness when a proof fails, and for table rules; they rest on the
-engine's polynomial-identity-testing guarantee: residual coefficients are
-polynomial in the three grade indices with per-variable degree at most twice
-the rule's bound.
+output offset, before any grid point is evaluated, and only a proof holds
+universally.  The grid scans run only to find a witness when a proof fails,
+and for table rules, which hold on the tested grid only (`engine.decide`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -38,8 +36,8 @@ from .engine import (
     Verdict,
     Window,
     _require_grid,
-    bracket_rule,
-    check_degree_bounds,
+    decide,
+    degree_in,
     extend_bilinearly,
     first_failure,
     grid_identity_check,
@@ -62,30 +60,24 @@ class WittNovikovParams:
 
 @dataclass(frozen=True)
 class ProductRule:
-    """Closed-form bilinear product of two Witt labels (grades only).
-
-    For `universal` rules the structure coefficients are polynomial in the
-    two grades with per-variable degree at most `grade_degree_bound`, so a
-    sufficiently large grid verdict extends to all integers.  Table-backed
-    rules (see `table_product_rule`) carry `universal=False`: their verdicts
-    only ever speak about the tested grid.
+    """Bilinear product of two Witt labels (grades only).
 
     `terms`, when given, is the same product in exact form: pairs (dgrade,
     coefficient), where the coefficient is a Poly over the parameters and
     the grades a, b of x_a, x_b (see `engine.index_ring`) and the output is
-    x_{a+b+dgrade}.  `pair` must agree with it; the declared degree bound is
-    checked against it exactly.
+    x_{a+b+dgrade}.  `pair` must agree with it.  `grade_degree_bound` is read
+    from it (the largest degree in a or b of any offset's summed coefficient,
+    0 without terms), and only a rule with terms can hold universally.
     """
 
     pair: Callable[[int, int], Element]
-    grade_degree_bound: int
-    universal: bool = True
     terms: tuple[tuple[int, Poly], ...] | None = None
+    grade_degree_bound: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.terms is not None:
-            bound = self.grade_degree_bound
-            check_degree_bounds(self.terms, {"a": bound, "b": bound})
+            bound = degree_in(accumulate({}, self.terms), "ab")
+            object.__setattr__(self, "grade_degree_bound", bound)
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,6 @@ def witt_product_rule(params: WittNovikovParams) -> ProductRule:
     ring, (p, mu) = index_ring(params.p, params.mu)
     return ProductRule(
         lambda a, b: witt_novikov_product(params, a, b),
-        grade_degree_bound=1,
         terms=((0, ring.var("b") + p), (params.theta, mu)),
     )
 
@@ -138,22 +129,22 @@ def perturbed_witt_rule(
     ring, (p, mu, scale) = index_ring(params.p, params.mu, delta)
     a, b = ring.var("a"), ring.var("b")
     terms = ((0, b + p), (params.theta, mu), (shift, scale * a**ea * b**eb))
-    return ProductRule(pair, grade_degree_bound=max(1, ea, eb), terms=terms)
+    return ProductRule(pair, terms)
 
 
 def table_product_rule(entries: dict[tuple[int, int], Element]) -> ProductRule:
     """Product given extensionally on a small index window.
 
     Index pairs absent from the table multiply to zero (finite-support
-    convention).  No polynomial structure is assumed, so axiom verdicts on
-    table rules hold only for the tested grid, never universally.
+    convention).  A table has no terms, so axiom verdicts on it hold only
+    for the tested grid, never universally.
     """
     table = dict(entries)
 
     def pair(a, b) -> Element:
         return table.get((a, b), Element.zero())
 
-    return ProductRule(pair, grade_degree_bound=0, universal=False)
+    return ProductRule(pair)
 
 
 def product_apply(rule: ProductRule, x: Element, y: Element) -> Element:
@@ -213,23 +204,19 @@ def novikov_axiom_check(
     commutativity (ab)c = (ac)b: by proof where the rule has terms, by grid
     scan for the witness and for rules without.
 
-    A rule with terms proves each axiom from them (`_axiom_residuals`); a
-    proved axiom holds and no grid point is evaluated for it.  Otherwise the
-    grid is scanned and the first failing triple is the witness.  For
-    universal rules, holding on a grid larger than the residual degree
-    bounds implies holding for all integer grades; table rules are checked
-    verbatim on the grid they were given.  The grid size is required either
-    way.
+    A rule with terms proves each axiom from them (`_axiom_residuals`).
+    Otherwise the grid is scanned and the first failing triple is the
+    witness.  A residual has per-variable degree at most twice the rule's
+    bound, so 2*bound + 1 grid values hold a witness of any failed proof;
+    the size is required either way (see `engine.decide` for the scope).
 
     Orbit filters: left symmetry is evaluated only where a comes before b in
     the grid and right commutativity only where b comes before c; each
     residual changes sign when those two slots swap and is zero when they
     are equal."""
-    _require_grid("grade", grade_values, 2 * rule.grade_degree_bound + 1 if rule.universal else 0)
+    _require_grid("grade", grade_values, 2 * rule.grade_degree_bound + 1)
     grade_values = normalize_index_values(grade_values)
-    left_proved = right_proved = False
-    if rule.terms is not None:
-        left_proved, right_proved = (not r for r in _axiom_residuals(rule.terms))
+    left_proof, right_proof = (None, None) if rule.terms is None else _axiom_residuals(rule.terms)
 
     # grade pairs recur across grid points; cache their product terms
     prod_terms = functools.cache(lambda a, b: rule.pair(a, b).terms)
@@ -264,8 +251,8 @@ def novikov_axiom_check(
     a_before_b = ((ga, gb, gc) for ga, gb in pairs for gc in grade_values)
     b_before_c = ((ga, gb, gc) for ga in grade_values for gb, gc in pairs)
     return NovikovVerdicts(
-        first_failure(() if left_proved else a_before_b, left_symmetry),
-        first_failure(() if right_proved else b_before_c, right_commutativity),
+        decide(left_proof, a_before_b, left_symmetry),
+        decide(right_proof, b_before_c, right_commutativity),
     )
 
 
@@ -288,7 +275,7 @@ def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
         return Element._wrap(acc)
 
     if rule.terms is None:
-        return bracket_rule(pair, grade_degree_bound=rule.grade_degree_bound, level_degree_bound=1)
+        return BracketRule(pair)
     # `pair` reads q, so the lifted copy takes another name
     ring, (q_poly, *coeffs) = index_ring(q, *(coeff for _, coeff in rule.terms))
     a, i, b, j = (ring.var(name) for name in "aibj")
@@ -297,7 +284,7 @@ def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
         ((offset, 0), (i + q_poly) * coeff - (j + q_poly) * coeff.compose(ring, swap))
         for (offset, _), coeff in zip(rule.terms, coeffs)
     )
-    return BracketRule(pair, rule.grade_degree_bound, 1, terms)
+    return BracketRule(pair, terms)
 
 
 @dataclass(frozen=True)

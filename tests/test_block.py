@@ -112,22 +112,38 @@ def test_cocycle_jacobi_check_with_symbolic_q():
     assert verdict.holds
 
 
+G = PolyRing("g").var("g")
+
+
 def test_cocycle_jacobi_check_rejects_broken_cocycles():
-    for bad in (lambda g: Fraction(g**2, 12), lambda g: Fraction(g**5, 12)):
-        verdict = cocycle_jacobi_check(P11, [-2, -1, 0, 1, 2], cocycle=bad)
+    # a degree-d cocycle leaves a residual of degree d + 1, so its grid needs
+    # d + 2 grades to hold a witness
+    for bad, grid in ((G**2 / 12, [-2, -1, 0, 1]), (G**5 / 12, [-3, -2, -1, 0, 1, 2, 3])):
+        verdict = cocycle_jacobi_check(P11, grid, cocycle=bad)
         assert not verdict.holds
         assert verdict.witness is not None
         assert CENTRAL in verdict.residual.terms
+        with pytest.raises(InsufficientGridError, match=f"at least {len(grid)}"):
+            cocycle_jacobi_check(P11, grid[1:], cocycle=bad)
+    # the witness is the first failing grid triple: q(g-b)K(a) + q(a-g)K(b)
+    # + q(b-a)K(g) at (-2, -1, 3) with K = g^2/12
+    verdict = cocycle_jacobi_check(P11, [-2, -1, 0, 1], cocycle=G**2 / 12)
+    assert verdict.residual == Element.basis(CENTRAL, Fraction(4 * 4 - 5 * 1 + 1 * 9, 12))
+    assert str(verdict) == "fails(witness=(-2, -1, 3), residual=5/3*c)"
 
 
 def test_cocycle_space_is_spanned_by_cubic_and_linear_terms():
     # a*g^3 + b*g always satisfies the cocycle identity (the linear part is a
     # coboundary), so shifting the cubic by a linear term is not a mutation
     # the Jacobi check can or should reject
-    verdict = cocycle_jacobi_check(
-        P11, [-2, -1, 0, 1, 2], cocycle=lambda g: Fraction(g**3 + g, 12)
-    )
-    assert verdict.holds
+    verdict = cocycle_jacobi_check(P11, [-2, -1, 0, 1, 2], cocycle=(G**3 + G) / 12)
+    assert verdict.holds and str(verdict) == "holds_universally"
+
+
+def test_cocycle_must_be_a_poly_in_one_variable():
+    ring = PolyRing("g", "h")
+    with pytest.raises(ValueError, match="one variable"):
+        cocycle_jacobi_check(P11, [-2, -1, 0, 1, 2], cocycle=ring.var("g") * ring.var("h"))
 
 
 def test_cocycle_jacobi_grid_requirements():

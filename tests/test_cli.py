@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -532,6 +533,67 @@ EXIT_CASES = [
     ),
     ("perturb_null", 2, {"job": "axioms", "p": "2", "perturb": None}),
     ("mutations_null", 2, {"job": "affinize", "p": "2", "q": "1", "mutations": None}),
+    (
+        "closure_generator_zero_denominator",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+            "generators": ["1/0*L[1,0]"],
+        },
+    ),
+    (
+        "closure_membership_zero_denominator",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+            "generators": ["L[1,0]"],
+            "membership": ["L[1,0]", "L[2,0] - 3/00*L[3,0]"],
+        },
+    ),
+    (
+        "affinize_mutations_over_limit",
+        2,
+        {"job": "affinize", "p": "2", "q": "1", "mutations": {"count": 101, "seed": 0}},
+    ),
+    (
+        "axioms_table_grid_over_limit",
+        2,
+        {
+            "job": "axioms",
+            "table": [{"a": 0, "b": 0, "out": [{"grade": 0, "coeff": "1"}]}],
+            "grades": [str(k) for k in range(51)],
+        },
+    ),
+    (
+        "blockcheck_jacobi_grid_over_limit",
+        2,
+        {
+            "job": "blockcheck",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "jacobi_levels": [str(k) for k in range(51)],
+        },
+    ),
+    (
+        "modcheck_weight_range_over_limit",
+        2,
+        {
+            "job": "modcheck",
+            "p": "3",
+            "q": "1",
+            "family": "Ba",
+            "a": "2",
+            "window": {"grade_min": -2, "grade_max": 2, "level_max": 1},
+            "weight_range": [-100, 101],
+        },
+    ),
 ]
 
 
@@ -649,6 +711,51 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
         assert config.run.args[2:] == (max_level, horizon)
     payload.update(max_level=side + 1, horizon=side + 1)
     with pytest.raises(ConfigError, match=f"{job}: field 'horizon' must be <= {side} when"):
+        load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "name,message",
+    [
+        (
+            "closure_generator_zero_denominator",
+            "closure: field 'generators[0]': cannot parse element term '1/0*L[1,0]'",
+        ),
+        (
+            "closure_membership_zero_denominator",
+            "closure: field 'membership[1]': cannot parse element term '3/00*L[3,0]'",
+        ),
+        ("affinize_mutations_over_limit", "affinize: field 'mutations.count' must be <= 100"),
+        (
+            "axioms_table_grid_over_limit",
+            "axioms: field 'grades' has 51 values, more than the 50 allowed",
+        ),
+        (
+            "blockcheck_jacobi_grid_over_limit",
+            "blockcheck: field 'jacobi_levels' has 51 values, more than the 50 allowed",
+        ),
+        (
+            "modcheck_weight_range_over_limit",
+            "modcheck: field 'weight_range' spans 202 weights, more than the 201 allowed",
+        ),
+    ],
+)
+def test_rejected_inputs_are_named_before_any_work(tmp_path, name, message):
+    payload = {case[0]: case[2] for case in EXIT_CASES}[name]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        load_config(write_config(tmp_path, payload))
+
+
+def test_work_limits_are_inclusive(tmp_path):
+    # each bound admits its own value; validation runs nothing, so neither is run
+    cases = {case[0]: case[2] for case in EXIT_CASES}
+    at_limit = [
+        {**cases["affinize_mutations_over_limit"], "mutations": {"count": 100, "seed": 0}},
+        {**cases["axioms_table_grid_over_limit"], "grades": [str(k) for k in range(50)]},
+        {**cases["blockcheck_jacobi_grid_over_limit"], "jacobi_levels": list(map(str, range(50)))},
+        {**cases["modcheck_weight_range_over_limit"], "weight_range": [-100, 100]},
+    ]
+    for payload in at_limit:
         load_config(write_config(tmp_path, payload))
 
 

@@ -299,7 +299,7 @@ def test_closure_brackets_only_pairs_that_reach_the_window():
             seen.append((x, y))
             return block.pair(x, y)
 
-        rule = BracketRule(pair, 1, 1, offsets=offsets)
+        rule = BracketRule(pair, offsets=offsets)
         return subalgebra_closure(rule, generators, window).rows, seen
 
     def reaches(x, y):

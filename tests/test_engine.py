@@ -10,11 +10,12 @@ from blocklie.engine import (
     Graded,
     InsufficientGridError,
     Window,
+    BracketRule,
     adjoint_chain,
     bracket_apply,
-    bracket_rule,
     first_failure,
     grid_identity_check,
+    index_ring,
     membership,
     subalgebra_closure,
     truncate,
@@ -25,22 +26,25 @@ from blocklie.scalars import PolyRing
 def graded_bracket_rule(p, q, mu=0, theta=0, perturb_alpha_p=False):
     """Structure constants ((i+q)(beta+p)-(j+q)(alpha+p)) L[a+b,i+j] + (i-j)mu L[a+b+theta,i+j].
 
-    Written out longhand so engine tests do not depend on the affinization
-    module; `perturb_alpha_p` doubles p in the second product, which breaks
-    Jacobi.
+    Written out longhand, with its terms, so engine tests do not depend on
+    the affinization module; `perturb_alpha_p` doubles p in the second
+    product, which breaks Jacobi.
     """
+    p_second = 2 * p if perturb_alpha_p else p
 
     def pair(x: Graded, y: Graded) -> Element:
         a, i = x.grade, x.level
         b, j = y.grade, y.level
-        p_second = 2 * p if perturb_alpha_p else p
         coeff = (i + q) * (b + p) - (j + q) * (a + p_second)
         out = Element.basis(Graded(a + b, i + j), coeff)
         if not (isinstance(mu, int) and mu == 0):
             out = out + Element.basis(Graded(a + b + theta, i + j), (i - j) * mu)
         return out
 
-    return bracket_rule(pair, 1, 1)
+    ring, (P, Q, MU, P2) = index_ring(p, q, mu, p_second)
+    a, i, b, j = (ring.var(name) for name in "aibj")
+    terms = (((0, 0), (i + Q) * (b + P) - (j + Q) * (a + P2)), ((theta, 0), (i - j) * MU))
+    return BracketRule(pair, terms)
 
 
 def test_first_failure_returns_first_failing_tuple_and_its_residual():
@@ -160,16 +164,6 @@ def test_insufficient_grid_is_an_error():
         grid_identity_check(rule, "jacobi", [0, 1], [0, 1, 2])
     with pytest.raises(InsufficientGridError, match="distinct"):
         grid_identity_check(rule, "jacobi", [0, 1, 1], [0, 1, 2])
-
-
-def test_degree_bound_spot_check_rejects_understated_bounds():
-    def quadratic_pair(x: Graded, y: Graded) -> Element:
-        return Element.basis(Graded(x.grade + y.grade, x.level + y.level), x.grade**2)
-
-    with pytest.raises(ValueError, match="degree bound"):
-        bracket_rule(quadratic_pair, 1, 1)
-    rule = bracket_rule(quadratic_pair, 2, 0)
-    assert rule.grade_degree_bound == 2
 
 
 def test_closure_of_two_positive_generators():

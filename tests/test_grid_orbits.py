@@ -9,6 +9,8 @@ cache.  The oracles are the full-product loops those checks
 replaced, copied here: every tuple of the grid in `itertools.product` order,
 with nothing cached.  Verdict, witness and residual must print identically,
 above all on failing inputs, where the witness is the first failing tuple.
+A holding verdict is universal only for a rule with terms, whose proof the
+oracles take for granted; a rule without terms holds on the tested grid.
 """
 
 import itertools
@@ -51,6 +53,10 @@ nonzero_rationals = rationals.filter(bool)
 # -- oracles: the full-product loops ------------------------------------------
 
 
+def held(rule):
+    return Verdict(True, scope="universally" if rule.terms is not None else "on_tested_grid")
+
+
 def full_grid_identity_check(rule, identity, grade_values, level_values):
     singles = [Graded(g, l) for g, l in itertools.product(grade_values, level_values)]
     if identity == "antisymmetry":
@@ -58,7 +64,7 @@ def full_grid_identity_check(rule, identity, grade_values, level_values):
             acc = accumulate(dict(rule.pair(x, y).terms), rule.pair(y, x).terms.items())
             if acc:
                 return Verdict.fails(((x.grade, x.level), (y.grade, y.level)), Element(acc))
-        return Verdict.holds_universally()
+        return held(rule)
     for x, y, z in itertools.product(singles, repeat=3):
         acc = {}
         for outer, inner in ((x, (y, z)), (z, (x, y)), (y, (z, x))):
@@ -68,7 +74,7 @@ def full_grid_identity_check(rule, identity, grade_values, level_values):
         if acc:
             witness = tuple((s.grade, s.level) for s in (x, y, z))
             return Verdict.fails(witness, Element(acc))
-    return Verdict.holds_universally()
+    return held(rule)
 
 
 def full_novikov_axiom_check(rule, grade_values):
@@ -101,7 +107,7 @@ def full_novikov_axiom_check(rule, grade_values):
                 right = Verdict.fails((ga, gb, gc), Element(acc))
         if left is not None and right is not None:
             break
-    return left or Verdict.holds_universally(), right or Verdict.holds_universally()
+    return left or held(rule), right or held(rule)
 
 
 def full_module_axiom_check(kind, params, window, weight_range, central_value):
@@ -167,7 +173,7 @@ def skewed_rules(draw, symbolic):
         coeff = (i + q) * (b + p) - (j + q) * (a + p) + e1 * a * b + e2 * i * j + e3 * a * j
         return Element.basis(Graded(a + b, i + j), coeff)
 
-    return BracketRule(pair, 1, 1)
+    return BracketRule(pair)
 
 
 # -- the tests ------------------------------------------------------------------

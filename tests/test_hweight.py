@@ -12,6 +12,7 @@ from blocklie.hweight import (
     QuasiPolynomial,
     UnrealizableError,
     Weight,
+    _kernel_rows,
     classify_quasifinite,
     criteria_cross_check,
     delta_from_labels,
@@ -131,9 +132,9 @@ def test_singular_vector_solve_generic_weight_has_no_kernel():
 
 
 def test_singular_matrix_rows_are_weight_of_parabolic_images():
-    params = BlockParams(p=Fraction(5, 2), q=Fraction(-3))
+    # each entry M[j,i] of the kernel matrix, as singular_vector_solve builds
+    # it, is the weight of the image w_j of L[-1,i] and the closed form
     labels = [Fraction(k * k + 1, 3) for k in range(9)]
-    weight = Weight.from_labels(labels)
     max_level, horizon = 2, 4
 
     def weight_of(elem: Element) -> Fraction:
@@ -142,14 +143,17 @@ def test_singular_matrix_rows_are_weight_of_parabolic_images():
             Fraction(0),
         )
 
-    for i in range(max_level + 1):
-        images = parabolic_degree_zero(params, Element.basis(Graded(-1, i)), horizon)
-        column = [weight_of(w) for w in images]
-        p, q = params.p, params.q
-        expected = [
-            (2 * q + i + j + p * (i - j)) * labels[i + j] for j in range(horizon + 1)
-        ]
-        assert column == expected
+    for p, q in ((Fraction(5, 2), Fraction(-3)), (0, 1), (Fraction(2, 3), Fraction(-5, 7))):
+        params = BlockParams(p=p, q=q)
+        rows = list(_kernel_rows(labels, params, max_level, horizon))
+        for i in range(max_level + 1):
+            images = parabolic_degree_zero(params, Element.basis(Graded(-1, i)), horizon)
+            column = [weight_of(w) for w in images]
+            expected = [
+                (2 * q + i + j + p * (i - j)) * labels[i + j] for j in range(horizon + 1)
+            ]
+            assert column == expected
+            assert column == [row.get(i, 0) for row in rows]
 
 
 def test_classify_quasifinite_generator_mode():

@@ -39,6 +39,9 @@ REJECTED += [
     ("classify_horizon_over_limit", CASES["classify_horizon_over_limit"]),
     ("singular_max_level_over_limit", CASES["singular_max_level_over_limit"]),
     ("singular_kernel_over_limit", CASES["singular_kernel_over_limit"]),
+    ("affinize_mutations_over_limit", CASES["affinize_mutations_over_limit"]),
+    ("axioms_table_grid_over_limit", CASES["axioms_table_grid_over_limit"]),
+    ("blockcheck_jacobi_grid_over_limit", CASES["blockcheck_jacobi_grid_over_limit"]),
 ]
 
 
