@@ -65,7 +65,6 @@ from .intermediate import (
 )
 from .novikov import (
     AffinizationParams,
-    ProductRule,
     WittNovikovParams,
     affinize,
     block_sZ_reindex_check,

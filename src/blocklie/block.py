@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .engine import (
@@ -107,7 +108,7 @@ def block_bracket(params: BlockParams, x: Element, y: Element) -> Element:
     """Bilinear extension of the bracket; c is central, levels must be >= 0."""
     _check_levels(x)
     _check_levels(y)
-    return extend_bilinearly(lambda a, b: basis_bracket(params, a, b), x, y)
+    return Element._wrap(extend_bilinearly(partial(basis_bracket, params), x.terms, y.terms))
 
 
 def block_bracket_rule(params: BlockParams) -> BracketRule:

@@ -62,6 +62,11 @@ MAX_GRID_VALUES = 50
 # the window, 0.25 s for 201 weights and 2.8 s for 2001 on a window of 15
 # labels (2-vCPU host), and no archived or benchmark range has more than 7
 MAX_WEIGHT_VALUES = 201
+# a modcheck's window labels squared times its weights, which the two bounds
+# above leave at up to 201 million: the largest window with one weight takes
+# about 9 s and 70 level-0 labels with 201 weights about 13.5 s (2-vCPU
+# host), and no archived or benchmark modcheck has more than 2,025
+MAX_PAIR_WEIGHTS = MAX_WINDOW_LABELS**2
 
 
 class ConfigError(ValueError):
@@ -330,11 +335,12 @@ def _weight(f: _Fields, params: block.BlockParams, horizon: int) -> hweight.Weig
                 f"must reach horizon {horizon} "
                 f"({horizon + 1} labels required, got {len(labels)})",
             )
-        return hweight.Weight.from_labels(labels, w.rational("central", "0"))
+        w.rational("central", "0")  # echoed; the central label enters no route
+        return hweight.Weight.from_labels(labels)
     terms = [(t.rationals("poly"), t.rational("base")) for t in w.objs("qp", nonempty=False)]
     qp = hweight.QuasiPolynomial.of(terms)
     try:
-        synthesis = hweight.labels_from_quasipolynomial(qp, params, horizon)
+        labels, singular = hweight.labels_from_quasipolynomial(qp, params, horizon)
     except hweight.UnrealizableError as exc:
         raise w.error("qp", f"is unrealizable: {exc}") from None
     # the echo shows the normalized terms: bases merged and sorted, zeros dropped
@@ -342,9 +348,9 @@ def _weight(f: _Fields, params: block.BlockParams, horizon: int) -> hweight.Weig
         {"poly": [format_rational(c) for c in coeffs], "base": format_rational(b)}
         for coeffs, b in qp.terms
     ]
-    central = w.rational("central", "0")
-    w.echo["singular_indices"] = list(synthesis.singular)
-    return hweight.Weight(labels=synthesis.weight.labels, qp=qp, central_label=central)
+    w.rational("central", "0")
+    w.echo["singular_indices"] = list(singular)
+    return hweight.Weight(labels=labels, qp=qp)
 
 
 def _validate_axioms(f: _Fields):
@@ -468,6 +474,12 @@ def _validate_modcheck(f: _Fields):
         raise f.error(
             "weight_range", f"spans {weights} weights, more than the {MAX_WEIGHT_VALUES} allowed"
         )
+    pairs = ((window.grade_max - window.grade_min + 1) * (window.level_max + 1)) ** 2
+    if pairs * weights > MAX_PAIR_WEIGHTS:
+        raise ConfigError(
+            f"modcheck: fields 'window' and 'weight_range' give {pairs} label pairs x "
+            f"{weights} weights, more than the {MAX_PAIR_WEIGHTS} allowed"
+        )
     central_value = f.rational("central_value", "0")
     return partial(_run_modcheck, kind, params, window, weight_range, central_value)
 
@@ -509,7 +521,7 @@ def _certificate_json(cert: hweight.RecurrenceCertificate | None):
 # -- job runners -------------------------------------------------------------
 
 
-def _run_axioms(rule: novikov.ProductRule, grades, mode: str) -> tuple[dict, bool]:
+def _run_axioms(rule: engine.BracketRule, grades, mode: str) -> tuple[dict, bool]:
     try:
         verdicts = novikov.novikov_axiom_check(rule, grades)
     except engine.InsufficientGridError as exc:

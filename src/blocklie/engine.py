@@ -8,11 +8,19 @@ basis labels and, for a closed-form rule, its `terms`: one Poly coefficient
 over the indices and parameters per constant output offset.  Its offsets,
 degree bounds and verdict scope are all read from the terms.
 
-`grid_identity_check` decides antisymmetry and Jacobi.  It proves the
-identity from the rule's terms first, one polynomial identity per output
-offset built by `Poly.compose`, and only a proof holds universally; a failed
-proof scans a grid sized by the terms' degree bounds for the witness, and a
-rule without terms is scanned alone and holds on the tested grid (`decide`).
+A product on the Witt labels x_a = L[a,0] is a `BracketRule` too: its pair
+reads grades only, and its terms sit at offsets (dgrade, 0).
+
+`IDENTITIES` states antisymmetry, Jacobi and the two Novikov axioms once
+each, as signed sums of nested brackets of the labels x, y, z.  Two
+evaluators read it.  The symbolic one (`_prove`) builds each identity from a
+rule's terms, one polynomial identity per output offset by `Poly.compose`,
+and only a proof holds universally.  The concrete one evaluates the same
+trees on basis labels through the rule's cached pair (`extend_bilinearly`);
+it scans a grid, sized by the identity's bracket depth times the terms'
+degree bounds, for the witness of a failed proof, and it alone decides a
+rule without terms, which holds on the tested grid (`check_identities`,
+`decide`).  `grid_identity_check` and `novikov.novikov_axiom_check` call it.
 Every exact check in the package ends in `first_failure`, whose docstring
 states the witness contract and the rule for skipping tuples by symmetry.
 
@@ -329,10 +337,11 @@ def degree_in(summed: Mapping, symbols: str) -> int:
 
 @dataclass(frozen=True)
 class BracketRule:
-    """Closed-form bracket of two graded basis labels.
+    """Closed-form bracket, or product, of two graded basis labels.
 
     `pair` maps (x, y) to the bracket Element.  Output grades/levels must be
-    affine in the inputs.
+    affine in the inputs.  A product on the Witt labels L[a,0] reads the
+    grades only and lands at level 0.
 
     `terms`, when given, is the same bracket in exact form: pairs
     ((dgrade, dlevel), coefficient), where the coefficient is a Poly over
@@ -368,24 +377,28 @@ class BracketRule:
 
 
 def extend_bilinearly(
-    pair: Callable[[Graded, Graded], Element], x: Element, y: Element
-) -> Element:
-    """Sum of cx*cy*pair(ix, iy) over graded labels; the central label pairs to zero."""
+    pair: Callable[[Graded, Graded], Element],
+    x: Mapping[BasisIndex, Scalar],
+    y: Mapping[BasisIndex, Scalar],
+) -> dict:
+    """The terms of the sum of cx*cy*pair(ix, iy) over the graded labels of
+    the terms x and y; the central label pairs to zero."""
     acc: dict[BasisIndex, Scalar] = {}
-    for ix, cx in x.terms.items():
+    for ix, cx in x.items():
         if ix is CENTRAL:
             continue
-        for iy, cy in y.terms.items():
+        for iy, cy in y.items():
             if iy is not CENTRAL:
                 terms = pair(ix, iy).terms
                 if terms:
                     accumulate(acc, terms.items(), cx * cy)
-    return Element._wrap(acc)
+    return acc
 
 
 def bracket_apply(rule: BracketRule, x: Element, y: Element) -> Element:
-    """Bilinear extension of the rule; the central label brackets to zero."""
-    return extend_bilinearly(rule.pair, x, y)
+    """Bilinear extension of the rule, bracket or product; the central label
+    brackets to zero."""
+    return Element._wrap(extend_bilinearly(rule.pair, x.terms, y.terms))
 
 
 def _require_grid(name: str, values: Sequence[IndexValue], needed: int) -> None:
@@ -413,28 +426,125 @@ def _bracket_at(terms, x: tuple, y: tuple) -> list[tuple]:
     return [(offset, coeff.compose(coeff.ring, images)) for offset, coeff in terms]
 
 
-def _identity_residual(terms, identity: str) -> dict:
-    """The antisymmetry or Jacobi residual of a rule's terms, as {total
-    output offset: Poly over the indices}; empty exactly when the identity
-    holds for all indices.
+# Each identity is a signed sum of nested brackets of the labels x, y, z: a
+# tree is a label's name or a pair (u, v) standing for [u, v].  A product rule
+# on the Witt labels (`novikov`) reads [u, v] as the product uv.
+IDENTITIES = {
+    "antisymmetry": ((1, ("x", "y")), (1, ("y", "x"))),
+    "jacobi": ((1, ("x", ("y", "z"))), (1, ("z", ("x", "y"))), (1, ("y", ("z", "x")))),
+    # (xy)z - x(yz) - (yx)z + y(xz)
+    "left_symmetry": (
+        (1, (("x", "y"), "z")),
+        (-1, ("x", ("y", "z"))),
+        (-1, (("y", "x"), "z")),
+        (1, ("y", ("x", "z"))),
+    ),
+    # (xy)z - (xz)y
+    "right_commutativity": ((1, (("x", "y"), "z")), (-1, (("x", "z"), "y"))),
+}
 
-    Antisymmetry reads [x,y] + [y,x] at x = L[a,i], y = L[b,j]; Jacobi reads
-    [x,[y,z]] + [z,[x,y]] + [y,[z,x]] with z = L[c,k].  Labels of distinct
-    offsets are distinct, so each offset's coefficient must vanish alone."""
+
+def _depth(tree) -> int:
+    return 0 if isinstance(tree, str) else 1 + max(_depth(tree[0]), _depth(tree[1]))
+
+
+def _evaluate(names: Sequence[str], leaf: Callable, bracket: Callable) -> list[dict]:
+    """The residual of each named identity: the signed sum of its trees'
+    values, where `leaf(name)` is the value of a label, `bracket(u, v)` that
+    of the bracket of two values, and a value is a dict of nonzero
+    coefficients.  A subtree shared by several identities, such as (xy)z by
+    both Novikov axioms, is evaluated once."""
+    values: dict = {}
+
+    def value(tree) -> dict:
+        if tree not in values:
+            values[tree] = (
+                leaf(tree) if isinstance(tree, str) else bracket(value(tree[0]), value(tree[1]))
+            )
+        return values[tree]
+
+    residuals = []
+    for name in names:
+        acc: dict = {}
+        for sign, tree in IDENTITIES[name]:
+            accumulate(acc, value(tree).items(), sign)
+        residuals.append(acc)
+    return residuals
+
+
+def _prove(terms, names: Sequence[str]) -> list[dict]:
+    """The residual of each named identity over a rule's terms, with x =
+    L[a,i], y = L[b,j], z = L[c,k]: empty exactly when the identity holds for
+    all indices.
+
+    A value maps (leaves, (dgrade, dlevel)) to a Poly over the indices, the
+    coefficient of the label L[sum of the leaves' labels + offset]; each
+    label is formed once, as its leaf sum plus a constant.  Labels of
+    distinct offsets are distinct, so each offset's coefficient must vanish
+    alone."""
     if not terms:
-        return {}
+        return [{} for _ in names]
     ring = terms[0][1].ring
-    x, y, z = ((ring.var(g), ring.var(l)) for g, l in ("ai", "bj", "ck"))
-    if identity == "antisymmetry":
-        return accumulate({}, _bracket_at(terms, x, y) + _bracket_at(terms, y, x))
+    symbols = {name: (ring.var(g), ring.var(l)) for name, (g, l) in zip("xyz", ("ai", "bj", "ck"))}
 
-    def nested(x, y, z):  # [x, [y, z]]
-        for (dg, dl), inner in _bracket_at(terms, y, z):
-            mid = (y[0] + z[0] + dg, y[1] + z[1] + dl)
-            for (eg, el), outer in _bracket_at(terms, x, mid):
-                yield (dg + eg, dl + el), inner * outer
+    @functools.cache
+    def label(leaves: str, offset: tuple) -> tuple:
+        if offset != (0, 0):
+            return tuple(value + d for value, d in zip(label(leaves, (0, 0)), offset))
+        return tuple(sum(parts[1:], parts[0]) for parts in zip(*map(symbols.get, leaves)))
 
-    return accumulate({}, itertools.chain(nested(x, y, z), nested(z, x, y), nested(y, z, x)))
+    def bracket(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for (lu, (gu, hu)), cu in u.items():
+            for (lv, (gv, hv)), cv in v.items():
+                leaves = "".join(sorted(lu + lv))
+                at = _bracket_at(terms, label(lu, (gu, hu)), label(lv, (gv, hv)))
+                accumulate(
+                    out,
+                    (((leaves, (gu + gv + dg, hu + hv + dl)), coeff) for (dg, dl), coeff in at),
+                    cu * cv,
+                )
+        return out
+
+    return _evaluate(names, lambda name: {(name, (0, 0)): 1}, bracket)
+
+
+def check_identities(
+    rule: BracketRule,
+    scans: Mapping[str, Iterable[tuple]],
+    labels: Callable[[tuple], Sequence[Graded]],
+    grids: Mapping[str, Sequence[IndexValue]],
+) -> list[Verdict]:
+    """Decide each identity named in `scans` on the rule, in their order.
+
+    All of them are proved together from the rule's terms (`_prove`).  An
+    identity whose proof fails, or any identity of a rule without terms, is
+    scanned over its tuples, where `labels(t)` gives the labels x, y(, z) of
+    tuple t, and the first tuple with a nonzero residual is the witness (see
+    `decide` for the verdict's scope).  A residual has per-variable degree at
+    most the bracket depth of its identity times the rule's bound, so a grid
+    of one more value holds a witness of any failed proof: each of `grids`
+    ("grade", and "level" where levels vary) must have that many distinct
+    values, with or without terms."""
+    names = list(scans)
+    depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
+    bounds = {"grade": rule.grade_degree_bound, "level": rule.level_degree_bound}
+    for grid, values in grids.items():
+        _require_grid(grid, values, depth * bounds[grid] + 1)
+    proofs = [None] * len(names) if rule.terms is None else _prove(rule.terms, names)
+    # basis pairs recur across tuples and identities; cache their brackets
+    pair = functools.cache(rule.pair)
+    bracket = functools.partial(extend_bilinearly, pair)
+
+    def residual(name: str, t: tuple) -> Element:
+        leaves = dict(zip("xyz", labels(t)))
+        (acc,) = _evaluate((name,), lambda leaf: {leaves[leaf]: 1}, bracket)
+        return Element(acc)
+
+    return [
+        decide(proof, scans[name], functools.partial(residual, name))
+        for name, proof in zip(names, proofs)
+    ]
 
 
 def grid_identity_check(
@@ -444,63 +554,34 @@ def grid_identity_check(
     level_values: Sequence[IndexValue],
 ) -> Verdict:
     """Decide antisymmetry or Jacobi: by proof for all integer indices where
-    the rule has terms, by grid scan for the witness and for rules without.
-
-    A rule with terms is first proved from them (`_identity_residual`).
-    Otherwise the grid is scanned and the first failing grid point is the
-    witness, a tuple of (grade, level) pairs.  The residual has per-variable
-    degree at most the rule's bound (antisymmetry) or twice it (Jacobi), so
-    a grid of one more value holds a witness of any failed proof; the sizes
-    are required either way (see `decide` for the verdict's scope).
+    the rule has terms, by grid scan for the witness and for rules without
+    (`check_identities`).  A witness is a tuple of (grade, level) pairs.
 
     Orbit filters: antisymmetry keeps pairs x <= y and Jacobi keeps triples
     that are least among their cyclic rotations (positions in the grid
     order): [x,y] + [y,x] is symmetric, and a rotation's Jacobi sum adds the
     same three terms.
     """
-    if identity == "antisymmetry":
-        multiplier = 1
-    elif identity == "jacobi":
-        multiplier = 2
-    else:
+    if identity not in ("antisymmetry", "jacobi"):
         raise ValueError(f"unknown identity {identity!r}")
-    _require_grid("grade", grade_values, multiplier * rule.grade_degree_bound + 1)
-    _require_grid("level", level_values, multiplier * rule.level_degree_bound + 1)
-    proof = None if rule.terms is None else _identity_residual(rule.terms, identity)
-
     singles = list(
         itertools.product(
             normalize_index_values(grade_values), normalize_index_values(level_values)
         )
     )
-    # basis pairs recur across grid points; cache their bracket terms.  A
-    # Graded label equals its plain (grade, level) pair, so both share a slot.
-    pair_terms = functools.cache(lambda x, y: rule.pair(Graded(*x), Graded(*y)).terms)
-
     if identity == "antisymmetry":
-
-        def antisymmetry(t: tuple) -> Element:
-            x, y = t
-            return Element(accumulate(dict(pair_terms(x, y)), pair_terms(y, x).items()))
-
-        pairs = itertools.combinations_with_replacement(singles, 2)
-        return decide(proof, pairs, antisymmetry)
-
-    def jacobi(t: tuple) -> Element:
-        x, y, z = t
-        acc: dict[BasisIndex, Scalar] = {}
-        for outer, inner in ((x, (y, z)), (z, (x, y)), (y, (z, x))):
-            for mid, mid_coeff in pair_terms(*inner).items():
-                if mid is not CENTRAL:
-                    accumulate(acc, pair_terms(outer, mid).items(), mid_coeff)
-        return Element(acc)
-
-    rotation_least = (
-        (singles[k], singles[l], singles[m])
-        for k, l, m in itertools.product(range(len(singles)), repeat=3)
-        if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
+        tuples = itertools.combinations_with_replacement(singles, 2)
+    else:
+        tuples = (
+            (singles[k], singles[l], singles[m])
+            for k, l, m in itertools.product(range(len(singles)), repeat=3)
+            if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
+        )
+    grids = {"grade": grade_values, "level": level_values}
+    (verdict,) = check_identities(
+        rule, {identity: tuples}, lambda t: [Graded(*cell) for cell in t], grids
     )
-    return decide(proof, rotation_least, jacobi)
+    return verdict
 
 
 class ClosureError(ValueError):

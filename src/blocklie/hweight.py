@@ -167,24 +167,20 @@ def qp_annihilator(qp: QuasiPolynomial) -> Coeffs:
 
 @dataclass(frozen=True)
 class Weight:
-    """Highest-weight data: explicit labels up to a horizon, an optional
-    quasipolynomial generator that extends them to any horizon, and the
-    central label."""
+    """Highest-weight data: explicit labels up to a horizon and an optional
+    quasipolynomial generator that extends them to any horizon.  The central
+    label enters no route, so a weight does not carry it."""
 
     labels: Coeffs | None = None
     qp: QuasiPolynomial | None = None
-    central_label: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.labels is None and self.qp is None:
             raise ValueError("a weight needs explicit labels or a generator")
 
     @staticmethod
-    def from_labels(labels: Sequence, central_label=0) -> "Weight":
-        return Weight(
-            labels=tuple(Fraction(v) for v in labels),
-            central_label=Fraction(central_label),
-        )
+    def from_labels(labels: Sequence) -> "Weight":
+        return Weight(labels=tuple(Fraction(v) for v in labels))
 
 
 def _label_factor(params: BlockParams) -> tuple[int, int, int]:
@@ -207,7 +203,7 @@ def weight_labels(weight: Weight, params: BlockParams, horizon: int) -> Coeffs:
     if weight.labels is not None and len(weight.labels) > horizon:
         return weight.labels[: horizon + 1]
     if weight.qp is not None:
-        return labels_from_quasipolynomial(weight.qp, params, horizon).weight.labels
+        return labels_from_quasipolynomial(weight.qp, params, horizon)[0]
     have = len(weight.labels) - 1 if weight.labels else -1
     raise HorizonError(
         f"labels required to horizon {horizon}, but only {have} are available"
@@ -237,18 +233,13 @@ def delta_from_labels(weight: Weight, params: BlockParams, horizon: int) -> Delt
     )
 
 
-@dataclass(frozen=True)
-class LabelSynthesis:
-    weight: Weight
-    singular: tuple[int, ...]
-
-
 def labels_from_quasipolynomial(
     qp: QuasiPolynomial, params: BlockParams, horizon: int
-) -> LabelSynthesis:
+) -> tuple[Coeffs, tuple[int, ...]]:
     """Invert the series map: Lambda_k = c_k / (2q + (1-p^2)k) off the singular
     indices; there the convention Lambda_k = 0 applies and realizability
-    requires c_k = 0."""
+    requires c_k = 0.  Returns the labels Lambda_0..Lambda_horizon and the
+    singular indices."""
     a, b, g = _label_factor(params)
     labels = []
     singular = []
@@ -264,9 +255,7 @@ def labels_from_quasipolynomial(
             labels.append(Fraction(0))
         else:
             labels.append(Fraction(n * g, d * (a + b * k)))
-    return LabelSynthesis(
-        Weight(labels=tuple(labels), qp=qp), tuple(singular)
-    )
+    return tuple(labels), tuple(singular)
 
 
 @dataclass(frozen=True)

@@ -13,21 +13,24 @@ which is a Lie bracket exactly when the product is Novikov (left-symmetric
 plus right-commutative).  `theorem22_probe` observes that biconditional
 instead of assuming it, so a counterexample would surface as data.
 
-A closed-form rule also carries its product as `terms`, pairs (dgrade,
-coefficient Poly over the grades a, b and the parameters), so the axioms and
-the affinized Jacobi identity are proved as polynomial identities, one per
-output offset, before any grid point is evaluated, and only a proof holds
-universally.  The grid scans run only to find a witness when a proof fails,
-and for table rules, which hold on the tested grid only (`engine.decide`).
+A product is an `engine.BracketRule` on the Witt labels: its pair reads
+the grades only, and a closed-form product carries `terms` at offsets
+(dgrade, 0) with coefficient Polys over the grades a, b and the parameters,
+free of the levels.  So `engine.bracket_apply` extends a product
+bilinearly, and the Novikov axioms, like the affinized Jacobi identity, are
+read from the one identity table (`engine.IDENTITIES`): proved as
+polynomial identities, one per output offset, before any grid point is
+evaluated, and only a proof holds universally.  The grid scans run only to
+find a witness when a proof fails, and for table rules, which hold on the
+tested grid only (`engine.check_identities`).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .engine import (
     BracketRule,
@@ -35,16 +38,13 @@ from .engine import (
     Graded,
     Verdict,
     Window,
-    _require_grid,
-    decide,
-    degree_in,
-    extend_bilinearly,
+    check_identities,
     first_failure,
     grid_identity_check,
     index_ring,
     normalize_index_values,
 )
-from .scalars import Poly, Scalar, accumulate
+from .scalars import Scalar, accumulate
 
 
 @dataclass(frozen=True)
@@ -56,28 +56,6 @@ class WittNovikovParams:
     def __post_init__(self):
         if not isinstance(self.theta, int):
             raise ValueError("theta must be an integer shift")
-
-
-@dataclass(frozen=True)
-class ProductRule:
-    """Bilinear product of two Witt labels (grades only).
-
-    `terms`, when given, is the same product in exact form: pairs (dgrade,
-    coefficient), where the coefficient is a Poly over the parameters and
-    the grades a, b of x_a, x_b (see `engine.index_ring`) and the output is
-    x_{a+b+dgrade}.  `pair` must agree with it.  `grade_degree_bound` is read
-    from it (the largest degree in a or b of any offset's summed coefficient,
-    0 without terms), and only a rule with terms can hold universally.
-    """
-
-    pair: Callable[[int, int], Element]
-    terms: tuple[tuple[int, Poly], ...] | None = None
-    grade_degree_bound: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if self.terms is not None:
-            bound = degree_in(accumulate({}, self.terms), "ab")
-            object.__setattr__(self, "grade_degree_bound", bound)
 
 
 @dataclass(frozen=True)
@@ -94,11 +72,11 @@ def witt_novikov_product(params: WittNovikovParams, a, b) -> Element:
     return Element(accumulate({}, terms))
 
 
-def witt_product_rule(params: WittNovikovParams) -> ProductRule:
+def witt_product_rule(params: WittNovikovParams) -> BracketRule:
     ring, (p, mu) = index_ring(params.p, params.mu)
-    return ProductRule(
-        lambda a, b: witt_novikov_product(params, a, b),
-        terms=((0, ring.var("b") + p), (params.theta, mu)),
+    return BracketRule(
+        lambda x, y: witt_novikov_product(params, x.grade, y.grade),
+        terms=(((0, 0), ring.var("b") + p), ((params.theta, 0), mu)),
     )
 
 
@@ -107,7 +85,7 @@ def perturbed_witt_rule(
     target: str,
     exponents: tuple[int, int],
     delta: Scalar,
-) -> ProductRule:
+) -> BracketRule:
     """Witt-type rule with `delta * a^ea * b^eb` added to one coefficient.
 
     `target` picks the term: "main" perturbs the (b+p) coefficient of
@@ -121,19 +99,20 @@ def perturbed_witt_rule(
 
     shift = 0 if target == "main" else params.theta
 
-    def pair(a, b) -> Element:
+    def pair(x: Graded, y: Graded) -> Element:
+        a, b = x.grade, y.grade
         bump = delta * a**ea * b**eb
         out = witt_novikov_product(params, a, b)
         return out + Element.basis(Graded(a + b + shift, 0), bump)
 
     ring, (p, mu, scale) = index_ring(params.p, params.mu, delta)
     a, b = ring.var("a"), ring.var("b")
-    terms = ((0, b + p), (params.theta, mu), (shift, scale * a**ea * b**eb))
-    return ProductRule(pair, terms)
+    terms = (((0, 0), b + p), ((params.theta, 0), mu), ((shift, 0), scale * a**ea * b**eb))
+    return BracketRule(pair, terms)
 
 
-def table_product_rule(entries: dict[tuple[int, int], Element]) -> ProductRule:
-    """Product given extensionally on a small index window.
+def table_product_rule(entries: dict[tuple[int, int], Element]) -> BracketRule:
+    """Product given extensionally on a small index window, keyed by grades.
 
     Index pairs absent from the table multiply to zero (finite-support
     convention).  A table has no terms, so axiom verdicts on it hold only
@@ -141,15 +120,10 @@ def table_product_rule(entries: dict[tuple[int, int], Element]) -> ProductRule:
     """
     table = dict(entries)
 
-    def pair(a, b) -> Element:
-        return table.get((a, b), Element.zero())
+    def pair(x: Graded, y: Graded) -> Element:
+        return table.get((x.grade, y.grade), Element.zero())
 
-    return ProductRule(pair)
-
-
-def product_apply(rule: ProductRule, x: Element, y: Element) -> Element:
-    """Bilinear extension of a product rule to Witt Elements."""
-    return extend_bilinearly(lambda ix, iy: rule.pair(ix.grade, iy.grade), x, y)
+    return BracketRule(pair)
 
 
 @dataclass(frozen=True)
@@ -162,116 +136,45 @@ class NovikovVerdicts:
         return self.left_symmetry.holds and self.right_commutativity.holds
 
 
-def _axiom_residuals(terms) -> tuple[dict, dict]:
-    """The left-symmetry and right-commutativity residuals of a product's
-    terms at x_a, x_b, x_c, each as {total output offset: Poly over the
-    grades}; a residual is empty exactly when its axiom holds for all grades.
-    """
-    if not terms:
-        return {}, {}
-    ring = terms[0][1].ring
-    a, b, c = ring.var("a"), ring.var("b"), ring.var("c")
-
-    def at(first, second) -> list[tuple]:  # x_first x_second; output grade first+second+offset
-        images = {"a": first, "b": second}
-        return [(offset, coeff.compose(ring, images)) for offset, coeff in terms]
-
-    def assoc(sign: int, first, second, third) -> list[tuple]:
-        # sign * ((x_first x_second) x_third)
-        return [
-            (o1 + o2, sign * c1 * c2)
-            for o1, c1 in at(first, second)
-            for o2, c2 in at(first + second + o1, third)
-        ]
-
-    def left(sign: int, first, second, third) -> list[tuple]:
-        # sign * (x_first (x_second x_third))
-        return [
-            (o1 + o2, sign * c1 * c2)
-            for o1, c1 in at(second, third)
-            for o2, c2 in at(first, second + third + o1)
-        ]
-
-    abc = assoc(1, a, b, c)
-    left_symmetry = abc + left(-1, a, b, c) + assoc(-1, b, a, c) + left(1, b, a, c)
-    return accumulate({}, left_symmetry), accumulate({}, abc + assoc(-1, a, c, b))
-
-
-def novikov_axiom_check(
-    rule: ProductRule, grade_values: Sequence
-) -> NovikovVerdicts:
-    """Decide left symmetry (ab)c - a(bc) = (ba)c - b(ac) and right
-    commutativity (ab)c = (ac)b: by proof where the rule has terms, by grid
-    scan for the witness and for rules without.
-
-    A rule with terms proves each axiom from them (`_axiom_residuals`).
-    Otherwise the grid is scanned and the first failing triple is the
-    witness.  A residual has per-variable degree at most twice the rule's
-    bound, so 2*bound + 1 grid values hold a witness of any failed proof;
-    the size is required either way (see `engine.decide` for the scope).
+def novikov_axiom_check(rule: BracketRule, grade_values: Sequence) -> NovikovVerdicts:
+    """Decide left symmetry (xy)z - x(yz) = (yx)z - y(xz) and right
+    commutativity (xy)z = (xz)y on the product: by proof where the rule has
+    terms, by grid scan for the witness and for rules without
+    (`engine.check_identities`).  A witness is a triple of grades.
 
     Orbit filters: left symmetry is evaluated only where a comes before b in
     the grid and right commutativity only where b comes before c; each
     residual changes sign when those two slots swap and is zero when they
     are equal."""
-    _require_grid("grade", grade_values, 2 * rule.grade_degree_bound + 1)
-    grade_values = normalize_index_values(grade_values)
-    left_proof, right_proof = (None, None) if rule.terms is None else _axiom_residuals(rule.terms)
-
-    # grade pairs recur across grid points; cache their product terms
-    prod_terms = functools.cache(lambda a, b: rule.pair(a, b).terms)
-
-    def add_assoc(acc: dict, sign: int, first, second, third) -> None:
-        # sign * ((x_first x_second) x_third)
-        for mid, cm in prod_terms(first, second).items():
-            accumulate(acc, prod_terms(mid.grade, third).items(), sign * cm)
-
-    def add_left(acc: dict, sign: int, first, second, third) -> None:
-        # sign * (x_first (x_second x_third))
-        for mid, cm in prod_terms(second, third).items():
-            accumulate(acc, prod_terms(first, mid.grade).items(), sign * cm)
-
-    def left_symmetry(t: tuple) -> Element:
-        ga, gb, gc = t
-        acc: dict = {}
-        add_assoc(acc, 1, ga, gb, gc)
-        add_left(acc, -1, ga, gb, gc)
-        add_assoc(acc, -1, gb, ga, gc)
-        add_left(acc, 1, gb, ga, gc)
-        return Element(acc)
-
-    def right_commutativity(t: tuple) -> Element:
-        ga, gb, gc = t
-        acc: dict = {}
-        add_assoc(acc, 1, ga, gb, gc)
-        add_assoc(acc, -1, ga, gc, gb)
-        return Element(acc)
-
-    pairs = list(itertools.combinations(grade_values, 2))
-    a_before_b = ((ga, gb, gc) for ga, gb in pairs for gc in grade_values)
-    b_before_c = ((ga, gb, gc) for ga in grade_values for gb, gc in pairs)
-    return NovikovVerdicts(
-        decide(left_proof, a_before_b, left_symmetry),
-        decide(right_proof, b_before_c, right_commutativity),
+    values = normalize_index_values(grade_values)
+    pairs = list(itertools.combinations(values, 2))
+    scans = {
+        "left_symmetry": ((ga, gb, gc) for ga, gb in pairs for gc in values),
+        "right_commutativity": ((ga, gb, gc) for ga in values for gb, gc in pairs),
+    }
+    verdicts = check_identities(
+        rule, scans, lambda t: [Graded(g, 0) for g in t], {"grade": grade_values}
     )
+    return NovikovVerdicts(*verdicts)
 
 
-def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
+def affinize(rule: BracketRule, params: AffinizationParams) -> BracketRule:
     """Bracket [a[m], b[n]] = (m+q)(ab)[m+n] - (n+q)(ba)[m+n] on Graded(grade, m).
 
     A product with terms gives a bracket with terms: per product term
-    (dgrade, c(a, b)), the coefficient (i+q)c(a,b) - (j+q)c(b,a) at offset
-    (dgrade, 0).  Otherwise the bracket is a bare callable."""
+    ((dgrade, 0), c(a, b)), the coefficient (i+q)c(a,b) - (j+q)c(b,a) at
+    the same offset.  Otherwise the bracket is a bare callable."""
     q = params.q
 
     def relevel(product: Element, level):
         return ((Graded(i.grade, level), c) for i, c in product.terms.items())
 
     def pair(x: Graded, y: Graded) -> Element:
+        # the product reads the grades only
         m, n = x.level, y.level
         acc: dict = {}
-        accumulate(acc, relevel(rule.pair(x.grade, y.grade), m + n), m + q)
-        accumulate(acc, relevel(rule.pair(y.grade, x.grade), m + n), -(n + q))
+        accumulate(acc, relevel(rule.pair(x, y), m + n), m + q)
+        accumulate(acc, relevel(rule.pair(y, x), m + n), -(n + q))
         return Element._wrap(acc)
 
     if rule.terms is None:
@@ -281,7 +184,7 @@ def affinize(rule: ProductRule, params: AffinizationParams) -> BracketRule:
     a, i, b, j = (ring.var(name) for name in "aibj")
     swap = {"a": b, "b": a}
     terms = tuple(
-        ((offset, 0), (i + q_poly) * coeff - (j + q_poly) * coeff.compose(ring, swap))
+        (offset, (i + q_poly) * coeff - (j + q_poly) * coeff.compose(ring, swap))
         for (offset, _), coeff in zip(rule.terms, coeffs)
     )
     return BracketRule(pair, terms)
@@ -297,7 +200,7 @@ class ProbeReport:
 
 
 def theorem22_probe(
-    rule: ProductRule,
+    rule: BracketRule,
     params: AffinizationParams,
     grade_values: Sequence,
     level_values: Sequence,

@@ -194,7 +194,7 @@ def test_criterion_06_classification_round_trip():
             params = BlockParams(p=p, q=q)
             annihilator = qp_annihilator(qp)
             horizon = 2 * (len(annihilator) - 1) + 4
-            weight = labels_from_quasipolynomial(qp, params, horizon).weight
+            weight = Weight(labels_from_quasipolynomial(qp, params, horizon)[0], qp)
             report = classify_quasifinite(weight, params, horizon)
             assert report.verdict == "quasifinite", qp
             assert report.certificate.annihilator == annihilator, qp
@@ -227,7 +227,7 @@ def test_criterion_08_cross_check_oracle():
         for scale, base in ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1)),
                             (Fraction(1, 2), Fraction(1, 3))):
             qp = QuasiPolynomial.of([([scale], base)])
-            weight = labels_from_quasipolynomial(qp, params, 10).weight
+            weight = Weight(labels_from_quasipolynomial(qp, params, 10)[0], qp)
             candidates = singular_vector_solve(weight, params, 1, 6)
             assert [c.coefficients for c in candidates] == [(-base, Fraction(1))]
             assert qp_annihilator(qp) == (-base, Fraction(1))

@@ -1,9 +1,10 @@
 """Differential test of the one bilinear path against a naive reference.
 
-`bracket_apply`, `block_bracket`, `product_apply` and `intermediate.act` all
-extend a basis formula linearly through `scalars.accumulate`.  The reference
-here expands the same basis formula term by term into a plain dict and drops
-zeros only at the end, so it shares no summation code with the program.
+`bracket_apply` (on brackets and on products), `block_bracket` and
+`intermediate.act` all extend a basis formula linearly through
+`scalars.accumulate`.  The reference here expands the same basis formula term
+by term into a plain dict and drops zeros only at the end, so it shares no
+summation code with the program.
 """
 
 from fractions import Fraction
@@ -18,7 +19,6 @@ from blocklie.novikov import (
     AffinizationParams,
     WittNovikovParams,
     affinize,
-    product_apply,
     witt_product_rule,
 )
 from blocklie.scalars import PolyRing, scalar_is_zero
@@ -114,14 +114,14 @@ def test_affinized_bracket_apply_matches_naive(witt, q, data):
     ),
     st.data(),
 )
-def test_product_apply_matches_naive(witt, data):
+def test_product_bracket_apply_matches_naive(witt, data):
     rule = witt_product_rule(witt)
     witt_labels = st.builds(Graded, st.integers(-3, 3), st.just(0))
     x, y = data.draw(element_pairs(st.one_of(rationals, poly_coeffs), witt_labels))
     reference = naive_sum(
-        (cx * cy, rule.pair(ix.grade, iy.grade)) for ix, cx, iy, cy in graded_pairs(x, y)
+        (cx * cy, rule.pair(ix, iy)) for ix, cx, iy, cy in graded_pairs(x, y)
     )
-    assert_same(product_apply(rule, x, y), reference)
+    assert_same(bracket_apply(rule, x, y), reference)
 
 
 kinds = st.one_of(

@@ -594,6 +594,19 @@ EXIT_CASES = [
             "weight_range": [-100, 101],
         },
     ),
+    (
+        "modcheck_pair_weights_over_limit",
+        2,
+        {
+            "job": "modcheck",
+            "p": "3",
+            "q": "1",
+            "family": "Ba",
+            "a": "2",
+            "window": {"grade_min": -49, "grade_max": 50, "level_max": 9},
+            "weight_range": [0, 1],
+        },
+    ),
 ]
 
 
@@ -647,7 +660,7 @@ def test_oversized_window_is_named(tmp_path, capsys):
     "job,fields",
     [
         ("closure", {"p": "1", "q": "1", "generators": ["L[1,0]"]}),
-        ("modcheck", {"p": "1", "q": "1", "family": "Ba", "a": "0", "weight_range": [0, 1]}),
+        ("modcheck", {"p": "1", "q": "1", "family": "Ba", "a": "0", "weight_range": [0, 0]}),
         ("blockcheck", {"p": "1", "q": "1"}),
     ],
 )
@@ -738,6 +751,11 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
             "modcheck_weight_range_over_limit",
             "modcheck: field 'weight_range' spans 202 weights, more than the 201 allowed",
         ),
+        (
+            "modcheck_pair_weights_over_limit",
+            "modcheck: fields 'window' and 'weight_range' give 1000000 label pairs x 2 weights, "
+            "more than the 1000000 allowed",
+        ),
     ],
 )
 def test_rejected_inputs_are_named_before_any_work(tmp_path, name, message):
@@ -757,6 +775,17 @@ def test_work_limits_are_inclusive(tmp_path):
     ]
     for payload in at_limit:
         load_config(write_config(tmp_path, payload))
+
+
+def test_pair_weight_limit_is_inclusive(tmp_path):
+    # 100 labels (grades -4..5, levels 0..9): 100^2 label pairs x 100 weights
+    # is the limit; validation runs nothing, so neither config is run
+    payload = {case[0]: case[2] for case in EXIT_CASES}["modcheck_pair_weights_over_limit"]
+    payload = {**payload, "window": {"grade_min": -4, "grade_max": 5, "level_max": 9}}
+    assert 100**2 * 100 == cli.MAX_PAIR_WEIGHTS
+    load_config(write_config(tmp_path, {**payload, "weight_range": [0, 99]}))
+    with pytest.raises(ConfigError, match="give 10000 label pairs x 101 weights, more than"):
+        load_config(write_config(tmp_path, {**payload, "weight_range": [0, 100]}))
 
 
 def test_element_errors_name_their_field(tmp_path, capsys):
@@ -784,27 +813,58 @@ CONFIGS = sorted(
     if not path.name.endswith(".report.json")
 )
 BAD_VALUES = {"true": True, "float": 1.5, "object": {"x": 1}}
+
+
+def nested_fields(value, keys=()):
+    """The keys of every field below the top level of a config, through
+    objects and lists of objects: ("weight", "qp", 0, "base") and so on."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            if keys:
+                yield keys + (key,)
+            yield from nested_fields(inner, keys + (key,))
+    elif isinstance(value, list):
+        for k, inner in enumerate(value):
+            if isinstance(inner, dict):
+                yield from nested_fields(inner, keys + (k,))
+
+
+def field_path(keys) -> str:
+    """The path the CLI names a field by, such as `weight.qp[0].base`."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)[1:]
+
+
+# every top-level field of every archived config with three wrong-type
+# values, and every nested field with one: `true` is no integer, rational,
+# string, list or object the CLI accepts
 FIELD_CASES = [
-    (path, name, bad)
+    (path, (name,), bad)
     for path in CONFIGS
     for name in json.loads(path.read_text())
     if name != "job"
     for bad in BAD_VALUES
 ]
+FIELD_CASES += [
+    (path, keys, "true") for path in CONFIGS for keys in nested_fields(json.loads(path.read_text()))
+]
 
 
 @pytest.mark.parametrize(
-    "path,name,bad",
+    "path,keys,bad",
     FIELD_CASES,
-    ids=[f"{path.stem}-{name}-{bad}" for path, name, bad in FIELD_CASES],
+    ids=[f"{path.stem}-{field_path(keys)}-{bad}" for path, keys, bad in FIELD_CASES],
 )
-def test_malformed_field_exits_2_and_is_named(tmp_path, capsys, path, name, bad):
-    # every top-level field of every archived config, replaced by a value of
-    # the wrong type: the error names the field or a path under it
+def test_malformed_field_exits_2_and_is_named(tmp_path, capsys, path, keys, bad):
+    # a field replaced by a value of the wrong type: the error names the
+    # field or a path under it
     payload = json.loads(path.read_text())
-    payload[name] = BAD_VALUES[bad]
+    parent = payload
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = BAD_VALUES[bad]
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     err = capsys.readouterr().err
+    name = field_path(keys)
     assert any(f"'{name}{end}" in err for end in ("'", ".", "[")), err
 
 
@@ -985,6 +1045,7 @@ def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
         ("modcheck_central_one", 1),
         ("blockcheck_symbolic", 0),
         ("blockcheck_concrete", 0),
+        ("axioms_table_fails", 1),
     ],
 )
 def test_archived_verify_reports_reproduce_byte_identically(name, expected, capsys):
@@ -993,8 +1054,9 @@ def test_archived_verify_reports_reproduce_byte_identically(name, expected, caps
     # with symbolic p and mu, a six-entry mutation sweep, and a module whose
     # central element acts by 1; from the hand-written blockcheck loops:
     # symbolic p and q, and concrete rationals, each on unsorted rational grids;
-    # and from the scan-only grid checks: symbolic p, mu and q on rational
-    # grades and levels, with mutations that hold and fail
+    # from the scan-only grid checks: symbolic p, mu and q on rational
+    # grades and levels, with mutations that hold and fail; and a table
+    # product failing both Novikov axioms past the first triple
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == expected
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()

@@ -79,7 +79,7 @@ def full_grid_identity_check(rule, identity, grade_values, level_values):
 
 def full_novikov_axiom_check(rule, grade_values):
     def prod_terms(a, b):
-        return rule.pair(a, b).terms
+        return rule.pair(Graded(a, 0), Graded(b, 0)).terms
 
     def add_assoc(acc, sign, first, second, third):
         for mid, cm in prod_terms(first, second).items():

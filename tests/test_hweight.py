@@ -1,3 +1,5 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -5,6 +7,7 @@ from math import factorial
 import pytest
 
 from blocklie.block import BlockParams, parabolic_degree_zero
+from blocklie.cli import load_config, run_job
 from blocklie.engine import Element, Graded
 from blocklie.hweight import (
     DeltaSeries,
@@ -33,6 +36,12 @@ def qp_exp(scale, base):
     return QuasiPolynomial.of([([scale], base)])
 
 
+def synthesized(qp, params, horizon) -> Weight:
+    """The weight of the labels synthesized from `qp`, with `qp` as its generator."""
+    labels, _ = labels_from_quasipolynomial(qp, params, horizon)
+    return Weight(labels=labels, qp=qp)
+
+
 def test_delta_from_labels_examples():
     weight = Weight.from_labels([1, -2, Fraction(-1, 2)])
     assert delta_from_labels(weight, P21, 2).coeffs == (2, 2, 2)
@@ -51,19 +60,15 @@ def test_weight_labels_horizon_error():
 
 
 def test_labels_from_quasipolynomial_examples():
-    synthesis = labels_from_quasipolynomial(qp_exp(2, 1), P21, 2)
-    assert synthesis.weight.labels == (1, -2, Fraction(-1, 2))
-    assert synthesis.singular == ()
+    assert labels_from_quasipolynomial(qp_exp(2, 1), P21, 2) == ((1, -2, Fraction(-1, 2)), ())
 
     p34 = BlockParams(p=Fraction(3), q=Fraction(4))
     assert singular_indices(p34, 5) == (1,)
     constant = qp_exp(1, 0)  # the constant function 1
-    synthesis = labels_from_quasipolynomial(constant, p34, 4)
-    assert synthesis.singular == (1,)
-    assert synthesis.weight.labels == (Fraction(1, 8), 0, 0, 0, 0)
+    assert labels_from_quasipolynomial(constant, p34, 4) == ((Fraction(1, 8), 0, 0, 0, 0), (1,))
 
     zero = QuasiPolynomial.of([])
-    assert labels_from_quasipolynomial(zero, P21, 3).weight.labels == (0, 0, 0, 0)
+    assert labels_from_quasipolynomial(zero, P21, 3)[0] == (0, 0, 0, 0)
 
 
 def test_unrealizable_quasipolynomial_names_the_index():
@@ -110,9 +115,9 @@ def test_qp_annihilator_examples():
 
 def test_singular_vector_solve_geometric_case():
     # Lambda_k = 2^k/(2+k) synthesized from Delta = e^{2z} at p=0, q=1
-    synthesis = labels_from_quasipolynomial(qp_exp(1, 2), P01, 10)
-    assert synthesis.weight.labels[:3] == (Fraction(1, 2), Fraction(2, 3), 1)
-    candidates = singular_vector_solve(synthesis.weight, P01, 1, 3)
+    weight = synthesized(qp_exp(1, 2), P01, 10)
+    assert weight.labels[:3] == (Fraction(1, 2), Fraction(2, 3), 1)
+    candidates = singular_vector_solve(weight, P01, 1, 3)
     assert len(candidates) == 1
     assert candidates[0].coefficients == (-2, 1)
     assert candidates[0].verified_horizon == 3
@@ -157,7 +162,7 @@ def test_singular_matrix_rows_are_weight_of_parabolic_images():
 
 
 def test_classify_quasifinite_generator_mode():
-    weight = labels_from_quasipolynomial(qp_exp(2, 1), P21, 10).weight
+    weight = synthesized(qp_exp(2, 1), P21, 10)
     report = classify_quasifinite(weight, P21, 10)
     assert report.verdict == "quasifinite"
     assert report.certificate.annihilator == (-1, 1)
@@ -193,8 +198,7 @@ def test_round_trip_reproduces_series_off_singular_indices():
         qp = QuasiPolynomial.of(terms)
         horizon = 9
         params = P21  # no singular indices: 2 - 3k never vanishes on integers
-        synthesis = labels_from_quasipolynomial(qp, params, horizon)
-        series = delta_from_labels(synthesis.weight, params, horizon)
+        series = delta_from_labels(synthesized(qp, params, horizon), params, horizon)
         assert series.coeffs == qp.series(horizon)
 
 
@@ -221,16 +225,15 @@ def test_round_trip_reproduces_series_at_a_singular_index(p, q, singular):
         qp = QuasiPolynomial.of(terms)
         series = qp.series(horizon)
         assert series[singular] == 0
-        synthesis = labels_from_quasipolynomial(qp, params, horizon)
-        assert synthesis.singular == (singular,)
-        labels = synthesis.weight.labels
+        labels, singulars = labels_from_quasipolynomial(qp, params, horizon)
+        assert singulars == (singular,)
         assert labels[singular] == 0
         p_, q_ = params.p, params.q
         assert all(
             (2 * q_ + (1 - p_ * p_) * k) * labels[k] == series[k] for k in range(horizon + 1)
         )
         # both the generator and the bare labels give the series back
-        assert delta_from_labels(synthesis.weight, params, horizon).coeffs == series
+        assert delta_from_labels(Weight(labels, qp), params, horizon).coeffs == series
         assert delta_from_labels(Weight.from_labels(labels), params, horizon).coeffs == series
 
 
@@ -283,7 +286,7 @@ def test_certificate_is_minimal_and_divides_annihilator():
 
 
 def test_criteria_cross_check_p0_oracle():
-    weight = labels_from_quasipolynomial(qp_exp(1, 2), P01, 10).weight
+    weight = synthesized(qp_exp(1, 2), P01, 10)
     report = criteria_cross_check(weight, P01, 1, 6)
     assert report.delta_route and report.kernel_route
     assert report.routes_agree
@@ -300,7 +303,7 @@ def test_criteria_cross_check_zero_weight():
 
 
 def test_criteria_cross_check_p2_disagreement_is_reported_not_patched():
-    weight = labels_from_quasipolynomial(qp_exp(2, 1), P21, 10).weight
+    weight = synthesized(qp_exp(2, 1), P21, 10)
     report = criteria_cross_check(weight, P21, 1, 6)
     assert report.delta_route is True
     assert report.kernel_route is False
@@ -314,7 +317,7 @@ def test_p0_kernel_is_exactly_series_annihilation():
     params = P01
     qp = QuasiPolynomial.of([([1, 1], 2)])  # (1+z)e^{2z}, annihilator (t-2)^2
     horizon = 12
-    weight = labels_from_quasipolynomial(qp, params, horizon).weight
+    weight = synthesized(qp, params, horizon)
     series = qp.series(horizon)
     max_level, j_max = 2, 6
 
@@ -332,21 +335,22 @@ def test_p0_kernel_is_exactly_series_annihilation():
     assert not annihilates((1, 0, 0))
 
 
-def test_central_label_never_enters_any_verdict():
-    base = labels_from_quasipolynomial(qp_exp(1, 2), P01, 10).weight
-    perturbed = Weight(
-        labels=base.labels, qp=base.qp, central_label=Fraction(17, 3)
-    )
-    assert delta_from_labels(base, P01, 8) == delta_from_labels(perturbed, P01, 8)
-    assert classify_quasifinite(base, P01, 8) == classify_quasifinite(
-        perturbed, P01, 8
-    )
-    assert singular_vector_solve(base, P01, 1, 5) == singular_vector_solve(
-        perturbed, P01, 1, 5
-    )
-    assert criteria_cross_check(base, P01, 1, 5) == criteria_cross_check(
-        perturbed, P01, 1, 5
-    )
+def test_central_label_never_enters_any_verdict(tmp_path):
+    # a config's weight.central is echoed, and no route reads it
+    weights = ({"qp": [{"poly": ["1"], "base": "2"}]}, {"labels": [str(k) for k in range(9)]})
+    shapes = {"classify": {"horizon": 8}, "singular": {"max_level": 1, "horizon": 5}}
+    shapes["crosscheck"] = shapes["singular"]
+    for (job, shape), weight in itertools.product(shapes.items(), weights):
+        results = []
+        for central in ("0", "17/3"):
+            payload = {"job": job, "p": "0", "q": "1", **shape}
+            payload["weight"] = {**weight, "central": central}
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(payload))
+            report = run_job(load_config(str(path)))
+            assert report.config["weight"]["central"] == central
+            results.append(report.results)
+        assert results[0] == results[1], (job, weight)
 
 
 def test_weight_requires_labels_or_generator():

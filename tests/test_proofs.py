@@ -25,16 +25,14 @@ from blocklie.block import BlockParams, delta_free_rule
 from blocklie.engine import (
     BracketRule,
     Graded,
-    _identity_residual,
+    _prove,
     grid_identity_check,
     index_ring,
 )
 from blocklie.novikov import (
     AffinizationParams,
-    ProductRule,
     WittNovikovParams,
     affinize,
-    _axiom_residuals,
     novikov_axiom_check,
     perturbed_witt_rule,
     witt_product_rule,
@@ -100,7 +98,7 @@ def test_novikov_proof_matches_scan(rule, data):
     grades = data.draw(grids(2 * rule.grade_degree_bound + 1))
     proved = novikov_axiom_check(rule, grades)
     scanned = novikov_axiom_check(scan_only(rule), grades)
-    left, right = _axiom_residuals(rule.terms)
+    left, right = _prove(rule.terms, ("left_symmetry", "right_commutativity"))
     assert_routes_agree(proved.left_symmetry, scanned.left_symmetry, left)
     assert_routes_agree(proved.right_commutativity, scanned.right_commutativity, right)
 
@@ -113,7 +111,8 @@ def test_identity_proof_matches_scan(rule, identity, data):
     levels = data.draw(grids(multiplier * rule.level_degree_bound + 1))
     proved = grid_identity_check(rule, identity, grades, levels)
     scanned = grid_identity_check(scan_only(rule), identity, grades, levels)
-    assert_routes_agree(proved, scanned, _identity_residual(rule.terms, identity))
+    (proof,) = _prove(rule.terms, (identity,))
+    assert_routes_agree(proved, scanned, proof)
 
 
 def lifted(ring, element) -> dict:
@@ -125,34 +124,29 @@ def lifted(ring, element) -> dict:
 
 
 def evaluated(terms, x: Graded, y: Graded) -> dict:
-    """The terms at L[x], L[y] (grades only for a product): {label: Poly}."""
+    """The terms at L[x], L[y]: {label: Poly}."""
     acc: dict = {}
-    for offset, coeff in terms:
-        point = {"a": x.grade, "b": y.grade}
-        if isinstance(offset, tuple):
-            point.update(i=x.level, j=y.level)
-            label = Graded(x.grade + y.grade + offset[0], x.level + y.level + offset[1])
-        else:
-            label = Graded(x.grade + y.grade + offset, 0)
+    point = {"a": x.grade, "i": x.level, "b": y.grade, "j": y.level}
+    for (dg, dl), coeff in terms:
+        label = Graded(x.grade + y.grade + dg, x.level + y.level + dl)
         accumulate(acc, ((label, coeff.substitute(point)),))
     return acc
 
 
 @SETTINGS
 @given(
-    st.one_of(product_rules(), bracket_rules()),
+    st.one_of(
+        st.tuples(product_rules(), st.just(False)), st.tuples(bracket_rules(), st.just(True))
+    ),
     st.lists(st.one_of(st.integers(-9, 9), rationals), min_size=4, max_size=4),
 )
-def test_pair_equals_its_terms(rule, point):
+def test_pair_equals_its_terms(drawn, point):
+    rule, leveled = drawn
     a, i, b, j = point
     ring = rule.terms[0][1].ring
-    if isinstance(rule, ProductRule):
-        got = rule.pair(a, b)
-        x, y = Graded(a, 0), Graded(b, 0)
-    else:
-        x, y = Graded(a, i), Graded(b, j)
-        got = rule.pair(x, y)
-    assert lifted(ring, got) == evaluated(rule.terms, x, y)
+    # a product reads grades only, so it is checked on the Witt labels L[a,0]
+    x, y = (Graded(a, i), Graded(b, j)) if leveled else (Graded(a, 0), Graded(b, 0))
+    assert lifted(ring, rule.pair(x, y)) == evaluated(rule.terms, x, y)
 
 
 def test_index_ring_lifts_parameters_and_rejects_clashes():
@@ -181,7 +175,7 @@ def test_rules_without_terms_hold_on_the_tested_grid():
     for identity in ("antisymmetry", "jacobi"):
         verdict = grid_identity_check(bare, identity, [-1, 0, 1], [0, 1, 2])
         assert verdict.holds and str(verdict) == "holds_on_tested_grid"
-    witt = ProductRule(witt_product_rule(WittNovikovParams(Fraction(1, 2), 3, 1)).pair)
+    witt = BracketRule(witt_product_rule(WittNovikovParams(Fraction(1, 2), 3, 1)).pair)
     assert witt.grade_degree_bound == 0
     verdicts = novikov_axiom_check(witt, [-2, -1, 0, 1, 2])
     for verdict in (verdicts.left_symmetry, verdicts.right_commutativity):
@@ -197,7 +191,7 @@ def test_universal_verdicts_come_from_the_proof_alone():
     verdict = grid_identity_check(rule, "jacobi", [-1, 0, 1], [0, 1, 2])
     assert str(verdict) == "holds_universally" and not calls
     witt = witt_product_rule(WittNovikovParams(Fraction(1, 2), 3, 1))
-    verdicts = novikov_axiom_check(ProductRule(counting(witt.pair, calls), witt.terms), [-1, 0, 1])
+    verdicts = novikov_axiom_check(BracketRule(counting(witt.pair, calls), witt.terms), [-1, 0, 1])
     assert str(verdicts.left_symmetry) == str(verdicts.right_commutativity) == "holds_universally"
     assert not calls
     broken = perturbed_witt_rule(WittNovikovParams(1), "main", (1, 0), Fraction(1))
@@ -210,7 +204,7 @@ def test_pair_disagreeing_with_its_terms_raises_instead_of_holding():
     witt = witt_product_rule(WittNovikovParams(1))
     b = witt.terms[0][1].ring.var("b")
     # the Witt pair is Novikov; terms b^2 x_{a+b} are not, and size a grid of 5
-    squared = dataclasses.replace(witt, terms=((0, b**2),))
+    squared = dataclasses.replace(witt, terms=(((0, 0), b**2),))
     assert squared.grade_degree_bound == 2
     with pytest.raises(ValueError, match="pair disagrees with its terms"):
         novikov_axiom_check(squared, [-2, -1, 0, 1, 2])
@@ -247,5 +241,5 @@ def test_degree_bounds_are_read_from_the_terms():
         assert (rule.grade_degree_bound, rule.level_degree_bound) == (1, 1)
     # terms of equal offset are summed before their degree is read
     a = index_ring()[0].var("a")
-    assert ProductRule(lambda a, b: None, ((0, a**2), (0, -(a**2)))).grade_degree_bound == 0
-    assert ProductRule(lambda a, b: None, ((0, a**2), (1, -(a**2)))).grade_degree_bound == 2
+    assert BracketRule(None, (((0, 0), a**2), ((0, 0), -(a**2)))).grade_degree_bound == 0
+    assert BracketRule(None, (((0, 0), a**2), ((1, 0), -(a**2)))).grade_degree_bound == 2
