@@ -73,20 +73,21 @@ def triangular_part(index) -> str:
     return "zero" if index.grade == 0 else "positive"
 
 
-def structure_coefficient(params: BlockParams, x: Graded, y: Graded) -> Scalar:
-    """(i+q)(b+p) - (j+q)(a+p) for x = L[a,i], y = L[b,j].
+def structure_numerator(params: BlockParams, x: Graded, y: Graded) -> int:
+    """(i*qd+qn)(b*pd+pn) - (j*qd+qn)(a*pd+pn) for x = L[a,i], y = L[b,j] and
+    rational p = pn/pd, q = qn/qd: `structure_coefficient` times pd*qd."""
+    p, q = params.p, params.q
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    return (x.level * qd + qn) * (y.grade * pd + pn) - (y.level * qd + qn) * (x.grade * pd + pn)
 
-    For rational p = pn/pd and q = qn/qd it is computed over the integers as
-    ((i*qd+qn)(b*pd+pn) - (j*qd+qn)(a*pd+pn)) / (pd*qd), with one
-    normalization."""
+
+def structure_coefficient(params: BlockParams, x: Graded, y: Graded) -> Scalar:
+    """(i+q)(b+p) - (j+q)(a+p) for x = L[a,i], y = L[b,j]; for rational p
+    and q, one normalization of `structure_numerator`."""
     p, q = params.p, params.q
     if isinstance(p, Poly) or isinstance(q, Poly):
         return (x.level + q) * (y.grade + p) - (y.level + q) * (x.grade + p)
-    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
-    return Fraction(
-        (x.level * qd + qn) * (y.grade * pd + pn) - (y.level * qd + qn) * (x.grade * pd + pn),
-        pd * qd,
-    )
+    return Fraction(structure_numerator(params, x, y), p.denominator * q.denominator)
 
 
 def _check_levels(element: Element) -> None:
@@ -257,7 +258,7 @@ def parabolic_degree_zero(
         w_j = sum_i c_i (2q + i + j + p(i-j)) L[0,i+j],   j = 0..level_max,
 
     the coefficient being `structure_coefficient` of L[-1,i] and L[1,j]; the
-    kernel rows of `hweight.singular_vector_solve` read the same function.
+    kernel rows of `hweight.singular_vector_solve` read its numerator.
     """
     if a.is_zero():
         raise ValueError("the grade -1 element must be nonzero")

@@ -28,8 +28,9 @@ states the witness contract and the rule for skipping tuples by symmetry.
 rational) inside a finite window, discarding bracket products that land
 outside.  A rule that states its output `offsets` lets it skip, without
 computing any coefficient, every basis pair whose bracket cannot reach the
-window.  It keeps one sparse reduced echelon basis (`_Echelon`) over the
-window coordinates ordered grade asc, level asc, central last, and runs
+window.  It keeps one sparse echelon basis (`_Echelon`) of integer rows over
+the window coordinates ordered grade asc, level asc, central last, forms each
+product as an integer row from cached integer pair brackets, and runs
 semi-naive rounds: a round brackets only the rows whose pivot is new since
 the last round against all rows, and the loop ends when a round adds no
 pivot.  The truncated bracket is bilinear and the reduced echelon form is
@@ -43,6 +44,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .scalars import Poly, PolyRing, Scalar, accumulate, as_fraction, scalar_is_zero, signed_sum
@@ -611,12 +613,11 @@ class Closure:
         return len(self.rows)
 
 
-def _element_vector(
-    element: Element, coord_index: Mapping[BasisIndex, int]
-) -> dict[int, Fraction]:
-    """The element as {column: nonzero Fraction} over the window coordinates."""
+def _integer_row(terms: Iterable[tuple], coord_index: Mapping[BasisIndex, int]) -> tuple:
+    """(d, {column: nonzero int}): the (label, coefficient) terms, times d, the
+    lcm of their denominators."""
     vec = {}
-    for index, coeff in element.terms.items():
+    for index, coeff in terms:
         pos = coord_index.get(index)
         if pos is None:
             raise ClosureError(f"label {index} lies outside the closure window")
@@ -627,40 +628,54 @@ def _element_vector(
                 "closure requires concrete rational coefficients, got "
                 f"symbolic {coeff} at {index}"
             ) from None
-    return vec
+    den = lcm(*(v.denominator for v in vec.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
+
+
+def _clear(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
+    """`vec` with column `col` cleared, fraction-free, by the row of pivot P > 0
+    there: (P/g) vec - (e/g) row, e = vec[col], g = gcd(P, e)."""
+    g = gcd(row[col], vec[col])
+    scale = row[col] // g
+    return accumulate({k: v * scale for k, v in vec.items()}, row.items(), -(vec[col] // g))
 
 
 class _Echelon:
     """Reduced row echelon accumulator over a fixed coordinate order.
 
-    Rows are sparse {column: nonzero Fraction} dicts keyed by their pivot
-    column; each has 1 at its pivot and 0 in every other row's pivot column."""
+    Rows are sparse {column: nonzero int} dicts keyed by their pivot column,
+    never changed once stored.  Each is primitive (gcd 1), has a positive
+    pivot and 0 in every other row's pivot column: divided by its pivot, it is
+    the rational reduced row.  Elimination is fraction-free (`_clear`), and
+    Fractions appear only at the outputs, `kernel` and the closure's rows."""
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: dict[int, dict[int, Fraction]] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Clear every pivot column of `vec` in place; returns it."""
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """`vec` with every pivot column cleared, times a positive integer."""
         rows = self.rows
         # the rows are fully reduced, so clearing one pivot column never
-        # refills another: only the pivots the row has need clearing
+        # refills another; the content is divided out once, by `insert`
         for col in [c for c in vec if c in rows]:
-            accumulate(vec, rows[col].items(), -vec[col])
+            vec = _clear(vec, rows[col], col)
         return vec
 
-    def insert(self, vec: dict[int, Fraction]) -> bool:
-        """Add a row of nonzero values (the dict is consumed); False when it
-        reduces to zero."""
-        if not self.reduce(vec):
+    def insert(self, vec: dict[int, int]) -> bool:
+        """Add the line spanned by a row of nonzero integers (left unchanged);
+        False when it reduces to zero."""
+        vec = self.reduce(vec)
+        if not vec:
             return False
         pivot = min(vec)
-        if vec[pivot] != 1:
-            vec = accumulate({}, vec.items(), 1 / vec[pivot])
-        for row in self.rows.values():
-            factor = row.get(pivot)
-            if factor:
-                accumulate(row, vec.items(), -factor)
+        content = gcd(*vec.values()) * (1 if vec[pivot] > 0 else -1)
+        vec = {k: v // content for k, v in vec.items()}
+        for other, row in self.rows.items():
+            if pivot in row:
+                row = _clear(row, vec, pivot)
+                content = gcd(*row.values())
+                self.rows[other] = {k: v // content for k, v in row.items()}
         self.rows[pivot] = vec
         return True
 
@@ -675,7 +690,7 @@ class _Echelon:
             vec[free] = Fraction(1)
             for pivot, row in self.rows.items():
                 if free in row:
-                    vec[pivot] = -row[free]
+                    vec[pivot] = Fraction(-row[free], row[pivot])
             basis.append(tuple(vec))
         return basis
 
@@ -703,44 +718,65 @@ def subalgebra_closure(
     coord_index = {index: pos for pos, index in enumerate(coords)}
     ech = _Echelon(len(coords))
     for gen in generators:
-        ech.insert(_element_vector(truncate(gen, window), coord_index))
-    # basis pairs recur across rounds and rows; cache their truncated bracket
+        ech.insert(_integer_row(truncate(gen, window).terms.items(), coord_index)[1])
+    # the (grade, level) sums of basis pairs whose bracket can reach the window
+    reach = None if rule.offsets is None else {
+        (x.grade - dg, x.level - dl) for x in coords if x is not CENTRAL for dg, dl in rule.offsets
+    }
+    # basis pairs recur; cache each truncated bracket, times d, as (d, ((column, int), ...))
     @functools.cache
-    def pair(x: Graded, y: Graded) -> Element:
-        grade, level = x.grade + y.grade, x.level + y.level
-        if rule.offsets is not None and not any(
-            window.contains(Graded(grade + dg, level + dl)) for dg, dl in rule.offsets
-        ):
-            return Element()
-        return truncate(rule.pair(x, y), window)
+    def pair(kx: int, ky: int) -> tuple[int, tuple]:
+        x, y = coords[kx], coords[ky]
+        if x is CENTRAL or y is CENTRAL:
+            return 1, ()
+        if reach is not None and (x.grade + y.grade, x.level + y.level) not in reach:
+            return 1, ()
+        terms = rule.pair(x, y).terms.items()
+        den, row = _integer_row(((i, c) for i, c in terms if i in coord_index), coord_index)
+        return den, tuple(row.items())
 
-    truncated = BracketRule(pair)
+    def product(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        # the product times `scale`, a common multiple of its pairs' denominators
+        acc: dict[int, int] = {}
+        scale = 1
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                den, terms = pair(kx, ky)
+                if scale % den:
+                    factor = lcm(scale, den) // scale
+                    acc = {k: v * factor for k, v in acc.items()}
+                    scale *= factor
+                factor = cx * cy * (scale // den)
+                for col, v in terms:
+                    acc[col] = acc.get(col, 0) + factor * v
+        return {k: v for k, v in acc.items() if v}
 
-    def row_element(row: dict[int, Fraction]) -> Element:
-        return Element._wrap({coords[k]: row[k] for k in sorted(row)})
-
-    done: list[Element] = []
+    done: list[dict[int, int]] = []
     fresh_pivots = sorted(ech.rows)
     while fresh_pivots:
-        fresh = [row_element(ech.rows[pivot]) for pivot in fresh_pivots]
+        fresh = [ech.rows[pivot] for pivot in fresh_pivots]
         known = set(ech.rows)
         for k, x in enumerate(fresh):
             for y in itertools.chain(done, fresh[k + 1 :]):
-                product = bracket_apply(truncated, x, y)
-                if product:
-                    ech.insert(_element_vector(product, coord_index))
+                vec = product(x, y)
+                if vec:
+                    ech.insert(vec)
         done.extend(fresh)
         fresh_pivots = sorted(ech.rows.keys() - known)
-    return Closure(window, tuple(row_element(row) for _, row in sorted(ech.rows.items())))
+    # each row divided by its pivot: the reduced echelon rows
+    rows = sorted(ech.rows.items())
+    reduced = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)
+    return Closure(window, tuple(map(Element._wrap, reduced)))
 
 
 def membership(element: Element, closure: Closure) -> bool:
     """True iff the element reduces to zero against the closure's echelon basis."""
     coord_index = {index: pos for pos, index in enumerate(closure.window.indices())}
     ech = _Echelon(len(coord_index))
-    for row in closure.rows:
-        ech.rows[coord_index[next(iter(row.terms))]] = _element_vector(row, coord_index)
-    return not ech.reduce(_element_vector(element, coord_index))
+    # a reduced row (pivot 1) times its lcm denominator is primitive, pivot > 0
+    rows = (_integer_row(row.terms.items(), coord_index)[1] for row in closure.rows)
+    ech.rows = {min(vec): vec for vec in rows}
+    return not ech.reduce(_integer_row(element.terms.items(), coord_index)[1])
 
 
 def adjoint_chain(

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Sequence
 
-from .block import BlockParams, structure_coefficient
+from .block import BlockParams, structure_numerator
 from .engine import Graded, _Echelon
 from .scalars import format_rational, signed_sum
 
@@ -369,14 +369,16 @@ def singular_vector_solve(
 
 
 def _kernel_rows(labels: Sequence[Fraction], params: BlockParams, max_level: int, horizon: int):
-    """Rows j = 0..horizon of M, each as {i: M[j,i]} over its nonzero
-    entries; the coefficient of M[j,i] is that of L[0,i+j] in
-    [L[-1,i], L[1,j]], read from `block.structure_coefficient` as
-    `block.parabolic_degree_zero` reads it."""
+    """Rows j = 0..horizon of pd*qd*D*M, D the lcm of the label denominators,
+    each as {i: int} over its nonzero entries.  The coefficient of L[0,i+j] in
+    [L[-1,i], L[1,j]] is read from `block.structure_numerator`, the numerator
+    of what `block.parabolic_degree_zero` reads."""
+    scale = lcm(*(v.denominator for v in labels))
+    values = [v.numerator * (scale // v.denominator) for v in labels]
     xs = [Graded(-1, i) for i in range(max_level + 1)]
     for j in range(horizon + 1):
         y = Graded(1, j)
-        row = ((i, structure_coefficient(params, x, y) * labels[i + j]) for i, x in enumerate(xs))
+        row = ((i, structure_numerator(params, x, y) * values[i + j]) for i, x in enumerate(xs))
         yield {i: v for i, v in row if v}
 
 

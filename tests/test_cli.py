@@ -1046,6 +1046,8 @@ def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
         ("blockcheck_symbolic", 0),
         ("blockcheck_concrete", 0),
         ("axioms_table_fails", 1),
+        ("blockcheck_window_origin", 0),
+        ("modcheck_central_one_narrow", 0),
     ],
 )
 def test_archived_verify_reports_reproduce_byte_identically(name, expected, capsys):
@@ -1056,7 +1058,12 @@ def test_archived_verify_reports_reproduce_byte_identically(name, expected, caps
     # symbolic p and q, and concrete rationals, each on unsorted rational grids;
     # from the scan-only grid checks: symbolic p, mu and q on rational
     # grades and levels, with mutations that hold and fail; and a table
-    # product failing both Novikov axioms past the first triple
+    # product failing both Novikov axioms past the first triple.  Two record
+    # positives that nothing proves, to be changed on purpose once every
+    # positive verdict is a proof: a blockcheck on the one-label window
+    # L[0,0], labelled holds_universally, and the central-one module narrowed
+    # to grades -1..1, where the window scan holds although the axiom fails
+    # at grade 2
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == expected
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()

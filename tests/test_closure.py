@@ -16,6 +16,7 @@ either edge.
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -326,15 +327,39 @@ def matrices(draw):
     return rows, width
 
 
+def integer_row(row):
+    """A rational row times the lcm of its denominators, as {column: nonzero int}."""
+    den = lcm(*(v.denominator for v in row))
+    return {k: int(v * den) for k, v in enumerate(row) if v}
+
+
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(matrices())
 def test_sparse_echelon_matches_dense_oracle(case):
     rows, width = case
     sparse, dense = _Echelon(width), DenseEchelon(width)
     for row in rows:
-        added = sparse.insert({k: v for k, v in enumerate(row) if v})
+        added = sparse.insert(integer_row(row))
         assert added == dense.insert(list(row))
     assert sorted(sparse.rows) == dense.pivots
     for pivot, row in zip(dense.pivots, dense.rows):
-        assert sparse.rows[pivot] == {k: v for k, v in enumerate(row) if v}
-        assert 0 not in sparse.rows[pivot].values()
+        # a stored row divided by its pivot is the reduced echelon row
+        stored = sparse.rows[pivot]
+        assert {k: Fraction(v, stored[pivot]) for k, v in stored.items()} == {
+            k: v for k, v in enumerate(row) if v
+        }
+        assert 0 not in stored.values()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(matrices())
+def test_sparse_echelon_rows_stay_primitive_and_reduced(case):
+    rows, width = case
+    sparse = _Echelon(width)
+    for row in rows:
+        sparse.insert(integer_row(row))
+        for pivot, stored in sparse.rows.items():
+            assert min(stored) == pivot and stored[pivot] > 0
+            assert all(isinstance(v, int) and v for v in stored.values())
+            assert gcd(*stored.values()) == 1
+            assert not any(other in stored for other in sparse.rows if other != pivot)

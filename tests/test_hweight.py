@@ -151,6 +151,8 @@ def test_singular_matrix_rows_are_weight_of_parabolic_images():
     for p, q in ((Fraction(5, 2), Fraction(-3)), (0, 1), (Fraction(2, 3), Fraction(-5, 7))):
         params = BlockParams(p=p, q=q)
         rows = list(_kernel_rows(labels, params, max_level, horizon))
+        # the rows are integers: M scaled by pd*qd and the labels' lcm denominator
+        den = Fraction(p).denominator * Fraction(q).denominator * 3  # each label is n/3
         for i in range(max_level + 1):
             images = parabolic_degree_zero(params, Element.basis(Graded(-1, i)), horizon)
             column = [weight_of(w) for w in images]
@@ -158,7 +160,7 @@ def test_singular_matrix_rows_are_weight_of_parabolic_images():
                 (2 * q + i + j + p * (i - j)) * labels[i + j] for j in range(horizon + 1)
             ]
             assert column == expected
-            assert column == [row.get(i, 0) for row in rows]
+            assert column == [Fraction(row.get(i, 0), den) for row in rows]
 
 
 def test_classify_quasifinite_generator_mode():

@@ -6,8 +6,9 @@ Berlekamp-Massey, which solves a fresh overdetermined system for each degree
 1..floor(horizon/2) and takes the canonical solution (free variables zero),
 and Berlekamp-Massey over Fraction, which preceded the integer version.
 `QuasiPolynomial.series` accumulates integers; its oracle is the per-term
-Fraction loop it replaced.  `engine._Echelon.kernel` is checked against a
-standalone reduced-echelon kernel.  No oracle shares code with the program.
+Fraction loop it replaced.  `engine._Echelon.kernel`, over integer rows, is
+checked against a standalone reduced-echelon kernel over Fraction.  No oracle
+shares code with the program.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_closure import integer_row
 
 from blocklie.engine import _Echelon
 from blocklie.hweight import (
@@ -298,7 +300,7 @@ def test_echelon_kernel_matches_reduced_echelon_oracle(case):
     rows, width = case
     echelon = _Echelon(width)
     for row in rows:
-        echelon.insert({k: v for k, v in enumerate(row) if v})
+        echelon.insert(integer_row(row))
     kernel = echelon.kernel()
     assert kernel == _kernel_basis(rows, width)
     for vec in kernel:
