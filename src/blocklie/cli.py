@@ -38,6 +38,10 @@ _GRID5 = ["-2", "-1", "0", "1", "2"]
 # graded labels of a window, (grade_max - grade_min + 1) * (level_max + 1); a
 # closure's work grows with its square, and no archived window has over 81
 MAX_WINDOW_LABELS = 1000
+# graded labels of a blockcheck window: its Laurent check scans every pair of
+# labels, about 2.5 s for 200 labels concrete and 9 s with symbolic p, q
+# (2-vCPU host), and no archived or benchmark blockcheck has more than 18
+MAX_BLOCKCHECK_LABELS = 200
 # last series index of a highest-weight job: horizon for classify, max_level +
 # horizon for singular and crosscheck; a classify of dense labels (no
 # recurrence, so the search runs to the end) takes about 5 s at 500 and 75 s
@@ -58,14 +62,15 @@ MAX_MUTATIONS = 100
 # its grid, 0.3 s at 50 values and 2.4 s at 100 on a table that holds
 # (2-vCPU host), and no archived or benchmark grid has more than 6
 MAX_GRID_VALUES = 50
-# weights lo..hi of a modcheck: each is checked against every label pair of
-# the window, 0.25 s for 201 weights and 2.8 s for 2001 on a window of 15
-# labels (2-vCPU host), and no archived or benchmark range has more than 7
+# weights lo..hi of a modcheck: each is checked against every level-0 label
+# pair, 0.09 s for 201 weights and 0.9 s for 2001 on grades -2..2 (2-vCPU
+# host), and no archived or benchmark range has more than 9
 MAX_WEIGHT_VALUES = 201
 # a modcheck's window labels squared times its weights, which the two bounds
-# above leave at up to 201 million: the largest window with one weight takes
-# about 9 s and 70 level-0 labels with 201 weights about 13.5 s (2-vCPU
-# host), and no archived or benchmark modcheck has more than 2,025
+# above leave at up to 201 million; only level-0 pairs are checked, so one
+# weight on 1,000 level-0 labels takes about 19 s, 201 weights on 70 about
+# 18.5 s and one weight on 100 grades x 10 levels 0.2 s (2-vCPU host), and no
+# archived or benchmark modcheck has more than 2,025
 MAX_PAIR_WEIGHTS = MAX_WINDOW_LABELS**2
 
 
@@ -248,14 +253,14 @@ class _Fields:
         self.children.extend(children)
         return children
 
-    def window(self) -> Window:
+    def window(self, max_labels: int = MAX_WINDOW_LABELS) -> Window:
         fields = self.obj("window")
         grade_min, grade_max = fields.int("grade_min"), fields.int("grade_max")
         level_max = fields.int("level_max", minimum=0)
         labels = (grade_max - grade_min + 1) * (level_max + 1)
-        if labels > MAX_WINDOW_LABELS:
+        if labels > max_labels:
             raise self.error(
-                "window", f"has {labels} graded labels, more than the {MAX_WINDOW_LABELS} allowed"
+                "window", f"has {labels} graded labels, more than the {max_labels} allowed"
             )
         try:
             return Window(grade_min, grade_max, level_max)
@@ -406,7 +411,7 @@ def _validate_blockcheck(f: _Fields):
     return partial(
         _run_blockcheck,
         _block_params(f, p, q),
-        f.window(),
+        f.window(MAX_BLOCKCHECK_LABELS),
         f.rationals("cocycle_grades", _GRID5, grid=True),
         f.rationals("jacobi_grades", ["-1", "0", "1"], grid=True),
         f.rationals("jacobi_levels", ["0", "1", "2"], grid=True),

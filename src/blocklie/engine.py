@@ -595,10 +595,13 @@ class Closure:
     """Reduced echelon basis of a window-truncated bracket closure.
 
     Each row lists its labels in window coordinate order, so its first label
-    is its pivot."""
+    is its pivot.  The integer echelon that the rows were read from, and the
+    window's coordinates, are kept for `membership`."""
 
     window: Window
     rows: tuple[Element, ...]
+    _coord_index: Mapping[BasisIndex, int] = field(repr=False, compare=False)
+    _echelon: _Echelon = field(repr=False, compare=False)
 
     def by_grade(self) -> dict[int, tuple[Element, ...]]:
         """Rows grouped by the grade of their pivot label (central counts as 0)."""
@@ -766,17 +769,13 @@ def subalgebra_closure(
     # each row divided by its pivot: the reduced echelon rows
     rows = sorted(ech.rows.items())
     reduced = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)
-    return Closure(window, tuple(map(Element._wrap, reduced)))
+    return Closure(window, tuple(map(Element._wrap, reduced)), coord_index, ech)
 
 
 def membership(element: Element, closure: Closure) -> bool:
     """True iff the element reduces to zero against the closure's echelon basis."""
-    coord_index = {index: pos for pos, index in enumerate(closure.window.indices())}
-    ech = _Echelon(len(coord_index))
-    # a reduced row (pivot 1) times its lcm denominator is primitive, pivot > 0
-    rows = (_integer_row(row.terms.items(), coord_index)[1] for row in closure.rows)
-    ech.rows = {min(vec): vec for vec in rows}
-    return not ech.reduce(_integer_row(element.terms.items(), coord_index)[1])
+    vec = _integer_row(element.terms.items(), closure._coord_index)[1]
+    return not closure._echelon.reduce(vec)
 
 
 def adjoint_chain(

@@ -582,6 +582,16 @@ EXIT_CASES = [
         },
     ),
     (
+        "blockcheck_window_over_limit",
+        2,
+        {
+            "job": "blockcheck",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 200, "level_max": 0},
+        },
+    ),
+    (
         "modcheck_weight_range_over_limit",
         2,
         {
@@ -665,12 +675,14 @@ def test_oversized_window_is_named(tmp_path, capsys):
     ],
 )
 def test_window_label_limit_is_inclusive(tmp_path, job, fields):
-    # 100 grades x 10 levels is the largest window accepted; validation
-    # builds no label list, so neither config is run here
-    largest = {"grade_min": -49, "grade_max": 50, "level_max": 9}
+    # 100 grades x 10 levels is the largest window accepted, 20 x 10 for a
+    # blockcheck; validation builds no label list, so neither config is run here
+    limit = cli.MAX_BLOCKCHECK_LABELS if job == "blockcheck" else cli.MAX_WINDOW_LABELS
+    largest = {"grade_min": 1, "grade_max": limit // 10, "level_max": 9}
     load_config(write_config(tmp_path, {"job": job, **fields, "window": largest}))
-    too_large = {"grade_min": 0, "grade_max": 1000, "level_max": 0}
-    with pytest.raises(ConfigError, match=f"{job}: field 'window' has 1001 graded labels"):
+    too_large = {"grade_min": 0, "grade_max": limit, "level_max": 0}
+    message = f"{job}: field 'window' has {limit + 1} graded labels, more than the {limit} allowed"
+    with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path, {"job": job, **fields, "window": too_large}))
 
 
@@ -748,6 +760,10 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
             "blockcheck: field 'jacobi_levels' has 51 values, more than the 50 allowed",
         ),
         (
+            "blockcheck_window_over_limit",
+            "blockcheck: field 'window' has 201 graded labels, more than the 200 allowed",
+        ),
+        (
             "modcheck_weight_range_over_limit",
             "modcheck: field 'weight_range' spans 202 weights, more than the 201 allowed",
         ),
@@ -771,6 +787,10 @@ def test_work_limits_are_inclusive(tmp_path):
         {**cases["affinize_mutations_over_limit"], "mutations": {"count": 100, "seed": 0}},
         {**cases["axioms_table_grid_over_limit"], "grades": [str(k) for k in range(50)]},
         {**cases["blockcheck_jacobi_grid_over_limit"], "jacobi_levels": list(map(str, range(50)))},
+        {
+            **cases["blockcheck_window_over_limit"],
+            "window": {"grade_min": 1, "grade_max": 200, "level_max": 0},
+        },
         {**cases["modcheck_weight_range_over_limit"], "weight_range": [-100, 100]},
     ]
     for payload in at_limit:

@@ -3,14 +3,14 @@
 `grid_identity_check` evaluates Jacobi once per cyclic rotation class and
 antisymmetry once per unordered pair, `novikov_axiom_check` evaluates each
 axiom once per swap of the two slots it is antisymmetric in, and
-`module_axiom_check` evaluates each pair of equal grades once per swap of its
-levels and reads the action of each basis label on each weight vector from a
-cache.  The oracles are the full-product loops those checks
-replaced, copied here: every tuple of the grid in `itertools.product` order,
-with nothing cached.  Verdict, witness and residual must print identically,
-above all on failing inputs, where the witness is the first failing tuple.
-A holding verdict is universal only for a rule with terms, whose proof the
-oracles take for granted; a rule without terms holds on the tested grid.
+`module_axiom_check` evaluates each pair of level-zero labels of distinct
+grades once and skips the pairs with a positive level, which act as zero.
+The oracles are the full-product loops those checks replaced, copied here:
+every tuple of the grid in `itertools.product` order, with nothing cached.
+Verdict, witness and residual must print identically, above all on failing
+inputs, where the witness is the first failing tuple.  A holding verdict is
+universal only for a rule with terms, whose proof the oracles take for
+granted; a rule without terms holds on the tested grid.
 """
 
 import itertools
@@ -111,7 +111,7 @@ def full_novikov_axiom_check(rule, grade_values):
 
 
 def full_module_axiom_check(kind, params, window, weight_range, central_value):
-    act = intermediate.act  # looked up per call, so a patched action reaches it
+    act = intermediate.act  # reads a patched `_basis_action` per call
     lo, hi = weight_range
     grades = range(window.grade_min, window.grade_max + 1)
     levels = range(window.level_max + 1)
@@ -227,34 +227,18 @@ def test_identities_match_full_scan_on_skewed_rules(symbolic, identity, data):
     assert_same_identity(rule, identity, grades, levels)
 
 
-def perturbed_act(delta):
-    """The family action plus delta*(i+1)*alpha^2 v_{alpha+m} for L[alpha,i] v_m.
+def perturbed_action(delta):
+    """The family coefficient plus delta*alpha^2 for L[alpha,0] v_m, alpha > 0.
 
-    Only level-zero labels act in the families, and at equal grades one of
-    x, y has a positive level (or x = y), so every equal-grade residual is
-    zero there; letting every level act puts witnesses at equal grades."""
-    family_act = intermediate.act
+    The action stays at level zero, but the identity breaks.  It holds at
+    every pair of grades <= 0, so the first witness has alpha >= 1, where
+    several beta compete, and the witness also checks the order of beta."""
+    family_action = intermediate._basis_action
 
-    def act(kind, params, x, v, central_value=Fraction(0)):
-        extra = {}
-        for index, coeff in x.terms.items():
-            if index is not CENTRAL:
-                bump = delta * (index.level + 1) * index.grade**2
-                accumulate(extra, ((index.grade + m, bump * c) for m, c in v.terms.items()), coeff)
-        return family_act(kind, params, x, v, central_value) + ModuleVector(extra)
+    def action(kind, q, alpha, m):
+        return family_action(kind, q, alpha, m) + delta * max(alpha, 0) ** 2
 
-    return act
-
-
-def test_perturbed_module_witness_falls_at_equal_grades():
-    kind = IntermediateKind("Aab", Fraction(1, 2), Fraction(0))
-    params = BlockParams(Fraction(3), Fraction(1))
-    window, weights = Window(-2, 2, 1), (-2, 2)
-    with mock.patch.object(intermediate, "act", perturbed_act(Fraction(1))):
-        got = module_axiom_check(kind, params, window, weights)
-        want = full_module_axiom_check(kind, params, window, weights, Fraction(0))
-    assert got.witness[:4] == (-2, -2, 0, 1)
-    assert str(got) == str(want)
+    return action
 
 
 @SETTINGS
@@ -274,9 +258,28 @@ def test_module_axioms_match_full_scan(variant, central_value, delta, data):
     )
     lo = data.draw(st.integers(-3, 0))
     weight_range = (lo, lo + data.draw(st.integers(0, 4)))
-    # delta perturbs the action so that witnesses also fall at equal grades
-    action = intermediate.act if delta is None else perturbed_act(delta)
-    with mock.patch.object(intermediate, "act", action):
+    # delta perturbs the coefficient that the check and `act` both read
+    action = intermediate._basis_action if delta is None else perturbed_action(delta)
+    with mock.patch.object(intermediate, "_basis_action", action):
         got = module_axiom_check(kind, params, window, weight_range, central_value)
         want = full_module_axiom_check(kind, params, window, weight_range, central_value)
     assert str(got) == str(want)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(["Aab", "Aa", "Ba"]),
+    rationals,
+    rationals,
+    nonzero_rationals,
+    rationals,
+    st.integers(-4, 4),
+    st.integers(1, 4),
+    st.integers(-6, 6),
+)
+def test_positive_levels_act_as_zero(variant, a, b, q, central_value, grade, level, m):
+    # the module check skips every pair with a positive level on this rule
+    kind = IntermediateKind(variant, a, b if variant == "Aab" else None)
+    x = Element.basis(Graded(grade, level))
+    v = ModuleVector.basis(m)
+    assert not intermediate.act(kind, BlockParams(Fraction(1), q), x, v, central_value)
