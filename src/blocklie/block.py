@@ -9,11 +9,15 @@ The delta-free part is polynomial in the indices and is proved by the
 engine's identity check (it is the mu=0 affinization of the Witt-type
 Novikov product); the Kronecker-delta cocycle is not polynomial, so its
 Jacobi contribution gets a dedicated proof here, over a cocycle given as a
-one-variable Poly.
+one-variable Poly.  The Virasoro embedding and the Laurent realization are
+proved the same way: one polynomial identity for the delta-free part and
+one for the cocycle on its stratum a+b = 0, i = j = 0.
 
 The Laurent realization stores the formal factor t^q unexpanded: monomial
-exponents are pairs (q-multiplicity, integer offset) and differentiation
-uses (t^(q+n))' = (q+n) t^(q+n-1), so nothing assumes q is an integer.
+exponents are pairs (q-multiplicity, offset) and differentiation uses
+(t^(q+n))' = (q+n) t^(q+n-1), so nothing assumes q is an integer.  The
+offset is an integer in the window scan and a Poly in the levels in the
+proof.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .engine import (
     _require_grid,
     decide,
     extend_bilinearly,
-    first_failure,
     index_ring,
 )
 from .scalars import Poly, PolyRing, Scalar, accumulate
@@ -126,7 +129,8 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
 def delta_free_rule(params: BlockParams) -> BracketRule:
     """The cocycle-free structure constants, valid for all integer levels;
     this is what the engine's Jacobi proof runs on.  Its one term is
-    ((i+q)(b+p) - (j+q)(a+p)) at output offset (0, 0)."""
+    `structure_coefficient` of the index-ring labels L[a,i], L[b,j], at
+    output offset (0, 0)."""
     ring, (p, q) = index_ring(params.p, params.q)
     a, i, b, j = (ring.var(name) for name in "aibj")
     return BracketRule(
@@ -134,7 +138,7 @@ def delta_free_rule(params: BlockParams) -> BracketRule:
             Graded(x.grade + y.grade, x.level + y.level),
             structure_coefficient(params, x, y),
         ),
-        terms=(((0, 0), (i + q) * (b + p) - (j + q) * (a + p)),),
+        terms=(((0, 0), structure_coefficient(BlockParams(p, q), Graded(a, i), Graded(b, j))),),
     )
 
 
@@ -183,14 +187,28 @@ def cocycle_jacobi_check(
 
 
 def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
-    """Verify the Virasoro relations of the rescaled level-zero generators.
+    """Prove the Virasoro relations of the rescaled level-zero generators.
 
     With V_a = q^-1 L[a,0] and k = q^-2 c the claim is
     [V_a, V_b] = (b-a) V_{a+b} + (a^3-a)/12 delta_{a+b,0} k; both sides are
     compared after clearing q^2, so a symbolic q needs no inverse (q is a
-    unit).  A concrete q = 0 is already rejected by BlockParams.  The
-    witness is (a, b).
+    unit).  A concrete q = 0 is already rejected by BlockParams.
+
+    The proof composes the delta-free coefficient at i = j = 0 and subtracts
+    q(b-a) at offset (0, 0); on the stratum b = -a it compares the bracket's
+    cocycle with the Virasoro one.  Each residual is kept apart, so two
+    cannot cancel.  A failed proof scans the window's level-zero pairs for
+    the witness (a, b), and finding none raises (`decide`).
     """
+    ring, (_, q) = index_ring(params.p, params.q)
+    a, b = ring.var("a"), ring.var("b")
+    level_zero = {"i": 0, "j": 0}
+    graded = {
+        offset: coeff.compose(ring, level_zero) for offset, coeff in delta_free_rule(params).terms
+    }
+    accumulate(graded, (((0, 0), q * (b - a)),), -1)
+    central = _cubic_cocycle(ring, a) - (a**3 - a) / 12
+    proof = [*graded.values(), central.compose(ring, {"b": -a})]
 
     def residual(t: tuple) -> Element:
         a, b = t
@@ -199,16 +217,23 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
             terms[CENTRAL] = cocycle_value(a)
         return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
 
-    level_zero = replace(window, level_max=0).pairs()
-    return first_failure(((a, b) for a, _, b, _ in level_zero), residual)
+    pairs = ((a, b) for a, _, b, _ in replace(window, level_max=0).pairs())
+    return decide([r for r in proof if r], pairs, residual)
+
+
+def _cubic_cocycle(ring: PolyRing, grade: Poly) -> Poly:
+    """`CUBIC_COCYCLE` at `grade`, a Poly of `ring`."""
+    (symbol,) = CUBIC_COCYCLE.ring.symbols
+    return CUBIC_COCYCLE.compose(ring, {symbol: grade})
 
 
 @dataclass(frozen=True)
 class _TPower:
-    """t^(q_mult*q + offset); the factor t^q stays formal."""
+    """t^(q_mult*q + offset); the factor t^q stays formal.  The offset is an
+    integer, or a Poly in the levels for the proof."""
 
     q_mult: int
-    offset: int
+    offset: Scalar
 
     def __mul__(self, other: "_TPower") -> "_TPower":
         return _TPower(self.q_mult + other.q_mult, self.offset + other.offset)
@@ -218,8 +243,63 @@ class _TPower:
         return self.q_mult * q + self.offset, self * _TPower(0, -1)
 
 
+def _realization(p: Scalar, q: Scalar, a, i, b, j) -> tuple[tuple, _TPower]:
+    """The realization bracket of x^a f and x^b g, f = t^(q+i), g = t^(q+j),
+    for numbers or index-ring Polys: its two graded terms (offset,
+    coefficient), each x^(a+b) t^(q+offset) since t^q appears once, and the
+    power t^(-2q-1) f g whose t^-1 coefficient scales the cocycle."""
+    shift, dual = _TPower(-1, 1), _TPower(-2, -1)  # t^(1-q), t^(-2q-1)
+    f, g = _TPower(1, i), _TPower(1, j)
+    (ef, df), (eg, dg) = f.d_dt(q), g.d_dt(q)
+    graded = (((df * g * shift).offset, (b + p) * ef), ((f * dg * shift).offset, -(a + p) * eg))
+    return graded, dual * f * g
+
+
+def _positive_off_origin(poly: Poly, levels: str) -> bool:
+    """A sufficient test that `poly` is positive wherever the `levels` are
+    nonnegative integers, not all zero: every coefficient is positive, every
+    monomial reads only levels, and each level is a monomial of its own."""
+    ring = poly.ring
+    alone = {tuple(int(s == name) for s in ring.symbols) for name in levels}
+    reads = {ring.index(name) for name in levels}
+    return alone <= poly.terms.keys() and all(
+        c > 0 and all(pos in reads for pos, e in enumerate(exps) if e)
+        for exps, c in poly.terms.items()
+    )
+
+
+def _laurent_proof(params: BlockParams) -> list[Poly]:
+    """The nonzero residuals of the Laurent realization over the index ring,
+    one per stratum and output offset, kept apart so that none can cancel
+    another: empty only when the bracket equals its realization at every
+    (a, i, b, j) with levels >= 0.
+
+    Everywhere, the delta-free term at offset (0, 0) meets the realization's
+    graded terms, each at L[a+b, i+j+dlevel].  On the bracket's cocycle
+    stratum b = -a, i = j = 0 its cocycle meets the realization's, which
+    lives where a + b = 0 and Res_t picks t^-1 from t^(-2q-1) f g: t^q must
+    cancel and the offset + 1 must vanish.  That offset + 1 is read from the
+    exponent.  When it is positive off the origin of nonnegative levels, the
+    residue lives on the cocycle stratum alone; otherwise the realization's
+    cocycle off that stratum is one more residual."""
+    ring, (p, q) = index_ring(params.p, params.q)
+    a, i, b, j = (ring.var(name) for name in "aibj")
+    graded, residue = _realization(p, q, a, i, b, j)
+    by_offset = accumulate({}, delta_free_rule(params).terms)
+    lands = (((0, (offset - i - j).constant_value()), coeff) for offset, coeff in graded)
+    accumulate(by_offset, lands, -1)
+    stratum = {"b": -a, "i": 0, "j": 0}
+    cocycle = _cubic_cocycle(ring, a)
+    rise = residue.offset + 1
+    realized = cocycle if residue.q_mult == 0 and not rise.compose(ring, stratum) else 0
+    proof = [*by_offset.values(), (cocycle - realized).compose(ring, stratum)]
+    if residue.q_mult == 0 and not _positive_off_origin(rise, "ij"):
+        proof.append(cocycle)
+    return [r for r in proof if r]
+
+
 def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
-    """Compare the bracket against its Laurent realization L[a,i] = x^a t^(q+i).
+    """Prove the bracket equals its Laurent realization L[a,i] = x^a t^(q+i).
 
     The realization bracket of monomials f = t^(q+i), g = t^(q+j) is computed
     by formal differentiation,
@@ -227,24 +307,21 @@ def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
         x^(a+b) t^(1-q) ((b+p) f' g - (a+p) f g')
         + delta_{a+b,0} (a^3-a)/12 Res_t(t^(-2q-1) f g) c,
 
-    and both routes must agree as Elements for every window index (a, i, b, j)."""
+    and both routes must agree as Elements for every index (a, i, b, j):
+    proved over the index ring (`_laurent_proof`), with the window scanned
+    for the witness only when the proof fails (`decide`)."""
     p, q = params.p, params.q
-    shift, dual = _TPower(-1, 1), _TPower(-2, -1)  # t^(1-q), t^(-2q-1)
 
     def residual(t: tuple) -> Element:
         a, i, b, j = t
-        f, g = _TPower(1, i), _TPower(1, j)
-        (ef, df), (eg, dg) = f.d_dt(q), g.d_dt(q)
-        terms: dict = {}
-        for coeff, power in (((b + p) * ef, df * g * shift), (-(a + p) * eg, f * dg * shift)):
-            # t^q appears once, so x^(a+b) t^(q+offset) is L[a+b, offset]
-            accumulate(terms, ((Graded(a + b, power.offset), coeff),))
+        graded, residue = _realization(p, q, a, i, b, j)
+        terms = accumulate({}, ((Graded(a + b, offset), coeff) for offset, coeff in graded))
         # Res_t picks the t^-1 coefficient; with t^q formal that needs q_mult 0
-        if a + b == 0 and dual * f * g == _TPower(0, -1):
+        if a + b == 0 and residue == _TPower(0, -1):
             accumulate(terms, ((CENTRAL, cocycle_value(a)),))
         return basis_bracket(params, Graded(a, i), Graded(b, j)) - Element(terms)
 
-    return first_failure(window.pairs(), residual)
+    return decide(_laurent_proof(params), window.pairs(), residual)
 
 
 def parabolic_degree_zero(

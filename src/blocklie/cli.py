@@ -38,9 +38,11 @@ _GRID5 = ["-2", "-1", "0", "1", "2"]
 # graded labels of a window, (grade_max - grade_min + 1) * (level_max + 1); a
 # closure's work grows with its square, and no archived window has over 81
 MAX_WINDOW_LABELS = 1000
-# graded labels of a blockcheck window: its Laurent check scans every pair of
-# labels, about 2.5 s for 200 labels concrete and 9 s with symbolic p, q
-# (2-vCPU host), and no archived or benchmark blockcheck has more than 18
+# graded labels of a blockcheck window: the Virasoro and Laurent checks are
+# proved in about 1.5 ms at any window, so this bounds only the witness scan
+# of a failed proof, which visits every pair of labels, about 2.2 s for 200
+# labels concrete and 7.8 s with symbolic p, q (2-vCPU host); no archived or
+# benchmark blockcheck has more than 18
 MAX_BLOCKCHECK_LABELS = 200
 # last series index of a highest-weight job: horizon for classify, max_level +
 # horizon for singular and crosscheck; a classify of dense labels (no
@@ -63,13 +65,13 @@ MAX_MUTATIONS = 100
 # (2-vCPU host), and no archived or benchmark grid has more than 6
 MAX_GRID_VALUES = 50
 # weights lo..hi of a modcheck: each is checked against every level-0 label
-# pair, 0.09 s for 201 weights and 0.9 s for 2001 on grades -2..2 (2-vCPU
+# pair, 0.07 s for 201 weights and 0.5 s for 2001 on grades -2..2 (2-vCPU
 # host), and no archived or benchmark range has more than 9
 MAX_WEIGHT_VALUES = 201
 # a modcheck's window labels squared times its weights, which the two bounds
 # above leave at up to 201 million; only level-0 pairs are checked, so one
-# weight on 1,000 level-0 labels takes about 19 s, 201 weights on 70 about
-# 18.5 s and one weight on 100 grades x 10 levels 0.2 s (2-vCPU host), and no
+# weight on 1,000 level-0 labels takes 15 to 17.5 s, 201 weights on 70 10 to
+# 14 s and one weight on 100 grades x 10 levels 0.2 s (2-vCPU host), and no
 # archived or benchmark modcheck has more than 2,025
 MAX_PAIR_WEIGHTS = MAX_WINDOW_LABELS**2
 

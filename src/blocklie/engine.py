@@ -278,8 +278,10 @@ def decide(proof: object, tuples: Iterable[tuple], residual: Callable[[tuple], o
     when zero, or None for a rule without terms.  A proof holds universally
     and scans nothing.  A failed proof scans for its witness on a grid sized
     by the terms' degrees, so finding none means the rule's pair disagrees
-    with its terms, which raises.  A rule without terms is only scanned, and
-    holds on the tested grid."""
+    with its terms, which raises.  The Virasoro and Laurent checks scan the
+    job's window instead, which need not hold the witness of a failed proof;
+    that raises too.  A rule without terms is only scanned, and holds on the
+    tested grid."""
     if proof is None:
         return first_failure(tuples, residual, "on_tested_grid")
     if not proof:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, lru_cache, partial
 
 from .block import BlockParams, basis_bracket
 from .engine import CENTRAL, Element, Graded, Verdict, Window, first_failure
@@ -125,19 +125,28 @@ def module_axiom_check(
                                          + A(beta, alpha+m) A(alpha, m)
 
     It is antisymmetric in x, y, so tuples (alpha, beta, 0, 0, m) run over
-    beta < alpha in grade order, then over the weight.
+    beta < alpha in grade order, then over the weight.  Each pair is
+    bracketed once, and each A(l, m) at a tuple's own weight m is computed
+    once (`own`).  A(alpha, beta+m) and A(beta, alpha+m) are not cached: on a
+    wide window with few weights they almost never recur, and a cache of
+    them would hold one entry per pair.
     """
     A = partial(_basis_action, kind, as_fraction(params.q))
+    own = cache(A)
     lo, hi = weight_range
+
+    @lru_cache(maxsize=1)  # a pair's weights are consecutive tuples
+    def bracket(alpha: int, beta: int) -> list[tuple]:
+        terms = basis_bracket(params, Graded(alpha, 0), Graded(beta, 0)).terms.items()
+        return [(label, as_fraction(c)) for label, c in terms]
 
     def residual(t: tuple) -> ModuleVector:
         alpha, beta, _, _, m = t
-        bracket = basis_bracket(params, Graded(alpha, 0), Graded(beta, 0)).terms.items()
         r = sum(
-            as_fraction(c) * (central_value if label is CENTRAL else A(label.grade, m))
-            for label, c in bracket
+            c * (central_value if label is CENTRAL else own(label.grade, m))
+            for label, c in bracket(alpha, beta)
         )
-        r += A(beta, alpha + m) * A(alpha, m) - A(alpha, beta + m) * A(beta, m)
+        r += A(beta, alpha + m) * own(alpha, m) - A(alpha, beta + m) * own(beta, m)
         return ModuleVector({alpha + beta + m: r})
 
     tuples = (

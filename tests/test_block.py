@@ -1,9 +1,15 @@
 import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blocklie import block
 from blocklie.block import (
+    CUBIC_COCYCLE,
     BlockParams,
     basis_bracket,
     block_bracket,
@@ -23,12 +29,30 @@ from blocklie.engine import (
     InsufficientGridError,
     Window,
     bracket_apply,
+    first_failure,
     grid_identity_check,
 )
 from blocklie.novikov import AffinizationParams, WittNovikovParams, affinize, witt_product_rule
-from blocklie.scalars import PolyRing
+from blocklie.scalars import Poly, PolyRing, accumulate
 
 P11 = BlockParams(p=Fraction(1), q=Fraction(1))
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+RING = PolyRing("p", "q")
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+block_params = st.builds(
+    BlockParams,
+    st.one_of(rationals, st.just(RING.var("p"))),
+    st.one_of(rationals.filter(bool), st.just(RING.var("q"))),
+)
+windows = st.one_of(
+    st.just(Window(0, 0, 0)),
+    st.builds(
+        lambda low, width, level_max: Window(low, low + width, level_max),
+        st.integers(-3, 2),
+        st.integers(0, 4),
+        st.integers(0, 2),
+    ),
+)
 
 
 def test_bracket_examples_at_p1_q1():
@@ -247,3 +271,153 @@ def test_gradation_of_the_bracket():
                 assert a + b == 0
             else:
                 assert index.grade == a + b
+
+
+# -- the Laurent and Virasoro proofs against the window scans they replaced ---
+
+
+@dataclass(frozen=True)
+class _TPower:
+    q_mult: int
+    offset: int
+
+    def __mul__(self, other):
+        return _TPower(self.q_mult + other.q_mult, self.offset + other.offset)
+
+    def d_dt(self, q):
+        return self.q_mult * q + self.offset, self * _TPower(0, -1)
+
+
+def scanned_virasoro(params, window):
+    """`virasoro_embedding_check` as the window scan it was before its proof."""
+
+    def residual(t):
+        a, b = t
+        terms = {Graded(a + b, 0): (b - a) * params.q}
+        if a + b == 0:
+            terms[CENTRAL] = cocycle_value(a)
+        return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
+
+    level_zero = replace(window, level_max=0).pairs()
+    return first_failure(((a, b) for a, _, b, _ in level_zero), residual)
+
+
+def scanned_laurent(params, window):
+    """`laurent_realization_check` as the window scan it was before its proof."""
+    p, q = params.p, params.q
+    shift, dual = _TPower(-1, 1), _TPower(-2, -1)
+
+    def residual(t):
+        a, i, b, j = t
+        f, g = _TPower(1, i), _TPower(1, j)
+        (ef, df), (eg, dg) = f.d_dt(q), g.d_dt(q)
+        terms = {}
+        for coeff, power in (((b + p) * ef, df * g * shift), (-(a + p) * eg, f * dg * shift)):
+            accumulate(terms, ((Graded(a + b, power.offset), coeff),))
+        if a + b == 0 and dual * f * g == _TPower(0, -1):
+            accumulate(terms, ((CENTRAL, cocycle_value(a)),))
+        return basis_bracket(params, Graded(a, i), Graded(b, j)) - Element(terms)
+
+    return first_failure(window.pairs(), residual)
+
+
+CHECKS = ((virasoro_embedding_check, scanned_virasoro), (laurent_realization_check, scanned_laurent))
+
+
+def perturbed_coefficient(extra):
+    """`block.structure_coefficient` plus extra(x, y), for numeric labels and
+    for the index-ring labels of `delta_free_rule` alike."""
+    original = block.structure_coefficient
+    return lambda params, x, y: original(params, x, y) + extra(x, y)
+
+
+@SETTINGS
+@given(block_params, windows)
+def test_laurent_and_virasoro_hold_by_proof_without_bracketing(params, window):
+    def no_bracket(*args):
+        raise AssertionError("a holding proof brackets no basis labels")
+
+    with mock.patch.object(block, "basis_bracket", no_bracket):
+        for check, _ in CHECKS:
+            assert str(check(params, window)) == "holds_universally"
+
+
+@SETTINGS
+@given(
+    block_params,
+    windows,
+    rationals,
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 1),
+)
+def test_perturbed_checks_match_the_window_scans(params, window, delta, ea, eb, el):
+    # a nonzero delta breaks both proofs; the scan then finds the witness the
+    # old check found, or finds none on this window and the check raises
+    extra = lambda x, y: delta * x.grade**ea * y.grade**eb * (x.level + y.level + 1) ** el
+    with mock.patch.object(block, "structure_coefficient", perturbed_coefficient(extra)):
+        for check, scan in CHECKS:
+            expected = scan(params, window)
+            if delta and expected.holds:
+                with pytest.raises(ValueError, match="holds no witness"):
+                    check(params, window)
+                continue
+            got = check(params, window)
+            assert (got.holds, got.witness) == (expected.holds, expected.witness)
+            assert str(got.residual) == str(expected.residual)
+            assert got.holds == (not delta)
+
+
+@SETTINGS
+@given(block_params, windows, rationals.filter(bool))
+def test_perturbation_vanishing_on_every_window_grade_raises(params, window, delta):
+    grades = range(window.grade_min, window.grade_max + 1)
+
+    def extra(x, y):
+        product = delta
+        for g in grades:
+            product *= (x.grade - g) * (y.grade - g)
+        return product
+
+    with mock.patch.object(block, "structure_coefficient", perturbed_coefficient(extra)):
+        for check, scan in CHECKS:
+            assert scan(params, window).holds
+            with pytest.raises(ValueError, match="holds no witness"):
+                check(params, window)
+
+
+def test_virasoro_proof_compares_the_cocycles():
+    # the proof's bracket side carries CUBIC_COCYCLE on b = -a; another
+    # cocycle there fails the proof, and the scan, whose bracket reads
+    # cocycle_value, finds no witness
+    with mock.patch.object(block, "CUBIC_COCYCLE", (G**3 + G) / 12):
+        with pytest.raises(ValueError, match="holds no witness"):
+            virasoro_embedding_check(P11, Window(-2, 2, 0))
+    assert virasoro_embedding_check(P11, Window(-2, 2, 0)).holds
+
+
+def lifted(value, ring):
+    return value.compose(ring) if isinstance(value, Poly) else ring.const(value)
+
+
+@SETTINGS
+@given(block_params, st.lists(st.integers(-6, 6), min_size=2, max_size=2), st.data())
+def test_basis_bracket_is_delta_free_term_plus_cocycle_on_its_stratum(params, grades, data):
+    # the bracket side of both proofs, against the bracket the scans read
+    a, b = grades
+    if data.draw(st.booleans()):
+        b = -a
+    i, j = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    ((offset, coeff),) = delta_free_rule(params).terms
+    ring = coeff.ring
+    expected = {
+        Graded(a + b + offset[0], i + j + offset[1]): coeff.substitute(
+            {"a": a, "i": i, "b": b, "j": j}
+        )
+    }
+    if a + b == 0 and i == j == 0:
+        expected[CENTRAL] = lifted(CUBIC_COCYCLE.substitute({"x": a}), ring)
+    got = basis_bracket(params, Graded(a, i), Graded(b, j))
+    assert got.terms.keys() == {k for k, v in expected.items() if v}
+    for label, value in got.terms.items():
+        assert lifted(value, ring) == expected[label]
