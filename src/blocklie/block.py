@@ -118,12 +118,16 @@ def block_bracket(params: BlockParams, x: Element, y: Element) -> Element:
 def block_bracket_rule(params: BlockParams) -> BracketRule:
     """Full bracket (with cocycle) packaged for closure/adjoint machinery.
 
-    It has no terms, since the delta factors are not polynomial, so an
-    identity check on it would speak only for its grid.  Every output lands
-    at offset (0, 0), the cocycle's c only at a+b = 0, i = j = 0, as the
-    `offsets` contract asks.
+    Its terms are `delta_free_rule`'s and its cocycle is `CUBIC_COCYCLE`, so
+    the closure brackets it by integer evaluation and its offsets come from
+    the terms.  The Kronecker delta keeps the terms from proving anything
+    about the full bracket: an identity check on it speaks only for its grid.
     """
-    return BracketRule(lambda x, y: basis_bracket(params, x, y), offsets=((0, 0),))
+    return BracketRule(
+        lambda x, y: basis_bracket(params, x, y),
+        terms=_delta_free_terms(params),
+        cocycle=CUBIC_COCYCLE,
+    )
 
 
 def delta_free_rule(params: BlockParams) -> BracketRule:
@@ -131,15 +135,19 @@ def delta_free_rule(params: BlockParams) -> BracketRule:
     this is what the engine's Jacobi proof runs on.  Its one term is
     `structure_coefficient` of the index-ring labels L[a,i], L[b,j], at
     output offset (0, 0)."""
-    ring, (p, q) = index_ring(params.p, params.q)
-    a, i, b, j = (ring.var(name) for name in "aibj")
     return BracketRule(
         lambda x, y: Element.basis(
             Graded(x.grade + y.grade, x.level + y.level),
             structure_coefficient(params, x, y),
         ),
-        terms=(((0, 0), structure_coefficient(BlockParams(p, q), Graded(a, i), Graded(b, j))),),
+        terms=_delta_free_terms(params),
     )
+
+
+def _delta_free_terms(params: BlockParams) -> tuple:
+    ring, (p, q) = index_ring(params.p, params.q)
+    a, i, b, j = (ring.var(name) for name in "aibj")
+    return (((0, 0), structure_coefficient(BlockParams(p, q), Graded(a, i), Graded(b, j))),)
 
 
 def cocycle_jacobi_check(

@@ -226,13 +226,20 @@ class _Fields:
                 values.append(self.rational(name, raw[name]))
         return values
 
-    def elements(self, name: str, default=_REQUIRED, nonempty=True) -> list[Element]:
+    def elements(
+        self, name: str, window: Window, default=_REQUIRED, nonempty=True
+    ) -> list[Element]:
+        """Elements whose every label lies in `window`."""
         values = []
         for k, text in enumerate(self.array(name, default, nonempty)):
             try:
-                values.append(parse_element(text))
+                element = parse_element(text)
+                outside = next((i for i in element.terms if not window.contains(i)), None)
+                if outside is not None:
+                    raise ConfigError(f"label {outside} lies outside the closure window")
             except ConfigError as exc:
                 raise ConfigError(f"{self.job}: field '{self.where(name)}[{k}]': {exc}") from None
+            values.append(element)
         self.echo[name] = [str(e) for e in values]
         return values
 
@@ -456,12 +463,13 @@ def _validate_closure(f: _Fields):
     else:
         witt = novikov.WittNovikovParams(p=p, mu=mu, theta=f.int("theta", 0))
         rule = novikov.affinize(novikov.witt_product_rule(witt), novikov.AffinizationParams(q=q))
+    window = f.window()
     return partial(
         _run_closure,
         rule,
-        f.window(),
-        f.elements("generators"),
-        f.elements("membership", [], nonempty=False),
+        window,
+        f.elements("generators", window),
+        f.elements("membership", window, [], nonempty=False),
     )
 
 
@@ -675,21 +683,15 @@ def _run_crosscheck(weight, params, max_level, horizon) -> tuple[dict, bool]:
 
 
 def _run_closure(rule, window, generators, membership) -> tuple[dict, bool]:
-    try:
-        closure = engine.subalgebra_closure(rule, generators, window)
-    except engine.ClosureError as exc:
-        raise ConfigError(f"closure: field 'generators': {exc}") from None
+    closure = engine.subalgebra_closure(rule, generators, window)
     by_grade = {
         str(grade): [str(row) for row in rows]
         for grade, rows in closure.by_grade().items()
     }
-    memberships = []
-    for k, query in enumerate(membership):
-        try:
-            inside = engine.membership(query, closure)
-        except engine.ClosureError as exc:
-            raise ConfigError(f"closure: field 'membership[{k}]': {exc}") from None
-        memberships.append({"element": str(query), "member": inside})
+    memberships = [
+        {"element": str(query), "member": engine.membership(query, closure)}
+        for query in membership
+    ]
     results = {
         "dimension": closure.dimension(),
         "basis_by_grade": by_grade,

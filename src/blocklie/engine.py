@@ -26,16 +26,20 @@ states the witness contract and the rule for skipping tuples by symmetry.
 
 `subalgebra_closure` works in concrete-parameter mode (all coefficients
 rational) inside a finite window, discarding bracket products that land
-outside.  A rule that states its output `offsets` lets it skip, without
-computing any coefficient, every basis pair whose bracket cannot reach the
-window.  It keeps one sparse echelon basis (`_Echelon`) of integer rows over
-the window coordinates ordered grade asc, level asc, central last, forms each
-product as an integer row from cached integer pair brackets, and runs
-semi-naive rounds: a round brackets only the rows whose pivot is new since
-the last round against all rows, and the loop ends when a round adds no
-pivot.  The truncated bracket is bilinear and the reduced echelon form is
-canonical, so the result equals that of bracketing every pair every round,
-independent of processing order.
+outside, and skips without any arithmetic every basis pair whose bracket
+cannot reach the window by the rule's output `offsets`.  A rule with terms is
+compiled once per closure into an integer kernel: every term coefficient, and
+the rule's `cocycle`, times one common denominator D, as integer monomials in
+the indices, so a basis pair's row is an integer evaluation whose columns are
+looked up by (grade, level).  A rule without terms is bracketed through its
+pair.  The closure keeps one sparse echelon basis (`_Echelon`) of integer rows
+over the window coordinates ordered grade asc, level asc, central last, forms
+each product as an integer row from cached integer pair rows, and runs
+semi-naive rounds: a round brackets only the rows whose pivot is new since the
+last round against all rows, and the loop ends when a round adds no pivot.
+The truncated bracket is bilinear and the reduced echelon form is canonical,
+so the result equals that of bracketing every pair every round, independent
+of processing order and of the positive scale of each product.
 """
 
 from __future__ import annotations
@@ -280,8 +284,8 @@ def decide(proof: object, tuples: Iterable[tuple], residual: Callable[[tuple], o
     by the terms' degrees, so finding none means the rule's pair disagrees
     with its terms, which raises.  The Virasoro and Laurent checks scan the
     job's window instead, which need not hold the witness of a failed proof;
-    that raises too.  A rule without terms is only scanned, and holds on the
-    tested grid."""
+    that raises too.  A rule without terms, or with a cocycle, is only
+    scanned, and holds on the tested grid."""
     if proof is None:
         return first_failure(tuples, residual, "on_tested_grid")
     if not proof:
@@ -362,20 +366,29 @@ class BracketRule:
     i = j = 0, with (0, 0) listed.  So c lies in a window exactly when that
     L[0,0] does, and a pair none of whose offset labels lies in the window
     brackets to zero there.  A rule with terms derives its offsets from them
-    (the offsets whose summed coefficient is nonzero); only a rule without
-    terms states them by hand.
+    (the offsets whose summed coefficient is nonzero, and (0, 0) when it has
+    a cocycle); only a rule without terms states them by hand.
+
+    `cocycle`, when given with terms, is a Poly K in one variable, the form
+    `block.cocycle_jacobi_check` takes: pair(L[a,i], L[b,j]) is the terms
+    plus K(a)*c exactly when a+b = 0 and i = j = 0.  The Kronecker delta is
+    not polynomial, so the terms alone prove nothing about such a rule, and
+    its identities are scanned on their grid (`check_identities`); the
+    closure reads terms and cocycle as one integer kernel.
     """
 
     pair: Callable[[Graded, Graded], Element]
     terms: tuple[tuple[tuple[int, int], Poly], ...] | None = None
     offsets: tuple[tuple[int, int], ...] | None = None
+    cocycle: Poly | None = None
     grade_degree_bound: int = field(default=0, init=False)
     level_degree_bound: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.terms is not None:
             summed = accumulate({}, self.terms)
-            object.__setattr__(self, "offsets", tuple(summed))
+            central = () if self.cocycle is None or (0, 0) in summed else ((0, 0),)
+            object.__setattr__(self, "offsets", (*summed, *central))
             object.__setattr__(self, "grade_degree_bound", degree_in(summed, "ab"))
             object.__setattr__(self, "level_degree_bound", degree_in(summed, "ij"))
 
@@ -522,20 +535,24 @@ def check_identities(
     """Decide each identity named in `scans` on the rule, in their order.
 
     All of them are proved together from the rule's terms (`_prove`).  An
-    identity whose proof fails, or any identity of a rule without terms, is
-    scanned over its tuples, where `labels(t)` gives the labels x, y(, z) of
-    tuple t, and the first tuple with a nonzero residual is the witness (see
-    `decide` for the verdict's scope).  A residual has per-variable degree at
-    most the bracket depth of its identity times the rule's bound, so a grid
-    of one more value holds a witness of any failed proof: each of `grids`
-    ("grade", and "level" where levels vary) must have that many distinct
-    values, with or without terms."""
+    identity whose proof fails, or any identity of a rule without terms or
+    with a cocycle (which its terms omit), is scanned over its tuples, where
+    `labels(t)` gives the labels x, y(, z) of tuple t, and the first tuple
+    with a nonzero residual is the witness (see `decide` for the verdict's
+    scope).  A residual has per-variable degree at most the bracket depth of
+    its identity times the rule's bound, so a grid of one more value holds a
+    witness of any failed proof: each of `grids` ("grade", and "level" where
+    levels vary) must have that many distinct values, with or without
+    terms."""
     names = list(scans)
     depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
     bounds = {"grade": rule.grade_degree_bound, "level": rule.level_degree_bound}
     for grid, values in grids.items():
         _require_grid(grid, values, depth * bounds[grid] + 1)
-    proofs = [None] * len(names) if rule.terms is None else _prove(rule.terms, names)
+    if rule.terms is None or rule.cocycle is not None:
+        proofs = [None] * len(names)
+    else:
+        proofs = _prove(rule.terms, names)
     # basis pairs recur across tuples and identities; cache their brackets
     pair = functools.cache(rule.pair)
     bracket = functools.partial(extend_bilinearly, pair)
@@ -592,18 +609,31 @@ class ClosureError(ValueError):
     """Raised when closure/membership preconditions are violated."""
 
 
+class ClosureWork(NamedTuple):
+    """Work counters of one closure: distinct basis pairs bracketed, products
+    of two rows formed, nonzero products that reduced to zero against the
+    echelon, and pivots that products added."""
+
+    pairs: int
+    products: int
+    reduced_to_zero: int
+    pivots: int
+
+
 @dataclass(frozen=True)
 class Closure:
     """Reduced echelon basis of a window-truncated bracket closure.
 
     Each row lists its labels in window coordinate order, so its first label
     is its pivot.  The integer echelon that the rows were read from, and the
-    window's coordinates, are kept for `membership`."""
+    window's coordinates, are kept for `membership`; the work counters are
+    kept for diagnosis and are no part of the result."""
 
     window: Window
     rows: tuple[Element, ...]
     _coord_index: Mapping[BasisIndex, int] = field(repr=False, compare=False)
     _echelon: _Echelon = field(repr=False, compare=False)
+    _work: ClosureWork = field(repr=False, compare=False)
 
     def by_grade(self) -> dict[int, tuple[Element, ...]]:
         """Rows grouped by the grade of their pivot label (central counts as 0)."""
@@ -700,6 +730,59 @@ class _Echelon:
         return basis
 
 
+def _integer_kernel(
+    rule: BracketRule, coord_index: Mapping[BasisIndex, int]
+) -> Callable[[Graded, Graded], tuple[int, tuple]]:
+    """The rule's exact form compiled to integers: (x, y) -> (D, ((column,
+    int), ...)), the window part of pair(x, y) times D, for a rule with terms.
+
+    D is one common denominator of every term coefficient and the cocycle,
+    each of which becomes integer monomials in the indices a, i, b, j of
+    x = L[a,i], y = L[b,j] (the cocycle's in a alone): (D*c, factors), where
+    `factors` lists the position in (a, i, b, j) of each unit of degree.  A
+    coefficient that still reads a parameter symbol raises ClosureError."""
+    summed = accumulate({}, rule.terms)
+    cocycle = {} if rule.cocycle is None else rule.cocycle.terms
+    coefficients = itertools.chain(cocycle.values(), *(c.terms.values() for c in summed.values()))
+    den = lcm(*(c.denominator for c in coefficients))
+    by_offset = []
+    for offset, coeff in summed.items():
+        indices = [coeff.ring.index(name) for name in "aibj"]
+        if any(sum(exps) != sum(exps[k] for k in indices) for exps in coeff.terms):
+            raise ClosureError(
+                f"closure requires concrete rational coefficients, got symbolic {coeff}"
+            )
+        monomials = [
+            (int(c * den), tuple(pos for pos, k in enumerate(indices) for _ in range(exps[k])))
+            for exps, c in coeff.terms.items()
+        ]
+        by_offset.append((offset, monomials))
+    cocycle = [(int(c * den), e) for (e,), c in cocycle.items()]
+    central = coord_index.get(CENTRAL)
+
+    def row(x: Graded, y: Graded) -> tuple[int, tuple]:
+        (a, i), (b, j) = x, y
+        point = (a, i, b, j)
+        out = []
+        for (dg, dl), monomials in by_offset:
+            col = coord_index.get((a + b + dg, i + j + dl))
+            if col is not None:
+                value = 0
+                for c, factors in monomials:
+                    for pos in factors:
+                        c *= point[pos]
+                    value += c
+                if value:
+                    out.append((col, value))
+        if cocycle and central is not None and a + b == 0 and i == j == 0:
+            value = sum(c * a**e for c, e in cocycle)
+            if value:
+                out.append((central, value))
+        return den, tuple(out)
+
+    return row
+
+
 def subalgebra_closure(
     rule: BracketRule, generators: Iterable[Element], window: Window
 ) -> Closure:
@@ -708,9 +791,11 @@ def subalgebra_closure(
 
     Concrete-parameter mode only: every coefficient must be a rational
     constant.  Bracket products landing outside the window are discarded;
-    when the rule states its `offsets`, a basis pair none of whose output
-    labels lies in the window is not bracketed at all.  A rule without
-    offsets has every pair bracketed and then truncated.
+    when the rule has `offsets`, a basis pair none of whose output labels
+    lies in the window is not bracketed at all.  A rule with terms is
+    bracketed by its integer kernel (`_integer_kernel`), and one without
+    through its pair, truncated; a rule without offsets has every pair
+    bracketed.
 
     Semi-naive: each round brackets only the rows whose pivot is new since
     the last round (`fresh`), against the rows of earlier rounds and the later
@@ -728,17 +813,28 @@ def subalgebra_closure(
     reach = None if rule.offsets is None else {
         (x.grade - dg, x.level - dl) for x in coords if x is not CENTRAL for dg, dl in rule.offsets
     }
+    if rule.terms is not None:
+        bracket = _integer_kernel(rule, coord_index)
+    else:
+
+        def bracket(x: Graded, y: Graded) -> tuple[int, tuple]:
+            terms = rule.pair(x, y).terms.items()
+            den, row = _integer_row(((i, c) for i, c in terms if i in coord_index), coord_index)
+            return den, tuple(row.items())
+
+    pairs = 0
+
     # basis pairs recur; cache each truncated bracket, times d, as (d, ((column, int), ...))
     @functools.cache
     def pair(kx: int, ky: int) -> tuple[int, tuple]:
+        nonlocal pairs
         x, y = coords[kx], coords[ky]
         if x is CENTRAL or y is CENTRAL:
             return 1, ()
         if reach is not None and (x.grade + y.grade, x.level + y.level) not in reach:
             return 1, ()
-        terms = rule.pair(x, y).terms.items()
-        den, row = _integer_row(((i, c) for i, c in terms if i in coord_index), coord_index)
-        return den, tuple(row.items())
+        pairs += 1
+        return bracket(x, y)
 
     def product(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         # the product times `scale`, a common multiple of its pairs' denominators
@@ -747,6 +843,8 @@ def subalgebra_closure(
         for kx, cx in x.items():
             for ky, cy in y.items():
                 den, terms = pair(kx, ky)
+                if not terms:
+                    continue
                 if scale % den:
                     factor = lcm(scale, den) // scale
                     acc = {k: v * factor for k, v in acc.items()}
@@ -756,6 +854,8 @@ def subalgebra_closure(
                     acc[col] = acc.get(col, 0) + factor * v
         return {k: v for k, v in acc.items() if v}
 
+    generated = len(ech.rows)
+    products = reduced = 0
     done: list[dict[int, int]] = []
     fresh_pivots = sorted(ech.rows)
     while fresh_pivots:
@@ -764,14 +864,16 @@ def subalgebra_closure(
         for k, x in enumerate(fresh):
             for y in itertools.chain(done, fresh[k + 1 :]):
                 vec = product(x, y)
-                if vec:
-                    ech.insert(vec)
+                products += 1
+                if vec and not ech.insert(vec):
+                    reduced += 1
         done.extend(fresh)
         fresh_pivots = sorted(ech.rows.keys() - known)
+    work = ClosureWork(pairs, products, reduced, len(ech.rows) - generated)
     # each row divided by its pivot: the reduced echelon rows
     rows = sorted(ech.rows.items())
-    reduced = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)
-    return Closure(window, tuple(map(Element._wrap, reduced)), coord_index, ech)
+    reduced_rows = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)
+    return Closure(window, tuple(map(Element._wrap, reduced_rows)), coord_index, ech, work)
 
 
 def membership(element: Element, closure: Closure) -> bool:

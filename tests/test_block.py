@@ -24,6 +24,7 @@ from blocklie.block import (
 )
 from blocklie.engine import (
     CENTRAL,
+    BracketRule,
     Element,
     Graded,
     InsufficientGridError,
@@ -421,3 +422,48 @@ def test_basis_bracket_is_delta_free_term_plus_cocycle_on_its_stratum(params, gr
     assert got.terms.keys() == {k for k, v in expected.items() if v}
     for label, value in got.terms.items():
         assert lifted(value, ring) == expected[label]
+
+
+@SETTINGS
+@given(block_params, st.lists(st.integers(-6, 6), min_size=2, max_size=2), st.data())
+def test_block_rule_pair_is_its_terms_plus_its_cocycle_on_the_stratum(params, grades, data):
+    # the closure's kernel reads the terms and the cocycle, the scans read pair
+    rule = block_bracket_rule(params)
+    a, b = grades
+    if data.draw(st.booleans()):
+        b = -a
+    i, j = data.draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    ring = rule.terms[0][1].ring
+    point = {"a": a, "i": i, "b": b, "j": j}
+    expected = accumulate(
+        {}, ((Graded(a + b + dg, i + j + dl), c.substitute(point)) for (dg, dl), c in rule.terms)
+    )
+    if a + b == 0 and i == j == 0:
+        (symbol,) = rule.cocycle.ring.symbols
+        accumulate(expected, ((CENTRAL, lifted(rule.cocycle.substitute({symbol: a}), ring)),))
+    got = rule.pair(Graded(a, i), Graded(b, j))
+    assert got.terms.keys() == expected.keys()
+    for label, value in got.terms.items():
+        assert lifted(value, ring) == expected[label]
+
+
+def test_block_rule_identities_hold_only_on_the_tested_grid():
+    grades, levels = [-2, -1, 0, 1, 2], [0, 1, 2]
+    params = BlockParams(p=Fraction(2, 3), q=Fraction(-7, 5))
+    for rule in (block_bracket_rule(params), block_bracket_rule(P11)):
+        for identity in ("antisymmetry", "jacobi"):
+            verdict = grid_identity_check(rule, identity, grades, levels)
+            assert str(verdict) == "holds_on_tested_grid"
+    # the terms alone prove Jacobi; a cocycle that is no 2-cocycle breaks it
+    square = PolyRing("x").var("x") ** 2
+    delta_free = delta_free_rule(params)
+
+    def pair(x, y):
+        out = delta_free.pair(x, y)
+        if x.grade + y.grade == 0 and x.level == y.level == 0:
+            out = out + Element.basis(CENTRAL, x.grade**2)
+        return out
+
+    broken = BracketRule(pair, terms=delta_free.terms, cocycle=square)
+    assert grid_identity_check(delta_free, "jacobi", grades, levels).holds
+    assert not grid_identity_check(broken, "jacobi", grades, levels).holds

@@ -557,6 +557,29 @@ EXIT_CASES = [
         },
     ),
     (
+        "closure_generator_outside_window",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": -2, "grade_max": 2, "level_max": 1},
+            "generators": ["L[-1,0]", "L[1,0] + L[9,0]"],
+        },
+    ),
+    (
+        "closure_membership_outside_window",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 1, "grade_max": 4, "level_max": 0},
+            "generators": ["L[1,0]"],
+            "membership": ["L[1,0]", "L[2,0] + c"],
+        },
+    ),
+    (
         "affinize_mutations_over_limit",
         2,
         {"job": "affinize", "p": "2", "q": "1", "mutations": {"count": 101, "seed": 0}},
@@ -749,6 +772,14 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
         (
             "closure_membership_zero_denominator",
             "closure: field 'membership[1]': cannot parse element term '3/00*L[3,0]'",
+        ),
+        (
+            "closure_generator_outside_window",
+            "closure: field 'generators[1]': label L[9,0] lies outside the closure window",
+        ),
+        (
+            "closure_membership_outside_window",
+            "closure: field 'membership[1]': label c lies outside the closure window",
         ),
         ("affinize_mutations_over_limit", "affinize: field 'mutations.count' must be <= 100"),
         (

@@ -11,10 +11,12 @@ The closure skips a basis pair whose output labels all miss the window, by
 the rule's declared `offsets`, while the oracles bracket every pair; so the
 offsets contract is tested on its own, for every rule that declares it, and
 the shifts theta are drawn wide enough for an offset to leave the window on
-either edge.
+either edge.  A rule with terms is bracketed by its integer kernel, never by
+its pair, so the kernel is tested against the pair on basis pairs of its own.
 """
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine import graded_bracket_rule
 
+from blocklie import block
 from blocklie.block import BlockParams, block_bracket_rule, delta_free_rule
 from blocklie.engine import (
     CENTRAL,
@@ -31,6 +34,8 @@ from blocklie.engine import (
     Graded,
     Window,
     _Echelon,
+    _integer_kernel,
+    _integer_row,
     bracket_apply,
     membership,
     subalgebra_closure,
@@ -240,6 +245,8 @@ PINNED_GENERATORS = {
         Window(-3, 3, 3),
         [Element.basis(Graded(1, 0)), Element.basis(Graded(-1, 1)), Element.basis(Graded(2, 2))],
     ),
+    # on the Block rules, c enters only through the cocycle of [L[2,0], L[-2,0]]
+    "cocycle pair": (Window(-2, 2, 1), [Element.basis(Graded(2, 0)), Element.basis(Graded(-2, 0))]),
 }
 
 
@@ -248,6 +255,66 @@ PINNED_GENERATORS = {
 def test_closure_matches_naive_on_pinned_cases(rule, gens):
     window, generators = PINNED_GENERATORS[gens]
     assert_matches_naive(PINNED_RULES[rule], generators, window)
+
+
+def raising_pair(x, y):
+    raise AssertionError("a rule with terms was bracketed through its pair")
+
+
+@pytest.mark.parametrize("gens", PINNED_GENERATORS)
+@pytest.mark.parametrize("rule", PINNED_RULES)
+def test_closure_of_a_rule_with_terms_never_calls_its_pair(monkeypatch, rule, gens):
+    window, generators = PINNED_GENERATORS[gens]
+    expected = naive_closure(PINNED_RULES[rule], generators, window)
+    monkeypatch.setattr(block, "basis_bracket", raising_pair)
+    kernel_only = replace(PINNED_RULES[rule], pair=raising_pair)
+    assert subalgebra_closure(kernel_only, generators, window).rows == expected
+
+
+@st.composite
+def kernel_cases(draw):
+    """A rule with terms, a window and basis pairs: inside the window, outside
+    it, and always one on the cocycle stratum a+b = 0, i = j = 0."""
+    kind = draw(st.sampled_from(["block", "affinized", "perturbed", "graded"]))
+    if kind == "block":
+        p = draw(st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction), rationals))
+        rule = block_bracket_rule(BlockParams(p=p, q=draw(nonzero)))
+    elif kind == "graded":
+        rule = engine_rule(draw)
+    else:
+        mu = draw(st.one_of(st.just(Fraction(0)), nonzero))
+        params = WittNovikovParams(p=draw(rationals), mu=mu, theta=draw(st.integers(-2, 2)))
+        if kind == "affinized":
+            product = witt_product_rule(params)
+        else:
+            target = draw(st.sampled_from(["main", "shift"]))
+            exponents = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            product = perturbed_witt_rule(params, target, exponents, draw(nonzero))
+        rule = affinize(product, AffinizationParams(q=draw(rationals)))
+    window = draw(windows)
+    grade = st.integers(window.grade_min - 3, window.grade_max + 3)
+    level = st.integers(0, window.level_max + 2)
+    label = st.builds(Graded, grade, level)
+    pairs = draw(st.lists(st.tuples(label, label), min_size=1, max_size=12))
+    a = draw(grade)
+    pairs.append((Graded(a, 0), Graded(-a, 0)))
+    return rule, window, pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(kernel_cases())
+def test_integer_kernel_row_over_its_denominator_is_the_truncated_pair(case):
+    rule, window, pairs = case
+    coord_index = {index: pos for pos, index in enumerate(window.indices())}
+    kernel = _integer_kernel(rule, coord_index)
+    for x, y in pairs:
+        den, row = kernel(x, y)
+        assert all(v for _, v in row)
+        inside = [(i, c) for i, c in rule.pair(x, y).terms.items() if i in coord_index]
+        d, expected = _integer_row(inside, coord_index)
+        assert {k: Fraction(v, den) for k, v in row} == {
+            k: Fraction(v, d) for k, v in expected.items()
+        }
 
 
 @st.composite
@@ -278,7 +345,8 @@ def assert_offsets_cover_every_output_label(rule):
 
 @pytest.mark.parametrize("p", [0, 1, -1, Fraction(2, 3)])
 def test_block_rule_offsets_cover_every_output_label(p):
-    # the Block rule declares its offsets by hand; the box holds cocycle pairs
+    # the Block rule derives its offsets from its terms and cocycle, which add
+    # (0, 0) for c; the box holds cocycle pairs
     assert_offsets_cover_every_output_label(block_bracket_rule(BlockParams(p, Fraction(-7, 5))))
 
 
