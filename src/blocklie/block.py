@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Sequence
 
 from .engine import (
@@ -37,7 +36,6 @@ from .engine import (
     Window,
     _require_grid,
     decide,
-    extend_bilinearly,
     index_ring,
 )
 from .scalars import Poly, PolyRing, Scalar, accumulate
@@ -66,16 +64,6 @@ _X = PolyRing("x").var("x")
 CUBIC_COCYCLE = (_X**3 - _X) / 12  # `cocycle_value` as a one-variable Poly
 
 
-def triangular_part(index) -> str:
-    """Triangular slot of a basis label: "negative", "zero" or "positive" by
-    grade sign; the central element belongs to the zero part."""
-    if index is CENTRAL:
-        return "zero"
-    if index.grade < 0:
-        return "negative"
-    return "zero" if index.grade == 0 else "positive"
-
-
 def structure_numerator(params: BlockParams, x: Graded, y: Graded) -> int:
     """(i*qd+qn)(b*pd+pn) - (j*qd+qn)(a*pd+pn) for x = L[a,i], y = L[b,j] and
     rational p = pn/pd, q = qn/qd: `structure_coefficient` times pd*qd."""
@@ -93,12 +81,6 @@ def structure_coefficient(params: BlockParams, x: Graded, y: Graded) -> Scalar:
     return Fraction(structure_numerator(params, x, y), p.denominator * q.denominator)
 
 
-def _check_levels(element: Element) -> None:
-    for index in element.terms:
-        if index is not CENTRAL and index.level < 0:
-            raise ValueError(f"negative level in {index}: levels must be >= 0")
-
-
 def basis_bracket(params: BlockParams, x: Graded, y: Graded) -> Element:
     """Bracket of two basis vectors, cocycle included."""
     label = Graded(x.grade + y.grade, x.level + y.level)
@@ -108,15 +90,8 @@ def basis_bracket(params: BlockParams, x: Graded, y: Graded) -> Element:
     return Element(terms)
 
 
-def block_bracket(params: BlockParams, x: Element, y: Element) -> Element:
-    """Bilinear extension of the bracket; c is central, levels must be >= 0."""
-    _check_levels(x)
-    _check_levels(y)
-    return Element._wrap(extend_bilinearly(partial(basis_bracket, params), x.terms, y.terms))
-
-
 def block_bracket_rule(params: BlockParams) -> BracketRule:
-    """Full bracket (with cocycle) packaged for closure/adjoint machinery.
+    """The full bracket, cocycle included, as the rule that closure jobs take.
 
     Its terms are `delta_free_rule`'s and its cocycle is `CUBIC_COCYCLE`, so
     the closure brackets it by integer evaluation and its offsets come from
@@ -330,31 +305,3 @@ def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
         return basis_bracket(params, Graded(a, i), Graded(b, j)) - Element(terms)
 
     return decide(_laurent_proof(params), window.pairs(), residual)
-
-
-def parabolic_degree_zero(
-    params: BlockParams, a: Element, level_max: int
-) -> list[Element]:
-    """Degree-zero slice of the minimal parabolic subalgebra through `a`.
-
-    For a = sum_i c_i L[-1,i] (nonzero, homogeneous of grade -1) the slice is
-    spanned by the images w_j = [a, L[1,j]], which come out cocycle-free as
-
-        w_j = sum_i c_i (2q + i + j + p(i-j)) L[0,i+j],   j = 0..level_max,
-
-    the coefficient being `structure_coefficient` of L[-1,i] and L[1,j]; the
-    kernel rows of `hweight.singular_vector_solve` read its numerator.
-    """
-    if a.is_zero():
-        raise ValueError("the grade -1 element must be nonzero")
-    for index in a.terms:
-        if index is CENTRAL or index.grade != -1 or index.level < 0:
-            raise ValueError(f"not homogeneous of grade -1: contains {index}")
-    images = []
-    for j in range(level_max + 1):
-        y = Graded(1, j)
-        w: dict = {}
-        for x, coeff in a.terms.items():
-            accumulate(w, ((Graded(0, x.level + j), coeff * structure_coefficient(params, x, y)),))
-        images.append(Element(w))
-    return images

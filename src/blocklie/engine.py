@@ -24,22 +24,21 @@ rule without terms, which holds on the tested grid (`check_identities`,
 Every exact check in the package ends in `first_failure`, whose docstring
 states the witness contract and the rule for skipping tuples by symmetry.
 
-`subalgebra_closure` works in concrete-parameter mode (all coefficients
-rational) inside a finite window, discarding bracket products that land
-outside, and skips without any arithmetic every basis pair whose bracket
-cannot reach the window by the rule's output `offsets`.  A rule with terms is
+`subalgebra_closure` takes a rule with terms, in concrete-parameter mode (all
+coefficients rational), inside a finite window: it discards bracket products
+that land outside, and skips without any arithmetic every basis pair whose
+bracket cannot reach the window by the rule's output `offsets`.  The rule is
 compiled once per closure into an integer kernel: every term coefficient, and
 the rule's `cocycle`, times one common denominator D, as integer monomials in
 the indices, so a basis pair's row is an integer evaluation whose columns are
-looked up by (grade, level).  A rule without terms is bracketed through its
-pair.  The closure keeps one sparse echelon basis (`_Echelon`) of integer rows
-over the window coordinates ordered grade asc, level asc, central last, forms
-each product as an integer row from cached integer pair rows, and runs
-semi-naive rounds: a round brackets only the rows whose pivot is new since the
-last round against all rows, and the loop ends when a round adds no pivot.
-The truncated bracket is bilinear and the reduced echelon form is canonical,
-so the result equals that of bracketing every pair every round, independent
-of processing order and of the positive scale of each product.
+looked up by (grade, level).  The closure keeps one sparse echelon basis
+(`_Echelon`) of integer rows over the window coordinates ordered grade asc,
+level asc, central last, forms each product, times D, from cached pair rows,
+and runs semi-naive rounds: a round brackets only the rows whose pivot is new
+since the last round against all rows, and the loop ends when a round adds no
+pivot.  The truncated bracket is bilinear and the reduced echelon form is
+canonical, so the result equals that of bracketing every pair every round,
+independent of processing order and of the positive scale of each product.
 """
 
 from __future__ import annotations
@@ -360,14 +359,11 @@ class BracketRule:
     (`level_degree_bound`) of any offset's summed coefficient, 0 without
     terms; and only a rule with terms can hold universally (see `decide`).
 
-    `offsets`, when not None, says where `pair` can land: every graded label
-    of pair(L[a,i], L[b,j]) is L[a+b+dgrade, i+j+dlevel] for a listed
-    (dgrade, dlevel), and the central label c appears only at a+b = 0,
-    i = j = 0, with (0, 0) listed.  So c lies in a window exactly when that
-    L[0,0] does, and a pair none of whose offset labels lies in the window
-    brackets to zero there.  A rule with terms derives its offsets from them
-    (the offsets whose summed coefficient is nonzero, and (0, 0) when it has
-    a cocycle); only a rule without terms states them by hand.
+    `offsets` is derived from the terms (None without): the offsets whose
+    summed coefficient is nonzero, and (0, 0) when the rule has a cocycle.
+    So every label of pair(L[a,i], L[b,j]) is L[a+b+dgrade, i+j+dlevel] for
+    a listed offset, or c at a+b = 0, i = j = 0, which lies in a window
+    exactly when that L[0,0] does.
 
     `cocycle`, when given with terms, is a Poly K in one variable, the form
     `block.cocycle_jacobi_check` takes: pair(L[a,i], L[b,j]) is the terms
@@ -379,8 +375,8 @@ class BracketRule:
 
     pair: Callable[[Graded, Graded], Element]
     terms: tuple[tuple[tuple[int, int], Poly], ...] | None = None
-    offsets: tuple[tuple[int, int], ...] | None = None
     cocycle: Poly | None = None
+    offsets: tuple[tuple[int, int], ...] | None = field(default=None, init=False)
     grade_degree_bound: int = field(default=0, init=False)
     level_degree_bound: int = field(default=0, init=False)
 
@@ -732,9 +728,9 @@ class _Echelon:
 
 def _integer_kernel(
     rule: BracketRule, coord_index: Mapping[BasisIndex, int]
-) -> Callable[[Graded, Graded], tuple[int, tuple]]:
-    """The rule's exact form compiled to integers: (x, y) -> (D, ((column,
-    int), ...)), the window part of pair(x, y) times D, for a rule with terms.
+) -> tuple[int, Callable[[Graded, Graded], tuple]]:
+    """The rule's exact form compiled to integers: (D, row), where row(x, y)
+    is ((column, int), ...), the window part of pair(x, y) times D.
 
     D is one common denominator of every term coefficient and the cocycle,
     each of which becomes integer monomials in the indices a, i, b, j of
@@ -760,7 +756,7 @@ def _integer_kernel(
     cocycle = [(int(c * den), e) for (e,), c in cocycle.items()]
     central = coord_index.get(CENTRAL)
 
-    def row(x: Graded, y: Graded) -> tuple[int, tuple]:
+    def row(x: Graded, y: Graded) -> tuple:
         (a, i), (b, j) = x, y
         point = (a, i, b, j)
         out = []
@@ -778,9 +774,9 @@ def _integer_kernel(
             value = sum(c * a**e for c, e in cocycle)
             if value:
                 out.append((central, value))
-        return den, tuple(out)
+        return tuple(out)
 
-    return row
+    return den, row
 
 
 def subalgebra_closure(
@@ -789,13 +785,10 @@ def subalgebra_closure(
     """Smallest window-truncated subspace containing the generators and closed
     under the truncated bracket.
 
-    Concrete-parameter mode only: every coefficient must be a rational
-    constant.  Bracket products landing outside the window are discarded;
-    when the rule has `offsets`, a basis pair none of whose output labels
-    lies in the window is not bracketed at all.  A rule with terms is
-    bracketed by its integer kernel (`_integer_kernel`), and one without
-    through its pair, truncated; a rule without offsets has every pair
-    bracketed.
+    The rule must have terms, and every coefficient must be a rational
+    constant.  The rule is bracketed by its integer kernel
+    (`_integer_kernel`), and a basis pair none of whose output labels, by the
+    rule's `offsets`, lies in the window is not bracketed at all.
 
     Semi-naive: each round brackets only the rows whose pivot is new since
     the last round (`fresh`), against the rows of earlier rounds and the later
@@ -804,54 +797,41 @@ def subalgebra_closure(
     they were then, and the fresh rows span the current space; the truncated
     bracket is bilinear, so every pair of a spanning set is bracketed once.
     """
+    if rule.terms is None:
+        raise ClosureError("closure requires a bracket rule with terms")
     coords = window.indices()
     coord_index = {index: pos for pos, index in enumerate(coords)}
     ech = _Echelon(len(coords))
     for gen in generators:
         ech.insert(_integer_row(truncate(gen, window).terms.items(), coord_index)[1])
     # the (grade, level) sums of basis pairs whose bracket can reach the window
-    reach = None if rule.offsets is None else {
+    reach = {
         (x.grade - dg, x.level - dl) for x in coords if x is not CENTRAL for dg, dl in rule.offsets
     }
-    if rule.terms is not None:
-        bracket = _integer_kernel(rule, coord_index)
-    else:
-
-        def bracket(x: Graded, y: Graded) -> tuple[int, tuple]:
-            terms = rule.pair(x, y).terms.items()
-            den, row = _integer_row(((i, c) for i, c in terms if i in coord_index), coord_index)
-            return den, tuple(row.items())
-
+    # one D scales every pair row, so a product is its truncated bracket times D
+    _, bracket = _integer_kernel(rule, coord_index)
     pairs = 0
 
-    # basis pairs recur; cache each truncated bracket, times d, as (d, ((column, int), ...))
+    # basis pairs recur; cache each truncated bracket, times D, as ((column, int), ...)
     @functools.cache
-    def pair(kx: int, ky: int) -> tuple[int, tuple]:
+    def pair(kx: int, ky: int) -> tuple:
         nonlocal pairs
         x, y = coords[kx], coords[ky]
-        if x is CENTRAL or y is CENTRAL:
-            return 1, ()
-        if reach is not None and (x.grade + y.grade, x.level + y.level) not in reach:
-            return 1, ()
+        if x is CENTRAL or y is CENTRAL or (x.grade + y.grade, x.level + y.level) not in reach:
+            return ()
         pairs += 1
         return bracket(x, y)
 
     def product(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-        # the product times `scale`, a common multiple of its pairs' denominators
+        # the truncated bracket of two rows, times D
         acc: dict[int, int] = {}
-        scale = 1
         for kx, cx in x.items():
             for ky, cy in y.items():
-                den, terms = pair(kx, ky)
-                if not terms:
-                    continue
-                if scale % den:
-                    factor = lcm(scale, den) // scale
-                    acc = {k: v * factor for k, v in acc.items()}
-                    scale *= factor
-                factor = cx * cy * (scale // den)
-                for col, v in terms:
-                    acc[col] = acc.get(col, 0) + factor * v
+                terms = pair(kx, ky)
+                if terms:
+                    factor = cx * cy
+                    for col, v in terms:
+                        acc[col] = acc.get(col, 0) + factor * v
         return {k: v for k, v in acc.items() if v}
 
     generated = len(ech.rows)
@@ -880,17 +860,3 @@ def membership(element: Element, closure: Closure) -> bool:
     """True iff the element reduces to zero against the closure's echelon basis."""
     vec = _integer_row(element.terms.items(), closure._coord_index)[1]
     return not closure._echelon.reduce(vec)
-
-
-def adjoint_chain(
-    rule: BracketRule, z1: Element, z2: Element, l1: int, l2: int
-) -> Element:
-    """ad_{z2}^(l2-1) ad_{z1}^(l1) applied to z2, by iterated brackets."""
-    if l1 < 0 or l2 < 1:
-        raise ValueError("require l1 >= 0 and l2 >= 1")
-    out = z2
-    for _ in range(l1):
-        out = bracket_apply(rule, z1, out)
-    for _ in range(l2 - 1):
-        out = bracket_apply(rule, z2, out)
-    return out

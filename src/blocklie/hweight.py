@@ -192,12 +192,6 @@ def _label_factor(params: BlockParams) -> tuple[int, int, int]:
     return a, b, q.denominator * square
 
 
-def singular_indices(params: BlockParams, horizon: int) -> tuple[int, ...]:
-    """Indices k <= horizon where 2q + (1-p^2)k vanishes (at most one)."""
-    a, b, _ = _label_factor(params)
-    return tuple(k for k in range(horizon + 1) if a + b * k == 0)
-
-
 def weight_labels(weight: Weight, params: BlockParams, horizon: int) -> Coeffs:
     """Labels Lambda_0..Lambda_horizon, synthesizing from the generator if needed."""
     if weight.labels is not None and len(weight.labels) > horizon:
@@ -372,7 +366,7 @@ def _kernel_rows(labels: Sequence[Fraction], params: BlockParams, max_level: int
     """Rows j = 0..horizon of pd*qd*D*M, D the lcm of the label denominators,
     each as {i: int} over its nonzero entries.  The coefficient of L[0,i+j] in
     [L[-1,i], L[1,j]] is read from `block.structure_numerator`, the numerator
-    of what `block.parabolic_degree_zero` reads."""
+    of `block.structure_coefficient`."""
     scale = lcm(*(v.denominator for v in labels))
     values = [v.numerator * (scale // v.denominator) for v in labels]
     xs = [Graded(-1, i) for i in range(max_level + 1)]

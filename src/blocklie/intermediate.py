@@ -43,18 +43,6 @@ class IntermediateKind:
             raise ValueError("parameter b is required exactly for the Aab family")
 
 
-def weight_shift_family(a, b) -> IntermediateKind:
-    return IntermediateKind("Aab", Fraction(a), Fraction(b))
-
-
-def zero_exception_family(a) -> IntermediateKind:
-    return IntermediateKind("Aa", Fraction(a))
-
-
-def diagonal_exception_family(a) -> IntermediateKind:
-    return IntermediateKind("Ba", Fraction(a))
-
-
 class ModuleVector(Element):
     """Finitely supported combination of the weight basis v_m, m in Z, keyed by
     the integer m; the arithmetic is Element's."""

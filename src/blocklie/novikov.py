@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .engine import (
@@ -37,9 +36,7 @@ from .engine import (
     Element,
     Graded,
     Verdict,
-    Window,
     check_identities,
-    first_failure,
     grid_identity_check,
     index_ring,
     normalize_index_values,
@@ -217,25 +214,3 @@ def theorem22_probe(
     )
     return ProbeReport(axioms, jacobi, axioms.holds == jacobi.holds)
 
-
-def block_sZ_reindex_check(s: Fraction, window: Window) -> Verdict:
-    """Verify that the (p, q, mu, theta) = (1, s-1, -s, 1) bracket, relabeled
-    through R[a,i] = L[a-1,i], reproduces
-
-        [R[a,i], R[b,j]] = s(j-i) R[a+b,i+j] + ((i+s-1)b - (j+s-1)a) R[a+b-1,i+j]
-
-    exactly for all window indices (a, i, b, j)."""
-    s = Fraction(s)
-    rule = affinize(
-        witt_product_rule(WittNovikovParams(p=Fraction(1), mu=-s, theta=1)),
-        AffinizationParams(q=s - 1),
-    )
-
-    def residual(t: tuple) -> Element:
-        a, i, b, j = t
-        expected = Element.basis(Graded(a + b - 1, i + j), s * (j - i)) + Element.basis(
-            Graded(a + b - 2, i + j), (i + s - 1) * b - (j + s - 1) * a
-        )
-        return rule.pair(Graded(a - 1, i), Graded(b - 1, j)) - expected
-
-    return first_failure(window.pairs(), residual)

@@ -14,6 +14,14 @@ from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
+from test_engine import adjoint_chain
+from test_intermediate import (
+    diagonal_exception_family,
+    weight_shift_family,
+    zero_exception_family,
+)
+from test_novikov import block_sZ_reindex_check
+
 from blocklie.block import (
     BlockParams,
     block_bracket_rule,
@@ -26,7 +34,6 @@ from blocklie.engine import (
     Element,
     Graded,
     Window,
-    adjoint_chain,
     grid_identity_check,
 )
 from blocklie.hweight import (
@@ -38,17 +45,11 @@ from blocklie.hweight import (
     QuasiPolynomial,
     singular_vector_solve,
 )
-from blocklie.intermediate import (
-    diagonal_exception_family,
-    module_axiom_check,
-    weight_shift_family,
-    zero_exception_family,
-)
+from blocklie.intermediate import module_axiom_check
 from blocklie.novikov import (
     AffinizationParams,
     WittNovikovParams,
     affinize,
-    block_sZ_reindex_check,
     perturbed_witt_rule,
     theorem22_probe,
     witt_product_rule,

@@ -1,7 +1,8 @@
 """Differential test of the one bilinear path against a naive reference.
 
-`bracket_apply` (on brackets and on products), `block_bracket` and
-`intermediate.act` all extend a basis formula linearly through
+`bracket_apply` (on brackets and on products), `intermediate.act` and the
+Block bracket's extension `block_bracket` (an oracle of `test_block`, built on
+`engine.extend_bilinearly`) all extend a basis formula linearly through
 `scalars.accumulate`.  The reference here expands the same basis formula term
 by term into a plain dict and drops zeros only at the end, so it shares no
 summation code with the program.
@@ -12,7 +13,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocklie.block import BlockParams, basis_bracket, block_bracket, block_bracket_rule
+from test_block import block_bracket
+
+from blocklie.block import BlockParams, basis_bracket, block_bracket_rule
 from blocklie.engine import CENTRAL, Element, Graded, bracket_apply
 from blocklie.intermediate import IntermediateKind, ModuleVector, act
 from blocklie.novikov import (

@@ -1,6 +1,7 @@
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -12,14 +13,12 @@ from blocklie.block import (
     CUBIC_COCYCLE,
     BlockParams,
     basis_bracket,
-    block_bracket,
     block_bracket_rule,
     cocycle_jacobi_check,
     cocycle_value,
     delta_free_rule,
     laurent_realization_check,
-    parabolic_degree_zero,
-    triangular_part,
+    structure_coefficient,
     virasoro_embedding_check,
 )
 from blocklie.engine import (
@@ -30,6 +29,7 @@ from blocklie.engine import (
     InsufficientGridError,
     Window,
     bracket_apply,
+    extend_bilinearly,
     first_failure,
     grid_identity_check,
 )
@@ -54,6 +54,57 @@ windows = st.one_of(
         st.integers(0, 2),
     ),
 )
+
+
+def triangular_part(index) -> str:
+    """Triangular slot of a basis label: "negative", "zero" or "positive" by
+    grade sign; the central element belongs to the zero part."""
+    if index is CENTRAL:
+        return "zero"
+    if index.grade < 0:
+        return "negative"
+    return "zero" if index.grade == 0 else "positive"
+
+
+def _check_levels(element: Element) -> None:
+    for index in element.terms:
+        if index is not CENTRAL and index.level < 0:
+            raise ValueError(f"negative level in {index}: levels must be >= 0")
+
+
+def block_bracket(params: BlockParams, x: Element, y: Element) -> Element:
+    """Bilinear extension of the bracket; c is central, levels must be >= 0."""
+    _check_levels(x)
+    _check_levels(y)
+    return Element._wrap(extend_bilinearly(partial(basis_bracket, params), x.terms, y.terms))
+
+
+def parabolic_degree_zero(
+    params: BlockParams, a: Element, level_max: int
+) -> list[Element]:
+    """Degree-zero slice of the minimal parabolic subalgebra through `a`.
+
+    For a = sum_i c_i L[-1,i] (nonzero, homogeneous of grade -1) the slice is
+    spanned by the images w_j = [a, L[1,j]], which come out cocycle-free as
+
+        w_j = sum_i c_i (2q + i + j + p(i-j)) L[0,i+j],   j = 0..level_max,
+
+    the coefficient being `structure_coefficient` of L[-1,i] and L[1,j]; the
+    kernel rows of `hweight.singular_vector_solve` read its numerator.
+    """
+    if a.is_zero():
+        raise ValueError("the grade -1 element must be nonzero")
+    for index in a.terms:
+        if index is CENTRAL or index.grade != -1 or index.level < 0:
+            raise ValueError(f"not homogeneous of grade -1: contains {index}")
+    images = []
+    for j in range(level_max + 1):
+        y = Graded(1, j)
+        w: dict = {}
+        for x, coeff in a.terms.items():
+            accumulate(w, ((Graded(0, x.level + j), coeff * structure_coefficient(params, x, y)),))
+        images.append(Element(w))
+    return images
 
 
 def test_bracket_examples_at_p1_q1():

@@ -7,12 +7,14 @@ here so that they share no loop or elimination code with the program; they
 use only `bracket_apply` and `truncate`.  Results must agree exactly: the
 reduced echelon form is canonical.
 
-The closure skips a basis pair whose output labels all miss the window, by
-the rule's declared `offsets`, while the oracles bracket every pair; so the
-offsets contract is tested on its own, for every rule that declares it, and
-the shifts theta are drawn wide enough for an offset to leave the window on
-either edge.  A rule with terms is bracketed by its integer kernel, never by
-its pair, so the kernel is tested against the pair on basis pairs of its own.
+The closure takes only rules with terms.  It skips a basis pair whose
+output labels all miss the window, by the `offsets` derived from the terms,
+while the oracles bracket every pair; so the derived offsets are tested to
+cover every output label, the skipping is tested on the pairs the kernel
+receives, and the shifts theta are drawn wide enough for an offset to leave
+the window on either edge.  The closure brackets by its integer kernel, never
+by the rule's pair, so the kernel is tested against the pair on basis pairs
+of its own.
 """
 
 import itertools
@@ -25,11 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine import graded_bracket_rule
 
-from blocklie import block
+from blocklie import block, engine
 from blocklie.block import BlockParams, block_bracket_rule, delta_free_rule
 from blocklie.engine import (
     CENTRAL,
-    BracketRule,
+    ClosureError,
     Element,
     Graded,
     Window,
@@ -46,6 +48,7 @@ from blocklie.novikov import (
     WittNovikovParams,
     affinize,
     perturbed_witt_rule,
+    table_product_rule,
     witt_product_rule,
 )
 from blocklie.scalars import accumulate
@@ -306,9 +309,9 @@ def kernel_cases(draw):
 def test_integer_kernel_row_over_its_denominator_is_the_truncated_pair(case):
     rule, window, pairs = case
     coord_index = {index: pos for pos, index in enumerate(window.indices())}
-    kernel = _integer_kernel(rule, coord_index)
+    den, kernel = _integer_kernel(rule, coord_index)
     for x, y in pairs:
-        den, row = kernel(x, y)
+        row = kernel(x, y)
         assert all(v for _, v in row)
         inside = [(i, c) for i, c in rule.pair(x, y).terms.items() if i in coord_index]
         d, expected = _integer_row(inside, coord_index)
@@ -356,28 +359,50 @@ def test_derived_offsets_cover_every_output_label(rule):
     assert_offsets_cover_every_output_label(rule)
 
 
-def test_closure_brackets_only_pairs_that_reach_the_window():
-    block = block_bracket_rule(BlockParams(p=Fraction(2, 3), q=Fraction(-7, 5)))
+def test_closure_brackets_only_pairs_that_reach_the_window(monkeypatch):
+    rule = PINNED_RULES["block generic"]
     window, generators = PINNED_GENERATORS["dense pair"]
+    recorded = []
+    compile_kernel = engine._integer_kernel
 
-    def evaluated(offsets):
-        """The closure's rows and the basis pairs whose bracket it computed."""
-        seen = []
+    def recording_kernel(*args):
+        den, row = compile_kernel(*args)
 
-        def pair(x, y):
-            seen.append((x, y))
-            return block.pair(x, y)
+        def recording_row(x, y):
+            recorded.append((x, y))
+            return row(x, y)
 
-        rule = BracketRule(pair, offsets=offsets)
-        return subalgebra_closure(rule, generators, window).rows, seen
+        return den, recording_row
+
+    monkeypatch.setattr(engine, "_integer_kernel", recording_kernel)
+    closure = subalgebra_closure(rule, generators, window)
 
     def reaches(x, y):
-        return window.contains(Graded(x.grade + y.grade, x.level + y.level))
+        return any(
+            window.contains(Graded(x.grade + y.grade + dg, x.level + y.level + dl))
+            for dg, dl in rule.offsets
+        )
 
-    rows, skipping = evaluated(((0, 0),))
-    every_rows, every = evaluated(None)
-    assert rows == every_rows
-    assert set(skipping) == {xy for xy in every if reaches(*xy)} != set(every)
+    assert closure.rows == naive_closure(rule, generators, window)
+    assert all(reaches(x, y) for x, y in recorded)
+    support = {index for row in closure.rows for index in row.terms if index is not CENTRAL}
+    skipped = [
+        (x, y) for x, y in itertools.product(support, repeat=2) if not reaches(x, y)
+    ]
+    assert skipped and not set(skipped) & set(recorded)
+    assert closure._work.pairs == len(recorded)
+
+
+def test_closure_refuses_a_rule_without_terms():
+    # no config reaches this: a closure job builds only the Block and
+    # affinized Witt rules, both with terms; the refusal comes before any
+    # basis pair is bracketed
+    product = table_product_rule({(1, 1): Element.basis(Graded(2, 0), 5)})
+    rule = replace(affinize(product, AffinizationParams(q=Fraction(1))), pair=raising_pair)
+    assert rule.terms is None
+    generators = [Element.basis(Graded(1, 0)), Element.basis(Graded(1, 1))]
+    with pytest.raises(ClosureError, match="terms"):
+        subalgebra_closure(rule, generators, Window(0, 2, 1))
 
 
 @st.composite

@@ -11,7 +11,6 @@ from blocklie.engine import (
     InsufficientGridError,
     Window,
     BracketRule,
-    adjoint_chain,
     bracket_apply,
     first_failure,
     grid_identity_check,
@@ -45,6 +44,20 @@ def graded_bracket_rule(p, q, mu=0, theta=0, perturb_alpha_p=False):
     a, i, b, j = (ring.var(name) for name in "aibj")
     terms = (((0, 0), (i + Q) * (b + P) - (j + Q) * (a + P2)), ((theta, 0), (i - j) * MU))
     return BracketRule(pair, terms)
+
+
+def adjoint_chain(
+    rule: BracketRule, z1: Element, z2: Element, l1: int, l2: int
+) -> Element:
+    """ad_{z2}^(l2-1) ad_{z1}^(l1) applied to z2, by iterated brackets."""
+    if l1 < 0 or l2 < 1:
+        raise ValueError("require l1 >= 0 and l2 >= 1")
+    out = z2
+    for _ in range(l1):
+        out = bracket_apply(rule, z1, out)
+    for _ in range(l2 - 1):
+        out = bracket_apply(rule, z2, out)
+    return out
 
 
 def test_first_failure_returns_first_failing_tuple_and_its_residual():

@@ -20,7 +20,9 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocklie.block import BlockParams, block_bracket
+from test_block import block_bracket
+
+from blocklie.block import BlockParams
 from blocklie.engine import (
     CENTRAL,
     BracketRule,

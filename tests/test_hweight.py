@@ -6,7 +6,9 @@ from math import factorial
 
 import pytest
 
-from blocklie.block import BlockParams, parabolic_degree_zero
+from test_block import parabolic_degree_zero
+
+from blocklie.block import BlockParams
 from blocklie.cli import load_config, run_job
 from blocklie.engine import Element, Graded
 from blocklie.hweight import (
@@ -16,6 +18,7 @@ from blocklie.hweight import (
     UnrealizableError,
     Weight,
     _kernel_rows,
+    _label_factor,
     classify_quasifinite,
     criteria_cross_check,
     delta_from_labels,
@@ -23,10 +26,16 @@ from blocklie.hweight import (
     format_poly,
     labels_from_quasipolynomial,
     qp_annihilator,
-    singular_indices,
     singular_vector_solve,
     weight_labels,
 )
+
+
+def singular_indices(params: BlockParams, horizon: int) -> tuple[int, ...]:
+    """Indices k <= horizon where 2q + (1-p^2)k vanishes (at most one)."""
+    a, b, _ = _label_factor(params)
+    return tuple(k for k in range(horizon + 1) if a + b * k == 0)
+
 
 P21 = BlockParams(p=Fraction(2), q=Fraction(1))
 P01 = BlockParams(p=Fraction(0), q=Fraction(1))

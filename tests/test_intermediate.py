@@ -9,11 +9,21 @@ from blocklie.intermediate import (
     IntermediateKind,
     ModuleVector,
     act,
-    diagonal_exception_family,
     module_axiom_check,
-    weight_shift_family,
-    zero_exception_family,
 )
+
+
+def weight_shift_family(a, b) -> IntermediateKind:
+    return IntermediateKind("Aab", Fraction(a), Fraction(b))
+
+
+def zero_exception_family(a) -> IntermediateKind:
+    return IntermediateKind("Aa", Fraction(a))
+
+
+def diagonal_exception_family(a) -> IntermediateKind:
+    return IntermediateKind("Ba", Fraction(a))
+
 
 P31 = BlockParams(p=Fraction(3), q=Fraction(1))
 

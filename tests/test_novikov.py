@@ -9,15 +9,16 @@ from blocklie.engine import (
     Element,
     Graded,
     InsufficientGridError,
+    Verdict,
     Window,
     bracket_apply,
+    first_failure,
     grid_identity_check,
 )
 from blocklie.novikov import (
     AffinizationParams,
     WittNovikovParams,
     affinize,
-    block_sZ_reindex_check,
     novikov_axiom_check,
     perturbed_witt_rule,
     table_product_rule,
@@ -28,6 +29,29 @@ from blocklie.novikov import (
 from blocklie.scalars import PolyRing
 
 GRID = [-2, -1, 0, 1, 2]
+
+
+def block_sZ_reindex_check(s: Fraction, window: Window) -> Verdict:
+    """Verify that the (p, q, mu, theta) = (1, s-1, -s, 1) bracket, relabeled
+    through R[a,i] = L[a-1,i], reproduces
+
+        [R[a,i], R[b,j]] = s(j-i) R[a+b,i+j] + ((i+s-1)b - (j+s-1)a) R[a+b-1,i+j]
+
+    exactly for all window indices (a, i, b, j)."""
+    s = Fraction(s)
+    rule = affinize(
+        witt_product_rule(WittNovikovParams(p=Fraction(1), mu=-s, theta=1)),
+        AffinizationParams(q=s - 1),
+    )
+
+    def residual(t: tuple) -> Element:
+        a, i, b, j = t
+        expected = Element.basis(Graded(a + b - 1, i + j), s * (j - i)) + Element.basis(
+            Graded(a + b - 2, i + j), (i + s - 1) * b - (j + s - 1) * a
+        )
+        return rule.pair(Graded(a - 1, i), Graded(b - 1, j)) - expected
+
+    return first_failure(window.pairs(), residual)
 
 
 def test_witt_product_examples():
