@@ -65,14 +65,14 @@ MAX_MUTATIONS = 100
 # (2-vCPU host), and no archived or benchmark grid has more than 6
 MAX_GRID_VALUES = 50
 # weights lo..hi of a modcheck: each is checked against every level-0 label
-# pair, 0.07 s for 201 weights and 0.5 s for 2001 on grades -2..2 (2-vCPU
+# pair, 0.005 s for 201 weights and 0.035 s for 2001 on grades -2..2 (2-vCPU
 # host), and no archived or benchmark range has more than 9
 MAX_WEIGHT_VALUES = 201
 # a modcheck's window labels squared times its weights, which the two bounds
-# above leave at up to 201 million; only level-0 pairs are checked, so one
-# weight on 1,000 level-0 labels takes 15 to 17.5 s, 201 weights on 70 10 to
-# 14 s and one weight on 100 grades x 10 levels 0.2 s (2-vCPU host), and no
-# archived or benchmark modcheck has more than 2,025
+# above leave at up to 201 million; only level-0 pairs are checked, in integer
+# arithmetic, so one weight on 1,000 level-0 labels takes 0.8 to 1.3 s, 201
+# weights on 70 0.8 to 1.2 s and one weight on 100 grades x 10 levels 0.01 s
+# (2-vCPU host), and no archived or benchmark modcheck has more than 2,025
 MAX_PAIR_WEIGHTS = MAX_WINDOW_LABELS**2
 
 

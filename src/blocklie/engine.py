@@ -12,17 +12,20 @@ A product on the Witt labels x_a = L[a,0] is a `BracketRule` too: its pair
 reads grades only, and its terms sit at offsets (dgrade, 0).
 
 `IDENTITIES` states antisymmetry, Jacobi and the two Novikov axioms once
-each, as signed sums of nested brackets of the labels x, y, z.  Two
-evaluators read it.  The symbolic one (`_prove`) builds each identity from a
-rule's terms, one polynomial identity per output offset by `Poly.compose`,
-and only a proof holds universally.  The concrete one evaluates the same
-trees on basis labels through the rule's cached pair (`extend_bilinearly`);
-it scans a grid, sized by the identity's bracket depth times the terms'
-degree bounds, for the witness of a failed proof, and it alone decides a
-rule without terms, which holds on the tested grid (`check_identities`,
-`decide`).  `grid_identity_check` and `novikov.novikov_axiom_check` call it.
-Every exact check in the package ends in `first_failure`, whose docstring
-states the witness contract and the rule for skipping tuples by symmetry.
+each, as signed sums of nested brackets of the labels x, y, z; all trees of
+one identity have one bracket depth.  Two evaluators read it.  The symbolic
+one (`_prove`) builds each identity from a rule's terms, one polynomial
+identity per output offset by `scalars.compose_terms`, on integers: the
+terms times their common denominator D, which scales a residual of depth k
+by D^k and so keeps its zeros.  Only a proof holds universally.  The
+concrete one evaluates the same trees on basis labels through the rule's
+cached pair (`extend_bilinearly`); it scans a grid, sized by the identity's
+bracket depth times the terms' degree bounds, for the witness of a failed
+proof, and it alone decides a rule without terms, which holds on the tested
+grid (`check_identities`, `decide`).  `grid_identity_check` and
+`novikov.novikov_axiom_check` call it.  Every exact check in the package
+ends in `first_failure`, whose docstring states the witness contract and the
+rule for skipping tuples by symmetry.
 
 `subalgebra_closure` takes a rule with terms, in concrete-parameter mode (all
 coefficients rational), inside a finite window: it discards bracket products
@@ -48,9 +51,19 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .scalars import Poly, PolyRing, Scalar, accumulate, as_fraction, scalar_is_zero, signed_sum
+from .scalars import (
+    Poly,
+    PolyRing,
+    Scalar,
+    accumulate,
+    as_fraction,
+    compose_terms,
+    scalar_is_zero,
+    signed_sum,
+)
 
 IndexValue = Union[int, Fraction]
 
@@ -432,13 +445,6 @@ def normalize_index_values(values: Sequence[IndexValue]) -> list[IndexValue]:
     ]
 
 
-def _bracket_at(terms, x: tuple, y: tuple) -> list[tuple]:
-    """The terms of [L[x], L[y]] for labels x, y of Polys (grade, level);
-    each output label is L[x+y+offset]."""
-    images = {"a": x[0], "i": x[1], "b": y[0], "j": y[1]}
-    return [(offset, coeff.compose(coeff.ring, images)) for offset, coeff in terms]
-
-
 # Each identity is a signed sum of nested brackets of the labels x, y, z: a
 # tree is a label's name or a pair (u, v) standing for [u, v].  A product rule
 # on the Witt labels (`novikov`) reads [u, v] as the product uv.
@@ -490,36 +496,63 @@ def _prove(terms, names: Sequence[str]) -> list[dict]:
     L[a,i], y = L[b,j], z = L[c,k]: empty exactly when the identity holds for
     all indices.
 
-    A value maps (leaves, (dgrade, dlevel)) to a Poly over the indices, the
-    coefficient of the label L[sum of the leaves' labels + offset]; each
-    label is formed once, as its leaf sum plus a constant.  Labels of
-    distinct offsets are distinct, so each offset's coefficient must vanish
-    alone."""
+    The terms are lifted once to integers: every coefficient times D, the lcm
+    of their denominators.  A bracket of lifted terms is D times the rational
+    one, and all trees of an identity have one bracket depth k, so its
+    residual is D^k times the rational residual, and zero exactly when that
+    is.  A value maps (leaves, (dgrade, dlevel), exponents) to an int, the
+    coefficient of that monomial in the indices and parameters at the label
+    L[sum of the leaves' labels + offset]; each label is formed once, as its
+    leaf sum plus a constant, and so is each composed bracket of two labels.
+    Labels of distinct offsets are distinct, so each offset's coefficient
+    must vanish alone."""
     if not terms:
         return [{} for _ in names]
     ring = terms[0][1].ring
-    symbols = {name: (ring.var(g), ring.var(l)) for name, (g, l) in zip("xyz", ("ai", "bj", "ck"))}
+    width = len(ring.symbols)
+    unit = (0,) * width
+    den = lcm(*(c.denominator for _, coeff in terms for c in coeff.terms.values()))
+    lifted = [
+        (offset, {e: c.numerator * (den // c.denominator) for e, c in coeff.terms.items()})
+        for offset, coeff in terms
+    ]
+
+    def var(pos: int) -> tuple:
+        return tuple(int(k == pos) for k in range(width))
+
+    symbols = {name: tuple(map(ring.index, gl)) for name, gl in zip("xyz", ("ai", "bj", "ck"))}
+    positions = [ring.index(name) for name in "aibj"]
 
     @functools.cache
     def label(leaves: str, offset: tuple) -> tuple:
-        if offset != (0, 0):
-            return tuple(value + d for value, d in zip(label(leaves, (0, 0)), offset))
-        return tuple(sum(parts[1:], parts[0]) for parts in zip(*map(symbols.get, leaves)))
+        # the grade and level of L[sum of the leaves' labels + offset]
+        return tuple(
+            accumulate({}, [*((var(symbols[leaf][k]), 1) for leaf in leaves), (unit, d)])
+            for k, d in enumerate(offset)
+        )
+
+    @functools.cache
+    def bracket_at(lu: str, ou: tuple, lv: str, ov: tuple) -> list[tuple]:
+        # the lifted terms of [L[lu+ou], L[lv+ov]], one (offset, terms) per term
+        images = dict(zip(positions, (*label(lu, ou), *label(lv, ov))))
+        return [(offset, compose_terms(coeff, images, width)) for offset, coeff in lifted]
 
     def bracket(u: dict, v: dict) -> dict:
         out: dict = {}
-        for (lu, (gu, hu)), cu in u.items():
-            for (lv, (gv, hv)), cv in v.items():
+        for (lu, ou, eu), cu in u.items():
+            for (lv, ov, ev), cv in v.items():
                 leaves = "".join(sorted(lu + lv))
-                at = _bracket_at(terms, label(lu, (gu, hu)), label(lv, (gv, hv)))
-                accumulate(
-                    out,
-                    (((leaves, (gu + gv + dg, hu + hv + dl)), coeff) for (dg, dl), coeff in at),
-                    cu * cv,
-                )
+                exps = tuple(map(add, eu, ev))
+                for (dg, dl), composed in bracket_at(lu, ou, lv, ov):
+                    at = (ou[0] + ov[0] + dg, ou[1] + ov[1] + dl)
+                    accumulate(
+                        out,
+                        (((leaves, at, tuple(map(add, exps, e))), c) for e, c in composed.items()),
+                        cu * cv,
+                    )
         return out
 
-    return _evaluate(names, lambda name: {(name, (0, 0)): 1}, bracket)
+    return _evaluate(names, lambda name: {(name, (0, 0), unit): 1}, bracket)
 
 
 def check_identities(

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, partial
+from math import lcm
 
-from .block import BlockParams, basis_bracket
-from .engine import CENTRAL, Element, Graded, Verdict, Window, first_failure
+from .block import BlockParams
+from .engine import CENTRAL, Element, Verdict, Window, first_failure
 from .scalars import accumulate, as_fraction, format_rational
 
 VARIANTS = ("Aab", "Aa", "Ba")
@@ -60,13 +61,23 @@ class ModuleVector(Element):
         return f"ModuleVector({self})"
 
 
-def _basis_action(kind: IntermediateKind, q: Fraction, alpha: int, m: int) -> Fraction:
-    """The coefficient with which L[alpha,0] sends v_m to v_{alpha+m}."""
+def _scaled(kind: IntermediateKind, q: Fraction) -> tuple[int, int, int, int]:
+    """(q, a, b, 1) times d, the common denominator of q, a and b (b = 0 in
+    the families without it): the integers that `_basis_action` reads."""
+    values = (q, kind.a, kind.b or 0, 1)
+    d = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (d // v.denominator) for v in values)
+
+
+def _basis_action(kind: IntermediateKind, scaled: tuple, alpha: int, m: int) -> int:
+    """d^2 times the coefficient with which L[alpha,0] sends v_m to
+    v_{alpha+m}, from the family's integer parameters `scaled` (`_scaled`)."""
+    q, a, b, d = scaled
     if kind.variant == "Aab":
-        return q * (kind.a + m + kind.b * alpha)
+        return q * (a + d * m + b * alpha)
     if kind.variant == "Aa":
-        return q * (m + alpha) if m != 0 else q * alpha * (kind.a + alpha)
-    return q * m if m != -alpha else -q * alpha * (kind.a + alpha)
+        return q * d * (m + alpha) if m != 0 else q * alpha * (a + d * alpha)
+    return q * d * m if m != -alpha else -q * alpha * (a + d * alpha)
 
 
 def act(
@@ -82,7 +93,7 @@ def act(
     `central_value` is the scalar by which c acts; the modules themselves
     require 0 (the default), and the nonzero setting exists so the axiom
     check can demonstrate why."""
-    q = as_fraction(params.q)
+    scaled = _scaled(kind, as_fraction(params.q))
     acc: dict[int, Fraction] = {}
     for index, coeff in x.terms.items():
         scale = as_fraction(coeff)
@@ -90,8 +101,10 @@ def act(
             accumulate(acc, v.terms.items(), scale * central_value)
         elif index.level <= 0:
             alpha = index.grade
-            images = ((alpha + m, _basis_action(kind, q, alpha, m) * c) for m, c in v.terms.items())
-            accumulate(acc, images, scale)
+            images = (
+                (alpha + m, _basis_action(kind, scaled, alpha, m) * c) for m, c in v.terms.items()
+            )
+            accumulate(acc, images, scale / scaled[3] ** 2)
     return ModuleVector._wrap(acc)
 
 
@@ -106,36 +119,43 @@ def module_axiom_check(
 
     [L[alpha,i], L[beta,j]] lies at level i + j, so a pair with a positive
     level has residual zero and only x = L[alpha,0], y = L[beta,0] are
-    checked.  With A(l, m) the coefficient of l.v_m (`central_value` for c),
-    the residual on v_m is r v_{alpha+beta+m}:
+    checked.  Their bracket is q(beta-alpha) L[alpha+beta,0], plus
+    (alpha^3-alpha)/12 c on alpha+beta = 0 (`block`).  With A(l, m) the
+    coefficient of l.v_m (`central_value` for c), the residual on v_m is
+    r v_{alpha+beta+m}:
 
         r = sum_{c l in [x,y]} c A(l, m) - A(alpha, beta+m) A(beta, m)
                                          + A(beta, alpha+m) A(alpha, m)
 
     It is antisymmetric in x, y, so tuples (alpha, beta, 0, 0, m) run over
-    beta < alpha in grade order, then over the weight.  Each pair is
-    bracketed once, and each A(l, m) at a tuple's own weight m is computed
-    once (`own`).  A(alpha, beta+m) and A(beta, alpha+m) are not cached: on a
-    wide window with few weights they almost never recur, and a cache of
-    them would hold one entry per pair.
+    beta < alpha in grade order, then over the weight.
+
+    The loop multiplies only ints.  With d the common denominator of q, a
+    and b, `_basis_action` returns A d^2, so r times 12 den(central_value)
+    d^4 is an integer; a Fraction is built only for a witness's residual.
+    Each A(l, m) at a tuple's own weight m is computed once (`own`).
+    A(alpha, beta+m) and A(beta, alpha+m) are not cached: on a wide window
+    with few weights they almost never recur, and a cache of them would hold
+    one entry per pair.
     """
-    A = partial(_basis_action, kind, as_fraction(params.q))
+    scaled = _scaled(kind, as_fraction(params.q))
+    qd, _, _, d = scaled
+    A = partial(_basis_action, kind, scaled)
     own = cache(A)
     lo, hi = weight_range
+    # r times 12 den(central_value) d^4, where each A carries d^2 and q is qd/d
+    twelve = 12 * central_value.denominator
+    graded = twelve * qd * d
+    central = central_value.numerator * d**4
+    denominator = twelve * d**4
 
-    @lru_cache(maxsize=1)  # a pair's weights are consecutive tuples
-    def bracket(alpha: int, beta: int) -> list[tuple]:
-        terms = basis_bracket(params, Graded(alpha, 0), Graded(beta, 0)).terms.items()
-        return [(label, as_fraction(c)) for label, c in terms]
-
-    def residual(t: tuple) -> ModuleVector:
+    def residual(t: tuple):
         alpha, beta, _, _, m = t
-        r = sum(
-            c * (central_value if label is CENTRAL else own(label.grade, m))
-            for label, c in bracket(alpha, beta)
-        )
-        r += A(beta, alpha + m) * own(alpha, m) - A(alpha, beta + m) * own(beta, m)
-        return ModuleVector({alpha + beta + m: r})
+        r = graded * (beta - alpha) * own(alpha + beta, m)
+        r += twelve * (A(beta, alpha + m) * own(alpha, m) - A(alpha, beta + m) * own(beta, m))
+        if alpha + beta == 0:
+            r += (alpha**3 - alpha) * central
+        return r and ModuleVector({alpha + beta + m: Fraction(r, denominator)})
 
     tuples = (
         (alpha, beta, 0, 0, m)

@@ -19,7 +19,10 @@ to nonzero rational constants.
 
 Every sparse vector in the package (`Poly.terms` here, `engine.Element` and
 `intermediate.ModuleVector`) is a dict of nonzero coefficients; `accumulate`
-is their one addition and `signed_sum` their one printer.
+is their one addition and `signed_sum` their one printer.  `accumulate`,
+`_product` and `compose_terms` (substitution, which `Poly.compose` wraps)
+work on bare terms dicts in the arithmetic of their coefficients, so the
+engine's prover runs them on int coefficients without building a Poly.
 """
 
 from __future__ import annotations
@@ -314,36 +317,23 @@ class Poly:
         a polynomial into a ring that declares more symbols.
         """
         images = images or {}
-        # powers[pos][e] holds the terms of image^e, built as exponents demand
-        powers: dict[int, list[dict]] = {}
 
-        def power(pos: int, e: int) -> dict:
-            chain = powers.get(pos)
-            if chain is None:
-                name = self.ring.symbols[pos]
-                image = images.get(name)
-                if image is None:
-                    image = ring.var(name)
-                elif not isinstance(image, Poly):
-                    image = ring.const(image)
-                elif image.ring != ring:
-                    if not image.is_constant():
-                        raise SymbolTableError(f"image of {name!r} does not live in {ring!r}")
-                    image = ring.const(image.constant_value())
-                chain = powers[pos] = [ring.one.terms, image.terms]
-            while len(chain) <= e:
-                chain.append(_product(chain[-1], chain[1]))
-            return chain[e]
+        def image(pos: int) -> dict:
+            name = self.ring.symbols[pos]
+            value = images.get(name)
+            if value is None:
+                value = ring.var(name)
+            elif not isinstance(value, Poly):
+                value = ring.const(value)
+            elif value.ring != ring:
+                if not value.is_constant():
+                    raise SymbolTableError(f"image of {name!r} does not live in {ring!r}")
+                value = ring.const(value.constant_value())
+            return value.terms
 
-        acc: dict = {}
-        unit = (0,) * len(ring.symbols)
-        for exps, coeff in self.terms.items():
-            term = {unit: coeff}
-            for pos, e in enumerate(exps):
-                if e:
-                    term = _product(term, power(pos, e))
-            accumulate(acc, term.items())
-        return Poly._wrap(ring, acc)
+        used = {pos for exps in self.terms for pos, e in enumerate(exps) if e}
+        images_at = {pos: image(pos) for pos in used}
+        return Poly._wrap(ring, compose_terms(self.terms, images_at, len(ring.symbols)))
 
     def degree_bound(self, symbol: str) -> int:
         """Exact maximum exponent of `symbol` across the support (0 if absent)."""
@@ -377,6 +367,35 @@ def _product(terms1: dict, terms2: dict) -> dict:
             for e2, c2 in terms2.items()
         ),
     )
+
+
+def compose_terms(terms: Mapping, images: Mapping[int, dict], width: int) -> dict:
+    """The terms of a polynomial with the terms `images[pos]`, over a ring of
+    `width` symbols, substituted for its symbol at position pos; a symbol
+    without an image keeps its exponent and position, so the target ring
+    extends the source ring.  The arithmetic is that of the coefficients:
+    int terms and images give int terms."""
+    # powers[pos][e] holds the terms of images[pos]^e, built as exponents demand
+    powers = {pos: [None, image] for pos, image in images.items()}
+    acc: dict = {}
+    for exps, coeff in terms.items():
+        kept = [0] * width
+        factors = []
+        for pos, e in enumerate(exps):
+            if not e:
+                continue
+            chain = powers.get(pos)
+            if chain is None:
+                kept[pos] = e
+                continue
+            while len(chain) <= e:
+                chain.append(_product(chain[-1], chain[1]))
+            factors.append(chain[e])
+        term = {tuple(kept): coeff}
+        for factor in factors:
+            term = _product(term, factor)
+        accumulate(acc, term.items())
+    return acc
 
 
 class _ConstantPromotion(Exception):

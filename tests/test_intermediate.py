@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from functools import cache, lru_cache, partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blocklie.block import BlockParams
-from blocklie.engine import CENTRAL, Element, Graded, Window
+from blocklie.block import BlockParams, basis_bracket
+from blocklie.engine import CENTRAL, Element, Graded, Window, first_failure
 from blocklie.intermediate import (
+    VARIANTS,
     IntermediateKind,
     ModuleVector,
     act,
     module_axiom_check,
 )
+from blocklie.scalars import as_fraction
 
 
 def weight_shift_family(a, b) -> IntermediateKind:
@@ -165,3 +170,89 @@ def test_kind_validation():
         IntermediateKind("Aab", Fraction(1))
     with pytest.raises(ValueError, match="b is required"):
         IntermediateKind("Aa", Fraction(1), Fraction(2))
+
+
+# -- the Fraction module check, as an oracle ---------------------------------------
+
+
+def fraction_basis_action(kind: IntermediateKind, q: Fraction, alpha: int, m: int) -> Fraction:
+    """The coefficient with which L[alpha,0] sends v_m to v_{alpha+m}."""
+    if kind.variant == "Aab":
+        return q * (kind.a + m + kind.b * alpha)
+    if kind.variant == "Aa":
+        return q * (m + alpha) if m != 0 else q * alpha * (kind.a + alpha)
+    return q * m if m != -alpha else -q * alpha * (kind.a + alpha)
+
+
+def fraction_module_axiom_check(kind, params, window, weight_range, central_value=Fraction(0)):
+    """`module_axiom_check` in Fraction arithmetic, bracketing each level-0
+    pair with `basis_bracket`."""
+    A = partial(fraction_basis_action, kind, as_fraction(params.q))
+    own = cache(A)
+    lo, hi = weight_range
+
+    @lru_cache(maxsize=1)  # a pair's weights are consecutive tuples
+    def bracket(alpha: int, beta: int) -> list[tuple]:
+        terms = basis_bracket(params, Graded(alpha, 0), Graded(beta, 0)).terms.items()
+        return [(label, as_fraction(c)) for label, c in terms]
+
+    def residual(t: tuple) -> ModuleVector:
+        alpha, beta, _, _, m = t
+        r = sum(
+            c * (central_value if label is CENTRAL else own(label.grade, m))
+            for label, c in bracket(alpha, beta)
+        )
+        r += A(beta, alpha + m) * own(alpha, m) - A(alpha, beta + m) * own(beta, m)
+        return ModuleVector({alpha + beta + m: r})
+
+    tuples = (
+        (alpha, beta, 0, 0, m)
+        for alpha in range(window.grade_min, window.grade_max + 1)
+        for beta in range(window.grade_min, alpha)
+        for m in range(lo, hi + 1)
+    )
+    return first_failure(tuples, residual)
+
+
+wide_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+CENTRAL_VALUES = (Fraction(0), Fraction(1), Fraction(1, 7), Fraction(-2, 3))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(
+    st.sampled_from(VARIANTS),
+    st.lists(wide_rationals, min_size=3, max_size=3),
+    wide_rationals.filter(bool),
+    st.sampled_from(CENTRAL_VALUES),
+    st.tuples(st.integers(-4, 2), st.integers(0, 5)),
+    st.tuples(st.integers(-4, 2), st.integers(0, 4)),
+)
+def test_integer_module_check_matches_the_fraction_check(
+    variant, abp, q, central_value, grades, weights
+):
+    # windows start at -4..2, so some lack grade 0 and some hold alpha = -beta
+    a, b, p = abp
+    kind = IntermediateKind(variant, a, b if variant == "Aab" else None)
+    params = BlockParams(p, q)
+    window = Window(grades[0], grades[0] + grades[1], 1)
+    weight_range = (weights[0], weights[0] + weights[1])
+    got = module_axiom_check(kind, params, window, weight_range, central_value)
+    want = fraction_module_axiom_check(kind, params, window, weight_range, central_value)
+    assert str(got) == str(want)
+
+
+def test_integer_module_check_matches_the_fraction_check_on_failing_inputs():
+    # a nonzero central value fails at alpha = -beta, |alpha| >= 2; grades 1..4 never meet it
+    params = BlockParams(Fraction(-5, 9), Fraction(7, 6))
+    kinds = [
+        weight_shift_family(Fraction(4, 9), Fraction(-8, 3)),
+        zero_exception_family(Fraction(-7, 8)),
+        diagonal_exception_family(Fraction(5, 4)),
+    ]
+    for kind in kinds:
+        for central_value in CENTRAL_VALUES:
+            for window in (Window(-3, 3, 1), Window(1, 4, 0)):
+                got = module_axiom_check(kind, params, window, (-3, 3), central_value)
+                want = fraction_module_axiom_check(kind, params, window, (-3, 3), central_value)
+                assert str(got) == str(want)
+                assert got.holds == (not central_value or window.grade_min > 0)

@@ -10,12 +10,15 @@ a holding verdict is universal on the proof route and holds on the tested
 grid on the scan route.  A proof is only as good as the agreement of `terms`
 with the hand-written `pair`, so that is tested too, at integer and rational
 points, and a disagreement that the grid exposes raises.  The terms also
-decide the degree bounds that size the grids.
+decide the degree bounds that size the grids.  The prover itself runs on
+integers, and the Fraction prover it replaced is kept here as its oracle.
 """
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +26,11 @@ from hypothesis import strategies as st
 
 from blocklie.block import BlockParams, delta_free_rule
 from blocklie.engine import (
+    IDENTITIES,
     BracketRule,
     Graded,
+    _depth,
+    _evaluate,
     _prove,
     grid_identity_check,
     index_ring,
@@ -58,23 +64,26 @@ def grids(size: int):
 
 
 @st.composite
-def product_rules(draw):
+def product_rules(draw, values=rationals):
     """The Witt-type product, or it with one coefficient perturbed by
     delta*a^ea*b^eb, which breaks both Novikov axioms for most exponents."""
-    params = WittNovikovParams(draw(scalars("p")), draw(scalars("mu")), draw(st.integers(-2, 2)))
+    params = WittNovikovParams(
+        draw(scalars("p", values)), draw(scalars("mu", values)), draw(st.integers(-2, 2))
+    )
     if draw(st.integers(0, 3)) == 0:
         return witt_product_rule(params)
     target = draw(st.sampled_from(["main", "shift"]))
     exponents = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
-    return perturbed_witt_rule(params, target, exponents, draw(nonzero_rationals))
+    return perturbed_witt_rule(params, target, exponents, draw(values.filter(bool)))
 
 
 @st.composite
-def bracket_rules(draw):
+def bracket_rules(draw, values=rationals):
     """An affinized product rule, or the delta-free Block bracket."""
     if draw(st.integers(0, 3)):
-        return affinize(draw(product_rules()), AffinizationParams(draw(scalars("q"))))
-    return delta_free_rule(BlockParams(draw(scalars("p")), draw(scalars("q", nonzero_rationals))))
+        return affinize(draw(product_rules(values)), AffinizationParams(draw(scalars("q", values))))
+    p = draw(scalars("p", values))
+    return delta_free_rule(BlockParams(p, draw(scalars("q", values.filter(bool)))))
 
 
 def scan_only(rule):
@@ -243,3 +252,77 @@ def test_degree_bounds_are_read_from_the_terms():
     a = index_ring()[0].var("a")
     assert BracketRule(None, (((0, 0), a**2), ((0, 0), -(a**2)))).grade_degree_bound == 0
     assert BracketRule(None, (((0, 0), a**2), ((1, 0), -(a**2)))).grade_degree_bound == 2
+
+
+# -- the Fraction prover, as an oracle --------------------------------------------
+
+
+def fraction_bracket_at(terms, x: tuple, y: tuple) -> list[tuple]:
+    """The terms of [L[x], L[y]] for labels x, y of Polys (grade, level);
+    each output label is L[x+y+offset]."""
+    images = {"a": x[0], "i": x[1], "b": y[0], "j": y[1]}
+    return [(offset, coeff.compose(coeff.ring, images)) for offset, coeff in terms]
+
+
+def fraction_prove(terms, names) -> list[dict]:
+    """`_prove` in Fraction Poly arithmetic: each residual maps (leaves,
+    (dgrade, dlevel)) to the Poly coefficient of that label."""
+    if not terms:
+        return [{} for _ in names]
+    ring = terms[0][1].ring
+    symbols = {name: (ring.var(g), ring.var(l)) for name, (g, l) in zip("xyz", ("ai", "bj", "ck"))}
+
+    @functools.cache
+    def label(leaves: str, offset: tuple) -> tuple:
+        if offset != (0, 0):
+            return tuple(value + d for value, d in zip(label(leaves, (0, 0)), offset))
+        return tuple(sum(parts[1:], parts[0]) for parts in zip(*map(symbols.get, leaves)))
+
+    def bracket(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for (lu, (gu, hu)), cu in u.items():
+            for (lv, (gv, hv)), cv in v.items():
+                leaves = "".join(sorted(lu + lv))
+                at = fraction_bracket_at(terms, label(lu, (gu, hu)), label(lv, (gv, hv)))
+                accumulate(
+                    out,
+                    (((leaves, (gu + gv + dg, hu + hv + dl)), coeff) for (dg, dl), coeff in at),
+                    cu * cv,
+                )
+        return out
+
+    return _evaluate(names, lambda name: {(name, (0, 0)): 1}, bracket)
+
+
+def rational_residual(terms, name: str, residual: dict) -> dict:
+    """An integer residual of `_prove` divided by D^depth, D the common
+    denominator of the terms' coefficients: {(leaves, offset): Poly terms}."""
+    den = lcm(*(c.denominator for _, coeff in terms for c in coeff.terms.values()))
+    (depth,) = {_depth(tree) for _, tree in IDENTITIES[name]}
+    out: dict = {}
+    for (leaves, offset, exps), c in residual.items():
+        out.setdefault((leaves, offset), {})[exps] = Fraction(c, den**depth)
+    return out
+
+
+wide_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@SETTINGS
+@given(st.one_of(product_rules(wide_rationals), bracket_rules(wide_rationals)))
+def test_integer_prover_matches_the_fraction_prover(rule):
+    # every identity on every rule: a product's Jacobi sum is a polynomial identity too
+    names = list(IDENTITIES)
+    proofs = zip(names, _prove(rule.terms, names), fraction_prove(rule.terms, names))
+    for name, got, want in proofs:
+        assert (not got) == (not want), name
+        assert rational_residual(rule.terms, name, got) == {
+            key: coeff.terms for key, coeff in want.items()
+        }
+
+
+def test_every_identity_has_trees_of_one_depth():
+    # `_prove` scales a tree of depth k by D^k, so the trees of one identity
+    # must share k for the lifted residual to vanish with the rational one
+    for name, trees in IDENTITIES.items():
+        assert len({_depth(tree) for _, tree in trees}) == 1, name
