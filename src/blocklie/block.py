@@ -13,11 +13,18 @@ one-variable Poly.  The Virasoro embedding and the Laurent realization are
 proved the same way: one polynomial identity for the delta-free part and
 one for the cocycle on its stratum a+b = 0, i = j = 0.
 
+The three proofs run on integers, as the engine's prover does: each lifts
+its inputs (the parameters, the delta-free term, the cocycle) once over one
+common denominator D (`_lift`) and builds its residuals as `scalars.Packed`
+polynomials, whose monomials are packed ints.  A residual is a fixed power
+of D times the rational one, so it vanishes with it, and each residual is
+kept apart, so none can cancel another.
+
 The Laurent realization stores the formal factor t^q unexpanded: monomial
 exponents are pairs (q-multiplicity, offset) and differentiation uses
 (t^(q+n))' = (q+n) t^(q+n-1), so nothing assumes q is an integer.  The
-offset is an integer in the window scan and a Poly in the levels in the
-proof.
+offset is an integer in the window scan and a Packed polynomial in the
+levels in the proof.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
+from operator import add
+from typing import Iterator, Sequence
 
 from .engine import (
     CENTRAL,
@@ -38,7 +46,16 @@ from .engine import (
     decide,
     index_ring,
 )
-from .scalars import Poly, PolyRing, Scalar, accumulate
+from .scalars import (
+    Packed,
+    Packing,
+    Poly,
+    PolyRing,
+    Scalar,
+    accumulate,
+    lift,
+    total_degree,
+)
 
 
 @dataclass(frozen=True)
@@ -109,7 +126,7 @@ def delta_free_rule(params: BlockParams) -> BracketRule:
     """The cocycle-free structure constants, valid for all integer levels;
     this is what the engine's Jacobi proof runs on.  Its one term is
     `structure_coefficient` of the index-ring labels L[a,i], L[b,j], at
-    output offset (0, 0)."""
+    output offset (0, 0), written in closed form (`_delta_free_terms`)."""
     return BracketRule(
         lambda x, y: Element.basis(
             Graded(x.grade + y.grade, x.level + y.level),
@@ -120,9 +137,37 @@ def delta_free_rule(params: BlockParams) -> BracketRule:
 
 
 def _delta_free_terms(params: BlockParams) -> tuple:
+    """`structure_coefficient` over the index ring as the one term, at
+    offset (0, 0), in its closed form ib - ja + p(i-j) + q(b-a): one terms
+    dict, with p's and q's terms each moved onto one index symbol, so no
+    Poly is multiplied."""
     ring, (p, q) = index_ring(params.p, params.q)
-    a, i, b, j = (ring.var(name) for name in "aibj")
-    return (((0, 0), structure_coefficient(BlockParams(p, q), Graded(a, i), Graded(b, j))),)
+
+    def times(poly: Poly, *names: str) -> Iterator[tuple]:
+        # the terms of poly times the named index symbols
+        shift = [int(symbol in names) for symbol in ring.symbols]
+        return ((tuple(map(add, exps, shift)), c) for exps, c in poly.terms.items())
+
+    one = ring.one
+    terms = (
+        *times(one, "i", "b"),
+        *times(-one, "j", "a"),
+        *times(p, "i"),
+        *times(-p, "j"),
+        *times(q, "b"),
+        *times(-q, "a"),
+    )
+    return (((0, 0), Poly._wrap(ring, accumulate({}, terms))),)
+
+
+def _lift(ring: PolyRing, *inputs: Poly) -> tuple[Packing, int, list[dict]]:
+    """A Block proof's inputs lifted once: (packing, D, terms), where D is
+    their common denominator and `terms` each input times D, as ints.  Each
+    monomial of a residual is a product of at most one monomial of each
+    input and three index symbols (a linear factor, or the a^3 of the
+    Virasoro cocycle), so the packing holds the inputs' total degrees plus 3."""
+    den, terms = lift(*inputs)
+    return Packing(ring, sum(map(total_degree, inputs)) + 3), den, terms
 
 
 def cocycle_jacobi_check(
@@ -136,8 +181,8 @@ def cocycle_jacobi_check(
         q(g-b) K(a) + q(a-g) K(b) + q(b-a) K(g) = 0,   g = -a-b,
 
     for the cocycle K, a Poly in one variable.  The identity is proved as a
-    polynomial in a and b by `Poly.compose`.  When the proof fails, the
-    residual has per-variable degree at most deg K + 1, so a grid of
+    polynomial in a and b, with q and K lifted to integers.  When the proof
+    fails, the residual has per-variable degree at most deg K + 1, so a grid of
     deg K + 2 distinct grades holds a witness; that size is required either
     way (5 for the cubic cocycle).  Failures are reported as the residual
     times c at (a, b, g).
@@ -148,13 +193,15 @@ def cocycle_jacobi_check(
     _require_grid("grade", grade_values, cocycle.degree_bound(symbol) + 2)
     q = params.q
     ring, (q_poly,) = index_ring(q)
-    a, b = ring.var("a"), ring.var("b")
+    packing, _, (k_terms, q_terms) = _lift(ring, cocycle, q_poly)
+    a, b = packing.var("a"), packing.var("b")
     g = -a - b
 
-    def lifted(x: Poly) -> Poly:
-        return cocycle.compose(ring, {symbol: x})
+    def lifted(x: Packed) -> Packed:
+        return packing.compose(k_terms, {0: x})
 
-    proof = q_poly * ((g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g))
+    jacobi = (g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g)
+    proof = packing.compose(q_terms) * jacobi
 
     def value(x) -> Fraction:
         return cocycle.substitute({symbol: x}).constant_value()
@@ -179,19 +226,25 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
 
     The proof composes the delta-free coefficient at i = j = 0 and subtracts
     q(b-a) at offset (0, 0); on the stratum b = -a it compares the bracket's
-    cocycle with the Virasoro one.  Each residual is kept apart, so two
-    cannot cancel.  A failed proof scans the window's level-zero pairs for
-    the witness (a, b), and finding none raises (`decide`).
+    cocycle K(a) with the Virasoro one, (a^3-a)/12, both times 12.  Each
+    residual is kept apart, so two cannot cancel.  A failed proof scans the
+    window's level-zero pairs for the witness (a, b), and finding none
+    raises (`decide`).
     """
     ring, (_, q) = index_ring(params.p, params.q)
-    a, b = ring.var("a"), ring.var("b")
-    level_zero = {"i": 0, "j": 0}
-    graded = {
-        offset: coeff.compose(ring, level_zero) for offset, coeff in delta_free_rule(params).terms
-    }
-    accumulate(graded, (((0, 0), q * (b - a)),), -1)
-    central = _cubic_cocycle(ring, a) - (a**3 - a) / 12
-    proof = [*graded.values(), central.compose(ring, {"b": -a})]
+    terms = _delta_free_terms(params)
+    packing, den, (k_terms, q_terms, *coeffs) = _lift(
+        ring, CUBIC_COCYCLE, q, *(coeff for _, coeff in terms)
+    )
+    a, b = packing.var("a"), packing.var("b")
+    zero = Packed(packing, {})
+    level_zero = {ring.index("i"): zero, ring.index("j"): zero}
+    graded = accumulate(
+        {}, ((offset, packing.compose(c, level_zero)) for (offset, _), c in zip(terms, coeffs))
+    )
+    accumulate(graded, (((0, 0), packing.compose(q_terms) * (b - a)),), -1)
+    central = 12 * packing.compose(k_terms, {0: a}) - den * (a * a * a - a)
+    proof = [*graded.values(), central]
 
     def residual(t: tuple) -> Element:
         a, b = t
@@ -204,54 +257,52 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
     return decide([r for r in proof if r], pairs, residual)
 
 
-def _cubic_cocycle(ring: PolyRing, grade: Poly) -> Poly:
-    """`CUBIC_COCYCLE` at `grade`, a Poly of `ring`."""
-    (symbol,) = CUBIC_COCYCLE.ring.symbols
-    return CUBIC_COCYCLE.compose(ring, {symbol: grade})
-
-
 @dataclass(frozen=True)
 class _TPower:
     """t^(q_mult*q + offset); the factor t^q stays formal.  The offset is an
-    integer, or a Poly in the levels for the proof."""
+    integer, or a Packed polynomial in the levels for the proof."""
 
     q_mult: int
-    offset: Scalar
+    offset: Scalar | Packed
 
     def __mul__(self, other: "_TPower") -> "_TPower":
         return _TPower(self.q_mult + other.q_mult, self.offset + other.offset)
 
-    def d_dt(self, q: Scalar) -> tuple[Scalar, "_TPower"]:
-        """The derivative e*t^(e-1) as (e, t^(e-1))."""
-        return self.q_mult * q + self.offset, self * _TPower(0, -1)
+    def d_dt(self, q, one) -> tuple:
+        """The derivative e*t^(e-1) as (e, t^(e-1)), `one` the unit exponent."""
+        return self.q_mult * q + self.offset, self * _TPower(0, -one)
 
 
-def _realization(p: Scalar, q: Scalar, a, i, b, j) -> tuple[tuple, _TPower]:
+def _realization(p, q, a, i, b, j, one=1) -> tuple[tuple, _TPower]:
     """The realization bracket of x^a f and x^b g, f = t^(q+i), g = t^(q+j),
-    for numbers or index-ring Polys: its two graded terms (offset,
+    for numbers or Packed polynomials: its two graded terms (offset,
     coefficient), each x^(a+b) t^(q+offset) since t^q appears once, and the
-    power t^(-2q-1) f g whose t^-1 coefficient scales the cocycle."""
-    shift, dual = _TPower(-1, 1), _TPower(-2, -1)  # t^(1-q), t^(-2q-1)
+    power t^(-2q-1) f g whose t^-1 coefficient scales the cocycle.
+
+    The bracket is homogeneous: with every input and the unit exponent
+    `one` times D, each offset comes out times D and each coefficient times
+    D^2, which lets the proof pass integers for rational p and q."""
+    shift, dual = _TPower(-1, one), _TPower(-2, -one)  # t^(1-q), t^(-2q-1)
     f, g = _TPower(1, i), _TPower(1, j)
-    (ef, df), (eg, dg) = f.d_dt(q), g.d_dt(q)
+    (ef, df), (eg, dg) = f.d_dt(q, one), g.d_dt(q, one)
     graded = (((df * g * shift).offset, (b + p) * ef), ((f * dg * shift).offset, -(a + p) * eg))
     return graded, dual * f * g
 
 
-def _positive_off_origin(poly: Poly, levels: str) -> bool:
+def _positive_off_origin(poly: Packed, levels: str) -> bool:
     """A sufficient test that `poly` is positive wherever the `levels` are
     nonnegative integers, not all zero: every coefficient is positive, every
     monomial reads only levels, and each level is a monomial of its own."""
-    ring = poly.ring
-    alone = {tuple(int(s == name) for s in ring.symbols) for name in levels}
-    reads = {ring.index(name) for name in levels}
+    packing = poly.packing
+    alone = set(map(packing.monomial, levels))
+    reads = {packing.ring.index(name) for name in levels}
     return alone <= poly.terms.keys() and all(
-        c > 0 and all(pos in reads for pos, e in enumerate(exps) if e)
-        for exps, c in poly.terms.items()
+        c > 0 and all(pos in reads for pos, e in enumerate(packing.exponents(m)) if e)
+        for m, c in poly.terms.items()
     )
 
 
-def _laurent_proof(params: BlockParams) -> list[Poly]:
+def _laurent_proof(params: BlockParams) -> list[Packed]:
     """The nonzero residuals of the Laurent realization over the index ring,
     one per stratum and output offset, kept apart so that none can cancel
     another: empty only when the bracket equals its realization at every
@@ -264,18 +315,31 @@ def _laurent_proof(params: BlockParams) -> list[Poly]:
     cancel and the offset + 1 must vanish.  That offset + 1 is read from the
     exponent.  When it is positive off the origin of nonnegative levels, the
     residue lives on the cocycle stratum alone; otherwise the realization's
-    cocycle off that stratum is one more residual."""
+    cocycle off that stratum is one more residual.
+
+    The realization runs on its inputs times D (see `_realization`), so its
+    coefficients and the delta-free term times D are D^2 times the rational
+    ones, and its offsets are D times the true ones."""
     ring, (p, q) = index_ring(params.p, params.q)
-    a, i, b, j = (ring.var(name) for name in "aibj")
-    graded, residue = _realization(p, q, a, i, b, j)
-    by_offset = accumulate({}, delta_free_rule(params).terms)
-    lands = (((0, (offset - i - j).constant_value()), coeff) for offset, coeff in graded)
+    terms = _delta_free_terms(params)
+    packing, den, (p_terms, q_terms, k_terms, *coeffs) = _lift(
+        ring, p, q, CUBIC_COCYCLE, *(coeff for _, coeff in terms)
+    )
+    a, i, b, j = (den * packing.var(name) for name in "aibj")
+    p, q = packing.compose(p_terms), packing.compose(q_terms)
+    graded, residue = _realization(p, q, a, i, b, j, den)
+    by_offset = accumulate(
+        {}, ((offset, den * packing.compose(c)) for (offset, _), c in zip(terms, coeffs))
+    )
+    lands = (((0, (offset - i - j).constant() // den), coeff) for offset, coeff in graded)
     accumulate(by_offset, lands, -1)
-    stratum = {"b": -a, "i": 0, "j": 0}
-    cocycle = _cubic_cocycle(ring, a)
-    rise = residue.offset + 1
-    realized = cocycle if residue.q_mult == 0 and not rise.compose(ring, stratum) else 0
-    proof = [*by_offset.values(), (cocycle - realized).compose(ring, stratum)]
+    grade = packing.var("a")
+    zero = Packed(packing, {})
+    stratum = {"b": -grade, "i": zero, "j": zero}
+    cocycle = packing.compose(k_terms, {0: grade})
+    rise = residue.offset + den
+    realized = cocycle if residue.q_mult == 0 and not rise.compose(stratum) else 0
+    proof = [*by_offset.values(), (cocycle - realized).compose(stratum)]
     if residue.q_mult == 0 and not _positive_off_origin(rise, "ij"):
         proof.append(cocycle)
     return [r for r in proof if r]

@@ -15,10 +15,12 @@ reads grades only, and its terms sit at offsets (dgrade, 0).
 each, as signed sums of nested brackets of the labels x, y, z; all trees of
 one identity have one bracket depth.  Two evaluators read it.  The symbolic
 one (`_prove`) builds each identity from a rule's terms, one polynomial
-identity per output offset by `scalars.compose_terms`, on integers: the
-terms times their common denominator D, which scales a residual of depth k
-by D^k and so keeps its zeros.  Only a proof holds universally.  The
-concrete one evaluates the same trees on basis labels through the rule's
+identity per output offset, on integers: the terms times their common
+denominator D, which scales a residual of depth k by D^k and so keeps its
+zeros.  Its monomials are packed ints (`scalars.Packing`), with fields as
+wide as the identity's depth times the terms' largest total degree, so a
+product of monomials is one int addition.  Only a proof holds universally.
+The concrete one evaluates the same trees on basis labels through the rule's
 cached pair (`extend_bilinearly`); it scans a grid, sized by the identity's
 bracket depth times the terms' degree bounds, for the witness of a failed
 proof, and it alone decides a rule without terms, which holds on the tested
@@ -51,18 +53,20 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .scalars import (
+    Packed,
+    Packing,
     Poly,
     PolyRing,
     Scalar,
     accumulate,
     as_fraction,
-    compose_terms,
+    lift,
     scalar_is_zero,
     signed_sum,
+    total_degree,
 )
 
 IndexValue = Union[int, Fraction]
@@ -463,6 +467,7 @@ IDENTITIES = {
 }
 
 
+@functools.cache
 def _depth(tree) -> int:
     return 0 if isinstance(tree, str) else 1 + max(_depth(tree[0]), _depth(tree[1]))
 
@@ -491,43 +496,48 @@ def _evaluate(names: Sequence[str], leaf: Callable, bracket: Callable) -> list[d
     return residuals
 
 
+def _proof_packing(terms, names: Sequence[str]) -> Packing:
+    """The packing of `_prove`'s monomials for the named identities: a
+    bracket composes a term coefficient at linear labels, which keeps its
+    total degree, so a residual of bracket depth k has total degree, and
+    every exponent, at most k times the largest total degree of a term."""
+    depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
+    degree = max(total_degree(coeff) for _, coeff in terms)
+    return Packing(terms[0][1].ring, depth * degree)
+
+
 def _prove(terms, names: Sequence[str]) -> list[dict]:
     """The residual of each named identity over a rule's terms, with x =
     L[a,i], y = L[b,j], z = L[c,k]: empty exactly when the identity holds for
     all indices.
 
     The terms are lifted once to integers: every coefficient times D, the lcm
-    of their denominators.  A bracket of lifted terms is D times the rational
-    one, and all trees of an identity have one bracket depth k, so its
-    residual is D^k times the rational residual, and zero exactly when that
-    is.  A value maps (leaves, (dgrade, dlevel), exponents) to an int, the
-    coefficient of that monomial in the indices and parameters at the label
-    L[sum of the leaves' labels + offset]; each label is formed once, as its
-    leaf sum plus a constant, and so is each composed bracket of two labels.
-    Labels of distinct offsets are distinct, so each offset's coefficient
-    must vanish alone."""
+    of their denominators (`scalars.lift`).  A bracket of lifted terms is D
+    times the rational one, and all trees of an identity have one bracket
+    depth k, so its residual is D^k times the rational residual, and zero
+    exactly when that is.  A value maps (leaves, (dgrade, dlevel), monomial)
+    to an int, the coefficient of that monomial in the indices and
+    parameters at the label L[sum of the leaves' labels + offset]; the
+    monomial is packed into one int (`_proof_packing`), so a bracket of two
+    values adds their monomials.  Each label is formed once, as its leaf sum
+    plus a constant, and so is each composed bracket of two labels.  Labels
+    of distinct offsets are distinct, so each offset's coefficient must
+    vanish alone."""
     if not terms:
         return [{} for _ in names]
-    ring = terms[0][1].ring
-    width = len(ring.symbols)
-    unit = (0,) * width
-    den = lcm(*(c.denominator for _, coeff in terms for c in coeff.terms.values()))
-    lifted = [
-        (offset, {e: c.numerator * (den // c.denominator) for e, c in coeff.terms.items()})
-        for offset, coeff in terms
-    ]
-
-    def var(pos: int) -> tuple:
-        return tuple(int(k == pos) for k in range(width))
-
-    symbols = {name: tuple(map(ring.index, gl)) for name, gl in zip("xyz", ("ai", "bj", "ck"))}
+    packing = _proof_packing(terms, names)
+    ring = packing.ring
+    _, lifted = lift(*(coeff for _, coeff in terms))
+    lifted = list(zip((offset for offset, _ in terms), lifted))
+    labels = zip("xyz", ("ai", "bj", "ck"))
+    symbols = {name: tuple(map(packing.monomial, gl)) for name, gl in labels}
     positions = [ring.index(name) for name in "aibj"]
 
     @functools.cache
     def label(leaves: str, offset: tuple) -> tuple:
         # the grade and level of L[sum of the leaves' labels + offset]
         return tuple(
-            accumulate({}, [*((var(symbols[leaf][k]), 1) for leaf in leaves), (unit, d)])
+            Packed(packing, accumulate({}, [*((symbols[leaf][k], 1) for leaf in leaves), (0, d)]))
             for k, d in enumerate(offset)
         )
 
@@ -535,24 +545,23 @@ def _prove(terms, names: Sequence[str]) -> list[dict]:
     def bracket_at(lu: str, ou: tuple, lv: str, ov: tuple) -> list[tuple]:
         # the lifted terms of [L[lu+ou], L[lv+ov]], one (offset, terms) per term
         images = dict(zip(positions, (*label(lu, ou), *label(lv, ov))))
-        return [(offset, compose_terms(coeff, images, width)) for offset, coeff in lifted]
+        return [(offset, packing.compose(coeff, images).terms) for offset, coeff in lifted]
 
     def bracket(u: dict, v: dict) -> dict:
         out: dict = {}
         for (lu, ou, eu), cu in u.items():
             for (lv, ov, ev), cv in v.items():
                 leaves = "".join(sorted(lu + lv))
-                exps = tuple(map(add, eu, ev))
+                exps = eu + ev
+                factor = cu * cv
                 for (dg, dl), composed in bracket_at(lu, ou, lv, ov):
                     at = (ou[0] + ov[0] + dg, ou[1] + ov[1] + dl)
-                    accumulate(
-                        out,
-                        (((leaves, at, tuple(map(add, exps, e))), c) for e, c in composed.items()),
-                        cu * cv,
-                    )
-        return out
+                    for e, c in composed.items():
+                        key = (leaves, at, exps + e)
+                        out[key] = out.get(key, 0) + factor * c
+        return {key: c for key, c in out.items() if c}
 
-    return _evaluate(names, lambda name: {(name, (0, 0), unit): 1}, bracket)
+    return _evaluate(names, lambda name: {(name, (0, 0), 0): 1}, bracket)
 
 
 def check_identities(

@@ -19,16 +19,21 @@ to nonzero rational constants.
 
 Every sparse vector in the package (`Poly.terms` here, `engine.Element` and
 `intermediate.ModuleVector`) is a dict of nonzero coefficients; `accumulate`
-is their one addition and `signed_sum` their one printer.  `accumulate`,
-`_product` and `compose_terms` (substitution, which `Poly.compose` wraps)
-work on bare terms dicts in the arithmetic of their coefficients, so the
-engine's prover runs them on int coefficients without building a Poly.
+is their one addition and `signed_sum` their one printer.
+
+The proofs (`engine._prove` and the three Block proofs) compute on integers
+instead: `lift` scales Polys by the common denominator D of their
+coefficients, and a `Packing` holds the exponents of a monomial in
+fixed-width bit fields of one int, so multiplying two monomials adds two
+ints.  `Packed` is such a polynomial with ring operators.  Scaling by D
+keeps a residual's zeros, and only whether it is zero is read.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Mapping, Union
 
@@ -332,8 +337,20 @@ class Poly:
             return value.terms
 
         used = {pos for exps in self.terms for pos, e in enumerate(exps) if e}
-        images_at = {pos: image(pos) for pos in used}
-        return Poly._wrap(ring, compose_terms(self.terms, images_at, len(ring.symbols)))
+        # powers[pos][e] holds the terms of image(pos)^e, built as exponents demand
+        powers = {pos: [None, image(pos)] for pos in used}
+        unit = (0,) * len(ring.symbols)
+        acc: dict = {}
+        for exps, coeff in self.terms.items():
+            term = {unit: coeff}
+            for pos, e in enumerate(exps):
+                if e:
+                    chain = powers[pos]
+                    while len(chain) <= e:
+                        chain.append(_product(chain[-1], chain[1]))
+                    term = _product(term, chain[e])
+            accumulate(acc, term.items())
+        return Poly._wrap(ring, acc)
 
     def degree_bound(self, symbol: str) -> int:
         """Exact maximum exponent of `symbol` across the support (0 if absent)."""
@@ -369,33 +386,135 @@ def _product(terms1: dict, terms2: dict) -> dict:
     )
 
 
-def compose_terms(terms: Mapping, images: Mapping[int, dict], width: int) -> dict:
-    """The terms of a polynomial with the terms `images[pos]`, over a ring of
-    `width` symbols, substituted for its symbol at position pos; a symbol
-    without an image keeps its exponent and position, so the target ring
-    extends the source ring.  The arithmetic is that of the coefficients:
-    int terms and images give int terms."""
-    # powers[pos][e] holds the terms of images[pos]^e, built as exponents demand
-    powers = {pos: [None, image] for pos, image in images.items()}
-    acc: dict = {}
-    for exps, coeff in terms.items():
-        kept = [0] * width
-        factors = []
-        for pos, e in enumerate(exps):
-            if not e:
-                continue
-            chain = powers.get(pos)
-            if chain is None:
-                kept[pos] = e
-                continue
-            while len(chain) <= e:
-                chain.append(_product(chain[-1], chain[1]))
-            factors.append(chain[e])
-        term = {tuple(kept): coeff}
-        for factor in factors:
-            term = _product(term, factor)
-        accumulate(acc, term.items())
-    return acc
+def total_degree(poly: Poly) -> int:
+    """The largest total degree of a monomial of `poly` (0 for zero)."""
+    return max((sum(exps) for exps in poly.terms), default=0)
+
+
+def lift(*polys: Poly) -> tuple[int, list[dict]]:
+    """(D, terms): D is the lcm of the denominators of every coefficient of
+    `polys`, and each poly's terms times D, with int coefficients."""
+    den = lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+    return den, [
+        {exps: c.numerator * (den // c.denominator) for exps, c in poly.terms.items()}
+        for poly in polys
+    ]
+
+
+def _packed_product(terms1: dict, terms2: dict) -> dict:
+    """The terms of the product of two polynomials over one `Packing`."""
+    out: dict = {}
+    get = out.get
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+class Packing:
+    """Monomials over the symbols of a ring, each packed into one int.
+
+    The exponent of the ring's k-th symbol sits in bits [k*bits, (k+1)*bits)
+    of the monomial, and the fields are wide enough for `degree`, which the
+    caller derives as a bound on every exponent it forms.  So the product of
+    two monomials is the sum of their ints, and it never carries from one
+    field into the next.  Packed terms map monomials to int coefficients.
+    """
+
+    __slots__ = ("ring", "bits")
+
+    def __init__(self, ring: PolyRing, degree: int):
+        self.ring = ring
+        self.bits = max(degree, 1).bit_length()
+
+    def monomial(self, name: str) -> int:
+        """The packed monomial of the symbol `name`."""
+        return 1 << self.ring.index(name) * self.bits
+
+    def var(self, name: str) -> "Packed":
+        return Packed(self, {self.monomial(name): 1})
+
+    def exponents(self, monomial: int) -> tuple[int, ...]:
+        """The exponent tuple of a packed monomial."""
+        mask = (1 << self.bits) - 1
+        return tuple(monomial >> k * self.bits & mask for k in range(len(self.ring.symbols)))
+
+    def compose(self, terms: Mapping[tuple, int], images: Mapping | None = None) -> "Packed":
+        """`terms`, keyed by exponent tuples as in `Poly.terms`, with the
+        Packed `images[pos]` substituted for the symbol at position pos.  A
+        symbol without an image keeps its position, so `terms` may come
+        from a ring that this one extends."""
+        bits = self.bits
+        # powers[pos][e] holds the terms of images[pos]^e, built as exponents demand
+        powers = {pos: [None, image.terms] for pos, image in (images or {}).items()}
+        acc: dict = {}
+        get = acc.get
+        for exps, coeff in terms.items():
+            kept, factors = 0, []
+            for pos, e in enumerate(exps):
+                if e:
+                    chain = powers.get(pos)
+                    if chain is None:
+                        kept += e << pos * bits
+                        continue
+                    while len(chain) <= e:
+                        chain.append(_packed_product(chain[-1], chain[1]))
+                    factors.append(chain[e])
+            term = {kept: coeff}
+            for factor in factors:
+                term = _packed_product(term, factor)
+            for m, c in term.items():
+                acc[m] = get(m, 0) + c
+        return Packed(self, {m: c for m, c in acc.items() if c})
+
+
+class Packed:
+    """A polynomial with int coefficients over a `Packing`: `terms` maps
+    packed monomials to nonzero ints.  Ints combine with it as constants.
+    Treat instances as immutable."""
+
+    __slots__ = ("packing", "terms")
+
+    def __init__(self, packing: Packing, terms: dict):
+        self.packing = packing
+        self.terms = terms
+
+    def _items(self, other: "Packed | int") -> Iterable[tuple]:
+        return other.terms.items() if isinstance(other, Packed) else ((0, other),)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other: "Packed | int") -> "Packed":
+        return Packed(self.packing, accumulate(dict(self.terms), self._items(other)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Packed":
+        return self * -1
+
+    def __sub__(self, other: "Packed | int") -> "Packed":
+        return Packed(self.packing, accumulate(dict(self.terms), self._items(other), -1))
+
+    def __mul__(self, other: "Packed | int") -> "Packed":
+        if isinstance(other, Packed):
+            return Packed(self.packing, _packed_product(self.terms, other.terms))
+        return Packed(self.packing, accumulate({}, self.terms.items(), other))
+
+    __rmul__ = __mul__
+
+    def constant(self) -> int:
+        """The value of a constant polynomial."""
+        if self.terms.keys() - {0}:
+            raise ValueError("not a constant polynomial")
+        return self.terms.get(0, 0)
+
+    def compose(self, images: Mapping[str, "Packed"]) -> "Packed":
+        """Substitute `images[name]` for each named symbol."""
+        packing = self.packing
+        terms = {packing.exponents(m): c for m, c in self.terms.items()}
+        return packing.compose(terms, {packing.ring.index(n): v for n, v in images.items()})
 
 
 class _ConstantPromotion(Exception):

@@ -1,4 +1,5 @@
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -32,6 +33,7 @@ from blocklie.engine import (
     extend_bilinearly,
     first_failure,
     grid_identity_check,
+    index_ring,
 )
 from blocklie.novikov import AffinizationParams, WittNovikovParams, affinize, witt_product_rule
 from blocklie.scalars import Poly, PolyRing, accumulate
@@ -376,11 +378,34 @@ def scanned_laurent(params, window):
 CHECKS = ((virasoro_embedding_check, scanned_virasoro), (laurent_realization_check, scanned_laurent))
 
 
+def index_ring_delta_free_terms(params):
+    """`block._delta_free_terms` as `structure_coefficient` of the
+    index-ring labels L[a,i], L[b,j], at output offset (0, 0)."""
+    ring, (p, q) = index_ring(params.p, params.q)
+    a, i, b, j = (ring.var(name) for name in "aibj")
+    return (((0, 0), block.structure_coefficient(BlockParams(p, q), Graded(a, i), Graded(b, j))),)
+
+
+def test_delta_free_terms_are_the_index_ring_structure_coefficient():
+    p, q = RING.var("p"), RING.var("q")
+    for params in itertools.starmap(
+        BlockParams, itertools.product((0, Fraction(2, 3), -5, p), (1, Fraction(-7, 5), q))
+    ):
+        ((offset, got),) = block._delta_free_terms(params)
+        ((want_offset, want),) = index_ring_delta_free_terms(params)
+        assert (offset, got.ring, got.terms) == (want_offset, want.ring, want.terms), params
+
+
+@contextmanager
 def perturbed_coefficient(extra):
-    """`block.structure_coefficient` plus extra(x, y), for numeric labels and
-    for the index-ring labels of `delta_free_rule` alike."""
+    """`block.structure_coefficient` plus extra(x, y), for the numeric
+    labels of the scans and for the index-ring labels of the proofs alike:
+    the proofs' delta-free term is built from the perturbed coefficient."""
     original = block.structure_coefficient
-    return lambda params, x, y: original(params, x, y) + extra(x, y)
+    perturbed = lambda params, x, y: original(params, x, y) + extra(x, y)
+    with mock.patch.object(block, "structure_coefficient", perturbed):
+        with mock.patch.object(block, "_delta_free_terms", index_ring_delta_free_terms):
+            yield
 
 
 @SETTINGS
@@ -407,7 +432,7 @@ def test_perturbed_checks_match_the_window_scans(params, window, delta, ea, eb, 
     # a nonzero delta breaks both proofs; the scan then finds the witness the
     # old check found, or finds none on this window and the check raises
     extra = lambda x, y: delta * x.grade**ea * y.grade**eb * (x.level + y.level + 1) ** el
-    with mock.patch.object(block, "structure_coefficient", perturbed_coefficient(extra)):
+    with perturbed_coefficient(extra):
         for check, scan in CHECKS:
             expected = scan(params, window)
             if delta and expected.holds:
@@ -431,7 +456,7 @@ def test_perturbation_vanishing_on_every_window_grade_raises(params, window, del
             product *= (x.grade - g) * (y.grade - g)
         return product
 
-    with mock.patch.object(block, "structure_coefficient", perturbed_coefficient(extra)):
+    with perturbed_coefficient(extra):
         for check, scan in CHECKS:
             assert scan(params, window).holds
             with pytest.raises(ValueError, match="holds no witness"):

@@ -1,18 +1,27 @@
-"""The two hot verify loops build no Fraction per step.
+"""The verify proofs and the module check build no Fraction per step.
 
-`engine._prove` lifts a rule's terms to integers once, and
-`intermediate.module_axiom_check` clears one denominator per call, so
-neither builds a Fraction per product.  Counting `Fraction.__new__` shows
-Fraction arithmetic creeping back into either loop: the prover's count is
-bounded by its rule's term coefficients, and a holding module check builds
-as many Fractions on a wide window as on a narrow one.
+`engine._prove` and the three Block proofs lift their inputs to integers
+once, and `intermediate.module_axiom_check` clears one denominator per call,
+so none of them builds a Fraction per product.  Counting `Fraction.__new__`
+shows Fraction arithmetic creeping back into any of them: the prover's count
+is bounded by its rule's term coefficients, a Block proof's by the
+coefficients of its inputs (the parameters, the delta-free term and the
+cocycle), and a holding module check builds as many Fractions on a wide
+window as on a narrow one.
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
-from blocklie.block import BlockParams, delta_free_rule
+from blocklie.block import (
+    CUBIC_COCYCLE,
+    BlockParams,
+    cocycle_jacobi_check,
+    delta_free_rule,
+    laurent_realization_check,
+    virasoro_embedding_check,
+)
 from blocklie.engine import IDENTITIES, Window, _prove
 from blocklie.intermediate import VARIANTS, IntermediateKind, module_axiom_check
 from blocklie.novikov import (
@@ -63,6 +72,25 @@ def test_prover_builds_no_fraction_per_product():
         with counted_fractions() as count:
             _prove(rule.terms, list(IDENTITIES))
         assert count[0] <= coefficients
+
+
+def test_block_proofs_build_no_fraction_per_product():
+    window, grades = Window(-3, 3, 2), [-2, -1, 0, 1, 2]
+    cocycle = len(CUBIC_COCYCLE.terms)
+    for params in (
+        BlockParams(Fraction(2, 3), Fraction(-7, 5)),
+        BlockParams(0, Fraction(1, 2)),
+        BlockParams(Fraction(1), Fraction(1)),
+    ):
+        ((_, coeff),) = delta_free_rule(params).terms
+        for check in (virasoro_embedding_check, laurent_realization_check):
+            with counted_fractions() as count:
+                assert check(params, window).holds
+            # p and q, the delta-free term and the cocycle
+            assert count[0] <= 2 + len(coeff.terms) + cocycle, (check.__name__, params)
+        with counted_fractions() as count:
+            assert cocycle_jacobi_check(params, grades).holds
+        assert count[0] <= 1 + cocycle, params
 
 
 def test_holding_module_check_builds_as_many_fractions_on_any_window():

@@ -11,7 +11,9 @@ grid on the scan route.  A proof is only as good as the agreement of `terms`
 with the hand-written `pair`, so that is tested too, at integer and rational
 points, and a disagreement that the grid exposes raises.  The terms also
 decide the degree bounds that size the grids.  The prover itself runs on
-integers, and the Fraction prover it replaced is kept here as its oracle.
+integers with packed monomials, and the Fraction prover it replaced is kept
+here as its oracle; one fixed case reaches the largest exponent that a
+config's packed fields must hold.
 """
 
 import dataclasses
@@ -25,12 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocklie.block import BlockParams, delta_free_rule
+from blocklie.cli import MAX_GRID_VALUES
 from blocklie.engine import (
     IDENTITIES,
     BracketRule,
     Graded,
     _depth,
     _evaluate,
+    _proof_packing,
     _prove,
     grid_identity_check,
     index_ring,
@@ -295,12 +299,15 @@ def fraction_prove(terms, names) -> list[dict]:
 
 
 def rational_residual(terms, name: str, residual: dict) -> dict:
-    """An integer residual of `_prove` divided by D^depth, D the common
-    denominator of the terms' coefficients: {(leaves, offset): Poly terms}."""
+    """An integer residual of `_prove`, from a proof of every identity,
+    divided by D^depth, D the common denominator of the terms' coefficients:
+    {(leaves, offset): Poly terms}, its packed monomials unpacked."""
     den = lcm(*(c.denominator for _, coeff in terms for c in coeff.terms.values()))
     (depth,) = {_depth(tree) for _, tree in IDENTITIES[name]}
+    packing = _proof_packing(terms, list(IDENTITIES))
     out: dict = {}
-    for (leaves, offset, exps), c in residual.items():
+    for (leaves, offset, monomial), c in residual.items():
+        exps = packing.exponents(monomial)
         out.setdefault((leaves, offset), {})[exps] = Fraction(c, den**depth)
     return out
 
@@ -314,6 +321,24 @@ def test_integer_prover_matches_the_fraction_prover(rule):
     # every identity on every rule: a product's Jacobi sum is a polynomial identity too
     names = list(IDENTITIES)
     proofs = zip(names, _prove(rule.terms, names), fraction_prove(rule.terms, names))
+    for name, got, want in proofs:
+        assert (not got) == (not want), name
+        assert rational_residual(rule.terms, name, got) == {
+            key: coeff.terms for key, coeff in want.items()
+        }
+
+
+def test_packed_fields_hold_the_largest_exponent_a_grid_admits():
+    # a product of grade bound e needs a grid of 2e + 1 grades, so a config
+    # reaches e = 24; a^24 gives left symmetry an a^48, depth 2 times the
+    # terms' total degree 24: the bound the packed fields are sized by
+    exponent = (MAX_GRID_VALUES - 1) // 2
+    params = WittNovikovParams(SYMBOLS["p"], SYMBOLS["mu"], 1)
+    rule = perturbed_witt_rule(params, "main", (exponent, 0), Fraction(-3, 7))
+    names = list(IDENTITIES)
+    proofs = list(zip(names, _prove(rule.terms, names), fraction_prove(rule.terms, names)))
+    reached = max(max(e) for _, _, want in proofs for c in want.values() for e in c.terms)
+    assert reached == 2 * exponent
     for name, got, want in proofs:
         assert (not got) == (not want), name
         assert rational_residual(rule.terms, name, got) == {
