@@ -30,10 +30,10 @@ levels in the proof.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import add
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .engine import (
     CENTRAL,
@@ -58,18 +58,21 @@ from .scalars import (
 )
 
 
-@dataclass(frozen=True)
-class BlockParams:
+class BlockParams(NamedTuple("BlockParams", [("p", Scalar), ("q", Scalar)])):
     """Algebra parameters; a concrete q must be nonzero (q is inverted in the
     Virasoro rescaling).  p = 0 is accepted: it is the regime settled by
     earlier work and is used as the exact cross-check oracle downstream."""
 
-    p: Scalar
-    q: Scalar
-
-    def __post_init__(self):
-        if not isinstance(self.q, Poly) and Fraction(self.q) == 0:
+    def __new__(cls, p: Scalar, q: Scalar):
+        if not isinstance(q, Poly) and Fraction(q) == 0:
             raise ValueError("q must be nonzero")
+        return super().__new__(cls, p, q)
+
+    @cached_property
+    def delta_free_terms(self) -> tuple:
+        """`_delta_free_terms`, built on first use and kept in the instance
+        dict (so the class has no `__slots__`): a blockcheck reads it thrice."""
+        return _delta_free_terms(self)
 
 
 def cocycle_value(grade) -> Fraction:
@@ -117,7 +120,7 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
     """
     return BracketRule(
         lambda x, y: basis_bracket(params, x, y),
-        terms=_delta_free_terms(params),
+        terms=params.delta_free_terms,
         cocycle=CUBIC_COCYCLE,
     )
 
@@ -132,7 +135,7 @@ def delta_free_rule(params: BlockParams) -> BracketRule:
             Graded(x.grade + y.grade, x.level + y.level),
             structure_coefficient(params, x, y),
         ),
-        terms=_delta_free_terms(params),
+        terms=params.delta_free_terms,
     )
 
 
@@ -232,7 +235,7 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
     raises (`decide`).
     """
     ring, (_, q) = index_ring(params.p, params.q)
-    terms = _delta_free_terms(params)
+    terms = params.delta_free_terms
     packing, den, (k_terms, q_terms, *coeffs) = _lift(
         ring, CUBIC_COCYCLE, q, *(coeff for _, coeff in terms)
     )
@@ -253,12 +256,11 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
             terms[CENTRAL] = cocycle_value(a)
         return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
 
-    pairs = ((a, b) for a, _, b, _ in replace(window, level_max=0).pairs())
+    pairs = ((a, b) for a, _, b, _ in window._replace(level_max=0).pairs())
     return decide([r for r in proof if r], pairs, residual)
 
 
-@dataclass(frozen=True)
-class _TPower:
+class _TPower(NamedTuple):
     """t^(q_mult*q + offset); the factor t^q stays formal.  The offset is an
     integer, or a Packed polynomial in the levels for the proof."""
 
@@ -321,7 +323,7 @@ def _laurent_proof(params: BlockParams) -> list[Packed]:
     coefficients and the delta-free term times D are D^2 times the rational
     ones, and its offsets are D times the true ones."""
     ring, (p, q) = index_ring(params.p, params.q)
-    terms = _delta_free_terms(params)
+    terms = params.delta_free_terms
     packing, den, (p_terms, q_terms, k_terms, *coeffs) = _lift(
         ring, p, q, CUBIC_COCYCLE, *(coeff for _, coeff in terms)
     )

@@ -13,7 +13,7 @@ line-oriented and keeps the echo's read order.  Both are byte-deterministic
 for a given config; wall-clock timing goes to stderr only.
 
 Exit status: 0 positive verdict, 1 negative verdict, 2 input error,
-3 internal error.
+3 internal error (`--debug` adds its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import block, engine, hweight, intermediate, novikov
 from .engine import CENTRAL, Element, Graded, Verdict, Window
@@ -80,8 +79,7 @@ class ConfigError(ValueError):
     """Invalid job configuration (parse or semantic)."""
 
 
-@dataclass(frozen=True)
-class JobConfig:
+class JobConfig(NamedTuple):
     """One validated job: its kind, the echo of its resolved inputs, and its
     runner bound to the parsed inputs."""
 
@@ -90,8 +88,7 @@ class JobConfig:
     run: Callable[[], tuple[dict, bool]]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     job: str
     config: dict
     results: dict
@@ -848,6 +845,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--seed", type=int, default=None, help="replaces the config's mutations.seed"
     )
+    parser.add_argument(
+        "--debug", action="store_true", help="print the traceback of an internal error (exit 3)"
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -855,8 +855,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - internal failure path
+    except Exception as exc:  # an internal failure
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.debug:
+            import traceback  # only this path needs it
+            traceback.print_exc()
         return 3
 
     try:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -200,19 +199,17 @@ class Element:
         return f"Element({self})"
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple("Window", [("grade_min", int), ("grade_max", int), ("level_max", int)])):
     """Finite truncation box: grades in [grade_min, grade_max], levels in [0, level_max]."""
 
-    grade_min: int
-    grade_max: int
-    level_max: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.grade_min > self.grade_max:
+    def __new__(cls, grade_min: int, grade_max: int, level_max: int):
+        if grade_min > grade_max:
             raise ValueError("grade_min must not exceed grade_max")
-        if self.level_max < 0:
+        if level_max < 0:
             raise ValueError("level_max must be nonnegative")
+        return super().__new__(cls, grade_min, grade_max, level_max)
 
     def contains(self, index: BasisIndex) -> bool:
         if index is CENTRAL:
@@ -247,8 +244,7 @@ def truncate(element: Element, window: Window) -> Element:
     )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of an identity check: it holds within `scope` ("universally"
     or "on_tested_grid"), or fails at a concrete counterexample."""
 
@@ -359,8 +355,20 @@ def degree_in(summed: Mapping, symbols: str) -> int:
     return max((c.degree_bound(s) for c in summed.values() for s in symbols), default=0)
 
 
-@dataclass(frozen=True)
-class BracketRule:
+_RuleFields = NamedTuple(
+    "BracketRule",
+    [
+        ("pair", Callable[[Graded, Graded], Element]),
+        ("terms", tuple | None),
+        ("cocycle", Poly | None),
+        ("offsets", tuple | None),
+        ("grade_degree_bound", int),
+        ("level_degree_bound", int),
+    ],
+)
+
+
+class BracketRule(_RuleFields):
     """Closed-form bracket, or product, of two graded basis labels.
 
     `pair` maps (x, y) to the bracket Element.  Output grades/levels must be
@@ -390,20 +398,16 @@ class BracketRule:
     closure reads terms and cocycle as one integer kernel.
     """
 
-    pair: Callable[[Graded, Graded], Element]
-    terms: tuple[tuple[tuple[int, int], Poly], ...] | None = None
-    cocycle: Poly | None = None
-    offsets: tuple[tuple[int, int], ...] | None = field(default=None, init=False)
-    grade_degree_bound: int = field(default=0, init=False)
-    level_degree_bound: int = field(default=0, init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.terms is not None:
-            summed = accumulate({}, self.terms)
-            central = () if self.cocycle is None or (0, 0) in summed else ((0, 0),)
-            object.__setattr__(self, "offsets", (*summed, *central))
-            object.__setattr__(self, "grade_degree_bound", degree_in(summed, "ab"))
-            object.__setattr__(self, "level_degree_bound", degree_in(summed, "ij"))
+    def __new__(cls, pair: Callable[[Graded, Graded], Element], terms=None, cocycle=None):
+        if terms is None:
+            return super().__new__(cls, pair, terms, cocycle, None, 0, 0)
+        summed = accumulate({}, terms)
+        central = () if cocycle is None or (0, 0) in summed else ((0, 0),)
+        offsets = (*summed, *central)
+        bounds = degree_in(summed, "ab"), degree_in(summed, "ij")
+        return super().__new__(cls, pair, terms, cocycle, offsets, *bounds)
 
 
 def extend_bilinearly(
@@ -658,20 +662,30 @@ class ClosureWork(NamedTuple):
     pivots: int
 
 
-@dataclass(frozen=True)
 class Closure:
     """Reduced echelon basis of a window-truncated bracket closure.
 
     Each row lists its labels in window coordinate order, so its first label
     is its pivot.  The integer echelon that the rows were read from, and the
     window's coordinates, are kept for `membership`; the work counters are
-    kept for diagnosis and are no part of the result."""
+    kept for diagnosis and are no part of the result: a closure compares and
+    prints by its window and rows alone.  Treat instances as immutable."""
 
-    window: Window
-    rows: tuple[Element, ...]
-    _coord_index: Mapping[BasisIndex, int] = field(repr=False, compare=False)
-    _echelon: _Echelon = field(repr=False, compare=False)
-    _work: ClosureWork = field(repr=False, compare=False)
+    __slots__ = ("window", "rows", "_coord_index", "_echelon", "_work")
+
+    def __init__(self, window: Window, rows: tuple[Element, ...], _coord_index, _echelon, _work):
+        self.window, self.rows = window, rows
+        self._coord_index, self._echelon, self._work = _coord_index, _echelon, _work
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Closure:
+            return NotImplemented
+        return (self.window, self.rows) == (other.window, other.rows)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Closure(window={self.window!r}, rows={self.rows!r})"
 
     def by_grade(self) -> dict[int, tuple[Element, ...]]:
         """Rows grouped by the grade of their pivot label (central counts as 0)."""

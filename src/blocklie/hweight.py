@@ -42,10 +42,9 @@ The central label never enters any verdict: the cocycle vanishes at grade
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .block import BlockParams, structure_numerator
 from .engine import Graded, _Echelon
@@ -87,8 +86,7 @@ def format_poly(coeffs: Sequence[Fraction], variable: str = "t") -> str:
     )
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(NamedTuple):
     """Finite sum of f_r(z) * exp(b_r z) with rational polynomial f_r and
     pairwise distinct rational bases b_r; canonical: bases sorted, no zero f."""
 
@@ -165,18 +163,17 @@ def qp_annihilator(qp: QuasiPolynomial) -> Coeffs:
     return out
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(NamedTuple("Weight", [("labels", Coeffs | None), ("qp", QuasiPolynomial | None)])):
     """Highest-weight data: explicit labels up to a horizon and an optional
     quasipolynomial generator that extends them to any horizon.  The central
     label enters no route, so a weight does not carry it."""
 
-    labels: Coeffs | None = None
-    qp: QuasiPolynomial | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.labels is None and self.qp is None:
+    def __new__(cls, labels: Coeffs | None = None, qp: QuasiPolynomial | None = None):
+        if labels is None and qp is None:
             raise ValueError("a weight needs explicit labels or a generator")
+        return super().__new__(cls, labels, qp)
 
     @staticmethod
     def from_labels(labels: Sequence) -> "Weight":
@@ -204,8 +201,7 @@ def weight_labels(weight: Weight, params: BlockParams, horizon: int) -> Coeffs:
     )
 
 
-@dataclass(frozen=True)
-class DeltaSeries:
+class DeltaSeries(NamedTuple):
     """Normalized generating-series coefficients c_k = k! [z^k] Delta."""
 
     coeffs: Coeffs
@@ -252,8 +248,7 @@ def labels_from_quasipolynomial(
     return tuple(labels), tuple(singular)
 
 
-@dataclass(frozen=True)
-class RecurrenceCertificate:
+class RecurrenceCertificate(NamedTuple):
     """Monic annihilator h with sum_j h_j c_{k+j} = 0 verified for all
     0 <= k <= verified_horizon - deg h."""
 
@@ -332,8 +327,7 @@ def detect_linear_recurrence(
     )
 
 
-@dataclass(frozen=True)
-class SingularCandidate:
+class SingularCandidate(NamedTuple):
     """Coefficients x_0..x_D of a degree -1 singular-vector candidate
     a = sum_i x_i L[-1,i]; all parabolic degree-zero conditions vanish for
     j = 0..verified_horizon."""
@@ -376,8 +370,7 @@ def _kernel_rows(labels: Sequence[Fraction], params: BlockParams, max_level: int
         yield {i: v for i, v in row if v}
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     verdict: str  # "quasifinite" | "not_quasifinite_up_to_horizon"
     horizon: int
     certificate: RecurrenceCertificate | None
@@ -412,8 +405,7 @@ def classify_quasifinite(
     )
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     """Both criteria side by side; `annihilator_vs_kernel` compares the monic
     recurrence with each kernel candidate's polynomial."""
 

@@ -19,7 +19,6 @@ breaks the commutator identity (module_axiom_check exhibits the witness).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm
@@ -31,17 +30,32 @@ from .scalars import accumulate, as_fraction, format_rational
 VARIANTS = ("Aab", "Aa", "Ba")
 
 
-@dataclass(frozen=True)
 class IntermediateKind:
-    variant: str
-    a: Fraction
-    b: Fraction | None = None
+    """A family and its parameters; b is given exactly for Aab.  Compares,
+    hashes and prints by (variant, a, b); treat instances as immutable."""
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown intermediate-series variant {self.variant!r}")
-        if (self.variant == "Aab") != (self.b is not None):
+    __slots__ = ("variant", "a", "b")
+
+    def __init__(self, variant: str, a: Fraction, b: Fraction | None = None):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown intermediate-series variant {variant!r}")
+        if (variant == "Aab") != (b is not None):
             raise ValueError("parameter b is required exactly for the Aab family")
+        self.variant, self.a, self.b = variant, a, b
+
+    def _key(self) -> tuple:
+        return self.variant, self.a, self.b
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IntermediateKind:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "IntermediateKind(variant={!r}, a={!r}, b={!r})".format(*self._key())
 
 
 class ModuleVector(Element):

@@ -28,8 +28,7 @@ tested grid only (`engine.check_identities`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import (
     BracketRule,
@@ -44,19 +43,18 @@ from .engine import (
 from .scalars import Scalar, accumulate
 
 
-@dataclass(frozen=True)
-class WittNovikovParams:
-    p: Scalar
-    mu: Scalar = 0
-    theta: int = 0
+class WittNovikovParams(
+    NamedTuple("WittNovikovParams", [("p", Scalar), ("mu", Scalar), ("theta", int)])
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.theta, int):
+    def __new__(cls, p: Scalar, mu: Scalar = 0, theta: int = 0):
+        if not isinstance(theta, int):
             raise ValueError("theta must be an integer shift")
+        return super().__new__(cls, p, mu, theta)
 
 
-@dataclass(frozen=True)
-class AffinizationParams:
+class AffinizationParams(NamedTuple):
     q: Scalar  # q = 0 is permitted here; downstream algebras may restrict it
 
 
@@ -123,8 +121,7 @@ def table_product_rule(entries: dict[tuple[int, int], Element]) -> BracketRule:
     return BracketRule(pair)
 
 
-@dataclass(frozen=True)
-class NovikovVerdicts:
+class NovikovVerdicts(NamedTuple):
     left_symmetry: Verdict
     right_commutativity: Verdict
 
@@ -187,8 +184,7 @@ def affinize(rule: BracketRule, params: AffinizationParams) -> BracketRule:
     return BracketRule(pair, terms)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Observed data for the Novikov <-> Lie biconditional on one rule."""
 
     novikov: NovikovVerdicts

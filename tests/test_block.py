@@ -1,6 +1,6 @@
 import itertools
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -352,7 +352,7 @@ def scanned_virasoro(params, window):
             terms[CENTRAL] = cocycle_value(a)
         return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
 
-    level_zero = replace(window, level_max=0).pairs()
+    level_zero = Window(window.grade_min, window.grade_max, 0).pairs()
     return first_failure(((a, b) for a, _, b, _ in level_zero), residual)
 
 

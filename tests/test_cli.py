@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from blocklie import cli, hweight
+from blocklie import block, cli, hweight
 from blocklie.cli import (
     ConfigError,
     emit_report,
@@ -960,6 +960,53 @@ def test_threads_flag_is_gone(tmp_path, capsys):
         main(["--config", path, "--threads", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_debug_flag_prints_the_traceback_of_an_internal_error(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, classify_payload())
+
+    def broken_run_job(config):
+        raise RuntimeError("broken run")
+
+    monkeypatch.setattr(cli, "run_job", broken_run_job)
+    out = tmp_path / "report.json"
+    for flags in ([], ["--debug"]):
+        assert main(["--config", path, "--out", str(out), *flags]) == 3
+        captured = capsys.readouterr()
+        # exit 3 writes no report, with the flag or without it
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("internal error: RuntimeError: broken run\n")
+        assert ("Traceback (most recent call last)" in captured.err) == bool(flags)
+        assert ("in broken_run_job" in captured.err) == bool(flags)
+
+
+def test_debug_flag_leaves_reports_unchanged(tmp_path, capsys):
+    path = write_config(tmp_path, classify_payload())
+    reports = []
+    for flags in ([], ["--debug"]):
+        out = tmp_path / f"report{len(flags)}.json"
+        assert main(["--config", path, "--format", "machine", *flags]) == 0
+        stdout = capsys.readouterr().out
+        assert main(["--config", path, "--format", "machine", "--out", str(out), *flags]) == 0
+        capsys.readouterr()
+        reports.append((stdout, out.read_bytes()))
+    assert reports[0] == reports[1]
+    assert reports[0][0].encode() == reports[0][1]
+
+
+@pytest.mark.parametrize("name", ["blockcheck_concrete", "blockcheck_symbolic"])
+def test_blockcheck_builds_the_delta_free_term_once(monkeypatch, name):
+    # the Virasoro, Laurent and delta-free Jacobi checks share one build
+    builds = []
+    build = block._delta_free_terms
+
+    def counted(params):
+        builds.append(params)
+        return build(params)
+
+    monkeypatch.setattr(block, "_delta_free_terms", counted)
+    assert run_job(load_config(str(DATA / f"{name}.json"))).positive
+    assert len(builds) == 1
 
 
 def test_failure_reports_carry_witness_and_residual(tmp_path):

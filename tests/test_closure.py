@@ -18,7 +18,6 @@ of its own.
 """
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -270,7 +269,7 @@ def test_closure_of_a_rule_with_terms_never_calls_its_pair(monkeypatch, rule, ge
     window, generators = PINNED_GENERATORS[gens]
     expected = naive_closure(PINNED_RULES[rule], generators, window)
     monkeypatch.setattr(block, "basis_bracket", raising_pair)
-    kernel_only = replace(PINNED_RULES[rule], pair=raising_pair)
+    kernel_only = PINNED_RULES[rule]._replace(pair=raising_pair)
     assert subalgebra_closure(kernel_only, generators, window).rows == expected
 
 
@@ -398,7 +397,7 @@ def test_closure_refuses_a_rule_without_terms():
     # affinized Witt rules, both with terms; the refusal comes before any
     # basis pair is bracketed
     product = table_product_rule({(1, 1): Element.basis(Graded(2, 0), 5)})
-    rule = replace(affinize(product, AffinizationParams(q=Fraction(1))), pair=raising_pair)
+    rule = affinize(product, AffinizationParams(q=Fraction(1)))._replace(pair=raising_pair)
     assert rule.terms is None
     generators = [Element.basis(Graded(1, 0)), Element.basis(Graded(1, 1))]
     with pytest.raises(ClosureError, match="terms"):

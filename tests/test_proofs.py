@@ -3,7 +3,7 @@
 A closed-form rule carries its structure coefficients as `terms`, and
 `grid_identity_check` and `novikov_axiom_check` prove their identities from
 them before any grid point is evaluated.  The same rule with its terms
-removed (`dataclasses.replace(rule, terms=None)`) is decided by the grid scan
+removed (`BracketRule(rule.pair, None, rule.cocycle)`) is decided by the grid scan
 alone.  Witness and residual must print identically on both routes, above
 all on failing rules, where the proof fails and the scan finds the witness;
 a holding verdict is universal on the proof route and holds on the tested
@@ -16,7 +16,6 @@ here as its oracle; one fixed case reaches the largest exponent that a
 config's packed fields must hold.
 """
 
-import dataclasses
 import functools
 import itertools
 from fractions import Fraction
@@ -91,7 +90,7 @@ def bracket_rules(draw, values=rationals):
 
 
 def scan_only(rule):
-    return dataclasses.replace(rule, terms=None)
+    return BracketRule(rule.pair, None, rule.cocycle)
 
 
 def assert_routes_agree(proved, scanned, proof):
@@ -217,7 +216,7 @@ def test_pair_disagreeing_with_its_terms_raises_instead_of_holding():
     witt = witt_product_rule(WittNovikovParams(1))
     b = witt.terms[0][1].ring.var("b")
     # the Witt pair is Novikov; terms b^2 x_{a+b} are not, and size a grid of 5
-    squared = dataclasses.replace(witt, terms=(((0, 0), b**2),))
+    squared = BracketRule(witt.pair, (((0, 0), b**2),), witt.cocycle)
     assert squared.grade_degree_bound == 2
     with pytest.raises(ValueError, match="pair disagrees with its terms"):
         novikov_axiom_check(squared, [-2, -1, 0, 1, 2])

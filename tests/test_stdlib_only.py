@@ -1,13 +1,17 @@
 """The runtime is stdlib-only: every import in the package names a standard
-library module or the package itself."""
+library module or the package itself.  Start-up stays light too: importing
+the CLI loads neither `dataclasses` nor the `inspect` it pulls in."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "blocklie").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "blocklie").glob("*.py"))
 
 
 def top_level_imports(path: Path) -> set[str]:
@@ -34,3 +38,13 @@ def test_package_imports_only_the_standard_library(path):
 def test_every_module_is_scanned():
     assert {path.stem for path in SOURCES} >= {"cli", "engine", "novikov", "scalars"}
     assert all(top_level_imports(path) for path in SOURCES if path.stem != "__init__")
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    heavy = "{'dataclasses', 'inspect'}"
+    probe = f"import sys, blocklie.cli; print(sorted({heavy} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
