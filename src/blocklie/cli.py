@@ -301,11 +301,17 @@ def _split_terms(text: str) -> list[str]:
 
 
 def parse_element(text: str) -> Element:
-    """Parse sums like "2*L[1,0] - 1/3*L[-2,4] + c" into an Element."""
+    """Parse sums like "2*L[1,0] - 1/3*L[-2,4] + c", or "0", into an Element;
+    the inverse of `Element.__str__`."""
     if not isinstance(text, str) or not text.strip():
         raise ConfigError(f"empty element text: {text!r}")
+    compact = text.replace(" ", "")
+    if compact == "0":
+        return Element.zero()
+    if compact[-1] in "+-":
+        raise ConfigError(f"element {text!r} ends in a sign with no term after it")
     terms = []
-    for chunk in _split_terms(text.replace(" ", "")):
+    for chunk in _split_terms(compact):
         sign = Fraction(1)
         if chunk.startswith("-"):
             sign, chunk = Fraction(-1), chunk[1:]

@@ -32,7 +32,11 @@ rule for skipping tuples by symmetry.
 `subalgebra_closure` takes a rule with terms, in concrete-parameter mode (all
 coefficients rational), inside a finite window: it discards bracket products
 that land outside, and skips without any arithmetic every basis pair whose
-bracket cannot reach the window by the rule's output `offsets`.  The rule is
+bracket cannot reach the window by the rule's output `offsets`.  It skips
+whole products of two rows the same way: each row has a box, the least
+level and the least and greatest grade of its graded labels (c brackets to
+zero), and a product is formed only when the sum of two boxes meets the
+(grade, level) sums that reach the window.  The rule is
 compiled once per closure into an integer kernel: every term coefficient, and
 the rule's `cocycle`, times one common denominator D, as integer monomials in
 the indices, so a basis pair's row is an integer evaluation whose columns are
@@ -653,11 +657,13 @@ class ClosureError(ValueError):
 
 class ClosureWork(NamedTuple):
     """Work counters of one closure: distinct basis pairs bracketed, products
-    of two rows formed, nonzero products that reduced to zero against the
-    echelon, and pivots that products added."""
+    of two rows formed, products skipped because no basis pair of the two
+    rows reaches the window, nonzero products that reduced to zero against
+    the echelon, and pivots that products added."""
 
     pairs: int
     products: int
+    skipped: int
     reduced_to_zero: int
     pivots: int
 
@@ -722,9 +728,21 @@ def _integer_row(terms: Iterable[tuple], coord_index: Mapping[BasisIndex, int]) 
 def _clear(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
     """`vec` with column `col` cleared, fraction-free, by the row of pivot P > 0
     there: (P/g) vec - (e/g) row, e = vec[col], g = gcd(P, e)."""
-    g = gcd(row[col], vec[col])
-    scale = row[col] // g
-    return accumulate({k: v * scale for k, v in vec.items()}, row.items(), -(vec[col] // g))
+    if len(row) == 1:  # primitive, so the row is 1 at col: drop the column
+        out = vec.copy()
+        del out[col]
+        return out
+    pivot, e = row[col], vec[col]
+    g = gcd(pivot, e)
+    scale, factor = pivot // g, e // g
+    out = {k: v * scale for k, v in vec.items()} if scale != 1 else vec.copy()
+    for k, v in row.items():
+        v = out.get(k, 0) - factor * v
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
 
 
 class _Echelon:
@@ -844,7 +862,13 @@ def subalgebra_closure(
     The rule must have terms, and every coefficient must be a rational
     constant.  The rule is bracketed by its integer kernel
     (`_integer_kernel`), and a basis pair none of whose output labels, by the
-    rule's `offsets`, lies in the window is not bracketed at all.
+    rule's `offsets`, lies in the window is not bracketed at all.  Two rows
+    are not multiplied when no basis pair of theirs can reach the window:
+    when the least levels of their graded labels sum above the largest level
+    that reaches it, or their grade ranges sum to a range that misses the
+    grades that reach it.  A row of c alone is never multiplied.  Both tests
+    read the reaching sums, which carry the offsets, so they hold for any
+    shift of the rule.
 
     Semi-naive: each round brackets only the rows whose pivot is new since
     the last round (`fresh`), against the rows of earlier rounds and the later
@@ -856,21 +880,25 @@ def subalgebra_closure(
     if rule.terms is None:
         raise ClosureError("closure requires a bracket rule with terms")
     coords = window.indices()
+    width = len(coords)
     coord_index = {index: pos for pos, index in enumerate(coords)}
-    ech = _Echelon(len(coords))
+    ech = _Echelon(width)
     for gen in generators:
         ech.insert(_integer_row(truncate(gen, window).terms.items(), coord_index)[1])
     # the (grade, level) sums of basis pairs whose bracket can reach the window
     reach = {
         (x.grade - dg, x.level - dl) for x in coords if x is not CENTRAL for dg, dl in rule.offsets
     }
+    # the box around reach: the largest level sum and the range of grade sums
+    top = max((level for _, level in reach), default=-1)
+    low = min((grade for grade, _ in reach), default=0)
+    high = max((grade for grade, _ in reach), default=-1)
     # one D scales every pair row, so a product is its truncated bracket times D
     _, bracket = _integer_kernel(rule, coord_index)
     pairs = 0
 
-    # basis pairs recur; cache each truncated bracket, times D, as ((column, int), ...)
-    @functools.cache
     def pair(kx: int, ky: int) -> tuple:
+        # the truncated bracket of two basis labels, times D, as ((column, int), ...)
         nonlocal pairs
         x, y = coords[kx], coords[ky]
         if x is CENTRAL or y is CENTRAL or (x.grade + y.grade, x.level + y.level) not in reach:
@@ -878,34 +906,59 @@ def subalgebra_closure(
         pairs += 1
         return bracket(x, y)
 
+    # basis pairs recur: pair(kx, ky) at kx * width + ky
+    table: dict[int, tuple] = {}
+
     def product(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
         # the truncated bracket of two rows, times D
         acc: dict[int, int] = {}
         for kx, cx in x.items():
+            base = kx * width
             for ky, cy in y.items():
-                terms = pair(kx, ky)
+                terms = table.get(base + ky)
+                if terms is None:
+                    terms = table[base + ky] = pair(kx, ky)
                 if terms:
                     factor = cx * cy
                     for col, v in terms:
                         acc[col] = acc.get(col, 0) + factor * v
         return {k: v for k, v in acc.items() if v}
 
+    def box(row: dict[int, int]) -> tuple | None:
+        # (least level, least grade, greatest grade) of the row's graded labels;
+        # None for a row of c alone, which brackets to zero with every row
+        labels = [coords[k] for k in row if coords[k] is not CENTRAL]
+        if not labels:
+            return None
+        grades = [x.grade for x in labels]
+        return min(x.level for x in labels), min(grades), max(grades)
+
     generated = len(ech.rows)
-    products = reduced = 0
-    done: list[dict[int, int]] = []
+    products = skipped = reduced = 0
+    done: list[tuple] = []
     fresh_pivots = sorted(ech.rows)
     while fresh_pivots:
-        fresh = [ech.rows[pivot] for pivot in fresh_pivots]
+        fresh = [(ech.rows[pivot], box(ech.rows[pivot])) for pivot in fresh_pivots]
         known = set(ech.rows)
-        for k, x in enumerate(fresh):
-            for y in itertools.chain(done, fresh[k + 1 :]):
+        for k, (x, bx) in enumerate(fresh):
+            for y, by in itertools.chain(done, fresh[k + 1 :]):
+                # every basis pair of x and y misses reach: their product is 0
+                if (
+                    bx is None
+                    or by is None
+                    or bx[0] + by[0] > top
+                    or bx[1] + by[1] > high
+                    or bx[2] + by[2] < low
+                ):
+                    skipped += 1
+                    continue
                 vec = product(x, y)
                 products += 1
                 if vec and not ech.insert(vec):
                     reduced += 1
         done.extend(fresh)
         fresh_pivots = sorted(ech.rows.keys() - known)
-    work = ClosureWork(pairs, products, reduced, len(ech.rows) - generated)
+    work = ClosureWork(pairs, products, skipped, reduced, len(ech.rows) - generated)
     # each row divided by its pivot: the reduced echelon rows
     rows = sorted(ech.rows.items())
     reduced_rows = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)

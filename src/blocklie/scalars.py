@@ -92,15 +92,17 @@ def signed_sum(terms: Iterable[tuple[RationalLike, str]]) -> str:
     A unit coefficient is left implicit; an empty monomial is a constant."""
     text = ""
     for coeff, monomial in terms:
-        mag = abs(coeff)
+        # on the int parts: Fraction's abs and comparisons build Fractions
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         if not monomial:
-            body = format_rational(mag)
+            body = mag
         else:
-            body = monomial if mag == 1 else f"{format_rational(mag)}*{monomial}"
+            body = monomial if mag == "1" else f"{mag}*{monomial}"
         if text:
-            text += f" - {body}" if coeff < 0 else f" + {body}"
+            text += f" - {body}" if num < 0 else f" + {body}"
         else:
-            text = f"-{body}" if coeff < 0 else body
+            text = f"-{body}" if num < 0 else body
     return text or "0"
 
 

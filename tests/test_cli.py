@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocklie import block, cli, hweight
 from blocklie.cli import (
@@ -49,9 +51,30 @@ def test_parse_element_round_trips():
     )
     assert parse_element(str(elem)) == elem
     assert parse_element("c") == Element.basis(CENTRAL)
-    for bad in ["", "L[1]", "q*L[1,0]", "L[1,0]*2", "2**L[1,0]", "L[1,-1]"]:
+    # a zero element prints as "0", however it was written
+    for zero in ["0", " 0 ", "0*L[1,0]", "L[1,0] - L[1,0]"]:
+        assert parse_element(zero) == Element.zero()
+        assert str(parse_element(zero)) == "0"
+    assert parse_element(str(Element.zero())) == Element.zero()
+    bad_texts = ["", "L[1]", "q*L[1,0]", "L[1,0]*2", "2**L[1,0]", "L[1,-1]", "00*", "-0"]
+    # a sign with no term after it
+    bad_texts += ["L[1,0]+", "L[1,0] + ", "L[1,0]-", "L[1,0] - ", "+", "-"]
+    for bad in bad_texts:
         with pytest.raises(ConfigError):
             parse_element(bad)
+
+
+labels = st.one_of(
+    st.just(CENTRAL), st.builds(Graded, st.integers(-9, 9), st.integers(0, 9))
+)
+coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.dictionaries(labels, coefficients, max_size=5))
+def test_every_element_prints_and_parses_back(terms):
+    elem = Element(terms)
+    assert parse_element(str(elem)) == elem
 
 
 def test_load_config_parse_error_has_line_info(tmp_path):
@@ -580,6 +603,30 @@ EXIT_CASES = [
         },
     ),
     (
+        "closure_generator_dangling_sign",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+            "generators": ["L[2,0]", "L[1,0] + "],
+        },
+    ),
+    (
+        # "0" is how a zero element prints, and it reads back in
+        "closure_zero_elements",
+        0,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+            "generators": ["L[1,0]", "0", "0*L[2,0]"],
+            "membership": ["0", "L[2,0] - L[2,0]"],
+        },
+    ),
+    (
         "affinize_mutations_over_limit",
         2,
         {"job": "affinize", "p": "2", "q": "1", "mutations": {"count": 101, "seed": 0}},
@@ -780,6 +827,10 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
         (
             "closure_membership_outside_window",
             "closure: field 'membership[1]': label c lies outside the closure window",
+        ),
+        (
+            "closure_generator_dangling_sign",
+            "closure: field 'generators[1]': element 'L[1,0] + ' ends in a sign with no term",
         ),
         ("affinize_mutations_over_limit", "affinize: field 'mutations.count' must be <= 100"),
         (

@@ -259,6 +259,30 @@ def test_closure_matches_naive_on_pinned_cases(rule, gens):
     assert_matches_naive(PINNED_RULES[rule], generators, window)
 
 
+def assert_each_pair_of_rows_is_formed_or_skipped_once(closure):
+    # every final row is fresh exactly once, and is paired then with each row
+    # before it and each later fresh row: a product is formed or skipped
+    d = closure.dimension()
+    assert closure._work.products + closure._work.skipped == d * (d - 1) // 2
+
+
+@pytest.mark.parametrize("gens", PINNED_GENERATORS)
+@pytest.mark.parametrize("rule", PINNED_RULES)
+def test_closure_forms_or_skips_each_pair_of_rows_once_on_pinned_cases(rule, gens):
+    window, generators = PINNED_GENERATORS[gens]
+    closure = subalgebra_closure(PINNED_RULES[rule], generators, window)
+    assert_each_pair_of_rows_is_formed_or_skipped_once(closure)
+    if gens == "monomial triple":
+        # rows of high levels or far grades cannot reach the window together
+        assert closure._work.skipped > 0
+
+
+@SETTINGS
+@given(st.one_of(*map(closure_cases, [block_rule, affinized_rule, engine_rule])))
+def test_closure_forms_or_skips_each_pair_of_rows_once(case):
+    assert_each_pair_of_rows_is_formed_or_skipped_once(subalgebra_closure(*case))
+
+
 def raising_pair(x, y):
     raise AssertionError("a rule with terms was bracketed through its pair")
 
@@ -406,16 +430,27 @@ def test_closure_refuses_a_rule_without_terms():
 
 @st.composite
 def matrices(draw):
-    """Rows spanned by `rank` random vectors, mostly fewer than the width."""
+    """Rows spanned by `rank` random vectors, mostly fewer than the width,
+    mixed with rows of a single entry, often 1.
+
+    A row of one entry is stored as a unit row, and clearing by it takes
+    `_clear`'s deletion branch."""
     width = draw(st.integers(1, 8))
     rank = draw(st.integers(0, width))
     vector = st.lists(rationals, min_size=width, max_size=width)
     spanning = draw(st.lists(vector, min_size=rank, max_size=rank))
     mix = st.lists(rationals, min_size=rank, max_size=rank)
-    rows = [
-        [sum((m * v[i] for m, v in zip(weights, spanning)), Fraction(0)) for i in range(width)]
-        for weights in draw(st.lists(mix, max_size=10))
-    ]
+
+    def combination(weights):
+        terms = list(zip(weights, spanning))
+        return [sum((m * v[i] for m, v in terms), Fraction(0)) for i in range(width)]
+
+    def single(entry):
+        column, value = entry
+        return [value if i == column else Fraction(0) for i in range(width)]
+
+    entry = st.tuples(st.integers(0, width - 1), st.one_of(st.just(Fraction(1)), nonzero))
+    rows = draw(st.lists(st.one_of(mix.map(combination), entry.map(single)), max_size=10))
     return rows, width
 
 
