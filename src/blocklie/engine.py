@@ -728,14 +728,10 @@ def _integer_row(terms: Iterable[tuple], coord_index: Mapping[BasisIndex, int]) 
 def _clear(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
     """`vec` with column `col` cleared, fraction-free, by the row of pivot P > 0
     there: (P/g) vec - (e/g) row, e = vec[col], g = gcd(P, e)."""
-    if len(row) == 1:  # primitive, so the row is 1 at col: drop the column
-        out = vec.copy()
-        del out[col]
-        return out
     pivot, e = row[col], vec[col]
     g = gcd(pivot, e)
     scale, factor = pivot // g, e // g
-    out = {k: v * scale for k, v in vec.items()} if scale != 1 else vec.copy()
+    out = {k: v * scale for k, v in vec.items()}
     for k, v in row.items():
         v = out.get(k, 0) - factor * v
         if v:

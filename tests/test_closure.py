@@ -433,8 +433,8 @@ def matrices(draw):
     """Rows spanned by `rank` random vectors, mostly fewer than the width,
     mixed with rows of a single entry, often 1.
 
-    A row of one entry is stored as a unit row, and clearing by it takes
-    `_clear`'s deletion branch."""
+    A row of one entry is stored as a unit row, and clearing by it deletes
+    the column from the cleared row."""
     width = draw(st.integers(1, 8))
     rank = draw(st.integers(0, width))
     vector = st.lists(rationals, min_size=width, max_size=width)
