@@ -11,7 +11,10 @@ Novikov product); the Kronecker-delta cocycle is not polynomial, so its
 Jacobi contribution gets a dedicated proof here, over a cocycle given as a
 one-variable Poly.  The Virasoro embedding and the Laurent realization are
 proved the same way: one polynomial identity for the delta-free part and
-one for the cocycle on its stratum a+b = 0, i = j = 0.
+one for the cocycle on its stratum a+b = 0, i = j = 0.  Both rules here are
+their terms, and the window scans of a failed proof bracket through the pair
+the full rule derives from them (`basis_bracket`), so they read what the
+proofs read.
 
 The three proofs run on integers, as the engine's prover does: each lifts
 its inputs (the parameters, the delta-free term, the cocycle) once over one
@@ -86,28 +89,16 @@ CUBIC_COCYCLE = (_X**3 - _X) / 12  # `cocycle_value` as a one-variable Poly
 
 def structure_numerator(params: BlockParams, x: Graded, y: Graded) -> int:
     """(i*qd+qn)(b*pd+pn) - (j*qd+qn)(a*pd+pn) for x = L[a,i], y = L[b,j] and
-    rational p = pn/pd, q = qn/qd: `structure_coefficient` times pd*qd."""
+    rational p = pn/pd, q = qn/qd: (i+q)(b+p) - (j+q)(a+p) times pd*qd."""
     p, q = params.p, params.q
     pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
     return (x.level * qd + qn) * (y.grade * pd + pn) - (y.level * qd + qn) * (x.grade * pd + pn)
 
 
-def structure_coefficient(params: BlockParams, x: Graded, y: Graded) -> Scalar:
-    """(i+q)(b+p) - (j+q)(a+p) for x = L[a,i], y = L[b,j]; for rational p
-    and q, one normalization of `structure_numerator`."""
-    p, q = params.p, params.q
-    if isinstance(p, Poly) or isinstance(q, Poly):
-        return (x.level + q) * (y.grade + p) - (y.level + q) * (x.grade + p)
-    return Fraction(structure_numerator(params, x, y), p.denominator * q.denominator)
-
-
 def basis_bracket(params: BlockParams, x: Graded, y: Graded) -> Element:
-    """Bracket of two basis vectors, cocycle included."""
-    label = Graded(x.grade + y.grade, x.level + y.level)
-    terms = {label: structure_coefficient(params, x, y)}
-    if x.grade + y.grade == 0 and x.level == 0 and y.level == 0:
-        terms[CENTRAL] = cocycle_value(x.grade)
-    return Element(terms)
+    """Bracket of two basis vectors, cocycle included: the pair of
+    `block_bracket_rule`, whose terms it compiles for this one call."""
+    return block_bracket_rule(params).pair(x, y)
 
 
 def block_bracket_rule(params: BlockParams) -> BracketRule:
@@ -118,32 +109,21 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
     the terms.  The Kronecker delta keeps the terms from proving anything
     about the full bracket: an identity check on it speaks only for its grid.
     """
-    return BracketRule(
-        lambda x, y: basis_bracket(params, x, y),
-        terms=params.delta_free_terms,
-        cocycle=CUBIC_COCYCLE,
-    )
+    return BracketRule(terms=params.delta_free_terms, cocycle=CUBIC_COCYCLE)
 
 
 def delta_free_rule(params: BlockParams) -> BracketRule:
     """The cocycle-free structure constants, valid for all integer levels;
-    this is what the engine's Jacobi proof runs on.  Its one term is
-    `structure_coefficient` of the index-ring labels L[a,i], L[b,j], at
-    output offset (0, 0), written in closed form (`_delta_free_terms`)."""
-    return BracketRule(
-        lambda x, y: Element.basis(
-            Graded(x.grade + y.grade, x.level + y.level),
-            structure_coefficient(params, x, y),
-        ),
-        terms=params.delta_free_terms,
-    )
+    this is what the engine's Jacobi proof runs on.  Its one term is the
+    structure coefficient at output offset (0, 0) (`_delta_free_terms`)."""
+    return BracketRule(terms=params.delta_free_terms)
 
 
 def _delta_free_terms(params: BlockParams) -> tuple:
-    """`structure_coefficient` over the index ring as the one term, at
-    offset (0, 0), in its closed form ib - ja + p(i-j) + q(b-a): one terms
-    dict, with p's and q's terms each moved onto one index symbol, so no
-    Poly is multiplied."""
+    """The structure coefficient (i+q)(b+p) - (j+q)(a+p) over the index ring
+    as the one term, at offset (0, 0), in its closed form ib - ja + p(i-j) +
+    q(b-a): one terms dict, with p's and q's terms each moved onto one index
+    symbol, so no Poly is multiplied."""
     ring, (p, q) = index_ring(params.p, params.q)
 
     def times(poly: Poly, *names: str) -> Iterator[tuple]:
@@ -207,7 +187,7 @@ def cocycle_jacobi_check(
     proof = packing.compose(q_terms) * jacobi
 
     def value(x) -> Fraction:
-        return cocycle.substitute({symbol: x}).constant_value()
+        return cocycle.compose(cocycle.ring, {symbol: x}).constant_value()
 
     def residual(t: tuple) -> Element:
         a, b, g = t

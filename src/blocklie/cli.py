@@ -56,8 +56,9 @@ MAX_SERIES_HORIZON = 500
 # benchmark job goes past 5
 MAX_KERNEL_SIDE = 30
 # affinize mutations: each is a Novikov and an affinized Jacobi proof with a
-# witness scan, about 13 ms (100 take 1.3 s on a 2-vCPU host), and no archived
-# or benchmark config runs more than 6
+# witness scan, about 9 ms (100 take 0.8 to 1.0 s on a 2-vCPU host whose
+# reference kernel takes 6 ms), and no archived or benchmark config runs
+# more than 6
 MAX_MUTATIONS = 100
 # values of one grid field: a table rule's axiom scan visits every triple of
 # its grid, 0.3 s at 50 values and 2.4 s at 100 on a table that holds
@@ -312,9 +313,8 @@ def parse_element(text: str) -> Element:
         raise ConfigError(f"element {text!r} ends in a sign with no term after it")
     terms = []
     for chunk in _split_terms(compact):
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign, chunk = Fraction(-1), chunk[1:]
+        negative = chunk.startswith("-")
+        chunk = chunk[negative:]
         match = _TERM_RE.match(chunk)
         if not match:
             raise ConfigError(
@@ -322,7 +322,9 @@ def parse_element(text: str) -> Element:
                 "rational*L[grade,level] with level >= 0, or rational*c, where a "
                 "rational's denominator is nonzero"
             )
-        coeff = sign * Fraction(match.group("coeff") or 1)
+        coeff = Fraction(match.group("coeff") or 1)
+        if negative:
+            coeff = -coeff
         if match.group("c"):
             index = CENTRAL
         else:

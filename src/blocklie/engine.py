@@ -3,13 +3,11 @@
 Basis labels are either `Graded(grade, level)` or the central element
 `CENTRAL`; an `Element` is a finitely supported linear combination of labels
 with exact scalar coefficients (Fraction, or Poly when parameters stay
-symbolic).  A `BracketRule` packages the closed-form bracket of two graded
-basis labels and, for a closed-form rule, its `terms`: one Poly coefficient
-over the indices and parameters per constant output offset.  Its offsets,
-degree bounds and verdict scope are all read from the terms.
-
-A product on the Witt labels x_a = L[a,0] is a `BracketRule` too: its pair
-reads grades only, and its terms sit at offsets (dgrade, 0).
+symbolic).  A closed-form `BracketRule` is its `terms`, Poly coefficients
+over the indices and parameters at constant output offsets, and a cocycle:
+its offsets, degree bounds, verdict scope and pair are all read from them.
+Only a table gives a pair of its own.  A product on the Witt labels x_a =
+L[a,0] is a `BracketRule` too, with terms at offsets (dgrade, 0).
 
 `IDENTITIES` states antisymmetry, Jacobi and the two Novikov axioms once
 each, as signed sums of nested brackets of the labels x, y, z; all trees of
@@ -39,13 +37,13 @@ zero), and a product is formed only when the sum of two boxes meets the
 (grade, level) sums that reach the window.  The rule is
 compiled once per closure into an integer kernel: every term coefficient, and
 the rule's `cocycle`, times one common denominator D, as integer monomials in
-the indices, so a basis pair's row is an integer evaluation whose columns are
-looked up by (grade, level).  The closure keeps one sparse echelon basis
-(`_Echelon`) of integer rows over the window coordinates ordered grade asc,
-level asc, central last, forms each product, times D, from cached pair rows,
-and runs semi-naive rounds: a round brackets only the rows whose pivot is new
-since the last round against all rows, and the loop ends when a round adds no
-pivot.  The truncated bracket is bilinear and the reduced echelon form is
+the indices (`_compile`, which the pair reads too), so a basis pair's row is
+an integer evaluation whose columns are looked up by (grade, level).  The
+closure keeps one sparse echelon basis (`_Echelon`) of integer rows over the
+window coordinates ordered grade asc, level asc, central last, forms each
+product, times D, from cached pair rows, and runs semi-naive rounds: a round
+brackets only the rows whose pivot is new since the last round against all
+rows, and the loop ends when a round adds no pivot.  The truncated bracket is bilinear and the reduced echelon form is
 canonical, so the result equals that of bracketing every pair every round,
 independent of processing order and of the positive scale of each product.
 """
@@ -296,22 +294,19 @@ def decide(proof: object, tuples: Iterable[tuple], residual: Callable[[tuple], o
 
     `proof` is the identity's residual over a rule's terms, falsy exactly
     when zero, or None for a rule without terms.  A proof holds universally
-    and scans nothing.  A failed proof scans for its witness on a grid sized
-    by the terms' degrees, so finding none means the rule's pair disagrees
-    with its terms, which raises.  The Virasoro and Laurent checks scan the
-    job's window instead, which need not hold the witness of a failed proof;
-    that raises too.  A rule without terms, or with a cocycle, is only
-    scanned, and holds on the tested grid."""
+    and scans nothing.  A failed proof scans for its witness, and finding
+    none raises: the Virasoro and Laurent checks scan the job's window,
+    which need not hold it, and every other check scans, through the pair
+    the terms define, a grid sized by their degrees, which holds it unless
+    the prover and the evaluator disagree.  A rule without terms, or with a
+    cocycle, is only scanned, and holds on the tested grid."""
     if proof is None:
         return first_failure(tuples, residual, "on_tested_grid")
     if not proof:
         return Verdict.holds_universally()
     verdict = first_failure(tuples, residual)
     if verdict.holds:
-        raise ValueError(
-            "the proof from the rule's terms fails but the grid holds no witness: "
-            "the rule's pair disagrees with its terms"
-        )
+        raise ValueError("the proof from the rule's terms fails but the scan holds no witness")
     return verdict
 
 
@@ -373,20 +368,21 @@ _RuleFields = NamedTuple(
 
 
 class BracketRule(_RuleFields):
-    """Closed-form bracket, or product, of two graded basis labels.
+    """Closed-form bracket, or product, of two graded basis labels, given by
+    its `terms` and optional `cocycle`, or by a table's `pair`; never both.
 
-    `pair` maps (x, y) to the bracket Element.  Output grades/levels must be
-    affine in the inputs.  A product on the Witt labels L[a,0] reads the
-    grades only and lands at level 0.
+    `terms` is the bracket in exact form: pairs ((dgrade, dlevel),
+    coefficient), where the coefficient is a Poly over the parameters and
+    the indices a, i, b, j of x = L[a,i], y = L[b,j] (see `index_ring`),
+    and the output label is L[a+b+dgrade, i+j+dlevel].  The bounds are
+    read from it: the largest degree in a or b (`grade_degree_bound`) and
+    in i or j (`level_degree_bound`) of any offset's summed coefficient, 0
+    without terms; and only a rule with terms can hold universally (see
+    `decide`).
 
-    `terms`, when given, is the same bracket in exact form: pairs
-    ((dgrade, dlevel), coefficient), where the coefficient is a Poly over
-    the parameters and the indices a, i, b, j of x = L[a,i], y = L[b,j]
-    (see `index_ring`), and the output label is L[a+b+dgrade, i+j+dlevel].
-    `pair` must agree with it.  The bounds are read from it: the largest
-    degree in a or b (`grade_degree_bound`) and in i or j
-    (`level_degree_bound`) of any offset's summed coefficient, 0 without
-    terms; and only a rule with terms can hold universally (see `decide`).
+    `pair` maps (x, y) to the bracket Element.  A rule with terms gets the
+    one they define (`_terms_pair`), so a scan reads what the proof reads.
+    A table's pair reads the grades only and lands at level 0.
 
     `offsets` is derived from the terms (None without): the offsets whose
     summed coefficient is nonzero, and (0, 0) when the rule has a cocycle.
@@ -394,7 +390,7 @@ class BracketRule(_RuleFields):
     a listed offset, or c at a+b = 0, i = j = 0, which lies in a window
     exactly when that L[0,0] does.
 
-    `cocycle`, when given with terms, is a Poly K in one variable, the form
+    `cocycle` is a Poly K in one variable, the form
     `block.cocycle_jacobi_check` takes: pair(L[a,i], L[b,j]) is the terms
     plus K(a)*c exactly when a+b = 0 and i = j = 0.  The Kronecker delta is
     not polynomial, so the terms alone prove nothing about such a rule, and
@@ -404,14 +400,76 @@ class BracketRule(_RuleFields):
 
     __slots__ = ()
 
-    def __new__(cls, pair: Callable[[Graded, Graded], Element], terms=None, cocycle=None):
+    def __new__(cls, pair: Callable | None = None, terms=None, cocycle=None):
+        if (pair is None) == (terms is None) or (terms is None and cocycle is not None):
+            raise ValueError("a rule takes terms, and optionally a cocycle, or a pair, never both")
         if terms is None:
-            return super().__new__(cls, pair, terms, cocycle, None, 0, 0)
+            return super().__new__(cls, pair, None, None, None, 0, 0)
         summed = accumulate({}, terms)
         central = () if cocycle is None or (0, 0) in summed else ((0, 0),)
         offsets = (*summed, *central)
         bounds = degree_in(summed, "ab"), degree_in(summed, "ij")
-        return super().__new__(cls, pair, terms, cocycle, offsets, *bounds)
+        return super().__new__(cls, _terms_pair(terms, cocycle), terms, cocycle, offsets, *bounds)
+
+
+def _compile(terms) -> list[tuple]:
+    """The terms summed by offset: [(offset, coefficient, ring, monomials)].
+    A monomial (params, c, factors) at L[a,i], L[b,j] is the Fraction c
+    times the parameters to the exponents `params`, times the index in (a,
+    i, b, j) at each position in `factors`.  `ring`, where a term at the
+    offset reads a parameter symbol, is the parameters' own (the terms'
+    without `INDEX_SYMBOLS`), which its value lives in even when constant."""
+    if not terms:
+        return []
+    ring = terms[0][1].ring
+    width = len(ring.symbols) - len(INDEX_SYMBOLS)
+    params = PolyRing(*ring.symbols[:width])
+    reads = {offset for offset, coeff in terms if any(any(e[:width]) for e in coeff.terms)}
+    indices = [ring.index(name) for name in "aibj"]
+
+    def factors(exps: tuple) -> tuple:
+        return tuple(pos for pos, k in enumerate(indices) for _ in range(exps[k]))
+
+    return [
+        (offset, coeff, params if offset in reads else None, [
+            (e[:width], c, factors(e)) for e, c in coeff.terms.items()
+        ])
+        for offset, coeff in accumulate({}, terms).items()
+    ]
+
+
+def _terms_pair(terms, cocycle: Poly | None) -> Callable[[Graded, Graded], Element]:
+    """The pair that a rule's terms and cocycle define: each offset's
+    monomials (`_compile`) at (a, i, b, j), a Poly in its ring or else a
+    Fraction, and K(a)*c on a+b = 0, i = j = 0.  The terms are compiled on
+    the first call, since a rule whose proofs hold is never evaluated."""
+    compiled = None
+
+    def pair(x: Graded, y: Graded) -> Element:
+        nonlocal compiled
+        if compiled is None:
+            compiled = _compile(terms)
+        (a, i), (b, j) = x, y
+        point, out = (a, i, b, j), {}
+        for (dg, dl), _, ring, monomials in compiled:
+            acc: dict = {}
+            for exps, c, factors in monomials:
+                for pos in factors:
+                    c *= point[pos]
+                acc[exps] = acc.get(exps, 0) + c
+            if ring is None:
+                value = sum(acc.values())
+            else:
+                value = Poly._wrap(ring, {e: c for e, c in acc.items() if c})
+            if value:
+                out[Graded(a + b + dg, i + j + dl)] = value
+        if cocycle is not None and a + b == 0 and i == j == 0:
+            value = sum(c * a**e for (e,), c in cocycle.terms.items())
+            if value:
+                out[CENTRAL] = value
+        return Element._wrap(out)
+
+    return pair
 
 
 def extend_bilinearly(
@@ -530,7 +588,8 @@ def _prove(terms, names: Sequence[str]) -> list[dict]:
     values adds their monomials.  Each label is formed once, as its leaf sum
     plus a constant, and so is each composed bracket of two labels.  Labels
     of distinct offsets are distinct, so each offset's coefficient must
-    vanish alone."""
+    vanish alone; terms of one offset are summed first."""
+    terms = tuple(accumulate({}, terms).items())
     if not terms:
         return [{} for _ in names]
     packing = _proof_packing(terms, names)
@@ -582,14 +641,14 @@ def check_identities(
 
     All of them are proved together from the rule's terms (`_prove`).  An
     identity whose proof fails, or any identity of a rule without terms or
-    with a cocycle (which its terms omit), is scanned over its tuples, where
-    `labels(t)` gives the labels x, y(, z) of tuple t, and the first tuple
-    with a nonzero residual is the witness (see `decide` for the verdict's
-    scope).  A residual has per-variable degree at most the bracket depth of
-    its identity times the rule's bound, so a grid of one more value holds a
-    witness of any failed proof: each of `grids` ("grade", and "level" where
-    levels vary) must have that many distinct values, with or without
-    terms."""
+    with a cocycle (which its terms omit), is scanned over its tuples through
+    the rule's pair, where `labels(t)` gives the labels x, y(, z) of tuple
+    t, and the first tuple with a nonzero residual is the witness (see
+    `decide` for the verdict's scope).  A residual has per-variable degree
+    at most the bracket depth of its identity times the rule's bound, so a
+    grid of one more value holds a witness of any failed proof: each of
+    `grids` ("grade", and "level" where levels vary) must have that many
+    distinct values, with or without terms."""
     names = list(scans)
     depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
     bounds = {"grade": rule.grade_degree_bound, "level": rule.level_degree_bound}
@@ -804,25 +863,24 @@ def _integer_kernel(
 
     D is one common denominator of every term coefficient and the cocycle,
     each of which becomes integer monomials in the indices a, i, b, j of
-    x = L[a,i], y = L[b,j] (the cocycle's in a alone): (D*c, factors), where
-    `factors` lists the position in (a, i, b, j) of each unit of degree.  A
-    coefficient that still reads a parameter symbol raises ClosureError."""
-    summed = accumulate({}, rule.terms)
-    cocycle = {} if rule.cocycle is None else rule.cocycle.terms
-    coefficients = itertools.chain(cocycle.values(), *(c.terms.values() for c in summed.values()))
-    den = lcm(*(c.denominator for c in coefficients))
-    by_offset = []
-    for offset, coeff in summed.items():
-        indices = [coeff.ring.index(name) for name in "aibj"]
-        if any(sum(exps) != sum(exps[k] for k in indices) for exps in coeff.terms):
+    x = L[a,i], y = L[b,j] (the cocycle's in a alone): (D*c, factors), read
+    from the rule's compiled terms (`_compile`).  A coefficient that still
+    reads a parameter symbol raises ClosureError."""
+    compiled = _compile(rule.terms)
+    for _, coeff, _, monomials in compiled:
+        if any(any(params) for params, _, _ in monomials):
             raise ClosureError(
                 f"closure requires concrete rational coefficients, got symbolic {coeff}"
             )
-        monomials = [
-            (int(c * den), tuple(pos for pos, k in enumerate(indices) for _ in range(exps[k])))
-            for exps, c in coeff.terms.items()
-        ]
-        by_offset.append((offset, monomials))
+    cocycle = {} if rule.cocycle is None else rule.cocycle.terms
+    den = lcm(
+        *(c.denominator for c in cocycle.values()),
+        *(c.denominator for *_, monomials in compiled for _, c, _ in monomials),
+    )
+    by_offset = [
+        (offset, [(int(c * den), factors) for _, c, factors in monomials])
+        for offset, *_, monomials in compiled
+    ]
     cocycle = [(int(c * den), e) for (e,), c in cocycle.items()]
     central = coord_index.get(CENTRAL)
 

@@ -360,7 +360,7 @@ def _kernel_rows(labels: Sequence[Fraction], params: BlockParams, max_level: int
     """Rows j = 0..horizon of pd*qd*D*M, D the lcm of the label denominators,
     each as {i: int} over its nonzero entries.  The coefficient of L[0,i+j] in
     [L[-1,i], L[1,j]] is read from `block.structure_numerator`, the numerator
-    of `block.structure_coefficient`."""
+    of the structure coefficient."""
     scale = lcm(*(v.denominator for v in labels))
     values = [v.numerator * (scale // v.denominator) for v in labels]
     xs = [Graded(-1, i) for i in range(max_level + 1)]

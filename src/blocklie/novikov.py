@@ -13,12 +13,11 @@ which is a Lie bracket exactly when the product is Novikov (left-symmetric
 plus right-commutative).  `theorem22_probe` observes that biconditional
 instead of assuming it, so a counterexample would surface as data.
 
-A product is an `engine.BracketRule` on the Witt labels: its pair reads
-the grades only, and a closed-form product carries `terms` at offsets
-(dgrade, 0) with coefficient Polys over the grades a, b and the parameters,
-free of the levels.  So `engine.bracket_apply` extends a product
-bilinearly, and the Novikov axioms, like the affinized Jacobi identity, are
-read from the one identity table (`engine.IDENTITIES`): proved as
+A product is an `engine.BracketRule` on the Witt labels: a closed-form
+product is its `terms` at offsets (dgrade, 0), coefficient Polys over the
+grades a, b and the parameters, free of the levels, and a table product is
+a pair of its own.  The Novikov axioms, like the affinized Jacobi identity,
+are read from the one identity table (`engine.IDENTITIES`): proved as
 polynomial identities, one per output offset, before any grid point is
 evaluated, and only a proof holds universally.  The grid scans run only to
 find a witness when a proof fails, and for table rules, which hold on the
@@ -69,10 +68,7 @@ def witt_novikov_product(params: WittNovikovParams, a, b) -> Element:
 
 def witt_product_rule(params: WittNovikovParams) -> BracketRule:
     ring, (p, mu) = index_ring(params.p, params.mu)
-    return BracketRule(
-        lambda x, y: witt_novikov_product(params, x.grade, y.grade),
-        terms=(((0, 0), ring.var("b") + p), ((params.theta, 0), mu)),
-    )
+    return BracketRule(terms=(((0, 0), ring.var("b") + p), ((params.theta, 0), mu)))
 
 
 def perturbed_witt_rule(
@@ -93,17 +89,10 @@ def perturbed_witt_rule(
         raise ValueError("perturbation exponents must be nonnegative")
 
     shift = 0 if target == "main" else params.theta
-
-    def pair(x: Graded, y: Graded) -> Element:
-        a, b = x.grade, y.grade
-        bump = delta * a**ea * b**eb
-        out = witt_novikov_product(params, a, b)
-        return out + Element.basis(Graded(a + b + shift, 0), bump)
-
     ring, (p, mu, scale) = index_ring(params.p, params.mu, delta)
     a, b = ring.var("a"), ring.var("b")
     terms = (((0, 0), b + p), ((params.theta, 0), mu), ((shift, 0), scale * a**ea * b**eb))
-    return BracketRule(pair, terms)
+    return BracketRule(terms=terms)
 
 
 def table_product_rule(entries: dict[tuple[int, int], Element]) -> BracketRule:
@@ -155,33 +144,21 @@ def novikov_axiom_check(rule: BracketRule, grade_values: Sequence) -> NovikovVer
 def affinize(rule: BracketRule, params: AffinizationParams) -> BracketRule:
     """Bracket [a[m], b[n]] = (m+q)(ab)[m+n] - (n+q)(ba)[m+n] on Graded(grade, m).
 
-    A product with terms gives a bracket with terms: per product term
-    ((dgrade, 0), c(a, b)), the coefficient (i+q)c(a,b) - (j+q)c(b,a) at
-    the same offset.  Otherwise the bracket is a bare callable."""
-    q = params.q
-
-    def relevel(product: Element, level):
-        return ((Graded(i.grade, level), c) for i, c in product.terms.items())
-
-    def pair(x: Graded, y: Graded) -> Element:
-        # the product reads the grades only
-        m, n = x.level, y.level
-        acc: dict = {}
-        accumulate(acc, relevel(rule.pair(x, y), m + n), m + q)
-        accumulate(acc, relevel(rule.pair(y, x), m + n), -(n + q))
-        return Element._wrap(acc)
-
+    The product must have terms.  Each product term ((dgrade, 0), c(a, b))
+    gives two bracket terms at the same offset, (i+q)c(a,b) and
+    -(j+q)c(b,a).  They stay apart, so a symbolic q is read at every offset,
+    even one where it cancels (see `BracketRule`)."""
     if rule.terms is None:
-        return BracketRule(pair)
-    # `pair` reads q, so the lifted copy takes another name
-    ring, (q_poly, *coeffs) = index_ring(q, *(coeff for _, coeff in rule.terms))
+        raise ValueError("affinize requires a product rule with terms")
+    ring, (q, *coeffs) = index_ring(params.q, *(coeff for _, coeff in rule.terms))
     a, i, b, j = (ring.var(name) for name in "aibj")
     swap = {"a": b, "b": a}
     terms = tuple(
-        (offset, (i + q_poly) * coeff - (j + q_poly) * coeff.compose(ring, swap))
+        term
         for (offset, _), coeff in zip(rule.terms, coeffs)
+        for term in ((offset, (i + q) * coeff), (offset, -(j + q) * coeff.compose(ring, swap)))
     )
-    return BracketRule(pair, terms)
+    return BracketRule(terms=terms)
 
 
 class ProbeReport(NamedTuple):

@@ -298,25 +298,6 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def substitute(self, bindings: Mapping[str, RationalLike]) -> "Poly":
-        """Evaluate some symbols at rational values; unbound symbols remain.
-
-        This is the evaluation homomorphism: the result lives in the same
-        ring, with substituted symbols folded into the coefficients.
-        """
-        values = {self.ring.index(name): Fraction(v) for name, v in bindings.items()}
-
-        def evaluated(exps: tuple[int, ...], coeff: Fraction) -> tuple:
-            new_exps = list(exps)
-            for pos, value in values.items():
-                coeff *= value ** exps[pos]
-                new_exps[pos] = 0
-            return tuple(new_exps), coeff
-
-        return Poly._wrap(
-            self.ring, accumulate({}, (evaluated(*term) for term in self.terms.items()))
-        )
-
     def compose(self, ring: PolyRing, images: Mapping[str, Scalar] | None = None) -> "Poly":
         """Substitute `images[name]`, a Poly of `ring` or a rational, for each
         symbol; a symbol without an image becomes the same-named symbol of

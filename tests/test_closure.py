@@ -30,6 +30,7 @@ from blocklie import block, engine
 from blocklie.block import BlockParams, block_bracket_rule, delta_free_rule
 from blocklie.engine import (
     CENTRAL,
+    BracketRule,
     ClosureError,
     Element,
     Graded,
@@ -47,7 +48,6 @@ from blocklie.novikov import (
     WittNovikovParams,
     affinize,
     perturbed_witt_rule,
-    table_product_rule,
     witt_product_rule,
 )
 from blocklie.scalars import accumulate
@@ -420,8 +420,7 @@ def test_closure_refuses_a_rule_without_terms():
     # no config reaches this: a closure job builds only the Block and
     # affinized Witt rules, both with terms; the refusal comes before any
     # basis pair is bracketed
-    product = table_product_rule({(1, 1): Element.basis(Graded(2, 0), 5)})
-    rule = affinize(product, AffinizationParams(q=Fraction(1)))._replace(pair=raising_pair)
+    rule = BracketRule(raising_pair)
     assert rule.terms is None
     generators = [Element.basis(Graded(1, 0)), Element.basis(Graded(1, 1))]
     with pytest.raises(ClosureError, match="terms"):

@@ -25,25 +25,15 @@ from blocklie.scalars import PolyRing
 def graded_bracket_rule(p, q, mu=0, theta=0, perturb_alpha_p=False):
     """Structure constants ((i+q)(beta+p)-(j+q)(alpha+p)) L[a+b,i+j] + (i-j)mu L[a+b+theta,i+j].
 
-    Written out longhand, with its terms, so engine tests do not depend on
-    the affinization module; `perturb_alpha_p` doubles p in the second
-    product, which breaks Jacobi.
+    Written out longhand as terms, so engine tests do not depend on the
+    affinization module; `perturb_alpha_p` doubles p in the second product,
+    which breaks Jacobi.
     """
     p_second = 2 * p if perturb_alpha_p else p
-
-    def pair(x: Graded, y: Graded) -> Element:
-        a, i = x.grade, x.level
-        b, j = y.grade, y.level
-        coeff = (i + q) * (b + p) - (j + q) * (a + p_second)
-        out = Element.basis(Graded(a + b, i + j), coeff)
-        if not (isinstance(mu, int) and mu == 0):
-            out = out + Element.basis(Graded(a + b + theta, i + j), (i - j) * mu)
-        return out
-
     ring, (P, Q, MU, P2) = index_ring(p, q, mu, p_second)
     a, i, b, j = (ring.var(name) for name in "aibj")
     terms = (((0, 0), (i + Q) * (b + P) - (j + Q) * (a + P2)), ((theta, 0), (i - j) * MU))
-    return BracketRule(pair, terms)
+    return BracketRule(terms=terms)
 
 
 def adjoint_chain(

@@ -14,6 +14,7 @@ from blocklie.engine import (
     bracket_apply,
     first_failure,
     grid_identity_check,
+    index_ring,
 )
 from blocklie.novikov import (
     AffinizationParams,
@@ -181,10 +182,7 @@ def test_affinize_definition_holds_symbol_for_symbol():
 
 
 def test_zero_product_affinizes_to_zero_bracket():
-    rule = affinize(
-        BracketRule(lambda x, y: Element.zero()),
-        AffinizationParams(q=Fraction(5)),
-    )
+    rule = affinize(BracketRule(terms=()), AffinizationParams(q=Fraction(5)))
     assert rule.pair(Graded(1, 2), Graded(-1, 0)).is_zero()
 
 
@@ -201,13 +199,11 @@ def test_theorem22_probe_on_witt_rule():
 
 
 def test_theorem22_probe_on_broken_rule():
-    def pair(a, b):
-        return Element.basis(Graded(a + b, 0), b + 1) + Element.basis(
-            Graded(a + b + 1, 0), 2 * a
-        )
-
+    # x_a x_b = (b+1) x_{a+b} + 2a x_{a+b+1}
+    ring = index_ring()[0]
+    a, b = ring.var("a"), ring.var("b")
     report = theorem22_probe(
-        BracketRule(lambda x, y: pair(x.grade, y.grade)),
+        BracketRule(terms=(((0, 0), b + 1), ((1, 0), 2 * a))),
         AffinizationParams(q=Fraction(1)),
         GRID[1:4],
         [0, 1, 2],
@@ -220,7 +216,7 @@ def test_theorem22_probe_on_broken_rule():
 def test_theorem22_probe_on_commutative_associative_rule():
     # group-algebra style product x_a x_b = x_{a+b}; on the single index 0 it
     # is the one-dimensional unital algebra
-    rule = BracketRule(lambda x, y: Element.basis(Graded(x.grade + y.grade, 0)))
+    rule = BracketRule(terms=(((0, 0), index_ring()[0].one),))
     report = theorem22_probe(rule, AffinizationParams(q=Fraction(1)), [0], [0, 1, 2])
     assert report.novikov.holds
     assert report.jacobi_of_affinization.holds
@@ -307,7 +303,16 @@ def test_affinization_is_natural_under_grade_shift():
         original = base.pair(Graded(a + delta, 0), Graded(b + delta, 0))
         return Element({Graded(t.grade - delta, 0): c for t, c in original.terms.items()})
 
-    shifted = BracketRule(lambda x, y: shifted_pair(x.grade, y.grade))
+    # z_a z_b = x_{a+delta} x_{b+delta}: each term moves by delta at offset + delta
+    ring = base.terms[0][1].ring
+    moved = {"a": ring.var("a") + delta, "b": ring.var("b") + delta}
+    shifted = BracketRule(
+        terms=tuple(
+            ((dg + delta, dl), coeff.compose(ring, moved)) for (dg, dl), coeff in base.terms
+        )
+    )
+    for a, b in itertools.product(range(-2, 3), repeat=2):
+        assert shifted.pair(Graded(a, 0), Graded(b, 0)) == shifted_pair(a, b)
     q = AffinizationParams(q=Fraction(2))
     left = affinize(shifted, q)
     right = affinize(base, q)

@@ -1,15 +1,17 @@
 """Differential tests of the two routes through the exact grid checks.
 
-A closed-form rule carries its structure coefficients as `terms`, and
+A closed-form rule is its structure coefficients, its `terms`, and
 `grid_identity_check` and `novikov_axiom_check` prove their identities from
-them before any grid point is evaluated.  The same rule with its terms
-removed (`BracketRule(rule.pair, None, rule.cocycle)`) is decided by the grid scan
-alone.  Witness and residual must print identically on both routes, above
-all on failing rules, where the proof fails and the scan finds the witness;
-a holding verdict is universal on the proof route and holds on the tested
-grid on the scan route.  A proof is only as good as the agreement of `terms`
-with the hand-written `pair`, so that is tested too, at integer and rational
-points, and a disagreement that the grid exposes raises.  The terms also
+them before any grid point is evaluated.  The rule's pair is derived from
+the terms, and the same pair on a rule without terms (`BracketRule(rule.pair)`)
+is decided by the grid scan alone.  Witness and residual must print
+identically on both routes, above all on failing rules, where the proof
+fails and the scan finds the witness; a holding verdict is universal on the
+proof route and holds on the tested grid on the scan route.  The derived
+pair is checked against the terms evaluated as Polys, and against the
+hand-written pairs the rules carried before, kept here as oracles: the same
+printed Element, with the same coefficient types and rings, at integer and
+rational points.  A holding proof never compiles the terms.  The terms also
 decide the degree bounds that size the grids.  The prover itself runs on
 integers with packed monomials, and the Fraction prover it replaced is kept
 here as its oracle; one fixed case reaches the largest exponent that a
@@ -18,18 +20,24 @@ config's packed fields must hold.
 
 import functools
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_block import hand_basis_bracket, structure_coefficient
 
-from blocklie.block import BlockParams, delta_free_rule
-from blocklie.cli import MAX_GRID_VALUES
+from blocklie import engine
+from blocklie.block import CUBIC_COCYCLE, BlockParams, block_bracket_rule, delta_free_rule
+from blocklie.cli import MAX_GRID_VALUES, load_config, run_job
 from blocklie.engine import (
     IDENTITIES,
     BracketRule,
+    Element,
     Graded,
     _depth,
     _evaluate,
@@ -44,9 +52,12 @@ from blocklie.novikov import (
     affinize,
     novikov_axiom_check,
     perturbed_witt_rule,
+    witt_novikov_product,
     witt_product_rule,
 )
 from blocklie.scalars import Poly, PolyRing, accumulate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RING = PolyRing("p", "mu", "q")
 SYMBOLS = {name: RING.var(name) for name in RING.symbols}
@@ -90,7 +101,7 @@ def bracket_rules(draw, values=rationals):
 
 
 def scan_only(rule):
-    return BracketRule(rule.pair, None, rule.cocycle)
+    return BracketRule(rule.pair)
 
 
 def assert_routes_agree(proved, scanned, proof):
@@ -141,7 +152,7 @@ def evaluated(terms, x: Graded, y: Graded) -> dict:
     point = {"a": x.grade, "i": x.level, "b": y.grade, "j": y.level}
     for (dg, dl), coeff in terms:
         label = Graded(x.grade + y.grade + dg, x.level + y.level + dl)
-        accumulate(acc, ((label, coeff.substitute(point)),))
+        accumulate(acc, ((label, coeff.compose(coeff.ring, point)),))
     return acc
 
 
@@ -161,6 +172,100 @@ def test_pair_equals_its_terms(drawn, point):
     assert lifted(ring, rule.pair(x, y)) == evaluated(rule.terms, x, y)
 
 
+# -- the hand-written pairs the rules carried before, as oracles -----------------
+
+
+def witt_pair(params):
+    return lambda x, y: witt_novikov_product(params, x.grade, y.grade)
+
+
+def perturbed_pair(params, target, exponents, delta):
+    ea, eb = exponents
+    shift = 0 if target == "main" else params.theta
+
+    def pair(x: Graded, y: Graded) -> Element:
+        a, b = x.grade, y.grade
+        bump = delta * a**ea * b**eb
+        out = witt_novikov_product(params, a, b)
+        return out + Element.basis(Graded(a + b + shift, 0), bump)
+
+    return pair
+
+
+def affinized_pair(product, q):
+    def relevel(element: Element, level):
+        return ((Graded(i.grade, level), c) for i, c in element.terms.items())
+
+    def pair(x: Graded, y: Graded) -> Element:
+        # the product reads the grades only
+        m, n = x.level, y.level
+        acc: dict = {}
+        accumulate(acc, relevel(product(x, y), m + n), m + q)
+        accumulate(acc, relevel(product(y, x), m + n), -(n + q))
+        return Element._wrap(acc)
+
+    return pair
+
+
+def delta_free_pair(params):
+    return lambda x, y: Element.basis(
+        Graded(x.grade + y.grade, x.level + y.level), structure_coefficient(params, x, y)
+    )
+
+
+@st.composite
+def rules_with_oracles(draw):
+    """(rule, its hand-written pair, whether it reads levels): a Witt or
+    perturbed product (`product_rules`), its affinization, the delta-free
+    Block bracket or the full one with its cocycle.  Each parameter is a
+    rational or its symbol, so concrete, symbolic and mixed parameters all
+    occur; p symbolic with mu rational sums a Poly and a Fraction."""
+    kind = draw(st.sampled_from(["witt", "perturbed", "affinized", "delta_free", "block"]))
+    if kind in ("delta_free", "block"):
+        params = BlockParams(draw(scalars("p")), draw(scalars("q", nonzero_rationals)))
+        if kind == "delta_free":
+            return delta_free_rule(params), delta_free_pair(params), True
+        return block_bracket_rule(params), functools.partial(hand_basis_bracket, params), True
+    params = WittNovikovParams(draw(scalars("p")), draw(scalars("mu")), draw(st.integers(-2, 2)))
+    if kind == "witt" or draw(st.booleans()):
+        rule, pair = witt_product_rule(params), witt_pair(params)
+    else:
+        target = draw(st.sampled_from(["main", "shift"]))
+        exponents = (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        delta = draw(nonzero_rationals)
+        rule = perturbed_witt_rule(params, target, exponents, delta)
+        pair = perturbed_pair(params, target, exponents, delta)
+    if kind != "affinized":
+        return rule, pair, False
+    q = draw(scalars("q"))
+    return affinize(rule, AffinizationParams(q)), affinized_pair(pair, q), True
+
+
+def assert_same_element(got: Element, want: Element):
+    assert str(got) == str(want)
+    assert got.terms.keys() == want.terms.keys()
+    for label, coeff in got.terms.items():
+        other = want.terms[label]
+        assert type(coeff) is type(other), label
+        if isinstance(coeff, Poly):
+            assert coeff.ring == other.ring and coeff.terms == other.terms, label
+        else:
+            assert coeff == other, label
+
+
+@settings(SETTINGS, max_examples=300)
+@given(rules_with_oracles(), st.data())
+def test_derived_pair_matches_the_hand_written_pair(drawn, data):
+    rule, oracle, leveled = drawn
+    indices = st.one_of(st.integers(-3, 3), rationals)
+    a, b = data.draw(indices), data.draw(indices)
+    i, j = (data.draw(indices), data.draw(indices)) if leveled else (0, 0)
+    if data.draw(st.booleans()):  # the cocycle stratum
+        b, i, j = -a, 0, 0
+    for x, y in ((Graded(a, i), Graded(b, j)), (Graded(b, j), Graded(a, i))):
+        assert_same_element(rule.pair(x, y), oracle(x, y))
+
+
 def test_index_ring_lifts_parameters_and_rejects_clashes():
     ring, (p, half) = index_ring(SYMBOLS["p"], Fraction(1, 2))
     assert ring.symbols == ("p", "mu", "q", "a", "i", "b", "j", "c", "k")
@@ -172,12 +277,18 @@ def test_index_ring_lifts_parameters_and_rejects_clashes():
         index_ring(PolyRing("a").var("a"))
 
 
-def counting(pair, calls: list):
-    def counted(*args):
-        calls.append(args)
-        return pair(*args)
+@contextmanager
+def counted_compiles():
+    """The terms each `engine._compile` call compiles, in call order."""
+    calls: list = []
+    original = engine._compile
 
-    return counted
+    def counting(terms):
+        calls.append(terms)
+        return original(terms)
+
+    with mock.patch.object(engine, "_compile", counting):
+        yield calls
 
 
 def test_rules_without_terms_hold_on_the_tested_grid():
@@ -195,38 +306,55 @@ def test_rules_without_terms_hold_on_the_tested_grid():
 
 
 def test_universal_verdicts_come_from_the_proof_alone():
-    # a proved identity evaluates no grid point, and a proof that fails never
-    # holds: its scan reports the witness
-    calls: list = []
-    block = delta_free_rule(BlockParams(Fraction(2, 3), Fraction(-7, 5)))
-    rule = BracketRule(counting(block.pair, calls), block.terms)
-    verdict = grid_identity_check(rule, "jacobi", [-1, 0, 1], [0, 1, 2])
-    assert str(verdict) == "holds_universally" and not calls
-    witt = witt_product_rule(WittNovikovParams(Fraction(1, 2), 3, 1))
-    verdicts = novikov_axiom_check(BracketRule(counting(witt.pair, calls), witt.terms), [-1, 0, 1])
-    assert str(verdicts.left_symmetry) == str(verdicts.right_commutativity) == "holds_universally"
-    assert not calls
-    broken = perturbed_witt_rule(WittNovikovParams(1), "main", (1, 0), Fraction(1))
-    verdicts = novikov_axiom_check(broken, [-1, 0, 1])
-    assert not verdicts.right_commutativity.holds
-    assert str(verdicts.right_commutativity).startswith("fails(witness=")
+    # a proved identity evaluates no grid point, so it never compiles the
+    # terms into the pair; a proof that fails never holds: its scan reports
+    # the witness
+    with counted_compiles() as calls:
+        block = delta_free_rule(BlockParams(Fraction(2, 3), Fraction(-7, 5)))
+        verdict = grid_identity_check(block, "jacobi", [-1, 0, 1], [0, 1, 2])
+        assert str(verdict) == "holds_universally"
+        witt = witt_product_rule(WittNovikovParams(Fraction(1, 2), 3, 1))
+        verdicts = novikov_axiom_check(witt, [-1, 0, 1])
+        assert str(verdicts.left_symmetry) == str(verdicts.right_commutativity) == "holds_universally"
+        assert not calls
+        broken = perturbed_witt_rule(WittNovikovParams(1), "main", (1, 0), Fraction(1))
+        verdicts = novikov_axiom_check(broken, [-1, 0, 1])
+        assert not verdicts.right_commutativity.holds
+        assert str(verdicts.right_commutativity).startswith("fails(witness=")
+        assert [terms is broken.terms for terms in calls] == [True]
 
 
-def test_pair_disagreeing_with_its_terms_raises_instead_of_holding():
+def compiles_of(path: Path) -> int:
+    with counted_compiles() as calls:
+        run_job(load_config(str(path)))
+    return len(calls)
+
+
+def test_a_job_whose_proofs_hold_never_compiles_the_terms(tmp_path):
+    holding = tmp_path / "affinize.json"
+    holding.write_text(
+        '{"job": "affinize", "p": "1/2", "mu": "3", "theta": -1, "q": "symbolic",'
+        ' "grades": ["-2", "-1", "0", "1", "2"], "levels": ["0", "1/3", "2"]}'
+    )
+    for path in (
+        ROOT / "golden" / "axioms_witt.json",
+        holding,
+        ROOT / "tests" / "data" / "blockcheck_concrete.json",
+        ROOT / "tests" / "data" / "blockcheck_symbolic.json",
+    ):
+        assert compiles_of(path) == 0, path.name
+    assert compiles_of(ROOT / "tests" / "data" / "axioms_perturbed_both_fail.json") >= 1
+
+
+def test_a_rule_takes_terms_or_a_pair_never_both():
     witt = witt_product_rule(WittNovikovParams(1))
-    b = witt.terms[0][1].ring.var("b")
-    # the Witt pair is Novikov; terms b^2 x_{a+b} are not, and size a grid of 5
-    squared = BracketRule(witt.pair, (((0, 0), b**2),), witt.cocycle)
-    assert squared.grade_degree_bound == 2
-    with pytest.raises(ValueError, match="pair disagrees with its terms"):
-        novikov_axiom_check(squared, [-2, -1, 0, 1, 2])
-    params = BlockParams(Fraction(2), Fraction(1))
-    block = delta_free_rule(params)
-    ring = block.terms[0][1].ring
-    a, i, b, j = (ring.var(name) for name in "aibj")
-    skewed = BracketRule(block.pair, (((0, 0), (i + 1) * (b + 2) - (j + 1) * (a + 4)),))
-    with pytest.raises(ValueError, match="pair disagrees with its terms"):
-        grid_identity_check(skewed, "antisymmetry", [-1, 0], [0, 1])
+    for args in ((witt.pair, witt.terms), (witt.pair, witt.terms, CUBIC_COCYCLE), ()):
+        with pytest.raises(ValueError, match="or a pair, never both"):
+            BracketRule(*args)
+    with pytest.raises(ValueError, match="or a pair, never both"):
+        BracketRule(witt.pair, None, CUBIC_COCYCLE)  # a cocycle needs terms
+    with pytest.raises(ValueError, match="requires a product rule with terms"):
+        affinize(BracketRule(witt.pair), AffinizationParams(Fraction(1)))
 
 
 def test_degree_bounds_are_read_from_the_terms():
@@ -301,6 +429,7 @@ def rational_residual(terms, name: str, residual: dict) -> dict:
     """An integer residual of `_prove`, from a proof of every identity,
     divided by D^depth, D the common denominator of the terms' coefficients:
     {(leaves, offset): Poly terms}, its packed monomials unpacked."""
+    terms = tuple(accumulate({}, terms).items())  # the prover sums equal offsets first
     den = lcm(*(c.denominator for _, coeff in terms for c in coeff.terms.values()))
     (depth,) = {_depth(tree) for _, tree in IDENTITIES[name]}
     packing = _proof_packing(terms, list(IDENTITIES))
