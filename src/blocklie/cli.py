@@ -56,8 +56,8 @@ MAX_SERIES_HORIZON = 500
 # benchmark job goes past 5
 MAX_KERNEL_SIDE = 30
 # affinize mutations: each is a Novikov and an affinized Jacobi proof with a
-# witness scan, about 9 ms (100 take 0.8 to 1.0 s on a 2-vCPU host whose
-# reference kernel takes 6 ms), and no archived or benchmark config runs
+# witness scan, about 5 ms (100 take 0.45 to 0.6 s on a 2-vCPU host whose
+# reference kernel takes 5 to 6 ms), and no archived or benchmark config runs
 # more than 6
 MAX_MUTATIONS = 100
 # values of one grid field: a table rule's axiom scan visits every triple of

@@ -43,9 +43,10 @@ closure keeps one sparse echelon basis (`_Echelon`) of integer rows over the
 window coordinates ordered grade asc, level asc, central last, forms each
 product, times D, from cached pair rows, and runs semi-naive rounds: a round
 brackets only the rows whose pivot is new since the last round against all
-rows, and the loop ends when a round adds no pivot.  The truncated bracket is bilinear and the reduced echelon form is
-canonical, so the result equals that of bracketing every pair every round,
-independent of processing order and of the positive scale of each product.
+rows, and the loop ends when a round adds no pivot.  The truncated bracket is
+bilinear and the reduced echelon form is canonical, so the result equals that
+of bracketing every pair every round, independent of processing order and of
+the positive scale of each product.
 """
 
 from __future__ import annotations
@@ -412,59 +413,68 @@ class BracketRule(_RuleFields):
         return super().__new__(cls, _terms_pair(terms, cocycle), terms, cocycle, offsets, *bounds)
 
 
-def _compile(terms) -> list[tuple]:
-    """The terms summed by offset: [(offset, coefficient, ring, monomials)].
-    A monomial (params, c, factors) at L[a,i], L[b,j] is the Fraction c
-    times the parameters to the exponents `params`, times the index in (a,
-    i, b, j) at each position in `factors`.  `ring`, where a term at the
-    offset reads a parameter symbol, is the parameters' own (the terms'
-    without `INDEX_SYMBOLS`), which its value lives in even when constant."""
+def _compile(terms, cocycle: Poly | None) -> tuple[int, list[tuple], list[tuple]]:
+    """The terms summed by offset, and the cocycle, over one common
+    denominator D: (D, [(offset, coefficient, ring, monomials)], [(n, e)]).
+    A monomial (params, n, factors) at L[a,i], L[b,j] is the int n, D times
+    its coefficient, times the parameters to the exponents `params`, times
+    the index in (a, i, b, j) at each position in `factors`; the cocycle at
+    a is the sum of n*a^e.  `ring`, where a term at the offset reads a
+    parameter symbol, is the parameters' own (the terms' without
+    `INDEX_SYMBOLS`), which its value lives in even when constant."""
+    summed = accumulate({}, terms)
+    k_terms = {} if cocycle is None else cocycle.terms
+    coefficients = itertools.chain(k_terms.values(), *(c.terms.values() for c in summed.values()))
+    den = lcm(*(c.denominator for c in coefficients))
+    k_ints = [(c.numerator * (den // c.denominator), e) for (e,), c in k_terms.items()]
     if not terms:
-        return []
+        return den, [], k_ints
     ring = terms[0][1].ring
     width = len(ring.symbols) - len(INDEX_SYMBOLS)
     params = PolyRing(*ring.symbols[:width])
     reads = {offset for offset, coeff in terms if any(any(e[:width]) for e in coeff.terms)}
     indices = [ring.index(name) for name in "aibj"]
 
-    def factors(exps: tuple) -> tuple:
-        return tuple(pos for pos, k in enumerate(indices) for _ in range(exps[k]))
+    def monomial(exps: tuple, c: Fraction) -> tuple:
+        factors = tuple(pos for pos, k in enumerate(indices) for _ in range(exps[k]))
+        return exps[:width], c.numerator * (den // c.denominator), factors
 
-    return [
-        (offset, coeff, params if offset in reads else None, [
-            (e[:width], c, factors(e)) for e, c in coeff.terms.items()
-        ])
-        for offset, coeff in accumulate({}, terms).items()
+    offsets = [
+        (at, coeff, params if at in reads else None, [monomial(*t) for t in coeff.terms.items()])
+        for at, coeff in summed.items()
     ]
+    return den, offsets, k_ints
 
 
 def _terms_pair(terms, cocycle: Poly | None) -> Callable[[Graded, Graded], Element]:
     """The pair that a rule's terms and cocycle define: each offset's
-    monomials (`_compile`) at (a, i, b, j), a Poly in its ring or else a
-    Fraction, and K(a)*c on a+b = 0, i = j = 0.  The terms are compiled on
-    the first call, since a rule whose proofs hold is never evaluated."""
+    monomials (`_compile`) at (a, i, b, j) over D, a Poly in its ring or
+    else a Fraction, and K(a)*c on a+b = 0, i = j = 0.  The terms are
+    compiled on the first call, since a rule whose proofs hold is never
+    evaluated."""
     compiled = None
 
     def pair(x: Graded, y: Graded) -> Element:
         nonlocal compiled
         if compiled is None:
-            compiled = _compile(terms)
+            compiled = _compile(terms, cocycle)
+        den, offsets, k_ints = compiled
         (a, i), (b, j) = x, y
         point, out = (a, i, b, j), {}
-        for (dg, dl), _, ring, monomials in compiled:
+        for (dg, dl), _, ring, monomials in offsets:
             acc: dict = {}
-            for exps, c, factors in monomials:
+            for exps, n, factors in monomials:
                 for pos in factors:
-                    c *= point[pos]
-                acc[exps] = acc.get(exps, 0) + c
+                    n *= point[pos]
+                acc[exps] = acc.get(exps, 0) + n
             if ring is None:
-                value = sum(acc.values())
+                value = Fraction(sum(acc.values()), den)
             else:
-                value = Poly._wrap(ring, {e: c for e, c in acc.items() if c})
+                value = Poly._wrap(ring, {e: Fraction(n, den) for e, n in acc.items() if n})
             if value:
                 out[Graded(a + b + dg, i + j + dl)] = value
-        if cocycle is not None and a + b == 0 and i == j == 0:
-            value = sum(c * a**e for (e,), c in cocycle.terms.items())
+        if k_ints and a + b == 0 and i == j == 0:
+            value = Fraction(sum(n * a**e for n, e in k_ints), den)
             if value:
                 out[CENTRAL] = value
         return Element._wrap(out)
@@ -863,25 +873,16 @@ def _integer_kernel(
 
     D is one common denominator of every term coefficient and the cocycle,
     each of which becomes integer monomials in the indices a, i, b, j of
-    x = L[a,i], y = L[b,j] (the cocycle's in a alone): (D*c, factors), read
-    from the rule's compiled terms (`_compile`).  A coefficient that still
-    reads a parameter symbol raises ClosureError."""
-    compiled = _compile(rule.terms)
+    x = L[a,i], y = L[b,j] (the cocycle's in a alone), read from the rule's
+    compiled terms (`_compile`).  A coefficient that still reads a parameter
+    symbol raises ClosureError."""
+    den, compiled, cocycle = _compile(rule.terms, rule.cocycle)
     for _, coeff, _, monomials in compiled:
         if any(any(params) for params, _, _ in monomials):
             raise ClosureError(
                 f"closure requires concrete rational coefficients, got symbolic {coeff}"
             )
-    cocycle = {} if rule.cocycle is None else rule.cocycle.terms
-    den = lcm(
-        *(c.denominator for c in cocycle.values()),
-        *(c.denominator for *_, monomials in compiled for _, c, _ in monomials),
-    )
-    by_offset = [
-        (offset, [(int(c * den), factors) for _, c, factors in monomials])
-        for offset, *_, monomials in compiled
-    ]
-    cocycle = [(int(c * den), e) for (e,), c in cocycle.items()]
+    by_offset = [(at, [(n, factors) for _, n, factors in monos]) for at, *_, monos in compiled]
     central = coord_index.get(CENTRAL)
 
     def row(x: Graded, y: Graded) -> tuple:
