@@ -147,7 +147,7 @@ def affinize(rule: BracketRule, params: AffinizationParams) -> BracketRule:
     The product must have terms.  Each product term ((dgrade, 0), c(a, b))
     gives two bracket terms at the same offset, (i+q)c(a,b) and
     -(j+q)c(b,a).  They stay apart, so a symbolic q is read at every offset,
-    even one where it cancels (see `BracketRule`)."""
+    even one where it cancels (see `engine._compile`)."""
     if rule.terms is None:
         raise ValueError("affinize requires a product rule with terms")
     ring, (q, *coeffs) = index_ring(params.q, *(coeff for _, coeff in rule.terms))
