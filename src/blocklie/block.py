@@ -13,8 +13,9 @@ one-variable Poly.  The Virasoro embedding and the Laurent realization are
 proved the same way: one polynomial identity for the delta-free part and
 one for the cocycle on its stratum a+b = 0, i = j = 0.  Both rules here are
 their terms, and the window scans of a failed proof bracket through the pair
-the full rule derives from them (`basis_bracket`), so they read what the
-proofs read.
+the full rule derives from them (`block_bracket_rule`), so they read what the
+proofs read; each check builds that rule once, on its first bracket, so a
+proof that holds builds nothing.
 
 The three proofs run on integers, as the engine's prover does: each lifts
 its inputs (the parameters, the delta-free term, the cocycle) once over one
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
@@ -107,7 +108,7 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
     Its terms are `delta_free_rule`'s and its cocycle is `CUBIC_COCYCLE`, so
     the closure brackets it by integer evaluation and its offsets come from
     the terms.  The Kronecker delta keeps the terms from proving anything
-    about the full bracket: an identity check on it speaks only for its grid.
+    about the full bracket, so an identity check refuses it.
     """
     return BracketRule(terms=params.delta_free_terms, cocycle=CUBIC_COCYCLE)
 
@@ -228,13 +229,14 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
     accumulate(graded, (((0, 0), packing.compose(q_terms) * (b - a)),), -1)
     central = 12 * packing.compose(k_terms, {0: a}) - den * (a * a * a - a)
     proof = [*graded.values(), central]
+    bracket = cache(lambda: block_bracket_rule(params).pair)
 
     def residual(t: tuple) -> Element:
         a, b = t
         terms = {Graded(a + b, 0): (b - a) * params.q}
         if a + b == 0:
             terms[CENTRAL] = cocycle_value(a)
-        return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
+        return bracket()(Graded(a, 0), Graded(b, 0)) - Element(terms)
 
     pairs = ((a, b) for a, _, b, _ in window._replace(level_max=0).pairs())
     return decide([r for r in proof if r], pairs, residual)
@@ -340,6 +342,7 @@ def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
     proved over the index ring (`_laurent_proof`), with the window scanned
     for the witness only when the proof fails (`decide`)."""
     p, q = params.p, params.q
+    bracket = cache(lambda: block_bracket_rule(params).pair)
 
     def residual(t: tuple) -> Element:
         a, i, b, j = t
@@ -348,6 +351,6 @@ def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
         # Res_t picks the t^-1 coefficient; with t^q formal that needs q_mult 0
         if a + b == 0 and residue == _TPower(0, -1):
             accumulate(terms, ((CENTRAL, cocycle_value(a)),))
-        return basis_bracket(params, Graded(a, i), Graded(b, j)) - Element(terms)
+        return bracket()(Graded(a, i), Graded(b, j)) - Element(terms)
 
     return decide(_laurent_proof(params), window.pairs(), residual)

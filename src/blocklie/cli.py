@@ -340,9 +340,12 @@ def _block_params(f: _Fields, p, q) -> block.BlockParams:
         raise ConfigError(f"{f.job}: {exc}") from None
 
 
-def _weight(f: _Fields, params: block.BlockParams, horizon: int) -> hweight.Weight:
-    """The highest weight, given by labels Lambda_0..Lambda_horizon or by a
-    quasipolynomial generator."""
+def _weight(
+    f: _Fields, params: block.BlockParams, horizon: int
+) -> tuple[hweight.Coeffs, hweight.QuasiPolynomial | None]:
+    """The highest weight's labels, reaching Lambda_horizon, and its
+    quasipolynomial generator: labels given, with generator None, or
+    synthesized from the generator."""
     w = f.obj("weight")
     if w.has("labels") == w.has("qp"):
         raise f.error("weight", "needs exactly one of 'labels' or 'qp'")
@@ -355,7 +358,7 @@ def _weight(f: _Fields, params: block.BlockParams, horizon: int) -> hweight.Weig
                 f"({horizon + 1} labels required, got {len(labels)})",
             )
         w.rational("central", "0")  # echoed; the central label enters no route
-        return hweight.Weight.from_labels(labels)
+        return tuple(labels), None
     terms = [(t.rationals("poly"), t.rational("base")) for t in w.objs("qp", nonempty=False)]
     qp = hweight.QuasiPolynomial.of(terms)
     try:
@@ -369,7 +372,7 @@ def _weight(f: _Fields, params: block.BlockParams, horizon: int) -> hweight.Weig
     ]
     w.rational("central", "0")
     w.echo["singular_indices"] = list(singular)
-    return hweight.Weight(labels=labels, qp=qp)
+    return labels, qp
 
 
 def _validate_axioms(f: _Fields):
@@ -435,7 +438,7 @@ def _validate_blockcheck(f: _Fields):
 def _validate_classify(f: _Fields):
     params = _block_params(f, *f.scalars(("p", "q")))
     horizon = f.int("horizon", minimum=1, maximum=MAX_SERIES_HORIZON)
-    return partial(_run_classify, _weight(f, params, horizon), params, horizon)
+    return partial(_run_classify, *_weight(f, params, horizon), params, horizon)
 
 
 def _validate_kernel_shaped(f: _Fields, run, needs_series: bool):
@@ -453,7 +456,8 @@ def _validate_kernel_shaped(f: _Fields, run, needs_series: bool):
         raise f.error(
             "horizon", f"must be <= {MAX_KERNEL_SIDE} when max_level is over {MAX_KERNEL_SIDE}"
         )
-    return partial(run, _weight(f, params, max_level + horizon), params, max_level, horizon)
+    labels, _ = _weight(f, params, max_level + horizon)
+    return partial(run, labels, params, max_level, horizon)
 
 
 def _validate_closure(f: _Fields):
@@ -632,8 +636,8 @@ def _run_blockcheck(
     return results, positive
 
 
-def _run_classify(weight, params, horizon) -> tuple[dict, bool]:
-    report = hweight.classify_quasifinite(weight, params, horizon)
+def _run_classify(labels, generator, params, horizon) -> tuple[dict, bool]:
+    report = hweight.classify_quasifinite(labels, generator, params, horizon)
     results = {
         "verdict": report.verdict,
         "horizon": report.horizon,
@@ -646,8 +650,8 @@ def _run_classify(weight, params, horizon) -> tuple[dict, bool]:
     return results, report.quasifinite
 
 
-def _run_singular(weight, params, max_level, horizon) -> tuple[dict, bool]:
-    candidates = hweight.singular_vector_solve(weight, params, max_level, horizon)
+def _run_singular(labels, params, max_level, horizon) -> tuple[dict, bool]:
+    candidates = hweight.singular_vector_solve(labels, params, max_level, horizon)
     results = {
         "kernel_dimension": len(candidates),
         "candidates": [
@@ -670,8 +674,8 @@ def _run_singular(weight, params, max_level, horizon) -> tuple[dict, bool]:
     return results, bool(candidates)
 
 
-def _run_crosscheck(weight, params, max_level, horizon) -> tuple[dict, bool]:
-    report = hweight.criteria_cross_check(weight, params, max_level, horizon)
+def _run_crosscheck(labels, params, max_level, horizon) -> tuple[dict, bool]:
+    report = hweight.criteria_cross_check(labels, params, max_level, horizon)
     results = {
         "delta_route": report.delta_route,
         "kernel_route": report.kernel_route,

@@ -22,10 +22,11 @@ The concrete one evaluates the same trees on basis labels through the rule's
 cached pair (`extend_bilinearly`); it scans a grid, sized by the identity's
 bracket depth times the terms' degree bounds, for the witness of a failed
 proof, and it alone decides a rule without terms, which holds on the tested
-grid (`check_identities`, `decide`).  `grid_identity_check` and
-`novikov.novikov_axiom_check` call it.  Every exact check in the package
-ends in `first_failure`, whose docstring states the witness contract and the
-rule for skipping tuples by symmetry.
+grid (`check_identities`, `decide`).  A rule with a cocycle, which its terms
+omit, is refused.  `grid_identity_check` and `novikov.novikov_axiom_check`
+call it.  Every exact check in the package ends in `first_failure`, whose
+docstring states the witness contract and the rule for skipping tuples by
+symmetry.
 
 `subalgebra_closure` takes a rule with terms, in concrete-parameter mode (all
 coefficients rational), inside a finite window: it discards bracket products
@@ -156,9 +157,6 @@ class Element:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def coefficient(self, index: BasisIndex) -> Scalar:
-        return self.terms.get(index, Fraction(0))
-
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
@@ -248,21 +246,13 @@ def truncate(element: Element, window: Window) -> Element:
 
 
 class Verdict(NamedTuple):
-    """Outcome of an identity check: it holds within `scope` ("universally"
-    or "on_tested_grid"), or fails at a concrete counterexample."""
+    """Outcome of an identity check: it holds within `scope` ("universally",
+    "on_tested_grid" or "on_window"), or fails at a concrete counterexample."""
 
     holds: bool
     witness: tuple | None = None
     residual: object | None = None
     scope: str = "universally"
-
-    @staticmethod
-    def holds_universally() -> "Verdict":
-        return Verdict(True)
-
-    @staticmethod
-    def fails(witness: tuple, residual: object) -> "Verdict":
-        return Verdict(False, witness, residual)
 
     def __str__(self) -> str:
         if self.holds:
@@ -271,22 +261,24 @@ class Verdict(NamedTuple):
 
 
 def first_failure(
-    tuples: Iterable[tuple], residual: Callable[[tuple], object], scope: str = "universally"
+    tuples: Iterable[tuple], residual: Callable[[tuple], object], scope: str
 ) -> Verdict:
     """Scan index tuples in order; the first with a nonzero residual is the witness.
 
     `residual(t)` is the exact residual at `t`, falsy exactly when zero; the
     verdict fails with `t` and that residual, or holds within `scope` when
-    every residual is zero.  A check may skip tuples by symmetry: it keeps
-    the least member of each orbit in its full `itertools.product` order and
-    skips only members whose residual is zero or that of the least member,
-    up to sign.  A failing member then has a failing least member no later
-    than itself, so the witness is the one the full scan would find.
+    every residual is zero: a scan speaks only for the tuples it reads, so
+    its caller names them ("on_tested_grid", "on_window").  A check may skip
+    tuples by symmetry: it keeps the least member of each orbit in its full
+    `itertools.product` order and skips only members whose residual is zero
+    or that of the least member, up to sign.  A failing member then has a
+    failing least member no later than itself, so the witness is the one the
+    full scan would find.
     """
     for t in tuples:
         r = residual(t)
         if r:
-            return Verdict.fails(t, r)
+            return Verdict(False, t, r)
     return Verdict(True, scope=scope)
 
 
@@ -294,19 +286,18 @@ def decide(proof: object, tuples: Iterable[tuple], residual: Callable[[tuple], o
     """The verdict of an identity from its proof and its grid scan.
 
     `proof` is the identity's residual over a rule's terms, falsy exactly
-    when zero, or None for a rule without terms.  A proof holds universally
-    and scans nothing.  A failed proof scans for its witness, and finding
-    none raises: the Virasoro and Laurent checks scan the job's window,
-    which need not hold it, and every other check scans, through the pair
-    the terms define, a grid sized by their degrees, which holds it unless
-    the prover and the evaluator disagree.  A rule without terms, or with a
-    cocycle, is only scanned, and holds on the tested grid."""
-    if proof is None:
-        return first_failure(tuples, residual, "on_tested_grid")
-    if not proof:
-        return Verdict.holds_universally()
-    verdict = first_failure(tuples, residual)
-    if verdict.holds:
+    when zero, or None for a rule without terms.  An identity whose proof
+    holds holds universally, and nothing is scanned.  Otherwise the tuples
+    are scanned once: a rule without terms is decided by the scan, and holds
+    on the tested grid.  A failed proof scans for its witness, and finding
+    none raises: the Virasoro and Laurent checks scan the job's window, which
+    need not hold it, and every other check scans, through the pair the
+    terms define, a grid sized by their degrees, which holds it unless the
+    prover and the evaluator disagree."""
+    if proof is not None and not proof:
+        return Verdict(True)
+    verdict = first_failure(tuples, residual, "on_tested_grid")
+    if proof is not None and verdict.holds:
         raise ValueError("the proof from the rule's terms fails but the scan holds no witness")
     return verdict
 
@@ -346,7 +337,10 @@ def index_ring(*values: Scalar) -> tuple[PolyRing, list[Poly]]:
                     names.append(name)
     ring = PolyRing(*names, *INDEX_SYMBOLS)
     return ring, [
-        value.compose(ring) if isinstance(value, Poly) else ring.const(value) for value in values
+        (value if value.ring == ring else value.compose(ring))
+        if isinstance(value, Poly)
+        else ring.const(value)
+        for value in values
     ]
 
 
@@ -395,8 +389,8 @@ class BracketRule(_RuleFields):
     `block.cocycle_jacobi_check` takes: pair(L[a,i], L[b,j]) is the terms
     plus K(a)*c exactly when a+b = 0 and i = j = 0.  The Kronecker delta is
     not polynomial, so the terms alone prove nothing about such a rule, and
-    its identities are scanned on their grid (`check_identities`); the
-    closure reads terms and cocycle as one integer kernel.
+    an identity check refuses it (`check_identities`); the closure reads
+    terms and cocycle as one integer kernel.
     """
 
     __slots__ = ()
@@ -650,24 +644,24 @@ def check_identities(
     """Decide each identity named in `scans` on the rule, in their order.
 
     All of them are proved together from the rule's terms (`_prove`).  An
-    identity whose proof fails, or any identity of a rule without terms or
-    with a cocycle (which its terms omit), is scanned over its tuples through
-    the rule's pair, where `labels(t)` gives the labels x, y(, z) of tuple
-    t, and the first tuple with a nonzero residual is the witness (see
-    `decide` for the verdict's scope).  A residual has per-variable degree
-    at most the bracket depth of its identity times the rule's bound, so a
-    grid of one more value holds a witness of any failed proof: each of
-    `grids` ("grade", and "level" where levels vary) must have that many
-    distinct values, with or without terms."""
+    identity whose proof fails, or any identity of a rule without terms, is
+    scanned over its tuples through the rule's pair, where `labels(t)` gives
+    the labels x, y(, z) of tuple t, and the first tuple with a nonzero
+    residual is the witness (see `decide` for the verdict's scope).  A rule
+    with a cocycle is refused: its terms omit the cocycle, so they prove
+    nothing about it.  A residual has per-variable degree at most the
+    bracket depth of its identity times the rule's bound, so a grid of one
+    more value holds a witness of any failed proof: each of `grids`
+    ("grade", and "level" where levels vary) must have that many distinct
+    values, with or without terms."""
+    if rule.cocycle is not None:
+        raise ValueError("an identity check requires a rule without a cocycle")
     names = list(scans)
     depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
     bounds = {"grade": rule.grade_degree_bound, "level": rule.level_degree_bound}
     for grid, values in grids.items():
         _require_grid(grid, values, depth * bounds[grid] + 1)
-    if rule.terms is None or rule.cocycle is not None:
-        proofs = [None] * len(names)
-    else:
-        proofs = _prove(rule.terms, names)
+    proofs = [None] * len(names) if rule.terms is None else _prove(rule.terms, names)
     # basis pairs recur across tuples and identities; cache their brackets
     pair = functools.cache(rule.pair)
     bracket = functools.partial(extend_bilinearly, pair)

@@ -1,8 +1,12 @@
 """Quasifinite highest-weight classification for the Block type algebra.
 
 A weight functional is described by its labels at the degree-zero levels,
-Lambda_k = Lambda(L[0,k]), plus a central label.  The classification runs
-through the normalized generating series
+Lambda_k = Lambda(L[0,k]), plus a central label.  Every route takes the
+labels as one tuple that reaches its last index, built once when a job
+loads (`cli._weight`): given, or synthesized from a quasipolynomial
+generator (`labels_from_quasipolynomial`), which classification reads again
+only to compare annihilators.  The classification runs through the
+normalized generating series
 
     c_k = k! [z^k] Delta = (2q + (1 - p^2) k) Lambda_k,
 
@@ -51,10 +55,6 @@ from .engine import Graded, _Echelon
 from .scalars import format_rational, signed_sum
 
 Coeffs = tuple[Fraction, ...]
-
-
-class HorizonError(ValueError):
-    """Raised when an operation needs more labels than the weight provides."""
 
 
 class UnrealizableError(ValueError):
@@ -138,10 +138,6 @@ class QuasiPolynomial(NamedTuple):
             denominators.append(denominators[-1] * radix)
         return out, denominators
 
-    def series(self, horizon: int) -> Coeffs:
-        """Normalized coefficients c_k = k! [z^k] of this function, k = 0..horizon."""
-        return tuple(map(Fraction, *self.scaled_series(horizon)))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -163,23 +159,6 @@ def qp_annihilator(qp: QuasiPolynomial) -> Coeffs:
     return out
 
 
-class Weight(NamedTuple("Weight", [("labels", Coeffs | None), ("qp", QuasiPolynomial | None)])):
-    """Highest-weight data: explicit labels up to a horizon and an optional
-    quasipolynomial generator that extends them to any horizon.  The central
-    label enters no route, so a weight does not carry it."""
-
-    __slots__ = ()
-
-    def __new__(cls, labels: Coeffs | None = None, qp: QuasiPolynomial | None = None):
-        if labels is None and qp is None:
-            raise ValueError("a weight needs explicit labels or a generator")
-        return super().__new__(cls, labels, qp)
-
-    @staticmethod
-    def from_labels(labels: Sequence) -> "Weight":
-        return Weight(labels=tuple(Fraction(v) for v in labels))
-
-
 def _label_factor(params: BlockParams) -> tuple[int, int, int]:
     """Integers (a, b, g) with 2q + (1-p^2)k = (a + b k) / g."""
     p, q = Fraction(params.p), Fraction(params.q)
@@ -187,18 +166,6 @@ def _label_factor(params: BlockParams) -> tuple[int, int, int]:
     a = 2 * q.numerator * square
     b = (square - p.numerator**2) * q.denominator
     return a, b, q.denominator * square
-
-
-def weight_labels(weight: Weight, params: BlockParams, horizon: int) -> Coeffs:
-    """Labels Lambda_0..Lambda_horizon, synthesizing from the generator if needed."""
-    if weight.labels is not None and len(weight.labels) > horizon:
-        return weight.labels[: horizon + 1]
-    if weight.qp is not None:
-        return labels_from_quasipolynomial(weight.qp, params, horizon)[0]
-    have = len(weight.labels) - 1 if weight.labels else -1
-    raise HorizonError(
-        f"labels required to horizon {horizon}, but only {have} are available"
-    )
 
 
 class DeltaSeries(NamedTuple):
@@ -211,14 +178,13 @@ class DeltaSeries(NamedTuple):
         return len(self.coeffs) - 1
 
 
-def delta_from_labels(weight: Weight, params: BlockParams, horizon: int) -> DeltaSeries:
+def delta_from_labels(labels: Coeffs, params: BlockParams, horizon: int) -> DeltaSeries:
     """c_k = (2q + (1-p^2) k) Lambda_k for k = 0..horizon, exactly."""
-    labels = weight_labels(weight, params, horizon)
     a, b, g = _label_factor(params)
     return DeltaSeries(
         tuple(
             Fraction((a + b * k) * v.numerator, g * v.denominator)
-            for k, v in enumerate(labels)
+            for k, v in enumerate(labels[: horizon + 1])
         )
     )
 
@@ -258,9 +224,6 @@ class RecurrenceCertificate(NamedTuple):
     @property
     def degree(self) -> int:
         return len(self.annihilator) - 1
-
-    def __str__(self) -> str:
-        return format_poly(self.annihilator)
 
 
 def detect_linear_recurrence(
@@ -341,7 +304,7 @@ class SingularCandidate(NamedTuple):
 
 
 def singular_vector_solve(
-    weight: Weight, params: BlockParams, max_level: int, horizon: int
+    labels: Coeffs, params: BlockParams, max_level: int, horizon: int
 ) -> list[SingularCandidate]:
     """Exact kernel of M[j,i] = (2q + i + j + p(i-j)) Lambda_{i+j},
     j = 0..horizon, i = 0..max_level.
@@ -349,9 +312,8 @@ def singular_vector_solve(
     The rows are the weight applied to the parabolic degree-zero images of
     the candidate, so kernel vectors are exactly the degree -1 elements the
     weight kills."""
-    labels = weight_labels(weight, params, max_level + horizon)
     echelon = _Echelon(max_level + 1)
-    for row in _kernel_rows(labels, params, max_level, horizon):
+    for row in _kernel_rows(labels[: max_level + horizon + 1], params, max_level, horizon):
         echelon.insert(row)
     return [SingularCandidate(vec, horizon) for vec in echelon.kernel()]
 
@@ -374,7 +336,7 @@ class ClassificationReport(NamedTuple):
     verdict: str  # "quasifinite" | "not_quasifinite_up_to_horizon"
     horizon: int
     certificate: RecurrenceCertificate | None
-    annihilator: Coeffs | None  # generator mode only
+    annihilator: Coeffs | None  # a nonzero generator's only
     certificate_matches_annihilator: bool | None
 
     @property
@@ -383,17 +345,17 @@ class ClassificationReport(NamedTuple):
 
 
 def classify_quasifinite(
-    weight: Weight, params: BlockParams, horizon: int
+    labels: Coeffs, generator: QuasiPolynomial | None, params: BlockParams, horizon: int
 ) -> ClassificationReport:
     """Quasifinite iff the normalized series admits a linear recurrence on the
-    horizon; in generator mode the certificate is checked against the
-    generator's closed-form annihilator."""
-    series = delta_from_labels(weight, params, horizon)
-    certificate = detect_linear_recurrence(series)
+    horizon.  `generator` is the quasipolynomial the labels were synthesized
+    from, or None for given labels; a nonzero one's closed-form annihilator
+    is compared with the certificate."""
+    certificate = detect_linear_recurrence(delta_from_labels(labels, params, horizon))
     annihilator = None
     matches = None
-    if weight.qp is not None and not weight.qp.is_zero():
-        annihilator = qp_annihilator(weight.qp)
+    if generator is not None and not generator.is_zero():
+        annihilator = qp_annihilator(generator)
         if certificate is not None:
             matches = certificate.annihilator == annihilator
     return ClassificationReport(
@@ -423,13 +385,13 @@ class CrossCheckReport(NamedTuple):
 
 
 def criteria_cross_check(
-    weight: Weight, params: BlockParams, max_level: int, horizon: int
+    labels: Coeffs, params: BlockParams, max_level: int, horizon: int
 ) -> CrossCheckReport:
     """Run the recurrence criterion (degree <= max_level, series horizon
     max_level + horizon) and the singular-vector solve, and compare."""
-    series = delta_from_labels(weight, params, max_level + horizon)
+    series = delta_from_labels(labels, params, max_level + horizon)
     certificate = detect_linear_recurrence(series, max_degree=max_level)
-    candidates = singular_vector_solve(weight, params, max_level, horizon)
+    candidates = singular_vector_solve(labels, params, max_level, horizon)
     if certificate is None or not candidates:
         comparison = "not_applicable"
     else:

@@ -129,7 +129,8 @@ def module_axiom_check(
     weight_range: tuple[int, int],
     central_value: Fraction = Fraction(0),
 ) -> Verdict:
-    """Verify [x,y].v = x.(y.v) - y.(x.v) exactly on all window basis pairs.
+    """Verify [x,y].v = x.(y.v) - y.(x.v) exactly on all window basis pairs
+    and weights; a verdict that holds holds on the window.
 
     [L[alpha,i], L[beta,j]] lies at level i + j, so a pair with a positive
     level has residual zero and only x = L[alpha,0], y = L[beta,0] are
@@ -177,4 +178,4 @@ def module_axiom_check(
         for beta in range(window.grade_min, alpha)
         for m in range(lo, hi + 1)
     )
-    return first_failure(tuples, residual)
+    return first_failure(tuples, residual, "on_window")

@@ -37,7 +37,6 @@ from blocklie.engine import (
     grid_identity_check,
 )
 from blocklie.hweight import (
-    Weight,
     classify_quasifinite,
     criteria_cross_check,
     labels_from_quasipolynomial,
@@ -195,8 +194,8 @@ def test_criterion_06_classification_round_trip():
             params = BlockParams(p=p, q=q)
             annihilator = qp_annihilator(qp)
             horizon = 2 * (len(annihilator) - 1) + 4
-            weight = Weight(labels_from_quasipolynomial(qp, params, horizon)[0], qp)
-            report = classify_quasifinite(weight, params, horizon)
+            labels = labels_from_quasipolynomial(qp, params, horizon)[0]
+            report = classify_quasifinite(labels, qp, params, horizon)
             assert report.verdict == "quasifinite", qp
             assert report.certificate.annihilator == annihilator, qp
             assert report.certificate_matches_annihilator is True
@@ -217,7 +216,7 @@ def test_criterion_07_negative_controls():
             [factorial(k) for k in range(13)],
             [fibonacci(k * k) for k in range(13)],
         ):
-            report = classify_quasifinite(Weight.from_labels(labels), params, 12)
+            report = classify_quasifinite(tuple(map(Fraction, labels)), None, params, 12)
             assert report.verdict == "not_quasifinite_up_to_horizon"
             assert report.certificate is None
 
@@ -228,11 +227,11 @@ def test_criterion_08_cross_check_oracle():
         for scale, base in ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1)),
                             (Fraction(1, 2), Fraction(1, 3))):
             qp = QuasiPolynomial.of([([scale], base)])
-            weight = Weight(labels_from_quasipolynomial(qp, params, 10)[0], qp)
-            candidates = singular_vector_solve(weight, params, 1, 6)
+            labels = labels_from_quasipolynomial(qp, params, 10)[0]
+            candidates = singular_vector_solve(labels, params, 1, 6)
             assert [c.coefficients for c in candidates] == [(-base, Fraction(1))]
             assert qp_annihilator(qp) == (-base, Fraction(1))
-            report = criteria_cross_check(weight, params, 1, 6)
+            report = criteria_cross_check(labels, params, 1, 6)
             assert report.routes_agree and report.annihilator_vs_kernel == "equal"
         # the p != 0 regime: emit the reports and compare against the archived
         # data; agreement is recorded, not asserted (open question upstream)

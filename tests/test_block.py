@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocklie import block
+from blocklie import block, engine
 from blocklie.block import (
     CUBIC_COCYCLE,
     BlockParams,
@@ -24,7 +24,6 @@ from blocklie.block import (
 )
 from blocklie.engine import (
     CENTRAL,
-    BracketRule,
     Element,
     Graded,
     InsufficientGridError,
@@ -312,7 +311,7 @@ def test_parabolic_top_level_coefficient_growth():
     params = BlockParams(p=Fraction(3), q=Fraction(1))
     a = Element.basis(Graded(-1, 2), Fraction(5))
     images = parabolic_degree_zero(params, a, 12)
-    top = [w.coefficient(Graded(0, 2 + j)) for j, w in enumerate(images)]
+    top = [w.terms.get(Graded(0, 2 + j), 0) for j, w in enumerate(images)]
     expected = [5 * (2 + 2 + j + 3 * (2 - j)) for j in range(13)]
     assert top == expected
     assert top[5] == 0  # the single root of the degree-1 weight 10 - 2j
@@ -372,7 +371,7 @@ def scanned_virasoro(params, window):
         return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
 
     level_zero = Window(window.grade_min, window.grade_max, 0).pairs()
-    return first_failure(((a, b) for a, _, b, _ in level_zero), residual)
+    return first_failure(((a, b) for a, _, b, _ in level_zero), residual, "on_window")
 
 
 def scanned_laurent(params, window):
@@ -391,7 +390,7 @@ def scanned_laurent(params, window):
             accumulate(terms, ((CENTRAL, cocycle_value(a)),))
         return basis_bracket(params, Graded(a, i), Graded(b, j)) - Element(terms)
 
-    return first_failure(window.pairs(), residual)
+    return first_failure(window.pairs(), residual, "on_window")
 
 
 CHECKS = ((virasoro_embedding_check, scanned_virasoro), (laurent_realization_check, scanned_laurent))
@@ -430,15 +429,42 @@ def perturbed_coefficient(extra):
         yield
 
 
+@contextmanager
+def counted_compiles():
+    """The calls of `engine._compile`, which builds a rule's pair for brackets."""
+    calls = []
+    compile_terms = engine._compile
+
+    def counted(*args):
+        calls.append(args)
+        return compile_terms(*args)
+
+    with mock.patch.object(engine, "_compile", counted):
+        yield calls
+
+
 @SETTINGS
 @given(block_params, windows)
 def test_laurent_and_virasoro_hold_by_proof_without_bracketing(params, window):
-    def no_bracket(*args):
-        raise AssertionError("a holding proof brackets no basis labels")
-
-    with mock.patch.object(block, "basis_bracket", no_bracket):
+    with counted_compiles() as calls:
         for check, _ in CHECKS:
             assert str(check(params, window)) == "holds_universally"
+    assert not calls
+
+
+@SETTINGS
+@given(block_params, windows, rationals.filter(bool))
+def test_a_failing_window_check_compiles_the_rule_once(params, window, delta):
+    # a constant perturbation fails both proofs; the scan brackets every
+    # pair it reads through one pair, whether or not it finds a witness
+    with perturbed_coefficient(lambda x, y: delta):
+        for check, _ in CHECKS:
+            with counted_compiles() as calls:
+                try:
+                    check(BlockParams(params.p, params.q), window)
+                except ValueError as exc:
+                    assert "holds no witness" in str(exc)
+            assert len(calls) == 1
 
 
 @SETTINGS
@@ -545,16 +571,15 @@ def test_block_rule_pair_is_its_terms_plus_its_cocycle_on_the_stratum(params, gr
         assert lifted(value, ring) == expected[label]
 
 
-def test_block_rule_identities_hold_only_on_the_tested_grid():
+def test_identity_checks_refuse_a_rule_with_a_cocycle():
+    # the terms omit the cocycle, so they prove nothing about the full rule;
+    # the cocycle's Jacobi contribution has its own proof (`cocycle_jacobi_check`)
     grades, levels = [-2, -1, 0, 1, 2], [0, 1, 2]
     params = BlockParams(p=Fraction(2, 3), q=Fraction(-7, 5))
     for rule in (block_bracket_rule(params), block_bracket_rule(P11)):
         for identity in ("antisymmetry", "jacobi"):
-            verdict = grid_identity_check(rule, identity, grades, levels)
-            assert str(verdict) == "holds_on_tested_grid"
-    # the terms alone prove Jacobi; a cocycle that is no 2-cocycle breaks it
-    square = PolyRing("x").var("x") ** 2
-    delta_free = delta_free_rule(params)
-    broken = BracketRule(terms=delta_free.terms, cocycle=square)
-    assert grid_identity_check(delta_free, "jacobi", grades, levels).holds
-    assert not grid_identity_check(broken, "jacobi", grades, levels).holds
+            with pytest.raises(ValueError, match="without a cocycle"):
+                grid_identity_check(rule, identity, grades, levels)
+    # the terms alone prove Jacobi
+    verdict = grid_identity_check(delta_free_rule(params), "jacobi", grades, levels)
+    assert str(verdict) == "holds_universally"

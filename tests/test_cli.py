@@ -788,7 +788,7 @@ def test_series_horizon_limit_is_inclusive(tmp_path, job, levels):
     payload = {"job": job, "p": "1/3", "q": "1", **levels, "horizon": horizon}
     payload["weight"] = {"qp": [{"poly": ["2"], "base": "1/2"}]}
     config = load_config(write_config(tmp_path, payload))
-    assert len(config.run.args[0].labels) == cli.MAX_SERIES_HORIZON + 1
+    assert len(config.run.args[0]) == cli.MAX_SERIES_HORIZON + 1
     payload["horizon"] += 1
     with pytest.raises(ConfigError, match=f"{job}: field 'horizon' must be <= {horizon}$"):
         load_config(write_config(tmp_path, payload))

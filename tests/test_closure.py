@@ -15,6 +15,11 @@ receives, and the shifts theta are drawn wide enough for an offset to leave
 the window on either edge.  The closure brackets by its integer kernel, never
 by the rule's pair, so the kernel is tested against the pair on basis pairs
 of its own.
+
+The Block closure is also tested against the algebra's symmetries, with no
+oracle: sigma maps the closure at p onto the closure at -p on the mirrored
+window, and the torus tau_{t,s} keeps its pivots.  Both miss a defect that
+yields an isomorphic algebra, such as a flipped cocycle sign.
 """
 
 import itertools
@@ -90,7 +95,7 @@ def naive_closure(rule, generators, window):
     coords = window.indices()
 
     def dense(element):
-        return [Fraction(element.coefficient(index)) for index in coords]
+        return [Fraction(element.terms.get(index, 0)) for index in coords]
 
     def row_element(vec):
         return Element({coords[k]: v for k, v in enumerate(vec) if v})
@@ -113,8 +118,8 @@ def naive_closure(rule, generators, window):
 def naive_membership(element, rows, window):
     ech = DenseEchelon(len(window.indices()))
     for row in rows:
-        ech.insert([Fraction(row.coefficient(index)) for index in window.indices()])
-    return not ech.insert([Fraction(element.coefficient(index)) for index in window.indices()])
+        ech.insert([Fraction(row.terms.get(index, 0)) for index in window.indices()])
+    return not ech.insert([Fraction(element.terms.get(index, 0)) for index in window.indices()])
 
 
 # 0 and +-1 are the special values: p = 0, q = 0 and theta = 0 change which
@@ -257,6 +262,75 @@ PINNED_GENERATORS = {
 def test_closure_matches_naive_on_pinned_cases(rule, gens):
     window, generators = PINNED_GENERATORS[gens]
     assert_matches_naive(PINNED_RULES[rule], generators, window)
+
+
+def sigma(element):
+    """sigma: L[a,i] -> -L[-a,i], c -> -c."""
+    return Element(
+        {(x if x is CENTRAL else Graded(-x.grade, x.level)): -c for x, c in element.terms.items()}
+    )
+
+
+def tau(element, t, s):
+    """tau_{t,s}: L[a,i] -> t^a s^i L[a,i], c -> c."""
+    return Element(
+        {x: c if x is CENTRAL else c * t**x.grade * s**x.level for x, c in element.terms.items()}
+    )
+
+
+def pivots(closure):
+    return [next(iter(row.terms)) for row in closure.rows]
+
+
+SYMMETRY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+# t and s of tau: +-1 would leave most coordinates as they are
+scales = nonzero.filter(lambda v: abs(v) != 1)
+
+
+@st.composite
+def window_generators(draw, window):
+    """1-2 generators, each a combination of 2-3 window labels of grade at
+    most 2 in size and level at most 1: their closures are rarely a line or
+    the whole window, and their rows mix labels, which a map that scales
+    each label separately can tell apart."""
+    inside = window.indices()
+    low = [i for i in inside if i is CENTRAL or (abs(i.grade) <= 2 and i.level <= 1)]
+    terms = st.lists(st.tuples(st.sampled_from(low), nonzero), min_size=2, max_size=3)
+    return [Element(accumulate({}, draw(terms))) for _ in range(draw(st.integers(1, 2)))]
+
+
+@SYMMETRY_SETTINGS
+@given(rationals, nonzero, st.data())
+def test_sigma_maps_the_closure_at_p_onto_the_closure_at_minus_p(p, q, data):
+    # sigma is an isomorphism B(p,q) -> B(-p,q): at -p, [L[-a,i], L[-b,j]] is
+    # -((i+q)(b+p) - (j+q)(a+p)) L[-a-b,i+j], and the cocycle (a^3-a)/12 is
+    # odd in a.  It maps the window onto its mirror, so it commutes with
+    # truncation, and the closure of sigma(generators) there is sigma of the
+    # closure: the same dimension, holding sigma of every row.
+    window = data.draw(windows)
+    generators = data.draw(window_generators(window))
+    closure = subalgebra_closure(block_bracket_rule(BlockParams(p, q)), generators, window)
+    mirror = Window(-window.grade_max, -window.grade_min, window.level_max)
+    rule = block_bracket_rule(BlockParams(-p, q))
+    image = subalgebra_closure(rule, [sigma(g) for g in generators], mirror)
+    assert image.dimension() == closure.dimension()
+    assert all(membership(sigma(row), image) for row in closure.rows)
+
+
+@SYMMETRY_SETTINGS
+@given(rationals, nonzero, scales, scales, st.data())
+def test_tau_keeps_the_pivots_of_the_closure_and_maps_its_rows_into_it(p, q, t, s, data):
+    # tau is an automorphism of B(p,q): grades and levels add, and the cocycle
+    # sits at grade 0 and level 0.  It scales each window coordinate, so the
+    # closure of tau(generators) has the same pivot labels and holds tau of
+    # every row.
+    window = data.draw(windows)
+    generators = data.draw(window_generators(window))
+    rule = block_bracket_rule(BlockParams(p, q))
+    closure = subalgebra_closure(rule, generators, window)
+    image = subalgebra_closure(rule, [tau(g, t, s) for g in generators], window)
+    assert pivots(image) == pivots(closure)
+    assert all(membership(tau(row, t, s), image) for row in closure.rows)
 
 
 def assert_each_pair_of_rows_is_formed_or_skipped_once(closure):

@@ -59,14 +59,15 @@ def test_first_failure_returns_first_failing_tuple_and_its_residual():
         return Element.basis(Graded(a, b), a * b - 2)
 
     tuples = [(1, 2), (2, 1), (3, 1), (2, 2)]
-    verdict = first_failure(iter(tuples), residual)
+    verdict = first_failure(iter(tuples), residual, "on_tested_grid")
     assert not verdict.holds
     assert verdict.witness == (3, 1)
     assert verdict.residual == Element.basis(Graded(3, 1), 1)
     assert seen == tuples[:3]  # the scan stops at the witness
     assert str(verdict) == "fails(witness=(3, 1), residual=L[3,1])"
-    assert first_failure(tuples[:2], residual).holds
-    assert first_failure([], residual).holds
+    held = first_failure(tuples[:2], residual, "on_tested_grid")
+    assert str(held) == "holds_on_tested_grid"
+    assert str(first_failure([], residual, "on_window")) == "holds_on_window"
 
 
 def test_graded_label_is_its_grade_level_pair():

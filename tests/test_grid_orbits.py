@@ -10,7 +10,8 @@ every tuple of the grid in `itertools.product` order, with nothing cached.
 Verdict, witness and residual must print identically, above all on failing
 inputs, where the witness is the first failing tuple.  A holding verdict is
 universal only for a rule with terms, whose proof the oracles take for
-granted; a rule without terms holds on the tested grid.
+granted; a rule without terms holds on the tested grid, and the module
+check, which has no proof, holds on its window.
 """
 
 import itertools
@@ -65,7 +66,7 @@ def full_grid_identity_check(rule, identity, grade_values, level_values):
         for x, y in itertools.product(singles, repeat=2):
             acc = accumulate(dict(rule.pair(x, y).terms), rule.pair(y, x).terms.items())
             if acc:
-                return Verdict.fails(((x.grade, x.level), (y.grade, y.level)), Element(acc))
+                return Verdict(False, ((x.grade, x.level), (y.grade, y.level)), Element(acc))
         return held(rule)
     for x, y, z in itertools.product(singles, repeat=3):
         acc = {}
@@ -75,7 +76,7 @@ def full_grid_identity_check(rule, identity, grade_values, level_values):
                     accumulate(acc, rule.pair(outer, mid).terms.items(), mid_coeff)
         if acc:
             witness = tuple((s.grade, s.level) for s in (x, y, z))
-            return Verdict.fails(witness, Element(acc))
+            return Verdict(False, witness, Element(acc))
     return held(rule)
 
 
@@ -100,13 +101,13 @@ def full_novikov_axiom_check(rule, grade_values):
             add_assoc(acc, -1, gb, ga, gc)
             add_left(acc, 1, gb, ga, gc)
             if acc:
-                left = Verdict.fails((ga, gb, gc), Element(acc))
+                left = Verdict(False, (ga, gb, gc), Element(acc))
         if right is None:
             acc = {}
             add_assoc(acc, 1, ga, gb, gc)
             add_assoc(acc, -1, ga, gc, gb)
             if acc:
-                right = Verdict.fails((ga, gb, gc), Element(acc))
+                right = Verdict(False, (ga, gb, gc), Element(acc))
         if left is not None and right is not None:
             break
     return left or held(rule), right or held(rule)
@@ -130,8 +131,8 @@ def full_module_axiom_check(kind, params, window, weight_range, central_value):
                         kind, params, y, act(kind, params, x, v, central_value), central_value
                     )
                     if lhs != rhs:
-                        return Verdict.fails((alpha, beta, i, j, m), lhs - rhs)
-    return Verdict.holds_universally()
+                        return Verdict(False, (alpha, beta, i, j, m), lhs - rhs)
+    return Verdict(True, scope="on_window")
 
 
 # -- inputs ---------------------------------------------------------------------

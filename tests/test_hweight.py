@@ -7,16 +7,15 @@ from math import factorial
 import pytest
 
 from test_block import parabolic_degree_zero
+from test_recurrence import qp_series
 
 from blocklie.block import BlockParams
 from blocklie.cli import load_config, run_job
 from blocklie.engine import Element, Graded
 from blocklie.hweight import (
     DeltaSeries,
-    HorizonError,
     QuasiPolynomial,
     UnrealizableError,
-    Weight,
     _kernel_rows,
     _label_factor,
     classify_quasifinite,
@@ -27,7 +26,6 @@ from blocklie.hweight import (
     labels_from_quasipolynomial,
     qp_annihilator,
     singular_vector_solve,
-    weight_labels,
 )
 
 
@@ -45,27 +43,26 @@ def qp_exp(scale, base):
     return QuasiPolynomial.of([([scale], base)])
 
 
-def synthesized(qp, params, horizon) -> Weight:
-    """The weight of the labels synthesized from `qp`, with `qp` as its generator."""
-    labels, _ = labels_from_quasipolynomial(qp, params, horizon)
-    return Weight(labels=labels, qp=qp)
+def as_labels(values) -> tuple[Fraction, ...]:
+    """Given labels as the label tuple the routes take."""
+    return tuple(map(Fraction, values))
+
+
+def synthesized(qp, params, horizon) -> tuple[Fraction, ...]:
+    """The labels synthesized from `qp`."""
+    return labels_from_quasipolynomial(qp, params, horizon)[0]
 
 
 def test_delta_from_labels_examples():
-    weight = Weight.from_labels([1, -2, Fraction(-1, 2)])
-    assert delta_from_labels(weight, P21, 2).coeffs == (2, 2, 2)
-    zero = Weight.from_labels([0, 0, 0])
+    labels = as_labels([1, -2, Fraction(-1, 2)])
+    assert delta_from_labels(labels, P21, 2).coeffs == (2, 2, 2)
+    assert delta_from_labels(labels, P21, 1).coeffs == (2, 2)
+    zero = as_labels([0, 0, 0])
     assert delta_from_labels(zero, P21, 2).coeffs == (0, 0, 0)
     # p = 1 kills the second sum: c_k = 2q * Lambda_k
     p1 = BlockParams(p=Fraction(1), q=Fraction(3))
-    weight = Weight.from_labels([5, 7, -1])
-    assert delta_from_labels(weight, p1, 2).coeffs == (30, 42, -6)
-
-
-def test_weight_labels_horizon_error():
-    weight = Weight.from_labels([1, 2])
-    with pytest.raises(HorizonError, match="horizon 4"):
-        weight_labels(weight, P21, 4)
+    labels = as_labels([5, 7, -1])
+    assert delta_from_labels(labels, p1, 2).coeffs == (30, 42, -6)
 
 
 def test_labels_from_quasipolynomial_examples():
@@ -89,7 +86,7 @@ def test_unrealizable_quasipolynomial_names_the_index():
 def test_quasipolynomial_series_coefficients():
     # z*e^z has k![z^k] = k for k >= 1
     qp = QuasiPolynomial.of([([0, 1], 1)])
-    assert qp.series(7) == (0, 1, 2, 3, 4, 5, 6, 7)
+    assert qp_series(qp, 7) == (0, 1, 2, 3, 4, 5, 6, 7)
     # bases merge and zero polynomials drop
     qp = QuasiPolynomial.of([([1], 2), ([Fraction(1, 2)], 2), ([0], 5)])
     assert qp.terms == (((Fraction(3, 2),), Fraction(2)),)
@@ -124,25 +121,24 @@ def test_qp_annihilator_examples():
 
 def test_singular_vector_solve_geometric_case():
     # Lambda_k = 2^k/(2+k) synthesized from Delta = e^{2z} at p=0, q=1
-    weight = synthesized(qp_exp(1, 2), P01, 10)
-    assert weight.labels[:3] == (Fraction(1, 2), Fraction(2, 3), 1)
-    candidates = singular_vector_solve(weight, P01, 1, 3)
+    labels = synthesized(qp_exp(1, 2), P01, 10)
+    assert labels[:3] == (Fraction(1, 2), Fraction(2, 3), 1)
+    candidates = singular_vector_solve(labels, P01, 1, 3)
     assert len(candidates) == 1
     assert candidates[0].coefficients == (-2, 1)
     assert candidates[0].verified_horizon == 3
 
 
 def test_singular_vector_solve_zero_weight():
-    zero = Weight.from_labels([0, 0, 0])
+    zero = as_labels([0, 0, 0])
     candidates = singular_vector_solve(zero, P21, 0, 2)
     assert [c.coefficients for c in candidates] == [(1,)]
 
 
 def test_singular_vector_solve_generic_weight_has_no_kernel():
     rng = random.Random(31337)
-    labels = [Fraction(rng.randint(1, 50), rng.randint(1, 7)) for _ in range(6)]
-    weight = Weight.from_labels(labels)
-    assert singular_vector_solve(weight, P21, 1, 4) == []
+    labels = as_labels(Fraction(rng.randint(1, 50), rng.randint(1, 7)) for _ in range(6))
+    assert singular_vector_solve(labels, P21, 1, 4) == []
 
 
 def test_singular_matrix_rows_are_weight_of_parabolic_images():
@@ -173,8 +169,8 @@ def test_singular_matrix_rows_are_weight_of_parabolic_images():
 
 
 def test_classify_quasifinite_generator_mode():
-    weight = synthesized(qp_exp(2, 1), P21, 10)
-    report = classify_quasifinite(weight, P21, 10)
+    qp = qp_exp(2, 1)
+    report = classify_quasifinite(synthesized(qp, P21, 10), qp, P21, 10)
     assert report.verdict == "quasifinite"
     assert report.certificate.annihilator == (-1, 1)
     assert report.annihilator == (-1, 1)
@@ -182,15 +178,14 @@ def test_classify_quasifinite_generator_mode():
 
 
 def test_classify_factorial_labels_not_quasifinite():
-    weight = Weight.from_labels([factorial(k) for k in range(10)])
-    report = classify_quasifinite(weight, P21, 9)
+    labels = as_labels(factorial(k) for k in range(10))
+    report = classify_quasifinite(labels, None, P21, 9)
     assert report.verdict == "not_quasifinite_up_to_horizon"
     assert report.certificate is None
 
 
 def test_classify_zero_weight():
-    weight = Weight.from_labels([0] * 11)
-    report = classify_quasifinite(weight, P21, 10)
+    report = classify_quasifinite(as_labels([0] * 11), None, P21, 10)
     assert report.verdict == "quasifinite"
     assert report.certificate.annihilator == (0, 1)
 
@@ -210,7 +205,7 @@ def test_round_trip_reproduces_series_off_singular_indices():
         horizon = 9
         params = P21  # no singular indices: 2 - 3k never vanishes on integers
         series = delta_from_labels(synthesized(qp, params, horizon), params, horizon)
-        assert series.coeffs == qp.series(horizon)
+        assert series.coeffs == qp_series(qp, horizon)
 
 
 @pytest.mark.parametrize(
@@ -231,10 +226,10 @@ def test_round_trip_reproduces_series_at_a_singular_index(p, q, singular):
             ]
             terms.append((coeffs, Fraction(rng.randint(-7, 7), rng.randint(1, 5))))
         # z^s / s! * e^{0z} has series 1 at k = s and 0 elsewhere: cancel c_s
-        c_s = QuasiPolynomial.of(terms).series(horizon)[singular]
+        c_s = qp_series(QuasiPolynomial.of(terms), horizon)[singular]
         terms.append(([0] * singular + [-c_s / factorial(singular)], 0))
         qp = QuasiPolynomial.of(terms)
-        series = qp.series(horizon)
+        series = qp_series(qp, horizon)
         assert series[singular] == 0
         labels, singulars = labels_from_quasipolynomial(qp, params, horizon)
         assert singulars == (singular,)
@@ -243,15 +238,8 @@ def test_round_trip_reproduces_series_at_a_singular_index(p, q, singular):
         assert all(
             (2 * q_ + (1 - p_ * p_) * k) * labels[k] == series[k] for k in range(horizon + 1)
         )
-        # both the generator and the bare labels give the series back
-        assert delta_from_labels(Weight(labels, qp), params, horizon).coeffs == series
-        assert delta_from_labels(Weight.from_labels(labels), params, horizon).coeffs == series
-
-
-def test_delta_from_generator_checks_the_singular_index():
-    p34 = BlockParams(p=Fraction(3), q=Fraction(4))
-    with pytest.raises(UnrealizableError, match="k=1"):
-        delta_from_labels(Weight(qp=qp_exp(1, 1)), p34, 3)
+        # the synthesized labels give the series back
+        assert delta_from_labels(labels, params, horizon).coeffs == series
 
 
 def _poly_divides(d, n):
@@ -285,20 +273,19 @@ def test_certificate_is_minimal_and_divides_annihilator():
         annihilator = qp_annihilator(qp)
         degree = len(annihilator) - 1
         horizon = 2 * degree + 4
-        cert = detect_linear_recurrence(DeltaSeries(qp.series(horizon)))
+        cert = detect_linear_recurrence(DeltaSeries(qp_series(qp, horizon)))
         assert cert is not None
         assert cert.annihilator == annihilator
         # on shorter (but still overdetermined) horizons the detected
         # recurrence still divides the closed-form annihilator
         for shorter in range(2 * degree, horizon):
-            partial = detect_linear_recurrence(DeltaSeries(qp.series(shorter)))
+            partial = detect_linear_recurrence(DeltaSeries(qp_series(qp, shorter)))
             if partial is not None:
                 assert _poly_divides(partial.annihilator, annihilator)
 
 
 def test_criteria_cross_check_p0_oracle():
-    weight = synthesized(qp_exp(1, 2), P01, 10)
-    report = criteria_cross_check(weight, P01, 1, 6)
+    report = criteria_cross_check(synthesized(qp_exp(1, 2), P01, 10), P01, 1, 6)
     assert report.delta_route and report.kernel_route
     assert report.routes_agree
     assert report.annihilator_vs_kernel == "equal"
@@ -307,15 +294,13 @@ def test_criteria_cross_check_p0_oracle():
 
 
 def test_criteria_cross_check_zero_weight():
-    weight = Weight.from_labels([0] * 9)
-    report = criteria_cross_check(weight, P21, 1, 6)
+    report = criteria_cross_check(as_labels([0] * 9), P21, 1, 6)
     assert report.delta_route and report.kernel_route
     assert report.annihilator_vs_kernel == "equal"
 
 
 def test_criteria_cross_check_p2_disagreement_is_reported_not_patched():
-    weight = synthesized(qp_exp(2, 1), P21, 10)
-    report = criteria_cross_check(weight, P21, 1, 6)
+    report = criteria_cross_check(synthesized(qp_exp(2, 1), P21, 10), P21, 1, 6)
     assert report.delta_route is True
     assert report.kernel_route is False
     assert not report.routes_agree
@@ -328,8 +313,8 @@ def test_p0_kernel_is_exactly_series_annihilation():
     params = P01
     qp = QuasiPolynomial.of([([1, 1], 2)])  # (1+z)e^{2z}, annihilator (t-2)^2
     horizon = 12
-    weight = synthesized(qp, params, horizon)
-    series = qp.series(horizon)
+    labels = synthesized(qp, params, horizon)
+    series = qp_series(qp, horizon)
     max_level, j_max = 2, 6
 
     def annihilates(vec):
@@ -338,7 +323,7 @@ def test_p0_kernel_is_exactly_series_annihilation():
             for j in range(j_max + 1)
         )
 
-    candidates = singular_vector_solve(weight, params, max_level, j_max)
+    candidates = singular_vector_solve(labels, params, max_level, j_max)
     assert candidates, "expected the (t-2)^2 kernel vector"
     for cand in candidates:
         assert annihilates(cand.coefficients)
@@ -362,8 +347,3 @@ def test_central_label_never_enters_any_verdict(tmp_path):
             assert report.config["weight"]["central"] == central
             results.append(report.results)
         assert results[0] == results[1], (job, weight)
-
-
-def test_weight_requires_labels_or_generator():
-    with pytest.raises(ValueError):
-        Weight()

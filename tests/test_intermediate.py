@@ -211,7 +211,7 @@ def fraction_module_axiom_check(kind, params, window, weight_range, central_valu
         for beta in range(window.grade_min, alpha)
         for m in range(lo, hi + 1)
     )
-    return first_failure(tuples, residual)
+    return first_failure(tuples, residual, "on_window")
 
 
 wide_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))

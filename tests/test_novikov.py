@@ -52,7 +52,7 @@ def block_sZ_reindex_check(s: Fraction, window: Window) -> Verdict:
         )
         return rule.pair(Graded(a - 1, i), Graded(b - 1, j)) - expected
 
-    return first_failure(window.pairs(), residual)
+    return first_failure(window.pairs(), residual, "on_window")
 
 
 def test_witt_product_examples():
