@@ -56,9 +56,9 @@ MAX_SERIES_HORIZON = 500
 # benchmark job goes past 5
 MAX_KERNEL_SIDE = 30
 # affinize mutations: each is a Novikov and an affinized Jacobi proof with a
-# witness scan, about 5 ms (100 take 0.45 to 0.6 s on a 2-vCPU host whose
-# reference kernel takes 5 to 6 ms), and no archived or benchmark config runs
-# more than 6
+# witness scan, about 4.5 ms (100 take 0.29 to 0.32 s on a 2-vCPU host whose
+# reference kernel takes 3.1 to 3.5 ms), and no archived or benchmark config
+# runs more than 6
 MAX_MUTATIONS = 100
 # values of one grid field: a table rule's axiom scan visits every triple of
 # its grid, 0.3 s at 50 values and 2.4 s at 100 on a table that holds

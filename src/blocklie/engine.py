@@ -11,18 +11,19 @@ L[a,0] is a `BracketRule` too, with terms at offsets (dgrade, 0).
 
 `IDENTITIES` states antisymmetry, Jacobi and the two Novikov axioms once
 each, as signed sums of nested brackets of the labels x, y, z; all trees of
-one identity have one bracket depth.  Two evaluators read it.  The symbolic
-one (`_prove`) builds each identity from a rule's terms, one polynomial
-identity per output offset, on integers: the terms times their common
-denominator D, which scales a residual of depth k by D^k and so keeps its
-zeros.  Its monomials are packed ints (`scalars.Packing`), with fields as
-wide as the identity's depth times the terms' largest total degree, so a
-product of monomials is one int addition.  Only a proof holds universally.
-The concrete one evaluates the same trees on basis labels through the rule's
-cached pair (`extend_bilinearly`); it scans a grid, sized by the identity's
-bracket depth times the terms' degree bounds, for the witness of a failed
-proof, and it alone decides a rule without terms, which holds on the tested
-grid (`check_identities`, `decide`).  A rule with a cocycle, which its terms
+one identity have one bracket depth and read the same leaves.  Two
+evaluators walk it (`_evaluate`).  The symbolic one (`_prove`) builds each
+identity from a rule's terms, on integers (the terms times their common
+denominator D, so a residual of depth k is D^k times the rational one): one
+tree per orbit under renaming x, y, z, values per offset.  Its monomials are
+packed ints (`scalars.Packing`), with fields as wide as the identity's depth
+times the terms' largest total degree, so a product of monomials is one int
+addition.  Only a proof holds universally.  The concrete one evaluates the
+same trees on basis labels through the rule's cached pair
+(`extend_bilinearly`); it scans a grid, sized by the identity's bracket
+depth times the terms' degree bounds, for the witness of a failed proof, and
+it alone decides a rule without terms, which holds on the tested grid
+(`check_identities`, `decide`).  A rule with a cocycle, which its terms
 omit, is refused.  `grid_identity_check` and `novikov.novikov_axiom_check`
 call it.  Every exact check in the package ends in `first_failure`, whose
 docstring states the witness contract and the rule for skipping tuples by
@@ -542,19 +543,41 @@ def _depth(tree) -> int:
     return 0 if isinstance(tree, str) else 1 + max(_depth(tree[0]), _depth(tree[1]))
 
 
-def _evaluate(names: Sequence[str], leaf: Callable, bracket: Callable) -> list[dict]:
+@functools.cache
+def _orbit(tree) -> tuple:
+    """(canonical, leaves): the tree with its leaves renamed x, y, z by first
+    appearance, and those leaves in that order."""
+    if isinstance(tree, str):
+        return "x", tree
+    leaves = "".join(dict.fromkeys(_orbit(tree[0])[1] + _orbit(tree[1])[1]))
+    names = dict(zip(leaves, "xyz"))
+
+    def canonical(t):
+        return names[t] if isinstance(t, str) else (canonical(t[0]), canonical(t[1]))
+
+    return canonical(tree), leaves
+
+
+def _evaluate(names: Sequence[str], leaf: Callable, bracket: Callable, rename=None) -> list[dict]:
     """The residual of each named identity: the signed sum of its trees'
     values, where `leaf(name)` is the value of a label, `bracket(u, v)` that
     of the bracket of two values, and a value is a dict of nonzero
     coefficients.  A subtree shared by several identities, such as (xy)z by
-    both Novikov axioms, is evaluated once."""
+    both Novikov axioms, is evaluated once.  Given `rename`, so is each orbit
+    of trees under renaming the leaves (`_orbit`), and `bracket(u, v, lu,
+    lv)` also receives the leaves that the trees of u and v read."""
     values: dict = {}
 
     def value(tree) -> dict:
         if tree not in values:
-            values[tree] = (
-                leaf(tree) if isinstance(tree, str) else bracket(value(tree[0]), value(tree[1]))
-            )
+            canonical, leaves = _orbit(tree)
+            if isinstance(tree, str):
+                values[tree] = leaf(tree)
+            elif rename is not None and canonical != tree:
+                values[tree] = rename(value(canonical), leaves)
+            else:
+                read = () if rename is None else tuple(_orbit(t)[1] for t in tree)
+                values[tree] = bracket(*map(value, tree), *read)
         return values[tree]
 
     residuals = []
@@ -576,6 +599,21 @@ def _proof_packing(terms, names: Sequence[str]) -> Packing:
     return Packing(terms[0][1].ring, depth * degree)
 
 
+def _rename(packing: Packing, value: dict, leaves: str) -> dict:
+    """A value of `_prove` with x, y, z renamed, in order, to `leaves` and the
+    rest: `INDEX_SYMBOLS` come last, so a monomial's fields of (a, i), (b, j)
+    and (c, k) are adjacent blocks, each moving to its new name's block."""
+    base, width = packing.ring.index("a") * packing.bits, 2 * packing.bits
+    mask, kept = (1 << width) - 1, (1 << base) - 1
+    tx, ty, tz = (base + "xyz".index(name) * width for name in dict.fromkeys(leaves + "xyz"))
+
+    def moved(m: int) -> int:
+        i = m >> base
+        return m & kept | (i & mask) << tx | (i >> width & mask) << ty | (i >> 2 * width) << tz
+
+    return {o: Packed(packing, {moved(m): c for m, c in p.terms.items()}) for o, p in value.items()}
+
+
 def _prove(terms, names: Sequence[str]) -> list[dict]:
     """The residual of each named identity over a rule's terms, with x =
     L[a,i], y = L[b,j], z = L[c,k]: empty exactly when the identity holds for
@@ -585,54 +623,56 @@ def _prove(terms, names: Sequence[str]) -> list[dict]:
     of their denominators (`scalars.lift`).  A bracket of lifted terms is D
     times the rational one, and all trees of an identity have one bracket
     depth k, so its residual is D^k times the rational residual, and zero
-    exactly when that is.  A value maps (leaves, (dgrade, dlevel), monomial)
-    to an int, the coefficient of that monomial in the indices and
-    parameters at the label L[sum of the leaves' labels + offset]; the
-    monomial is packed into one int (`_proof_packing`), so a bracket of two
-    values adds their monomials.  Each label is formed once, as its leaf sum
-    plus a constant, and so is each composed bracket of two labels.  Labels
-    of distinct offsets are distinct, so each offset's coefficient must
-    vanish alone; terms of one offset are summed first."""
+    exactly when that is.  A tree's value maps each (dgrade, dlevel) to the
+    Packed coefficient (`_proof_packing`) of L[sum of its leaves' labels +
+    offset]; its leaves stay implicit.  Each label is formed once, as its leaf
+    sum plus a constant, and so is each composed bracket of two labels.  One
+    tree per orbit is bracketed: the value of π·T, for π a renaming of x, y,
+    z, is π applied to the value of T (`_rename`).  This is sound because a
+    label is its leaves' symbol sum plus a constant, and a bracket composes
+    the terms at labels: renaming the symbols is a ring automorphism, and it
+    commutes with that composition.  Labels of distinct offsets are distinct,
+    so each offset's coefficient must vanish alone: a residual is summed per
+    offset, terms of one offset first, and keyed by (leaves, offset, monomial)
+    only on return."""
     terms = tuple(accumulate({}, terms).items())
     if not terms:
         return [{} for _ in names]
     packing = _proof_packing(terms, names)
-    ring = packing.ring
     _, lifted = lift(*(coeff for _, coeff in terms))
     lifted = list(zip((offset for offset, _ in terms), lifted))
-    labels = zip("xyz", ("ai", "bj", "ck"))
-    symbols = {name: tuple(map(packing.monomial, gl)) for name, gl in labels}
-    positions = [ring.index(name) for name in "aibj"]
+    blocks = {x: tuple(map(packing.monomial, gl)) for x, gl in zip("xyz", ("ai", "bj", "ck"))}
+    positions = [packing.ring.index(name) for name in "aibj"]
 
     @functools.cache
     def label(leaves: str, offset: tuple) -> tuple:
         # the grade and level of L[sum of the leaves' labels + offset]
-        return tuple(
-            Packed(packing, accumulate({}, [*((symbols[leaf][k], 1) for leaf in leaves), (0, d)]))
-            for k, d in enumerate(offset)
-        )
+        grade, level = (Packed(packing, dict.fromkeys(f, 1)) for f in zip(*map(blocks.get, leaves)))
+        return grade + offset[0], level + offset[1]
 
     @functools.cache
     def bracket_at(lu: str, ou: tuple, lv: str, ov: tuple) -> list[tuple]:
         # the lifted terms of [L[lu+ou], L[lv+ov]], one (offset, terms) per term
         images = dict(zip(positions, (*label(lu, ou), *label(lv, ov))))
-        return [(offset, packing.compose(coeff, images).terms) for offset, coeff in lifted]
+        return [(offset, packing.compose(coeff, images).terms.items()) for offset, coeff in lifted]
 
-    def bracket(u: dict, v: dict) -> dict:
+    def bracket(u: dict, v: dict, lu: str, lv: str) -> dict:
         out: dict = {}
-        for (lu, ou, eu), cu in u.items():
-            for (lv, ov, ev), cv in v.items():
-                leaves = "".join(sorted(lu + lv))
-                exps = eu + ev
-                factor = cu * cv
+        for ou, cu in u.items():
+            for ov, cv in v.items():
+                factor = (cu * cv).terms.items()
                 for (dg, dl), composed in bracket_at(lu, ou, lv, ov):
-                    at = (ou[0] + ov[0] + dg, ou[1] + ov[1] + dl)
-                    for e, c in composed.items():
-                        key = (leaves, at, exps + e)
-                        out[key] = out.get(key, 0) + factor * c
-        return {key: c for key, c in out.items() if c}
+                    acc = out.setdefault((ou[0] + ov[0] + dg, ou[1] + ov[1] + dl), {})
+                    accumulate(acc, ((m + e, cm * c) for e, c in composed for m, cm in factor))
+        return {at: Packed(packing, acc) for at, acc in out.items() if acc}
 
-    return _evaluate(names, lambda name: {(name, (0, 0), 0): 1}, bracket)
+    one = {(0, 0): Packed(packing, {0: 1})}  # every leaf: the value 1 at its own label
+    residuals = _evaluate(names, lambda name: one, bracket, functools.partial(_rename, packing))
+    leaves = ("".join(sorted(_orbit(IDENTITIES[name][0][1])[1])) for name in names)
+    return [
+        {(ls, at, m): c for at, p in residual.items() for m, c in p.terms.items()}
+        for ls, residual in zip(leaves, residuals)
+    ]
 
 
 def check_identities(

@@ -15,7 +15,10 @@ rational points.  A holding proof never compiles the terms.  The terms also
 decide the degree bounds that size the grids.  The prover itself runs on
 integers with packed monomials, and the Fraction prover it replaced is kept
 here as its oracle; one fixed case reaches the largest exponent that a
-config's packed fields must hold.
+config's packed fields must hold.  It brackets one tree per orbit under
+renaming the leaves x, y, z and renames the rest; the brackets it forms are
+counted, and every renaming it uses is checked on monomials whose fields
+are full.
 """
 
 import functools
@@ -36,11 +39,13 @@ from blocklie.block import CUBIC_COCYCLE, BlockParams, block_bracket_rule, delta
 from blocklie.cli import MAX_GRID_VALUES, load_config, run_job
 from blocklie.engine import (
     IDENTITIES,
+    INDEX_SYMBOLS,
     BracketRule,
     Element,
     Graded,
     _depth,
     _evaluate,
+    _orbit,
     _proof_packing,
     _prove,
     grid_identity_check,
@@ -55,7 +60,7 @@ from blocklie.novikov import (
     witt_novikov_product,
     witt_product_rule,
 )
-from blocklie.scalars import Poly, PolyRing, accumulate
+from blocklie.scalars import Packed, Poly, PolyRing, accumulate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -458,13 +463,18 @@ def test_integer_prover_matches_the_fraction_prover(rule):
         }
 
 
-def test_packed_fields_hold_the_largest_exponent_a_grid_admits():
-    # a product of grade bound e needs a grid of 2e + 1 grades, so a config
-    # reaches e = 24; a^24 gives left symmetry an a^48, depth 2 times the
-    # terms' total degree 24: the bound the packed fields are sized by
+def widest_rule():
+    """A product of grade bound e needs a grid of 2e + 1 grades, so a config
+    reaches e = 24: the perturbation by a^24, whose residuals reach a^48."""
     exponent = (MAX_GRID_VALUES - 1) // 2
     params = WittNovikovParams(SYMBOLS["p"], SYMBOLS["mu"], 1)
-    rule = perturbed_witt_rule(params, "main", (exponent, 0), Fraction(-3, 7))
+    return exponent, perturbed_witt_rule(params, "main", (exponent, 0), Fraction(-3, 7))
+
+
+def test_packed_fields_hold_the_largest_exponent_a_grid_admits():
+    # a^24 gives left symmetry an a^48, depth 2 times the terms' total
+    # degree 24: the bound the packed fields are sized by
+    exponent, rule = widest_rule()
     names = list(IDENTITIES)
     proofs = list(zip(names, _prove(rule.terms, names), fraction_prove(rule.terms, names)))
     reached = max(max(e) for _, _, want in proofs for c in want.values() for e in c.terms)
@@ -481,3 +491,105 @@ def test_every_identity_has_trees_of_one_depth():
     # must share k for the lifted residual to vanish with the rational one
     for name, trees in IDENTITIES.items():
         assert len({_depth(tree) for _, tree in trees}) == 1, name
+
+
+def test_every_identity_has_trees_of_one_leaf_set():
+    # `_prove` sums an identity's trees per offset on monomials alone, keys
+    # the residual by the leaves of its first tree and reads a subtree's label
+    # off its distinct leaves, so every tree must read the same leaves, each
+    # exactly once
+    def leaves(tree) -> str:
+        return tree if isinstance(tree, str) else leaves(tree[0]) + leaves(tree[1])
+
+    for name, trees in IDENTITIES.items():
+        read = {leaves(tree) for _, tree in trees}
+        assert len({"".join(sorted(r)) for r in read}) == 1, name
+        assert all(len(set(r)) == len(r) for r in read), name
+
+
+@contextmanager
+def counted_brackets():
+    """The leaves (lu, lv) of each bracket of two values that the walker's
+    callback forms inside the block."""
+    calls: list = []
+    original = engine._evaluate
+
+    def counting(names, leaf, bracket, rename=None):
+        def counted(u, v, lu, lv):
+            calls.append((lu, lv))
+            return bracket(u, v, lu, lv)
+
+        return original(names, leaf, counted, rename)
+
+    with mock.patch.object(engine, "_evaluate", counting):
+        yield calls
+
+
+def test_the_prover_brackets_one_tree_per_orbit():
+    # (xy), x(yz) and (xy)z: every other tree, and the subtree (yz), is a
+    # renamed one, so Jacobi brackets 2 trees instead of 6, the Novikov pair
+    # 3 instead of 9 and antisymmetry 1 instead of 2
+    witt = WittNovikovParams(Fraction(1, 2), Fraction(-3, 4), 1)
+    rule = affinize(
+        perturbed_witt_rule(witt, "shift", (2, 1), Fraction(5, 7)), AffinizationParams(SYMBOLS["q"])
+    )
+    expected = {
+        ("jacobi",): [("x", "y"), ("x", "yz")],
+        ("left_symmetry", "right_commutativity"): [("x", "y"), ("xy", "z"), ("x", "yz")],
+        ("antisymmetry",): [("x", "y")],
+        tuple(IDENTITIES): [("x", "y"), ("x", "yz"), ("xy", "z")],
+    }
+    for names, brackets in expected.items():
+        with counted_brackets() as calls:
+            proofs = _prove(rule.terms, names)
+        assert calls == brackets, names
+        for name, got, want in zip(names, proofs, fraction_prove(rule.terms, names)):
+            assert rational_residual(rule.terms, name, got) == {
+                key: coeff.terms for key, coeff in want.items()
+            }
+    assert _orbit(("z", ("x", "y"))) == (("x", ("y", "z")), "zxy")
+
+
+def test_renamings_move_whole_index_blocks_without_a_carry():
+    # every renaming a proof of all four identities uses, on the widest
+    # packing a config reaches: index fields at the largest exponent the
+    # packing admits, a^48, or just below it, each to tell the fields apart
+    exponent, rule = widest_rule()
+    terms = tuple(accumulate({}, rule.terms).items())
+    packing = _proof_packing(terms, list(IDENTITIES))
+    top = 2 * exponent
+    assert top.bit_length() == packing.bits
+    used = []
+    original = engine._rename
+
+    def recording(packing, value, leaves):
+        used.append(leaves)
+        return original(packing, value, leaves)
+
+    with mock.patch.object(engine, "_rename", recording):
+        _prove(rule.terms, list(IDENTITIES))
+    # yx for (yx); yz for the subtree (yz); zxy and yzx for the rotations of
+    # x(yz); yxz for (yx)z and y(xz), and xzy for (xz)y
+    assert sorted(used) == ["xzy", "yx", "yxz", "yxz", "yz", "yzx", "zxy"]
+    params = len(packing.ring.symbols) - len(INDEX_SYMBOLS)
+
+    def renamed(exps: tuple, leaves: str) -> tuple:
+        monomial = sum(e << k * packing.bits for k, e in enumerate(exps))
+        value = {(1, -1): Packed(packing, {monomial: 7})}
+        ((at, p),) = engine._rename(packing, value, leaves).items()
+        ((moved, c),) = p.terms.items()
+        assert (at, c) == ((1, -1), 7)
+        return packing.exponents(moved)
+
+    fields = (top,) * params
+    for leaves in used:
+        assert renamed((top,) * (params + 6), leaves) == (top,) * (params + 6), leaves
+        blocks = [(top, top - 1), (top - 2, top - 3), (top - 4, top - 5)]
+        want = [None] * 3
+        for block, name in zip(blocks, dict.fromkeys(leaves + "xyz")):
+            want["xyz".index(name)] = block
+        got = renamed(fields + sum(blocks, ()), leaves)
+        assert got == fields + sum(want, ()), leaves
+    cycle = fields + (top, 1, 0, top, top - 1, 2)
+    once = renamed(cycle, "zxy")
+    assert once != cycle and renamed(renamed(once, "zxy"), "zxy") == cycle
