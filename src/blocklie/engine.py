@@ -590,10 +590,10 @@ def _evaluate(names: Sequence[str], leaf: Callable, bracket: Callable, rename=No
 
 
 def _proof_packing(terms, names: Sequence[str]) -> Packing:
-    """The packing of `_prove`'s monomials for the named identities: a
-    bracket composes a term coefficient at linear labels, which keeps its
-    total degree, so a residual of bracket depth k has total degree, and
-    every exponent, at most k times the largest total degree of a term."""
+    """The packing of `_prove`'s monomials, one tree per orbit, values per
+    offset: a bracket composes a term coefficient at linear labels, keeping
+    its total degree, and a renaming moves exponents, so a residual of depth
+    k has every exponent at most k times a term's largest total degree."""
     depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
     degree = max(total_degree(coeff) for _, coeff in terms)
     return Packing(terms[0][1].ring, depth * degree)
