@@ -36,19 +36,20 @@ bracket cannot reach the window by the rule's output `offsets`.  It skips
 whole products of two rows the same way: each row has a box, the least
 level and the least and greatest grade of its graded labels (c brackets to
 zero), and a product is formed only when the sum of two boxes meets the
-(grade, level) sums that reach the window.  The rule is
-compiled once per closure into an integer kernel: every term coefficient, and
-the rule's `cocycle`, times one common denominator D, as integer monomials in
-the indices (`_compile`, which the pair reads too), so a basis pair's row is
-an integer evaluation whose columns are looked up by (grade, level).  The
+(grade, level) sums that reach the window.  The rule is compiled once per
+closure into an integer kernel: every term coefficient, and the rule's
+`cocycle`, times one common denominator D, as integer monomials in the
+indices (`_compile`, which the pair reads too), so a basis pair's row is an
+integer evaluation whose columns are looked up by (grade, level).  The
 closure keeps one sparse echelon basis (`_Echelon`) of integer rows over the
 window coordinates ordered grade asc, level asc, central last, forms each
 product, times D, from cached pair rows, and runs semi-naive rounds: a round
 brackets only the rows whose pivot is new since the last round against all
-rows, and the loop ends when a round adds no pivot.  The truncated bracket is
-bilinear and the reduced echelon form is canonical, so the result equals that
-of bracketing every pair every round, independent of processing order and of
-the positive scale of each product.
+rows, and the loop ends when a round adds no pivot, or once the rows span the
+labels that basis brackets reach from the generators'.  The truncated bracket
+is bilinear and the reduced echelon form is canonical, so the result equals
+that of bracketing every pair every round, independent of processing order
+and of the positive scale of each product.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .scalars import (
@@ -762,13 +763,15 @@ class ClosureWork(NamedTuple):
     """Work counters of one closure: distinct basis pairs bracketed, products
     of two rows formed, products skipped because no basis pair of the two
     rows reaches the window, nonzero products that reduced to zero against
-    the echelon, and pivots that products added."""
+    the echelon, pivots that products added, and |S|, the size of the support
+    closure at which the loop stops (0 if no product was due: S was not found)."""
 
     pairs: int
     products: int
     skipped: int
     reduced_to_zero: int
     pivots: int
+    support: int
 
 
 class Closure:
@@ -776,9 +779,9 @@ class Closure:
 
     Each row lists its labels in window coordinate order, so its first label
     is its pivot.  The integer echelon that the rows were read from, and the
-    window's coordinates, are kept for `membership`; the work counters are
-    kept for diagnosis and are no part of the result: a closure compares and
-    prints by its window and rows alone.  Treat instances as immutable."""
+    window's coordinates, are kept for `membership`; the work counters (an
+    early stop shows in them) are no part of the result: a closure compares
+    and prints by its window and rows alone.  Treat instances as immutable."""
 
     __slots__ = ("window", "rows", "_coord_index", "_echelon", "_work")
 
@@ -961,10 +964,21 @@ def subalgebra_closure(
 
     Semi-naive: each round brackets only the rows whose pivot is new since
     the last round (`fresh`), against the rows of earlier rounds and the later
-    fresh rows, and the loop stops when a round adds no pivot.  Rows with
-    distinct pivots are independent, so the earlier rounds' rows, kept as
-    they were then, and the fresh rows span the current space; the truncated
-    bracket is bilinear, so every pair of a spanning set is bracketed once.
+    fresh rows, and the loop stops when a round adds no pivot, or once the
+    rank reaches |S|.  Rows with distinct pivots are independent, so the
+    earlier rounds' rows, kept as they were then, and the fresh rows span the
+    current space; the truncated bracket is bilinear, so every pair of a
+    spanning set is bracketed once.
+
+    S, the support closure, is the generators' columns and, to a fixpoint,
+    every output column of a basis bracket of two S labels.  It is found
+    before the first product, through the cached pairs: each unordered pair
+    of S labels is screened once and bracketed, both orders, only while the
+    offsets or the cocycle allow its sum a column outside S.  Every basis
+    bracket of two S labels then has its support in S, so by bilinearity
+    span(S) is closed under the truncated bracket and holds the closure V.
+    The echelon rows lie in V; at rank |S|, V = span(S), and the reduced rows
+    are the unit rows of S, which the full loop ends with too.
     """
     if rule.terms is None:
         raise ClosureError("closure requires a bracket rule with terms")
@@ -1013,41 +1027,72 @@ def subalgebra_closure(
                         acc[col] = acc.get(col, 0) + factor * v
         return {k: v for k, v in acc.items() if v}
 
-    def box(row: dict[int, int]) -> tuple | None:
+    def box(row: dict[int, int]) -> tuple:
         # (least level, least grade, greatest grade) of the row's graded labels;
-        # None for a row of c alone, which brackets to zero with every row
+        # a row of c alone, which brackets to zero with every row, is at level inf
         labels = [coords[k] for k in row if coords[k] is not CENTRAL]
         if not labels:
-            return None
+            return inf, 0, 0
         grades = [x.grade for x in labels]
         return min(x.level for x in labels), min(grades), max(grades)
 
+    def support_closure() -> set[int]:
+        # codes g*span + l add like (grade, level) pairs of level in [0, span);
+        # `allowed` maps a pair's sum to the columns that its brackets may have
+        span = 2 * window.level_max + 1
+        code = {k: x.grade * span + x.level for k, x in enumerate(coords) if x is not CENTRAL}
+        allowed: dict[int, set[int]] = {}
+        for (dg, dl), (k, c) in itertools.product(rule.offsets, code.items()):
+            if 0 <= coords[k].level - dl < span:
+                allowed.setdefault(c - dg * span - dl, set()).add(k)
+        if rule.cocycle is not None and CENTRAL in coord_index:
+            allowed.setdefault(0, set()).add(coord_index[CENTRAL])
+        support = {k for row in ech.rows.values() for k in row}
+        taken = [k for k in sorted(support) if k in code]
+        for n, kx in enumerate(taken):
+            cx = code[kx]
+            for ky in [ky for ky in taken[: n + 1] if cx + code[ky] in allowed]:
+                s = cx + code[ky]  # distinct for distinct ky
+                for key in kx * width + ky, ky * width + kx:
+                    if allowed[s] <= support:
+                        del allowed[s]
+                        break
+                    if key not in table:
+                        table[key] = pair(*divmod(key, width))
+                    for col, _ in table[key]:
+                        if col not in support:
+                            support.add(col)
+                            if col in code:
+                                taken.append(col)
+        return support
+
+    def row_pairs() -> Iterable[tuple]:
+        done: list[tuple] = []
+        fresh_pivots = sorted(ech.rows)
+        while fresh_pivots:
+            fresh = [(ech.rows[pivot], box(ech.rows[pivot])) for pivot in fresh_pivots]
+            known = set(ech.rows)
+            for k, row in enumerate(fresh):
+                yield from zip(itertools.repeat(row), itertools.chain(done, fresh[k + 1 :]))
+            done.extend(fresh)
+            fresh_pivots = sorted(ech.rows.keys() - known)
+
     generated = len(ech.rows)
     products = skipped = reduced = 0
-    done: list[tuple] = []
-    fresh_pivots = sorted(ech.rows)
-    while fresh_pivots:
-        fresh = [(ech.rows[pivot], box(ech.rows[pivot])) for pivot in fresh_pivots]
-        known = set(ech.rows)
-        for k, (x, bx) in enumerate(fresh):
-            for y, by in itertools.chain(done, fresh[k + 1 :]):
-                # every basis pair of x and y misses reach: their product is 0
-                if (
-                    bx is None
-                    or by is None
-                    or bx[0] + by[0] > top
-                    or bx[1] + by[1] > high
-                    or bx[2] + by[2] < low
-                ):
-                    skipped += 1
-                    continue
-                vec = product(x, y)
-                products += 1
-                if vec and not ech.insert(vec):
-                    reduced += 1
-        done.extend(fresh)
-        fresh_pivots = sorted(ech.rows.keys() - known)
-    work = ClosureWork(pairs, products, skipped, reduced, len(ech.rows) - generated)
+    support: set[int] = set()  # S, computed before the first product
+    for (x, bx), (y, by) in row_pairs():
+        # every basis pair of x and y misses reach: their product is 0
+        if bx[0] + by[0] > top or bx[1] + by[1] > high or bx[2] + by[2] < low:
+            skipped += 1
+            continue
+        support = support or support_closure()
+        if len(ech.rows) == len(support):
+            break
+        vec = product(x, y)
+        products += 1
+        if vec and not ech.insert(vec):
+            reduced += 1
+    work = ClosureWork(pairs, products, skipped, reduced, len(ech.rows) - generated, len(support))
     # each row divided by its pivot: the reduced echelon rows
     rows = sorted(ech.rows.items())
     reduced_rows = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)

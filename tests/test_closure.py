@@ -335,9 +335,13 @@ def test_tau_keeps_the_pivots_of_the_closure_and_maps_its_rows_into_it(p, q, t, 
 
 def assert_each_pair_of_rows_is_formed_or_skipped_once(closure):
     # every final row is fresh exactly once, and is paired then with each row
-    # before it and each later fresh row: a product is formed or skipped
-    d = closure.dimension()
-    assert closure._work.products + closure._work.skipped == d * (d - 1) // 2
+    # before it and each later fresh row: a product is formed or skipped.
+    # Either the loop ran out and so met every pair, or it stopped early,
+    # once the rows spanned the support closure S of the generators
+    d, work = closure.dimension(), closure._work
+    ran_out = work.products + work.skipped == d * (d - 1) // 2
+    stopped = d == work.support and work.products + work.skipped < d * (d - 1) // 2
+    assert ran_out or stopped
 
 
 @pytest.mark.parametrize("gens", PINNED_GENERATORS)
@@ -355,6 +359,74 @@ def test_closure_forms_or_skips_each_pair_of_rows_once_on_pinned_cases(rule, gen
 @given(st.one_of(*map(closure_cases, [block_rule, affinized_rule, engine_rule])))
 def test_closure_forms_or_skips_each_pair_of_rows_once(case):
     assert_each_pair_of_rows_is_formed_or_skipped_once(subalgebra_closure(*case))
+
+
+def cells(*labels):
+    return [Element.basis(Graded(*label)) for label in labels]
+
+
+# (window, generators, exact work) on the generic Block rule
+STOP_CASES = {
+    # the perfbench sparse_pair shape: the rank reaches |S| = 18 after 19
+    # products, where the full loop forms 119
+    "sparse pair": (
+        Window(-2, 2, 3),
+        [
+            Element({Graded(1, 0): 1, Graded(-1, 2): Fraction(1, 2)}),
+            Element({Graded(-1, 0): 1, Graded(0, 1): -3}),
+        ],
+        engine.ClosureWork(64, 19, 0, 3, 16, 18),
+    ),
+    # c enters S only through the cocycle K(2) = 1/2 of [L[2,0], L[-2,0]], next
+    # to L[0,0]: S has 4 labels, the closure 3, and the loop runs out
+    "cocycle at a=2": (Window(-2, 2, 1), cells((2, 0), (-2, 0)), engine.ClosureWork(4, 3, 0, 2, 1, 4)),
+    # with L[0,0] among the generators, the generators' columns miss only c
+    "cocycle beside L[0,0]": (
+        Window(-2, 2, 1),
+        cells((0, 0), (2, 0), (-2, 0)),
+        engine.ClosureWork(4, 2, 0, 1, 1, 4),
+    ),
+    # K(1) = 0 keeps c out of S = {L[-1,0], L[0,0], L[1,0]}, which the first
+    # product fills: the loop stops at the next pair of rows
+    "K(1) = 0": (Window(-2, 2, 1), cells((1, 0), (-1, 0)), engine.ClosureWork(5, 1, 0, 0, 1, 3)),
+}
+
+
+@pytest.mark.parametrize("case", STOP_CASES)
+def test_closure_work_with_the_support_closure_on_pinned_cases(case):
+    window, generators, work = STOP_CASES[case]
+    rule = PINNED_RULES["block generic"]
+    closure = subalgebra_closure(rule, generators, window)
+    assert closure.rows == naive_closure(rule, generators, window)
+    assert closure._work == work
+    assert_each_pair_of_rows_is_formed_or_skipped_once(closure)
+
+
+def test_a_closure_that_forms_no_product_brackets_nothing(monkeypatch):
+    # the perfbench single_dense shape: one generator is its own closure, no
+    # basis pair is bracketed, and the support closure S is never computed
+    compile_kernel = engine._integer_kernel
+
+    def raising_kernel(*args):
+        return compile_kernel(*args)[0], raising_pair
+
+    monkeypatch.setattr(engine, "_integer_kernel", raising_kernel)
+    rule = affinize(
+        witt_product_rule(WittNovikovParams(p=Fraction(2, 3), mu=Fraction(-3, 2), theta=1)),
+        AffinizationParams(Fraction(-7, 5)),
+    )
+    generator = Element(
+        {
+            Graded(1, 0): 1,
+            Graded(0, 2): Fraction(1, 2),
+            Graded(-2, 1): -3,
+            Graded(3, 5): Fraction(4, 3),
+            Graded(-1, 7): 2,
+        }
+    )
+    closure = subalgebra_closure(rule, [generator], Window(-3, 3, 7))
+    assert closure.rows == (generator.scaled(Fraction(-1, 3)),)
+    assert closure._work == engine.ClosureWork(0, 0, 0, 0, 0, 0)
 
 
 def raising_pair(x, y):
