@@ -30,19 +30,18 @@ docstring states the witness contract and the rule for skipping tuples by
 symmetry.
 
 `subalgebra_closure` takes a rule with terms, in concrete-parameter mode (all
-coefficients rational), inside a finite window: it discards bracket products
-that land outside, and skips without any arithmetic every basis pair whose
-bracket cannot reach the window by the rule's output `offsets`.  It skips
-whole products of two rows the same way: each row has a box, the least
-level and the least and greatest grade of its graded labels (c brackets to
-zero), and a product is formed only when the sum of two boxes meets the
-(grade, level) sums that reach the window.  The rule is compiled once per
-closure into an integer kernel: every term coefficient, and the rule's
-`cocycle`, times one common denominator D, as integer monomials in the
-indices (`_compile`, which the pair reads too), so a basis pair's row is an
-integer evaluation whose columns are looked up by (grade, level).  The
-closure keeps one sparse echelon basis (`_Echelon`) of integer rows over the
-window coordinates ordered grade asc, level asc, central last, forms each
+coefficients rational), inside a finite window, and discards bracket products
+that land outside.  One reach table (`_integer_kernel`), built at the first
+pair of rows, maps each (grade, level) sum of a basis pair whose bracket can
+reach the window, coded as one int, to the window columns it lands on, each
+with integer monomials in the indices: a term coefficient, or the cocycle at
+sum 0, times one common denominator D (`_compile`, which the pair reads too).
+The table alone decides which basis pairs are bracketed, where their rows
+land, which products of two rows are skipped unformed (each row's box, the
+least level and grade range of its graded labels, against the box of the
+sums; c brackets to zero), and the candidate columns of the support pass.
+The closure keeps one sparse echelon basis (`_Echelon`) of integer rows over
+the window coordinates ordered grade asc, level asc, central last, forms each
 product, times D, from cached pair rows, and runs semi-naive rounds: a round
 brackets only the rows whose pivot is new since the last round against all
 rows, and the loop ends when a round adds no pivot, or once the rows span the
@@ -760,11 +759,12 @@ class ClosureError(ValueError):
 
 
 class ClosureWork(NamedTuple):
-    """Work counters of one closure: distinct basis pairs bracketed, products
-    of two rows formed, products skipped because no basis pair of the two
-    rows reaches the window, nonzero products that reduced to zero against
-    the echelon, pivots that products added, and |S|, the size of the support
-    closure at which the loop stops (0 if no product was due: S was not found)."""
+    """Work counters of one closure: distinct basis pairs bracketed, those whose
+    sum keys the reach table; products of two rows formed, and skipped because
+    no basis pair of the two rows reaches the window; nonzero products that
+    reduced to zero against the echelon; pivots that products added; and |S|,
+    the support closure's size at which the loop stops (0 if no product was
+    due).  All are 0 when no pair of rows was due: no table was built."""
 
     pairs: int
     products: int
@@ -902,47 +902,46 @@ class _Echelon:
         return basis
 
 
-def _integer_kernel(
-    rule: BracketRule, coord_index: Mapping[BasisIndex, int]
-) -> tuple[int, Callable[[Graded, Graded], tuple]]:
-    """The rule's exact form compiled to integers: (D, row), where row(x, y)
-    is ((column, int), ...), the window part of pair(x, y) times D.
-
-    D is one common denominator of every term coefficient and the cocycle,
-    each of which becomes integer monomials in the indices a, i, b, j of
-    x = L[a,i], y = L[b,j] (the cocycle's in a alone), read from the rule's
-    compiled terms (`_compile`).  A coefficient that still reads a parameter
-    symbol raises ClosureError."""
+def _integer_kernel(rule: BracketRule, window: Window) -> tuple[int, dict[int, list]]:
+    """The rule's exact form compiled to integers: (D, reach).  A window label
+    L[g,l] has the code g*span + l, span = 2*level_max + 1; a basis pair's sum
+    of codes is unique while its level sum lies in [0, span).  `reach` maps
+    each sum whose bracket can reach the window to its landing columns,
+    [(column, monomials)]: L[g+dg, l+dl] per offset (dg, dl), with D times the
+    summed coefficient (`_compile`), and c at sum 0, which is a+b = 0,
+    i = j = 0 only because levels are at least 0, with n*a^e for D times the
+    cocycle.  A coefficient that reads a parameter raises ClosureError."""
     den, compiled, cocycle = _compile(rule.terms, rule.cocycle)
-    for _, coeff, _, monomials in compiled:
+    coords = window.indices()
+    span = 2 * window.level_max + 1
+    reach: dict[int, list] = {}
+    for (dg, dl), coeff, _, monomials in compiled:
         if any(any(params) for params, _, _ in monomials):
             raise ClosureError(
                 f"closure requires concrete rational coefficients, got symbolic {coeff}"
             )
-    by_offset = [(at, [(n, factors) for _, n, factors in monos]) for at, *_, monos in compiled]
-    central = coord_index.get(CENTRAL)
+        for col, x in enumerate(coords):
+            if x is not CENTRAL and 0 <= x.level - dl < span:
+                reach.setdefault((x.grade - dg) * span + x.level - dl, []).append((col, monomials))
+    if cocycle and coords[-1] is CENTRAL:
+        reach.setdefault(0, []).append((len(coords) - 1, [((), n, (0,) * e) for n, e in cocycle]))
+    return den, reach
 
-    def row(x: Graded, y: Graded) -> tuple:
-        (a, i), (b, j) = x, y
-        point = (a, i, b, j)
-        out = []
-        for (dg, dl), monomials in by_offset:
-            col = coord_index.get((a + b + dg, i + j + dl))
-            if col is not None:
-                value = 0
-                for c, factors in monomials:
-                    for pos in factors:
-                        c *= point[pos]
-                    value += c
-                if value:
-                    out.append((col, value))
-        if cocycle and central is not None and a + b == 0 and i == j == 0:
-            value = sum(c * a**e for c, e in cocycle)
-            if value:
-                out.append((central, value))
-        return tuple(out)
 
-    return den, row
+def _kernel_row(landing: Iterable[tuple], x: Graded, y: Graded) -> tuple:
+    """((column, int), ...): each landing column's monomials (`_compile`)
+    summed at x, y, where nonzero; the window part of pair(x, y) times D."""
+    point = (*x, *y)
+    out = []
+    for col, monomials in landing:
+        value = 0
+        for _, c, factors in monomials:
+            for pos in factors:
+                c *= point[pos]
+            value += c
+        if value:
+            out.append((col, value))
+    return tuple(out)
 
 
 def subalgebra_closure(
@@ -952,15 +951,15 @@ def subalgebra_closure(
     under the truncated bracket.
 
     The rule must have terms, and every coefficient must be a rational
-    constant.  The rule is bracketed by its integer kernel
-    (`_integer_kernel`), and a basis pair none of whose output labels, by the
-    rule's `offsets`, lies in the window is not bracketed at all.  Two rows
-    are not multiplied when no basis pair of theirs can reach the window:
-    when the least levels of their graded labels sum above the largest level
-    that reaches it, or their grade ranges sum to a range that misses the
-    grades that reach it.  A row of c alone is never multiplied.  Both tests
-    read the reaching sums, which carry the offsets, so they hold for any
-    shift of the rule.
+    constant.  At the first pair of rows the rule becomes its reach table
+    (`_integer_kernel`), so a closure that forms no pair compiles nothing and
+    refuses no symbolic coefficient.  A basis pair whose coded sum is no key
+    of the table is not bracketed at all, and one that is lands on its key's
+    columns.  Two rows are not multiplied when no basis pair of theirs can
+    reach the window: when the least levels of their graded labels sum above
+    the keys' largest level sum, or their grade ranges sum to a range that
+    misses the keys' grade sums.  A row of c alone is never multiplied.  The
+    keys carry the offsets, so both tests hold for any shift of the rule.
 
     Semi-naive: each round brackets only the rows whose pivot is new since
     the last round (`fresh`), against the rows of earlier rounds and the later
@@ -974,9 +973,9 @@ def subalgebra_closure(
     every output column of a basis bracket of two S labels.  It is found
     before the first product, through the cached pairs: each unordered pair
     of S labels is screened once and bracketed, both orders, only while the
-    offsets or the cocycle allow its sum a column outside S.  Every basis
-    bracket of two S labels then has its support in S, so by bilinearity
-    span(S) is closed under the truncated bracket and holds the closure V.
+    table gives its sum a landing column outside S.  Every basis bracket of
+    two S labels then has its support in S, so by bilinearity span(S) is
+    closed under the truncated bracket and holds the closure V.
     The echelon rows lie in V; at rank |S|, V = span(S), and the reduced rows
     are the unit rows of S, which the full loop ends with too.
     """
@@ -988,26 +987,19 @@ def subalgebra_closure(
     ech = _Echelon(width)
     for gen in generators:
         ech.insert(_integer_row(truncate(gen, window).terms.items(), coord_index)[1])
-    # the (grade, level) sums of basis pairs whose bracket can reach the window
-    reach = {
-        (x.grade - dg, x.level - dl) for x in coords if x is not CENTRAL for dg, dl in rule.offsets
-    }
-    # the box around reach: the largest level sum and the range of grade sums
-    top = max((level for _, level in reach), default=-1)
-    low = min((grade for grade, _ in reach), default=0)
-    high = max((grade for grade, _ in reach), default=-1)
-    # one D scales every pair row, so a product is its truncated bracket times D
-    _, bracket = _integer_kernel(rule, coord_index)
+    # a graded column's code: a basis pair's sum of codes keys its landing
+    # columns in the kernel's table `reach` (`_integer_kernel`)
+    span = 2 * window.level_max + 1
+    code = {k: x.grade * span + x.level for k, x in enumerate(coords) if x is not CENTRAL}
     pairs = 0
 
     def pair(kx: int, ky: int) -> tuple:
         # the truncated bracket of two basis labels, times D, as ((column, int), ...)
         nonlocal pairs
-        x, y = coords[kx], coords[ky]
-        if x is CENTRAL or y is CENTRAL or (x.grade + y.grade, x.level + y.level) not in reach:
+        if kx not in code or ky not in code or code[kx] + code[ky] not in reach:
             return ()
         pairs += 1
-        return bracket(x, y)
+        return _kernel_row(reach[code[kx] + code[ky]], coords[kx], coords[ky])
 
     # basis pairs recur: pair(kx, ky) at kx * width + ky
     table: dict[int, tuple] = {}
@@ -1030,32 +1022,21 @@ def subalgebra_closure(
     def box(row: dict[int, int]) -> tuple:
         # (least level, least grade, greatest grade) of the row's graded labels;
         # a row of c alone, which brackets to zero with every row, is at level inf
-        labels = [coords[k] for k in row if coords[k] is not CENTRAL]
-        if not labels:
-            return inf, 0, 0
-        grades = [x.grade for x in labels]
-        return min(x.level for x in labels), min(grades), max(grades)
+        grades, levels = zip(*([divmod(code[k], span) for k in row if k in code] or [(0, inf)]))
+        return min(levels), min(grades), max(grades)
 
     def support_closure() -> set[int]:
-        # codes g*span + l add like (grade, level) pairs of level in [0, span);
-        # `allowed` maps a pair's sum to the columns that its brackets may have
-        span = 2 * window.level_max + 1
-        code = {k: x.grade * span + x.level for k, x in enumerate(coords) if x is not CENTRAL}
-        allowed: dict[int, set[int]] = {}
-        for (dg, dl), (k, c) in itertools.product(rule.offsets, code.items()):
-            if 0 <= coords[k].level - dl < span:
-                allowed.setdefault(c - dg * span - dl, set()).add(k)
-        if rule.cocycle is not None and CENTRAL in coord_index:
-            allowed.setdefault(0, set()).add(coord_index[CENTRAL])
+        # a pair is bracketed only while its sum lands on a column outside S
         support = {k for row in ech.rows.values() for k in row}
         taken = [k for k in sorted(support) if k in code]
+        unsettled = set(reach)
         for n, kx in enumerate(taken):
             cx = code[kx]
-            for ky in [ky for ky in taken[: n + 1] if cx + code[ky] in allowed]:
+            for ky in [ky for ky in taken[: n + 1] if cx + code[ky] in unsettled]:
                 s = cx + code[ky]  # distinct for distinct ky
                 for key in kx * width + ky, ky * width + kx:
-                    if allowed[s] <= support:
-                        del allowed[s]
+                    if support.issuperset(col for col, _ in reach[s]):
+                        unsettled.remove(s)
                         break
                     if key not in table:
                         table[key] = pair(*divmod(key, width))
@@ -1080,7 +1061,14 @@ def subalgebra_closure(
     generated = len(ech.rows)
     products = skipped = reduced = 0
     support: set[int] = set()  # S, computed before the first product
+    reach = None  # built at the first pair of rows
     for (x, bx), (y, by) in row_pairs():
+        if reach is None:
+            # one D scales every pair row, so a product is its truncated bracket times D
+            reach = _integer_kernel(rule, window)[1]
+            # the box around the sums: the largest level sum, the range of grade sums
+            grades, levels = zip(*([divmod(s, span) for s in reach] or [(0, -1)]))
+            top, low, high = max(levels), min(grades), max(grades)
         # every basis pair of x and y misses reach: their product is 0
         if bx[0] + by[0] > top or bx[1] + by[1] > high or bx[2] + by[2] < low:
             skipped += 1

@@ -43,6 +43,7 @@ from blocklie.engine import (
     _Echelon,
     _integer_kernel,
     _integer_row,
+    _kernel_row,
     bracket_apply,
     membership,
     subalgebra_closure,
@@ -55,7 +56,7 @@ from blocklie.novikov import (
     perturbed_witt_rule,
     witt_product_rule,
 )
-from blocklie.scalars import accumulate
+from blocklie.scalars import PolyRing, accumulate
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -144,13 +145,20 @@ windows = st.sampled_from(
 
 @st.composite
 def generator_lists(draw, window):
-    """1-3 generators of 1-3 terms, some cancelling.
+    """1-3 generators of 1-3 terms, some cancelling, or sometimes, in a window
+    that holds c, L[0,0] beside a cocycle pair L[a,0], L[-a,0] with |a| >= 2.
 
     Labels are mostly window labels; a few lie just outside (the central
     label too, when grade 0 does).  A generator may repeat a label, so that
     its coefficients are summed and may cancel, or add a combination of the
-    earlier generators."""
+    earlier generators.  On the Block rules, c enters the cocycle pair's
+    closure only through the cocycle K(a) of [L[a,0], L[-a,0]]."""
     inside = window.indices()
+    cocycle = list(range(2, min(window.grade_max, -window.grade_min) + 1))
+    if cocycle and draw(st.booleans()):
+        a = draw(st.sampled_from(cocycle))
+        cells = [Graded(0, 0), Graded(a, 0), Graded(-a, 0)]
+        return [Element.basis(cell, draw(nonzero)) for cell in cells]
     outside = [
         Graded(window.grade_min - 1, 0),
         Graded(window.grade_max + 1, 1),
@@ -402,19 +410,19 @@ def test_closure_work_with_the_support_closure_on_pinned_cases(case):
     assert_each_pair_of_rows_is_formed_or_skipped_once(closure)
 
 
+def raising_compile(*args):
+    raise AssertionError("the rule's terms were compiled")
+
+
 def test_a_closure_that_forms_no_product_brackets_nothing(monkeypatch):
     # the perfbench single_dense shape: one generator is its own closure, no
-    # basis pair is bracketed, and the support closure S is never computed
-    compile_kernel = engine._integer_kernel
-
-    def raising_kernel(*args):
-        return compile_kernel(*args)[0], raising_pair
-
-    monkeypatch.setattr(engine, "_integer_kernel", raising_kernel)
+    # pair of rows is due, so the kernel is never compiled, no basis pair is
+    # bracketed, and the support closure S is never computed
     rule = affinize(
         witt_product_rule(WittNovikovParams(p=Fraction(2, 3), mu=Fraction(-3, 2), theta=1)),
         AffinizationParams(Fraction(-7, 5)),
     )
+    monkeypatch.setattr(engine, "_compile", raising_compile)
     generator = Element(
         {
             Graded(1, 0): 1,
@@ -426,6 +434,20 @@ def test_a_closure_that_forms_no_product_brackets_nothing(monkeypatch):
     )
     closure = subalgebra_closure(rule, [generator], Window(-3, 3, 7))
     assert closure.rows == (generator.scaled(Fraction(-1, 3)),)
+    assert closure._work == engine.ClosureWork(0, 0, 0, 0, 0, 0)
+
+
+def test_a_one_generator_closure_of_a_symbolic_rule_is_its_generator(monkeypatch):
+    # the kernel, which refuses a symbolic coefficient, is built at the first
+    # pair of rows; one generator forms none, so it is its own closure.  No
+    # config reaches this: closure jobs take only rational p and q
+    rule = graded_bracket_rule(1, PolyRing("q").var("q"))
+    with pytest.raises(ClosureError, match="symbolic"):
+        engine._integer_kernel(rule, Window(0, 3, 0))
+    monkeypatch.setattr(engine, "_compile", raising_compile)
+    generator = Element({Graded(1, 0): 2, Graded(2, 0): Fraction(1, 3)})
+    closure = subalgebra_closure(rule, [generator], Window(0, 3, 0))
+    assert closure.rows == (generator.scaled(Fraction(1, 2)),)
     assert closure._work == engine.ClosureWork(0, 0, 0, 0, 0, 0)
 
 
@@ -478,9 +500,15 @@ def kernel_cases(draw):
 def test_integer_kernel_row_over_its_denominator_is_the_truncated_pair(case):
     rule, window, pairs = case
     coord_index = {index: pos for pos, index in enumerate(window.indices())}
-    den, kernel = _integer_kernel(rule, coord_index)
+    den, reach = _integer_kernel(rule, window)
+    span = 2 * window.level_max + 1
     for x, y in pairs:
-        row = kernel(x, y)
+        # a pair of labels outside the window may sum to a level of span or
+        # more, which has no code: no offset lowers a level, so it reaches
+        # no window label and no entry
+        levels = x.level + y.level
+        landing = reach.get((x.grade + y.grade) * span + levels, []) if levels < span else []
+        row = _kernel_row(landing, x, y)
         assert all(v for _, v in row)
         inside = [(i, c) for i, c in rule.pair(x, y).terms.items() if i in coord_index]
         d, expected = _integer_row(inside, coord_index)
@@ -532,18 +560,13 @@ def test_closure_brackets_only_pairs_that_reach_the_window(monkeypatch):
     rule = PINNED_RULES["block generic"]
     window, generators = PINNED_GENERATORS["dense pair"]
     recorded = []
-    compile_kernel = engine._integer_kernel
+    kernel_row = engine._kernel_row
 
-    def recording_kernel(*args):
-        den, row = compile_kernel(*args)
+    def recording_row(landing, x, y):
+        recorded.append((x, y))
+        return kernel_row(landing, x, y)
 
-        def recording_row(x, y):
-            recorded.append((x, y))
-            return row(x, y)
-
-        return den, recording_row
-
-    monkeypatch.setattr(engine, "_integer_kernel", recording_kernel)
+    monkeypatch.setattr(engine, "_kernel_row", recording_row)
     closure = subalgebra_closure(rule, generators, window)
 
     def reaches(x, y):
