@@ -996,10 +996,11 @@ def subalgebra_closure(
     def pair(kx: int, ky: int) -> tuple:
         # the truncated bracket of two basis labels, times D, as ((column, int), ...)
         nonlocal pairs
-        if kx not in code or ky not in code or code[kx] + code[ky] not in reach:
+        landing = reach.get(code.get(kx, inf) + code.get(ky, inf))  # c's sums are no key
+        if landing is None:
             return ()
         pairs += 1
-        return _kernel_row(reach[code[kx] + code[ky]], coords[kx], coords[ky])
+        return _kernel_row(landing, coords[kx], coords[ky])
 
     # basis pairs recur: pair(kx, ky) at kx * width + ky
     table: dict[int, tuple] = {}

@@ -8,13 +8,13 @@ use only `bracket_apply` and `truncate`.  Results must agree exactly: the
 reduced echelon form is canonical.
 
 The closure takes only rules with terms.  It skips a basis pair whose
-output labels all miss the window, by the `offsets` derived from the terms,
-while the oracles bracket every pair; so the derived offsets are tested to
-cover every output label, the skipping is tested on the pairs the kernel
-receives, and the shifts theta are drawn wide enough for an offset to leave
-the window on either edge.  The closure brackets by its integer kernel, never
-by the rule's pair, so the kernel is tested against the pair on basis pairs
-of its own.
+output labels all miss the window, by its reach table, whose keys come from
+the offsets of the terms, while the oracles bracket every pair; so the
+derived offsets are tested to cover every output label, the skipping is
+tested on the pairs the kernel evaluates, and the shifts theta are drawn
+wide enough for an offset to leave the window on either edge.  The closure
+brackets by its integer kernel, never by the rule's pair, so the kernel is
+tested against the pair on basis pairs of its own.
 
 The Block closure is also tested against the algebra's symmetries, with no
 oracle: sigma maps the closure at p onto the closure at -p on the mirrored
