@@ -106,8 +106,8 @@ def block_bracket_rule(params: BlockParams) -> BracketRule:
     """The full bracket, cocycle included, as the rule that closure jobs take.
 
     Its terms are `delta_free_rule`'s and its cocycle is `CUBIC_COCYCLE`, so
-    the closure brackets it by integer evaluation and its offsets come from
-    the terms.  The Kronecker delta keeps the terms from proving anything
+    the closure brackets it by integer evaluation and its landing columns
+    come from the terms.  The Kronecker delta keeps the terms from proving anything
     about the full bracket, so an identity check refuses it.
     """
     return BracketRule(terms=params.delta_free_terms, cocycle=CUBIC_COCYCLE)

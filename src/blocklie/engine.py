@@ -5,8 +5,8 @@ Basis labels are either `Graded(grade, level)` or the central element
 with exact scalar coefficients (Fraction, or Poly when parameters stay
 symbolic).  A closed-form `BracketRule` is its `terms`, Poly coefficients
 over the indices and parameters at constant output offsets, and a cocycle:
-its offsets, degree bounds, verdict scope and pair are all read from them.
-Only a table gives a pair of its own.  A product on the Witt labels x_a =
+its degree bounds, verdict scope and pair are all read from them.  Only a
+table gives a pair of its own.  A product on the Witt labels x_a =
 L[a,0] is a `BracketRule` too, with terms at offsets (dgrade, 0).
 
 `IDENTITIES` states antisymmetry, Jacobi and the two Novikov axioms once
@@ -34,8 +34,8 @@ coefficients rational), inside a finite window, and discards bracket products
 that land outside.  One reach table (`_integer_kernel`), built at the first
 pair of rows, maps each (grade, level) sum of a basis pair whose bracket can
 reach the window, coded as one int, to the window columns it lands on, each
-with integer monomials in the indices: a term coefficient, or the cocycle at
-sum 0, times one common denominator D (`_compile`, which the pair reads too).
+with integer monomials over one denominator D (`_compile`): an offset's, or
+the cocycle's at sum 0, which the pair sums with the same loop (`_sum_at`).
 The table alone decides which basis pairs are bracketed, where their rows
 land, which products of two rows are skipped unformed (each row's box, the
 least level and grade range of its graded labels, against the box of the
@@ -356,7 +356,6 @@ _RuleFields = NamedTuple(
         ("pair", Callable[[Graded, Graded], Element]),
         ("terms", tuple | None),
         ("cocycle", Poly | None),
-        ("offsets", tuple | None),
         ("grade_degree_bound", int),
         ("level_degree_bound", int),
     ],
@@ -377,21 +376,17 @@ class BracketRule(_RuleFields):
     `decide`).
 
     `pair` maps (x, y) to the bracket Element.  A rule with terms gets the
-    one they define (`_terms_pair`), so a scan reads what the proof reads.
-    A table's pair reads the grades only and lands at level 0.
-
-    `offsets` is derived from the terms (None without): the offsets whose
-    summed coefficient is nonzero, and (0, 0) when the rule has a cocycle.
-    So every label of pair(L[a,i], L[b,j]) is L[a+b+dgrade, i+j+dlevel] for
-    a listed offset, or c at a+b = 0, i = j = 0, which lies in a window
-    exactly when that L[0,0] does.
+    one they define (`_terms_pair`), so a scan reads what the proof reads:
+    every label of pair(L[a,i], L[b,j]) is L[a+b+dgrade, i+j+dlevel] for
+    an offset of the terms, or c.  A table's pair reads the grades only and
+    lands at level 0.
 
     `cocycle` is a Poly K in one variable, the form
     `block.cocycle_jacobi_check` takes: pair(L[a,i], L[b,j]) is the terms
     plus K(a)*c exactly when a+b = 0 and i = j = 0.  The Kronecker delta is
     not polynomial, so the terms alone prove nothing about such a rule, and
-    an identity check refuses it (`check_identities`); the closure reads
-    terms and cocycle as one integer kernel.
+    an identity check refuses it (`check_identities`); the pair and the
+    closure read terms and cocycle compiled together (`_compile`).
     """
 
     __slots__ = ()
@@ -400,52 +395,55 @@ class BracketRule(_RuleFields):
         if (pair is None) == (terms is None) or (terms is None and cocycle is not None):
             raise ValueError("a rule takes terms, and optionally a cocycle, or a pair, never both")
         if terms is None:
-            return super().__new__(cls, pair, None, None, None, 0, 0)
+            return super().__new__(cls, pair, None, None, 0, 0)
         summed = accumulate({}, terms)
-        central = () if cocycle is None or (0, 0) in summed else ((0, 0),)
-        offsets = (*summed, *central)
         bounds = degree_in(summed, "ab"), degree_in(summed, "ij")
-        return super().__new__(cls, _terms_pair(terms, cocycle), terms, cocycle, offsets, *bounds)
+        return super().__new__(cls, _terms_pair(terms, cocycle), terms, cocycle, *bounds)
 
 
 def _compile(terms, cocycle: Poly | None) -> tuple[int, list[tuple], list[tuple]]:
-    """The terms summed by offset, and the cocycle, over one common
-    denominator D: (D, [(offset, coefficient, ring, monomials)], [(n, e)]).
-    A monomial (params, n, factors) at L[a,i], L[b,j] is the int n, D times
-    its coefficient, times the parameters to the exponents `params`, times
-    the index in (a, i, b, j) at each position in `factors`; the cocycle at
-    a is the sum of n*a^e.  `ring`, where a term at the offset reads a
-    parameter symbol, is the parameters' own (the terms' without
-    `INDEX_SYMBOLS`), which its value lives in even when constant."""
+    """The terms summed by offset, and the cocycle, as integer monomials over
+    one denominator D (`scalars.lift`): (D, [(offset, coefficient, ring,
+    groups)], cocycle).  A monomial (n, factors) at (a, i, b, j) is the int n
+    times the index at each position in `factors` (`_sum_at`).  An offset's
+    monomials are grouped by parameter exponents, [(params, monomials)], one
+    group of zeros where none is read; the cocycle's factors all read a.
+    `ring`, where a term at the offset reads a parameter symbol, is the
+    parameters' own (the terms' without `INDEX_SYMBOLS`), which its value
+    lives in even when constant."""
     summed = accumulate({}, terms)
-    k_terms = {} if cocycle is None else cocycle.terms
-    coefficients = itertools.chain(k_terms.values(), *(c.terms.values() for c in summed.values()))
-    den = lcm(*(c.denominator for c in coefficients))
-    k_ints = [(c.numerator * (den // c.denominator), e) for (e,), c in k_terms.items()]
-    if not terms:
-        return den, [], k_ints
-    ring = terms[0][1].ring
-    width = len(ring.symbols) - len(INDEX_SYMBOLS)
-    params = PolyRing(*ring.symbols[:width])
-    reads = {offset for offset, coeff in terms if any(any(e[:width]) for e in coeff.terms)}
-    indices = [ring.index(name) for name in "aibj"]
+    k_polys = () if cocycle is None else (cocycle,)
+    den, lifted = lift(*k_polys, *summed.values())
+    k_monomials = [(n, (0,) * e) for k in lifted[: len(k_polys)] for (e,), n in k.items()]
+    compiled = []
+    for (at, coeff), ints in zip(summed.items(), lifted[len(k_polys) :]):
+        width = len(coeff.ring.symbols) - len(INDEX_SYMBOLS)  # a, i, b, j follow at width
+        groups: dict = {}
+        for exps, n in ints.items():
+            factors = tuple(pos for pos, k in enumerate(exps[width : width + 4]) for _ in range(k))
+            groups.setdefault(exps[:width], []).append((n, factors))
+        reads = any(any(e[:width]) for offset, c in terms if offset == at for e in c.terms)
+        ring = PolyRing(*coeff.ring.symbols[:width]) if reads else None
+        compiled.append((at, coeff, ring, list(groups.items())))
+    return den, compiled, k_monomials
 
-    def monomial(exps: tuple, c: Fraction) -> tuple:
-        factors = tuple(pos for pos, k in enumerate(indices) for _ in range(exps[k]))
-        return exps[:width], c.numerator * (den // c.denominator), factors
 
-    offsets = [
-        (at, coeff, params if at in reads else None, [monomial(*t) for t in coeff.terms.items()])
-        for at, coeff in summed.items()
-    ]
-    return den, offsets, k_ints
+def _sum_at(monomials: Iterable[tuple], point: tuple) -> int:
+    """The sum of compiled monomials (n, factors) at point = (a, i, b, j)."""
+    total = 0
+    for n, factors in monomials:
+        for pos in factors:
+            n *= point[pos]
+        total += n
+    return total
 
 
 def _terms_pair(terms, cocycle: Poly | None) -> Callable[[Graded, Graded], Element]:
-    """The pair that a rule's terms and cocycle define: each offset's
-    monomials (`_compile`) at (a, i, b, j) over D, a Poly in its ring or
-    else a Fraction, and K(a)*c on a+b = 0, i = j = 0.  The terms are
-    compiled on the first call, since a rule whose proofs hold is never
+    """The pair that a rule's terms and cocycle define, read from their
+    compiled monomials (`_compile`) at (a, i, b, j) over D: each offset's
+    groups, summed into a Fraction, or into a Poly in its ring where the
+    offset reads a parameter; and K(a)*c on a+b = 0, i = j = 0.  The terms
+    are compiled on the first call, since a rule whose proofs hold is never
     evaluated."""
     compiled = None
 
@@ -453,23 +451,19 @@ def _terms_pair(terms, cocycle: Poly | None) -> Callable[[Graded, Graded], Eleme
         nonlocal compiled
         if compiled is None:
             compiled = _compile(terms, cocycle)
-        den, offsets, k_ints = compiled
+        den, offsets, k_monomials = compiled
         (a, i), (b, j) = x, y
         point, out = (a, i, b, j), {}
-        for (dg, dl), _, ring, monomials in offsets:
-            acc: dict = {}
-            for exps, n, factors in monomials:
-                for pos in factors:
-                    n *= point[pos]
-                acc[exps] = acc.get(exps, 0) + n
+        for (dg, dl), _, ring, groups in offsets:
             if ring is None:
-                value = Fraction(sum(acc.values()), den)
+                value = Fraction(sum(_sum_at(m, point) for _, m in groups), den)
             else:
-                value = Poly._wrap(ring, {e: Fraction(n, den) for e, n in acc.items() if n})
+                sums = ((e, _sum_at(m, point)) for e, m in groups)
+                value = Poly._wrap(ring, {e: Fraction(n, den) for e, n in sums if n})
             if value:
                 out[Graded(a + b + dg, i + j + dl)] = value
-        if k_ints and a + b == 0 and i == j == 0:
-            value = Fraction(sum(n * a**e for n, e in k_ints), den)
+        if k_monomials and a + b == 0 and i == j == 0:
+            value = Fraction(_sum_at(k_monomials, point), den)
             if value:
                 out[CENTRAL] = value
         return Element._wrap(out)
@@ -903,20 +897,21 @@ class _Echelon:
 
 
 def _integer_kernel(rule: BracketRule, window: Window) -> tuple[int, dict[int, list]]:
-    """The rule's exact form compiled to integers: (D, reach).  A window label
-    L[g,l] has the code g*span + l, span = 2*level_max + 1; a basis pair's sum
-    of codes is unique while its level sum lies in [0, span).  `reach` maps
-    each sum whose bracket can reach the window to its landing columns,
-    [(column, monomials)]: L[g+dg, l+dl] per offset (dg, dl), with D times the
-    summed coefficient (`_compile`), and c at sum 0, which is a+b = 0,
-    i = j = 0 only because levels are at least 0, with n*a^e for D times the
-    cocycle.  A coefficient that reads a parameter raises ClosureError."""
+    """The rule's compiled monomials (`_compile`) placed on the window: (D,
+    reach).  A window label L[g,l] has the code g*span + l, span =
+    2*level_max + 1; a basis pair's sum of codes is unique while its level
+    sum lies in [0, span).  `reach` maps each sum whose bracket can reach the
+    window to its landing columns, [(column, monomials)]: L[g+dg, l+dl] with
+    the one group of each offset (dg, dl), and c with the cocycle's at sum
+    0, which is a+b = 0, i = j = 0 only because levels are at least 0.  A
+    group with a nonzero parameter exponent raises ClosureError."""
     den, compiled, cocycle = _compile(rule.terms, rule.cocycle)
     coords = window.indices()
     span = 2 * window.level_max + 1
     reach: dict[int, list] = {}
-    for (dg, dl), coeff, _, monomials in compiled:
-        if any(any(params) for params, _, _ in monomials):
+    for (dg, dl), coeff, _, groups in compiled:
+        (params, monomials), *symbolic = groups
+        if symbolic or any(params):
             raise ClosureError(
                 f"closure requires concrete rational coefficients, got symbolic {coeff}"
             )
@@ -924,21 +919,17 @@ def _integer_kernel(rule: BracketRule, window: Window) -> tuple[int, dict[int, l
             if x is not CENTRAL and 0 <= x.level - dl < span:
                 reach.setdefault((x.grade - dg) * span + x.level - dl, []).append((col, monomials))
     if cocycle and coords[-1] is CENTRAL:
-        reach.setdefault(0, []).append((len(coords) - 1, [((), n, (0,) * e) for n, e in cocycle]))
+        reach.setdefault(0, []).append((len(coords) - 1, cocycle))
     return den, reach
 
 
 def _kernel_row(landing: Iterable[tuple], x: Graded, y: Graded) -> tuple:
-    """((column, int), ...): each landing column's monomials (`_compile`)
-    summed at x, y, where nonzero; the window part of pair(x, y) times D."""
+    """((column, int), ...): each landing column's monomials summed at x, y
+    (`_sum_at`), where nonzero; the window part of pair(x, y) times D."""
     point = (*x, *y)
     out = []
     for col, monomials in landing:
-        value = 0
-        for _, c, factors in monomials:
-            for pos in factors:
-                c *= point[pos]
-            value += c
+        value = _sum_at(monomials, point)
         if value:
             out.append((col, value))
     return tuple(out)

@@ -376,8 +376,6 @@ class CrossCheckReport(NamedTuple):
     annihilator_vs_kernel: str  # "equal" | "different" | "not_applicable"
     certificate: RecurrenceCertificate | None
     candidates: tuple[SingularCandidate, ...]
-    max_level: int
-    horizon: int
 
     @property
     def routes_agree(self) -> bool:
@@ -406,6 +404,4 @@ def criteria_cross_check(
         comparison,
         certificate,
         tuple(candidates),
-        max_level,
-        horizon,
     )

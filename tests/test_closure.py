@@ -341,6 +341,25 @@ def test_tau_keeps_the_pivots_of_the_closure_and_maps_its_rows_into_it(p, q, t, 
     assert all(membership(tau(row, t, s), image) for row in closure.rows)
 
 
+@SYMMETRY_SETTINGS
+@given(rationals, nonzero, scales, scales, st.data())
+def test_tau_commutes_with_single_products_of_the_block_rule(p, q, t, s, data):
+    # tau is an automorphism of B(p,q), so [tau x, tau y] = tau [x, y] on
+    # every basis pair: the bracket of L[a,i] and L[b,j] lands on L[a+b,i+j],
+    # and on c only where a+b = 0 and i = j = 0, the one place where
+    # t^(a+b) s^(i+j) is 1 for every t and s.  Pairs of opposite grades are
+    # always drawn, with levels that are rarely both 0
+    rule = block_bracket_rule(BlockParams(p, q))
+    grade, level = st.integers(-4, 4), st.integers(0, 3)
+    label = st.builds(Graded, grade, level)
+    pairs = data.draw(st.lists(st.tuples(label, label), min_size=1, max_size=8))
+    a, i, j = data.draw(grade), data.draw(level), data.draw(level)
+    pairs += [(Graded(a, i), Graded(-a, j)), (Graded(a, 0), Graded(-a, 0))]
+    for x, y in pairs:
+        image = bracket_apply(rule, tau(Element.basis(x), t, s), tau(Element.basis(y), t, s))
+        assert image == tau(rule.pair(x, y), t, s)
+
+
 def assert_each_pair_of_rows_is_formed_or_skipped_once(closure):
     # every final row is fresh exactly once, and is paired then with each row
     # before it and each later fresh row: a product is formed or skipped.
@@ -533,14 +552,24 @@ def offset_rules(draw):
     return affinize(product, AffinizationParams(q=draw(rationals)))
 
 
+def derived_offsets(rule):
+    """The offsets of a rule's nonzero summed terms, and (0, 0) when it has a
+    cocycle: every label of pair(L[a,i], L[b,j]) is L[a+b+dgrade, i+j+dlevel]
+    for one of them, or c at a+b = 0, i = j = 0, which lies in a window
+    exactly when that L[0,0] does."""
+    central = () if rule.cocycle is None else ((0, 0),)
+    return {*accumulate({}, rule.terms), *central}
+
+
 def assert_offsets_cover_every_output_label(rule):
+    offsets = derived_offsets(rule)
     box = itertools.product(range(-4, 5), range(-4, 5), range(4), range(4))
     for a, b, i, j in box:
         for label in rule.pair(Graded(a, i), Graded(b, j)).terms:
             if label is CENTRAL:
-                assert a + b == 0 and i == j == 0 and (0, 0) in rule.offsets
+                assert a + b == 0 and i == j == 0 and (0, 0) in offsets
             else:
-                assert (label.grade - a - b, label.level - i - j) in rule.offsets
+                assert (label.grade - a - b, label.level - i - j) in offsets
 
 
 @pytest.mark.parametrize("p", [0, 1, -1, Fraction(2, 3)])
@@ -572,7 +601,7 @@ def test_closure_brackets_only_pairs_that_reach_the_window(monkeypatch):
     def reaches(x, y):
         return any(
             window.contains(Graded(x.grade + y.grade + dg, x.level + y.level + dl))
-            for dg, dl in rule.offsets
+            for dg, dl in derived_offsets(rule)
         )
 
     assert closure.rows == naive_closure(rule, generators, window)
