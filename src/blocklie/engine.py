@@ -413,10 +413,10 @@ def _compile(terms, cocycle: Poly | None) -> tuple[int, list[tuple], list[tuple]
     lives in even when constant."""
     summed = accumulate({}, terms)
     k_polys = () if cocycle is None else (cocycle,)
-    den, lifted = lift(*k_polys, *summed.values())
-    k_monomials = [(n, (0,) * e) for k in lifted[: len(k_polys)] for (e,), n in k.items()]
+    den, lifted = lift(*summed.values(), *k_polys)
+    k_monomials = [(n, (0,) * e) for k in lifted[len(summed) :] for (e,), n in k.items()]
     compiled = []
-    for (at, coeff), ints in zip(summed.items(), lifted[len(k_polys) :]):
+    for (at, coeff), ints in zip(summed.items(), lifted):
         width = len(coeff.ring.symbols) - len(INDEX_SYMBOLS)  # a, i, b, j follow at width
         groups: dict = {}
         for exps, n in ints.items():
