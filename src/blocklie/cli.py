@@ -340,12 +340,10 @@ def _block_params(f: _Fields, p, q) -> block.BlockParams:
         raise ConfigError(f"{f.job}: {exc}") from None
 
 
-def _weight(
-    f: _Fields, params: block.BlockParams, horizon: int
-) -> tuple[hweight.Coeffs, hweight.QuasiPolynomial | None]:
-    """The highest weight's labels, reaching Lambda_horizon, and its
-    quasipolynomial generator: labels given, with generator None, or
-    synthesized from the generator."""
+def _weight(f: _Fields, params: block.BlockParams, horizon: int, synthesize):
+    """The highest weight, reaching index `horizon`, and its quasipolynomial
+    generator: the labels as given, with generator None, or what `synthesize`
+    makes of the generator (its labels or its series), with the generator."""
     w = f.obj("weight")
     if w.has("labels") == w.has("qp"):
         raise f.error("weight", "needs exactly one of 'labels' or 'qp'")
@@ -362,7 +360,7 @@ def _weight(
     terms = [(t.rationals("poly"), t.rational("base")) for t in w.objs("qp", nonempty=False)]
     qp = hweight.QuasiPolynomial.of(terms)
     try:
-        labels, singular = hweight.labels_from_quasipolynomial(qp, params, horizon)
+        weight, singular = synthesize(qp, params, horizon)
     except hweight.UnrealizableError as exc:
         raise w.error("qp", f"is unrealizable: {exc}") from None
     # the echo shows the normalized terms: bases merged and sorted, zeros dropped
@@ -372,7 +370,7 @@ def _weight(
     ]
     w.rational("central", "0")
     w.echo["singular_indices"] = list(singular)
-    return labels, qp
+    return weight, qp
 
 
 def _validate_axioms(f: _Fields):
@@ -438,7 +436,10 @@ def _validate_blockcheck(f: _Fields):
 def _validate_classify(f: _Fields):
     params = _block_params(f, *f.scalars(("p", "q")))
     horizon = f.int("horizon", minimum=1, maximum=MAX_SERIES_HORIZON)
-    return partial(_run_classify, *_weight(f, params, horizon), params, horizon)
+    weight, qp = _weight(f, params, horizon, hweight.delta_from_quasipolynomial)
+    if qp is None:
+        weight = hweight.delta_from_labels(weight, params, horizon)
+    return partial(_run_classify, weight, qp)
 
 
 def _validate_kernel_shaped(f: _Fields, run, needs_series: bool):
@@ -456,7 +457,7 @@ def _validate_kernel_shaped(f: _Fields, run, needs_series: bool):
         raise f.error(
             "horizon", f"must be <= {MAX_KERNEL_SIDE} when max_level is over {MAX_KERNEL_SIDE}"
         )
-    labels, _ = _weight(f, params, max_level + horizon)
+    labels, _ = _weight(f, params, max_level + horizon, hweight.labels_from_quasipolynomial)
     return partial(run, labels, params, max_level, horizon)
 
 
@@ -636,8 +637,8 @@ def _run_blockcheck(
     return results, positive
 
 
-def _run_classify(labels, generator, params, horizon) -> tuple[dict, bool]:
-    report = hweight.classify_quasifinite(labels, generator, params, horizon)
+def _run_classify(series, generator) -> tuple[dict, bool]:
+    report = hweight.classify_quasifinite(series, generator)
     results = {
         "verdict": report.verdict,
         "horizon": report.horizon,

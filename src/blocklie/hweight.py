@@ -1,12 +1,13 @@
 """Quasifinite highest-weight classification for the Block type algebra.
 
-A weight functional is described by its labels at the degree-zero levels,
-Lambda_k = Lambda(L[0,k]), plus a central label.  Every route takes the
-labels as one tuple that reaches its last index, built once when a job
-loads (`cli._weight`): given, or synthesized from a quasipolynomial
-generator (`labels_from_quasipolynomial`), which classification reads again
-only to compare annihilators.  The classification runs through the
-normalized generating series
+A weight functional is given by its labels at the degree-zero levels,
+Lambda_k = Lambda(L[0,k]), plus a central label, or by a quasipolynomial
+generator of its series below.  Each job reads one input, built when it
+loads (`cli._weight`): classification the series of the labels or of the
+generator, which it reads again only to compare annihilators; the
+singular-vector solve and the cross-check the labels, given or synthesized
+from the generator.  The classification runs through the normalized
+generating series
 
     c_k = k! [z^k] Delta = (2q + (1 - p^2) k) Lambda_k,
 
@@ -15,12 +16,12 @@ Delta is a quasipolynomial, i.e. when the c_k satisfy a constant-coefficient
 linear recurrence.  Working with the normalized coefficients turns the
 differential-equation criterion into minimal-recurrence synthesis, which
 Berlekamp-Massey does in time quadratic in the horizon.  The route runs on
-integers: a quasipolynomial's series is accumulated as c_k * E * M^k (E and M
-the lcms of its coefficient and base denominators), and the recurrence search
-scales the series by the lcm of its denominators once.  A recurrence is
-unchanged when its series is scaled by a constant, so every certificate is
-the one exact rational arithmetic gives; each c_k and each label is one
-Fraction normalization of an integer numerator.
+integers: a generator's series is accumulated as integers over the one
+denominator E * M^horizon (E and M the lcms of its coefficient and base
+denominators), and the recurrence search scales a series of given labels by
+the lcm of its denominators once.  A recurrence is unchanged when its series
+is scaled by a constant, so every certificate is the one exact rational
+arithmetic gives; each synthesized label is one Fraction normalization.
 
 The second, independent criterion looks for a degree -1 singular vector
 a = sum_i x_i L[-1,i]: the weight must kill the degree-zero slice of the
@@ -36,9 +37,9 @@ independently and `criteria_cross_check` reports what it sees.
 
 With only finitely many labels, "not quasifinite" can never be absolute, so
 every negative verdict is horizon-qualified.  At singular label indices
-(2q + (1-p^2)k = 0) the series carries no information about Lambda_k; label
-synthesis applies the convention Lambda_k = 0 there and demands c_k = 0,
-else the quasipolynomial is unrealizable.
+(2q + (1-p^2)k = 0) the series carries no information about Lambda_k: a
+generator must give c_k = 0 there, else it is unrealizable, and label
+synthesis applies the convention Lambda_k = 0.
 
 The central label never enters any verdict: the cocycle vanishes at grade
 +-1, so neither Delta nor the singular-vector system sees it.
@@ -52,7 +53,7 @@ from typing import NamedTuple, Sequence
 
 from .block import BlockParams, structure_numerator
 from .engine import Graded, _Echelon
-from .scalars import format_rational, signed_sum
+from .scalars import RationalLike, format_rational, signed_sum
 
 Coeffs = tuple[Fraction, ...]
 
@@ -66,14 +67,6 @@ def _poly_strip(coeffs: Sequence[Fraction]) -> Coeffs:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Coeffs:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _poly_strip(out)
 
 
 def format_poly(coeffs: Sequence[Fraction], variable: str = "t") -> str:
@@ -96,25 +89,18 @@ class QuasiPolynomial(NamedTuple):
     def of(terms: Sequence[tuple[Sequence, object]]) -> "QuasiPolynomial":
         merged: dict[Fraction, list[Fraction]] = {}
         for coeffs, base in terms:
-            base = Fraction(base)
-            poly = [Fraction(c) for c in coeffs]
-            acc = merged.setdefault(base, [])
-            for k, c in enumerate(poly):
-                while len(acc) <= k:
-                    acc.append(Fraction(0))
-                acc[k] += c
-        clean = []
-        for base in sorted(merged):
-            poly = _poly_strip(merged[base])
-            if poly:
-                clean.append((poly, base))
-        return QuasiPolynomial(tuple(clean))
+            acc = merged.setdefault(Fraction(base), [])
+            acc += [Fraction(0)] * (len(coeffs) - len(acc))
+            for k, c in enumerate(coeffs):
+                acc[k] += Fraction(c)
+        polys = ((_poly_strip(merged[base]), base) for base in sorted(merged))
+        return QuasiPolynomial(tuple((poly, base) for poly, base in polys if poly))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaled_series(self, horizon: int) -> tuple[list[int], list[int]]:
-        """Integers n_k and d_k = E * M^k with c_k = n_k / d_k, k = 0..horizon,
+    def scaled_series(self, horizon: int) -> tuple[tuple[int, ...], int]:
+        """Integers n_k and D = E * M^horizon with c_k = n_k / D, k = 0..horizon,
         where E and M are the lcms of the coefficient and base denominators."""
         scale = lcm(*(c.denominator for coeffs, _ in self.terms for c in coeffs))
         radix = lcm(*(base.denominator for _, base in self.terms))
@@ -133,10 +119,11 @@ class QuasiPolynomial(NamedTuple):
                 for k in range(d, horizon + 1):
                     out[k] += term * falling * powers[k - d]
                     falling = falling * (k + 1) // (k + 1 - d)
-        denominators = [scale]
+        lift = [1]  # M^0..M^horizon
         for _ in range(horizon):
-            denominators.append(denominators[-1] * radix)
-        return out, denominators
+            lift.append(lift[-1] * radix)
+        # c_k = out[k] / (E M^k), brought to the one denominator E M^horizon
+        return tuple(n * m for n, m in zip(out, reversed(lift))), scale * lift[-1]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -148,15 +135,19 @@ class QuasiPolynomial(NamedTuple):
 
 
 def qp_annihilator(qp: QuasiPolynomial) -> Coeffs:
-    """Minimal monic constant-coefficient annihilator: prod (t - b)^(deg f + 1)."""
+    """Minimal monic constant-coefficient annihilator prod (t - b)^(deg f + 1),
+    multiplied out over the integers as prod (M t - N)^(deg f + 1), b = N/M,
+    and divided by its leading coefficient."""
     if qp.is_zero():
         raise ValueError("the zero quasipolynomial has no minimal annihilator")
-    out: Coeffs = (Fraction(1),)
+    out = [1]
     for coeffs, base in qp.terms:
-        factor = (-base, Fraction(1))
-        for _ in range(len(coeffs)):
-            out = _poly_mul(out, factor)
-    return out
+        for _ in coeffs:  # out <- out * (M t - N)
+            out = [
+                base.denominator * high - base.numerator * low
+                for low, high in zip(out + [0], [0] + out)
+            ]
+    return tuple(Fraction(c, out[-1]) for c in out)
 
 
 def _label_factor(params: BlockParams) -> tuple[int, int, int]:
@@ -169,9 +160,13 @@ def _label_factor(params: BlockParams) -> tuple[int, int, int]:
 
 
 class DeltaSeries(NamedTuple):
-    """Normalized generating-series coefficients c_k = k! [z^k] Delta."""
+    """Normalized generating-series coefficients c_k = k! [z^k] Delta,
+    k = 0..horizon, as coeffs[k] / denominator: exact c_k over 1 from given
+    labels, integers over E * M^horizon from a generator.  A recurrence does
+    not see the denominator, so the recurrence search never reads it."""
 
-    coeffs: Coeffs
+    coeffs: tuple[RationalLike, ...]
+    denominator: int = 1
 
     @property
     def horizon(self) -> int:
@@ -189,29 +184,37 @@ def delta_from_labels(labels: Coeffs, params: BlockParams, horizon: int) -> Delt
     )
 
 
+def delta_from_quasipolynomial(
+    qp: QuasiPolynomial, params: BlockParams, horizon: int
+) -> tuple[DeltaSeries, tuple[int, ...]]:
+    """The series of a generator (`QuasiPolynomial.scaled_series`) and the
+    singular indices, where realizability requires c_k = 0."""
+    a, b, _ = _label_factor(params)
+    series = DeltaSeries(*qp.scaled_series(horizon))
+    singular = tuple(k for k in range(horizon + 1) if a + b * k == 0)
+    for k in singular:
+        if series.coeffs[k]:
+            raise UnrealizableError(
+                f"series coefficient must vanish at singular index k={k}, "
+                f"got {Fraction(series.coeffs[k], series.denominator)}"
+            )
+    return series, singular
+
+
 def labels_from_quasipolynomial(
     qp: QuasiPolynomial, params: BlockParams, horizon: int
 ) -> tuple[Coeffs, tuple[int, ...]]:
     """Invert the series map: Lambda_k = c_k / (2q + (1-p^2)k) off the singular
-    indices; there the convention Lambda_k = 0 applies and realizability
-    requires c_k = 0.  Returns the labels Lambda_0..Lambda_horizon and the
-    singular indices."""
+    indices, where the convention Lambda_k = 0 applies.  Returns the labels
+    Lambda_0..Lambda_horizon and the singular indices."""
     a, b, g = _label_factor(params)
-    labels = []
-    singular = []
-    for k, (n, d) in enumerate(zip(*qp.scaled_series(horizon))):
-        # Lambda_k = (n / d) / ((a + b k) / g), one normalization
-        if a + b * k == 0:
-            if n:
-                raise UnrealizableError(
-                    f"series coefficient must vanish at singular index k={k}, "
-                    f"got {Fraction(n, d)}"
-                )
-            singular.append(k)
-            labels.append(Fraction(0))
-        else:
-            labels.append(Fraction(n * g, d * (a + b * k)))
-    return tuple(labels), tuple(singular)
+    (coeffs, common), singular = delta_from_quasipolynomial(qp, params, horizon)
+    # Lambda_k = (n / D) / ((a + b k) / g), one normalization
+    labels = tuple(
+        Fraction(n * g, common * (a + b * k)) if a + b * k else Fraction(0)
+        for k, n in enumerate(coeffs)
+    )
+    return labels, singular
 
 
 class RecurrenceCertificate(NamedTuple):
@@ -345,26 +348,21 @@ class ClassificationReport(NamedTuple):
 
 
 def classify_quasifinite(
-    labels: Coeffs, generator: QuasiPolynomial | None, params: BlockParams, horizon: int
+    series: DeltaSeries, generator: QuasiPolynomial | None
 ) -> ClassificationReport:
-    """Quasifinite iff the normalized series admits a linear recurrence on the
-    horizon.  `generator` is the quasipolynomial the labels were synthesized
-    from, or None for given labels; a nonzero one's closed-form annihilator
-    is compared with the certificate."""
-    certificate = detect_linear_recurrence(delta_from_labels(labels, params, horizon))
-    annihilator = None
-    matches = None
+    """Quasifinite iff the normalized series admits a linear recurrence on its
+    horizon.  `generator` is the quasipolynomial the series was computed
+    from (`delta_from_quasipolynomial`), or None for a series of given labels
+    (`delta_from_labels`); a nonzero one's closed-form annihilator is compared
+    with the certificate."""
+    certificate = detect_linear_recurrence(series)
+    annihilator = matches = None
     if generator is not None and not generator.is_zero():
         annihilator = qp_annihilator(generator)
         if certificate is not None:
             matches = certificate.annihilator == annihilator
-    return ClassificationReport(
-        "quasifinite" if certificate is not None else "not_quasifinite_up_to_horizon",
-        horizon,
-        certificate,
-        annihilator,
-        matches,
-    )
+    verdict = "quasifinite" if certificate is not None else "not_quasifinite_up_to_horizon"
+    return ClassificationReport(verdict, series.horizon, certificate, annihilator, matches)
 
 
 class CrossCheckReport(NamedTuple):

@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Union
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Poly"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -54,15 +54,16 @@ def parse_rational(text: str | int) -> Fraction:
         raise TypeError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
     if isinstance(text, int):
         return Fraction(text)
-    s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    match = _RATIONAL_RE.match(text.strip())
+    if not match:
         raise ValueError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
-    return Fraction(s)
+    numerator, denominator = match.groups()
+    return Fraction(int(numerator), int(denominator or 1))
 
 
 def format_rational(value: RationalLike) -> str:
     """Render a rational as "a/b", or "a" when the denominator is 1."""
-    return str(Fraction(value))
+    return str(int(value) if type(value) is bool else value)
 
 
 def accumulate(acc: dict, pairs: Iterable[tuple], factor: Scalar = 1) -> dict:

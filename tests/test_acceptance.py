@@ -39,6 +39,7 @@ from blocklie.engine import (
 from blocklie.hweight import (
     classify_quasifinite,
     criteria_cross_check,
+    delta_from_labels,
     labels_from_quasipolynomial,
     qp_annihilator,
     QuasiPolynomial,
@@ -195,7 +196,7 @@ def test_criterion_06_classification_round_trip():
             annihilator = qp_annihilator(qp)
             horizon = 2 * (len(annihilator) - 1) + 4
             labels = labels_from_quasipolynomial(qp, params, horizon)[0]
-            report = classify_quasifinite(labels, qp, params, horizon)
+            report = classify_quasifinite(delta_from_labels(labels, params, horizon), qp)
             assert report.verdict == "quasifinite", qp
             assert report.certificate.annihilator == annihilator, qp
             assert report.certificate_matches_annihilator is True
@@ -216,7 +217,8 @@ def test_criterion_07_negative_controls():
             [factorial(k) for k in range(13)],
             [fibonacci(k * k) for k in range(13)],
         ):
-            report = classify_quasifinite(tuple(map(Fraction, labels)), None, params, 12)
+            series = delta_from_labels(tuple(map(Fraction, labels)), params, 12)
+            report = classify_quasifinite(series, None)
             assert report.verdict == "not_quasifinite_up_to_horizon"
             assert report.certificate is None
 

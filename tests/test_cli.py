@@ -769,9 +769,11 @@ def test_series_horizon_limit_is_named_before_synthesis(
     tmp_path, monkeypatch, name, path, bound
 ):
     def no_synthesis(*args):
-        raise AssertionError("labels synthesized for an oversized series")
+        raise AssertionError("labels or series synthesized for an oversized series")
 
+    # classify synthesizes the generator's series, the kernel jobs its labels
     monkeypatch.setattr(hweight, "labels_from_quasipolynomial", no_synthesis)
+    monkeypatch.setattr(hweight, "delta_from_quasipolynomial", no_synthesis)
     payload = {case[0]: case[2] for case in EXIT_CASES}[name]
     with pytest.raises(ConfigError, match=f"field '{path}' must be <= {bound}$"):
         load_config(write_config(tmp_path, payload))
@@ -782,13 +784,17 @@ def test_series_horizon_limit_is_named_before_synthesis(
     [("classify", {}), ("crosscheck", {"max_level": 3}), ("singular", {"max_level": 500})],
 )
 def test_series_horizon_limit_is_inclusive(tmp_path, job, levels):
-    # the last series index may be 500; validation synthesizes the labels,
-    # and neither config is run here
+    # the last series index may be 500; validation synthesizes the series
+    # (classify) or the labels, and neither config is run here
     horizon = cli.MAX_SERIES_HORIZON - levels.get("max_level", 0)
     payload = {"job": job, "p": "1/3", "q": "1", **levels, "horizon": horizon}
     payload["weight"] = {"qp": [{"poly": ["2"], "base": "1/2"}]}
     config = load_config(write_config(tmp_path, payload))
-    assert len(config.run.args[0]) == cli.MAX_SERIES_HORIZON + 1
+    weight = config.run.args[0]
+    if job == "classify":
+        assert isinstance(weight, hweight.DeltaSeries) and config.run.args[1] is not None
+        weight = weight.coeffs
+    assert len(weight) == cli.MAX_SERIES_HORIZON + 1
     payload["horizon"] += 1
     with pytest.raises(ConfigError, match=f"{job}: field 'horizon' must be <= {horizon}$"):
         load_config(write_config(tmp_path, payload))

@@ -5,9 +5,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from test_block import parabolic_degree_zero
-from test_recurrence import qp_series
+from test_recurrence import SETTINGS, fraction_series, qp_series, qp_terms, rationals
 
 from blocklie.block import BlockParams
 from blocklie.cli import load_config, run_job
@@ -21,6 +23,7 @@ from blocklie.hweight import (
     classify_quasifinite,
     criteria_cross_check,
     delta_from_labels,
+    delta_from_quasipolynomial,
     detect_linear_recurrence,
     format_poly,
     labels_from_quasipolynomial,
@@ -77,10 +80,23 @@ def test_labels_from_quasipolynomial_examples():
     assert labels_from_quasipolynomial(zero, P21, 3)[0] == (0, 0, 0, 0)
 
 
+def test_delta_from_quasipolynomial_examples():
+    # 2 e^{z/2}: c_k = 2 (1/2)^k over the one denominator 2^2
+    series, singular = delta_from_quasipolynomial(qp_exp(2, Fraction(1, 2)), P21, 2)
+    assert series == ((8, 4, 2), 4) and singular == ()
+    assert all(type(c) is int for c in series.coeffs)
+    p34 = BlockParams(p=Fraction(3), q=Fraction(4))
+    series, singular = delta_from_quasipolynomial(qp_exp(1, 0), p34, 4)
+    assert series.coeffs == (1, 0, 0, 0, 0) and singular == (1,)
+    zero = QuasiPolynomial.of([])
+    assert delta_from_quasipolynomial(zero, P21, 3)[0].coeffs == (0, 0, 0, 0)
+
+
 def test_unrealizable_quasipolynomial_names_the_index():
     p34 = BlockParams(p=Fraction(3), q=Fraction(4))
-    with pytest.raises(UnrealizableError, match="k=1"):
-        labels_from_quasipolynomial(qp_exp(1, 1), p34, 3)
+    for synthesize in (labels_from_quasipolynomial, delta_from_quasipolynomial):
+        with pytest.raises(UnrealizableError, match="k=1, got 1/3$"):
+            synthesize(qp_exp(Fraction(1, 3), 1), p34, 3)
 
 
 def test_quasipolynomial_series_coefficients():
@@ -170,22 +186,62 @@ def test_singular_matrix_rows_are_weight_of_parabolic_images():
 
 def test_classify_quasifinite_generator_mode():
     qp = qp_exp(2, 1)
-    report = classify_quasifinite(synthesized(qp, P21, 10), qp, P21, 10)
+    report = classify_quasifinite(delta_from_quasipolynomial(qp, P21, 10)[0], qp)
     assert report.verdict == "quasifinite"
+    assert report.horizon == 10
     assert report.certificate.annihilator == (-1, 1)
     assert report.annihilator == (-1, 1)
     assert report.certificate_matches_annihilator is True
 
 
+@st.composite
+def generator_cases(draw):
+    """A quasipolynomial, horizon and parameters: p = 0, or p != 0 with a
+    singular index k inside the horizon, where three draws in four cancel
+    c_k so that the generator is realizable."""
+    qp = QuasiPolynomial.of(draw(qp_terms))
+    horizon = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        return qp, BlockParams(p=Fraction(0), q=draw(rationals.filter(bool))), horizon
+    p = draw(rationals.filter(lambda p: p * p not in (0, 1)))
+    k = draw(st.integers(1, horizon))  # 2q + (1-p^2)k = 0
+    params = BlockParams(p=p, q=(p * p - 1) * k / 2)
+    if draw(st.integers(0, 3)):
+        # z^k/k! * e^{0z} has series 1 at k and 0 elsewhere: cancel c_k
+        c_k = fraction_series(qp, horizon)[k]
+        qp = QuasiPolynomial.of(qp.terms + (([0] * k + [-c_k / factorial(k)], 0),))
+    return qp, params, horizon
+
+
+@SETTINGS
+@given(generator_cases())
+def test_integer_series_route_matches_labels_route(case):
+    # the oracle classifies the series of the labels synthesized from the
+    # generator, as classify did before it read the generator's series
+    qp, params, horizon = case
+    try:
+        labels, singular = labels_from_quasipolynomial(qp, params, horizon)
+    except UnrealizableError as exc:
+        with pytest.raises(UnrealizableError) as raised:
+            delta_from_quasipolynomial(qp, params, horizon)
+        assert str(raised.value) == str(exc)
+        return
+    expected = classify_quasifinite(delta_from_labels(labels, params, horizon), qp)
+    series, singular_too = delta_from_quasipolynomial(qp, params, horizon)
+    assert singular_too == singular
+    assert all(type(c) is int for c in series.coeffs)
+    assert classify_quasifinite(series, qp) == expected
+
+
 def test_classify_factorial_labels_not_quasifinite():
     labels = as_labels(factorial(k) for k in range(10))
-    report = classify_quasifinite(labels, None, P21, 9)
+    report = classify_quasifinite(delta_from_labels(labels, P21, 9), None)
     assert report.verdict == "not_quasifinite_up_to_horizon"
     assert report.certificate is None
 
 
 def test_classify_zero_weight():
-    report = classify_quasifinite(as_labels([0] * 11), None, P21, 10)
+    report = classify_quasifinite(delta_from_labels(as_labels([0] * 11), P21, 10), None)
     assert report.verdict == "quasifinite"
     assert report.certificate.annihilator == (0, 1)
 

@@ -6,7 +6,9 @@ Berlekamp-Massey, which solves a fresh overdetermined system for each degree
 1..floor(horizon/2) and takes the canonical solution (free variables zero),
 and Berlekamp-Massey over Fraction, which preceded the integer version.
 `QuasiPolynomial.scaled_series` accumulates integers; its oracle, through
-`qp_series`, is the per-term Fraction loop it replaced.  `engine._Echelon.kernel`, over integer rows, is
+`qp_series`, is the per-term Fraction loop it replaced.  `qp_annihilator`
+multiplies integer linear factors; its oracle is the Fraction polynomial
+product it replaced.  `engine._Echelon.kernel`, over integer rows, is
 checked against a standalone reduced-echelon kernel over Fraction.  No oracle
 shares code with the program.
 """
@@ -25,6 +27,7 @@ from blocklie.hweight import (
     QuasiPolynomial,
     RecurrenceCertificate,
     detect_linear_recurrence,
+    qp_annihilator,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -32,7 +35,8 @@ SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=
 
 def qp_series(qp: QuasiPolynomial, horizon: int) -> tuple[Fraction, ...]:
     """Normalized coefficients c_k = k! [z^k] of `qp`, k = 0..horizon."""
-    return tuple(map(Fraction, *qp.scaled_series(horizon)))
+    numerators, common = qp.scaled_series(horizon)
+    return tuple(Fraction(n, common) for n in numerators)
 
 
 def _solve_exact(rows, rhs):
@@ -142,6 +146,24 @@ def fraction_series(self: QuasiPolynomial, horizon: int) -> tuple[Fraction, ...]
     return tuple(out)
 
 
+def poly_mul(a, b) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def fraction_annihilator(qp: QuasiPolynomial) -> tuple[Fraction, ...]:
+    """prod (t - b)^(deg f + 1) multiplied out over Fraction, as
+    `qp_annihilator` did before it multiplied integers."""
+    out = (Fraction(1),)
+    for coeffs, base in qp.terms:
+        for _ in coeffs:
+            out = poly_mul(out, (-base, Fraction(1)))
+    return out
+
+
 def _kernel_basis(rows, width):
     """Reduced-echelon kernel basis; each vector has entry 1 at its own free
     column and 0 at later free columns."""
@@ -247,6 +269,14 @@ def test_integer_series_matches_fraction_loop(terms, horizon):
     qp = QuasiPolynomial.of(terms)
     got = qp_series(qp, horizon)
     assert got == fraction_series(qp, horizon)
+    assert all(type(c) is Fraction for c in got)
+
+
+@SETTINGS
+@given(qp_terms.map(QuasiPolynomial.of).filter(lambda qp: not qp.is_zero()))
+def test_integer_annihilator_matches_fraction_product(qp):
+    got = qp_annihilator(qp)
+    assert got == fraction_annihilator(qp)
     assert all(type(c) is Fraction for c in got)
 
 
