@@ -275,9 +275,10 @@ class _Fields:
             raise self.error("window", f"is invalid: {exc}") from None
 
 
-# a coefficient's denominator needs a nonzero digit
+# a coefficient's denominator needs a nonzero digit, and may start with 0
 _TERM_RE = re.compile(
-    r"^(?:(?P<coeff>[+-]?\d+(?:/\d*[1-9]\d*)?)\*?)?(?:(?P<c>c)|L\[(?P<g>-?\d+),(?P<l>\d+)\])$"
+    r"^(?:(?P<num>[+-]?\d+)(?:/(?P<den>\d*[1-9]\d*))?\*?)?"
+    r"(?:(?P<c>c)|L\[(?P<g>-?\d+),(?P<l>\d+)\])$"
 )
 
 
@@ -322,9 +323,8 @@ def parse_element(text: str) -> Element:
                 "rational*L[grade,level] with level >= 0, or rational*c, where a "
                 "rational's denominator is nonzero"
             )
-        coeff = Fraction(match.group("coeff") or 1)
-        if negative:
-            coeff = -coeff
+        num = int(match.group("num") or 1)
+        coeff = Fraction(-num if negative else num, int(match.group("den") or 1))
         if match.group("c"):
             index = CENTRAL
         else:

@@ -37,18 +37,18 @@ reach the window, coded as one int, to the window columns it lands on, each
 with integer monomials over one denominator D (`_compile`): an offset's, or
 the cocycle's at sum 0, which the pair sums with the same loop (`_sum_at`).
 The table alone decides which basis pairs are bracketed, where their rows
-land, which products of two rows are skipped unformed (each row's box, the
-least level and grade range of its graded labels, against the box of the
-sums; c brackets to zero), and the candidate columns of the support pass.
+land, and the candidate columns of the support pass.
 The closure keeps one sparse echelon basis (`_Echelon`) of integer rows over
-the window coordinates ordered grade asc, level asc, central last, forms each
-product, times D, from cached pair rows, and runs semi-naive rounds: a round
+the window coordinates ordered grade asc, level asc, central last, and forms
+each product, times D, from cached pair rows.  It first brackets, for each
+label that basis brackets reach from the generators', the rows of the basis
+pair that reached it (the guided pass), then runs semi-naive rounds: a round
 brackets only the rows whose pivot is new since the last round against all
-rows, and the loop ends when a round adds no pivot, or once the rows span the
-labels that basis brackets reach from the generators'.  The truncated bracket
-is bilinear and the reduced echelon form is canonical, so the result equals
-that of bracketing every pair every round, independent of processing order
-and of the positive scale of each product.
+rows.  Either ends once the rows span those labels; the loop also ends when
+a round adds no pivot.  The truncated bracket is bilinear and the reduced
+echelon form is canonical, so the result equals that of bracketing every
+pair every round, independent of processing order and of the positive scale
+of each product.
 """
 
 from __future__ import annotations
@@ -754,15 +754,15 @@ class ClosureError(ValueError):
 
 class ClosureWork(NamedTuple):
     """Work counters of one closure: distinct basis pairs bracketed, those whose
-    sum keys the reach table; products of two rows formed, and skipped because
-    no basis pair of the two rows reaches the window; nonzero products that
-    reduced to zero against the echelon; pivots that products added; and |S|,
-    the support closure's size at which the loop stops (0 if no product was
-    due).  All are 0 when no pair of rows was due: no table was built."""
+    sum keys the reach table; products of two rows formed, and those of them
+    formed by the guided pass; nonzero products that reduced to zero against
+    the echelon; pivots that products added; and |S|, the support closure's
+    size at which the closure stops.  All are 0 when no pair of rows was due:
+    no table was built."""
 
     pairs: int
     products: int
-    skipped: int
+    guided: int
     reduced_to_zero: int
     pivots: int
     support: int
@@ -946,11 +946,7 @@ def subalgebra_closure(
     (`_integer_kernel`), so a closure that forms no pair compiles nothing and
     refuses no symbolic coefficient.  A basis pair whose coded sum is no key
     of the table is not bracketed at all, and one that is lands on its key's
-    columns.  Two rows are not multiplied when no basis pair of theirs can
-    reach the window: when the least levels of their graded labels sum above
-    the keys' largest level sum, or their grade ranges sum to a range that
-    misses the keys' grade sums.  A row of c alone is never multiplied.  The
-    keys carry the offsets, so both tests hold for any shift of the rule.
+    columns.
 
     Semi-naive: each round brackets only the rows whose pivot is new since
     the last round (`fresh`), against the rows of earlier rounds and the later
@@ -969,6 +965,14 @@ def subalgebra_closure(
     closed under the truncated bracket and holds the closure V.
     The echelon rows lie in V; at rank |S|, V = span(S), and the reduced rows
     are the unit rows of S, which the full loop ends with too.
+
+    The guided pass runs once S is known, before the loop's first product.
+    For each column s that the support pass added, in that order, through a
+    basis pair (kx, ky), it inserts, if s is not yet a pivot and kx and ky
+    are, the product of the rows with pivots kx and ky: a bracket of two rows
+    of V, so the closure of the enlarged echelon is still V.  On monomial
+    generators the pass alone mostly reaches rank |S|, where every column of
+    S is a pivot, and the loop stops at once; where dim V < |S| it runs out.
     """
     if rule.terms is None:
         raise ClosureError("closure requires a bracket rule with terms")
@@ -1011,68 +1015,67 @@ def subalgebra_closure(
                         acc[col] = acc.get(col, 0) + factor * v
         return {k: v for k, v in acc.items() if v}
 
-    def box(row: dict[int, int]) -> tuple:
-        # (least level, least grade, greatest grade) of the row's graded labels;
-        # a row of c alone, which brackets to zero with every row, is at level inf
-        grades, levels = zip(*([divmod(code[k], span) for k in row if k in code] or [(0, inf)]))
-        return min(levels), min(grades), max(grades)
-
-    def support_closure() -> set[int]:
-        # a pair is bracketed only while its sum lands on a column outside S
-        support = {k for row in ech.rows.values() for k in row}
-        taken = [k for k in sorted(support) if k in code]
+    def support_closure() -> dict[int, tuple | None]:
+        # S in discovery order: each column found by a basis pair maps to that
+        # pair (kx, ky), a generator column to None; a pair is bracketed only
+        # while its sum lands on a column outside S
+        support = dict.fromkeys(sorted({k for row in ech.rows.values() for k in row}))
+        taken = [k for k in support if k in code]
         unsettled = set(reach)
         for n, kx in enumerate(taken):
             cx = code[kx]
             for ky in [ky for ky in taken[: n + 1] if cx + code[ky] in unsettled]:
                 s = cx + code[ky]  # distinct for distinct ky
                 for key in kx * width + ky, ky * width + kx:
-                    if support.issuperset(col for col, _ in reach[s]):
+                    if all(col in support for col, _ in reach[s]):
                         unsettled.remove(s)
                         break
                     if key not in table:
                         table[key] = pair(*divmod(key, width))
                     for col, _ in table[key]:
                         if col not in support:
-                            support.add(col)
+                            support[col] = divmod(key, width)
                             if col in code:
                                 taken.append(col)
         return support
 
     def row_pairs() -> Iterable[tuple]:
-        done: list[tuple] = []
+        done: list[dict] = []
         fresh_pivots = sorted(ech.rows)
         while fresh_pivots:
-            fresh = [(ech.rows[pivot], box(ech.rows[pivot])) for pivot in fresh_pivots]
+            fresh = [ech.rows[pivot] for pivot in fresh_pivots]
             known = set(ech.rows)
             for k, row in enumerate(fresh):
                 yield from zip(itertools.repeat(row), itertools.chain(done, fresh[k + 1 :]))
             done.extend(fresh)
             fresh_pivots = sorted(ech.rows.keys() - known)
 
-    generated = len(ech.rows)
-    products = skipped = reduced = 0
-    support: set[int] = set()  # S, computed before the first product
-    reach = None  # built at the first pair of rows
-    for (x, bx), (y, by) in row_pairs():
-        if reach is None:
-            # one D scales every pair row, so a product is its truncated bracket times D
-            reach = _integer_kernel(rule, window)[1]
-            # the box around the sums: the largest level sum, the range of grade sums
-            grades, levels = zip(*([divmod(s, span) for s in reach] or [(0, -1)]))
-            top, low, high = max(levels), min(grades), max(grades)
-        # every basis pair of x and y misses reach: their product is 0
-        if bx[0] + by[0] > top or bx[1] + by[1] > high or bx[2] + by[2] < low:
-            skipped += 1
-            continue
-        support = support or support_closure()
-        if len(ech.rows) == len(support):
-            break
+    def add(x: dict[int, int], y: dict[int, int]) -> None:
+        nonlocal products, reduced
         vec = product(x, y)
         products += 1
         if vec and not ech.insert(vec):
             reduced += 1
-    work = ClosureWork(pairs, products, skipped, reduced, len(ech.rows) - generated, len(support))
+
+    generated = len(ech.rows)
+    products = guided = reduced = 0
+    support: dict[int, tuple | None] = {}  # S, computed at the first pair of rows
+    for x, y in row_pairs():
+        if not support:
+            # one D scales every pair row, so a product is its truncated bracket times D
+            reach = _integer_kernel(rule, window)[1]
+            support = support_closure()
+            # the guided pass; at rank |S| every column of S is a pivot, so it
+            # forms no more products
+            by_pivot = ech.rows
+            for s, found in support.items():
+                if found and s not in by_pivot and found[0] in by_pivot and found[1] in by_pivot:
+                    add(by_pivot[found[0]], by_pivot[found[1]])
+            guided = products
+        if len(ech.rows) == len(support):
+            break
+        add(x, y)
+    work = ClosureWork(pairs, products, guided, reduced, len(ech.rows) - generated, len(support))
     # each row divided by its pivot: the reduced echelon rows
     rows = sorted(ech.rows.items())
     reduced_rows = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)

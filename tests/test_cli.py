@@ -68,6 +68,29 @@ labels = st.one_of(
     st.just(CENTRAL), st.builds(Graded, st.integers(-9, 9), st.integers(0, 9))
 )
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+digits = st.text("0123456789", min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(["", "+", "-"]), digits, st.one_of(st.none(), digits), st.booleans())
+def test_a_coefficient_reads_as_its_fraction_literal(sign, num, den, star):
+    # the coefficient is read from the numerator and denominator that the term
+    # pattern matched; leading zeros are allowed on both, and a denominator of
+    # zeros only is refused with the message of any unparsable term
+    coeff = sign + num + ("" if den is None else "/" + den)
+    text = coeff + ("*" if star else "") + "L[2,1]"
+    if den is not None and not den.strip("0"):
+        with pytest.raises(ConfigError, match="denominator is nonzero"):
+            parse_element(text)
+        return
+    if sign == "+":
+        # a leading + is a term separator, not part of the term
+        assert parse_element(text) == parse_element(text[1:])
+        return
+    value = Fraction(coeff)
+    assert parse_element(text) == Element.basis(Graded(2, 1), value)
+    if not sign:
+        assert parse_element("c - " + text) == Element({CENTRAL: 1, Graded(2, 1): -value})
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)

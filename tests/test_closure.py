@@ -362,13 +362,17 @@ def test_tau_commutes_with_single_products_of_the_block_rule(p, q, t, s, data):
 
 def assert_each_pair_of_rows_is_formed_or_skipped_once(closure):
     # every final row is fresh exactly once, and is paired then with each row
-    # before it and each later fresh row: a product is formed or skipped.
-    # Either the loop ran out and so met every pair, or it stopped early,
-    # once the rows spanned the support closure S of the generators
+    # before it and each later fresh row.  Either the loop ran out and so
+    # formed a product for every pair, or it stopped early, skipping the rest,
+    # once the rows spanned the support closure S of the generators.  The
+    # guided products, formed before the loop, are no pairs of the loop, and
+    # the guided pass forms at most one per column of S
     d, work = closure.dimension(), closure._work
-    ran_out = work.products + work.skipped == d * (d - 1) // 2
-    stopped = d == work.support and work.products + work.skipped < d * (d - 1) // 2
+    looped = work.products - work.guided
+    ran_out = looped == d * (d - 1) // 2
+    stopped = d == work.support and looped < d * (d - 1) // 2
     assert ran_out or stopped
+    assert 0 <= work.guided <= work.support
 
 
 @pytest.mark.parametrize("gens", PINNED_GENERATORS)
@@ -377,9 +381,6 @@ def test_closure_forms_or_skips_each_pair_of_rows_once_on_pinned_cases(rule, gen
     window, generators = PINNED_GENERATORS[gens]
     closure = subalgebra_closure(PINNED_RULES[rule], generators, window)
     assert_each_pair_of_rows_is_formed_or_skipped_once(closure)
-    if gens == "monomial triple":
-        # rows of high levels or far grades cannot reach the window together
-        assert closure._work.skipped > 0
 
 
 @SETTINGS
@@ -394,28 +395,35 @@ def cells(*labels):
 
 # (window, generators, exact work) on the generic Block rule
 STOP_CASES = {
-    # the perfbench sparse_pair shape: the rank reaches |S| = 18 after 19
-    # products, where the full loop forms 119
+    # the perfbench sparse_pair shape: the rank reaches |S| = 18 after 20
+    # products, one of them guided, where the full loop forms 119
     "sparse pair": (
         Window(-2, 2, 3),
         [
             Element({Graded(1, 0): 1, Graded(-1, 2): Fraction(1, 2)}),
             Element({Graded(-1, 0): 1, Graded(0, 1): -3}),
         ],
-        engine.ClosureWork(64, 19, 0, 3, 16, 18),
+        engine.ClosureWork(65, 20, 1, 4, 16, 18),
     ),
     # c enters S only through the cocycle K(2) = 1/2 of [L[2,0], L[-2,0]], next
-    # to L[0,0]: S has 4 labels, the closure 3, and the loop runs out
-    "cocycle at a=2": (Window(-2, 2, 1), cells((2, 0), (-2, 0)), engine.ClosureWork(4, 3, 0, 2, 1, 4)),
-    # with L[0,0] among the generators, the generators' columns miss only c
+    # to L[0,0]: S has 4 labels, the closure 3.  The guided pass forms that
+    # product for L[0,0] and again for c, where it reduces to zero, and the
+    # loop runs out
+    "cocycle at a=2": (
+        Window(-2, 2, 1),
+        cells((2, 0), (-2, 0)),
+        engine.ClosureWork(4, 5, 2, 4, 1, 4),
+    ),
+    # with L[0,0] among the generators, the generators' columns miss only c,
+    # which the guided product fills
     "cocycle beside L[0,0]": (
         Window(-2, 2, 1),
         cells((0, 0), (2, 0), (-2, 0)),
-        engine.ClosureWork(4, 2, 0, 1, 1, 4),
+        engine.ClosureWork(2, 1, 1, 0, 1, 4),
     ),
-    # K(1) = 0 keeps c out of S = {L[-1,0], L[0,0], L[1,0]}, which the first
-    # product fills: the loop stops at the next pair of rows
-    "K(1) = 0": (Window(-2, 2, 1), cells((1, 0), (-1, 0)), engine.ClosureWork(5, 1, 0, 0, 1, 3)),
+    # K(1) = 0 keeps c out of S = {L[-1,0], L[0,0], L[1,0]}, which the guided
+    # product fills: the loop stops at its first pair of rows
+    "K(1) = 0": (Window(-2, 2, 1), cells((1, 0), (-1, 0)), engine.ClosureWork(5, 1, 1, 0, 1, 3)),
 }
 
 
@@ -427,6 +435,73 @@ def test_closure_work_with_the_support_closure_on_pinned_cases(case):
     assert closure.rows == naive_closure(rule, generators, window)
     assert closure._work == work
     assert_each_pair_of_rows_is_formed_or_skipped_once(closure)
+
+
+# the perfbench monomial shapes, which hold closure_sweep's p90, with their
+# exact work at generic p and q: window, generators, work
+MONOMIAL_SHAPES = {
+    "monomial_pair": (
+        Window(-2, 2, 3),
+        cells((1, 0), (-1, 1)),
+        engine.ClosureWork(16, 12, 12, 0, 12, 14),
+    ),
+    "monomial_triple": (
+        Window(-3, 3, 7),
+        cells((1, 0), (-1, 1), (2, 2)),
+        engine.ClosureWork(48, 42, 42, 0, 42, 45),
+    ),
+}
+
+
+GENERIC_PARAMS = [(Fraction(2, 3), Fraction(-7, 5)), (Fraction(-11, 3), Fraction(8, 5))]
+
+
+@pytest.mark.parametrize("params", GENERIC_PARAMS)
+@pytest.mark.parametrize("shape", MONOMIAL_SHAPES)
+def test_guided_products_alone_reach_the_support_closure_of_monomials(shape, params):
+    # the rows of monomial generators are unit rows, and at generic p and q
+    # the bracket of two labels is one label: the guided product for each
+    # column of S past the generators' is that column's unit row, so each adds
+    # a pivot, none reduces to zero, and the loop forms no product
+    window, generators, work = MONOMIAL_SHAPES[shape]
+    rule = block_bracket_rule(BlockParams(*params))
+    closure = subalgebra_closure(rule, generators, window)
+    assert closure._work == work
+    assert work.products == work.guided == work.pivots == work.support - len(generators)
+    assert work.reduced_to_zero == 0
+    assert closure.rows == naive_closure(rule, generators, window)
+
+
+BELOW_SUPPORT = [
+    ("block generic", "cocycle pair"),
+    ("graded p=q=0", "dense pair"),
+    ("block p=0", "dense pair"),
+]
+
+
+@pytest.mark.parametrize("rule, gens", BELOW_SUPPORT)
+def test_guided_pass_below_the_support_closure(rule, gens):
+    # dim V < |S|: the guided products cannot reach |S|, some reduce to zero,
+    # and the loop runs out from the enlarged echelon to the same rows
+    window, generators = PINNED_GENERATORS[gens]
+    closure = subalgebra_closure(PINNED_RULES[rule], generators, window)
+    work = closure._work
+    assert closure.dimension() < work.support
+    assert 0 < work.guided <= work.support
+    assert closure.rows == naive_closure(PINNED_RULES[rule], generators, window)
+    assert_each_pair_of_rows_is_formed_or_skipped_once(closure)
+
+
+def test_guided_pass_forms_no_product_for_a_column_already_a_pivot():
+    # the dense generator's row brackets onto several columns of S at once,
+    # so a guided product can make a later column of S a pivot before its
+    # turn comes; the pass forms no product for that column
+    rule = PINNED_RULES["graded p=q=0 shifted"]
+    window = Window(-2, 2, 2)
+    generators = cells((-2, 1), (-2, 0)) + [Element({Graded(2, 0): 1, Graded(2, 1): 2})]
+    closure = subalgebra_closure(rule, generators, window)
+    assert closure._work == engine.ClosureWork(21, 14, 3, 3, 9, 12)
+    assert closure.rows == naive_closure(rule, generators, window)
 
 
 def raising_compile(*args):
