@@ -84,7 +84,7 @@ def test_a_coefficient_reads_as_its_fraction_literal(sign, num, den, star):
             parse_element(text)
         return
     if sign == "+":
-        # a leading + is a term separator, not part of the term
+        # a leading + reads as no sign
         assert parse_element(text) == parse_element(text[1:])
         return
     value = Fraction(coeff)

@@ -481,8 +481,8 @@ BELOW_SUPPORT = [
 
 @pytest.mark.parametrize("rule, gens", BELOW_SUPPORT)
 def test_guided_pass_below_the_support_closure(rule, gens):
-    # dim V < |S|: the guided products cannot reach |S|, some reduce to zero,
-    # and the loop runs out from the enlarged echelon to the same rows
+    # dim V < |S|: the guided products cannot reach |S|, and the loop runs
+    # out from the enlarged echelon to the same rows
     window, generators = PINNED_GENERATORS[gens]
     closure = subalgebra_closure(PINNED_RULES[rule], generators, window)
     work = closure._work
