@@ -1066,11 +1066,14 @@ def subalgebra_closure(
             reach = _integer_kernel(rule, window)[1]
             support = support_closure()
             # the guided pass; at rank |S| every column of S is a pivot, so it
-            # forms no more products
-            by_pivot = ech.rows
+            # forms no more products, and a pair that found two columns of S
+            # is formed once
+            by_pivot, formed = ech.rows, set()
             for s, found in support.items():
                 if found and s not in by_pivot and found[0] in by_pivot and found[1] in by_pivot:
-                    add(by_pivot[found[0]], by_pivot[found[1]])
+                    if found not in formed:
+                        formed.add(found)
+                        add(by_pivot[found[0]], by_pivot[found[1]])
             guided = products
         if len(ech.rows) == len(support):
             break

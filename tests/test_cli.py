@@ -1133,23 +1133,28 @@ def test_cli_writes_report_file(tmp_path, capsys):
     assert document["results"]["verdict"] == "quasifinite"
 
 
-def test_subprocess_round_trip_matches_golden():
+def archived_report(config: Path) -> str:
+    return config.with_name(f"{config.stem}.report.json").read_text()
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_subprocess_round_trip_matches_archived_report(config):
+    # the path of a batch run, where the job's kind runs the modules it reads
+    # for the first time
     result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "blocklie.cli",
-            "--config",
-            str(GOLDEN / "classify_qp.json"),
-            "--format",
-            "machine",
-        ],
+        [sys.executable, "-m", "blocklie.cli", "--config", str(config), "--format", "machine"],
         capture_output=True,
         text=True,
     )
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "classify_qp.report.json").read_text()
+    expected = archived_report(config)
+    assert result.stdout == expected
+    assert result.returncode == (0 if json.loads(expected)["positive"] else 1)
     assert "# elapsed:" in result.stderr
+
+
+def test_archived_reports_hold_17_positive_and_8_negative_verdicts():
+    verdicts = [json.loads(archived_report(config))["positive"] for config in CONFIGS]
+    assert (verdicts.count(True), verdicts.count(False)) == (17, 8)
 
 
 @pytest.mark.parametrize(
@@ -1199,15 +1204,26 @@ def test_large_horizon_reports_reproduce_byte_identically(name, expected, capsys
 
 
 @pytest.mark.parametrize(
-    "name", ["closure_block_dim78", "closure_affinized_dim48", "closure_dense_w5"]
+    "name",
+    [
+        "closure_block_dim78",
+        "closure_affinized_dim48",
+        "closure_dense_w5",
+        "closure_cocycle_pair",
+        "closure_block_p0_dense_pair",
+    ],
 )
 def test_archived_closure_reports_reproduce_byte_identically(name, capsys):
     # archived from the naive closure loop, which bracketed every pair of rows
     # in every round: a dim-78 block closure (membership queries include c)
-    # and a dim-48 affinized closure of two dense generators; and from the
+    # and a dim-48 affinized closure of two dense generators; from the
     # closure that computed every pair's bracket before truncating it: a
     # dim-58 block closure of two dense multi-term generators whose
-    # intermediate rows reach 3,469 bits
+    # intermediate rows reach 3,469 bits; and from the guided pass that formed
+    # a basis pair's product again for each further column of S it found, two
+    # closures below their support closure S: the cocycle pair L[2,0],
+    # L[-2,0] (dim 3, |S| = 4, c a member only beside L[0,0]) and a dense
+    # pair at p = 0 (dim 14, |S| = 19)
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()

@@ -407,12 +407,12 @@ STOP_CASES = {
     ),
     # c enters S only through the cocycle K(2) = 1/2 of [L[2,0], L[-2,0]], next
     # to L[0,0]: S has 4 labels, the closure 3.  The guided pass forms that
-    # product for L[0,0] and again for c, where it reduces to zero, and the
-    # loop runs out
+    # product once, for L[0,0], although the pair also found c, and the loop
+    # runs out
     "cocycle at a=2": (
         Window(-2, 2, 1),
         cells((2, 0), (-2, 0)),
-        engine.ClosureWork(4, 5, 2, 4, 1, 4),
+        engine.ClosureWork(4, 4, 1, 3, 1, 4),
     ),
     # with L[0,0] among the generators, the generators' columns miss only c,
     # which the guided product fills
@@ -500,7 +500,7 @@ def test_guided_pass_forms_no_product_for_a_column_already_a_pivot():
     window = Window(-2, 2, 2)
     generators = cells((-2, 1), (-2, 0)) + [Element({Graded(2, 0): 1, Graded(2, 1): 2})]
     closure = subalgebra_closure(rule, generators, window)
-    assert closure._work == engine.ClosureWork(21, 14, 3, 3, 9, 12)
+    assert closure._work == engine.ClosureWork(21, 13, 2, 2, 9, 12)
     assert closure.rows == naive_closure(rule, generators, window)
 
 
