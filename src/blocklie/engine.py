@@ -42,10 +42,10 @@ The closure keeps one sparse echelon basis (`_Echelon`) of integer rows over
 the window coordinates ordered grade asc, level asc, central last, and forms
 each product, times D, from cached pair rows.  It first brackets, for each
 label that basis brackets reach from the generators', the rows of the basis
-pair that reached it (the guided pass), then runs semi-naive rounds: a round
-brackets only the rows whose pivot is new since the last round against all
-rows.  Either ends once the rows span those labels; the loop also ends when
-a round adds no pivot.  The truncated bracket is bilinear and the reduced
+pair that reached it, once per pair (the guided pass), then runs semi-naive
+rounds: a round brackets only the rows whose pivot is new since the last
+round against all rows.  Either ends once the rows span those labels; the
+loop also ends when a round adds no pivot.  The truncated bracket is bilinear and the reduced
 echelon form is canonical, so the result equals that of bracketing every
 pair every round, independent of processing order and of the positive scale
 of each product.
@@ -970,9 +970,11 @@ def subalgebra_closure(
     For each column s that the support pass added, in that order, through a
     basis pair (kx, ky), it inserts, if s is not yet a pivot and kx and ky
     are, the product of the rows with pivots kx and ky: a bracket of two rows
-    of V, so the closure of the enlarged echelon is still V.  On monomial
-    generators the pass alone mostly reaches rank |S|, where every column of
-    S is a pivot, and the loop stops at once; where dim V < |S| it runs out.
+    of V, so the closure of the enlarged echelon is still V.  A pair that
+    found several columns, such as [L[2,0], L[-2,0]] finding L[0,0] and c,
+    is formed for the first only.  On monomial generators the pass alone
+    mostly reaches rank |S|, where every column of S is a pivot, and the loop
+    stops at once; where dim V < |S| it runs out.
     """
     if rule.terms is None:
         raise ClosureError("closure requires a bracket rule with terms")

@@ -76,7 +76,8 @@ def test_cli_import_registers_the_deferred_modules_without_running_them():
         "import sys, blocklie, blocklie.cli\n"
         "eager = ['argparse', 'json', 'fractions', 'blocklie.block', 'blocklie.engine']\n"
         "print(all(name in sys.modules for name in eager))\n"
-        f"print(all(sys.modules['blocklie.' + name] is getattr(blocklie, name) for name in {DEFERRED}))\n"
+        f"print(all(sys.modules['blocklie.' + name] is getattr(blocklie, name) "
+        f"for name in {DEFERRED}))\n"
     )
     assert fresh_python(probe + EXECUTED).split("\n") == ["True", "True", "[]"]
 
