@@ -11,11 +11,10 @@ Novikov product); the Kronecker-delta cocycle is not polynomial, so its
 Jacobi contribution gets a dedicated proof here, over a cocycle given as a
 one-variable Poly.  The Virasoro embedding and the Laurent realization are
 proved the same way: one polynomial identity for the delta-free part and
-one for the cocycle on its stratum a+b = 0, i = j = 0.  Both rules here are
-their terms, and the window scans of a failed proof bracket through the pair
-the full rule derives from them (`block_bracket_rule`), so they read what the
-proofs read; each check builds that rule once, on its first bracket, so a
-proof that holds builds nothing.
+one for the cocycle on its stratum a+b = 0, i = j = 0.  Both are theorems of
+B(p,q) for every p and q, so they read no window and scan nothing: a proof
+that fails can come only from a defect in the bracket's own terms or
+cocycle, and it raises.
 
 The three proofs run on integers, as the engine's prover does: each lifts
 its inputs (the parameters, the delta-free term, the cocycle) once over one
@@ -25,17 +24,16 @@ of D times the rational one, so it vanishes with it, and each residual is
 kept apart, so none can cancel another.
 
 The Laurent realization stores the formal factor t^q unexpanded: monomial
-exponents are pairs (q-multiplicity, offset) and differentiation uses
-(t^(q+n))' = (q+n) t^(q+n-1), so nothing assumes q is an integer.  The
-offset is an integer in the window scan and a Packed polynomial in the
-levels in the proof.
+exponents are pairs (q-multiplicity, offset), the offset a Packed
+polynomial in the levels, and differentiation uses
+(t^(q+n))' = (q+n) t^(q+n-1), so nothing assumes q is an integer.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
@@ -45,7 +43,6 @@ from .engine import (
     Element,
     Graded,
     Verdict,
-    Window,
     _require_grid,
     decide,
     index_ring,
@@ -79,13 +76,8 @@ class BlockParams(NamedTuple("BlockParams", [("p", Scalar), ("q", Scalar)])):
         return _delta_free_terms(self)
 
 
-def cocycle_value(grade) -> Fraction:
-    """(a^3 - a)/12, the central 2-cocycle evaluated at a grade."""
-    return Fraction(grade**3 - grade, 12)
-
-
 _X = PolyRing("x").var("x")
-CUBIC_COCYCLE = (_X**3 - _X) / 12  # `cocycle_value` as a one-variable Poly
+CUBIC_COCYCLE = (_X**3 - _X) / 12  # the central 2-cocycle (a^3 - a)/12
 
 
 def structure_numerator(params: BlockParams, x: Graded, y: Graded) -> int:
@@ -200,7 +192,16 @@ def cocycle_jacobi_check(
     return decide(proof, triples, residual)
 
 
-def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
+def _proved(check: str, residuals: list) -> Verdict:
+    """`holds_universally` when every residual of the proof is zero.  The
+    check is a theorem of B(p,q), so a nonzero residual can come only from a
+    defect in the bracket's own terms or cocycle: it raises, naming the check."""
+    if any(residuals):
+        raise ValueError(f"the {check} proof fails, so the bracket's terms or cocycle are wrong")
+    return Verdict(True)
+
+
+def virasoro_embedding_check(params: BlockParams) -> Verdict:
     """Prove the Virasoro relations of the rescaled level-zero generators.
 
     With V_a = q^-1 L[a,0] and k = q^-2 c the claim is
@@ -211,9 +212,8 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
     The proof composes the delta-free coefficient at i = j = 0 and subtracts
     q(b-a) at offset (0, 0); on the stratum b = -a it compares the bracket's
     cocycle K(a) with the Virasoro one, (a^3-a)/12, both times 12.  Each
-    residual is kept apart, so two cannot cancel.  A failed proof scans the
-    window's level-zero pairs for the witness (a, b), and finding none
-    raises (`decide`).
+    residual is kept apart, so two cannot cancel, and a nonzero one raises
+    (`_proved`).
     """
     ring, (_, q) = index_ring(params.p, params.q)
     terms = params.delta_free_terms
@@ -228,40 +228,29 @@ def virasoro_embedding_check(params: BlockParams, window: Window) -> Verdict:
     )
     accumulate(graded, (((0, 0), packing.compose(q_terms) * (b - a)),), -1)
     central = 12 * packing.compose(k_terms, {0: a}) - den * (a * a * a - a)
-    proof = [*graded.values(), central]
-    bracket = cache(lambda: block_bracket_rule(params).pair)
-
-    def residual(t: tuple) -> Element:
-        a, b = t
-        terms = {Graded(a + b, 0): (b - a) * params.q}
-        if a + b == 0:
-            terms[CENTRAL] = cocycle_value(a)
-        return bracket()(Graded(a, 0), Graded(b, 0)) - Element(terms)
-
-    pairs = ((a, b) for a, _, b, _ in window._replace(level_max=0).pairs())
-    return decide([r for r in proof if r], pairs, residual)
+    return _proved("Virasoro embedding", [*graded.values(), central])
 
 
 class _TPower(NamedTuple):
-    """t^(q_mult*q + offset); the factor t^q stays formal.  The offset is an
-    integer, or a Packed polynomial in the levels for the proof."""
+    """t^(q_mult*q + offset); the factor t^q stays formal.  The offset is a
+    Packed polynomial in the levels, or an int for a power that reads none."""
 
     q_mult: int
-    offset: Scalar | Packed
+    offset: Packed | int
 
     def __mul__(self, other: "_TPower") -> "_TPower":
         return _TPower(self.q_mult + other.q_mult, self.offset + other.offset)
 
-    def d_dt(self, q, one) -> tuple:
+    def d_dt(self, q: Packed, one: int) -> tuple:
         """The derivative e*t^(e-1) as (e, t^(e-1)), `one` the unit exponent."""
         return self.q_mult * q + self.offset, self * _TPower(0, -one)
 
 
-def _realization(p, q, a, i, b, j, one=1) -> tuple[tuple, _TPower]:
+def _realization(p, q, a, i, b, j, one: int) -> tuple[tuple, _TPower]:
     """The realization bracket of x^a f and x^b g, f = t^(q+i), g = t^(q+j),
-    for numbers or Packed polynomials: its two graded terms (offset,
-    coefficient), each x^(a+b) t^(q+offset) since t^q appears once, and the
-    power t^(-2q-1) f g whose t^-1 coefficient scales the cocycle.
+    for Packed polynomials: its two graded terms (offset, coefficient), each
+    x^(a+b) t^(q+offset) since t^q appears once, and the power t^(-2q-1) f g
+    whose t^-1 coefficient scales the cocycle.
 
     The bracket is homogeneous: with every input and the unit exponent
     `one` times D, each offset comes out times D and each coefficient times
@@ -287,9 +276,9 @@ def _positive_off_origin(poly: Packed, levels: str) -> bool:
 
 
 def _laurent_proof(params: BlockParams) -> list[Packed]:
-    """The nonzero residuals of the Laurent realization over the index ring,
-    one per stratum and output offset, kept apart so that none can cancel
-    another: empty only when the bracket equals its realization at every
+    """The residuals of the Laurent realization over the index ring, one per
+    stratum and output offset, kept apart so that none can cancel another:
+    all zero only when the bracket equals its realization at every
     (a, i, b, j) with levels >= 0.
 
     Everywhere, the delta-free term at offset (0, 0) meets the realization's
@@ -326,10 +315,10 @@ def _laurent_proof(params: BlockParams) -> list[Packed]:
     proof = [*by_offset.values(), (cocycle - realized).compose(stratum)]
     if residue.q_mult == 0 and not _positive_off_origin(rise, "ij"):
         proof.append(cocycle)
-    return [r for r in proof if r]
+    return proof
 
 
-def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
+def laurent_realization_check(params: BlockParams) -> Verdict:
     """Prove the bracket equals its Laurent realization L[a,i] = x^a t^(q+i).
 
     The realization bracket of monomials f = t^(q+i), g = t^(q+j) is computed
@@ -339,18 +328,6 @@ def laurent_realization_check(params: BlockParams, window: Window) -> Verdict:
         + delta_{a+b,0} (a^3-a)/12 Res_t(t^(-2q-1) f g) c,
 
     and both routes must agree as Elements for every index (a, i, b, j):
-    proved over the index ring (`_laurent_proof`), with the window scanned
-    for the witness only when the proof fails (`decide`)."""
-    p, q = params.p, params.q
-    bracket = cache(lambda: block_bracket_rule(params).pair)
-
-    def residual(t: tuple) -> Element:
-        a, i, b, j = t
-        graded, residue = _realization(p, q, a, i, b, j)
-        terms = accumulate({}, ((Graded(a + b, offset), coeff) for offset, coeff in graded))
-        # Res_t picks the t^-1 coefficient; with t^q formal that needs q_mult 0
-        if a + b == 0 and residue == _TPower(0, -1):
-            accumulate(terms, ((CENTRAL, cocycle_value(a)),))
-        return bracket()(Graded(a, i), Graded(b, j)) - Element(terms)
-
-    return decide(_laurent_proof(params), window.pairs(), residual)
+    proved over the index ring (`_laurent_proof`), and a failed proof raises
+    (`_proved`)."""
+    return _proved("Laurent realization", _laurent_proof(params))

@@ -66,11 +66,10 @@ _GRID5 = ["-2", "-1", "0", "1", "2"]
 # graded labels of a window, (grade_max - grade_min + 1) * (level_max + 1); a
 # closure's work grows with its square, and no archived window has over 81
 MAX_WINDOW_LABELS = 1000
-# graded labels of a blockcheck window: the Virasoro and Laurent checks are
-# proved in about 1.5 ms at any window, so this bounds only the witness scan
-# of a failed proof, which visits every pair of labels, about 2.2 s for 200
-# labels concrete and 7.8 s with symbolic p, q (2-vCPU host); no archived or
-# benchmark blockcheck has more than 18
+# graded labels of a blockcheck window, a field that no check reads: the
+# Virasoro and Laurent checks are proved for every index and scan no window.
+# The field is still accepted, bounded and echoed, because benchmark and
+# archived blockcheck configs send it; it goes with this bound once none does
 MAX_BLOCKCHECK_LABELS = 200
 # last series index of a highest-weight job: horizon for classify, max_level +
 # horizon for singular and crosscheck; a classify of dense labels (no
@@ -452,10 +451,11 @@ def _validate_affinize(f: _Fields):
 
 def _validate_blockcheck(f: _Fields):
     p, q = f.scalars(("p", "q"), symbolic=("p", "q"))
+    params = _block_params(f, p, q)
+    f.window(MAX_BLOCKCHECK_LABELS)  # echoed only
     return partial(
         _run_blockcheck,
-        _block_params(f, p, q),
-        f.window(MAX_BLOCKCHECK_LABELS),
+        params,
         f.rationals("cocycle_grades", _GRID5, grid=True),
         f.rationals("jacobi_grades", ["-1", "0", "1"], grid=True),
         f.rationals("jacobi_levels", ["0", "1", "2"], grid=True),
@@ -641,15 +641,13 @@ def _run_affinize(params, aff, grades, levels, sweep) -> tuple[dict, bool]:
     return results, positive
 
 
-def _run_blockcheck(
-    params, window, cocycle_grades, jacobi_grades, jacobi_levels
-) -> tuple[dict, bool]:
+def _run_blockcheck(params, cocycle_grades, jacobi_grades, jacobi_levels) -> tuple[dict, bool]:
     try:
         cocycle = block.cocycle_jacobi_check(params, cocycle_grades)
     except engine.InsufficientGridError as exc:
         raise ConfigError(f"blockcheck: field 'cocycle_grades': {exc}") from None
-    virasoro = block.virasoro_embedding_check(params, window)
-    laurent = block.laurent_realization_check(params, window)
+    virasoro = block.virasoro_embedding_check(params)
+    laurent = block.laurent_realization_check(params)
     try:
         jacobi = engine.grid_identity_check(
             block.delta_free_rule(params), "jacobi", jacobi_grades, jacobi_levels

@@ -232,12 +232,6 @@ class Window(NamedTuple("Window", [("grade_min", int), ("grade_max", int), ("lev
             out.append(CENTRAL)
         return out
 
-    def pairs(self) -> Iterable[tuple[int, int, int, int]]:
-        """(a, i, b, j) for every pair of graded window labels L[a,i], L[b,j],
-        in `itertools.product(grades, grades, levels, levels)` order."""
-        grades, levels = range(self.grade_min, self.grade_max + 1), range(self.level_max + 1)
-        return ((a, i, b, j) for a, b, i, j in itertools.product(grades, grades, levels, levels))
-
 
 def truncate(element: Element, window: Window) -> Element:
     """Drop every term whose label falls outside the window."""
@@ -291,10 +285,8 @@ def decide(proof: object, tuples: Iterable[tuple], residual: Callable[[tuple], o
     holds holds universally, and nothing is scanned.  Otherwise the tuples
     are scanned once: a rule without terms is decided by the scan, and holds
     on the tested grid.  A failed proof scans for its witness, and finding
-    none raises: the Virasoro and Laurent checks scan the job's window, which
-    need not hold it, and every other check scans, through the pair the
-    terms define, a grid sized by their degrees, which holds it unless the
-    prover and the evaluator disagree."""
+    none raises: each check scans a grid sized by its terms' degrees, which
+    holds the witness unless the prover and the evaluator disagree."""
     if proof is not None and not proof:
         return Verdict(True)
     verdict = first_failure(tuples, residual, "on_tested_grid")

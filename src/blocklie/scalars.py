@@ -13,9 +13,9 @@ The zero polynomial has empty support.  Polynomial operations are pure and
 return new objects; no Poly is ever mutated, so values are safe to share
 across workers.
 
-Two polynomials combine only when they share a symbol table, except that a
-constant (no symbol dependence) lifts into any ring.  Division is restricted
-to nonzero rational constants.
+Two polynomials combine only when they share a symbol table; a mismatch
+raises `SymbolTableError`, constants included.  Division is restricted to
+nonzero rational constants.
 
 Every sparse vector in the package (`Poly.terms` here, `engine.Element` and
 `intermediate.ModuleVector`) is a dict of nonzero coefficients; `accumulate`
@@ -208,20 +208,11 @@ class Poly:
 
     # -- ring compatibility --------------------------------------------------
 
-    def _coerce(self, other: Scalar) -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented  # type: ignore[return-value]
-        if other.ring == self.ring:
-            return other
-        if other.is_constant():
-            return self.ring.const(other.constant_value())
-        if self.is_constant():
-            # handled by caller promoting self into other's ring
-            raise _ConstantPromotion
-        for name in other.ring.symbols:
-            if name not in self.ring:
-                raise SymbolTableError(f"symbol table mismatch: {name!r} not shared")
-        raise SymbolTableError("symbol table mismatch: tables ordered differently")
+    def _same_ring(self, other: "Poly") -> "Poly":
+        """`other`, which must share this polynomial's ring."""
+        if other.ring != self.ring:
+            raise SymbolTableError(f"symbol table mismatch: {self.ring!r} and {other.ring!r}")
+        return other
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -229,12 +220,9 @@ class Poly:
         if isinstance(other, (int, Fraction)):  # a constant adds at the zero exponent
             constant = ((0,) * len(self.ring.symbols), as_fraction(other))
             return Poly._wrap(self.ring, accumulate(dict(self.terms), (constant,)))
-        try:
-            rhs = self._coerce(other)
-        except _ConstantPromotion:
-            return other + self.constant_value()  # type: ignore[operator]
-        if rhs is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
+        rhs = self._same_ring(other)
         return Poly._wrap(self.ring, accumulate(dict(self.terms), rhs.terms.items()))
 
     __radd__ = __add__
@@ -251,13 +239,9 @@ class Poly:
     def __mul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):  # Fraction * int stays a Fraction
             return Poly._wrap(self.ring, accumulate({}, self.terms.items(), other))
-        try:
-            rhs = self._coerce(other)
-        except _ConstantPromotion:
-            return other * self.constant_value()  # type: ignore[operator]
-        if rhs is NotImplemented:
+        if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._wrap(self.ring, _product(self.terms, rhs.terms))
+        return Poly._wrap(self.ring, _product(self.terms, self._same_ring(other).terms))
 
     __rmul__ = __mul__
 
@@ -289,11 +273,7 @@ class Poly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.ring == other.ring:
-            return self.terms == other.terms
-        if self.is_constant() and other.is_constant():
-            return self.constant_value() == other.constant_value()
-        return False
+        return self.ring == other.ring and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -301,9 +281,10 @@ class Poly:
 
     def compose(self, ring: PolyRing, images: Mapping[str, Scalar] | None = None) -> "Poly":
         """Substitute `images[name]`, a Poly of `ring` or a rational, for each
-        symbol; a symbol without an image becomes the same-named symbol of
-        `ring`.  The result lives in `ring`, so the call with no images lifts
-        a polynomial into a ring that declares more symbols.
+        symbol (an image from another ring raises `SymbolTableError`); a
+        symbol without an image becomes the same-named symbol of `ring`.  The
+        result lives in `ring`, so the call with no images lifts a polynomial
+        into a ring that declares more symbols.
         """
         images = images or {}
 
@@ -315,9 +296,7 @@ class Poly:
             elif not isinstance(value, Poly):
                 value = ring.const(value)
             elif value.ring != ring:
-                if not value.is_constant():
-                    raise SymbolTableError(f"image of {name!r} does not live in {ring!r}")
-                value = ring.const(value.constant_value())
+                raise SymbolTableError(f"image of {name!r} does not live in {ring!r}")
             return value.terms
 
         used = {pos for exps in self.terms for pos, e in enumerate(exps) if e}
@@ -499,10 +478,6 @@ class Packed:
         packing = self.packing
         terms = {packing.exponents(m): c for m, c in self.terms.items()}
         return packing.compose(terms, {packing.ring.index(n): v for n, v in images.items()})
-
-
-class _ConstantPromotion(Exception):
-    """Internal: a constant poly must be promoted into the other operand's ring."""
 
 
 def as_fraction(value: Scalar) -> Fraction:

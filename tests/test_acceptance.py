@@ -128,11 +128,10 @@ def test_criterion_04_block_algebra_checks():
         ring = PolyRing("q")
         symbolic = BlockParams(p=Fraction(2), q=ring.var("q"))
         assert cocycle_jacobi_check(symbolic, [-2, -1, 0, 1, 2]).holds
-        window = Window(-4, 4, 2)
         for p, q in ((3, 2), (1, 1), (-2, Fraction(1, 2))):
             params = BlockParams(p=Fraction(p), q=Fraction(q))
-            assert virasoro_embedding_check(params, window).holds, (p, q)
-            assert laurent_realization_check(params, window).holds, (p, q)
+            assert virasoro_embedding_check(params).holds, (p, q)
+            assert laurent_realization_check(params).holds, (p, q)
 
 
 def closed_form_chain(mu0: int, l1: int, l2: int, q):

@@ -16,7 +16,6 @@ from blocklie.block import (
     basis_bracket,
     block_bracket_rule,
     cocycle_jacobi_check,
-    cocycle_value,
     delta_free_rule,
     laurent_realization_check,
     structure_numerator,
@@ -46,6 +45,21 @@ block_params = st.builds(
     st.one_of(rationals, st.just(RING.var("p"))),
     st.one_of(rationals.filter(bool), st.just(RING.var("q"))),
 )
+
+
+def cocycle_value(grade) -> Fraction:
+    """(a^3 - a)/12, the central 2-cocycle evaluated at a grade: the value
+    of `block.CUBIC_COCYCLE`, written out."""
+    return Fraction(grade**3 - grade, 12)
+
+
+def window_pairs(window: Window):
+    """(a, i, b, j) for every pair of graded window labels L[a,i], L[b,j],
+    in `itertools.product(grades, grades, levels, levels)` order."""
+    grades, levels = range(window.grade_min, window.grade_max + 1), range(window.level_max + 1)
+    return ((a, i, b, j) for a, b, i, j in itertools.product(grades, grades, levels, levels))
+
+
 windows = st.one_of(
     st.just(Window(0, 0, 0)),
     st.builds(
@@ -250,13 +264,12 @@ def test_cocycle_jacobi_grid_requirements():
 
 
 def test_virasoro_embedding_check():
-    window = Window(-4, 4, 0)
     for p, q in [(3, 2), (1, 1), (-2, Fraction(1, 2))]:
         params = BlockParams(p=Fraction(p), q=Fraction(q))
-        assert virasoro_embedding_check(params, window).holds
+        assert virasoro_embedding_check(params).holds
     ring = PolyRing("p", "q")
     symbolic = BlockParams(p=ring.var("p"), q=ring.var("q"))
-    assert virasoro_embedding_check(symbolic, window).holds
+    assert virasoro_embedding_check(symbolic).holds
 
 
 def test_cocycle_vanishes_at_grade_one():
@@ -266,16 +279,15 @@ def test_cocycle_vanishes_at_grade_one():
 
 
 def test_laurent_realization_check():
-    window = Window(-4, 4, 2)
     for p, q in [(3, 2), (1, 1), (-2, Fraction(1, 2))]:
         params = BlockParams(p=Fraction(p), q=Fraction(q))
-        assert laurent_realization_check(params, window).holds
+        assert laurent_realization_check(params).holds
 
 
 def test_laurent_realization_with_symbolic_parameters():
     ring = PolyRing("p", "q")
     params = BlockParams(p=ring.var("p"), q=ring.var("q"))
-    assert laurent_realization_check(params, Window(-2, 2, 2)).holds
+    assert laurent_realization_check(params).holds
 
 
 def test_parabolic_degree_zero_examples():
@@ -361,7 +373,9 @@ class _TPower:
 
 
 def scanned_virasoro(params, window):
-    """`virasoro_embedding_check` as the window scan it was before its proof."""
+    """`virasoro_embedding_check` as the window scan it was before its proof:
+    the first level-zero pair of the window where the bracket and the
+    Virasoro relation differ."""
 
     def residual(t):
         a, b = t
@@ -370,12 +384,14 @@ def scanned_virasoro(params, window):
             terms[CENTRAL] = cocycle_value(a)
         return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
 
-    level_zero = Window(window.grade_min, window.grade_max, 0).pairs()
+    level_zero = window_pairs(Window(window.grade_min, window.grade_max, 0))
     return first_failure(((a, b) for a, _, b, _ in level_zero), residual, "on_window")
 
 
 def scanned_laurent(params, window):
-    """`laurent_realization_check` as the window scan it was before its proof."""
+    """`laurent_realization_check` as the window scan it was before its proof:
+    the first pair of the window where the bracket and its Laurent
+    realization differ."""
     p, q = params.p, params.q
     shift, dual = _TPower(-1, 1), _TPower(-2, -1)
 
@@ -390,10 +406,14 @@ def scanned_laurent(params, window):
             accumulate(terms, ((CENTRAL, cocycle_value(a)),))
         return basis_bracket(params, Graded(a, i), Graded(b, j)) - Element(terms)
 
-    return first_failure(window.pairs(), residual, "on_window")
+    return first_failure(window_pairs(window), residual, "on_window")
 
 
-CHECKS = ((virasoro_embedding_check, scanned_virasoro), (laurent_realization_check, scanned_laurent))
+# each check, the test's scan of it, and the proof its failure names
+CHECKS = (
+    (virasoro_embedding_check, scanned_virasoro, "Virasoro embedding proof fails"),
+    (laurent_realization_check, scanned_laurent, "Laurent realization proof fails"),
+)
 
 
 def index_ring_delta_free_terms(params):
@@ -417,8 +437,8 @@ def test_delta_free_terms_are_the_index_ring_structure_coefficient():
 @contextmanager
 def perturbed_coefficient(extra):
     """The delta-free term plus extra(x, y) at the index-ring labels L[a,i],
-    L[b,j]: the proofs read the perturbed term, and so do the window scans,
-    whose brackets are the pair that the term defines (`basis_bracket`)."""
+    L[b,j]: the proofs read the perturbed term, and so do the test's window
+    scans, whose brackets are the pair that the term defines (`basis_bracket`)."""
 
     def perturbed(params):
         ((offset, coeff),) = index_ring_delta_free_terms(params)
@@ -444,27 +464,26 @@ def counted_compiles():
 
 
 @SETTINGS
-@given(block_params, windows)
-def test_laurent_and_virasoro_hold_by_proof_without_bracketing(params, window):
+@given(block_params)
+def test_laurent_and_virasoro_hold_by_proof_without_bracketing(params):
     with counted_compiles() as calls:
-        for check, _ in CHECKS:
-            assert str(check(params, window)) == "holds_universally"
+        for check, _, _ in CHECKS:
+            assert str(check(params)) == "holds_universally"
     assert not calls
 
 
 @SETTINGS
-@given(block_params, windows, rationals.filter(bool))
-def test_a_failing_window_check_compiles_the_rule_once(params, window, delta):
-    # a constant perturbation fails both proofs; the scan brackets every
-    # pair it reads through one pair, whether or not it finds a witness
+@given(block_params, rationals.filter(bool))
+def test_a_failing_check_raises_and_compiles_nothing(params, delta):
+    # a constant perturbation fails both proofs; a failed proof is a defect
+    # of the bracket itself, so the check raises, naming its proof, and
+    # brackets nothing
     with perturbed_coefficient(lambda x, y: delta):
-        for check, _ in CHECKS:
+        for check, _, fails in CHECKS:
             with counted_compiles() as calls:
-                try:
-                    check(BlockParams(params.p, params.q), window)
-                except ValueError as exc:
-                    assert "holds no witness" in str(exc)
-            assert len(calls) == 1
+                with pytest.raises(ValueError, match=fails):
+                    check(BlockParams(params.p, params.q))
+            assert not calls
 
 
 @SETTINGS
@@ -476,26 +495,26 @@ def test_a_failing_window_check_compiles_the_rule_once(params, window, delta):
     st.integers(0, 2),
     st.integers(0, 1),
 )
-def test_perturbed_checks_match_the_window_scans(params, window, delta, ea, eb, el):
-    # a nonzero delta breaks both proofs; the scan then finds the witness the
-    # old check found, or finds none on this window and the check raises
+def test_perturbed_checks_raise_exactly_when_perturbed(params, window, delta, ea, eb, el):
+    # a nonzero delta breaks both proofs, so the check raises exactly then,
+    # and in particular whenever the scan finds a witness on this window
     extra = lambda x, y: delta * x.grade**ea * y.grade**eb * (x.level + y.level + 1) ** el
     with perturbed_coefficient(extra):
-        for check, scan in CHECKS:
+        for check, scan, fails in CHECKS:
             expected = scan(params, window)
-            if delta and expected.holds:
-                with pytest.raises(ValueError, match="holds no witness"):
-                    check(params, window)
-                continue
-            got = check(params, window)
-            assert (got.holds, got.witness) == (expected.holds, expected.witness)
-            assert str(got.residual) == str(expected.residual)
-            assert got.holds == (not delta)
+            if delta:
+                with pytest.raises(ValueError, match=fails):
+                    check(params)
+            else:
+                assert expected.holds
+                assert str(check(params)) == "holds_universally"
 
 
 @SETTINGS
 @given(block_params, windows, rationals.filter(bool))
 def test_perturbation_vanishing_on_every_window_grade_raises(params, window, delta):
+    # the window holds no witness, and the check, which reads no window,
+    # still raises
     grades = range(window.grade_min, window.grade_max + 1)
 
     def extra(x, y):
@@ -505,10 +524,10 @@ def test_perturbation_vanishing_on_every_window_grade_raises(params, window, del
         return product
 
     with perturbed_coefficient(extra):
-        for check, scan in CHECKS:
+        for check, scan, fails in CHECKS:
             assert scan(params, window).holds
-            with pytest.raises(ValueError, match="holds no witness"):
-                check(params, window)
+            with pytest.raises(ValueError, match=fails):
+                check(params)
 
 
 def test_virasoro_proof_compares_the_cocycles():
@@ -516,9 +535,11 @@ def test_virasoro_proof_compares_the_cocycles():
     # fails the proof, and the scan, whose bracket reads the same cocycle,
     # finds the witness: (a^3 + a)/12 - (a^3 - a)/12 = a/6 at a = -2
     with mock.patch.object(block, "CUBIC_COCYCLE", (G**3 + G) / 12):
-        verdict = virasoro_embedding_check(P11, Window(-2, 2, 0))
-    assert str(verdict) == "fails(witness=(-2, 2), residual=-1/3*c)"
-    assert virasoro_embedding_check(P11, Window(-2, 2, 0)).holds
+        with pytest.raises(ValueError, match="Virasoro embedding proof fails"):
+            virasoro_embedding_check(P11)
+        scanned = scanned_virasoro(P11, Window(-2, 2, 0))
+    assert str(scanned) == "fails(witness=(-2, 2), residual=-1/3*c)"
+    assert virasoro_embedding_check(P11).holds
 
 
 def lifted(value, ring):

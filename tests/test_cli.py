@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_block import perturbed_coefficient
+
 from blocklie import block, cli, hweight
 from blocklie.cli import (
     ConfigError,
@@ -1261,6 +1263,34 @@ def test_archived_verify_reports_reproduce_byte_identically(name, expected, caps
     config = str(DATA / f"{name}.json")
     assert main(["--config", config, "--format", "machine"]) == expected
     assert capsys.readouterr().out == (DATA / f"{name}.report.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "extra,fails",
+    [
+        (lambda x, y: Fraction(1, 3), "Virasoro embedding proof fails"),
+        # vanishes at i = j = 0, so the Virasoro proof holds
+        (lambda x, y: -2 * (x.level + y.level), "Laurent realization proof fails"),
+    ],
+    ids=["constant", "vanishing_at_level_zero"],
+)
+def test_a_failed_block_proof_exits_3_and_names_it(extra, fails, capsys):
+    # the Virasoro and Laurent checks are theorems of every B(p,q), so a
+    # failed proof is a defect of the program's own bracket: an internal
+    # error, never a verdict with a witness
+    config = str(DATA / "blockcheck_concrete.json")
+    with perturbed_coefficient(extra):
+        assert main(["--config", config, "--format", "machine"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"internal error: ValueError: the {fails}")
+        assert "Traceback" not in captured.err
+        assert main(["--config", config, "--format", "machine", "--debug"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"internal error: ValueError: the {fails}")
+        assert "Traceback (most recent call last)" in err
+    assert main(["--config", config, "--format", "machine"]) == 0
+    assert capsys.readouterr().out == (DATA / "blockcheck_concrete.report.json").read_text()
 
 
 def test_singular_job_negative_when_kernel_empty(tmp_path):

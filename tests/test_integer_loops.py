@@ -75,7 +75,7 @@ def test_prover_builds_no_fraction_per_product():
 
 
 def test_block_proofs_build_no_fraction_per_product():
-    window, grades = Window(-3, 3, 2), [-2, -1, 0, 1, 2]
+    grades = [-2, -1, 0, 1, 2]
     cocycle = len(CUBIC_COCYCLE.terms)
     for params in (
         BlockParams(Fraction(2, 3), Fraction(-7, 5)),
@@ -85,7 +85,7 @@ def test_block_proofs_build_no_fraction_per_product():
         ((_, coeff),) = delta_free_rule(params).terms
         for check in (virasoro_embedding_check, laurent_realization_check):
             with counted_fractions() as count:
-                assert check(params, window).holds
+                assert check(params).holds
             # p and q, the delta-free term and the cocycle
             assert count[0] <= 2 + len(coeff.terms) + cocycle, (check.__name__, params)
         with counted_fractions() as count:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from test_block import window_pairs
+
 from blocklie.engine import (
     BracketRule,
     Element,
@@ -52,7 +54,7 @@ def block_sZ_reindex_check(s: Fraction, window: Window) -> Verdict:
         )
         return rule.pair(Graded(a - 1, i), Graded(b - 1, j)) - expected
 
-    return first_failure(window.pairs(), residual, "on_window")
+    return first_failure(window_pairs(window), residual, "on_window")
 
 
 def test_witt_product_examples():

@@ -593,3 +593,63 @@ def test_renamings_move_whole_index_blocks_without_a_carry():
     cycle = fields + (top, 1, 0, top, top - 1, 2)
     once = renamed(cycle, "zxy")
     assert once != cycle and renamed(renamed(once, "zxy"), "zxy") == cycle
+
+
+# -- the torus net: a rule conjugated by tau keeps its verdicts ------------------
+
+
+def conjugated(rule, t, s):
+    """The rule conjugated by the torus tau_{t,s}: L[a,i] -> t^a s^i L[a,i].
+    tau^-1 [tau x, tau y] scales the coefficient of each offset (dg, dl) by
+    t^-dg s^-dl, so the conjugate is isomorphic to the rule: it satisfies the
+    same identities, and fails them at the same grid points."""
+    return BracketRule(terms=tuple(((dg, dl), c * t**-dg * s**-dl) for (dg, dl), c in rule.terms))
+
+
+@st.composite
+def split_perturbed(draw, rules, leveled):
+    """A drawn rule plus delta*a^ea*b^eb at offset (0, 0) and minus it at a
+    second offset: a defect whose residuals at the two offsets are opposite,
+    so they cancel wherever offsets are summed together, and tau scales them
+    apart."""
+    rule = draw(rules)
+    ring = rule.terms[0][1].ring
+    monomial = draw(nonzero_rationals) * ring.var("a") ** draw(st.integers(0, 2))
+    monomial *= ring.var("b") ** draw(st.integers(0, 2))
+    dg = draw(st.integers(-2, 2))
+    dl = draw(st.integers(0, 1)) if leveled else 0
+    other = (dg, dl) if (dg, dl) != (0, 0) else (1, 0)
+    return BracketRule(terms=(*rule.terms, ((0, 0), monomial), (other, -monomial)))
+
+
+# t and s of tau: 0 is not invertible, and +-1 leave every offset in place
+scales = nonzero_rationals.filter(lambda v: abs(v) != 1)
+TAU_SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
+
+
+@TAU_SETTINGS
+@given(st.one_of(product_rules(), split_perturbed(product_rules(), False)), scales, st.data())
+def test_tau_keeps_the_novikov_verdicts(rule, t, data):
+    grades = data.draw(grids(2 * rule.grade_degree_bound + 1))
+    before = novikov_axiom_check(rule, grades)
+    after = novikov_axiom_check(conjugated(rule, t, 1), grades)
+    for got, want in zip(after, before):
+        assert (got.holds, got.witness) == (want.holds, want.witness)
+        assert got.scope == want.scope
+
+
+@TAU_SETTINGS
+@given(
+    st.one_of(bracket_rules(), split_perturbed(bracket_rules(), True)),
+    st.sampled_from(["antisymmetry", "jacobi"]),
+    scales,
+    scales,
+    st.data(),
+)
+def test_tau_keeps_the_identity_verdicts(rule, identity, t, s, data):
+    multiplier = 1 if identity == "antisymmetry" else 2
+    grades = data.draw(grids(multiplier * rule.grade_degree_bound + 1))
+    levels = data.draw(grids(multiplier * rule.level_degree_bound + 1))
+    before = grid_identity_check(rule, identity, grades, levels)
+    after = grid_identity_check(conjugated(rule, t, s), identity, grades, levels)
+    assert (after.holds, after.witness, after.scope) == (before.holds, before.witness, before.scope)
