@@ -8,20 +8,20 @@ Basis L[a,i] for integer grade a and level i >= 0, plus a central element c:
 The delta-free part is polynomial in the indices and is proved by the
 engine's identity check (it is the mu=0 affinization of the Witt-type
 Novikov product); the Kronecker-delta cocycle is not polynomial, so its
-Jacobi contribution gets a dedicated proof here, over a cocycle given as a
-one-variable Poly.  The Virasoro embedding and the Laurent realization are
-proved the same way: one polynomial identity for the delta-free part and
-one for the cocycle on its stratum a+b = 0, i = j = 0.  Both are theorems of
-B(p,q) for every p and q, so they read no window and scan nothing: a proof
-that fails can come only from a defect in the bracket's own terms or
-cocycle, and it raises.
+Jacobi contribution gets a dedicated proof here, over the fixed cubic
+cocycle `CUBIC_COCYCLE`.  The Virasoro embedding and the Laurent
+realization are proved the same way: one polynomial identity for the
+delta-free part and one for the cocycle on its stratum a+b = 0, i = j = 0.
+Both are theorems of B(p,q) for every p and q, so they read no window and
+scan nothing: a proof that fails can come only from a defect in the
+bracket's own terms or cocycle, and it raises.
 
-The three proofs run on integers, as the engine's prover does: each lifts
-its inputs (the parameters, the delta-free term, the cocycle) once over one
-common denominator D (`_lift`) and builds its residuals as `scalars.Packed`
-polynomials, whose monomials are packed ints.  A residual is a fixed power
-of D times the rational one, so it vanishes with it, and each residual is
-kept apart, so none can cancel another.
+The three proofs run on integers, as the engine's prover does: they read
+one lift of their inputs (the parameters, the delta-free term, the cocycle)
+over one common denominator D, `BlockParams.lifted`, and build their
+residuals as `scalars.Packed` polynomials, whose monomials are packed ints.
+A residual is a fixed power of D times the rational one, so it vanishes
+with it, and each residual is kept apart, so none can cancel another.
 
 The Laurent realization stores the formal factor t^q unexpanded: monomial
 exponents are pairs (q-multiplicity, offset), the offset a Packed
@@ -72,8 +72,26 @@ class BlockParams(NamedTuple("BlockParams", [("p", Scalar), ("q", Scalar)])):
     @cached_property
     def delta_free_terms(self) -> tuple:
         """`_delta_free_terms`, built on first use and kept in the instance
-        dict (so the class has no `__slots__`): a blockcheck reads it thrice."""
+        dict (so the class has no `__slots__`): a blockcheck's delta-free
+        rule, `lifted` and two proofs read it."""
         return _delta_free_terms(self)
+
+    @cached_property
+    def lifted(self) -> tuple:
+        """The inputs of the three Block proofs lifted once, as (packing, D,
+        p, q, cocycle terms, delta-free coefficients): D is the common
+        denominator of p, q, `CUBIC_COCYCLE` and the delta-free term's
+        coefficients, p and q are Packed constants and the rest terms dicts,
+        each times D with int coefficients.  Each monomial of a residual is a
+        product of at most one monomial of each input and three index symbols
+        (a linear factor, or the a^3 of the Virasoro cocycle), so the packing
+        holds the inputs' total degrees plus 3.  It reads `CUBIC_COCYCLE` on
+        first use and keeps what it read."""
+        ring, (p, q) = index_ring(self.p, self.q)
+        inputs = (p, q, CUBIC_COCYCLE, *(coeff for _, coeff in self.delta_free_terms))
+        packing = Packing(ring, sum(map(total_degree, inputs)) + 3)
+        den, (p_terms, q_terms, k_terms, *coeffs) = lift(*inputs)
+        return packing, den, packing.compose(p_terms), packing.compose(q_terms), k_terms, coeffs
 
 
 _X = PolyRing("x").var("x")
@@ -133,22 +151,10 @@ def _delta_free_terms(params: BlockParams) -> tuple:
         *times(q, "b"),
         *times(-q, "a"),
     )
-    return (((0, 0), Poly._wrap(ring, accumulate({}, terms))),)
+    return (((0, 0), Poly(ring, accumulate({}, terms))),)
 
 
-def _lift(ring: PolyRing, *inputs: Poly) -> tuple[Packing, int, list[dict]]:
-    """A Block proof's inputs lifted once: (packing, D, terms), where D is
-    their common denominator and `terms` each input times D, as ints.  Each
-    monomial of a residual is a product of at most one monomial of each
-    input and three index symbols (a linear factor, or the a^3 of the
-    Virasoro cocycle), so the packing holds the inputs' total degrees plus 3."""
-    den, terms = lift(*inputs)
-    return Packing(ring, sum(map(total_degree, inputs)) + 3), den, terms
-
-
-def cocycle_jacobi_check(
-    params: BlockParams, grade_values: Sequence, cocycle: Poly = CUBIC_COCYCLE
-) -> Verdict:
+def cocycle_jacobi_check(params: BlockParams, grade_values: Sequence) -> Verdict:
     """Prove the cocycle's Jacobi contribution; scan the grid for a witness.
 
     The central component of the Jacobi identity reduces to level-zero
@@ -156,31 +162,27 @@ def cocycle_jacobi_check(
 
         q(g-b) K(a) + q(a-g) K(b) + q(b-a) K(g) = 0,   g = -a-b,
 
-    for the cocycle K, a Poly in one variable.  The identity is proved as a
-    polynomial in a and b, with q and K lifted to integers.  When the proof
-    fails, the residual has per-variable degree at most deg K + 1, so a grid of
-    deg K + 2 distinct grades holds a witness; that size is required either
-    way (5 for the cubic cocycle).  Failures are reported as the residual
-    times c at (a, b, g).
+    for the cocycle K = `CUBIC_COCYCLE`.  The identity is proved as a
+    polynomial in a and b over `params.lifted`.  When the proof fails, the
+    residual has per-variable degree at most deg K + 1, so a grid of deg K + 2
+    distinct grades holds a witness; that size is required either way (5 for
+    the cubic cocycle).  Failures are reported as the residual times c at
+    (a, b, g), with K evaluated from its lifted integers.
     """
-    if len(cocycle.ring.symbols) != 1:
-        raise ValueError(f"the cocycle must be a Poly in one variable, got {cocycle}")
-    (symbol,) = cocycle.ring.symbols
-    _require_grid("grade", grade_values, cocycle.degree_bound(symbol) + 2)
+    (symbol,) = CUBIC_COCYCLE.ring.symbols
+    _require_grid("grade", grade_values, CUBIC_COCYCLE.degree_bound(symbol) + 2)
+    packing, den, _, q_packed, k_terms, _ = params.lifted
     q = params.q
-    ring, (q_poly,) = index_ring(q)
-    packing, _, (k_terms, q_terms) = _lift(ring, cocycle, q_poly)
     a, b = packing.var("a"), packing.var("b")
     g = -a - b
 
     def lifted(x: Packed) -> Packed:
         return packing.compose(k_terms, {0: x})
 
-    jacobi = (g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g)
-    proof = packing.compose(q_terms) * jacobi
+    proof = q_packed * ((g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g))
 
     def value(x) -> Fraction:
-        return cocycle.compose(cocycle.ring, {symbol: x}).constant_value()
+        return Fraction(sum(c * x**e for (e,), c in k_terms.items()), den)
 
     def residual(t: tuple) -> Element:
         a, b, g = t
@@ -215,18 +217,16 @@ def virasoro_embedding_check(params: BlockParams) -> Verdict:
     residual is kept apart, so two cannot cancel, and a nonzero one raises
     (`_proved`).
     """
-    ring, (_, q) = index_ring(params.p, params.q)
-    terms = params.delta_free_terms
-    packing, den, (k_terms, q_terms, *coeffs) = _lift(
-        ring, CUBIC_COCYCLE, q, *(coeff for _, coeff in terms)
-    )
+    packing, den, _, q, k_terms, coeffs = params.lifted
+    ring = packing.ring
     a, b = packing.var("a"), packing.var("b")
     zero = Packed(packing, {})
     level_zero = {ring.index("i"): zero, ring.index("j"): zero}
+    terms = params.delta_free_terms
     graded = accumulate(
         {}, ((offset, packing.compose(c, level_zero)) for (offset, _), c in zip(terms, coeffs))
     )
-    accumulate(graded, (((0, 0), packing.compose(q_terms) * (b - a)),), -1)
+    accumulate(graded, (((0, 0), q * (b - a)),), -1)
     central = 12 * packing.compose(k_terms, {0: a}) - den * (a * a * a - a)
     return _proved("Virasoro embedding", [*graded.values(), central])
 
@@ -262,59 +262,36 @@ def _realization(p, q, a, i, b, j, one: int) -> tuple[tuple, _TPower]:
     return graded, dual * f * g
 
 
-def _positive_off_origin(poly: Packed, levels: str) -> bool:
-    """A sufficient test that `poly` is positive wherever the `levels` are
-    nonnegative integers, not all zero: every coefficient is positive, every
-    monomial reads only levels, and each level is a monomial of its own."""
-    packing = poly.packing
-    alone = set(map(packing.monomial, levels))
-    reads = {packing.ring.index(name) for name in levels}
-    return alone <= poly.terms.keys() and all(
-        c > 0 and all(pos in reads for pos, e in enumerate(packing.exponents(m)) if e)
-        for m, c in poly.terms.items()
-    )
-
-
 def _laurent_proof(params: BlockParams) -> list[Packed]:
     """The residuals of the Laurent realization over the index ring, one per
-    stratum and output offset, kept apart so that none can cancel another:
-    all zero only when the bracket equals its realization at every
-    (a, i, b, j) with levels >= 0.
+    output offset, kept apart so that none can cancel another: all zero only
+    when the bracket equals its realization at every (a, i, b, j) with
+    levels >= 0.
 
     Everywhere, the delta-free term at offset (0, 0) meets the realization's
-    graded terms, each at L[a+b, i+j+dlevel].  On the bracket's cocycle
-    stratum b = -a, i = j = 0 its cocycle meets the realization's, which
+    graded terms, each at L[a+b, i+j+dlevel].  The realization's cocycle
     lives where a + b = 0 and Res_t picks t^-1 from t^(-2q-1) f g: t^q must
-    cancel and the offset + 1 must vanish.  That offset + 1 is read from the
-    exponent.  When it is positive off the origin of nonnegative levels, the
-    residue lives on the cocycle stratum alone; otherwise the realization's
-    cocycle off that stratum is one more residual.
+    cancel and the offset + 1 must vanish.  The realization gives offset + 1
+    = i + j, which on levels >= 0 vanishes exactly at i = j = 0, so its
+    cocycle K(a) meets the bracket's on the cocycle stratum b = -a, i = j = 0
+    and lives nowhere else.  Any other exponent leaves K(a) as one more
+    residual, so the proof fails.
 
     The realization runs on its inputs times D (see `_realization`), so its
     coefficients and the delta-free term times D are D^2 times the rational
     ones, and its offsets are D times the true ones."""
-    ring, (p, q) = index_ring(params.p, params.q)
-    terms = params.delta_free_terms
-    packing, den, (p_terms, q_terms, k_terms, *coeffs) = _lift(
-        ring, p, q, CUBIC_COCYCLE, *(coeff for _, coeff in terms)
-    )
+    packing, den, p, q, k_terms, coeffs = params.lifted
     a, i, b, j = (den * packing.var(name) for name in "aibj")
-    p, q = packing.compose(p_terms), packing.compose(q_terms)
     graded, residue = _realization(p, q, a, i, b, j, den)
+    terms = params.delta_free_terms
     by_offset = accumulate(
         {}, ((offset, den * packing.compose(c)) for (offset, _), c in zip(terms, coeffs))
     )
     lands = (((0, (offset - i - j).constant() // den), coeff) for offset, coeff in graded)
     accumulate(by_offset, lands, -1)
-    grade = packing.var("a")
-    zero = Packed(packing, {})
-    stratum = {"b": -grade, "i": zero, "j": zero}
-    cocycle = packing.compose(k_terms, {0: grade})
-    rise = residue.offset + den
-    realized = cocycle if residue.q_mult == 0 and not rise.compose(stratum) else 0
-    proof = [*by_offset.values(), (cocycle - realized).compose(stratum)]
-    if residue.q_mult == 0 and not _positive_off_origin(rise, "ij"):
-        proof.append(cocycle)
+    proof = list(by_offset.values())
+    if residue.q_mult or residue.offset + den - i - j:
+        proof.append(packing.compose(k_terms, {0: packing.var("a")}))
     return proof
 
 

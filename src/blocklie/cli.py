@@ -835,8 +835,6 @@ def _text_lines(value, indent: int = 0) -> list[str]:
                 lines.extend(_text_lines(inner, indent + 1))
             else:
                 lines.append(f"{pad}- {_text_atom(inner)}")
-    else:
-        lines.append(f"{pad}{_text_atom(value)}")
     return lines
 
 

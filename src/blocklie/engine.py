@@ -163,9 +163,6 @@ class Element:
             return NotImplemented
         return self._wrap(accumulate(dict(self.terms), other.terms.items()))
 
-    def __neg__(self) -> "Element":
-        return self.scaled(-1)
-
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
@@ -173,9 +170,6 @@ class Element:
 
     def scaled(self, factor: Scalar) -> "Element":
         return self._wrap(accumulate({}, self.terms.items(), factor))
-
-    def __rmul__(self, factor: Scalar) -> "Element":
-        return self.scaled(factor)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
@@ -451,7 +445,7 @@ def _terms_pair(terms, cocycle: Poly | None) -> Callable[[Graded, Graded], Eleme
                 value = Fraction(sum(_sum_at(m, point) for _, m in groups), den)
             else:
                 sums = ((e, _sum_at(m, point)) for e, m in groups)
-                value = Poly._wrap(ring, {e: Fraction(n, den) for e, n in sums if n})
+                value = Poly(ring, {e: Fraction(n, den) for e, n in sums if n})
             if value:
                 out[Graded(a + b + dg, i + j + dl)] = value
         if k_monomials and a + b == 0 and i == j == 0:
@@ -766,21 +760,14 @@ class Closure:
     Each row lists its labels in window coordinate order, so its first label
     is its pivot.  The integer echelon that the rows were read from, and the
     window's coordinates, are kept for `membership`; the work counters (an
-    early stop shows in them) are no part of the result: a closure compares
-    and prints by its window and rows alone.  Treat instances as immutable."""
+    early stop shows in them) are no part of the result: a closure prints by
+    its window and rows alone.  Treat instances as immutable."""
 
     __slots__ = ("window", "rows", "_coord_index", "_echelon", "_work")
 
     def __init__(self, window: Window, rows: tuple[Element, ...], _coord_index, _echelon, _work):
         self.window, self.rows = window, rows
         self._coord_index, self._echelon, self._work = _coord_index, _echelon, _work
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Closure:
-            return NotImplemented
-        return (self.window, self.rows) == (other.window, other.rows)
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return f"Closure(window={self.window!r}, rows={self.rows!r})"

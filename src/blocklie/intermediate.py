@@ -31,8 +31,8 @@ VARIANTS = ("Aab", "Aa", "Ba")
 
 
 class IntermediateKind:
-    """A family and its parameters; b is given exactly for Aab.  Compares,
-    hashes and prints by (variant, a, b); treat instances as immutable."""
+    """A family and its parameters; b is given exactly for Aab.  Prints by
+    (variant, a, b); treat instances as immutable."""
 
     __slots__ = ("variant", "a", "b")
 
@@ -43,19 +43,8 @@ class IntermediateKind:
             raise ValueError("parameter b is required exactly for the Aab family")
         self.variant, self.a, self.b = variant, a, b
 
-    def _key(self) -> tuple:
-        return self.variant, self.a, self.b
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not IntermediateKind:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
-        return "IntermediateKind(variant={!r}, a={!r}, b={!r})".format(*self._key())
+        return f"IntermediateKind(variant={self.variant!r}, a={self.a!r}, b={self.b!r})"
 
 
 class ModuleVector(Element):

@@ -9,9 +9,10 @@ integer per declared symbol) to nonzero Fraction coefficients:
     ring = PolyRing("p", "q")
     2*p^2*q - 1/3   ->   {(2, 1): Fraction(2), (0, 0): Fraction(-1, 3)}
 
-The zero polynomial has empty support.  Polynomial operations are pure and
-return new objects; no Poly is ever mutated, so values are safe to share
-across workers.
+The zero polynomial has empty support.  A Poly adopts the terms dict it is
+built from, unchecked; its ring's `const` and `var` and its own operations
+build only clean ones.  Polynomial operations are pure and return new
+objects; no Poly is ever mutated, so values are safe to share across workers.
 
 Two polynomials combine only when they share a symbol table; a mismatch
 raises `SymbolTableError`, constants included.  Division is restricted to
@@ -126,14 +127,8 @@ class PolyRing:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyRing) and self.symbols == other.symbols
 
-    def __hash__(self) -> int:
-        return hash(self.symbols)
-
     def __repr__(self) -> str:
         return f"PolyRing({', '.join(map(repr, self.symbols))})"
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
 
     def index(self, name: str) -> int:
         if name not in self._index:
@@ -142,12 +137,12 @@ class PolyRing:
 
     def const(self, value: RationalLike) -> "Poly":
         coeff = Fraction(value)
-        return Poly._wrap(self, {(0,) * len(self.symbols): coeff} if coeff else {})
+        return Poly(self, {(0,) * len(self.symbols): coeff} if coeff else {})
 
     def var(self, name: str) -> "Poly":
         exps = [0] * len(self.symbols)
         exps[self.index(name)] = 1
-        return Poly._wrap(self, {tuple(exps): Fraction(1)})
+        return Poly(self, {tuple(exps): Fraction(1)})
 
     @property
     def zero(self) -> "Poly":
@@ -161,31 +156,17 @@ class PolyRing:
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
-    Treat instances as immutable; `terms` is never mutated after construction
-    and never stores a zero coefficient.
+    The constructor adopts `terms` without copying or checking it: the
+    caller passes a clean dict, one nonnegative exponent per ring symbol and
+    nonzero Fraction coefficients.  Treat instances as immutable; `terms` is
+    never mutated after construction.
     """
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], RationalLike]):
-        width = len(ring.symbols)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for exps, coeff in terms.items():
-            if len(exps) != width or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps!r} for {ring!r}")
-            c = Fraction(coeff)
-            if c != 0:
-                clean[tuple(exps)] = c
+    def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        self.terms = clean
-
-    @classmethod
-    def _wrap(cls, ring: PolyRing, terms: dict) -> "Poly":
-        """Adopt a clean terms dict (nonzero Fraction coefficients) without copying."""
-        out = cls.__new__(cls)
-        out.ring = ring
-        out.terms = terms
-        return out
+        self.terms = terms
 
     # -- predicates ----------------------------------------------------------
 
@@ -219,16 +200,16 @@ class Poly:
     def __add__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):  # a constant adds at the zero exponent
             constant = ((0,) * len(self.ring.symbols), as_fraction(other))
-            return Poly._wrap(self.ring, accumulate(dict(self.terms), (constant,)))
+            return Poly(self.ring, accumulate(dict(self.terms), (constant,)))
         if not isinstance(other, Poly):
             return NotImplemented
         rhs = self._same_ring(other)
-        return Poly._wrap(self.ring, accumulate(dict(self.terms), rhs.terms.items()))
+        return Poly(self.ring, accumulate(dict(self.terms), rhs.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._wrap(self.ring, accumulate({}, self.terms.items(), -1))
+        return Poly(self.ring, accumulate({}, self.terms.items(), -1))
 
     def __sub__(self, other: Scalar) -> "Poly":
         return self + (-other if isinstance(other, Poly) else -Fraction(other))
@@ -238,10 +219,10 @@ class Poly:
 
     def __mul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):  # Fraction * int stays a Fraction
-            return Poly._wrap(self.ring, accumulate({}, self.terms.items(), other))
+            return Poly(self.ring, accumulate({}, self.terms.items(), other))
         if not isinstance(other, Poly):
             return NotImplemented
-        return Poly._wrap(self.ring, _product(self.terms, self._same_ring(other).terms))
+        return Poly(self.ring, _product(self.terms, self._same_ring(other).terms))
 
     __rmul__ = __mul__
 
@@ -253,7 +234,7 @@ class Poly:
         divisor = Fraction(other)
         if divisor == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return Poly._wrap(self.ring, accumulate({}, self.terms.items(), 1 / divisor))
+        return Poly(self.ring, accumulate({}, self.terms.items(), 1 / divisor))
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
@@ -313,7 +294,7 @@ class Poly:
                         chain.append(_product(chain[-1], chain[1]))
                     term = _product(term, chain[e])
             accumulate(acc, term.items())
-        return Poly._wrap(ring, acc)
+        return Poly(ring, acc)
 
     def degree_bound(self, symbol: str) -> int:
         """Exact maximum exponent of `symbol` across the support (0 if absent)."""
@@ -472,12 +453,6 @@ class Packed:
         if self.terms.keys() - {0}:
             raise ValueError("not a constant polynomial")
         return self.terms.get(0, 0)
-
-    def compose(self, images: Mapping[str, "Packed"]) -> "Packed":
-        """Substitute `images[name]` for each named symbol."""
-        packing = self.packing
-        terms = {packing.exponents(m): c for m, c in self.terms.items()}
-        return packing.compose(terms, {packing.ring.index(n): v for n, v in images.items()})
 
 
 def as_fraction(value: Scalar) -> Fraction:

@@ -222,38 +222,44 @@ def test_cocycle_jacobi_check_with_symbolic_q():
     assert verdict.holds
 
 
-G = PolyRing("g").var("g")
+X = PolyRing("x").var("x")
+
+
+@contextmanager
+def patched_cocycle(cocycle: Poly):
+    """`block.CUBIC_COCYCLE` replaced by `cocycle`, with fresh B(1, 1)
+    parameters: a params object keeps the lift it first built, so only one
+    built inside the patch reads the replacement."""
+    with mock.patch.object(block, "CUBIC_COCYCLE", cocycle):
+        yield BlockParams(p=Fraction(1), q=Fraction(1))
 
 
 def test_cocycle_jacobi_check_rejects_broken_cocycles():
     # a degree-d cocycle leaves a residual of degree d + 1, so its grid needs
     # d + 2 grades to hold a witness
-    for bad, grid in ((G**2 / 12, [-2, -1, 0, 1]), (G**5 / 12, [-3, -2, -1, 0, 1, 2, 3])):
-        verdict = cocycle_jacobi_check(P11, grid, cocycle=bad)
-        assert not verdict.holds
-        assert verdict.witness is not None
-        assert CENTRAL in verdict.residual.terms
-        with pytest.raises(InsufficientGridError, match=f"at least {len(grid)}"):
-            cocycle_jacobi_check(P11, grid[1:], cocycle=bad)
+    for bad, grid in ((X**2 / 12, [-2, -1, 0, 1]), (X**5 / 12, [-3, -2, -1, 0, 1, 2, 3])):
+        with patched_cocycle(bad) as params:
+            verdict = cocycle_jacobi_check(params, grid)
+            assert not verdict.holds
+            assert verdict.witness is not None
+            assert CENTRAL in verdict.residual.terms
+            with pytest.raises(InsufficientGridError, match=f"at least {len(grid)}"):
+                cocycle_jacobi_check(params, grid[1:])
     # the witness is the first failing grid triple: q(g-b)K(a) + q(a-g)K(b)
-    # + q(b-a)K(g) at (-2, -1, 3) with K = g^2/12
-    verdict = cocycle_jacobi_check(P11, [-2, -1, 0, 1], cocycle=G**2 / 12)
+    # + q(b-a)K(g) at (-2, -1, 3) with K = x^2/12
+    with patched_cocycle(X**2 / 12) as params:
+        verdict = cocycle_jacobi_check(params, [-2, -1, 0, 1])
     assert verdict.residual == Element.basis(CENTRAL, Fraction(4 * 4 - 5 * 1 + 1 * 9, 12))
     assert str(verdict) == "fails(witness=(-2, -1, 3), residual=5/3*c)"
 
 
 def test_cocycle_space_is_spanned_by_cubic_and_linear_terms():
-    # a*g^3 + b*g always satisfies the cocycle identity (the linear part is a
+    # a*x^3 + b*x always satisfies the cocycle identity (the linear part is a
     # coboundary), so shifting the cubic by a linear term is not a mutation
     # the Jacobi check can or should reject
-    verdict = cocycle_jacobi_check(P11, [-2, -1, 0, 1, 2], cocycle=(G**3 + G) / 12)
+    with patched_cocycle((X**3 + X) / 12) as params:
+        verdict = cocycle_jacobi_check(params, [-2, -1, 0, 1, 2])
     assert verdict.holds and str(verdict) == "holds_universally"
-
-
-def test_cocycle_must_be_a_poly_in_one_variable():
-    ring = PolyRing("g", "h")
-    with pytest.raises(ValueError, match="one variable"):
-        cocycle_jacobi_check(P11, [-2, -1, 0, 1, 2], cocycle=ring.var("g") * ring.var("h"))
 
 
 def test_cocycle_jacobi_grid_requirements():
@@ -534,12 +540,12 @@ def test_virasoro_proof_compares_the_cocycles():
     # the bracket carries CUBIC_COCYCLE on b = -a; another cocycle there
     # fails the proof, and the scan, whose bracket reads the same cocycle,
     # finds the witness: (a^3 + a)/12 - (a^3 - a)/12 = a/6 at a = -2
-    with mock.patch.object(block, "CUBIC_COCYCLE", (G**3 + G) / 12):
+    with patched_cocycle((X**3 + X) / 12) as params:
         with pytest.raises(ValueError, match="Virasoro embedding proof fails"):
-            virasoro_embedding_check(P11)
-        scanned = scanned_virasoro(P11, Window(-2, 2, 0))
+            virasoro_embedding_check(params)
+        scanned = scanned_virasoro(params, Window(-2, 2, 0))
     assert str(scanned) == "fails(witness=(-2, 2), residual=-1/3*c)"
-    assert virasoro_embedding_check(P11).holds
+    assert virasoro_embedding_check(BlockParams(p=Fraction(1), q=Fraction(1))).holds
 
 
 def lifted(value, ring):

@@ -712,6 +712,44 @@ EXIT_CASES = [
             "weight_range": [0, 1],
         },
     ),
+    ("axioms_duplicate_grades", 2, {"job": "axioms", "p": "2", "grades": ["0", "1", "1"]}),
+    ("axioms_short_grid", 2, {"job": "axioms", "p": "2", "grades": ["0", "1"]}),
+    (
+        "axioms_table_duplicate_pair",
+        2,
+        {
+            "job": "axioms",
+            "table": [
+                {"a": 0, "b": 1, "out": [{"grade": 1, "coeff": "1"}]},
+                {"a": 0, "b": 1, "out": [{"grade": 1, "coeff": "2"}]},
+            ],
+        },
+    ),
+    (
+        "closure_reversed_window",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 2, "grade_max": 1, "level_max": 0},
+            "generators": ["L[1,0]"],
+        },
+    ),
+    (
+        "modcheck_reversed_weight_range",
+        2,
+        {
+            "job": "modcheck",
+            "p": "3",
+            "q": "1",
+            "family": "Ba",
+            "a": "2",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "weight_range": [3, -3],
+        },
+    ),
+    ("config_not_an_object", 2, []),
 ]
 
 
@@ -759,6 +797,14 @@ def test_oversized_window_is_named(tmp_path, capsys):
     payload = {case[0]: case[2] for case in EXIT_CASES}["closure_oversized_window"]
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     assert "closure: field 'window' has 20000300001 graded labels" in capsys.readouterr().err
+
+
+def test_short_witt_axioms_grid_is_named(tmp_path, capsys):
+    # the Witt rule's degrees size the grid, so the check runs after loading
+    payload = {case[0]: case[2] for case in EXIT_CASES}["axioms_short_grid"]
+    assert main(["--config", write_config(tmp_path, payload)]) == 2
+    message = "axioms: field 'grades': grade grid needs at least 3 distinct values, got 2"
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -885,6 +931,17 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
             "modcheck: fields 'window' and 'weight_range' give 1000000 label pairs x 2 weights, "
             "more than the 1000000 allowed",
         ),
+        ("axioms_duplicate_grades", "axioms: field 'grades' values must be distinct"),
+        ("axioms_table_duplicate_pair", "axioms: field 'table[1]' duplicates pair (0, 1)"),
+        (
+            "closure_reversed_window",
+            "closure: field 'window' is invalid: grade_min must not exceed grade_max",
+        ),
+        (
+            "modcheck_reversed_weight_range",
+            "modcheck: field 'weight_range' must be [lo, hi] with lo <= hi",
+        ),
+        ("config_not_an_object", "config must be a JSON object"),
     ],
 )
 def test_rejected_inputs_are_named_before_any_work(tmp_path, name, message):

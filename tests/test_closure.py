@@ -18,13 +18,18 @@ tested against the pair on basis pairs of its own.
 
 The Block closure is also tested against the algebra's symmetries, with no
 oracle: sigma maps the closure at p onto the closure at -p on the mirrored
-window, and the torus tau_{t,s} keeps its pivots.  Both miss a defect that
-yields an isomorphic algebra, such as a flipped cocycle sign.
+window, and the torus tau_{t,s} keeps its pivots.  Whole closure configs,
+Block and affinized, archived and drawn, are mirrored by sigma and run
+through `load_config` and `run_job`: both reports agree.  All of these miss
+a defect that yields an isomorphic algebra, such as a flipped cocycle sign.
 """
 
 import itertools
+import json
+import tempfile
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +38,7 @@ from test_engine import graded_bracket_rule
 
 from blocklie import block, engine
 from blocklie.block import BlockParams, block_bracket_rule, delta_free_rule
+from blocklie.cli import load_config, parse_element, run_job
 from blocklie.engine import (
     CENTRAL,
     BracketRule,
@@ -56,7 +62,7 @@ from blocklie.novikov import (
     perturbed_witt_rule,
     witt_product_rule,
 )
-from blocklie.scalars import PolyRing, accumulate
+from blocklie.scalars import PolyRing, accumulate, format_rational, parse_rational
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -323,6 +329,101 @@ def test_sigma_maps_the_closure_at_p_onto_the_closure_at_minus_p(p, q, data):
     image = subalgebra_closure(rule, [sigma(g) for g in generators], mirror)
     assert image.dimension() == closure.dimension()
     assert all(membership(sigma(row), image) for row in closure.rows)
+
+
+def run_closure_config(payload: dict):
+    """The report of a closure config, through `load_config` and `run_job`."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "job.json"
+        path.write_text(json.dumps(payload))
+        return run_job(load_config(str(path)))
+
+
+def sigma_text(text: str) -> str:
+    return str(sigma(parse_element(text)))
+
+
+def mirrored_closure_config(payload: dict) -> dict:
+    """The closure config that sigma maps `payload` onto.  sigma takes B(p,q)
+    to B(-p,q), and the affinized Witt algebra at (p, mu, theta, q) to the one
+    at (-p, -mu, -theta, q): x_a x_b = (b+p) x_{a+b} + mu x_{a+b+theta}, and
+    at (-a, -b) under the flipped parameters each term changes sign and lands
+    on the mirror of its label.  The window [gmin, gmax] becomes [-gmax,
+    -gmin], and the generators and queries map by sigma."""
+
+    def minus(name: str) -> str:
+        return format_rational(-parse_rational(payload.get(name, "0")))
+
+    window = payload["window"]
+    image = {
+        **payload,
+        "p": minus("p"),
+        "window": {**window, "grade_min": -window["grade_max"], "grade_max": -window["grade_min"]},
+        "generators": list(map(sigma_text, payload["generators"])),
+        "membership": list(map(sigma_text, payload.get("membership", []))),
+    }
+    if payload.get("algebra") == "affinized":
+        image.update(mu=minus("mu"), theta=-payload.get("theta", 0))
+    return image
+
+
+def assert_sigma_maps_the_report(payload: dict):
+    """The mirrored config's report has the same dimension, membership
+    answers and `positive`, and holds sigma of every row of the closure,
+    asked as extra membership queries."""
+    report = run_closure_config(payload)
+    rows = [row for rows in report.results["basis_by_grade"].values() for row in rows]
+    image = mirrored_closure_config(payload)
+    queries = len(image["membership"])
+    image["membership"] += map(sigma_text, rows)
+    mirror = run_closure_config(image)
+    assert mirror.results["dimension"] == report.results["dimension"]
+    assert mirror.positive == report.positive
+    answers = [query["member"] for query in mirror.results["membership"]]
+    assert answers[:queries] == [query["member"] for query in report.results["membership"]]
+    assert all(answers[queries:])
+
+
+ARCHIVED_CLOSURES = sorted(
+    path
+    for path in (Path(__file__).resolve().parent / "data").glob("closure_*.json")
+    if not path.name.endswith(".report.json")
+)
+
+
+@pytest.mark.parametrize("path", ARCHIVED_CLOSURES, ids=lambda path: path.stem)
+def test_sigma_maps_each_archived_closure_config_onto_its_mirror(path):
+    assert_sigma_maps_the_report(json.loads(path.read_text()))
+
+
+@st.composite
+def closure_configs(draw):
+    """A Block or affinized closure config over a drawn window, with drawn
+    generators and membership queries."""
+    window = draw(windows)
+
+    def elements() -> list[str]:
+        return [str(element) for element in draw(window_generators(window))]
+
+    payload = {
+        "job": "closure",
+        "p": format_rational(draw(rationals)),
+        "q": format_rational(draw(nonzero)),
+        "window": dict(zip(("grade_min", "grade_max", "level_max"), window)),
+        "generators": elements(),
+        "membership": elements(),
+    }
+    if draw(st.booleans()):
+        payload.update(
+            algebra="affinized", mu=format_rational(draw(rationals)), theta=draw(st.integers(-2, 2))
+        )
+    return payload
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(closure_configs())
+def test_sigma_maps_a_drawn_closure_config_onto_its_mirror(payload):
+    assert_sigma_maps_the_report(payload)
 
 
 @SYMMETRY_SETTINGS

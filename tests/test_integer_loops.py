@@ -1,13 +1,14 @@
 """The verify proofs and the module check build no Fraction per step.
 
-`engine._prove` and the three Block proofs lift their inputs to integers
-once, and `intermediate.module_axiom_check` clears one denominator per call,
-so none of them builds a Fraction per product.  Counting `Fraction.__new__`
-shows Fraction arithmetic creeping back into any of them: the prover's count
-is bounded by its rule's term coefficients, a Block proof's by the
+`engine._prove` lifts its inputs to integers once, the three Block proofs
+read one lift per parameters (`BlockParams.lifted`), and
+`intermediate.module_axiom_check` clears one denominator per call, so none
+of them builds a Fraction per product.  Counting `Fraction.__new__` shows
+Fraction arithmetic creeping back into any of them: the prover's count is
+bounded by its rule's term coefficients, the Block lift's by the
 coefficients of its inputs (the parameters, the delta-free term and the
-cocycle), and a holding module check builds as many Fractions on a wide
-window as on a narrow one.
+cocycle), a Block proof after the lift builds none, and a holding module
+check builds as many Fractions on a wide window as on a narrow one.
 """
 
 from contextlib import contextmanager
@@ -83,14 +84,19 @@ def test_block_proofs_build_no_fraction_per_product():
         BlockParams(Fraction(1), Fraction(1)),
     ):
         ((_, coeff),) = delta_free_rule(params).terms
-        for check in (virasoro_embedding_check, laurent_realization_check):
+        with counted_fractions() as count:
+            params.lifted
+        # p and q, the delta-free term and the cocycle, once per params
+        assert count[0] <= 2 + len(coeff.terms) + cocycle, params
+        checks = (
+            virasoro_embedding_check,
+            laurent_realization_check,
+            lambda params: cocycle_jacobi_check(params, grades),
+        )
+        for check in checks:
             with counted_fractions() as count:
                 assert check(params).holds
-            # p and q, the delta-free term and the cocycle
-            assert count[0] <= 2 + len(coeff.terms) + cocycle, (check.__name__, params)
-        with counted_fractions() as count:
-            assert cocycle_jacobi_check(params, grades).holds
-        assert count[0] <= 1 + cocycle, params
+            assert count[0] == 0, (check, params)
 
 
 def test_holding_module_check_builds_as_many_fractions_on_any_window():

@@ -42,6 +42,7 @@ REJECTED += [
     ("affinize_mutations_over_limit", CASES["affinize_mutations_over_limit"]),
     ("axioms_table_grid_over_limit", CASES["axioms_table_grid_over_limit"]),
     ("blockcheck_jacobi_grid_over_limit", CASES["blockcheck_jacobi_grid_over_limit"]),
+    ("axioms_duplicate_grades", CASES["axioms_duplicate_grades"]),
 ]
 
 
