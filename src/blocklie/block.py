@@ -12,9 +12,9 @@ Jacobi contribution gets a dedicated proof here, over the fixed cubic
 cocycle `CUBIC_COCYCLE`.  The Virasoro embedding and the Laurent
 realization are proved the same way: one polynomial identity for the
 delta-free part and one for the cocycle on its stratum a+b = 0, i = j = 0.
-Both are theorems of B(p,q) for every p and q, so they read no window and
-scan nothing: a proof that fails can come only from a defect in the
-bracket's own terms or cocycle, and it raises.
+All three are theorems of B(p,q) for every p and q, so they read no grid or
+window and scan nothing: a proof that fails can come only from a defect in
+the bracket's own terms or cocycle, and it raises.
 
 The three proofs run on integers, as the engine's prover does: they read
 one lift of their inputs (the parameters, the delta-free term, the cocycle)
@@ -31,22 +31,12 @@ polynomial in the levels, and differentiation uses
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
-from .engine import (
-    CENTRAL,
-    BracketRule,
-    Element,
-    Graded,
-    Verdict,
-    _require_grid,
-    decide,
-    index_ring,
-)
+from .engine import BracketRule, Element, Graded, Verdict, index_ring
 from .scalars import (
     Packed,
     Packing,
@@ -154,8 +144,8 @@ def _delta_free_terms(params: BlockParams) -> tuple:
     return (((0, 0), Poly(ring, accumulate({}, terms))),)
 
 
-def cocycle_jacobi_check(params: BlockParams, grade_values: Sequence) -> Verdict:
-    """Prove the cocycle's Jacobi contribution; scan the grid for a witness.
+def cocycle_jacobi_check(params: BlockParams) -> Verdict:
+    """Prove the cocycle's Jacobi contribution.
 
     The central component of the Jacobi identity reduces to level-zero
     triples with total grade zero, where it reads
@@ -163,35 +153,18 @@ def cocycle_jacobi_check(params: BlockParams, grade_values: Sequence) -> Verdict
         q(g-b) K(a) + q(a-g) K(b) + q(b-a) K(g) = 0,   g = -a-b,
 
     for the cocycle K = `CUBIC_COCYCLE`.  The identity is proved as a
-    polynomial in a and b over `params.lifted`.  When the proof fails, the
-    residual has per-variable degree at most deg K + 1, so a grid of deg K + 2
-    distinct grades holds a witness; that size is required either way (5 for
-    the cubic cocycle).  Failures are reported as the residual times c at
-    (a, b, g), with K evaluated from its lifted integers.
+    polynomial in a and b over `params.lifted`, and a failed proof raises
+    (`_proved`).
     """
-    (symbol,) = CUBIC_COCYCLE.ring.symbols
-    _require_grid("grade", grade_values, CUBIC_COCYCLE.degree_bound(symbol) + 2)
-    packing, den, _, q_packed, k_terms, _ = params.lifted
-    q = params.q
+    packing, _, _, q, k_terms, _ = params.lifted
     a, b = packing.var("a"), packing.var("b")
     g = -a - b
 
     def lifted(x: Packed) -> Packed:
         return packing.compose(k_terms, {0: x})
 
-    proof = q_packed * ((g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g))
-
-    def value(x) -> Fraction:
-        return Fraction(sum(c * x**e for (e,), c in k_terms.items()), den)
-
-    def residual(t: tuple) -> Element:
-        a, b, g = t
-        return Element.basis(
-            CENTRAL, q * (g - b) * value(a) + q * (a - g) * value(b) + q * (b - a) * value(g)
-        )
-
-    triples = ((a, b, -a - b) for a, b in itertools.product(grade_values, repeat=2))
-    return decide(proof, triples, residual)
+    proof = q * ((g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g))
+    return _proved("cocycle Jacobi", [proof])
 
 
 def _proved(check: str, residuals: list) -> Verdict:

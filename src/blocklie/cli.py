@@ -67,10 +67,14 @@ _GRID5 = ["-2", "-1", "0", "1", "2"]
 # closure's work grows with its square, and no archived window has over 81
 MAX_WINDOW_LABELS = 1000
 # graded labels of a blockcheck window, a field that no check reads: the
-# Virasoro and Laurent checks are proved for every index and scan no window.
-# The field is still accepted, bounded and echoed, because benchmark and
-# archived blockcheck configs send it; it goes with this bound once none does
+# three B(p,q) checks are proved for every index and scan no window or grid.
+# The window and `cocycle_grades` are still accepted, bounded and echoed,
+# because benchmark and archived blockcheck configs send them; they go with
+# these bounds once none does
 MAX_BLOCKCHECK_LABELS = 200
+# distinct cocycle_grades, deg K + 2 for the cubic cocycle K: the grid that
+# held a witness of a failed cocycle proof while that check still scanned
+MIN_COCYCLE_GRADES = 5
 # last series index of a highest-weight job: horizon for classify, max_level +
 # horizon for singular and crosscheck; a classify of dense labels (no
 # recurrence, so the search runs to the end) takes about 5 s at 500 and 75 s
@@ -453,10 +457,15 @@ def _validate_blockcheck(f: _Fields):
     p, q = f.scalars(("p", "q"), symbolic=("p", "q"))
     params = _block_params(f, p, q)
     f.window(MAX_BLOCKCHECK_LABELS)  # echoed only
+    cocycle_grades = f.rationals("cocycle_grades", _GRID5, grid=True)  # echoed only
+    if len(cocycle_grades) < MIN_COCYCLE_GRADES:
+        raise ConfigError(
+            f"blockcheck: field 'cocycle_grades': grade grid needs at least "
+            f"{MIN_COCYCLE_GRADES} distinct values, got {len(cocycle_grades)}"
+        )
     return partial(
         _run_blockcheck,
         params,
-        f.rationals("cocycle_grades", _GRID5, grid=True),
         f.rationals("jacobi_grades", ["-1", "0", "1"], grid=True),
         f.rationals("jacobi_levels", ["0", "1", "2"], grid=True),
     )
@@ -641,11 +650,8 @@ def _run_affinize(params, aff, grades, levels, sweep) -> tuple[dict, bool]:
     return results, positive
 
 
-def _run_blockcheck(params, cocycle_grades, jacobi_grades, jacobi_levels) -> tuple[dict, bool]:
-    try:
-        cocycle = block.cocycle_jacobi_check(params, cocycle_grades)
-    except engine.InsufficientGridError as exc:
-        raise ConfigError(f"blockcheck: field 'cocycle_grades': {exc}") from None
+def _run_blockcheck(params, jacobi_grades, jacobi_levels) -> tuple[dict, bool]:
+    cocycle = block.cocycle_jacobi_check(params)
     virasoro = block.virasoro_embedding_check(params)
     laurent = block.laurent_realization_check(params)
     try:

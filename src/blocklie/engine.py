@@ -23,11 +23,11 @@ same trees on basis labels through the rule's cached pair
 (`extend_bilinearly`); it scans a grid, sized by the identity's bracket
 depth times the terms' degree bounds, for the witness of a failed proof, and
 it alone decides a rule without terms, which holds on the tested grid
-(`check_identities`, `decide`).  A rule with a cocycle, which its terms
-omit, is refused.  `grid_identity_check` and `novikov.novikov_axiom_check`
-call it.  Every exact check in the package ends in `first_failure`, whose
-docstring states the witness contract and the rule for skipping tuples by
-symmetry.
+(`check_identities`).  A rule with a cocycle, which its terms omit, is
+refused.  `grid_identity_check` and `novikov.novikov_axiom_check` call it.
+Every scan in the package ends in `first_failure`, whose docstring states
+the witness contract and the rule for skipping tuples by symmetry.  The
+theorems of B(p,q) scan nothing: they end in `block._proved`.
 
 `subalgebra_closure` takes a rule with terms, in concrete-parameter mode (all
 coefficients rational), inside a finite window, and discards bracket products
@@ -271,24 +271,6 @@ def first_failure(
     return Verdict(True, scope=scope)
 
 
-def decide(proof: object, tuples: Iterable[tuple], residual: Callable[[tuple], object]) -> Verdict:
-    """The verdict of an identity from its proof and its grid scan.
-
-    `proof` is the identity's residual over a rule's terms, falsy exactly
-    when zero, or None for a rule without terms.  An identity whose proof
-    holds holds universally, and nothing is scanned.  Otherwise the tuples
-    are scanned once: a rule without terms is decided by the scan, and holds
-    on the tested grid.  A failed proof scans for its witness, and finding
-    none raises: each check scans a grid sized by its terms' degrees, which
-    holds the witness unless the prover and the evaluator disagree."""
-    if proof is not None and not proof:
-        return Verdict(True)
-    verdict = first_failure(tuples, residual, "on_tested_grid")
-    if proof is not None and verdict.holds:
-        raise ValueError("the proof from the rule's terms fails but the scan holds no witness")
-    return verdict
-
-
 class InsufficientGridError(ValueError):
     """A grid is too small to certify the identity universally; `grid` says
     which one ("grade" or "level")."""
@@ -359,7 +341,7 @@ class BracketRule(_RuleFields):
     read from it: the largest degree in a or b (`grade_degree_bound`) and
     in i or j (`level_degree_bound`) of any offset's summed coefficient, 0
     without terms; and only a rule with terms can hold universally (see
-    `decide`).
+    `check_identities`).
 
     `pair` maps (x, y) to the bracket Element.  A rule with terms gets the
     one they define (`_terms_pair`), so a scan reads what the proof reads:
@@ -663,17 +645,20 @@ def check_identities(
 ) -> list[Verdict]:
     """Decide each identity named in `scans` on the rule, in their order.
 
-    All of them are proved together from the rule's terms (`_prove`).  An
-    identity whose proof fails, or any identity of a rule without terms, is
-    scanned over its tuples through the rule's pair, where `labels(t)` gives
-    the labels x, y(, z) of tuple t, and the first tuple with a nonzero
-    residual is the witness (see `decide` for the verdict's scope).  A rule
-    with a cocycle is refused: its terms omit the cocycle, so they prove
-    nothing about it.  A residual has per-variable degree at most the
-    bracket depth of its identity times the rule's bound, so a grid of one
-    more value holds a witness of any failed proof: each of `grids`
-    ("grade", and "level" where levels vary) must have that many distinct
-    values, with or without terms."""
+    All of them are proved together from the rule's terms (`_prove`), and
+    an identity whose proof holds holds universally, with nothing scanned.
+    An identity whose proof fails, or any identity of a rule without terms,
+    is scanned once over its tuples through the rule's pair, where
+    `labels(t)` gives the labels x, y(, z) of tuple t, and the first tuple
+    with a nonzero residual is the witness; a rule without terms that has
+    none holds on the tested grid.  A rule with a cocycle is refused: its
+    terms omit the cocycle, so they prove nothing about it.  A residual has
+    per-variable degree at most the bracket depth of its identity times the
+    rule's bound, so a grid of one more value holds a witness of any failed
+    proof: each of `grids` ("grade", and "level" where levels vary) must
+    have that many distinct values, with or without terms.  A failed proof
+    whose scan finds no witness raises, because then the prover and the
+    evaluator disagree."""
     if rule.cocycle is not None:
         raise ValueError("an identity check requires a rule without a cocycle")
     names = list(scans)
@@ -691,10 +676,16 @@ def check_identities(
         (acc,) = _evaluate((name,), lambda leaf: {leaves[leaf]: 1}, bracket)
         return Element(acc)
 
-    return [
-        decide(proof, scans[name], functools.partial(residual, name))
-        for name, proof in zip(names, proofs)
-    ]
+    verdicts = []
+    for name, proof in zip(names, proofs):
+        if proof is not None and not proof:
+            verdicts.append(Verdict(True))
+            continue
+        verdict = first_failure(scans[name], functools.partial(residual, name), "on_tested_grid")
+        if proof is not None and verdict.holds:
+            raise ValueError("the proof from the rule's terms fails but the scan holds no witness")
+        verdicts.append(verdict)
+    return verdicts
 
 
 def grid_identity_check(

@@ -379,11 +379,6 @@ class Packing:
     def var(self, name: str) -> "Packed":
         return Packed(self, {self.monomial(name): 1})
 
-    def exponents(self, monomial: int) -> tuple[int, ...]:
-        """The exponent tuple of a packed monomial."""
-        mask = (1 << self.bits) - 1
-        return tuple(monomial >> k * self.bits & mask for k in range(len(self.ring.symbols)))
-
     def compose(self, terms: Mapping[tuple, int], images: Mapping | None = None) -> "Packed":
         """`terms`, keyed by exponent tuples as in `Poly.terms`, with the
         Packed `images[pos]` substituted for the symbol at position pos.  A

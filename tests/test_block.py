@@ -1,4 +1,5 @@
 import itertools
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocklie import block, engine
+from blocklie import block, cli, engine
 from blocklie.block import (
     CUBIC_COCYCLE,
     BlockParams,
@@ -25,7 +26,6 @@ from blocklie.engine import (
     CENTRAL,
     Element,
     Graded,
-    InsufficientGridError,
     Window,
     bracket_apply,
     extend_bilinearly,
@@ -218,7 +218,7 @@ def test_delta_free_rule_passes_grid_jacobi():
 def test_cocycle_jacobi_check_with_symbolic_q():
     ring = PolyRing("q")
     params = BlockParams(p=Fraction(2), q=ring.var("q"))
-    verdict = cocycle_jacobi_check(params, [-2, -1, 0, 1, 2])
+    verdict = cocycle_jacobi_check(params)
     assert verdict.holds
 
 
@@ -234,23 +234,42 @@ def patched_cocycle(cocycle: Poly):
         yield BlockParams(p=Fraction(1), q=Fraction(1))
 
 
+def scanned_cocycle(params, grades):
+    """`cocycle_jacobi_check` as the grid scan it kept beside its proof: the
+    first triple (a, b, g), g = -a-b, over `grades` x `grades` where the
+    central Jacobi sum q(g-b)K(a) + q(a-g)K(b) + q(b-a)K(g) is nonzero, for
+    the cocycle K = `block.CUBIC_COCYCLE`; the residual is that sum times c."""
+    q = params.q
+
+    def value(x):
+        return sum(c * x**e for (e,), c in block.CUBIC_COCYCLE.terms.items())
+
+    def residual(t):
+        a, b, g = t
+        central = q * (g - b) * value(a) + q * (a - g) * value(b) + q * (b - a) * value(g)
+        return Element.basis(CENTRAL, central)
+
+    triples = ((a, b, -a - b) for a, b in itertools.product(grades, repeat=2))
+    return first_failure(triples, residual, "on_tested_grid")
+
+
 def test_cocycle_jacobi_check_rejects_broken_cocycles():
-    # a degree-d cocycle leaves a residual of degree d + 1, so its grid needs
-    # d + 2 grades to hold a witness
+    # a degree-d cocycle leaves a residual of degree d + 1, so a grid of
+    # d + 2 grades holds a witness, and a grid of d + 1 may not; the check
+    # proves, so it raises whatever the grid, naming its proof
     for bad, grid in ((X**2 / 12, [-2, -1, 0, 1]), (X**5 / 12, [-3, -2, -1, 0, 1, 2, 3])):
         with patched_cocycle(bad) as params:
-            verdict = cocycle_jacobi_check(params, grid)
-            assert not verdict.holds
-            assert verdict.witness is not None
-            assert CENTRAL in verdict.residual.terms
-            with pytest.raises(InsufficientGridError, match=f"at least {len(grid)}"):
-                cocycle_jacobi_check(params, grid[1:])
-    # the witness is the first failing grid triple: q(g-b)K(a) + q(a-g)K(b)
-    # + q(b-a)K(g) at (-2, -1, 3) with K = x^2/12
+            with pytest.raises(ValueError, match="cocycle Jacobi proof fails"):
+                cocycle_jacobi_check(params)
+            scanned = scanned_cocycle(params, grid)
+            assert not scanned.holds
+            assert CENTRAL in scanned.residual.terms
+    # the scan's witness is the first failing grid triple: q(g-b)K(a) +
+    # q(a-g)K(b) + q(b-a)K(g) at (-2, -1, 3) with K = x^2/12
     with patched_cocycle(X**2 / 12) as params:
-        verdict = cocycle_jacobi_check(params, [-2, -1, 0, 1])
-    assert verdict.residual == Element.basis(CENTRAL, Fraction(4 * 4 - 5 * 1 + 1 * 9, 12))
-    assert str(verdict) == "fails(witness=(-2, -1, 3), residual=5/3*c)"
+        scanned = scanned_cocycle(params, [-2, -1, 0, 1])
+    assert scanned.residual == Element.basis(CENTRAL, Fraction(4 * 4 - 5 * 1 + 1 * 9, 12))
+    assert str(scanned) == "fails(witness=(-2, -1, 3), residual=5/3*c)"
 
 
 def test_cocycle_space_is_spanned_by_cubic_and_linear_terms():
@@ -258,15 +277,27 @@ def test_cocycle_space_is_spanned_by_cubic_and_linear_terms():
     # coboundary), so shifting the cubic by a linear term is not a mutation
     # the Jacobi check can or should reject
     with patched_cocycle((X**3 + X) / 12) as params:
-        verdict = cocycle_jacobi_check(params, [-2, -1, 0, 1, 2])
+        verdict = cocycle_jacobi_check(params)
+        assert scanned_cocycle(params, [-3, -2, -1, 0, 1, 2, 3]).holds
     assert verdict.holds and str(verdict) == "holds_universally"
 
 
-def test_cocycle_jacobi_grid_requirements():
-    with pytest.raises(InsufficientGridError, match="at least 5"):
-        cocycle_jacobi_check(P11, [-1, 0, 1])
-    with pytest.raises(InsufficientGridError, match="distinct"):
-        cocycle_jacobi_check(P11, [0, 0, 1, 2, 3])
+def test_cocycle_jacobi_grid_requirements(tmp_path):
+    # the check reads no grid; a blockcheck's `cocycle_grades` keeps the rule
+    # its scan needed, checked at load: distinct values, deg K + 2 = 5 of them
+    assert cli.MIN_COCYCLE_GRADES == CUBIC_COCYCLE.degree_bound("x") + 2 == 5
+    path = tmp_path / "blockcheck.json"
+    config = {"job": "blockcheck", "p": "1", "q": "1"}
+    config["window"] = {"grade_min": 0, "grade_max": 0, "level_max": 0}
+    for grades, message in (
+        (["-1", "0", "1", "2"], "grade grid needs at least 5 distinct values, got 4"),
+        (["0", "0", "1", "2", "3"], "values must be distinct"),
+    ):
+        path.write_text(json.dumps({**config, "cocycle_grades": grades}))
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(str(path))
+    path.write_text(json.dumps({**config, "cocycle_grades": ["0", "1", "2", "3", "4"]}))
+    assert cli.load_config(str(path)).kind == "blockcheck"
 
 
 def test_virasoro_embedding_check():

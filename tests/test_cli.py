@@ -3,13 +3,14 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_block import perturbed_coefficient
+from test_block import X, patched_cocycle, perturbed_coefficient
 
 from blocklie import block, cli, hweight
 from blocklie.cli import (
@@ -931,6 +932,11 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
             "modcheck: fields 'window' and 'weight_range' give 1000000 label pairs x 2 weights, "
             "more than the 1000000 allowed",
         ),
+        (
+            "blockcheck_short_cocycle_grid",
+            "blockcheck: field 'cocycle_grades': grade grid needs at least 5 distinct values, "
+            "got 2",
+        ),
         ("axioms_duplicate_grades", "axioms: field 'grades' values must be distinct"),
         ("axioms_table_duplicate_pair", "axioms: field 'table[1]' duplicates pair (0, 1)"),
         (
@@ -1323,20 +1329,26 @@ def test_archived_verify_reports_reproduce_byte_identically(name, expected, caps
 
 
 @pytest.mark.parametrize(
-    "extra,fails",
+    "defect,fails",
     [
-        (lambda x, y: Fraction(1, 3), "Virasoro embedding proof fails"),
+        (partial(perturbed_coefficient, lambda x, y: Fraction(1, 3)), "Virasoro embedding"),
         # vanishes at i = j = 0, so the Virasoro proof holds
-        (lambda x, y: -2 * (x.level + y.level), "Laurent realization proof fails"),
+        (
+            partial(perturbed_coefficient, lambda x, y: -2 * (x.level + y.level)),
+            "Laurent realization",
+        ),
+        # the cocycle check runs first
+        (partial(patched_cocycle, X**2 / 12), "cocycle Jacobi"),
     ],
-    ids=["constant", "vanishing_at_level_zero"],
+    ids=["constant", "vanishing_at_level_zero", "quadratic_cocycle"],
 )
-def test_a_failed_block_proof_exits_3_and_names_it(extra, fails, capsys):
-    # the Virasoro and Laurent checks are theorems of every B(p,q), so a
-    # failed proof is a defect of the program's own bracket: an internal
-    # error, never a verdict with a witness
+def test_a_failed_block_proof_exits_3_and_names_it(defect, fails, capsys):
+    # the cocycle Jacobi, Virasoro and Laurent checks are theorems of every
+    # B(p,q), so a failed proof is a defect of the program's own bracket: an
+    # internal error, never a verdict with a witness
+    fails = f"{fails} proof fails"
     config = str(DATA / "blockcheck_concrete.json")
-    with perturbed_coefficient(extra):
+    with defect():
         assert main(["--config", config, "--format", "machine"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -76,7 +76,6 @@ def test_prover_builds_no_fraction_per_product():
 
 
 def test_block_proofs_build_no_fraction_per_product():
-    grades = [-2, -1, 0, 1, 2]
     cocycle = len(CUBIC_COCYCLE.terms)
     for params in (
         BlockParams(Fraction(2, 3), Fraction(-7, 5)),
@@ -88,12 +87,7 @@ def test_block_proofs_build_no_fraction_per_product():
             params.lifted
         # p and q, the delta-free term and the cocycle, once per params
         assert count[0] <= 2 + len(coeff.terms) + cocycle, params
-        checks = (
-            virasoro_embedding_check,
-            laurent_realization_check,
-            lambda params: cocycle_jacobi_check(params, grades),
-        )
-        for check in checks:
+        for check in (virasoro_embedding_check, laurent_realization_check, cocycle_jacobi_check):
             with counted_fractions() as count:
                 assert check(params).holds
             assert count[0] == 0, (check, params)

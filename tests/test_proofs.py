@@ -432,6 +432,12 @@ def fraction_prove(terms, names) -> list[dict]:
     return _evaluate(names, lambda name: {(name, (0, 0)): 1}, bracket)
 
 
+def unpacked(packing, monomial: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed monomial, one bit field per symbol."""
+    mask = (1 << packing.bits) - 1
+    return tuple(monomial >> k * packing.bits & mask for k in range(len(packing.ring.symbols)))
+
+
 def rational_residual(terms, name: str, residual: dict) -> dict:
     """An integer residual of `_prove`, from a proof of every identity,
     divided by D^depth, D the common denominator of the terms' coefficients:
@@ -442,7 +448,7 @@ def rational_residual(terms, name: str, residual: dict) -> dict:
     packing = _proof_packing(terms, list(IDENTITIES))
     out: dict = {}
     for (leaves, offset, monomial), c in residual.items():
-        exps = packing.exponents(monomial)
+        exps = unpacked(packing, monomial)
         out.setdefault((leaves, offset), {})[exps] = Fraction(c, den**depth)
     return out
 
@@ -579,7 +585,7 @@ def test_renamings_move_whole_index_blocks_without_a_carry():
         ((at, p),) = engine._rename(packing, value, leaves).items()
         ((moved, c),) = p.terms.items()
         assert (at, c) == ((1, -1), 7)
-        return packing.exponents(moved)
+        return unpacked(packing, moved)
 
     fields = (top,) * params
     for leaves in used:

@@ -43,6 +43,10 @@ REJECTED += [
     ("axioms_table_grid_over_limit", CASES["axioms_table_grid_over_limit"]),
     ("blockcheck_jacobi_grid_over_limit", CASES["blockcheck_jacobi_grid_over_limit"]),
     ("axioms_duplicate_grades", CASES["axioms_duplicate_grades"]),
+    (
+        "blockcheck_four_cocycle_grades",
+        {**CASES["blockcheck_short_cocycle_grid"], "cocycle_grades": ["-2", "-1", "0", "1"]},
+    ),
 ]
 
 
