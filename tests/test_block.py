@@ -254,9 +254,9 @@ def scanned_cocycle(params, grades):
 
 
 def test_cocycle_jacobi_check_rejects_broken_cocycles():
-    # a degree-d cocycle leaves a residual of degree d + 1, so a grid of
-    # d + 2 grades holds a witness, and a grid of d + 1 may not; the check
-    # proves, so it raises whatever the grid, naming its proof
+    # the check proves, so it raises, naming its proof; a degree-d cocycle
+    # leaves a residual of degree d + 1, so the scan's grid of d + 2 grades
+    # holds a witness
     for bad, grid in ((X**2 / 12, [-2, -1, 0, 1]), (X**5 / 12, [-3, -2, -1, 0, 1, 2, 3])):
         with patched_cocycle(bad) as params:
             with pytest.raises(ValueError, match="cocycle Jacobi proof fails"):
