@@ -13,7 +13,9 @@ line-oriented and keeps the echo's read order.  Both are byte-deterministic
 for a given config; wall-clock timing goes to stderr only.
 
 Exit status: 0 positive verdict, 1 negative verdict, 2 input error,
-3 internal error (`--debug` adds its traceback on stderr).
+3 internal error (`--debug` adds its traceback on stderr).  Every input
+error is raised by `load_config`, before any work starts; the only other
+exit 2 is a report that cannot be written.
 
 Importing this module loads what every run reads: `argparse`, `json`,
 `fractions`, `scalars`, `engine` and `block`.  The modules that only some job
@@ -405,6 +407,18 @@ def _weight(f: _Fields, params: block.BlockParams, horizon: int, synthesize):
     return weight, qp
 
 
+def _check_grids(f: _Fields, needs: dict, grades, levels=None) -> None:
+    """Refuse a grid with fewer values than `needs` gives its kind, "grade"
+    or "level" (`engine.grid_needs`): `grades` and `levels` are each a
+    field's name and its values."""
+    for grid, read in (("grade", grades), ("level", levels)):
+        if read is not None and len(read[1]) < needs[grid]:
+            raise ConfigError(
+                f"{f.job}: field '{read[0]}': {grid} grid needs at least {needs[grid]} "
+                f"distinct values, got {len(read[1])}"
+            )
+
+
 def _validate_axioms(f: _Fields):
     if f.has("table"):
         # extensional product on a small index window: no terms, so its
@@ -435,6 +449,8 @@ def _validate_axioms(f: _Fields):
         target = perturb.choice("target", ("main", "shift"))
         exponents = tuple(perturb.ints("exponents", 2, minimum=0))
         rule = novikov.perturbed_witt_rule(params, target, exponents, perturb.rational("delta"))
+    needs = engine.grid_needs(rule, novikov.NovikovVerdicts._fields)
+    _check_grids(f, needs, ("grades", grades))
     return partial(_run_axioms, rule, grades, "family")
 
 
@@ -450,7 +466,14 @@ def _validate_affinize(f: _Fields):
         count = mutations.int("count", minimum=1, maximum=MAX_MUTATIONS)
         sweep = count, mutations.int("seed", minimum=0)
     aff = novikov.AffinizationParams(q=q)
-    return partial(_run_affinize, params, aff, grades, levels, sweep)
+    product = novikov.witt_product_rule(params)
+    affinized = novikov.affinize(product, aff)
+    # the Novikov axioms of the product, then the affinized Jacobi identity
+    needs = engine.grid_needs(product, novikov.NovikovVerdicts._fields)
+    _check_grids(f, needs, ("grades", grades))
+    needs = engine.grid_needs(affinized, ["jacobi"])
+    _check_grids(f, needs, ("grades", grades), ("levels", levels))
+    return partial(_run_affinize, params, aff, product, affinized, grades, levels, sweep)
 
 
 def _validate_blockcheck(f: _Fields):
@@ -458,17 +481,13 @@ def _validate_blockcheck(f: _Fields):
     params = _block_params(f, p, q)
     f.window(MAX_BLOCKCHECK_LABELS)  # echoed only
     cocycle_grades = f.rationals("cocycle_grades", _GRID5, grid=True)  # echoed only
-    if len(cocycle_grades) < MIN_COCYCLE_GRADES:
-        raise ConfigError(
-            f"blockcheck: field 'cocycle_grades': grade grid needs at least "
-            f"{MIN_COCYCLE_GRADES} distinct values, got {len(cocycle_grades)}"
-        )
-    return partial(
-        _run_blockcheck,
-        params,
-        f.rationals("jacobi_grades", ["-1", "0", "1"], grid=True),
-        f.rationals("jacobi_levels", ["0", "1", "2"], grid=True),
-    )
+    _check_grids(f, {"grade": MIN_COCYCLE_GRADES}, ("cocycle_grades", cocycle_grades))
+    grades = f.rationals("jacobi_grades", ["-1", "0", "1"], grid=True)
+    levels = f.rationals("jacobi_levels", ["0", "1", "2"], grid=True)
+    rule = block.delta_free_rule(params)
+    needs = engine.grid_needs(rule, ["jacobi"])
+    _check_grids(f, needs, ("jacobi_grades", grades), ("jacobi_levels", levels))
+    return partial(_run_blockcheck, params, rule, grades, levels)
 
 
 def _validate_classify(f: _Fields):
@@ -585,10 +604,7 @@ def _certificate_json(cert: hweight.RecurrenceCertificate | None):
 
 
 def _run_axioms(rule: engine.BracketRule, grades, mode: str) -> tuple[dict, bool]:
-    try:
-        verdicts = novikov.novikov_axiom_check(rule, grades)
-    except engine.InsufficientGridError as exc:
-        raise ConfigError(f"axioms: field 'grades': {exc}") from None
+    verdicts = novikov.novikov_axiom_check(rule, grades)
     results = {
         "mode": mode,
         "left_symmetry": _verdict_json(verdicts.left_symmetry),
@@ -597,12 +613,8 @@ def _run_axioms(rule: engine.BracketRule, grades, mode: str) -> tuple[dict, bool
     return results, verdicts.holds
 
 
-def _run_affinize(params, aff, grades, levels, sweep) -> tuple[dict, bool]:
-    base_rule = novikov.witt_product_rule(params)
-    try:
-        report = novikov.theorem22_probe(base_rule, aff, grades, levels)
-    except engine.InsufficientGridError as exc:
-        raise ConfigError(f"affinize: field '{exc.grid}s': {exc}") from None
+def _run_affinize(params, aff, product, affinized, grades, levels, sweep) -> tuple[dict, bool]:
+    report = novikov.theorem22_probe(product, affinized, grades, levels)
     results: dict[str, Any] = {
         "base": {
             "novikov": {
@@ -624,11 +636,11 @@ def _run_affinize(params, aff, grades, levels, sweep) -> tuple[dict, bool]:
             delta = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             mutated = novikov.perturbed_witt_rule(params, target, exponents, delta)
             bound = mutated.grade_degree_bound
+            # the grid that `engine.grid_needs` asks of the mutated rule
             mut_grades = [Fraction(v) for v in range(-bound, bound + 1)]
-            try:
-                mut_report = novikov.theorem22_probe(mutated, aff, mut_grades, levels)
-            except engine.InsufficientGridError as exc:
-                raise ConfigError(f"affinize: mutation sweep: {exc}") from None
+            mut_report = novikov.theorem22_probe(
+                mutated, novikov.affinize(mutated, aff), mut_grades, levels
+            )
             entries.append(
                 {
                     "target": target,
@@ -650,16 +662,11 @@ def _run_affinize(params, aff, grades, levels, sweep) -> tuple[dict, bool]:
     return results, positive
 
 
-def _run_blockcheck(params, jacobi_grades, jacobi_levels) -> tuple[dict, bool]:
+def _run_blockcheck(params, rule, jacobi_grades, jacobi_levels) -> tuple[dict, bool]:
     cocycle = block.cocycle_jacobi_check(params)
     virasoro = block.virasoro_embedding_check(params)
     laurent = block.laurent_realization_check(params)
-    try:
-        jacobi = engine.grid_identity_check(
-            block.delta_free_rule(params), "jacobi", jacobi_grades, jacobi_levels
-        )
-    except engine.InsufficientGridError as exc:
-        raise ConfigError(f"blockcheck: field 'jacobi_{exc.grid}s': {exc}") from None
+    jacobi = engine.grid_identity_check(rule, "jacobi", jacobi_grades, jacobi_levels)
     results = {
         "cocycle_jacobi": _verdict_json(cocycle),
         "virasoro_embedding": _verdict_json(virasoro),

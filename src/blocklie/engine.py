@@ -20,14 +20,15 @@ packed ints (`scalars.Packing`), with fields as wide as the identity's depth
 times the terms' largest total degree, so a product of monomials is one int
 addition.  Only a proof holds universally.  The concrete one evaluates the
 same trees on basis labels through the rule's cached pair
-(`extend_bilinearly`); it scans a grid, sized by the identity's bracket
-depth times the terms' degree bounds, for the witness of a failed proof, and
-it alone decides a rule without terms, which holds on the tested grid
-(`check_identities`).  A rule with a cocycle, which its terms omit, is
-refused.  `grid_identity_check` and `novikov.novikov_axiom_check` call it.
-Every scan in the package ends in `first_failure`, whose docstring states
-the witness contract and the rule for skipping tuples by symmetry.  The
-theorems of B(p,q) scan nothing: they end in `block._proved`.
+(`extend_bilinearly`); it scans a grid for the witness of a failed proof,
+which a grid of `grid_needs` values (the identity's bracket depth times the
+terms' degree bounds, plus one) is sure to hold, and it alone decides a rule
+without terms, which holds on the tested grid (`check_identities`).  A rule
+with a cocycle, which its terms omit, is refused.  `grid_identity_check`
+and `novikov.novikov_axiom_check` call it.  Every scan in the package ends in
+`first_failure`, whose docstring states the witness contract and the rule
+for skipping tuples by symmetry.  The theorems of B(p,q) scan nothing: they
+end in `block._proved`.
 
 `subalgebra_closure` takes a rule with terms, in concrete-parameter mode (all
 coefficients rational), inside a finite window, and discards bracket products
@@ -121,36 +122,25 @@ def basis_sort_key(index: BasisIndex):
 class Element:
     """Finitely supported linear combination of basis labels.
 
-    Coefficients are exact scalars; zero coefficients are never stored.
+    The constructor adopts `terms` without copying or checking it, as `Poly`
+    does: the caller passes a clean dict of nonzero exact coefficients.
     Treat instances as immutable.  Arithmetic returns the operand's own class,
     so subclasses over other label sets (`intermediate.ModuleVector`) share it.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[BasisIndex, Scalar] | None = None):
-        clean: dict[BasisIndex, Scalar] = {}
-        if terms:
-            for index, coeff in terms.items():
-                if not scalar_is_zero(coeff):
-                    is_exact = isinstance(coeff, (Fraction, Poly))
-                    clean[index] = coeff if is_exact else Fraction(coeff)
-        self.terms = clean
-
-    @classmethod
-    def _wrap(cls, terms: dict):
-        """Adopt a dict of nonzero Fraction or Poly coefficients without copying."""
-        out = cls.__new__(cls)
-        out.terms = terms
-        return out
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls({})
 
     @classmethod
     def basis(cls, index: BasisIndex, coeff: Scalar = 1):
-        return cls({index: coeff})
+        """The element coeff * index, which is zero when `coeff` is."""
+        return cls({index: coeff} if coeff else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -161,15 +151,15 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        return self._wrap(accumulate(dict(self.terms), other.terms.items()))
+        return type(self)(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        return self._wrap(accumulate(dict(self.terms), other.terms.items(), -1))
+        return type(self)(accumulate(dict(self.terms), other.terms.items(), -1))
 
     def scaled(self, factor: Scalar) -> "Element":
-        return self._wrap(accumulate({}, self.terms.items(), factor))
+        return type(self)(accumulate({}, self.terms.items(), factor))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
@@ -269,15 +259,6 @@ def first_failure(
         if r:
             return Verdict(False, t, r)
     return Verdict(True, scope=scope)
-
-
-class InsufficientGridError(ValueError):
-    """A grid is too small to certify the identity universally; `grid` says
-    which one ("grade" or "level")."""
-
-    def __init__(self, grid: str, message: str):
-        super().__init__(message)
-        self.grid = grid
 
 
 INDEX_SYMBOLS = ("a", "i", "b", "j", "c", "k")
@@ -434,7 +415,7 @@ def _terms_pair(terms, cocycle: Poly | None) -> Callable[[Graded, Graded], Eleme
             value = Fraction(_sum_at(k_monomials, point), den)
             if value:
                 out[CENTRAL] = value
-        return Element._wrap(out)
+        return Element(out)
 
     return pair
 
@@ -461,17 +442,7 @@ def extend_bilinearly(
 def bracket_apply(rule: BracketRule, x: Element, y: Element) -> Element:
     """Bilinear extension of the rule, bracket or product; the central label
     brackets to zero."""
-    return Element._wrap(extend_bilinearly(rule.pair, x.terms, y.terms))
-
-
-def _require_grid(name: str, values: Sequence[IndexValue], needed: int) -> None:
-    """The grid-size rule: distinct values, at least `needed` of them."""
-    if len(set(values)) != len(values):
-        raise InsufficientGridError(name, f"{name} grid values must be distinct")
-    if len(values) < needed:
-        raise InsufficientGridError(
-            name, f"{name} grid needs at least {needed} distinct values, got {len(values)}"
-        )
+    return Element(extend_bilinearly(rule.pair, x.terms, y.terms))
 
 
 def normalize_index_values(values: Sequence[IndexValue]) -> list[IndexValue]:
@@ -637,11 +608,22 @@ def _prove(terms, names: Sequence[str]) -> list[dict]:
     ]
 
 
+def grid_needs(rule: BracketRule, names: Iterable[str]) -> dict[str, int]:
+    """The distinct values that a grid of grades and one of levels must hold
+    for the named identities on the rule: a residual has per-variable degree
+    at most the bracket depth of its identity times the rule's bound, so a
+    grid of one more value holds a witness of any failed proof."""
+    depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
+    return {
+        "grade": depth * rule.grade_degree_bound + 1,
+        "level": depth * rule.level_degree_bound + 1,
+    }
+
+
 def check_identities(
     rule: BracketRule,
     scans: Mapping[str, Iterable[tuple]],
     labels: Callable[[tuple], Sequence[Graded]],
-    grids: Mapping[str, Sequence[IndexValue]],
 ) -> list[Verdict]:
     """Decide each identity named in `scans` on the rule, in their order.
 
@@ -652,20 +634,13 @@ def check_identities(
     `labels(t)` gives the labels x, y(, z) of tuple t, and the first tuple
     with a nonzero residual is the witness; a rule without terms that has
     none holds on the tested grid.  A rule with a cocycle is refused: its
-    terms omit the cocycle, so they prove nothing about it.  A residual has
-    per-variable degree at most the bracket depth of its identity times the
-    rule's bound, so a grid of one more value holds a witness of any failed
-    proof: each of `grids` ("grade", and "level" where levels vary) must
-    have that many distinct values, with or without terms.  A failed proof
-    whose scan finds no witness raises, because then the prover and the
-    evaluator disagree."""
+    terms omit the cocycle, so they prove nothing about it.  A failed proof
+    whose scan finds no witness raises: the prover and the evaluator
+    disagree, or the tuples lie on a grid smaller than `grid_needs`, which
+    a job's config is checked against at load."""
     if rule.cocycle is not None:
         raise ValueError("an identity check requires a rule without a cocycle")
     names = list(scans)
-    depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
-    bounds = {"grade": rule.grade_degree_bound, "level": rule.level_degree_bound}
-    for grid, values in grids.items():
-        _require_grid(grid, values, depth * bounds[grid] + 1)
     proofs = [None] * len(names) if rule.terms is None else _prove(rule.terms, names)
     # basis pairs recur across tuples and identities; cache their brackets
     pair = functools.cache(rule.pair)
@@ -718,10 +693,7 @@ def grid_identity_check(
             for k, l, m in itertools.product(range(len(singles)), repeat=3)
             if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
         )
-    grids = {"grade": grade_values, "level": level_values}
-    (verdict,) = check_identities(
-        rule, {identity: tuples}, lambda t: [Graded(*cell) for cell in t], grids
-    )
+    (verdict,) = check_identities(rule, {identity: tuples}, lambda t: [Graded(*cell) for cell in t])
     return verdict
 
 
@@ -1054,7 +1026,7 @@ def subalgebra_closure(
     # each row divided by its pivot: the reduced echelon rows
     rows = sorted(ech.rows.items())
     reduced_rows = ({coords[k]: Fraction(r[k], r[p]) for k in sorted(r)} for p, r in rows)
-    return Closure(window, tuple(map(Element._wrap, reduced_rows)), coord_index, ech, work)
+    return Closure(window, tuple(map(Element, reduced_rows)), coord_index, ech, work)
 
 
 def membership(element: Element, closure: Closure) -> bool:

@@ -108,7 +108,7 @@ def act(
                 (alpha + m, _basis_action(kind, scaled, alpha, m) * c) for m, c in v.terms.items()
             )
             accumulate(acc, images, scale / scaled[3] ** 2)
-    return ModuleVector._wrap(acc)
+    return ModuleVector(acc)
 
 
 def module_axiom_check(

@@ -21,7 +21,8 @@ are read from the one identity table (`engine.IDENTITIES`): proved as
 polynomial identities, one per output offset, before any grid point is
 evaluated, and only a proof holds universally.  The grid scans run only to
 find a witness when a proof fails, and for table rules, which hold on the
-tested grid only (`engine.check_identities`).
+tested grid only (`engine.check_identities`).  A job's grids are checked
+against `engine.grid_needs` when its config is loaded.
 """
 
 from __future__ import annotations
@@ -135,9 +136,7 @@ def novikov_axiom_check(rule: BracketRule, grade_values: Sequence) -> NovikovVer
         "left_symmetry": ((ga, gb, gc) for ga, gb in pairs for gc in values),
         "right_commutativity": ((ga, gb, gc) for ga in values for gb, gc in pairs),
     }
-    verdicts = check_identities(
-        rule, scans, lambda t: [Graded(g, 0) for g in t], {"grade": grade_values}
-    )
+    verdicts = check_identities(rule, scans, lambda t: [Graded(g, 0) for g in t])
     return NovikovVerdicts(*verdicts)
 
 
@@ -171,19 +170,16 @@ class ProbeReport(NamedTuple):
 
 def theorem22_probe(
     rule: BracketRule,
-    params: AffinizationParams,
+    affinized: BracketRule,
     grade_values: Sequence,
     level_values: Sequence,
 ) -> ProbeReport:
-    """Decide the Novikov axioms and the affinized Jacobi identity and report
+    """Decide the Novikov axioms of the product `rule` and the Jacobi
+    identity of its affinization `affinized` (`affinize`), and report
     whether the two verdicts agree (they should, for every rule).
 
     Both checks prove their identities from the rule's terms where it has
-    them and scan the grids only for a witness or for a table rule; the
-    grids are required in either case."""
+    them and scan the grids only for a witness or for a table rule."""
     axioms = novikov_axiom_check(rule, grade_values)
-    jacobi = grid_identity_check(
-        affinize(rule, params), "jacobi", grade_values, level_values
-    )
+    jacobi = grid_identity_check(affinized, "jacobi", grade_values, level_values)
     return ProbeReport(axioms, jacobi, axioms.holds == jacobi.holds)
-

@@ -109,7 +109,7 @@ def test_criterion_02_theorem22_equivalence_under_mutation():
             rule = perturbed_witt_rule(base, target, exponents, delta)
             bound = rule.grade_degree_bound
             grades = list(range(-bound, bound + 1))
-            report = theorem22_probe(rule, aff, grades, [0, 1, 2])
+            report = theorem22_probe(rule, affinize(rule, aff), grades, [0, 1, 2])
             assert report.equivalence_observed, (target, exponents, delta)
             if not report.novikov.holds:
                 broken += 1

@@ -87,7 +87,7 @@ def hand_basis_bracket(params: BlockParams, x: Graded, y: Graded) -> Element:
     terms = {label: structure_coefficient(params, x, y)}
     if x.grade + y.grade == 0 and x.level == 0 and y.level == 0:
         terms[CENTRAL] = cocycle_value(x.grade)
-    return Element(terms)
+    return Element({label: coeff for label, coeff in terms.items() if coeff})
 
 
 def triangular_part(index) -> str:
@@ -110,7 +110,7 @@ def block_bracket(params: BlockParams, x: Element, y: Element) -> Element:
     """Bilinear extension of the bracket; c is central, levels must be >= 0."""
     _check_levels(x)
     _check_levels(y)
-    return Element._wrap(extend_bilinearly(partial(basis_bracket, params), x.terms, y.terms))
+    return Element(extend_bilinearly(partial(basis_bracket, params), x.terms, y.terms))
 
 
 def parabolic_degree_zero(
@@ -416,10 +416,10 @@ def scanned_virasoro(params, window):
 
     def residual(t):
         a, b = t
-        terms = {Graded(a + b, 0): (b - a) * params.q}
+        terms = [(Graded(a + b, 0), (b - a) * params.q)]
         if a + b == 0:
-            terms[CENTRAL] = cocycle_value(a)
-        return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(terms)
+            terms.append((CENTRAL, cocycle_value(a)))
+        return basis_bracket(params, Graded(a, 0), Graded(b, 0)) - Element(accumulate({}, terms))
 
     level_zero = window_pairs(Window(window.grade_min, window.grade_max, 0))
     return first_failure(((a, b) for a, _, b, _ in level_zero), residual, "on_window")

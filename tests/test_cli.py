@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from test_block import X, patched_cocycle, perturbed_coefficient
 
-from blocklie import block, cli, hweight
+from blocklie import block, cli, engine, hweight
 from blocklie.cli import (
     ConfigError,
     emit_report,
@@ -93,13 +94,14 @@ def test_a_coefficient_reads_as_its_fraction_literal(sign, num, den, star):
     value = Fraction(coeff)
     assert parse_element(text) == Element.basis(Graded(2, 1), value)
     if not sign:
-        assert parse_element("c - " + text) == Element({CENTRAL: 1, Graded(2, 1): -value})
+        expected = Element.basis(CENTRAL) + Element.basis(Graded(2, 1), -value)
+        assert parse_element("c - " + text) == expected
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(st.dictionaries(labels, coefficients, max_size=5))
 def test_every_element_prints_and_parses_back(terms):
-    elem = Element(terms)
+    elem = Element({label: coeff for label, coeff in terms.items() if coeff})
     assert parse_element(str(elem)) == elem
 
 
@@ -716,6 +718,16 @@ EXIT_CASES = [
     ("axioms_duplicate_grades", 2, {"job": "axioms", "p": "2", "grades": ["0", "1", "1"]}),
     ("axioms_short_grid", 2, {"job": "axioms", "p": "2", "grades": ["0", "1"]}),
     (
+        "axioms_perturbed_short_grid",
+        2,
+        {
+            "job": "axioms",
+            "p": "2",
+            "grades": ["-1", "0", "1"],
+            "perturb": {"target": "main", "exponents": [2, 0], "delta": "1"},
+        },
+    ),
+    (
         "axioms_table_duplicate_pair",
         2,
         {
@@ -800,12 +812,75 @@ def test_oversized_window_is_named(tmp_path, capsys):
     assert "closure: field 'window' has 20000300001 graded labels" in capsys.readouterr().err
 
 
-def test_short_witt_axioms_grid_is_named(tmp_path, capsys):
-    # the Witt rule's degrees size the grid, so the check runs after loading
+def test_short_witt_axioms_grid_is_named(tmp_path, capsys, monkeypatch):
+    # the Witt rule's degrees size the grid, and the rule is built at load:
+    # the grid is refused before any proof runs
+    def no_proof(*args):
+        raise AssertionError("a proof ran")
+
+    monkeypatch.setattr(engine, "_prove", no_proof)
     payload = {case[0]: case[2] for case in EXIT_CASES}["axioms_short_grid"]
     assert main(["--config", write_config(tmp_path, payload)]) == 2
     message = "axioms: field 'grades': grade grid needs at least 3 distinct values, got 2"
     assert message in capsys.readouterr().err
+
+
+def test_identity_grids_are_judged_on_the_rules_the_job_proves(tmp_path):
+    # affinize proves the Witt product's Novikov axioms and its affinization's
+    # Jacobi identity, blockcheck the delta-free term's: each degree 1 in the
+    # grades and levels it reads, so each grid needs 3 values
+    novikov_axioms = ("left_symmetry", "right_commutativity")
+    config = load_config(write_config(tmp_path, {"job": "affinize", "p": "1", "q": "1"}))
+    _, _, product, affinized, grades, levels, _ = config.run.args
+    assert engine.grid_needs(product, novikov_axioms) == {"grade": 3, "level": 1}
+    assert engine.grid_needs(affinized, ["jacobi"]) == {"grade": 3, "level": 3}
+    assert len(grades) == 5 and len(levels) == 3
+    window = {"grade_min": -1, "grade_max": 1, "level_max": 0}
+    payload = {"job": "blockcheck", "p": "1", "q": "1", "window": window}
+    _, rule, grades, levels = load_config(write_config(tmp_path, payload)).run.args
+    assert engine.grid_needs(rule, ["jacobi"]) == {"grade": 3, "level": 3}
+    assert len(grades) == 3 and len(levels) == 3
+
+
+def test_no_runner_reads_an_input_error():
+    # every input error is raised by load_config: a runner neither raises
+    # ConfigError nor catches anything to translate into one
+    tree = ast.parse(Path(cli.__file__).read_text())
+    runners = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_run_")
+    ]
+    assert len(runners) == len(cli.JOB_KINDS)
+    for runner in runners:
+        for node in ast.walk(runner):
+            assert not isinstance(node, ast.Try), runner.name
+            assert getattr(node, "id", None) != "ConfigError", runner.name
+
+
+@pytest.mark.parametrize(
+    "name,built",
+    [
+        ("affinize_mutation_sweep", {"witt_product_rule": 1, "affinize": 7}),
+        ("blockcheck_concrete", {"delta_free_rule": 1}),
+    ],
+)
+def test_a_job_builds_each_rule_once(monkeypatch, name, built):
+    # the validator builds the rules whose grids it judges, and the runner
+    # proves those; a mutation sweep affinizes each mutated rule once
+    calls = dict.fromkeys(built, 0)
+    for attr in built:
+        module = block if attr == "delta_free_rule" else cli.novikov
+        original = getattr(module, attr)
+
+        def counted(*args, attr=attr, original=original):
+            calls[attr] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+    config = load_config(str(DATA / f"{name}.json"))
+    run_job(config)
+    assert calls == built
 
 
 @pytest.mark.parametrize(
@@ -936,6 +1011,24 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
             "blockcheck_short_cocycle_grid",
             "blockcheck: field 'cocycle_grades': grade grid needs at least 5 distinct values, "
             "got 2",
+        ),
+        # the identity grids are sized by the rules the job proves, built at load
+        (
+            "axioms_short_grid",
+            "axioms: field 'grades': grade grid needs at least 3 distinct values, got 2",
+        ),
+        (
+            "axioms_perturbed_short_grid",
+            "axioms: field 'grades': grade grid needs at least 5 distinct values, got 3",
+        ),
+        (
+            "affinize_short_level_grid",
+            "affinize: field 'levels': level grid needs at least 3 distinct values, got 2",
+        ),
+        (
+            "blockcheck_short_jacobi_grid",
+            "blockcheck: field 'jacobi_grades': grade grid needs at least 3 distinct values, "
+            "got 1",
         ),
         ("axioms_duplicate_grades", "axioms: field 'grades' values must be distinct"),
         ("axioms_table_duplicate_pair", "axioms: field 'table[1]' duplicates pair (0, 1)"),

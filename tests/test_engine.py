@@ -1,19 +1,21 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from blocklie.cli import ConfigError, load_config
 from blocklie.engine import (
     CENTRAL,
     ClosureError,
     Element,
     Graded,
-    InsufficientGridError,
     Window,
     BracketRule,
     bracket_apply,
     first_failure,
     grid_identity_check,
+    grid_needs,
     index_ring,
     membership,
     subalgebra_closure,
@@ -91,14 +93,13 @@ def test_bracket_apply_is_bilinear():
     rule = graded_bracket_rule(Fraction(2, 3), Fraction(-1, 2), mu=Fraction(5), theta=2)
 
     def rand_elem():
-        return Element(
-            {
-                Graded(rng.randint(-4, 4), rng.randint(0, 3)): Fraction(
-                    rng.randint(-6, 6), rng.randint(1, 4)
-                )
-                for _ in range(rng.randint(1, 3))
-            }
-        )
+        terms = {
+            Graded(rng.randint(-4, 4), rng.randint(0, 3)): Fraction(
+                rng.randint(-6, 6), rng.randint(1, 4)
+            )
+            for _ in range(rng.randint(1, 3))
+        }
+        return Element({label: coeff for label, coeff in terms.items() if coeff})
 
     for _ in range(25):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
@@ -162,12 +163,21 @@ def test_grid_accepts_rational_values():
     assert verdict.holds
 
 
-def test_insufficient_grid_is_an_error():
-    rule = graded_bracket_rule(1, 1)
-    with pytest.raises(InsufficientGridError, match="at least 3"):
-        grid_identity_check(rule, "jacobi", [0, 1], [0, 1, 2])
-    with pytest.raises(InsufficientGridError, match="distinct"):
-        grid_identity_check(rule, "jacobi", [0, 1, 1], [0, 1, 2])
+def test_insufficient_grid_is_an_error(tmp_path):
+    # a Jacobi residual of this rule has degree 2 in each index, so 3 values
+    # hold a witness; a job's grid is held to that at load, with its field
+    assert grid_needs(graded_bracket_rule(1, 1), ["jacobi"]) == {"grade": 3, "level": 3}
+    payload = {
+        "job": "blockcheck",
+        "p": "1",
+        "q": "1",
+        "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+    }
+    path = tmp_path / "job.json"
+    for grades, message in ((["0", "1"], "at least 3"), (["0", "1", "1"], "distinct")):
+        path.write_text(json.dumps({**payload, "jacobi_grades": grades}))
+        with pytest.raises(ConfigError, match=f"'jacobi_grades'.*{message}"):
+            load_config(str(path))
 
 
 def test_closure_of_two_positive_generators():

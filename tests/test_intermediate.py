@@ -82,19 +82,17 @@ def test_act_is_linear_in_both_arguments():
     params = BlockParams(p=Fraction(2), q=Fraction(-5, 3))
 
     def rand_elem():
-        return Element(
-            {
-                Graded(rng.randint(-3, 3), rng.randint(0, 2)): Fraction(
-                    rng.randint(-5, 5), rng.randint(1, 3)
-                )
-                for _ in range(2)
-            }
-        )
+        terms = {
+            Graded(rng.randint(-3, 3), rng.randint(0, 2)): Fraction(
+                rng.randint(-5, 5), rng.randint(1, 3)
+            )
+            for _ in range(2)
+        }
+        return Element({label: coeff for label, coeff in terms.items() if coeff})
 
     def rand_vec():
-        return ModuleVector(
-            {rng.randint(-4, 4): Fraction(rng.randint(-5, 5)) for _ in range(2)}
-        )
+        terms = {rng.randint(-4, 4): Fraction(rng.randint(-5, 5)) for _ in range(2)}
+        return ModuleVector({m: coeff for m, coeff in terms.items() if coeff})
 
     for _ in range(20):
         x, y = rand_elem(), rand_elem()
@@ -203,7 +201,7 @@ def fraction_module_axiom_check(kind, params, window, weight_range, central_valu
             for label, c in bracket(alpha, beta)
         )
         r += A(beta, alpha + m) * own(alpha, m) - A(alpha, beta + m) * own(beta, m)
-        return ModuleVector({alpha + beta + m: r})
+        return ModuleVector.basis(alpha + beta + m, r)
 
     tuples = (
         (alpha, beta, 0, 0, m)

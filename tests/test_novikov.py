@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,16 +7,17 @@ import pytest
 
 from test_block import window_pairs
 
+from blocklie.cli import ConfigError, load_config
 from blocklie.engine import (
     BracketRule,
     Element,
     Graded,
-    InsufficientGridError,
     Verdict,
     Window,
     bracket_apply,
     first_failure,
     grid_identity_check,
+    grid_needs,
     index_ring,
 )
 from blocklie.novikov import (
@@ -32,6 +34,7 @@ from blocklie.novikov import (
 from blocklie.scalars import PolyRing
 
 GRID = [-2, -1, 0, 1, 2]
+NOVIKOV = ("left_symmetry", "right_commutativity")
 
 
 def block_sZ_reindex_check(s: Fraction, window: Window) -> Verdict:
@@ -112,12 +115,11 @@ def test_bracket_apply_extends_products_bilinearly():
     rule = witt_product_rule(WittNovikovParams(p=Fraction(2), mu=Fraction(1), theta=1))
 
     def rand_elem():
-        return Element(
-            {
-                Graded(rng.randint(-3, 3), 0): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(2)
-            }
-        )
+        terms = {
+            Graded(rng.randint(-3, 3), 0): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(2)
+        }
+        return Element({label: coeff for label, coeff in terms.items() if coeff})
 
     for _ in range(15):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
@@ -133,10 +135,26 @@ def test_bracket_apply_extends_products_bilinearly():
     ) == witt_novikov_product(WittNovikovParams(p=Fraction(2), mu=Fraction(1), theta=1), 1, 2)
 
 
-def test_insufficient_axiom_grid_errors():
-    rule = witt_product_rule(WittNovikovParams(p=1))
-    with pytest.raises(InsufficientGridError):
-        novikov_axiom_check(rule, [0, 1])
+def test_insufficient_axiom_grid_errors(tmp_path):
+    # the Witt product's Novikov residuals have degree 2 in each grade: a job's
+    # grid is held to 3 values at load, before any proof runs
+    assert grid_needs(witt_product_rule(WittNovikovParams(p=1)), NOVIKOV)["grade"] == 3
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"job": "axioms", "p": "1", "grades": ["0", "1"]}))
+    with pytest.raises(ConfigError, match="'grades': grade grid needs at least 3"):
+        load_config(str(path))
+
+
+def test_a_failed_proof_whose_grid_holds_no_witness_raises():
+    # a degree-2 perturbation needs 5 grades; on one, the scan cannot find the
+    # witness of the failed proof, and the check raises instead of holding
+    rule = perturbed_witt_rule(
+        WittNovikovParams(Fraction(1, 2), Fraction(3, 2), 1), "main", (2, 0), Fraction(7, 3)
+    )
+    assert grid_needs(rule, NOVIKOV)["grade"] == 5
+    with pytest.raises(ValueError, match="^the proof from the rule's terms fails but the scan"):
+        novikov_axiom_check(rule, [0])
+    assert not novikov_axiom_check(rule, [-2, -1, 0, 1, 2]).holds
 
 
 def test_affinize_matches_displayed_structure_constants_symbolically():
@@ -189,12 +207,9 @@ def test_zero_product_affinizes_to_zero_bracket():
 
 
 def test_theorem22_probe_on_witt_rule():
-    report = theorem22_probe(
-        witt_product_rule(WittNovikovParams(p=Fraction(2), mu=Fraction(1), theta=1)),
-        AffinizationParams(q=Fraction(1)),
-        GRID[1:4],
-        [0, 1, 2],
-    )
+    rule = witt_product_rule(WittNovikovParams(p=Fraction(2), mu=Fraction(1), theta=1))
+    affinized = affinize(rule, AffinizationParams(q=Fraction(1)))
+    report = theorem22_probe(rule, affinized, GRID[1:4], [0, 1, 2])
     assert report.novikov.holds
     assert report.jacobi_of_affinization.holds
     assert report.equivalence_observed
@@ -204,12 +219,9 @@ def test_theorem22_probe_on_broken_rule():
     # x_a x_b = (b+1) x_{a+b} + 2a x_{a+b+1}
     ring = index_ring()[0]
     a, b = ring.var("a"), ring.var("b")
-    report = theorem22_probe(
-        BracketRule(terms=(((0, 0), b + 1), ((1, 0), 2 * a))),
-        AffinizationParams(q=Fraction(1)),
-        GRID[1:4],
-        [0, 1, 2],
-    )
+    rule = BracketRule(terms=(((0, 0), b + 1), ((1, 0), 2 * a)))
+    affinized = affinize(rule, AffinizationParams(q=Fraction(1)))
+    report = theorem22_probe(rule, affinized, GRID[1:4], [0, 1, 2])
     assert not report.novikov.holds
     assert not report.jacobi_of_affinization.holds
     assert report.equivalence_observed
@@ -219,7 +231,8 @@ def test_theorem22_probe_on_commutative_associative_rule():
     # group-algebra style product x_a x_b = x_{a+b}; on the single index 0 it
     # is the one-dimensional unital algebra
     rule = BracketRule(terms=(((0, 0), index_ring()[0].one),))
-    report = theorem22_probe(rule, AffinizationParams(q=Fraction(1)), [0], [0, 1, 2])
+    affinized = affinize(rule, AffinizationParams(q=Fraction(1)))
+    report = theorem22_probe(rule, affinized, [0], [0, 1, 2])
     assert report.novikov.holds
     assert report.jacobi_of_affinization.holds
     assert report.equivalence_observed
@@ -235,9 +248,8 @@ def test_equivalence_observed_for_random_single_coefficient_mutations():
         mutated = perturbed_witt_rule(base, target, exponents, delta)
         bound = mutated.grade_degree_bound
         grades = list(range(-bound, bound + 1))
-        report = theorem22_probe(
-            mutated, AffinizationParams(q=Fraction(1)), grades, [0, 1, 2]
-        )
+        affinized = affinize(mutated, AffinizationParams(q=Fraction(1)))
+        report = theorem22_probe(mutated, affinized, grades, [0, 1, 2])
         assert report.equivalence_observed, (target, exponents, delta)
 
 

@@ -207,7 +207,7 @@ def affinized_pair(product, q):
         acc: dict = {}
         accumulate(acc, relevel(product(x, y), m + n), m + q)
         accumulate(acc, relevel(product(y, x), m + n), -(n + q))
-        return Element._wrap(acc)
+        return Element(acc)
 
     return pair
 

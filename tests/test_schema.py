@@ -43,6 +43,9 @@ REJECTED += [
     ("axioms_table_grid_over_limit", CASES["axioms_table_grid_over_limit"]),
     ("blockcheck_jacobi_grid_over_limit", CASES["blockcheck_jacobi_grid_over_limit"]),
     ("axioms_duplicate_grades", CASES["axioms_duplicate_grades"]),
+    ("axioms_short_grid", CASES["axioms_short_grid"]),
+    ("affinize_short_level_grid", CASES["affinize_short_level_grid"]),
+    ("blockcheck_short_jacobi_grid", CASES["blockcheck_short_jacobi_grid"]),
     (
         "blockcheck_four_cocycle_grades",
         {**CASES["blockcheck_short_cocycle_grid"], "cocycle_grades": ["-2", "-1", "0", "1"]},
