@@ -78,9 +78,11 @@ MAX_BLOCKCHECK_LABELS = 200
 # held a witness of a failed cocycle proof while that check still scanned
 MIN_COCYCLE_GRADES = 5
 # last series index of a highest-weight job: horizon for classify, max_level +
-# horizon for singular and crosscheck; a classify of dense labels (no
-# recurrence, so the search runs to the end) takes about 5 s at 500 and 75 s
-# at 1000 on a 2-vCPU host, and no archived or benchmark job goes past 60
+# horizon for singular and crosscheck.  A cold classify of dense rational
+# labels (p = 0, q = 1, numerators in +-99, denominators <= 97: no recurrence,
+# so the search runs to the end) takes 0.25-0.32 s at horizon 100, 3.8-5.0 s
+# at 200 and 174 s at 500 on a 2-vCPU host; no archived or benchmark job goes
+# past 60
 MAX_SERIES_HORIZON = 500
 # min(max_level, horizon) of singular and crosscheck: the kernel matrix has
 # horizon + 1 rows and max_level + 1 columns, and its elimination grows with
@@ -571,7 +573,7 @@ def _validate_modcheck(f: _Fields):
 
 def _verdict_json(verdict: Verdict) -> dict:
     if verdict.holds:
-        return {"verdict": str(verdict), "witness": None, "residual": None}
+        return {"verdict": f"holds_{verdict.scope}", "witness": None, "residual": None}
     return {
         "verdict": "fails",
         "witness": [format_rational(v) if isinstance(v, (int, Fraction)) else str(v)

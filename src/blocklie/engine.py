@@ -9,23 +9,23 @@ its degree bounds, verdict scope and pair are all read from them.  Only a
 table gives a pair of its own.  A product on the Witt labels x_a =
 L[a,0] is a `BracketRule` too, with terms at offsets (dgrade, 0).
 
-`IDENTITIES` states antisymmetry, Jacobi and the two Novikov axioms once
-each, as signed sums of nested brackets of the labels x, y, z; all trees of
-one identity have one bracket depth and read the same leaves.  Two
-evaluators walk it (`_evaluate`).  The symbolic one (`_prove`) builds each
-identity from a rule's terms, on integers (the terms times their common
-denominator D, so a residual of depth k is D^k times the rational one): one
-tree per orbit under renaming x, y, z, values per offset.  Its monomials are
-packed ints (`scalars.Packing`), with fields as wide as the identity's depth
-times the terms' largest total degree, so a product of monomials is one int
-addition.  Only a proof holds universally.  The concrete one evaluates the
-same trees on basis labels through the rule's cached pair
-(`extend_bilinearly`); it scans a grid for the witness of a failed proof,
-which a grid of `grid_needs` values (the identity's bracket depth times the
-terms' degree bounds, plus one) is sure to hold, and it alone decides a rule
-without terms, which holds on the tested grid (`check_identities`).  A rule
-with a cocycle, which its terms omit, is refused.  `grid_identity_check`
-and `novikov.novikov_axiom_check` call it.  Every scan in the package ends in
+`IDENTITIES` states Jacobi and the two Novikov axioms once each, as signed
+sums of nested brackets of the labels x, y, z; all trees of one identity
+have one bracket depth and read the same leaves.  Two evaluators walk it
+(`_evaluate`).  The symbolic one (`_prove`) builds each identity from a
+rule's terms, on integers (the terms times their common denominator D, so a
+residual of depth k is D^k times the rational one): one tree per orbit under
+renaming x, y, z, values per offset.  Its monomials are packed ints
+(`scalars.Packing`), with fields as wide as the identity's depth times the
+terms' largest total degree, so a product of monomials is one int addition.
+Only a proof holds universally.  The concrete one evaluates the same trees
+on basis labels through the rule's cached pair (`extend_bilinearly`); it
+scans a grid for the witness of a failed proof, which a grid of `grid_needs`
+values (the identity's bracket depth times the terms' degree bounds, plus
+one) is sure to hold, and it alone decides a rule without terms, which holds
+on the tested grid (`check_identities`).  A rule with a cocycle, which its
+terms omit, is refused.  `grid_identity_check` and
+`novikov.novikov_axiom_check` call it.  Every scan in the package ends in
 `first_failure`, whose docstring states the witness contract and the rule
 for skipping tuples by symmetry.  The theorems of B(p,q) scan nothing: they
 end in `block._proved`.
@@ -69,7 +69,6 @@ from .scalars import (
     accumulate,
     as_fraction,
     lift,
-    scalar_is_zero,
     signed_sum,
     total_degree,
 )
@@ -84,9 +83,6 @@ class Graded(NamedTuple):
 
     grade: IndexValue
     level: IndexValue
-
-    def __repr__(self) -> str:
-        return f"Graded({self.grade}, {self.level})"
 
     def __str__(self) -> str:
         return f"L[{self.grade},{self.level}]"
@@ -124,8 +120,10 @@ class Element:
 
     The constructor adopts `terms` without copying or checking it, as `Poly`
     does: the caller passes a clean dict of nonzero exact coefficients.
-    Treat instances as immutable.  Arithmetic returns the operand's own class,
-    so subclasses over other label sets (`intermediate.ModuleVector`) share it.
+    Treat instances as immutable.  The program computes on `terms`
+    (`scalars.accumulate`); `__add__` stays only because the benchmark's
+    tracer counts its calls.  `intermediate.ModuleVector` is an Element over
+    the weight basis.
     """
 
     __slots__ = ("terms",)
@@ -136,11 +134,6 @@ class Element:
     @classmethod
     def zero(cls):
         return cls({})
-
-    @classmethod
-    def basis(cls, index: BasisIndex, coeff: Scalar = 1):
-        """The element coeff * index, which is zero when `coeff` is."""
-        return cls({index: coeff} if coeff else {})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -153,25 +146,6 @@ class Element:
             return NotImplemented
         return type(self)(accumulate(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        return type(self)(accumulate(dict(self.terms), other.terms.items(), -1))
-
-    def scaled(self, factor: Scalar) -> "Element":
-        return type(self)(accumulate({}, self.terms.items(), factor))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(
-            scalar_is_zero(self.terms[k] - other.terms[k]) for k in self.terms
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __str__(self) -> str:
         def term(index: BasisIndex) -> tuple:
             coeff = self.terms[index]
@@ -180,9 +154,6 @@ class Element:
             return coeff, str(index)
 
         return signed_sum(map(term, sorted(self.terms, key=basis_sort_key)))
-
-    def __repr__(self) -> str:
-        return f"Element({self})"
 
 
 class Window(NamedTuple("Window", [("grade_min", int), ("grade_max", int), ("level_max", int)])):
@@ -232,11 +203,6 @@ class Verdict(NamedTuple):
     witness: tuple | None = None
     residual: object | None = None
     scope: str = "universally"
-
-    def __str__(self) -> str:
-        if self.holds:
-            return f"holds_{self.scope}"
-        return f"fails(witness={self.witness}, residual={self.residual})"
 
 
 def first_failure(
@@ -457,7 +423,6 @@ def normalize_index_values(values: Sequence[IndexValue]) -> list[IndexValue]:
 # tree is a label's name or a pair (u, v) standing for [u, v].  A product rule
 # on the Witt labels (`novikov`) reads [u, v] as the product uv.
 IDENTITIES = {
-    "antisymmetry": ((1, ("x", "y")), (1, ("y", "x"))),
     "jacobi": ((1, ("x", ("y", "z"))), (1, ("z", ("x", "y"))), (1, ("y", ("z", "x")))),
     # (xy)z - x(yz) - (yx)z + y(xz)
     "left_symmetry": (
@@ -669,30 +634,28 @@ def grid_identity_check(
     grade_values: Sequence[IndexValue],
     level_values: Sequence[IndexValue],
 ) -> Verdict:
-    """Decide antisymmetry or Jacobi: by proof for all integer indices where
-    the rule has terms, by grid scan for the witness and for rules without
-    (`check_identities`).  A witness is a tuple of (grade, level) pairs.
+    """Decide the Jacobi identity, which `identity` must name (the benchmark's
+    tracer reads this signature by position): by proof for all integer
+    indices where the rule has terms, by grid scan for the witness and for
+    rules without (`check_identities`).  A witness is a tuple of (grade,
+    level) pairs.
 
-    Orbit filters: antisymmetry keeps pairs x <= y and Jacobi keeps triples
-    that are least among their cyclic rotations (positions in the grid
-    order): [x,y] + [y,x] is symmetric, and a rotation's Jacobi sum adds the
-    same three terms.
+    Orbit filter: the scan keeps the triples that are least among their
+    cyclic rotations (positions in the grid order), since a rotation's
+    Jacobi sum adds the same three terms.
     """
-    if identity not in ("antisymmetry", "jacobi"):
+    if identity != "jacobi":
         raise ValueError(f"unknown identity {identity!r}")
     singles = list(
         itertools.product(
             normalize_index_values(grade_values), normalize_index_values(level_values)
         )
     )
-    if identity == "antisymmetry":
-        tuples = itertools.combinations_with_replacement(singles, 2)
-    else:
-        tuples = (
-            (singles[k], singles[l], singles[m])
-            for k, l, m in itertools.product(range(len(singles)), repeat=3)
-            if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
-        )
+    tuples = (
+        (singles[k], singles[l], singles[m])
+        for k, l, m in itertools.product(range(len(singles)), repeat=3)
+        if (k, l, m) <= (l, m, k) and (k, l, m) <= (m, k, l)
+    )
     (verdict,) = check_identities(rule, {identity: tuples}, lambda t: [Graded(*cell) for cell in t])
     return verdict
 
@@ -723,17 +686,14 @@ class Closure:
     Each row lists its labels in window coordinate order, so its first label
     is its pivot.  The integer echelon that the rows were read from, and the
     window's coordinates, are kept for `membership`; the work counters (an
-    early stop shows in them) are no part of the result: a closure prints by
-    its window and rows alone.  Treat instances as immutable."""
+    early stop shows in them) are no part of the result, which is its window
+    and rows alone.  Treat instances as immutable."""
 
     __slots__ = ("window", "rows", "_coord_index", "_echelon", "_work")
 
     def __init__(self, window: Window, rows: tuple[Element, ...], _coord_index, _echelon, _work):
         self.window, self.rows = window, rows
         self._coord_index, self._echelon, self._work = _coord_index, _echelon, _work
-
-    def __repr__(self) -> str:
-        return f"Closure(window={self.window!r}, rows={self.rows!r})"
 
     def by_grade(self) -> dict[int, tuple[Element, ...]]:
         """Rows grouped by the grade of their pivot label (central counts as 0)."""

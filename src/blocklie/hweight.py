@@ -53,7 +53,7 @@ from typing import NamedTuple, Sequence
 
 from .block import BlockParams, structure_numerator
 from .engine import Graded, _Echelon
-from .scalars import RationalLike, format_rational, signed_sum
+from .scalars import RationalLike, signed_sum
 
 Coeffs = tuple[Fraction, ...]
 
@@ -124,14 +124,6 @@ class QuasiPolynomial(NamedTuple):
             lift.append(lift[-1] * radix)
         # c_k = out[k] / (E M^k), brought to the one denominator E M^horizon
         return tuple(n * m for n, m in zip(out, reversed(lift))), scale * lift[-1]
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({format_poly(coeffs, 'z')})*exp({format_rational(base)}*z)"
-            for coeffs, base in self.terms
-        )
 
 
 def qp_annihilator(qp: QuasiPolynomial) -> Coeffs:

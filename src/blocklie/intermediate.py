@@ -31,8 +31,8 @@ VARIANTS = ("Aab", "Aa", "Ba")
 
 
 class IntermediateKind:
-    """A family and its parameters; b is given exactly for Aab.  Prints by
-    (variant, a, b); treat instances as immutable."""
+    """A family and its parameters; b is given exactly for Aab.  Treat
+    instances as immutable."""
 
     __slots__ = ("variant", "a", "b")
 
@@ -43,25 +43,18 @@ class IntermediateKind:
             raise ValueError("parameter b is required exactly for the Aab family")
         self.variant, self.a, self.b = variant, a, b
 
-    def __repr__(self) -> str:
-        return f"IntermediateKind(variant={self.variant!r}, a={self.a!r}, b={self.b!r})"
-
 
 class ModuleVector(Element):
     """Finitely supported combination of the weight basis v_m, m in Z, keyed by
-    the integer m; the arithmetic is Element's."""
+    the integer m.  It prints only as a failed check's residual, which is
+    never zero, with every coefficient written out: "1*v[0] + 2/3*v[1]"."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         return " + ".join(
             f"{format_rational(c)}*v[{m}]" for m, c in sorted(self.terms.items())
         )
-
-    def __repr__(self) -> str:
-        return f"ModuleVector({self})"
 
 
 def _scaled(kind: IntermediateKind, q: Fraction) -> tuple[int, int, int, int]:

@@ -72,8 +72,6 @@ def accumulate(acc: dict, pairs: Iterable[tuple], factor: Scalar = 1) -> dict:
 
     `pairs` yields (key, coefficient); a coefficient that is zero, or a sum
     that cancels to zero, leaves no entry behind."""
-    if not factor:
-        return acc
     if not (isinstance(factor, int) and factor == 1):
         pairs = ((key, coeff * factor) for key, coeff in pairs)
     get = acc.get
@@ -145,10 +143,6 @@ class PolyRing:
         return Poly(self, {tuple(exps): Fraction(1)})
 
     @property
-    def zero(self) -> "Poly":
-        return Poly(self, {})
-
-    @property
     def one(self) -> "Poly":
         return self.const(1)
 
@@ -172,17 +166,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial, as a Fraction."""
-        if not self.terms:
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -214,9 +197,6 @@ class Poly:
     def __sub__(self, other: Scalar) -> "Poly":
         return self + (-other if isinstance(other, Poly) else -Fraction(other))
 
-    def __rsub__(self, other: Scalar) -> "Poly":
-        return (-self) + other
-
     def __mul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):  # Fraction * int stays a Fraction
             return Poly(self.ring, accumulate({}, self.terms.items(), other))
@@ -226,15 +206,8 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Scalar) -> "Poly":
-        if isinstance(other, Poly):
-            if not other.is_constant():
-                raise ValueError("division is only defined by nonzero rational constants")
-            other = other.constant_value()
-        divisor = Fraction(other)
-        if divisor == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Poly(self.ring, accumulate({}, self.terms.items(), 1 / divisor))
+    def __truediv__(self, other: RationalLike) -> "Poly":
+        return Poly(self.ring, accumulate({}, self.terms.items(), 1 / Fraction(other)))
 
     def __pow__(self, power: int) -> "Poly":
         if not isinstance(power, int) or power < 0:
@@ -249,20 +222,11 @@ class Poly:
             n >>= 1
         return result
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
     # -- evaluation ----------------------------------------------------------
 
-    def compose(self, ring: PolyRing, images: Mapping[str, Scalar] | None = None) -> "Poly":
-        """Substitute `images[name]`, a Poly of `ring` or a rational, for each
-        symbol (an image from another ring raises `SymbolTableError`); a
+    def compose(self, ring: PolyRing, images: Mapping[str, "Poly"] | None = None) -> "Poly":
+        """Substitute `images[name]`, a Poly of `ring`, for each symbol (an
+        image from another ring raises `SymbolTableError`); a
         symbol without an image becomes the same-named symbol of `ring`.  The
         result lives in `ring`, so the call with no images lifts a polynomial
         into a ring that declares more symbols.
@@ -274,8 +238,6 @@ class Poly:
             value = images.get(name)
             if value is None:
                 value = ring.var(name)
-            elif not isinstance(value, Poly):
-                value = ring.const(value)
             elif value.ring != ring:
                 raise SymbolTableError(f"image of {name!r} does not live in {ring!r}")
             return value.terms
@@ -313,9 +275,6 @@ class Poly:
 
         ordered = sorted(self.terms, reverse=True)
         return signed_sum((self.terms[exps], monomial(exps)) for exps in ordered)
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
 
 
 def _product(terms1: dict, terms2: dict) -> dict:
@@ -451,15 +410,8 @@ class Packed:
 
 
 def as_fraction(value: Scalar) -> Fraction:
-    """Collapse a scalar to a Fraction; error if it still depends on symbols."""
-    if isinstance(value, Fraction):
-        return value
+    """A rational scalar as a Fraction; a Poly raises ValueError, even a
+    constant one."""
     if isinstance(value, Poly):
-        return value.constant_value()
-    return Fraction(value)
-
-
-def scalar_is_zero(value: Scalar) -> bool:
-    if isinstance(value, Poly):
-        return value.is_zero()
-    return value == 0
+        raise ValueError(f"not a rational constant: {value}")
+    return value if isinstance(value, Fraction) else Fraction(value)

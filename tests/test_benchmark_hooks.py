@@ -87,7 +87,7 @@ def test_the_kernel_hook_counts_the_matrix_cells():
 
 def test_the_closure_hook_sums_the_dimensions():
     t = tracer.Tracer()
-    generators = [Element.basis(Graded(1, 0)), Element.basis(Graded(-1, 0))]
+    generators = [Element({Graded(1, 0): 1}), Element({Graded(-1, 0): 1})]
     rule = block_bracket_rule(BlockParams(p=Fraction(1, 2), q=Fraction(-7, 5)))
     closure = traced(t._closure, engine.subalgebra_closure, rule, generators, Window(-2, 2, 1))
     assert closure.dimension() > 2

@@ -175,7 +175,7 @@ def test_singular_matrix_rows_are_weight_of_parabolic_images():
         # the rows are integers: M scaled by pd*qd and the labels' lcm denominator
         den = Fraction(p).denominator * Fraction(q).denominator * 3  # each label is n/3
         for i in range(max_level + 1):
-            images = parabolic_degree_zero(params, Element.basis(Graded(-1, i)), horizon)
+            images = parabolic_degree_zero(params, Element({Graded(-1, i): 1}), horizon)
             column = [weight_of(w) for w in images]
             expected = [
                 (2 * q + i + j + p * (i - j)) * labels[i + j] for j in range(horizon + 1)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from test_block import window_pairs
+from test_engine import assert_same_terms, combination
 
 from blocklie.cli import ConfigError, load_config
 from blocklie.engine import (
@@ -31,7 +32,7 @@ from blocklie.novikov import (
     witt_novikov_product,
     witt_product_rule,
 )
-from blocklie.scalars import PolyRing
+from blocklie.scalars import PolyRing, accumulate
 
 GRID = [-2, -1, 0, 1, 2]
 NOVIKOV = ("left_symmetry", "right_commutativity")
@@ -52,21 +53,26 @@ def block_sZ_reindex_check(s: Fraction, window: Window) -> Verdict:
 
     def residual(t: tuple) -> Element:
         a, i, b, j = t
-        expected = Element.basis(Graded(a + b - 1, i + j), s * (j - i)) + Element.basis(
-            Graded(a + b - 2, i + j), (i + s - 1) * b - (j + s - 1) * a
+        expected = Element(
+            accumulate(
+                {},
+                (
+                    (Graded(a + b - 1, i + j), s * (j - i)),
+                    (Graded(a + b - 2, i + j), (i + s - 1) * b - (j + s - 1) * a),
+                ),
+            )
         )
-        return rule.pair(Graded(a - 1, i), Graded(b - 1, j)) - expected
+        return combination((1, rule.pair(Graded(a - 1, i), Graded(b - 1, j))), (-1, expected))
 
     return first_failure(window_pairs(window), residual, "on_window")
 
 
 def test_witt_product_examples():
-    assert witt_novikov_product(WittNovikovParams(p=2), 1, 2) == Element.basis(
-        Graded(3, 0), 4
+    assert_same_terms(witt_novikov_product(WittNovikovParams(p=2), 1, 2), {Graded(3, 0): 4})
+    assert_same_terms(
+        witt_novikov_product(WittNovikovParams(p=2, mu=3, theta=1), 1, 2),
+        {Graded(3, 0): 4, Graded(4, 0): 3},
     )
-    assert witt_novikov_product(
-        WittNovikovParams(p=2, mu=3, theta=1), 1, 2
-    ) == Element.basis(Graded(3, 0), 4) + Element.basis(Graded(4, 0), 3)
     assert witt_novikov_product(WittNovikovParams(p=0), 0, 0).is_zero()
 
 
@@ -93,9 +99,7 @@ def test_mutated_rule_breaks_right_commutativity():
     params = WittNovikovParams(p=Fraction(2), mu=Fraction(0), theta=1)
 
     def pair(a, b):
-        return Element.basis(Graded(a + b, 0), b + 2) + Element.basis(
-            Graded(a + b + 1, 0), 3 * a
-        )
+        return Element(accumulate({}, ((Graded(a + b, 0), b + 2), (Graded(a + b + 1, 0), 3 * a))))
 
     rule = BracketRule(lambda x, y: pair(x.grade, y.grade))
     verdicts = novikov_axiom_check(rule, GRID[1:4])
@@ -124,15 +128,16 @@ def test_bracket_apply_extends_products_bilinearly():
     for _ in range(15):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
         s = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        lhs = bracket_apply(rule, x + y.scaled(s), z)
-        rhs = bracket_apply(rule, x, z) + bracket_apply(rule, y, z).scaled(s)
-        assert lhs == rhs
-        lhs = bracket_apply(rule, z, x + y.scaled(s))
-        rhs = bracket_apply(rule, z, x) + bracket_apply(rule, z, y).scaled(s)
-        assert lhs == rhs
-    assert bracket_apply(
-        rule, Element.basis(Graded(1, 0)), Element.basis(Graded(2, 0))
-    ) == witt_novikov_product(WittNovikovParams(p=Fraction(2), mu=Fraction(1), theta=1), 1, 2)
+        xy = combination((1, x), (s, y))
+        lhs = bracket_apply(rule, xy, z)
+        rhs = combination((1, bracket_apply(rule, x, z)), (s, bracket_apply(rule, y, z)))
+        assert_same_terms(lhs, rhs.terms)
+        lhs = bracket_apply(rule, z, xy)
+        rhs = combination((1, bracket_apply(rule, z, x)), (s, bracket_apply(rule, z, y)))
+        assert_same_terms(lhs, rhs.terms)
+    product = witt_novikov_product(WittNovikovParams(p=Fraction(2), mu=Fraction(1), theta=1), 1, 2)
+    bracket = bracket_apply(rule, Element({Graded(1, 0): 1}), Element({Graded(2, 0): 1}))
+    assert_same_terms(bracket, product.terms)
 
 
 def test_insufficient_axiom_grid_errors(tmp_path):
@@ -166,10 +171,14 @@ def test_affinize_matches_displayed_structure_constants_symbolically():
     )
     for a, i, b, j in itertools.product([-2, 0, 1, 3], [-1, 0, 2], [-1, 2], [0, 1]):
         got = rule.pair(Graded(a, i), Graded(b, j))
-        expected = Element.basis(
-            Graded(a + b, i + j), (i + q) * (b + p) - (j + q) * (a + p)
-        ) + Element.basis(Graded(a + b + 1, i + j), (i - j) * mu)
-        assert got == expected
+        expected = accumulate(
+            {},
+            (
+                (Graded(a + b, i + j), (i + q) * (b + p) - (j + q) * (a + p)),
+                (Graded(a + b + 1, i + j), (i - j) * mu),
+            ),
+        )
+        assert_same_terms(got, expected)
 
 
 def test_affinize_merges_colliding_terms_when_theta_zero():
@@ -181,7 +190,7 @@ def test_affinize_merges_colliding_terms_when_theta_zero():
     )
     got = rule.pair(Graded(2, 1), Graded(-1, 3))
     coeff = (1 + q) * (-1 + p) - (3 + q) * (2 + p) + (1 - 3) * mu
-    assert got == Element.basis(Graded(1, 4), coeff)
+    assert_same_terms(got, {Graded(1, 4): coeff})
 
 
 def test_affinize_definition_holds_symbol_for_symbol():
@@ -196,9 +205,8 @@ def test_affinize_definition_holds_symbol_for_symbol():
     for a, m, b, n in itertools.product([-2, 1], [-1, 0, 2], [0, 3], [-2, 1]):
         ab = relevel(base.pair(Graded(a, 0), Graded(b, 0)), m + n)
         ba = relevel(base.pair(Graded(b, 0), Graded(a, 0)), m + n)
-        assert rule.pair(Graded(a, m), Graded(b, n)) == ab.scaled(m + q) + ba.scaled(
-            -(n + q)
-        )
+        expected = combination((m + q, ab), (-(n + q), ba))
+        assert_same_terms(rule.pair(Graded(a, m), Graded(b, n)), expected.terms)
 
 
 def test_zero_product_affinizes_to_zero_bracket():
@@ -277,24 +285,22 @@ def test_block_sZ_reindex_check_detects_wrong_parameters():
     )
     s = Fraction(3)  # relation written for s=3 against the s=2 algebra
     got = rule.pair(Graded(0, 0), Graded(1, 1))
-    expected = Element.basis(Graded(0, 1), s * 1) + Element.basis(
-        Graded(-1, 1), (0 + s - 1) * 2 - (1 + s - 1) * 1
-    )
-    assert got != expected
+    expected = {Graded(0, 1): s * 1, Graded(-1, 1): (0 + s - 1) * 2 - (1 + s - 1) * 1}
+    assert got.terms != expected
 
 
 def test_table_product_rule_axiom_check():
     # the unital one-dimensional algebra as a table: x_0 x_0 = x_0
-    unital = table_product_rule({(0, 0): Element.basis(Graded(0, 0))})
+    unital = table_product_rule({(0, 0): Element({Graded(0, 0): 1})})
     assert unital.terms is None
     verdicts = novikov_axiom_check(unital, [0])
     assert verdicts.holds
-    assert str(verdicts.left_symmetry) == str(verdicts.right_commutativity) == "holds_on_tested_grid"
+    assert verdicts.left_symmetry == verdicts.right_commutativity == Verdict(True, scope="on_tested_grid")
     # a table that is not right-commutative: (x0 x0) x1 = x1 but (x0 x1) x0 = 0
     broken = table_product_rule(
         {
-            (0, 0): Element.basis(Graded(0, 0)),
-            (0, 1): Element.basis(Graded(1, 0)),
+            (0, 0): Element({Graded(0, 0): 1}),
+            (0, 1): Element({Graded(1, 0): 1}),
             (1, 0): Element.zero(),
         }
     )
@@ -303,8 +309,8 @@ def test_table_product_rule_axiom_check():
 
 
 def test_table_rule_missing_pairs_multiply_to_zero():
-    rule = table_product_rule({(1, 1): Element.basis(Graded(2, 0), 5)})
-    assert rule.pair(Graded(1, 0), Graded(1, 0)) == Element.basis(Graded(2, 0), 5)
+    rule = table_product_rule({(1, 1): Element({Graded(2, 0): 5})})
+    assert_same_terms(rule.pair(Graded(1, 0), Graded(1, 0)), {Graded(2, 0): 5})
     assert rule.pair(Graded(0, 0), Graded(1, 0)).is_zero()
 
 
@@ -326,7 +332,7 @@ def test_affinization_is_natural_under_grade_shift():
         )
     )
     for a, b in itertools.product(range(-2, 3), repeat=2):
-        assert shifted.pair(Graded(a, 0), Graded(b, 0)) == shifted_pair(a, b)
+        assert_same_terms(shifted.pair(Graded(a, 0), Graded(b, 0)), shifted_pair(a, b).terms)
     q = AffinizationParams(q=Fraction(2))
     left = affinize(shifted, q)
     right = affinize(base, q)
@@ -336,4 +342,4 @@ def test_affinization_is_natural_under_grade_shift():
         relabeled = Element(
             {Graded(t.grade - delta, t.level): c for t, c in via_original.terms.items()}
         )
-        assert via_shifted == relabeled
+        assert_same_terms(via_shifted, relabeled.terms)
