@@ -89,14 +89,8 @@ class Graded(NamedTuple):
 
 
 class _Central:
-    """The central basis label; a singleton, written `c`."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The central basis label, written `c`.  `CENTRAL` is its one instance,
+    and code tests a label against it by identity."""
 
     def __repr__(self) -> str:
         return "c"
@@ -156,17 +150,14 @@ class Element:
         return signed_sum(map(term, sorted(self.terms, key=basis_sort_key)))
 
 
-class Window(NamedTuple("Window", [("grade_min", int), ("grade_max", int), ("level_max", int)])):
-    """Finite truncation box: grades in [grade_min, grade_max], levels in [0, level_max]."""
+class Window(NamedTuple):
+    """Finite truncation box: grades in [grade_min, grade_max], levels in [0,
+    level_max].  The caller passes grade_min <= grade_max and level_max >= 0;
+    the loader (`cli._Fields.window`) checks both."""
 
-    __slots__ = ()
-
-    def __new__(cls, grade_min: int, grade_max: int, level_max: int):
-        if grade_min > grade_max:
-            raise ValueError("grade_min must not exceed grade_max")
-        if level_max < 0:
-            raise ValueError("level_max must be nonnegative")
-        return super().__new__(cls, grade_min, grade_max, level_max)
+    grade_min: int
+    grade_max: int
+    level_max: int
 
     def contains(self, index: BasisIndex) -> bool:
         if index is CENTRAL:

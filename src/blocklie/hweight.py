@@ -127,11 +127,10 @@ class QuasiPolynomial(NamedTuple):
 
 
 def qp_annihilator(qp: QuasiPolynomial) -> Coeffs:
-    """Minimal monic constant-coefficient annihilator prod (t - b)^(deg f + 1),
-    multiplied out over the integers as prod (M t - N)^(deg f + 1), b = N/M,
-    and divided by its leading coefficient."""
-    if qp.is_zero():
-        raise ValueError("the zero quasipolynomial has no minimal annihilator")
+    """Minimal monic constant-coefficient annihilator prod (t - b)^(deg f + 1)
+    of a nonzero `qp` (its caller skips the zero generator), multiplied out
+    over the integers as prod (M t - N)^(deg f + 1), b = N/M, and divided by
+    its leading coefficient."""
     out = [1]
     for coeffs, base in qp.terms:
         for _ in coeffs:  # out <- out * (M t - N)
@@ -244,8 +243,6 @@ def detect_linear_recurrence(
     and dividing by C_0 at the end gives the same certificate.
     """
     coeffs = series.coeffs
-    if len(coeffs) < 2:
-        raise ValueError("need at least two series coefficients")
     horizon = series.horizon
     limit = horizon // 2
     if max_degree is not None:

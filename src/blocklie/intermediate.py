@@ -31,16 +31,13 @@ VARIANTS = ("Aab", "Aa", "Ba")
 
 
 class IntermediateKind:
-    """A family and its parameters; b is given exactly for Aab.  Treat
-    instances as immutable."""
+    """A family of VARIANTS and its parameters; b is given exactly for Aab.
+    The loader checks both (`cli._validate_modcheck`).  Treat instances as
+    immutable."""
 
     __slots__ = ("variant", "a", "b")
 
     def __init__(self, variant: str, a: Fraction, b: Fraction | None = None):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown intermediate-series variant {variant!r}")
-        if (variant == "Aab") != (b is not None):
-            raise ValueError("parameter b is required exactly for the Aab family")
         self.variant, self.a, self.b = variant, a, b
 
 

@@ -43,15 +43,13 @@ from .engine import (
 from .scalars import Scalar, accumulate
 
 
-class WittNovikovParams(
-    NamedTuple("WittNovikovParams", [("p", Scalar), ("mu", Scalar), ("theta", int)])
-):
-    __slots__ = ()
+class WittNovikovParams(NamedTuple):
+    """p, mu and the integer shift theta of the product; the loader reads
+    theta as an integer."""
 
-    def __new__(cls, p: Scalar, mu: Scalar = 0, theta: int = 0):
-        if not isinstance(theta, int):
-            raise ValueError("theta must be an integer shift")
-        return super().__new__(cls, p, mu, theta)
+    p: Scalar
+    mu: Scalar = 0
+    theta: int = 0
 
 
 class AffinizationParams(NamedTuple):
@@ -81,14 +79,10 @@ def perturbed_witt_rule(
     """Witt-type rule with `delta * a^ea * b^eb` added to one coefficient.
 
     `target` picks the term: "main" perturbs the (b+p) coefficient of
-    x_{a+b}, "shift" perturbs the mu coefficient of x_{a+b+theta}.
+    x_{a+b}, "shift" perturbs the mu coefficient of x_{a+b+theta}.  The
+    loader checks the target and that the exponents are integers >= 0.
     """
-    if target not in ("main", "shift"):
-        raise ValueError(f"unknown perturbation target {target!r}")
     ea, eb = exponents
-    if ea < 0 or eb < 0:
-        raise ValueError("perturbation exponents must be nonnegative")
-
     shift = 0 if target == "main" else params.theta
     ring, (p, mu, scale) = index_ring(params.p, params.mu, delta)
     a, b = ring.var("a"), ring.var("b")

@@ -64,7 +64,7 @@ def parse_rational(text: str | int) -> Fraction:
 
 def format_rational(value: RationalLike) -> str:
     """Render a rational as "a/b", or "a" when the denominator is 1."""
-    return str(int(value) if type(value) is bool else value)
+    return str(value)
 
 
 def accumulate(acc: dict, pairs: Iterable[tuple], factor: Scalar = 1) -> dict:

@@ -1,12 +1,16 @@
-"""The lines of `src/blocklie` that no job runs.
+"""The lines of `src/blocklie`, and the arms of its `if` statements, that no
+job runs.
 
 `python tests/reach.py` runs every job below in this process, under a
-`sys.settrace` line tracer limited to the package and installed before
-`import blocklie.cli`, so the module bodies count too.  It prints each
-executable line that no job ran and no exemption covers, as
-`file:line: source`, and then each allowlist entry that covers no such line.
-It prints nothing when every line runs in some job; `tests/test_reach.py`
-asserts that.
+`sys.settrace` tracer limited to the package and installed before
+`import blocklie.cli`, so the module bodies count too.  The tracer records
+arcs: which line ran next in the same frame, or that the frame returned.  The
+script prints each executable line that no job ran and no exemption covers,
+as `file:line: source`; each arm of an `if` or `elif` whose test ran that no
+job took, as `file:line: if never true: source` (or `never false`); and then
+each allowlist entry that exempts none of these.  It prints nothing, and
+exits 0, when every line and arm runs in some job; otherwise it exits 1.
+`tests/test_reach.py` asserts the first.
 
 The jobs: every archived config (`golden/`, `tests/data/`) and block 0 of
 seed 1 of each benchmark workload (`perfbench/workloads.make_block`), each
@@ -15,12 +19,23 @@ through `load_config -> run_job -> emit_report` in both formats; and through
 table below, which holds the input paths that only single tests reach.
 
 A line is executable when a code object compiled from its module lists it
-in `co_lines()`, searched recursively.  Two kinds of line are exempt: the
-bodies of the functions that the benchmark's tracer counts
+in `co_lines()`, searched recursively.  The true arm of an `if` is taken
+when a line of its body's first statement ran.  The false arm is taken when
+a line of its `else` or `elif` branch ran, or, without one, when the frame
+went from a line of the test to a line outside the body, or returned.  An arm
+starts on its branch's first line; a false arm without a branch starts on
+the `if`'s own line.  Two kinds of line are exempt, with the arms that start
+on them: the bodies of the functions that the benchmark's tracer counts
 (`perfbench/tracer.COUNTED`), which the program keeps for the tracer until
 the benchmark drops them; and the statements that `ALLOWLIST` names by their
-function and source text, guards that only a planted defect can reach.  A
-line that some input could reach gets a case here, not an allowlist entry.
+function and source text, guards that no input reaches.  An entry that names
+an `if` exempts both its arms.  A line or arm that some input could reach
+gets a case here, not an allowlist entry.
+
+The arm check sees `if` statements only.  It is blind to the arms of a
+conditional expression (`a if c else b`, and the `if` of a comprehension), to
+`and`/`or` within a line, and to whether a `while` loop's test was ever true
+or ever false.
 """
 
 from __future__ import annotations
@@ -40,63 +55,93 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "blocklie"
 PERFBENCH = ROOT / "perfbench"
 
-# (module.function, the statement's source text as it starts, reason): each
-# exempts a statement with everything nested in it, or an except clause
+# (module.function, the statement's source text as it starts, kind, reason):
+# each exempts a statement with everything nested in it, or an except clause.
+# The kinds: a defect detector raises only on a defect in the program; an
+# invariant guards a condition that the program's own values keep; a
+# documented contract is a precondition that the README and tests pin; and
+# COUNTED-only code runs only in a function that `perfbench/tracer.COUNTED`
+# names
 ALLOWLIST = [
-    ("block._proved", "raise ValueError(", "B(p,q)'s theorems hold for every p and q"),
+    ("block._proved", "raise ValueError(", "defect detector", "B(p,q)'s theorems hold for all p, q"),
     (
         "block._laurent_proof",
         "proof.append(",
+        "defect detector",
         "the realization's residue lies at exponent D(i + j) for every p and q",
     ),
-    ("cli.emit_report", "raise ValueError(", "the CLI offers only the text and machine formats"),
-    ("cli.main", "except Exception as exc:", "exit 3: no input raises an internal error"),
-    ("engine.Window.__new__", 'raise ValueError("level_max', "load reads level_max >= 0"),
-    ("engine.index_ring", "raise ValueError(", "the parameters p, q and mu share no index name"),
-    ("engine.BracketRule.__new__", "raise ValueError(", "every rule built gets terms or a pair"),
+    ("cli.main", "except Exception as exc:", "defect detector", "exit 3: no input raises one"),
     (
-        "engine._terms_pair.pair",
-        "if k_monomials",
-        "only block.basis_bracket, which perfbench/tracer.py counts, reads a cocycle's pair",
+        "engine.check_identities",
+        'raise ValueError("an',
+        "defect detector",
+        "no job checks a rule with a cocycle",
     ),
-    (
-        "engine.extend_bilinearly",
-        "continue",
-        "only engine.bracket_apply, which perfbench/tracer.py counts, brackets c",
-    ),
-    ("engine.check_identities", 'raise ValueError("an', "no job checks a rule with a cocycle"),
     (
         "engine.check_identities",
         'raise ValueError("the proof',
+        "defect detector",
         "load sizes every grid by grid_needs, so a failed proof's scan finds its witness",
     ),
-    ("engine.grid_identity_check", "raise ValueError(", "every caller asks for jacobi"),
-    ("engine._integer_row", "raise ClosureError(", "load refuses labels outside the window"),
-    ("engine._integer_row", "except ValueError:", "load admits no symbolic coefficient"),
-    ("engine._integer_kernel", "raise ClosureError(", "a closure's p and q cannot be symbolic"),
-    ("engine.subalgebra_closure", "raise ClosureError(", "every closure's rule has terms"),
-    ("hweight.qp_annihilator", "raise ValueError(", "its one caller skips the zero generator"),
-    (
-        "hweight.detect_linear_recurrence",
-        "raise ValueError(",
-        "load reads horizon >= 1, so a series has two coefficients",
-    ),
-    ("intermediate.IntermediateKind.__init__", "raise ValueError(", "load reads family and b"),
-    ("novikov.WittNovikovParams.__new__", "raise ValueError(", "load reads theta as an int"),
-    ("novikov.perturbed_witt_rule", "raise ValueError(", "load reads target and exponents"),
-    ("novikov.affinize", "raise ValueError(", "the Witt product has terms"),
-    ("scalars.PolyRing.__init__", "raise ValueError(", "the program names every symbol"),
+    ("engine.index_ring", "raise ValueError(", "invariant", "p, q and mu share no index name"),
+    ("engine.BracketRule.__new__", "raise ValueError(", "invariant", "every rule has terms or a pair"),
+    ("engine.grid_identity_check", "raise ValueError(", "invariant", "every caller asks for jacobi"),
+    ("scalars.PolyRing.__init__", "raise ValueError(", "invariant", "the program names every symbol"),
     (
         "scalars.PolyRing.__repr__",
         "return ",
+        "invariant",
         "only the SymbolTableError guards print a ring",
     ),
-    ("scalars.PolyRing.index", "raise SymbolTableError(", "every symbol read is declared"),
-    ("scalars.Poly._same_ring", "raise SymbolTableError(", "index_ring gives one ring"),
-    ("scalars.Poly.__pow__", "raise ValueError(", "every exponent is an int >= 0"),
-    ("scalars.Poly.compose.image", "raise SymbolTableError(", "every image is in the ring"),
-    ("scalars.Packed.constant", "raise ValueError(", "the Laurent offsets are constant"),
-    ("scalars.as_fraction", "raise ValueError(", "load admits no symbolic coefficient"),
+    ("scalars.PolyRing.index", "raise SymbolTableError(", "invariant", "every symbol is declared"),
+    ("scalars.Poly._same_ring", "raise SymbolTableError(", "invariant", "index_ring gives one ring"),
+    (
+        "scalars.Poly.__pow__",
+        "raise ValueError(",
+        "invariant",
+        "every exponent is an int >= 0; a negative one would loop forever",
+    ),
+    ("scalars.Poly.compose.image", "raise SymbolTableError(", "invariant", "images are in the ring"),
+    ("scalars.Packed.constant", "raise ValueError(", "invariant", "the Laurent offsets are constant"),
+    ("scalars.as_fraction", "raise ValueError(", "invariant", "no coefficient read is symbolic"),
+    (
+        "engine._integer_row",
+        "raise ClosureError(",
+        "documented contract",
+        "load refuses labels outside the window",
+    ),
+    (
+        "engine._integer_row",
+        "except ValueError:",
+        "documented contract",
+        "load admits no symbolic coefficient",
+    ),
+    (
+        "engine._integer_kernel",
+        "raise ClosureError(",
+        "documented contract",
+        "a closure's p and q cannot be symbolic",
+    ),
+    (
+        "engine.subalgebra_closure",
+        "raise ClosureError(",
+        "documented contract",
+        "every closure's rule has terms",
+    ),
+    ("novikov.affinize", "raise ValueError(", "documented contract", "the Witt product has terms"),
+    (
+        "engine._terms_pair.pair",
+        "if k_monomials",
+        "COUNTED-only",
+        "only block.basis_bracket reads a cocycle's pair",
+    ),
+    ("engine.extend_bilinearly", "continue", "COUNTED-only", "only engine.bracket_apply brackets c"),
+    (
+        "engine.extend_bilinearly",
+        "if iy is not CENTRAL",
+        "COUNTED-only",
+        "only engine.bracket_apply brackets c",
+    ),
 ]
 
 # (name, config: a payload, raw text, or None for no file; extra argv, with
@@ -159,17 +204,26 @@ CLI_CASES = [
     ),
     ("table_with_family_field", {"job": "axioms", "p": "1", "table": [{"a": 0, "b": 0}]}, []),
     (
-        "b_outside_aab",
+        "window_without_grade_0",
+        {**CLOSURE, "window": {"grade_min": 1, "grade_max": 2, "level_max": 0}},
+        [],
+    ),
+    (
+        "kernel_column_free_of_a_pivot_row",
         {
-            "job": "modcheck",
-            "p": "2",
-            "q": "3/2",
-            "family": "Ba",
-            "a": "1/3",
-            "b": "1",
-            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
-            "weight_range": [-1, 1],
+            "job": "singular",
+            "p": "0",
+            "q": "1",
+            "max_level": 2,
+            "horizon": 1,
+            "weight": {"labels": ["1", "0", "0", "0"]},
         },
+        [],
+    ),
+    (
+        # (t - 1)^7 passes the degree cap floor(10 / 2): a generator, no certificate
+        "generator_past_the_degree_cap",
+        {**CLASSIFY, "p": "0", "weight": {"qp": [{"poly": ["1"] * 7, "base": "1"}]}},
         [],
     ),
     ("unreadable_config_path", None, []),
@@ -210,25 +264,43 @@ def executable_lines() -> set[tuple[str, int]]:
     }
 
 
-def traced(run) -> set[tuple[str, int]]:
-    """(file, line) of each line of the package that runs while `run()` does."""
-    ran: set[tuple[str, int]] = set()
+# an arc's end when the frame returns; no source line is 0
+RETURN = 0
+
+
+def traced(run) -> set[tuple[str, int | None, int]]:
+    """(file, line, next) of each arc that a frame of the package takes while
+    `run()` does: `next` ran right after `line` in one frame, or is RETURN
+    when the frame returned after it.  `line` is None for a frame's first
+    line, and for the first line after an exception."""
+    arcs: set[tuple[str, int | None, int]] = set()
     prefix = str(SRC) + "/"
 
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
     def calls(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(prefix) else None
+        path = frame.f_code.co_filename
+        if not path.startswith(prefix):
+            return None
+        last = None
+
+        def local(frame, event, arg):
+            nonlocal last
+            if event == "line":
+                arcs.add((path, last, frame.f_lineno))
+                last = frame.f_lineno
+            elif event == "return":
+                arcs.add((path, last, RETURN))
+            else:  # an exception: what runs next does not follow from `last`
+                last = None
+            return local
+
+        return local
 
     sys.settrace(calls)
     try:
         run()
     finally:
         sys.settrace(None)
-    return ran
+    return arcs
 
 
 def load_by_path(name: str, path: Path):
@@ -330,26 +402,83 @@ def statement_lines(path: str, function: str, text: str) -> set[int]:
     return out
 
 
+def lines_of(node) -> range:
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def untaken_arms(arcs) -> dict[tuple[str, int], tuple[int, str]]:
+    """Each arm of an `if` whose test ran that no arc takes, keyed by (file,
+    the line the arm starts on: its body's first, its `else` or `elif`
+    branch's first, or the `if`'s own for a false arm without a branch), as
+    (the `if`'s line, `if never true|false: source`)."""
+    out = {}
+    for path in SRC.glob("*.py"):
+        after: dict[int | None, set[int]] = {}
+        for file, line, next_line in arcs:
+            if file == str(path):
+                after.setdefault(line, set()).add(next_line)
+        ran = set().union(*after.values())
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.If):
+                continue
+            test = range(node.lineno, node.test.end_lineno + 1)
+            if not ran.intersection(test):
+                continue
+            body = range(node.body[0].lineno, node.body[-1].end_lineno + 1)
+            if node.orelse:
+                false_start = node.orelse[0].lineno
+                false_taken = ran.intersection(lines_of(node.orelse[0]))
+            else:
+                false_start = node.lineno
+                false_taken = any(
+                    next_line not in test and next_line not in body
+                    for line in test
+                    for next_line in after.get(line, ())
+                )
+            arms = [
+                ("true", node.body[0].lineno, ran.intersection(lines_of(node.body[0]))),
+                ("false", false_start, false_taken),
+            ]
+            text = source.splitlines()[node.lineno - 1].strip()
+            for arm, start, taken in arms:
+                if not taken:
+                    out[(str(path), start)] = node.lineno, f"if never {arm}: {text}"
+    return out
+
+
 def unreached() -> list[str]:
-    """The gate's findings: each unreached line that no exemption covers, as
-    `file:line: source`, then each allowlist entry that covers none."""
-    missed = executable_lines() - traced(run_jobs) - counted_lines()
-    findings = []
-    for function, text, _ in ALLOWLIST:
+    """The gate's findings: each unreached line and each untaken `if` arm that
+    no exemption covers, in file and line order, then each allowlist entry
+    that exempts none."""
+    arcs = traced(run_jobs)
+    ran = {(path, line) for path, _, line in arcs if line != RETURN}
+    counted = counted_lines()
+    gaps = {
+        (path, line): (line, Path(path).read_text().splitlines()[line - 1].strip())
+        for path, line in executable_lines() - ran - counted
+    }
+    arms = {key: arm for key, arm in untaken_arms(arcs).items() if key not in counted}
+    exempt, stale = set(), []
+    for function, text, _, _ in ALLOWLIST:
         module, name = function.split(".", 1)
         path = str(SRC / f"{module}.py")
         covered = {(path, line) for line in statement_lines(path, name, text)}
-        if not covered & missed:
-            findings.append(f"allowlist: {function}: {text!r} covers no unreached line")
-        missed -= covered
-    out = []
-    for path, line in sorted(missed):
-        source = Path(path).read_text().splitlines()[line - 1].strip()
-        out.append(f"{Path(path).relative_to(ROOT)}:{line}: {source}")
-    return out + findings
+        if not covered & (gaps.keys() | arms.keys()):
+            stale.append(f"allowlist: {function}: {text!r} exempts no unreached line or arm")
+        exempt |= covered
+    findings = sorted(
+        (Path(key[0]), line, text)
+        for found in (gaps, arms)
+        for key, (line, text) in found.items()
+        if key not in exempt
+    )
+    return [f"{path.relative_to(ROOT)}:{line}: {text}" for path, line, text in findings] + stale
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(SRC.parent))
-    for finding in unreached():
+    found = unreached()
+    for finding in found:
         print(finding)
+    sys.exit(1 if found else 0)

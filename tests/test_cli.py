@@ -746,6 +746,77 @@ EXIT_CASES = [
             "generators": ["L[1,0]"],
         },
     ),
+    # the loader's checks below are the only checks of their conditions
+    (
+        "modcheck_unknown_family",
+        2,
+        {
+            "job": "modcheck",
+            "p": "3",
+            "q": "1",
+            "family": "Xy",
+            "a": "2",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "weight_range": [-1, 1],
+        },
+    ),
+    (
+        "modcheck_aab_without_b",
+        2,
+        {
+            "job": "modcheck",
+            "p": "3",
+            "q": "1",
+            "family": "Aab",
+            "a": "2",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "weight_range": [-1, 1],
+        },
+    ),
+    (
+        "modcheck_b_outside_aab",
+        2,
+        {
+            "job": "modcheck",
+            "p": "3",
+            "q": "1",
+            "family": "Ba",
+            "a": "2",
+            "b": "1",
+            "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
+            "weight_range": [-1, 1],
+        },
+    ),
+    (
+        "axioms_unknown_perturb_target",
+        2,
+        {
+            "job": "axioms",
+            "p": "2",
+            "perturb": {"target": "both", "exponents": [0, 0], "delta": "1"},
+        },
+    ),
+    (
+        "axioms_negative_perturb_exponent",
+        2,
+        {
+            "job": "axioms",
+            "p": "2",
+            "perturb": {"target": "main", "exponents": [-1, 0], "delta": "1"},
+        },
+    ),
+    ("axioms_fractional_theta", 2, {"job": "axioms", "p": "2", "theta": 1.5}),
+    (
+        "closure_negative_level_max",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 1, "level_max": -1},
+            "generators": ["L[1,0]"],
+        },
+    ),
     (
         "modcheck_reversed_weight_range",
         2,
@@ -1037,6 +1108,19 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
             "modcheck_reversed_weight_range",
             "modcheck: field 'weight_range' must be [lo, hi] with lo <= hi",
         ),
+        ("modcheck_unknown_family", "modcheck: field 'family' must be one of Aab, Aa, Ba"),
+        ("modcheck_aab_without_b", "modcheck: missing required field 'b'"),
+        ("modcheck_b_outside_aab", "modcheck: field 'b' applies only to the Aab family"),
+        (
+            "axioms_unknown_perturb_target",
+            "axioms: field 'perturb.target' must be one of main, shift",
+        ),
+        (
+            "axioms_negative_perturb_exponent",
+            "axioms: field 'perturb.exponents' must be a list of 2 integers >= 0",
+        ),
+        ("axioms_fractional_theta", "axioms: field 'theta' must be an integer"),
+        ("closure_negative_level_max", "closure: field 'window.level_max' must be >= 0"),
         ("config_not_an_object", "config must be a JSON object"),
     ],
 )
@@ -1195,6 +1279,15 @@ def test_threads_flag_is_gone(tmp_path, capsys):
         main(["--config", path, "--threads", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_an_unknown_format_is_refused_by_the_parser(tmp_path, capsys):
+    # the parser's choices are the one check: emit_report writes machine, or else text
+    path = write_config(tmp_path, classify_payload())
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", path, "--format", "json"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'json'" in capsys.readouterr().err
 
 
 def test_debug_flag_prints_the_traceback_of_an_internal_error(tmp_path, capsys, monkeypatch):

@@ -311,5 +311,3 @@ def test_truncate_and_window():
     cut = truncate(elem, window)
     assert cut.terms == {Graded(0, 0): 1, CENTRAL: 7}
     assert not Window(1, 3, 0).contains(CENTRAL)
-    with pytest.raises(ValueError):
-        Window(2, 1, 0)

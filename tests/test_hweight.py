@@ -131,8 +131,11 @@ def test_qp_annihilator_examples():
     assert qp_annihilator(qp_exp(2, 1)) == (-1, 1)
     assert qp_annihilator(QuasiPolynomial.of([([0, 1], 1)])) == (1, -2, 1)
     assert qp_annihilator(QuasiPolynomial.of([([1], 2), ([1], 0)])) == (0, -2, 1)
-    with pytest.raises(ValueError):
-        qp_annihilator(QuasiPolynomial.of([]))
+    # the zero generator has no minimal annihilator: its caller asks for none
+    zero = QuasiPolynomial.of([])
+    series, _ = delta_from_quasipolynomial(zero, P21, 4)
+    report = classify_quasifinite(series, zero)
+    assert report.annihilator is None and report.certificate_matches_annihilator is None
 
 
 def test_singular_vector_solve_geometric_case():

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine import assert_same_terms, combination, printed
@@ -155,15 +154,6 @@ def test_specializations_match_away_from_exceptional_indices():
                 assert_same_terms(act(shift_01, params, x, v), act(zero_exc, params, x, v).terms)
             if m != -alpha:
                 assert_same_terms(act(shift_00, params, x, v), act(diag_exc, params, x, v).terms)
-
-
-def test_kind_validation():
-    with pytest.raises(ValueError, match="variant"):
-        IntermediateKind("Xy", Fraction(1))
-    with pytest.raises(ValueError, match="b is required"):
-        IntermediateKind("Aab", Fraction(1))
-    with pytest.raises(ValueError, match="b is required"):
-        IntermediateKind("Aa", Fraction(1), Fraction(2))
 
 
 # -- the Fraction module check, as an oracle ---------------------------------------
