@@ -15,8 +15,8 @@ have one bracket depth and read the same leaves.  Two evaluators walk it
 (`_evaluate`).  The symbolic one (`_prove`) builds each identity from a
 rule's terms, on integers (the terms times their common denominator D, so a
 residual of depth k is D^k times the rational one): one tree per orbit under
-renaming x, y, z, values per offset.  Its monomials are packed ints
-(`scalars.Packing`), with fields as wide as the identity's depth times the
+renaming x, y, z, each value one flat dict of ints.  Its monomials are packed
+ints (`scalars.Packing`), with fields as wide as the identity's depth times the
 terms' largest total degree, so a product of monomials is one int addition.
 Only a proof holds universally.  The concrete one evaluates the same trees
 on basis labels through the rule's cached pair (`extend_bilinearly`); it
@@ -61,11 +61,11 @@ from math import gcd, inf, lcm
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .scalars import (
-    Packed,
     Packing,
     Poly,
     PolyRing,
     Scalar,
+    _packed_product,
     accumulate,
     as_fraction,
     lift,
@@ -179,13 +179,6 @@ class Window(NamedTuple):
         return out
 
 
-def truncate(element: Element, window: Window) -> Element:
-    """Drop every term whose label falls outside the window."""
-    return Element(
-        {i: c for i, c in element.terms.items() if window.contains(i)}
-    )
-
-
 class Verdict(NamedTuple):
     """Outcome of an identity check: it holds within `scope` ("universally",
     "on_tested_grid" or "on_window"), or fails at a concrete counterexample."""
@@ -244,7 +237,7 @@ def index_ring(*values: Scalar) -> tuple[PolyRing, list[Poly]]:
                     names.append(name)
     ring = PolyRing(*names, *INDEX_SYMBOLS)
     return ring, [
-        (value if value.ring == ring else value.compose(ring))
+        (value if value.ring == ring else value.into(ring))
         if isinstance(value, Poly)
         else ring.const(value)
         for value in values
@@ -479,8 +472,8 @@ def _evaluate(names: Sequence[str], leaf: Callable, bracket: Callable, rename=No
 
 
 def _proof_packing(terms, names: Sequence[str]) -> Packing:
-    """The packing of `_prove`'s monomials, one tree per orbit, values per
-    offset: a bracket composes a term coefficient at linear labels, keeping
+    """The packing of `_prove`'s monomials, one tree per orbit, one monomial
+    per key: a bracket composes a term coefficient at linear labels, keeping
     its total degree, and a renaming moves exponents, so a residual of depth
     k has every exponent at most k times a term's largest total degree."""
     depth = max(_depth(tree) for name in names for _, tree in IDENTITIES[name])
@@ -491,16 +484,15 @@ def _proof_packing(terms, names: Sequence[str]) -> Packing:
 def _rename(packing: Packing, value: dict, leaves: str) -> dict:
     """A value of `_prove` with x, y, z renamed, in order, to `leaves` and the
     rest: `INDEX_SYMBOLS` come last, so a monomial's fields of (a, i), (b, j)
-    and (c, k) are adjacent blocks, each moving to its new name's block."""
+    and (c, k) are adjacent blocks, each moving to its new name's block; the
+    offsets stay."""
     base, width = packing.ring.index("a") * packing.bits, 2 * packing.bits
-    mask, kept = (1 << width) - 1, (1 << base) - 1
+    mask, kept, y0, z0 = (1 << width) - 1, (1 << base) - 1, base + width, base + 2 * width
     tx, ty, tz = (base + "xyz".index(name) * width for name in dict.fromkeys(leaves + "xyz"))
-
-    def moved(m: int) -> int:
-        i = m >> base
-        return m & kept | (i & mask) << tx | (i >> width & mask) << ty | (i >> 2 * width) << tz
-
-    return {o: Packed(packing, {moved(m): c for m, c in p.terms.items()}) for o, p in value.items()}
+    return {
+        (at, m & kept | (m >> base & mask) << tx | (m >> y0 & mask) << ty | m >> z0 << tz): c
+        for (at, m), c in value.items()
+    }
 
 
 def _prove(terms, names: Sequence[str]) -> list[dict]:
@@ -512,56 +504,79 @@ def _prove(terms, names: Sequence[str]) -> list[dict]:
     of their denominators (`scalars.lift`).  A bracket of lifted terms is D
     times the rational one, and all trees of an identity have one bracket
     depth k, so its residual is D^k times the rational residual, and zero
-    exactly when that is.  A tree's value maps each (dgrade, dlevel) to the
-    Packed coefficient (`_proof_packing`) of L[sum of its leaves' labels +
-    offset]; its leaves stay implicit.  Each label is formed once, as its leaf
-    sum plus a constant, and so is each composed bracket of two labels.  One
-    tree per orbit is bracketed: the value of π·T, for π a renaming of x, y,
-    z, is π applied to the value of T (`_rename`).  This is sound because a
-    label is its leaves' symbol sum plus a constant, and a bracket composes
-    the terms at labels: renaming the symbols is a ring automorphism, and it
-    commutes with that composition.  Labels of distinct offsets are distinct,
-    so each offset's coefficient must vanish alone: a residual is summed per
-    offset, terms of one offset first, and keyed by (leaves, offset, monomial)
-    only on return."""
+    exactly when that is.  A tree's value is one flat dict, ((dgrade,
+    dlevel), packed monomial (`_proof_packing`)) to the int coefficient in
+    L[sum of its leaves' labels + offset]; its leaves stay implicit.  A
+    bracket composes the compiled terms at two labels, whose grades and
+    levels are their leaves' symbols plus a constant; each such form's powers
+    and each composed pair of labels are cached for the proof.  One tree per
+    orbit is bracketed: the value of π·T, for π a renaming of x, y, z, is π
+    applied to the value of T (`_rename`).  This is sound because a label is
+    its leaves' symbol sum plus a constant, and a bracket composes the terms
+    at labels: renaming the symbols is a ring automorphism, and it commutes
+    with that composition.  Labels of distinct offsets are distinct, so each
+    offset's coefficient must vanish alone: a residual is summed per (offset,
+    monomial), and keyed by (leaves, offset, monomial) only on return."""
     terms = tuple(accumulate({}, terms).items())
     if not terms:
         return [{} for _ in names]
     packing = _proof_packing(terms, names)
     _, lifted = lift(*(coeff for _, coeff in terms))
-    lifted = list(zip((offset for offset, _ in terms), lifted))
+    w = packing.ring.index("a")  # a, i, b, j follow the parameters
+
+    def packed(exps: tuple) -> int:
+        return sum(e << k * packing.bits for k, e in enumerate(exps))
+
+    # each term: its offset and its monomials (parameter monomial, (ea, ei, eb, ej), n)
+    compiled = [
+        (at, [(packed(e[:w] + (0,) * 4 + e[w + 4 :]), e[w : w + 4], n) for e, n in ints.items()])
+        for (at, _), ints in zip(terms, lifted)
+    ]
     blocks = {x: tuple(map(packing.monomial, gl)) for x, gl in zip("xyz", ("ai", "bj", "ck"))}
-    positions = [packing.ring.index(name) for name in "aibj"]
+    powers: dict = {}  # (leaves, 0 for grade or 1 for level, constant): [form^0, form^1, ...]
+    brackets: dict = {}  # (lu, ou, lv, ov): [(offset of the output label, monomials)]
 
-    @functools.cache
-    def label(leaves: str, offset: tuple) -> tuple:
-        # the grade and level of L[sum of the leaves' labels + offset]
-        grade, level = (Packed(packing, dict.fromkeys(f, 1)) for f in zip(*map(blocks.get, leaves)))
-        return grade + offset[0], level + offset[1]
+    def power(leaves: str, slot: int, constant: int, e: int) -> Iterable[tuple]:
+        chain = powers.get((leaves, slot, constant))
+        if chain is None:  # the form: the leaves' symbols plus the constant
+            form = accumulate({blocks[x][slot]: 1 for x in leaves}, ((0, constant),))
+            chain = powers[leaves, slot, constant] = [{0: 1}, form]
+        while len(chain) <= e:
+            chain.append(_packed_product(chain[-1], chain[1]))
+        return chain[e].items()
 
-    @functools.cache
     def bracket_at(lu: str, ou: tuple, lv: str, ov: tuple) -> list[tuple]:
-        # the lifted terms of [L[lu+ou], L[lv+ov]], one (offset, terms) per term
-        images = dict(zip(positions, (*label(lu, ou), *label(lv, ov))))
-        return [(offset, packing.compose(coeff, images).terms.items()) for offset, coeff in lifted]
+        # the lifted terms of [L[lu+ou], L[lv+ov]]; the four forms read
+        # disjoint symbols, so no two products of their powers are equal
+        forms = ((lu, 0, ou[0]), (lu, 1, ou[1]), (lv, 0, ov[0]), (lv, 1, ov[1]))
+        composed = brackets[lu, ou, lv, ov] = []
+        for (dg, dl), monomials in compiled:
+            acc: dict = {}
+            for kept, exps, n in monomials:
+                term = [(kept, n)]
+                for form, e in zip(forms, exps):
+                    if e:
+                        term = [(m + f, c * g) for m, c in term for f, g in power(*form, e)]
+                accumulate(acc, term)
+            composed.append(((ou[0] + ov[0] + dg, ou[1] + ov[1] + dl), acc.items()))
+        return composed
 
     def bracket(u: dict, v: dict, lu: str, lv: str) -> dict:
         out: dict = {}
-        for ou, cu in u.items():
-            for ov, cv in v.items():
-                factor = (cu * cv).terms.items()
-                for (dg, dl), composed in bracket_at(lu, ou, lv, ov):
-                    acc = out.setdefault((ou[0] + ov[0] + dg, ou[1] + ov[1] + dl), {})
-                    accumulate(acc, ((m + e, cm * c) for e, c in composed for m, cm in factor))
-        return {at: Packed(packing, acc) for at, acc in out.items() if acc}
+        get = out.get
+        for (ou, mu), cu in u.items():
+            for (ov, mv), cv in v.items():
+                m, c = mu + mv, cu * cv
+                for at, composed in brackets.get((lu, ou, lv, ov)) or bracket_at(lu, ou, lv, ov):
+                    for e, n in composed:
+                        key = at, m + e
+                        out[key] = get(key, 0) + c * n
+        return {key: c for key, c in out.items() if c}
 
-    one = {(0, 0): Packed(packing, {0: 1})}  # every leaf: the value 1 at its own label
+    one = {((0, 0), 0): 1}  # every leaf: the value 1 at its own label
     residuals = _evaluate(names, lambda name: one, bracket, functools.partial(_rename, packing))
     leaves = ("".join(sorted(_orbit(IDENTITIES[name][0][1])[1])) for name in names)
-    return [
-        {(ls, at, m): c for at, p in residual.items() for m, c in p.terms.items()}
-        for ls, residual in zip(leaves, residuals)
-    ]
+    return [{(ls, *key): c for key, c in r.items()} for ls, r in zip(leaves, residuals)]
 
 
 def grid_needs(rule: BracketRule, names: Iterable[str]) -> dict[str, int]:
@@ -876,7 +891,7 @@ def subalgebra_closure(
     coord_index = {index: pos for pos, index in enumerate(coords)}
     ech = _Echelon(width)
     for gen in generators:
-        ech.insert(_integer_row(truncate(gen, window).terms.items(), coord_index)[1])
+        ech.insert(_integer_row(gen.terms.items(), coord_index)[1])
     # a graded column's code: a basis pair's sum of codes keys its landing
     # columns in the kernel's table `reach` (`_integer_kernel`)
     span = 2 * window.level_max + 1

@@ -28,7 +28,8 @@ against `engine.grid_needs` when its config is loaded.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from operator import add
+from typing import Iterable, NamedTuple, Sequence
 
 from .engine import (
     BracketRule,
@@ -40,7 +41,7 @@ from .engine import (
     index_ring,
     normalize_index_values,
 )
-from .scalars import Scalar, accumulate
+from .scalars import Poly, Scalar, accumulate
 
 
 class WittNovikovParams(NamedTuple):
@@ -140,16 +141,35 @@ def affinize(rule: BracketRule, params: AffinizationParams) -> BracketRule:
     The product must have terms.  Each product term ((dgrade, 0), c(a, b))
     gives two bracket terms at the same offset, (i+q)c(a,b) and
     -(j+q)c(b,a).  They stay apart, so a symbolic q is read at every offset,
-    even one where it cancels (see `engine._compile`)."""
+    even one where it cancels (see `engine._compile`).  Both are built on
+    exponent tuples, with no Poly product: c(b,a) swaps the a and b slots,
+    and i + q or j + q shifts by the i or j slot and by q's exponents."""
     if rule.terms is None:
         raise ValueError("affinize requires a product rule with terms")
     ring, (q, *coeffs) = index_ring(params.q, *(coeff for _, coeff in rule.terms))
-    a, i, b, j = (ring.var(name) for name in "aibj")
-    swap = {"a": b, "b": a}
+    a = ring.index("a")  # i, b, j follow
+
+    def times(name: str, sign: int, terms: Iterable[tuple]) -> Poly:
+        # sign * (name + q) times the terms: each a shift of their exponents
+        exps = [0] * len(ring.symbols)
+        exps[ring.index(name)] = 1
+        shifts = [(tuple(exps), sign), *((e, sign * c) for e, c in q.terms.items())]
+        products = (
+            (tuple(map(add, s, e)), c if k == 1 else c * k) for s, k in shifts for e, c in terms
+        )
+        return Poly(ring, accumulate({}, products))
+
+    def swapped(terms: dict) -> list[tuple]:
+        # c(b, a): the slots a, i, b of each exponent tuple read as b, i, a
+        return [(e[:a] + e[a : a + 3][::-1] + e[a + 3 :], c) for e, c in terms.items()]
+
     terms = tuple(
         term
         for (offset, _), coeff in zip(rule.terms, coeffs)
-        for term in ((offset, (i + q) * coeff), (offset, -(j + q) * coeff.compose(ring, swap)))
+        for term in (
+            (offset, times("i", 1, coeff.terms.items())),
+            (offset, times("j", -1, swapped(coeff.terms))),
+        )
     )
     return BracketRule(terms=terms)
 

@@ -26,8 +26,9 @@ The proofs (`engine._prove` and the three Block proofs) compute on integers
 instead: `lift` scales Polys by the common denominator D of their
 coefficients, and a `Packing` holds the exponents of a monomial in
 fixed-width bit fields of one int, so multiplying two monomials adds two
-ints.  `Packed` is such a polynomial with ring operators.  Scaling by D
-keeps a residual's zeros, and only whether it is zero is read.
+ints.  `engine._prove` keeps such terms in plain dicts (`_packed_product`);
+`Packed`, such a polynomial with ring operators, serves the Block proofs.
+Scaling by D keeps a residual's zeros, and only whether it is zero is read.
 """
 
 from __future__ import annotations
@@ -224,39 +225,13 @@ class Poly:
 
     # -- evaluation ----------------------------------------------------------
 
-    def compose(self, ring: PolyRing, images: Mapping[str, "Poly"] | None = None) -> "Poly":
-        """Substitute `images[name]`, a Poly of `ring`, for each symbol (an
-        image from another ring raises `SymbolTableError`); a
-        symbol without an image becomes the same-named symbol of `ring`.  The
-        result lives in `ring`, so the call with no images lifts a polynomial
-        into a ring that declares more symbols.
-        """
-        images = images or {}
-
-        def image(pos: int) -> dict:
-            name = self.ring.symbols[pos]
-            value = images.get(name)
-            if value is None:
-                value = ring.var(name)
-            elif value.ring != ring:
-                raise SymbolTableError(f"image of {name!r} does not live in {ring!r}")
-            return value.terms
-
-        used = {pos for exps in self.terms for pos, e in enumerate(exps) if e}
-        # powers[pos][e] holds the terms of image(pos)^e, built as exponents demand
-        powers = {pos: [None, image(pos)] for pos in used}
-        unit = (0,) * len(ring.symbols)
-        acc: dict = {}
-        for exps, coeff in self.terms.items():
-            term = {unit: coeff}
-            for pos, e in enumerate(exps):
-                if e:
-                    chain = powers[pos]
-                    while len(chain) <= e:
-                        chain.append(_product(chain[-1], chain[1]))
-                    term = _product(term, chain[e])
-            accumulate(acc, term.items())
-        return Poly(ring, acc)
+    def into(self, ring: PolyRing) -> "Poly":
+        """This polynomial in `ring`, which declares each symbol of its own
+        ring, in any order; an undeclared one raises `SymbolTableError`."""
+        places = {ring.index(name): k for k, name in enumerate(self.ring.symbols)}
+        picks = [places.get(k) for k in range(len(ring.symbols))]
+        moved = (tuple(0 if k is None else exps[k] for k in picks) for exps in self.terms)
+        return Poly(ring, dict(zip(moved, self.terms.values())))
 
     def degree_bound(self, symbol: str) -> int:
         """Exact maximum exponent of `symbol` across the support (0 if absent)."""

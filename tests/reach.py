@@ -101,7 +101,6 @@ ALLOWLIST = [
         "invariant",
         "every exponent is an int >= 0; a negative one would loop forever",
     ),
-    ("scalars.Poly.compose.image", "raise SymbolTableError(", "invariant", "images are in the ring"),
     ("scalars.Packed.constant", "raise ValueError(", "invariant", "the Laurent offsets are constant"),
     ("scalars.as_fraction", "raise ValueError(", "invariant", "no coefficient read is symbolic"),
     (
@@ -171,6 +170,7 @@ CLI_CASES = [
     ("empty_list", {**CLOSURE, "generators": []}, []),
     ("empty_element_text", {**CLOSURE, "generators": [""]}, []),
     ("unknown_choice", {**CLOSURE, "algebra": "witt"}, []),
+    ("zero_closure_in_text", {**CLOSURE, "generators": ["0"]}, ["--format", "text"]),
     ("zero_q", {"job": "blockcheck", "p": "1", "q": "0"}, []),
     ("weight_without_labels_or_qp", {**CLASSIFY, "weight": {"central": "0"}}, []),
     ("labels_short_of_horizon", {**CLASSIFY, "weight": {"labels": ["1", "2"]}}, []),

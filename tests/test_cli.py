@@ -628,6 +628,18 @@ EXIT_CASES = [
         },
     ),
     (
+        "closure_membership_not_a_list",
+        2,
+        {
+            "job": "closure",
+            "p": "1",
+            "q": "1",
+            "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+            "generators": ["L[1,0]"],
+            "membership": 5,
+        },
+    ),
+    (
         "closure_generator_dangling_sign",
         2,
         {
@@ -1049,6 +1061,7 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
             "closure_membership_outside_window",
             "closure: field 'membership[1]': label c lies outside the closure window",
         ),
+        ("closure_membership_not_a_list", "closure: field 'membership' must be a list"),
         (
             "closure_generator_dangling_sign",
             "closure: field 'generators[1]': element 'L[1,0] + ' ends in a sign with no term",
@@ -1577,6 +1590,21 @@ def test_closure_job_membership_and_echo(tmp_path):
         {"element": "c", "member": False},
     ]
     assert report.results["basis_by_grade"]["3"] == ["L[3,0]"]
+
+
+def test_zero_closure_prints_an_empty_basis_in_text(tmp_path, capsys):
+    # generators that are all "0" span nothing: the basis is an empty mapping
+    payload = {
+        "job": "closure",
+        "p": "1",
+        "q": "1",
+        "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+        "generators": ["0"],
+    }
+    assert main(["--config", write_config(tmp_path, payload), "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  dimension: 0" in lines
+    assert "  basis_by_grade: {}" in lines
 
 
 def test_modcheck_central_perturbation_witness(tmp_path):

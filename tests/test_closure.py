@@ -4,8 +4,9 @@ The oracles are the closure loop and the elimination that the semi-naive
 closure replaced: every round brackets every pair of the current echelon
 rows, and rows are dense lists reduced column by column.  Both are copied
 here so that they share no loop or elimination code with the program; they
-use only `bracket_apply` and `truncate`.  Results must agree exactly: the
-reduced echelon form is canonical.
+use only `bracket_apply` and `truncate`, which lives here: the closure
+takes window labels only.  Results must agree exactly: the reduced echelon
+form is canonical.
 
 The closure takes only rules with terms.  It skips a basis pair whose
 output labels all miss the window, by its reach table, whose keys come from
@@ -53,7 +54,6 @@ from blocklie.engine import (
     bracket_apply,
     membership,
     subalgebra_closure,
-    truncate,
 )
 from blocklie.novikov import (
     AffinizationParams,
@@ -95,6 +95,19 @@ class DenseEchelon:
         self.rows.insert(at, vec)
         self.pivots.insert(at, pivot)
         return True
+
+
+def truncate(element: Element, window: Window) -> Element:
+    """The element without the terms whose labels fall outside the window."""
+    return Element({i: c for i, c in element.terms.items() if window.contains(i)})
+
+
+def test_truncate_and_window():
+    window = Window(-1, 1, 1)
+    elem = Element({Graded(0, 0): 1, Graded(2, 0): 3, Graded(1, 5): Fraction(1, 2), CENTRAL: 7})
+    cut = truncate(elem, window)
+    assert cut.terms == {Graded(0, 0): 1, CENTRAL: 7}
+    assert not Window(1, 3, 0).contains(CENTRAL)
 
 
 def naive_closure(rule, generators, window):
@@ -215,13 +228,18 @@ def closure_cases(draw, make_rule):
 
 
 def assert_matches_naive(rule, generators, window):
-    closure = subalgebra_closure(rule, generators, window)
+    # the closure takes window labels only, as a config's generators are
+    inside = [truncate(g, window) for g in generators]
+    if any(not window.contains(index) for g in generators for index in g.terms):
+        with pytest.raises(ClosureError, match="outside the closure window"):
+            subalgebra_closure(rule, generators, window)
+    closure = subalgebra_closure(rule, inside, window)
     expected = naive_closure(rule, generators, window)
     assert row_terms(closure.rows) == row_terms(expected)
     for row in closure.rows:
         assert all(isinstance(c, Fraction) and c for c in row.terms.values())
-    inside = [Element({index: 1}) for index in window.indices()]
-    queries = generators + inside + [truncate(g, window) for g in generators]
+    units = [Element({index: 1}) for index in window.indices()]
+    queries = generators + units + inside
     if len(expected) >= 2:
         queries.append(bracket_apply(rule, expected[0], expected[-1]))
         queries.append(combination((1, expected[0]), (Fraction(-2, 3), expected[-1])))
@@ -492,7 +510,9 @@ def test_closure_forms_or_skips_each_pair_of_rows_once_on_pinned_cases(rule, gen
 @SETTINGS
 @given(st.one_of(*map(closure_cases, [block_rule, affinized_rule, engine_rule])))
 def test_closure_forms_or_skips_each_pair_of_rows_once(case):
-    assert_each_pair_of_rows_is_formed_or_skipped_once(subalgebra_closure(*case))
+    rule, generators, window = case
+    closure = subalgebra_closure(rule, [truncate(g, window) for g in generators], window)
+    assert_each_pair_of_rows_is_formed_or_skipped_once(closure)
 
 
 def cells(*labels):

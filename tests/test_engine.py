@@ -19,7 +19,6 @@ from blocklie.engine import (
     index_ring,
     membership,
     subalgebra_closure,
-    truncate,
 )
 from blocklie.scalars import Poly, PolyRing, accumulate
 
@@ -303,11 +302,3 @@ def test_adjoint_chain_matches_closed_form_grid():
             for l2 in range(1, 6):
                 got = adjoint_chain(rule, z1, z2, l1, l2)
                 assert_same_terms(got, adjoint_chain_closed_form(mu0, l1, l2, q))
-
-
-def test_truncate_and_window():
-    window = Window(-1, 1, 1)
-    elem = Element({Graded(0, 0): 1, Graded(2, 0): 3, Graded(1, 5): Fraction(1, 2), CENTRAL: 7})
-    cut = truncate(elem, window)
-    assert cut.terms == {Graded(0, 0): 1, CENTRAL: 7}
-    assert not Window(1, 3, 0).contains(CENTRAL)

@@ -7,6 +7,7 @@ import pytest
 
 from test_block import window_pairs
 from test_engine import assert_same_terms, combination
+from test_scalars import compose
 
 from blocklie.cli import ConfigError, load_config
 from blocklie.engine import (
@@ -209,6 +210,44 @@ def test_affinize_definition_holds_symbol_for_symbol():
         assert_same_terms(rule.pair(Graded(a, m), Graded(b, n)), expected.terms)
 
 
+def composed_affinization(rule: BracketRule, params: AffinizationParams) -> BracketRule:
+    """`affinize` built by Poly products and a composition that swaps a and
+    b: the construction the closed form replaced, kept as its oracle."""
+    ring, (q, *coeffs) = index_ring(params.q, *(coeff for _, coeff in rule.terms))
+    a, i, b, j = (ring.var(name) for name in "aibj")
+    swap = {"a": b, "b": a}
+    terms = tuple(
+        term
+        for (offset, _), coeff in zip(rule.terms, coeffs)
+        for term in ((offset, (i + q) * coeff), (offset, -(j + q) * compose(coeff, ring, swap)))
+    )
+    return BracketRule(terms=terms)
+
+
+def test_affinize_builds_the_terms_of_the_composed_construction():
+    # concrete and symbolic p, q and mu, q sharing a symbol with p, and
+    # perturbed products: the same ring and the same terms, in the same order
+    ring = PolyRing("p", "q", "mu", "s")
+    p, q, mu, s = (ring.var(name) for name in ring.symbols)
+    values = [Fraction(0), Fraction(3, 2), Fraction(-1), p, mu, s + 1]
+    for p_, mu_, q_, theta in itertools.product(
+        values, values, [Fraction(0), Fraction(2, 3), q, q - 2 * s, s], [0, 1, -2]
+    ):
+        witt = WittNovikovParams(p_, mu_, theta)
+        for rule in (
+            witt_product_rule(witt),
+            perturbed_witt_rule(witt, "main", (2, 1), Fraction(5, 7)),
+            perturbed_witt_rule(witt, "shift", (0, 2), Fraction(-1, 3)),
+        ):
+            got = affinize(rule, AffinizationParams(q_)).terms
+            want = composed_affinization(rule, AffinizationParams(q_)).terms
+            assert [offset for offset, _ in got] == [offset for offset, _ in want]
+            for (_, g), (_, w) in zip(got, want):
+                assert g.ring == w.ring
+                assert list(g.terms.items()) == list(w.terms.items()), (p_, mu_, q_, theta)
+                assert all(type(c) is Fraction for c in g.terms.values())
+
+
 def test_zero_product_affinizes_to_zero_bracket():
     rule = affinize(BracketRule(terms=()), AffinizationParams(q=Fraction(5)))
     assert rule.pair(Graded(1, 2), Graded(-1, 0)).is_zero()
@@ -328,7 +367,7 @@ def test_affinization_is_natural_under_grade_shift():
     moved = {"a": ring.var("a") + delta, "b": ring.var("b") + delta}
     shifted = BracketRule(
         terms=tuple(
-            ((dg + delta, dl), coeff.compose(ring, moved)) for (dg, dl), coeff in base.terms
+            ((dg + delta, dl), compose(coeff, ring, moved)) for (dg, dl), coeff in base.terms
         )
     )
     for a, b in itertools.product(range(-2, 3), repeat=2):

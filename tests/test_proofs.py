@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_block import hand_basis_bracket, structure_coefficient
 from test_engine import assert_same_terms, printed
-from test_scalars import assert_same_poly, constants
+from test_scalars import assert_same_poly, compose, constants
 
 from blocklie import engine
 from blocklie.block import CUBIC_COCYCLE, BlockParams, block_bracket_rule, delta_free_rule
@@ -63,7 +63,7 @@ from blocklie.novikov import (
     witt_novikov_product,
     witt_product_rule,
 )
-from blocklie.scalars import Packed, Poly, PolyRing, accumulate
+from blocklie.scalars import Poly, PolyRing, accumulate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -149,7 +149,7 @@ def lifted(ring, element) -> Element:
     """An Element with its coefficients lifted into the terms' ring."""
     return Element(
         {
-            label: coeff.compose(ring) if isinstance(coeff, Poly) else ring.const(coeff)
+            label: coeff.into(ring) if isinstance(coeff, Poly) else ring.const(coeff)
             for label, coeff in element.terms.items()
         }
     )
@@ -161,7 +161,7 @@ def evaluated(terms, x: Graded, y: Graded) -> dict:
     for (dg, dl), coeff in terms:
         point = constants(coeff.ring, {"a": x.grade, "i": x.level, "b": y.grade, "j": y.level})
         label = Graded(x.grade + y.grade + dg, x.level + y.level + dl)
-        accumulate(acc, ((label, coeff.compose(coeff.ring, point)),))
+        accumulate(acc, ((label, compose(coeff, coeff.ring, point)),))
     return acc
 
 
@@ -403,7 +403,7 @@ def fraction_bracket_at(terms, x: tuple, y: tuple) -> list[tuple]:
     """The terms of [L[x], L[y]] for labels x, y of Polys (grade, level);
     each output label is L[x+y+offset]."""
     images = {"a": x[0], "i": x[1], "b": y[0], "j": y[1]}
-    return [(offset, coeff.compose(coeff.ring, images)) for offset, coeff in terms]
+    return [(offset, compose(coeff, coeff.ring, images)) for offset, coeff in terms]
 
 
 def fraction_prove(terms, names) -> list[dict]:
@@ -471,6 +471,33 @@ def test_integer_prover_matches_the_fraction_prover(rule):
         assert rational_residual(rule.terms, name, got) == {
             key: coeff.terms for key, coeff in want.items()
         }
+
+
+def relabeled(rule, s: int, t: int):
+    """The rule on the labels R[a,i] = L[a+s,i+t]: [R[a,i], R[b,j]] lands at
+    L[a+b+2s+dg, i+j+2t+dl] = R[a+b+s+dg, i+j+t+dl], so each term moves to
+    offset (dg+s, dl+t), its coefficient read at the shifted indices.  It is
+    isomorphic to the rule, and its labels carry constants in both fields."""
+    ring = rule.terms[0][1].ring
+    moved = {name: ring.var(name) + k for name, k in zip("aibj", (s, t, s, t))}
+    return BracketRule(
+        terms=tuple(((dg + s, dl + t), compose(c, ring, moved)) for (dg, dl), c in rule.terms)
+    )
+
+
+@SETTINGS
+@given(st.one_of(product_rules(), bracket_rules()), st.integers(-2, 2), st.integers(-2, 2))
+def test_integer_prover_matches_the_fraction_prover_at_shifted_labels(rule, s, t):
+    # no job's rule has a level offset; a relabeled one proves what its rule does
+    names = list(IDENTITIES)
+    shifted = relabeled(rule, s, t)
+    proofs = zip(names, _prove(shifted.terms, names), fraction_prove(shifted.terms, names))
+    for name, got, want in proofs:
+        assert rational_residual(shifted.terms, name, got) == {
+            key: coeff.terms for key, coeff in want.items()
+        }
+    holds = [not proof for proof in _prove(rule.terms, names)]
+    assert [not proof for proof in _prove(shifted.terms, names)] == holds
 
 
 def widest_rule():
@@ -584,9 +611,8 @@ def test_renamings_move_whole_index_blocks_without_a_carry():
 
     def renamed(exps: tuple, leaves: str) -> tuple:
         monomial = sum(e << k * packing.bits for k, e in enumerate(exps))
-        value = {(1, -1): Packed(packing, {monomial: 7})}
-        ((at, p),) = engine._rename(packing, value, leaves).items()
-        ((moved, c),) = p.terms.items()
+        value = {((1, -1), monomial): 7}
+        (((at, moved), c),) = engine._rename(packing, value, leaves).items()
         assert (at, c) == ((1, -1), 7)
         return unpacked(packing, moved)
 
