@@ -19,12 +19,13 @@ the bracket's own terms or cocycle, and it raises.
 The three proofs run on integers, as the engine's prover does: they read
 one lift of their inputs (the parameters, the delta-free term, the cocycle)
 over one common denominator D, `BlockParams.lifted`, and build their
-residuals as `scalars.Packed` polynomials, whose monomials are packed ints.
-A residual is a fixed power of D times the rational one, so it vanishes
-with it, and each residual is kept apart, so none can cancel another.
+residuals as `Poly`s over the index ring with int coefficients, which
+`Poly`'s operators keep int.  A residual is a fixed power of D times the
+rational one, so it vanishes with it, and each residual is kept apart, so
+none can cancel another.
 
 The Laurent realization stores the formal factor t^q unexpanded: monomial
-exponents are pairs (q-multiplicity, offset), the offset a Packed
+exponents are pairs (q-multiplicity, offset), the offset an int-coefficient
 polynomial in the levels, and differentiation uses
 (t^(q+n))' = (q+n) t^(q+n-1), so nothing assumes q is an integer.
 """
@@ -32,21 +33,12 @@ polynomial in the levels, and differentiation uses
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add
 from typing import Iterator, NamedTuple
 
 from .engine import BracketRule, Element, Graded, Verdict, index_ring
-from .scalars import (
-    Packed,
-    Packing,
-    Poly,
-    PolyRing,
-    Scalar,
-    accumulate,
-    lift,
-    total_degree,
-)
+from .scalars import Poly, PolyRing, Scalar, accumulate, lift
 
 
 class BlockParams(NamedTuple("BlockParams", [("p", Scalar), ("q", Scalar)])):
@@ -68,20 +60,18 @@ class BlockParams(NamedTuple("BlockParams", [("p", Scalar), ("q", Scalar)])):
 
     @cached_property
     def lifted(self) -> tuple:
-        """The inputs of the three Block proofs lifted once, as (packing, D,
-        p, q, cocycle terms, delta-free coefficients): D is the common
+        """The inputs of the three Block proofs lifted once, as (ring, D, p,
+        q, cocycle terms, delta-free coefficients): D is the common
         denominator of p, q, `CUBIC_COCYCLE` and the delta-free term's
-        coefficients, p and q are Packed constants and the rest terms dicts,
-        each times D with int coefficients.  Each monomial of a residual is a
-        product of at most one monomial of each input and three index symbols
-        (a linear factor, or the a^3 of the Virasoro cocycle), so the packing
-        holds the inputs' total degrees plus 3.  It reads `CUBIC_COCYCLE` on
-        first use and keeps what it read."""
+        coefficients, and each input comes times D with int coefficients,
+        p, q and the coefficients as Polys over the index ring `ring`, the
+        cocycle as its terms dict.  It reads `CUBIC_COCYCLE` on first use
+        and keeps what it read."""
         ring, (p, q) = index_ring(self.p, self.q)
         inputs = (p, q, CUBIC_COCYCLE, *(coeff for _, coeff in self.delta_free_terms))
-        packing = Packing(ring, sum(map(total_degree, inputs)) + 3)
         den, (p_terms, q_terms, k_terms, *coeffs) = lift(*inputs)
-        return packing, den, packing.compose(p_terms), packing.compose(q_terms), k_terms, coeffs
+        p, q, *coeffs = (Poly(ring, terms) for terms in (p_terms, q_terms, *coeffs))
+        return ring, den, p, q, k_terms, coeffs
 
 
 _X = PolyRing("x").var("x")
@@ -144,6 +134,37 @@ def _delta_free_terms(params: BlockParams) -> tuple:
     return (((0, 0), Poly(ring, accumulate({}, terms))),)
 
 
+def _monomial(ring: PolyRing, coeff: int, *names: str) -> Poly:
+    """coeff times the named index symbols, a Poly with an int coefficient.
+    The proofs build their constants and symbols here: `ring.const`,
+    `ring.var`, `Poly + int` and `Poly.__pow__` build Fractions."""
+    return Poly(ring, {tuple(int(symbol in names) for symbol in ring.symbols): coeff})
+
+
+def _cocycle_at(k_terms: dict, x: Poly) -> Poly:
+    """The lifted cocycle, given by its terms, at x: its powers of x come
+    from a chain of products that starts at the int 1."""
+    powers = [_monomial(x.ring, 1), x]
+    for _ in range(2, max(e for (e,) in k_terms) + 1):
+        powers.append(powers[-1] * x)
+    terms = ((m, c * n) for (e,), c in k_terms.items() for m, n in powers[e].terms.items())
+    return Poly(x.ring, accumulate({}, terms))
+
+
+def _at_level_zero(poly: Poly) -> Poly:
+    """poly at i = j = 0: its terms that read neither level."""
+    i, j = poly.ring.index("i"), poly.ring.index("j")
+    return Poly(poly.ring, {exps: c for exps, c in poly.terms.items() if not (exps[i] or exps[j])})
+
+
+def _constant(poly: Poly) -> int:
+    """The value of a constant polynomial."""
+    zero = (0,) * len(poly.ring.symbols)
+    if poly.terms.keys() - {zero}:
+        raise ValueError("not a constant polynomial")
+    return poly.terms.get(zero, 0)
+
+
 def cocycle_jacobi_check(params: BlockParams) -> Verdict:
     """Prove the cocycle's Jacobi contribution.
 
@@ -156,14 +177,11 @@ def cocycle_jacobi_check(params: BlockParams) -> Verdict:
     polynomial in a and b over `params.lifted`, and a failed proof raises
     (`_proved`).
     """
-    packing, _, _, q, k_terms, _ = params.lifted
-    a, b = packing.var("a"), packing.var("b")
+    ring, _, _, q, k_terms, _ = params.lifted
+    a, b = _monomial(ring, 1, "a"), _monomial(ring, 1, "b")
     g = -a - b
-
-    def lifted(x: Packed) -> Packed:
-        return packing.compose(k_terms, {0: x})
-
-    proof = q * ((g - b) * lifted(a) + (a - g) * lifted(b) + (b - a) * lifted(g))
+    k = partial(_cocycle_at, k_terms)
+    proof = q * ((g - b) * k(a) + (a - g) * k(b) + (b - a) * k(g))
     return _proved("cocycle Jacobi", [proof])
 
 
@@ -184,50 +202,46 @@ def virasoro_embedding_check(params: BlockParams) -> Verdict:
     compared after clearing q^2, so a symbolic q needs no inverse (q is a
     unit).  A concrete q = 0 is already rejected by BlockParams.
 
-    The proof composes the delta-free coefficient at i = j = 0 and subtracts
+    The proof takes the delta-free coefficient at i = j = 0 and subtracts
     q(b-a) at offset (0, 0); on the stratum b = -a it compares the bracket's
     cocycle K(a) with the Virasoro one, (a^3-a)/12, both times 12.  Each
     residual is kept apart, so two cannot cancel, and a nonzero one raises
     (`_proved`).
     """
-    packing, den, _, q, k_terms, coeffs = params.lifted
-    ring = packing.ring
-    a, b = packing.var("a"), packing.var("b")
-    zero = Packed(packing, {})
-    level_zero = {ring.index("i"): zero, ring.index("j"): zero}
+    ring, den, _, q, k_terms, coeffs = params.lifted
+    a, b = _monomial(ring, 1, "a"), _monomial(ring, 1, "b")
     terms = params.delta_free_terms
-    graded = accumulate(
-        {}, ((offset, packing.compose(c, level_zero)) for (offset, _), c in zip(terms, coeffs))
-    )
+    graded = accumulate({}, ((offset, _at_level_zero(c)) for (offset, _), c in zip(terms, coeffs)))
     accumulate(graded, (((0, 0), q * (b - a)),), -1)
-    central = 12 * packing.compose(k_terms, {0: a}) - den * (a * a * a - a)
+    central = 12 * _cocycle_at(k_terms, a) - den * (a * a * a - a)
     return _proved("Virasoro embedding", [*graded.values(), central])
 
 
 class _TPower(NamedTuple):
     """t^(q_mult*q + offset); the factor t^q stays formal.  The offset is a
-    Packed polynomial in the levels, or an int for a power that reads none."""
+    polynomial in the levels with int coefficients."""
 
     q_mult: int
-    offset: Packed | int
+    offset: Poly
 
     def __mul__(self, other: "_TPower") -> "_TPower":
         return _TPower(self.q_mult + other.q_mult, self.offset + other.offset)
 
-    def d_dt(self, q: Packed, one: int) -> tuple:
+    def d_dt(self, q: Poly, one: Poly) -> tuple:
         """The derivative e*t^(e-1) as (e, t^(e-1)), `one` the unit exponent."""
         return self.q_mult * q + self.offset, self * _TPower(0, -one)
 
 
-def _realization(p, q, a, i, b, j, one: int) -> tuple[tuple, _TPower]:
+def _realization(p, q, a, i, b, j, one: Poly) -> tuple[tuple, _TPower]:
     """The realization bracket of x^a f and x^b g, f = t^(q+i), g = t^(q+j),
-    for Packed polynomials: its two graded terms (offset, coefficient), each
-    x^(a+b) t^(q+offset) since t^q appears once, and the power t^(-2q-1) f g
-    whose t^-1 coefficient scales the cocycle.
+    for polynomials with int coefficients: its two graded terms (offset,
+    coefficient), each x^(a+b) t^(q+offset) since t^q appears once, and the
+    power t^(-2q-1) f g whose t^-1 coefficient scales the cocycle.
 
     The bracket is homogeneous: with every input and the unit exponent
-    `one` times D, each offset comes out times D and each coefficient times
-    D^2, which lets the proof pass integers for rational p and q."""
+    `one` (a constant polynomial) times D, each offset comes out times D and
+    each coefficient times D^2, which lets the proof pass integers for
+    rational p and q."""
     shift, dual = _TPower(-1, one), _TPower(-2, -one)  # t^(1-q), t^(-2q-1)
     f, g = _TPower(1, i), _TPower(1, j)
     (ef, df), (eg, dg) = f.d_dt(q, one), g.d_dt(q, one)
@@ -235,7 +249,7 @@ def _realization(p, q, a, i, b, j, one: int) -> tuple[tuple, _TPower]:
     return graded, dual * f * g
 
 
-def _laurent_proof(params: BlockParams) -> list[Packed]:
+def _laurent_proof(params: BlockParams) -> list[Poly]:
     """The residuals of the Laurent realization over the index ring, one per
     output offset, kept apart so that none can cancel another: all zero only
     when the bracket equals its realization at every (a, i, b, j) with
@@ -253,18 +267,17 @@ def _laurent_proof(params: BlockParams) -> list[Packed]:
     The realization runs on its inputs times D (see `_realization`), so its
     coefficients and the delta-free term times D are D^2 times the rational
     ones, and its offsets are D times the true ones."""
-    packing, den, p, q, k_terms, coeffs = params.lifted
-    a, i, b, j = (den * packing.var(name) for name in "aibj")
-    graded, residue = _realization(p, q, a, i, b, j, den)
+    ring, den, p, q, k_terms, coeffs = params.lifted
+    a, i, b, j = (_monomial(ring, den, name) for name in "aibj")
+    one = _monomial(ring, den)
+    graded, residue = _realization(p, q, a, i, b, j, one)
     terms = params.delta_free_terms
-    by_offset = accumulate(
-        {}, ((offset, den * packing.compose(c)) for (offset, _), c in zip(terms, coeffs))
-    )
-    lands = (((0, (offset - i - j).constant() // den), coeff) for offset, coeff in graded)
+    by_offset = accumulate({}, ((offset, den * c) for (offset, _), c in zip(terms, coeffs)))
+    lands = (((0, _constant(offset - i - j) // den), coeff) for offset, coeff in graded)
     accumulate(by_offset, lands, -1)
     proof = list(by_offset.values())
-    if residue.q_mult or residue.offset + den - i - j:
-        proof.append(packing.compose(k_terms, {0: packing.var("a")}))
+    if residue.q_mult or residue.offset + one - i - j:
+        proof.append(_cocycle_at(k_terms, _monomial(ring, 1, "a")))
     return proof
 
 

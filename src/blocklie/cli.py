@@ -40,7 +40,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 from . import block, engine
 from .engine import CENTRAL, Element, Graded, Verdict, Window
-from .scalars import PolyRing, accumulate, format_rational, parse_rational
+from .scalars import PolyRing, accumulate, parse_rational
 
 
 def _deferred(name: str):
@@ -214,7 +214,7 @@ class _Fields:
 
     def rational(self, name: str, default=_REQUIRED) -> Fraction:
         value = self._parse_rational(name, self.take(name, default))
-        self.echo[name] = format_rational(value)
+        self.echo[name] = str(value)
         return value
 
     def array(self, name: str, default=_REQUIRED, nonempty=True) -> list:
@@ -233,7 +233,7 @@ class _Fields:
         values = [self._parse_rational(f"{name}[{k}]", value) for k, value in enumerate(raw)]
         if grid and len(set(values)) != len(values):
             raise self.error(name, "values must be distinct")
-        self.echo[name] = [format_rational(v) for v in values]
+        self.echo[name] = [str(v) for v in values]
         return values
 
     def choice(self, name: str, options: Sequence[str], default=_REQUIRED) -> str:
@@ -401,7 +401,7 @@ def _weight(f: _Fields, params: block.BlockParams, horizon: int, synthesize):
         raise w.error("qp", f"is unrealizable: {exc}") from None
     # the echo shows the normalized terms: bases merged and sorted, zeros dropped
     w.echo["qp"] = [
-        {"poly": [format_rational(c) for c in coeffs], "base": format_rational(b)}
+        {"poly": [str(c) for c in coeffs], "base": str(b)}
         for coeffs, b in qp.terms
     ]
     w.rational("central", "0")
@@ -579,7 +579,7 @@ def _verdict_json(verdict: Verdict) -> dict:
     # delta-free term's) hold for every parameter
     return {
         "verdict": "fails",
-        "witness": [format_rational(v) for v in verdict.witness],
+        "witness": [str(v) for v in verdict.witness],
         "residual": str(verdict.residual),
     }
 
@@ -588,7 +588,7 @@ def _certificate_json(cert: hweight.RecurrenceCertificate | None):
     if cert is None:
         return None
     return {
-        "annihilator": [format_rational(c) for c in cert.annihilator],
+        "annihilator": [str(c) for c in cert.annihilator],
         "polynomial": hweight.format_poly(cert.annihilator),
         "degree": cert.degree,
         "verified_horizon": cert.verified_horizon,
@@ -640,7 +640,7 @@ def _run_affinize(params, aff, product, affinized, grades, levels, sweep) -> tup
                 {
                     "target": target,
                     "exponents": list(exponents),
-                    "delta": format_rational(delta),
+                    "delta": str(delta),
                     "novikov_holds": mut_report.novikov.holds,
                     "jacobi_holds": mut_report.jacobi_of_affinization.holds,
                     "equivalence_observed": mut_report.equivalence_observed,
@@ -680,7 +680,7 @@ def _run_classify(series, generator) -> tuple[dict, bool]:
         "certificate": _certificate_json(report.certificate),
         "annihilator": None
         if report.annihilator is None
-        else [format_rational(c) for c in report.annihilator],
+        else [str(c) for c in report.annihilator],
         "certificate_matches_annihilator": report.certificate_matches_annihilator,
     }
     return results, report.quasifinite
@@ -692,7 +692,7 @@ def _run_singular(labels, params, max_level, horizon) -> tuple[dict, bool]:
         "kernel_dimension": len(candidates),
         "candidates": [
             {
-                "coefficients": [format_rational(c) for c in cand.coefficients],
+                "coefficients": [str(c) for c in cand.coefficients],
                 "element": str(
                     Element(
                         {
@@ -719,7 +719,7 @@ def _run_crosscheck(labels, params, max_level, horizon) -> tuple[dict, bool]:
         "annihilator_vs_kernel": report.annihilator_vs_kernel,
         "certificate": _certificate_json(report.certificate),
         "kernel": [
-            [format_rational(c) for c in cand.coefficients]
+            [str(c) for c in cand.coefficients]
             for cand in report.candidates
         ],
     }

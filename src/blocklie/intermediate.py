@@ -25,7 +25,7 @@ from math import lcm
 
 from .block import BlockParams
 from .engine import CENTRAL, Element, Verdict, Window, first_failure
-from .scalars import accumulate, as_fraction, format_rational
+from .scalars import accumulate, as_fraction
 
 VARIANTS = ("Aab", "Aa", "Ba")
 
@@ -50,7 +50,7 @@ class ModuleVector(Element):
 
     def __str__(self) -> str:
         return " + ".join(
-            f"{format_rational(c)}*v[{m}]" for m, c in sorted(self.terms.items())
+            f"{c}*v[{m}]" for m, c in sorted(self.terms.items())
         )
 
 

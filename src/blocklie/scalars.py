@@ -26,9 +26,10 @@ The proofs (`engine._prove` and the three Block proofs) compute on integers
 instead: `lift` scales Polys by the common denominator D of their
 coefficients, and a `Packing` holds the exponents of a monomial in
 fixed-width bit fields of one int, so multiplying two monomials adds two
-ints.  `engine._prove` keeps such terms in plain dicts (`_packed_product`);
-`Packed`, such a polynomial with ring operators, serves the Block proofs.
-Scaling by D keeps a residual's zeros, and only whether it is zero is read.
+ints; `engine._prove` keeps such terms in plain dicts (`_packed_product`).
+The Block proofs keep the lifted terms in `Poly`s, whose operators keep int
+coefficients int.  Scaling by D keeps a residual's zeros, and only whether
+it is zero is read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import re
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Poly"]
@@ -61,11 +62,6 @@ def parse_rational(text: str | int) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
     numerator, denominator = match.groups()
     return Fraction(int(numerator), int(denominator or 1))
-
-
-def format_rational(value: RationalLike) -> str:
-    """Render a rational as "a/b", or "a" when the denominator is 1."""
-    return str(value)
 
 
 def accumulate(acc: dict, pairs: Iterable[tuple], factor: Scalar = 1) -> dict:
@@ -153,8 +149,12 @@ class Poly:
 
     The constructor adopts `terms` without copying or checking it: the
     caller passes a clean dict, one nonnegative exponent per ring symbol and
-    nonzero Fraction coefficients.  Treat instances as immutable; `terms` is
-    never mutated after construction.
+    nonzero coefficients.  The coefficients are Fractions, or ints in the
+    Block proofs' lifted polynomials (`block.BlockParams.lifted`): `+`, `-`
+    and `*` between such Polys, and `*` by an int, keep them int and build
+    no Fraction, while `ring.const`, `ring.var`, `**` and adding an int
+    build Fractions.  Treat instances as immutable; `terms` is never mutated
+    after construction.
     """
 
     __slots__ = ("ring", "terms")
@@ -297,7 +297,7 @@ class Packing:
     of the monomial, and the fields are wide enough for `degree`, which the
     caller derives as a bound on every exponent it forms.  So the product of
     two monomials is the sum of their ints, and it never carries from one
-    field into the next.  Packed terms map monomials to int coefficients.
+    field into the next.  Terms over a packing map monomials to int coefficients.
     """
 
     __slots__ = ("ring", "bits")
@@ -309,79 +309,6 @@ class Packing:
     def monomial(self, name: str) -> int:
         """The packed monomial of the symbol `name`."""
         return 1 << self.ring.index(name) * self.bits
-
-    def var(self, name: str) -> "Packed":
-        return Packed(self, {self.monomial(name): 1})
-
-    def compose(self, terms: Mapping[tuple, int], images: Mapping | None = None) -> "Packed":
-        """`terms`, keyed by exponent tuples as in `Poly.terms`, with the
-        Packed `images[pos]` substituted for the symbol at position pos.  A
-        symbol without an image keeps its position, so `terms` may come
-        from a ring that this one extends."""
-        bits = self.bits
-        # powers[pos][e] holds the terms of images[pos]^e, built as exponents demand
-        powers = {pos: [None, image.terms] for pos, image in (images or {}).items()}
-        acc: dict = {}
-        get = acc.get
-        for exps, coeff in terms.items():
-            kept, factors = 0, []
-            for pos, e in enumerate(exps):
-                if e:
-                    chain = powers.get(pos)
-                    if chain is None:
-                        kept += e << pos * bits
-                        continue
-                    while len(chain) <= e:
-                        chain.append(_packed_product(chain[-1], chain[1]))
-                    factors.append(chain[e])
-            term = {kept: coeff}
-            for factor in factors:
-                term = _packed_product(term, factor)
-            for m, c in term.items():
-                acc[m] = get(m, 0) + c
-        return Packed(self, {m: c for m, c in acc.items() if c})
-
-
-class Packed:
-    """A polynomial with int coefficients over a `Packing`: `terms` maps
-    packed monomials to nonzero ints.  Ints combine with it as constants.
-    Treat instances as immutable."""
-
-    __slots__ = ("packing", "terms")
-
-    def __init__(self, packing: Packing, terms: dict):
-        self.packing = packing
-        self.terms = terms
-
-    def _items(self, other: "Packed | int") -> Iterable[tuple]:
-        return other.terms.items() if isinstance(other, Packed) else ((0, other),)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __add__(self, other: "Packed | int") -> "Packed":
-        return Packed(self.packing, accumulate(dict(self.terms), self._items(other)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Packed":
-        return self * -1
-
-    def __sub__(self, other: "Packed | int") -> "Packed":
-        return Packed(self.packing, accumulate(dict(self.terms), self._items(other), -1))
-
-    def __mul__(self, other: "Packed | int") -> "Packed":
-        if isinstance(other, Packed):
-            return Packed(self.packing, _packed_product(self.terms, other.terms))
-        return Packed(self.packing, accumulate({}, self.terms.items(), other))
-
-    __rmul__ = __mul__
-
-    def constant(self) -> int:
-        """The value of a constant polynomial."""
-        if self.terms.keys() - {0}:
-            raise ValueError("not a constant polynomial")
-        return self.terms.get(0, 0)
 
 
 def as_fraction(value: Scalar) -> Fraction:

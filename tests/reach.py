@@ -64,6 +64,7 @@ PERFBENCH = ROOT / "perfbench"
 # names
 ALLOWLIST = [
     ("block._proved", "raise ValueError(", "defect detector", "B(p,q)'s theorems hold for all p, q"),
+    ("block._constant", "raise ValueError(", "invariant", "the Laurent offsets are constant"),
     (
         "block._laurent_proof",
         "proof.append(",
@@ -101,7 +102,6 @@ ALLOWLIST = [
         "invariant",
         "every exponent is an int >= 0; a negative one would loop forever",
     ),
-    ("scalars.Packed.constant", "raise ValueError(", "invariant", "the Laurent offsets are constant"),
     ("scalars.as_fraction", "raise ValueError(", "invariant", "no coefficient read is symbolic"),
     (
         "engine._integer_row",

@@ -572,6 +572,24 @@ def test_virasoro_proof_compares_the_cocycles():
     assert virasoro_embedding_check(BlockParams(p=Fraction(1), q=Fraction(1))).holds
 
 
+@SETTINGS
+@given(block_params, st.sampled_from((-1, 1)))
+def test_a_residue_one_power_off_fails_the_laurent_proof(params, step):
+    # the realization's cocycle lives where Res_t picks t^-1 from its residue
+    # power; one t-exponent off, it lives nowhere, and the bracket's cocycle
+    # K(a) on the stratum b = -a, i = j = 0 is left over as a residual
+    realization = block._realization
+
+    def off_by_one(p, q, a, i, b, j, one):
+        graded, residue = realization(p, q, a, i, b, j, one)
+        return graded, residue * block._TPower(0, step * one)
+
+    with mock.patch.object(block, "_realization", off_by_one):
+        with pytest.raises(ValueError, match="Laurent realization proof fails"):
+            laurent_realization_check(params)
+    assert laurent_realization_check(params).holds
+
+
 def lifted(value, ring):
     return value.into(ring) if isinstance(value, Poly) else ring.const(value)
 

@@ -62,7 +62,7 @@ from blocklie.novikov import (
     perturbed_witt_rule,
     witt_product_rule,
 )
-from blocklie.scalars import PolyRing, accumulate, format_rational, parse_rational
+from blocklie.scalars import PolyRing, accumulate, parse_rational
 
 SETTINGS = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -375,7 +375,7 @@ def mirrored_closure_config(payload: dict) -> dict:
     -gmin], and the generators and queries map by sigma."""
 
     def minus(name: str) -> str:
-        return format_rational(-parse_rational(payload.get(name, "0")))
+        return str(-parse_rational(payload.get(name, "0")))
 
     window = payload["window"]
     image = {
@@ -430,15 +430,15 @@ def closure_configs(draw):
 
     payload = {
         "job": "closure",
-        "p": format_rational(draw(rationals)),
-        "q": format_rational(draw(nonzero)),
+        "p": str(draw(rationals)),
+        "q": str(draw(nonzero)),
         "window": dict(zip(("grade_min", "grade_max", "level_max"), window)),
         "generators": elements(),
         "membership": elements(),
     }
     if draw(st.booleans()):
         payload.update(
-            algebra="affinized", mu=format_rational(draw(rationals)), theta=draw(st.integers(-2, 2))
+            algebra="affinized", mu=str(draw(rationals)), theta=draw(st.integers(-2, 2))
         )
     return payload
 

@@ -1,10 +1,11 @@
 """The verify proofs and the module check build no Fraction per step.
 
 `engine._prove` lifts its inputs to integers once, the three Block proofs
-read one lift per parameters (`BlockParams.lifted`), and
-`intermediate.module_axiom_check` clears one denominator per call, so none
-of them builds a Fraction per product.  Counting `Fraction.__new__` shows
-Fraction arithmetic creeping back into any of them: the prover's count is
+read one lift per parameters (`BlockParams.lifted`) and compute on `Poly`s
+with int coefficients, and `intermediate.module_axiom_check` clears one
+denominator per call, so none of them builds a Fraction per product.
+Counting `Fraction.__new__` shows Fraction arithmetic creeping back into
+any of them: the prover's count is
 bounded by its rule's term coefficients, the Block lift's by the
 coefficients of its inputs (the parameters, the delta-free term and the
 cocycle), a Block proof after the lift builds none, and a holding module

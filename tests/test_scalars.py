@@ -11,16 +11,16 @@ from blocklie.scalars import (
     _product,
     accumulate,
     as_fraction,
-    format_rational,
     parse_rational,
 )
+from test_integer_loops import counted_fractions
 
 
 def test_rational_parse_and_format_round_trip():
     assert parse_rational("2/3") + parse_rational("1/6") == Fraction(5, 6)
     assert parse_rational("-7") == Fraction(-7)
-    assert format_rational(Fraction(4, 6)) == "2/3"
-    assert format_rational(Fraction(-3, 1)) == "-3"
+    assert str(Fraction(4, 6)) == "2/3"
+    assert str(Fraction(-3, 1)) == "-3"
     for bad in ["1.5", "2/0", "a", "1/-2", ""]:
         with pytest.raises(ValueError):
             parse_rational(bad)
@@ -46,8 +46,8 @@ def compose(poly: Poly, ring: PolyRing, images: dict | None = None) -> Poly:
     symbol (an image from another ring raises `SymbolTableError`); a symbol
     without an image becomes the same-named symbol of `ring`, so the call with
     no images lifts a polynomial as `Poly.into` does.  The tests' substitution:
-    the program substitutes only on packed ints (`engine._prove`,
-    `scalars.Packing.compose`)."""
+    the program substitutes only on packed ints (`engine._prove`) and, in the
+    Block proofs, the cocycle's one symbol (`block._cocycle_at`)."""
     images = images or {}
 
     def image(pos: int) -> dict:
@@ -251,6 +251,28 @@ def test_rational_constants_combine_as_their_coerced_polys(value):
     assert_same_poly(value * poly, poly * const)
     assert_same_poly(p + value, p + const)  # no constant term to merge with
     assert_same_poly(poly + (-1 - value), poly + ring.const(-1 - value))  # cancels
+
+
+def test_int_coefficients_stay_int_and_build_no_fraction():
+    # the Block proofs' lifted polynomials hold int coefficients; the ring
+    # operators between them, and scaling by an int, must keep them ints
+    ring = PolyRing("p", "x", "y")
+    rng = random.Random(5)
+    scale = 362880  # 9!, a multiple of every denominator _random_poly draws
+
+    def operations(f, g):
+        # each result with the power of the scale it carries
+        return [(f + g, 1), (f - g, 1), (-f, 1), (f * g, 2), (f * -3, 1), (2 * g, 1), (f - f, 1)]
+
+    for _ in range(50):
+        f, g = (_random_poly(rng, ring) for _ in range(2))
+        fi, gi = (Poly(ring, {e: int(c * scale) for e, c in h.terms.items()}) for h in (f, g))
+        with counted_fractions() as count:
+            results = operations(fi, gi)
+        assert count[0] == 0
+        for (result, _), (expected, power) in zip(results, operations(f, g)):
+            assert all(type(c) is int and c for c in result.terms.values())
+            assert result.terms == {e: c * scale**power for e, c in expected.terms.items()}
 
 
 def test_poly_times_zero_is_the_zero_poly():
