@@ -244,9 +244,17 @@ def index_ring(*values: Scalar) -> tuple[PolyRing, list[Poly]]:
     ]
 
 
-def degree_in(summed: Mapping, symbols: str) -> int:
-    """The largest degree in any of `symbols` of the Polys `summed.values()`."""
-    return max((c.degree_bound(s) for c in summed.values() for s in symbols), default=0)
+def _degree_bounds(summed: Mapping) -> tuple[int, int]:
+    """The largest degree in a or b, and in i or j, of the Polys
+    `summed.values()`, 0 where none occurs: one pass over each one's
+    exponent tuples."""
+    grade = level = 0
+    for coeff in summed.values():
+        a, i, b, j = map(coeff.ring.index, "aibj")
+        for exps in coeff.terms:
+            grade = max(grade, exps[a], exps[b])
+            level = max(level, exps[i], exps[j])
+    return grade, level
 
 
 _RuleFields = NamedTuple(
@@ -295,8 +303,7 @@ class BracketRule(_RuleFields):
             raise ValueError("a rule takes terms, and optionally a cocycle, or a pair, never both")
         if terms is None:
             return super().__new__(cls, pair, None, None, 0, 0)
-        summed = accumulate({}, terms)
-        bounds = degree_in(summed, "ab"), degree_in(summed, "ij")
+        bounds = _degree_bounds(accumulate({}, terms))
         return super().__new__(cls, _terms_pair(terms, cocycle), terms, cocycle, *bounds)
 
 

@@ -18,8 +18,8 @@ differential-equation criterion into minimal-recurrence synthesis, which
 Berlekamp-Massey does in time quadratic in the horizon.  The route runs on
 integers: a generator's series is accumulated as integers over the one
 denominator E * M^horizon (E and M the lcms of its coefficient and base
-denominators), and the recurrence search scales a series of given labels by
-the lcm of its denominators once.  A recurrence is unchanged when its series
+denominators), and the series of given labels is integers over g * L (L the
+lcm of the label denominators).  A recurrence is unchanged when its series
 is scaled by a constant, so every certificate is the one exact rational
 arithmetic gives; each synthesized label is one Fraction normalization.
 
@@ -48,7 +48,10 @@ The central label never enters any verdict: the cocycle vanishes at grade
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 from math import factorial, gcd, lcm
+from operator import add
 from typing import NamedTuple, Sequence
 
 from .block import BlockParams, structure_numerator
@@ -87,13 +90,14 @@ class QuasiPolynomial(NamedTuple):
 
     @staticmethod
     def of(terms: Sequence[tuple[Sequence, object]]) -> "QuasiPolynomial":
-        merged: dict[Fraction, list[Fraction]] = {}
+        grouped: dict[Fraction, list[list[Fraction]]] = {}
         for coeffs, base in terms:
-            acc = merged.setdefault(Fraction(base), [])
-            acc += [Fraction(0)] * (len(coeffs) - len(acc))
-            for k, c in enumerate(coeffs):
-                acc[k] += Fraction(c)
-        polys = ((_poly_strip(merged[base]), base) for base in sorted(merged))
+            grouped.setdefault(Fraction(base), []).append([Fraction(c) for c in coeffs])
+        # a base's polynomials summed by degree; a base given once needs no sum
+        polys = (
+            (_poly_strip([reduce(add, c) for c in zip_longest(*grouped[base], fillvalue=0)]), base)
+            for base in sorted(grouped)
+        )
         return QuasiPolynomial(tuple((poly, base) for poly, base in polys if poly))
 
     def is_zero(self) -> bool:
@@ -152,9 +156,10 @@ def _label_factor(params: BlockParams) -> tuple[int, int, int]:
 
 class DeltaSeries(NamedTuple):
     """Normalized generating-series coefficients c_k = k! [z^k] Delta,
-    k = 0..horizon, as coeffs[k] / denominator: exact c_k over 1 from given
-    labels, integers over E * M^horizon from a generator.  A recurrence does
-    not see the denominator, so the recurrence search never reads it."""
+    k = 0..horizon, as coeffs[k] / denominator: integers over g * L from
+    given labels (`delta_from_labels`), integers over E * M^horizon from a
+    generator.  A recurrence does not see the denominator, so the recurrence
+    search never reads it."""
 
     coeffs: tuple[RationalLike, ...]
     denominator: int = 1
@@ -165,13 +170,18 @@ class DeltaSeries(NamedTuple):
 
 
 def delta_from_labels(labels: Coeffs, params: BlockParams, horizon: int) -> DeltaSeries:
-    """c_k = (2q + (1-p^2) k) Lambda_k for k = 0..horizon, exactly."""
+    """c_k = (2q + (1-p^2) k) Lambda_k for k = 0..horizon, exactly: integers
+    (a + b k) L Lambda_k over the one denominator g L (`_label_factor`), L the
+    lcm of the label denominators."""
     a, b, g = _label_factor(params)
+    labels = labels[: horizon + 1]
+    scale = lcm(*(v.denominator for v in labels))
     return DeltaSeries(
         tuple(
-            Fraction((a + b * k) * v.numerator, g * v.denominator)
-            for k, v in enumerate(labels[: horizon + 1])
-        )
+            (a + b * k) * v.numerator * (scale // v.denominator)
+            for k, v in enumerate(labels)
+        ),
+        g * scale,
     )
 
 
@@ -235,8 +245,9 @@ def detect_linear_recurrence(
     and gets the degree-1 annihilator t whenever the cap allows a degree 1.
     The verdict is horizon-relative by construction.
 
-    The search is fraction-free: the series is scaled once by the lcm of its
-    denominators, and each update C <- last*C - d*x^shift*B of the connection
+    The search is fraction-free: the routes' series are integers already,
+    and a series of Fractions is scaled once by the lcm of its denominators
+    (an int's is 1).  Each update C <- last*C - d*x^shift*B of the connection
     polynomial is divided by the gcd of its entries.  Every integer C is then
     a nonzero multiple of the rational one (whose C_0 is 1), so discrepancies
     vanish, and the length changes, at the same steps as over the rationals,

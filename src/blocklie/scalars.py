@@ -52,12 +52,19 @@ class SymbolTableError(ValueError):
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse "a/b" or "a" (decimal digit strings) into an exact Fraction."""
+    """Parse "a/b" or "a" (decimal digit strings) into an exact Fraction.
+
+    An optionally signed digit string takes a short path: `str.isdecimal`
+    accepts exactly the regex's `\\d` (Unicode category Nd), which `int`
+    reads too.  "a/b" and every malformed literal go through the regex."""
     if isinstance(text, bool) or not isinstance(text, (int, str)):
         raise TypeError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
     if isinstance(text, int):
         return Fraction(text)
-    match = _RATIONAL_RE.match(text.strip())
+    literal = text.strip()
+    if (literal[1:] if literal[:1] in ("+", "-") else literal).isdecimal():
+        return Fraction(int(literal))
+    match = _RATIONAL_RE.match(literal)
     if not match:
         raise ValueError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
     numerator, denominator = match.groups()
@@ -196,7 +203,8 @@ class Poly:
         return Poly(self.ring, accumulate({}, self.terms.items(), -1))
 
     def __sub__(self, other: Scalar) -> "Poly":
-        return self + (-other if isinstance(other, Poly) else -Fraction(other))
+        rhs = self._same_ring(other) if isinstance(other, Poly) else self.ring.const(other)
+        return Poly(self.ring, accumulate(dict(self.terms), rhs.terms.items(), -1))
 
     def __mul__(self, other: Scalar) -> "Poly":
         if isinstance(other, (int, Fraction)):  # Fraction * int stays a Fraction
@@ -232,11 +240,6 @@ class Poly:
         picks = [places.get(k) for k in range(len(ring.symbols))]
         moved = (tuple(0 if k is None else exps[k] for k in picks) for exps in self.terms)
         return Poly(ring, dict(zip(moved, self.terms.values())))
-
-    def degree_bound(self, symbol: str) -> int:
-        """Exact maximum exponent of `symbol` across the support (0 if absent)."""
-        pos = self.ring.index(symbol)
-        return max((exps[pos] for exps in self.terms), default=0)
 
     # -- text form -----------------------------------------------------------
 

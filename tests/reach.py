@@ -171,6 +171,7 @@ CLI_CASES = [
     ("empty_element_text", {**CLOSURE, "generators": [""]}, []),
     ("unknown_choice", {**CLOSURE, "algebra": "witt"}, []),
     ("zero_closure_in_text", {**CLOSURE, "generators": ["0"]}, ["--format", "text"]),
+    ("zero_closure_in_machine_format", {**CLOSURE, "generators": ["0"]}, ["--format", "machine"]),
     ("zero_q", {"job": "blockcheck", "p": "1", "q": "0"}, []),
     ("weight_without_labels_or_qp", {**CLASSIFY, "weight": {"central": "0"}}, []),
     ("labels_short_of_horizon", {**CLASSIFY, "weight": {"labels": ["1", "2"]}}, []),

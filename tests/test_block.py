@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_engine import assert_same_terms, combination
-from test_scalars import assert_same_poly, compose, constants
+from test_scalars import assert_same_poly, compose, constants, degree_bound
 
 from blocklie import block, cli, engine
 from blocklie.block import (
@@ -283,7 +283,7 @@ def test_cocycle_space_is_spanned_by_cubic_and_linear_terms():
 def test_cocycle_jacobi_grid_requirements(tmp_path):
     # the check reads no grid; a blockcheck's `cocycle_grades` keeps the rule
     # its scan needed, checked at load: distinct values, deg K + 2 = 5 of them
-    assert cli.MIN_COCYCLE_GRADES == CUBIC_COCYCLE.degree_bound("x") + 2 == 5
+    assert cli.MIN_COCYCLE_GRADES == degree_bound(CUBIC_COCYCLE, "x") + 2 == 5
     path = tmp_path / "blockcheck.json"
     config = {"job": "blockcheck", "p": "1", "q": "1"}
     config["window"] = {"grade_min": 0, "grade_max": 0, "level_max": 0}

@@ -1607,6 +1607,21 @@ def test_zero_closure_prints_an_empty_basis_in_text(tmp_path, capsys):
     assert "  basis_by_grade: {}" in lines
 
 
+def test_zero_closure_prints_an_empty_basis_in_machine_format(tmp_path, capsys):
+    # the machine writer's empty mapping, as json.dumps writes it
+    payload = {
+        "job": "closure",
+        "p": "1",
+        "q": "1",
+        "window": {"grade_min": 0, "grade_max": 4, "level_max": 0},
+        "generators": ["0"],
+    }
+    assert main(["--config", write_config(tmp_path, payload), "--format", "machine"]) == 0
+    document = capsys.readouterr().out
+    assert '    "basis_by_grade": {},\n' in document
+    assert document == json.dumps(json.loads(document), sort_keys=True, indent=2) + "\n"
+
+
 def test_modcheck_central_perturbation_witness(tmp_path):
     payload = {
         "job": "modcheck",

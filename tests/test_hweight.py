@@ -20,6 +20,7 @@ from blocklie.hweight import (
     UnrealizableError,
     _kernel_rows,
     _label_factor,
+    _poly_strip,
     classify_quasifinite,
     criteria_cross_check,
     delta_from_labels,
@@ -56,16 +57,23 @@ def synthesized(qp, params, horizon) -> tuple[Fraction, ...]:
     return labels_from_quasipolynomial(qp, params, horizon)[0]
 
 
+def values(series: DeltaSeries) -> tuple[Fraction, ...]:
+    """The c_k a series stands for: its integers over its one denominator."""
+    return tuple(Fraction(c, series.denominator) for c in series.coeffs)
+
+
 def test_delta_from_labels_examples():
     labels = as_labels([1, -2, Fraction(-1, 2)])
-    assert delta_from_labels(labels, P21, 2).coeffs == (2, 2, 2)
-    assert delta_from_labels(labels, P21, 1).coeffs == (2, 2)
+    assert values(delta_from_labels(labels, P21, 2)) == (2, 2, 2)
+    assert values(delta_from_labels(labels, P21, 1)) == (2, 2)
     zero = as_labels([0, 0, 0])
-    assert delta_from_labels(zero, P21, 2).coeffs == (0, 0, 0)
+    assert values(delta_from_labels(zero, P21, 2)) == (0, 0, 0)
     # p = 1 kills the second sum: c_k = 2q * Lambda_k
     p1 = BlockParams(p=Fraction(1), q=Fraction(3))
     labels = as_labels([5, 7, -1])
-    assert delta_from_labels(labels, p1, 2).coeffs == (30, 42, -6)
+    assert values(delta_from_labels(labels, p1, 2)) == (30, 42, -6)
+    # integers over g * L: g = 1 at P21, L = 2 from the label -1/2
+    assert delta_from_labels(as_labels([1, -2, Fraction(-1, 2)]), P21, 2) == ((4, 4, 4), 2)
 
 
 def test_labels_from_quasipolynomial_examples():
@@ -106,6 +114,36 @@ def test_quasipolynomial_series_coefficients():
     # bases merge and zero polynomials drop
     qp = QuasiPolynomial.of([([1], 2), ([Fraction(1, 2)], 2), ([0], 5)])
     assert qp.terms == (((Fraction(3, 2),), Fraction(2)),)
+
+
+def summed_by_base(terms) -> tuple:
+    """The canonical terms of `QuasiPolynomial.of`, summed coefficient by
+    coefficient into one list per base: the oracle of its grouped sum."""
+    merged: dict = {}
+    for coeffs, base in terms:
+        acc = merged.setdefault(Fraction(base), [])
+        acc += [Fraction(0)] * (len(coeffs) - len(acc))
+        for k, c in enumerate(coeffs):
+            acc[k] += Fraction(c)
+    polys = ((_poly_strip(merged[base]), base) for base in sorted(merged))
+    return tuple((poly, base) for poly, base in polys if poly)
+
+
+@SETTINGS
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.one_of(rationals, st.integers(-3, 3)), max_size=4),
+            st.sampled_from([0, 1, -2, Fraction(1, 2), Fraction(2, 4)]),
+        ),
+        max_size=5,
+    )
+)
+def test_quasipolynomial_terms_match_the_summed_oracle(terms):
+    # repeated bases, polynomials of unequal length, int and zero coefficients
+    qp = QuasiPolynomial.of(terms)
+    assert qp.terms == summed_by_base(terms)
+    assert all(type(c) is Fraction for poly, base in qp.terms for c in (*poly, base))
 
 
 def test_detect_linear_recurrence_examples():
@@ -264,7 +302,7 @@ def test_round_trip_reproduces_series_off_singular_indices():
         horizon = 9
         params = P21  # no singular indices: 2 - 3k never vanishes on integers
         series = delta_from_labels(synthesized(qp, params, horizon), params, horizon)
-        assert series.coeffs == qp_series(qp, horizon)
+        assert values(series) == qp_series(qp, horizon)
 
 
 @pytest.mark.parametrize(
@@ -298,7 +336,7 @@ def test_round_trip_reproduces_series_at_a_singular_index(p, q, singular):
             (2 * q_ + (1 - p_ * p_) * k) * labels[k] == series[k] for k in range(horizon + 1)
         )
         # the synthesized labels give the series back
-        assert delta_from_labels(labels, params, horizon).coeffs == series
+        assert values(delta_from_labels(labels, params, horizon)) == series
 
 
 def _poly_divides(d, n):

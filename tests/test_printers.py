@@ -1,14 +1,20 @@
-"""Exact text forms of the signed-sum printers.
+"""Exact text forms of the signed-sum printers and of the machine report.
 
 These strings reach reports (generator echoes, residuals, certificate
-polynomials), so each is pinned byte for byte.
+polynomials), so each is pinned byte for byte.  The machine format is pinned
+to `json.dumps(document, sort_keys=True, indent=2)`, which its dedicated
+writer reproduces.
 """
 
 import json
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from blocklie import novikov
-from blocklie.cli import load_config, run_job
+from blocklie.cli import Report, emit_report, load_config, run_job
 from blocklie.engine import CENTRAL, Element, Graded, grid_identity_check
 from blocklie.hweight import format_poly
 from blocklie.intermediate import ModuleVector
@@ -117,3 +123,40 @@ def test_format_poly_signs_and_variable():
     assert format_poly([Fraction(0)]) == "0"
     assert format_poly([Fraction(-1), Fraction(1)], "z") == "z - 1"
     assert format_poly([0, -1, Fraction(1, 2), -1], "z") == "-z^3 + 1/2*z^2 - z"
+
+
+# strings with every character class the JSON escaper treats apart: quote,
+# backslash, control characters, DEL, non-ASCII, astral (a surrogate pair)
+texts = st.text(
+    st.one_of(st.characters(), st.sampled_from('"\\/\x00\x08\n\x1f\x7f\xe9\u2028\U0001f600')),
+    max_size=8,
+)
+atoms = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([0, -1, 10**80, -(10**80)]),
+    texts,
+)
+documents = st.recursive(
+    atoms,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=16,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.dictionaries(texts, documents, max_size=4), st.dictionaries(texts, documents, max_size=4))
+@example({}, {"empty": [{}, [], ""], "nested": {"z": [None, True, False], "a": -(10**30)}})
+def test_the_machine_writer_matches_json_dumps(config, results):
+    report = Report("job", config, results, True, 0.0)
+    document = {"job": "job", "config": config, "results": results, "positive": True}
+    assert emit_report(report, "machine") == json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
+def test_the_machine_writer_refuses_a_float():
+    # no report holds a float; json would print one, the writer raises
+    for results in ({"x": 1.5}, {"x": [0.0]}, {"x": {"y": float("nan")}}):
+        with pytest.raises(TypeError):
+            emit_report(Report("job", {}, results, False, 0.0), "machine")

@@ -34,7 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_block import hand_basis_bracket, structure_coefficient
 from test_engine import assert_same_terms, printed
-from test_scalars import assert_same_poly, compose, constants
+from test_scalars import assert_same_poly, compose, constants, degree_bound
 
 from blocklie import engine
 from blocklie.block import CUBIC_COCYCLE, BlockParams, block_bracket_rule, delta_free_rule
@@ -394,6 +394,38 @@ def test_degree_bounds_are_read_from_the_terms():
     a = index_ring()[0].var("a")
     assert BracketRule(None, (((0, 0), a**2), ((0, 0), -(a**2)))).grade_degree_bound == 0
     assert BracketRule(None, (((0, 0), a**2), ((1, 0), -(a**2)))).grade_degree_bound == 2
+
+
+def degree_in(summed: dict, symbols: str) -> int:
+    """The largest degree in any of `symbols` of the Polys `summed.values()`,
+    read symbol by symbol: the oracle of `BracketRule`'s one-pass bounds."""
+    return max((degree_bound(c, s) for c in summed.values() for s in symbols), default=0)
+
+
+@st.composite
+def term_rules(draw):
+    """A rule with random terms over p and the indices a, i, b, j: random
+    exponents up to 4, repeated offsets, and a term that may cancel another."""
+    ring = index_ring(SYMBOLS["p"])[0]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = {}
+        for _ in range(draw(st.integers(1, 4))):
+            exps = tuple(draw(st.integers(0, 4)) if name in "paibj" else 0 for name in ring.symbols)
+            coeff[exps] = draw(nonzero_rationals)
+        terms.append(((draw(st.integers(-1, 1)), draw(st.integers(0, 1))), Poly(ring, coeff)))
+    if draw(st.booleans()):
+        offset, coeff = terms[0]
+        terms.append((offset, -coeff))
+    return BracketRule(terms=tuple(terms))
+
+
+@SETTINGS
+@given(st.one_of(term_rules(), product_rules(), bracket_rules()))
+def test_degree_bounds_match_the_symbol_by_symbol_oracle(rule):
+    summed = accumulate({}, rule.terms)
+    expected = degree_in(summed, "ab"), degree_in(summed, "ij")
+    assert (rule.grade_degree_bound, rule.level_degree_bound) == expected
 
 
 # -- the Fraction prover, as an oracle --------------------------------------------
