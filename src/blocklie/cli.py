@@ -112,6 +112,9 @@ MAX_WEIGHT_VALUES = 201
 # weights on 70 0.8 to 1.2 s and one weight on 100 grades x 10 levels 0.01 s
 # (2-vCPU host), and no archived or benchmark modcheck has more than 2,025
 MAX_PAIR_WEIGHTS = MAX_WINDOW_LABELS**2
+# digits of a JSON integer literal: CPython's int-to-str limit since 3.10.7,
+# checked here so that the interpreters without it refuse the same configs
+MAX_INT_DIGITS = 4300
 
 
 class ConfigError(ValueError):
@@ -240,7 +243,7 @@ class _Fields:
 
     def choice(self, name: str, options: Sequence[str], default=_REQUIRED) -> str:
         value = self.take(name, default)
-        if not isinstance(value, str) or value not in options:
+        if value not in options:
             raise self.error(name, f"must be one of {', '.join(options)}")
         self.echo[name] = value
         return value
@@ -777,6 +780,12 @@ _VALIDATORS = {
 JOB_KINDS = tuple(_VALIDATORS)
 
 
+def _json_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+        raise ConfigError(f"config has an integer literal of over {MAX_INT_DIGITS} digits")
+    return int(literal)
+
+
 def load_config(path: str, seed: int | None = None) -> JobConfig:
     """Read and validate a config file; all defaults are resolved here.
 
@@ -784,13 +793,18 @@ def load_config(path: str, seed: int | None = None) -> JobConfig:
     report echoes the seed the run used."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    # the next two are ValueErrors, as is `_json_int`'s ConfigError: each by name
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: byte {exc.start} is invalid") from None
+    except RecursionError:
+        raise ConfigError("config nests its arrays or objects too deeply to parse") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     kind = raw.get("job")
@@ -829,22 +843,17 @@ def run_job(config: JobConfig) -> Report:
 
 def _text_lines(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines = []
     if isinstance(value, dict):
-        for key in value:
-            inner = value[key]
-            if isinstance(inner, (dict, list)) and inner:
-                lines.append(f"{pad}{key}:")
-                lines.extend(_text_lines(inner, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_text_atom(inner)}")
+        items = [(f"{key}:", value[key]) for key in value]
     else:
-        for inner in value:
-            if isinstance(inner, (dict, list)) and inner:
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(inner, indent + 1))
-            else:
-                lines.append(f"{pad}- {_text_atom(inner)}")
+        items = [("-", inner) for inner in value]
+    lines = []
+    for head, inner in items:
+        if isinstance(inner, (dict, list)) and inner:
+            lines.append(f"{pad}{head}")
+            lines.extend(_text_lines(inner, indent + 1))
+        else:
+            lines.append(f"{pad}{head} {_text_atom(inner)}")
     return lines
 
 

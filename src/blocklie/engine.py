@@ -403,11 +403,8 @@ def bracket_apply(rule: BracketRule, x: Element, y: Element) -> Element:
 
 
 def normalize_index_values(values: Sequence[IndexValue]) -> list[IndexValue]:
-    """Collapse integral Fractions to ints (same equality class, cheap hash)."""
-    return [
-        int(v) if isinstance(v, Fraction) and v.denominator == 1 else v
-        for v in values
-    ]
+    """Collapse integral values to ints (same equality class, cheap hash)."""
+    return [int(v) if v.denominator == 1 else v for v in values]
 
 
 # Each identity is a signed sum of nested brackets of the labels x, y, z: a

@@ -43,7 +43,7 @@ from typing import Iterable, Union
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Poly"]
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)/([1-9]\d*)$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -56,7 +56,7 @@ def parse_rational(text: str | int) -> Fraction:
 
     An optionally signed digit string takes a short path: `str.isdecimal`
     accepts exactly the regex's `\\d` (Unicode category Nd), which `int`
-    reads too.  "a/b" and every malformed literal go through the regex."""
+    reads too, so only "a/b" and malformed literals reach the regex."""
     if isinstance(text, bool) or not isinstance(text, (int, str)):
         raise TypeError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
     if isinstance(text, int):
@@ -68,7 +68,7 @@ def parse_rational(text: str | int) -> Fraction:
     if not match:
         raise ValueError(f"not a rational literal: {text!r} (expected 'a' or 'a/b')")
     numerator, denominator = match.groups()
-    return Fraction(int(numerator), int(denominator or 1))
+    return Fraction(int(numerator), int(denominator))
 
 
 def accumulate(acc: dict, pairs: Iterable[tuple], factor: Scalar = 1) -> dict:
@@ -118,7 +118,7 @@ class PolyRing:
     def __init__(self, *symbols: str):
         seen = set()
         for name in symbols:
-            if not _NAME_RE.match(name or ""):
+            if not _NAME_RE.match(name):
                 raise ValueError(f"invalid symbol name: {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate symbol name: {name!r}")
@@ -126,8 +126,8 @@ class PolyRing:
         self.symbols: tuple[str, ...] = tuple(symbols)
         self._index = {name: i for i, name in enumerate(symbols)}
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PolyRing) and self.symbols == other.symbols
+    def __eq__(self, other: "PolyRing") -> bool:
+        return self.symbols == other.symbols
 
     def __repr__(self) -> str:
         return f"PolyRing({', '.join(map(repr, self.symbols))})"
@@ -160,8 +160,9 @@ class Poly:
     Block proofs' lifted polynomials (`block.BlockParams.lifted`): `+`, `-`
     and `*` between such Polys, and `*` by an int, keep them int and build
     no Fraction, while `ring.const`, `ring.var`, `**` and adding an int
-    build Fractions.  Treat instances as immutable; `terms` is never mutated
-    after construction.
+    build Fractions.  `-` takes a Poly only; a constant is `ring.const(c)`.
+    Treat instances as immutable; `terms` is never mutated after
+    construction.
     """
 
     __slots__ = ("ring", "terms")
@@ -202,8 +203,8 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(self.ring, accumulate({}, self.terms.items(), -1))
 
-    def __sub__(self, other: Scalar) -> "Poly":
-        rhs = self._same_ring(other) if isinstance(other, Poly) else self.ring.const(other)
+    def __sub__(self, other: "Poly") -> "Poly":
+        rhs = self._same_ring(other)
         return Poly(self.ring, accumulate(dict(self.terms), rhs.terms.items(), -1))
 
     def __mul__(self, other: Scalar) -> "Poly":
@@ -283,14 +284,17 @@ def lift(*polys: Poly) -> tuple[int, list[dict]]:
 
 
 def _packed_product(terms1: dict, terms2: dict) -> dict:
-    """The terms of the product of two polynomials over one `Packing`."""
+    """The terms of the product of two polynomials over one `Packing`, zeros
+    kept: its caller multiplies powers of a sum of distinct symbols and a
+    constant, whose coefficients are multinomials times powers of the
+    constant, so none cancels."""
     out: dict = {}
     get = out.get
     for m1, c1 in terms1.items():
         for m2, c2 in terms2.items():
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
+    return out
 
 
 class Packing:

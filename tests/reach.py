@@ -1,16 +1,18 @@
-"""The lines of `src/blocklie`, and the arms of its `if` statements, that no
-job runs.
+"""The lines of `src/blocklie`, and the conditions in it, that no job runs
+both ways.
 
 `python tests/reach.py` runs every job below in this process, under a
 `sys.settrace` tracer limited to the package and installed before
-`import blocklie.cli`, so the module bodies count too.  The tracer records
-arcs: which line ran next in the same frame, or that the frame returned.  The
+`import blocklie.cli`, so the module bodies count too.  The tracer turns off
+line events and turns on opcode events in each frame of the package, and
+records which instruction ran right after which in each code object.  The
 script prints each executable line that no job ran and no exemption covers,
-as `file:line: source`; each arm of an `if` or `elif` whose test ran that no
-job took, as `file:line: if never true: source` (or `never false`); and then
-each allowlist entry that exempts none of these.  It prints nothing, and
-exits 0, when every line and arm runs in some job; otherwise it exits 1.
-`tests/test_reach.py` asserts the first.
+as `file:line: source`; each condition that ran but was always true or
+always false, as `file:line:col: condition never true: source` (or `never
+false`); and then each allowlist entry that exempts none of these.  It
+prints nothing, and exits 0, when every line runs and every condition goes
+both ways in some job; otherwise it exits 1.  `tests/test_reach.py` asserts
+the first.
 
 The jobs: every archived config (`golden/`, `tests/data/`) and block 0 of
 seed 1 of each benchmark workload (`perfbench/workloads.make_block`), each
@@ -19,29 +21,36 @@ through `load_config -> run_job -> emit_report` in both formats; and through
 table below, which holds the input paths that only single tests reach.
 
 A line is executable when a code object compiled from its module lists it
-in `co_lines()`, searched recursively.  The true arm of an `if` is taken
-when a line of its body's first statement ran.  The false arm is taken when
-a line of its `else` or `elif` branch ran, or, without one, when the frame
-went from a line of the test to a line outside the body, or returned.  An arm
-starts on its branch's first line; a false arm without a branch starts on
-the `if`'s own line.  Two kinds of line are exempt, with the arms that start
-on them: the bodies of the functions that the benchmark's tracer counts
-(`perfbench/tracer.COUNTED`), which the program keeps for the tracer until
-the benchmark drops them; and the statements that `ALLOWLIST` names by their
-function and source text, guards that no input reaches.  An entry that names
-an `if` exempts both its arms.  A line or arm that some input could reach
-gets a case here, not an allowlist entry.
+in `co_lines()`, searched recursively, and it ran when one of its
+instructions did.  A condition is the value that a conditional jump tests
+(an opcode whose name holds "JUMP" and "IF"): the test of an `if`, `elif`
+or `while`, a clause of `and`/`or` or of a chained comparison, the test of
+a conditional expression and a comprehension's `if`.  The jumps are grouped
+by the source positions (`co_positions()`) of the value they test, so a
+`while` test compiled twice is one condition.  A condition was true when
+one of its jumps went the way its opcode takes on a true value, and false
+likewise.  The jumps that match an exception to an `except` clause, or
+leave a `with` block, are not conditions of the source.
 
-The arm check sees `if` statements only.  It is blind to the arms of a
-conditional expression (`a if c else b`, and the `if` of a comprehension), to
-`and`/`or` within a line, and to whether a `while` loop's test was ever true
-or ever false.
+Two kinds of line are exempt: the bodies of the functions that the
+benchmark's tracer counts (`perfbench/tracer.COUNTED`), which the program
+keeps for the tracer until the benchmark drops them; and the statements that
+`ALLOWLIST` names by their function and source text, guards that no input
+reaches.  A one-way condition is exempt when it starts on an exempt line, or
+when an instruction it never jumped to starts one: an allowlisted `raise`
+exempts the guard in front of it.  A line or condition that some input could
+reach gets a case here, not an allowlist entry.
+
+The gate runs on CPython 3.11, as tier-1 does.  Under 3.12.1 a frame that
+turns on opcode events in its call event gets none, and under 3.13.0 the
+first call of each function gets none; 3.10 has no `co_positions()`.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import dis
 import importlib
 import importlib.util
 import io
@@ -71,6 +80,12 @@ ALLOWLIST = [
         "defect detector",
         "the realization's residue lies at exponent D(i + j) for every p and q",
     ),
+    (
+        "cli._run_affinize",
+        "positive = positive and",
+        "defect detector",
+        "a Witt product is Novikov and its affinization is Lie for every p, mu and q",
+    ),
     ("cli.main", "except Exception as exc:", "defect detector", "exit 3: no input raises one"),
     (
         "engine.check_identities",
@@ -85,6 +100,12 @@ ALLOWLIST = [
         "load sizes every grid by grid_needs, so a failed proof's scan finds its witness",
     ),
     ("engine.index_ring", "raise ValueError(", "invariant", "p, q and mu share no index name"),
+    (
+        "engine.Window.contains",
+        "return (",
+        "documented contract",
+        "element parsing refuses a negative level",
+    ),
     ("engine.BracketRule.__new__", "raise ValueError(", "invariant", "every rule has terms or a pair"),
     ("engine.grid_identity_check", "raise ValueError(", "invariant", "every caller asks for jacobi"),
     ("scalars.PolyRing.__init__", "raise ValueError(", "invariant", "the program names every symbol"),
@@ -102,7 +123,19 @@ ALLOWLIST = [
         "invariant",
         "every exponent is an int >= 0; a negative one would loop forever",
     ),
+    (
+        "scalars.Poly.__str__.monomial",
+        "return ",
+        "invariant",
+        "a printed Poly is the residual of a perturbed Novikov product, linear in each parameter",
+    ),
     ("scalars.as_fraction", "raise ValueError(", "invariant", "no coefficient read is symbolic"),
+    (
+        "scalars.as_fraction",
+        "return value if",
+        "documented contract",
+        "an int is a rational scalar too, though every coefficient a job reads is a Fraction",
+    ),
     (
         "engine._integer_row",
         "raise ClosureError(",
@@ -114,6 +147,12 @@ ALLOWLIST = [
         "except ValueError:",
         "documented contract",
         "load admits no symbolic coefficient",
+    ),
+    (
+        "engine._integer_kernel",
+        "if x is not CENTRAL and",
+        "invariant",
+        "no closure's rule has a nonzero level offset, so every window level lands",
     ),
     (
         "engine._integer_kernel",
@@ -161,6 +200,8 @@ CLOSURE = {
     "window": {"grade_min": -1, "grade_max": 1, "level_max": 0},
     "generators": ["L[1,0]"],
 }
+AXIOMS = {"job": "axioms", "p": "1"}
+PERTURB = {"target": "main", "exponents": [0, 1], "delta": "-1"}
 CLI_CASES = [
     ("symbolic_where_a_number_is_needed", {**CLASSIFY, "p": "symbolic"}, []),
     ("rational_as_a_json_integer", {**CLASSIFY, "q": 1}, []),
@@ -170,12 +211,16 @@ CLI_CASES = [
     ("empty_list", {**CLOSURE, "generators": []}, []),
     ("empty_element_text", {**CLOSURE, "generators": [""]}, []),
     ("unknown_choice", {**CLOSURE, "algebra": "witt"}, []),
+    ("element_not_a_string", {**CLOSURE, "generators": [3]}, []),
+    ("integers_not_a_list", {**AXIOMS, "perturb": {**PERTURB, "exponents": 1}}, []),
+    ("integers_of_the_wrong_count", {**AXIOMS, "perturb": {**PERTURB, "exponents": [1]}}, []),
     ("zero_closure_in_text", {**CLOSURE, "generators": ["0"]}, ["--format", "text"]),
     ("zero_closure_in_machine_format", {**CLOSURE, "generators": ["0"]}, ["--format", "machine"]),
     ("zero_q", {"job": "blockcheck", "p": "1", "q": "0"}, []),
     ("weight_without_labels_or_qp", {**CLASSIFY, "weight": {"central": "0"}}, []),
     ("labels_short_of_horizon", {**CLASSIFY, "weight": {"labels": ["1", "2"]}}, []),
     ("zero_labels", {**CLASSIFY, "p": "0", "horizon": 4, "weight": {"labels": ["0"] * 5}}, []),
+    ("zero_qp_polynomial", {**CLASSIFY, "weight": {"qp": [{"poly": ["0"], "base": "1"}]}}, []),
     (
         "unrealizable_qp",
         {**CLASSIFY, "p": "3", "q": "4", "weight": {"qp": [{"poly": ["1"], "base": "1"}]}},
@@ -199,14 +244,30 @@ CLI_CASES = [
             "job": "axioms",
             "p": "1",
             "mu": "-1",
-            "perturb": {"target": "main", "exponents": [0, 1], "delta": "-1"},
+            "perturb": PERTURB,
         },
         [],
     ),
-    ("table_with_family_field", {"job": "axioms", "p": "1", "table": [{"a": 0, "b": 0}]}, []),
+    ("table_with_family_field", {**AXIOMS, "table": [{"a": 0, "b": 0}]}, []),
     (
+        # two generators, so the closure forms pairs on a window without c
         "window_without_grade_0",
-        {**CLOSURE, "window": {"grade_min": 1, "grade_max": 2, "level_max": 0}},
+        {
+            **CLOSURE,
+            "window": {"grade_min": 1, "grade_max": 3, "level_max": 0},
+            "generators": ["L[1,0]", "L[2,0]"],
+        },
+        [],
+    ),
+    (
+        # the guided pass forms a row whose pivot is a later column of S
+        "guided_pair_on_a_formed_pivot",
+        {
+            **CLOSURE,
+            "p": "2",
+            "window": {"grade_min": -2, "grade_max": 2, "level_max": 0},
+            "generators": ["L[0,0]", "L[-2,0] - 2*L[-1,0]", "L[2,0]"],
+        },
         [],
     ),
     (
@@ -231,6 +292,15 @@ CLI_CASES = [
     ("config_not_json", '{\n  "job": "classify",\n  oops\n}\n', []),
     ("unknown_job", {"job": "frobnicate"}, []),
     ("seed_without_mutations", {"job": "affinize", "p": "2", "q": "1"}, ["--seed", "3"]),
+    (
+        # seed 15 draws delta * b^2 on the main term; at p = mu = q = 0 the
+        # grid's first label L[-2,0] (grades -2..2, level 0 = -q) is central
+        # in the mutated affinization, so every triple holding it passes, and
+        # the scan's witness lies past the rotated triples of the next label
+        "jacobi_witness_past_a_rotated_triple",
+        {"job": "affinize", "p": "0", "mu": "0", "q": "0", "mutations": {"count": 1, "seed": 15}},
+        [],
+    ),
     (
         "seed_for_mutations",
         {"job": "affinize", "p": "2", "q": "1", "mutations": {"count": 1}},
@@ -265,33 +335,27 @@ def executable_lines() -> set[tuple[str, int]]:
     }
 
 
-# an arc's end when the frame returns; no source line is 0
-RETURN = 0
-
-
-def traced(run) -> set[tuple[str, int | None, int]]:
-    """(file, line, next) of each arc that a frame of the package takes while
-    `run()` does: `next` ran right after `line` in one frame, or is RETURN
-    when the frame returned after it.  `line` is None for a frame's first
-    line, and for the first line after an exception."""
-    arcs: set[tuple[str, int | None, int]] = set()
+def traced(run) -> dict:
+    """For each code object of the package that a frame ran while `run()`
+    did, the pairs (offset, next offset) of the instructions that ran one
+    after the other in one frame.  The first offset is None for a frame's
+    first instruction, and for each instruction a generator resumes at."""
+    arcs: dict = {}
     prefix = str(SRC) + "/"
 
     def calls(frame, event, arg):
-        path = frame.f_code.co_filename
-        if not path.startswith(prefix):
+        if not frame.f_code.co_filename.startswith(prefix):
             return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        ran = arcs.setdefault(frame.f_code, set())
         last = None
 
         def local(frame, event, arg):
             nonlocal last
-            if event == "line":
-                arcs.add((path, last, frame.f_lineno))
-                last = frame.f_lineno
-            elif event == "return":
-                arcs.add((path, last, RETURN))
-            else:  # an exception: what runs next does not follow from `last`
-                last = None
+            if event == "opcode":
+                ran.add((last, frame.f_lasti))
+                last = frame.f_lasti
             return local
 
         return local
@@ -356,6 +420,8 @@ def run_jobs() -> None:
             path = folder / f"{name}.json"
             if isinstance(config, str):
                 path.write_text(config)
+            elif isinstance(config, bytes):
+                path.write_bytes(config)
             elif config is not None:
                 path.write_text(json.dumps(config))
             cli.main(["--config", str(path), *(arg.replace("{dir}", scratch) for arg in argv)])
@@ -403,78 +469,126 @@ def statement_lines(path: str, function: str, text: str) -> set[int]:
     return out
 
 
-def lines_of(node) -> range:
-    return range(node.lineno, node.end_lineno + 1)
+def offset_lines(code) -> dict[int, int]:
+    """The source line of each instruction offset of `code`."""
+    return {
+        offset: line
+        for start, end, line in code.co_lines()
+        if line
+        for offset in range(start, end, 2)
+    }
 
 
-def untaken_arms(arcs) -> dict[tuple[str, int], tuple[int, str]]:
-    """Each arm of an `if` whose test ran that no arc takes, keyed by (file,
-    the line the arm starts on: its body's first, its `else` or `elif`
-    branch's first, or the `if`'s own for a false arm without a branch), as
-    (the `if`'s line, `if never true|false: source`)."""
-    out = {}
-    for path in SRC.glob("*.py"):
+# instructions whose conditional jump that follows is the machinery of an
+# except clause or a with statement, not a condition of the source
+MACHINERY = {"CHECK_EXC_MATCH", "CHECK_EG_MATCH", "WITH_EXCEPT_START"}
+
+
+def conditional_jumps(code, lines: list[str]):
+    """(the offset a trace event reports for it, its fall-through offset, its
+    target offset, the condition's truth when it jumps, the condition's
+    positions) of each conditional jump of `code` that tests a condition of
+    the source.  `lines` is the source of the module `code` was compiled from.
+
+    The condition is the value the jump tests, whose positions are those of
+    the instruction that computed it; a `while` test compiled twice is one
+    condition, and each clause of an `and`/`or` chain is its own.  A jump on
+    `None` tests the comparison `x is None` or `x is not None` whose
+    positions it carries."""
+    instructions = list(dis.get_instructions(code))
+    for i, jump in enumerate(instructions):
+        if "JUMP" not in jump.opname or "IF" not in jump.opname:
+            continue
+        first = i  # the trace event comes at a jump's first EXTENDED_ARG
+        while instructions[first - 1].opname == "EXTENDED_ARG":
+            first -= 1
+        tested = instructions[first - 1]
+        if tested.opname in MACHINERY:
+            continue
+        if "NONE" in jump.opname:
+            positions = jump.positions
+            (op,) = ast.parse(f"({source_of(lines, positions)})", mode="eval").body.ops
+            truth = ("NOT_NONE" in jump.opname) == isinstance(op, ast.IsNot)
+        else:
+            positions = tested.positions
+            truth = "TRUE" in jump.opname
+        yield instructions[first].offset, instructions[i + 1].offset, jump.argval, truth, positions
+
+
+def source_of(lines: list[str], positions) -> str:
+    """The source text at `positions`, whose columns count UTF-8 bytes, on one
+    line."""
+    text = "\n".join(lines[positions.lineno - 1 : positions.end_lineno]).encode()
+    start = positions.col_offset
+    end = len(text) - len(lines[positions.end_lineno - 1].encode()) + positions.end_col_offset
+    return " ".join(text[start:end].decode().split())
+
+
+def one_way_conditions(arcs) -> dict[tuple, tuple[bool, set[int]]]:
+    """Each source condition that ran and was always true or always false,
+    keyed by (file, positions), as (the truth it never had, the lines that
+    exempt it: its first, and those that the successors of that truth start
+    on)."""
+    truths: dict[tuple, set[bool]] = {}
+    starts: dict[tuple, dict[bool, set[int]]] = {}
+    for code, ran in arcs.items():
         after: dict[int | None, set[int]] = {}
-        for file, line, next_line in arcs:
-            if file == str(path):
-                after.setdefault(line, set()).add(next_line)
-        ran = set().union(*after.values())
-        source = path.read_text()
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.If):
+        for offset, next_offset in ran:
+            after.setdefault(offset, set()).add(next_offset)
+        lines = offset_lines(code)
+        source = Path(code.co_filename).read_text().splitlines()
+        for offset, fall, target, on_jump, positions in conditional_jumps(code, source):
+            if offset not in after:
                 continue
-            test = range(node.lineno, node.test.end_lineno + 1)
-            if not ran.intersection(test):
-                continue
-            body = range(node.body[0].lineno, node.body[-1].end_lineno + 1)
-            if node.orelse:
-                false_start = node.orelse[0].lineno
-                false_taken = ran.intersection(lines_of(node.orelse[0]))
-            else:
-                false_start = node.lineno
-                false_taken = any(
-                    next_line not in test and next_line not in body
-                    for line in test
-                    for next_line in after.get(line, ())
-                )
-            arms = [
-                ("true", node.body[0].lineno, ran.intersection(lines_of(node.body[0]))),
-                ("false", false_start, false_taken),
-            ]
-            text = source.splitlines()[node.lineno - 1].strip()
-            for arm, start, taken in arms:
-                if not taken:
-                    out[(str(path), start)] = node.lineno, f"if never {arm}: {text}"
+            key = (code.co_filename, positions)
+            truths.setdefault(key, set()).update(
+                on_jump if next_offset != fall else not on_jump for next_offset in after[offset]
+            )
+            successors = starts.setdefault(key, {True: set(), False: set()})
+            successors[on_jump].add(lines.get(target))
+            successors[not on_jump].add(lines.get(fall))
+    out = {}
+    for (path, positions), seen in truths.items():
+        if len(seen) == 1:
+            never = not seen.pop()
+            out[path, positions] = never, {positions.lineno, *starts[path, positions][never]}
     return out
 
 
 def unreached() -> list[str]:
-    """The gate's findings: each unreached line and each untaken `if` arm that
-    no exemption covers, in file and line order, then each allowlist entry
-    that exempts none."""
+    """The gate's findings: each unreached line and each one-way condition
+    that no exemption covers, in file, line and column order, then each
+    allowlist entry that exempts none."""
     arcs = traced(run_jobs)
-    ran = {(path, line) for path, _, line in arcs if line != RETURN}
+    ran = set()
+    for code, pairs in arcs.items():
+        lines = offset_lines(code)
+        ran |= {(code.co_filename, lines[offset]) for _, offset in pairs if offset in lines}
     counted = counted_lines()
-    gaps = {
-        (path, line): (line, Path(path).read_text().splitlines()[line - 1].strip())
-        for path, line in executable_lines() - ran - counted
-    }
-    arms = {key: arm for key, arm in untaken_arms(arcs).items() if key not in counted}
-    exempt, stale = set(), []
+    gaps = executable_lines() - ran - counted
+    conditions = one_way_conditions(arcs)
+    untaken = {(path, line) for (path, _), (_, lines) in conditions.items() for line in lines}
+    exempt, stale = set(counted), []
     for function, text, _, _ in ALLOWLIST:
         module, name = function.split(".", 1)
         path = str(SRC / f"{module}.py")
         covered = {(path, line) for line in statement_lines(path, name, text)}
-        if not covered & (gaps.keys() | arms.keys()):
-            stale.append(f"allowlist: {function}: {text!r} exempts no unreached line or arm")
+        if not covered & (gaps | untaken):
+            stale.append(f"allowlist: {function}: {text!r} exempts no unreached line or condition")
         exempt |= covered
-    findings = sorted(
-        (Path(key[0]), line, text)
-        for found in (gaps, arms)
-        for key, (line, text) in found.items()
-        if key not in exempt
-    )
-    return [f"{path.relative_to(ROOT)}:{line}: {text}" for path, line, text in findings] + stale
+    findings = [
+        (Path(path), line, 0, Path(path).read_text().splitlines()[line - 1].strip())
+        for path, line in gaps - exempt
+    ]
+    for (path, positions), (truth, lines) in conditions.items():
+        if not exempt & {(path, line) for line in lines}:
+            text = source_of(Path(path).read_text().splitlines(), positions)
+            condition = f"condition never {str(truth).lower()}: {text}"
+            findings.append((Path(path), positions.lineno, positions.col_offset + 1, condition))
+    return [
+        f"{path.relative_to(ROOT)}:{line}:{f'{col}:' if col else ''} {text}"
+        for path, line, col, text in sorted(findings)
+    ] + stale
 
 
 if __name__ == "__main__":

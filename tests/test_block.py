@@ -549,7 +549,7 @@ def test_perturbation_vanishing_on_every_window_grade_raises(params, window, del
 
     def extra(x, y):
         product = delta
-        for g in grades:
+        for g in map(x.grade.ring.const, grades):
             product *= (x.grade - g) * (y.grade - g)
         return product
 

@@ -30,8 +30,12 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_config(tmp_path, payload) -> str:
+    """The payload as JSON, or as it is when it is bytes, in a file."""
     path = tmp_path / "job.json"
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -843,6 +847,11 @@ EXIT_CASES = [
         },
     ),
     ("config_not_an_object", 2, []),
+    # raw bytes, written as they are: a string holding the byte 0xff, JSON
+    # nested 100,000 deep and an integer literal past CPython's 4,300 digits
+    ("config_not_utf8", 2, b'{"job": "\xff"}'),
+    ("config_nested_too_deep", 2, b"[" * 100_000),
+    ("config_integer_too_long", 2, b'{"job": "classify", "horizon": ' + b"9" * 5000 + b"}"),
 ]
 
 
@@ -1135,6 +1144,9 @@ def test_kernel_side_limit_is_inclusive(tmp_path, job):
         ("axioms_fractional_theta", "axioms: field 'theta' must be an integer"),
         ("closure_negative_level_max", "closure: field 'window.level_max' must be >= 0"),
         ("config_not_an_object", "config must be a JSON object"),
+        ("config_not_utf8", "config is not UTF-8: byte 9 is invalid"),
+        ("config_nested_too_deep", "config nests its arrays or objects too deeply to parse"),
+        ("config_integer_too_long", "config has an integer literal of over 4300 digits"),
     ],
 )
 def test_rejected_inputs_are_named_before_any_work(tmp_path, name, message):

@@ -19,7 +19,10 @@ from test_cli import CONFIGS, nested_fields
 from blocklie.cli import ConfigError, emit_report, load_config, run_job
 
 DROP = object()
-POOL = (None, True, False, 0, 1, -1, 10**6, 10**20, 3.5, "", "1/0", "symbolic", [], {})
+# an integer literal of 5,000 digits, past CPython's 4,300: json.dumps cannot
+# write such an int, so the pool holds a marker that the written file replaces
+HUGE_INT = "<an integer of 5,000 digits>"
+POOL = (None, True, False, 0, 1, -1, 10**6, 10**20, 3.5, "", "1/0", "symbolic", [], {}, HUGE_INT)
 RAW = {path.stem: json.loads(path.read_text()) for path in CONFIGS}
 
 
@@ -62,7 +65,7 @@ def mutated_configs(draw):
 def test_a_mutated_archived_config_raises_nothing_but_config_error(tmp_path_factory, case):
     *_, raw = case  # the config's name and mutations show in a failing example
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(raw).replace(json.dumps(HUGE_INT), "9" * 5000))
     try:
         report = run_job(load_config(str(path)))
     except ConfigError:

@@ -45,7 +45,7 @@ def test_element_signs_unit_coefficients_and_central():
 def test_element_with_poly_coefficients():
     ring = PolyRing("p", "q")
     p, q = ring.var("p"), ring.var("q")
-    elem = Element({Graded(1, 0): p * q - 1, Graded(0, 0): -q, Graded(2, 1): Fraction(-3)})
+    elem = Element({Graded(1, 0): p * q - ring.one, Graded(0, 0): -q, Graded(2, 1): Fraction(-3)})
     assert str(elem) == "(-q)*L[0,0] + (p*q - 1)*L[1,0] - 3*L[2,1]"
 
 
@@ -114,7 +114,7 @@ def test_poly_constant_and_unit_terms():
     assert str(-p * q + Fraction(3, 2)) == "-p*q + 3/2"
     assert str(ring.const(-1)) == "-1"
     assert str(-p + 1) == "-p + 1"
-    assert str(Fraction(-2, 3) * q**3 + p - 4) == "p - 2/3*q^3 - 4"
+    assert str(Fraction(-2, 3) * q**3 + p - ring.const(4)) == "p - 2/3*q^3 - 4"
     assert str(q - p**2) == "-p^2 + q"
 
 

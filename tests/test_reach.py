@@ -1,15 +1,18 @@
-"""Every line of `src/blocklie`, and both arms of every `if` in it, run in
-some job.
+"""Every line of `src/blocklie` runs, and every condition in it goes both
+ways, in some job.
 
 `tests/reach.py` runs the archived configs, a benchmark block per workload
-and the CLI's exit cases under a tracer and prints each executable line that
-none of them ran, and each `if` arm that none took, that no exemption covers.
-It runs in a child process: the test session has imported the package
-already, and a tracer installed now would miss the module bodies.  To read a
-failure, run `python tests/reach.py`: a line it prints is code that no job
-reaches, and an arm it prints is a test whose outcome no job changes.
-Delete it, or give `reach.CLI_CASES` the input that reaches it; a guard that
-no input can reach goes on `reach.ALLOWLIST`, with its kind and reason.
+and the CLI's exit cases under an opcode tracer and prints each executable
+line that none of them ran, and each condition (an `if`, `elif` or `while`
+test, an `and`/`or` clause, a conditional expression's test, a
+comprehension's `if`) that was always true or always false, that no
+exemption covers.  It runs in a child process: the test session has
+imported the package already, and a tracer installed now would miss the
+module bodies.  To read a failure, run `python tests/reach.py`: a line it
+prints is code that no job reaches, and a condition it prints is a test
+whose outcome no job changes.  Delete it, or give `reach.CLI_CASES` the
+input that reaches it; a guard that no input can reach goes on
+`reach.ALLOWLIST`, with its kind and reason.
 """
 
 import subprocess
@@ -23,5 +26,6 @@ def test_every_line_runs_in_some_job():
     result = subprocess.run(
         [sys.executable, str(REACH)], capture_output=True, text=True, timeout=120
     )
-    assert result.stdout == "", f"lines and arms that no job runs:\n{result.stdout}"
+    found = result.stdout
+    assert found == "", f"lines and conditions that no job runs both ways:\n{found}"
     assert result.returncode == 0, result.stderr
