@@ -320,9 +320,15 @@ def code_objects(code):
         stack.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
 
 
-def line_numbers(code) -> set[int]:
-    # line 0 marks compiler-made instructions that belong to no source line
-    return {line for _, _, line in code.co_lines() if line}
+def offset_lines(code) -> dict[int, int]:
+    """The source line of each instruction offset of `code`; line 0 or None
+    marks compiler-made instructions that belong to no source line."""
+    return {
+        offset: line
+        for start, end, line in code.co_lines()
+        if line
+        for offset in range(start, end, 2)
+    }
 
 
 def executable_lines() -> set[tuple[str, int]]:
@@ -331,7 +337,7 @@ def executable_lines() -> set[tuple[str, int]]:
         (str(path), line)
         for path in SRC.glob("*.py")
         for code in code_objects(compile(path.read_text(), str(path), "exec"))
-        for line in line_numbers(code)
+        for line in offset_lines(code).values()
     }
 
 
@@ -443,7 +449,7 @@ def counted_lines() -> set[tuple[str, int]]:
         owner = importlib.import_module(f"blocklie.{module_name}")
         function = getattr(owner, attr) if class_name is None else vars(getattr(owner, class_name))[attr]
         for code in code_objects(function.__code__):
-            out |= {(code.co_filename, line) for line in line_numbers(code)}
+            out |= {(code.co_filename, line) for line in offset_lines(code).values()}
     return out
 
 
@@ -467,16 +473,6 @@ def statement_lines(path: str, function: str, text: str) -> set[int]:
 
     visit(ast.parse(source), "")
     return out
-
-
-def offset_lines(code) -> dict[int, int]:
-    """The source line of each instruction offset of `code`."""
-    return {
-        offset: line
-        for start, end, line in code.co_lines()
-        if line
-        for offset in range(start, end, 2)
-    }
 
 
 # instructions whose conditional jump that follows is the machinery of an
